@@ -187,6 +187,20 @@ def dgap(jump_t, model: DilationModel, dilation_angle: float):
 def aperture(jump_n, jump_t, model: DilationModel, mat: MaterialSet):
     """Fracture aperture from the displacement jump.
 
+    A nonpositive aperture violates nonpenetration and raises ValueError;
+    :func:`aperture_unchecked` evaluates the same law without the check.
+    """
+    a = aperture_unchecked(jump_n, jump_t, model, mat)
+    if np.any(a <= 0.0):
+        raise ValueError(
+            "nonpositive aperture: nonpenetration is violated by the current state"
+        )
+    return a
+
+
+def aperture_unchecked(jump_n, jump_t, model: DilationModel, mat: MaterialSet):
+    """The aperture law, defined for iterates that overshoot into penetration.
+
     Zero- and two-way models: a = a0 + jump_n. One-way adds the slip term
     tan(psi) |jump_t| directly (in the two-way model the same widening is
     reached through the gap entering the momentum balance).
@@ -194,10 +208,6 @@ def aperture(jump_n, jump_t, model: DilationModel, mat: MaterialSet):
     a = mat.residual_aperture + np.asarray(jump_n, dtype=float)
     if model is DilationModel.ONE_WAY:
         a = a + np.tan(mat.dilation_angle) * np.abs(np.asarray(jump_t, dtype=float))
-    if np.any(a < 0.0):
-        raise ValueError(
-            "negative aperture: nonpenetration is violated by the current state"
-        )
     return a
 
 
@@ -218,6 +228,3 @@ def friction_bound(lam_n, jump_n, gap_value, c_num, friction_coefficient):
     if np.any(np.asarray(c_num) <= 0.0):
         raise ValueError("c_num must be positive")
     return -friction_coefficient * (lam_n + c_num * (jump_n - gap_value))
-
-
-TABLE_DEFAULTS = MaterialSet()

@@ -44,6 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mdthm.constitutive import friction_bound
+
 
 class ContactState(enum.IntEnum):
     OPEN = 0
@@ -55,15 +57,11 @@ class ContactError(RuntimeError):
     pass
 
 
-def friction_bound_of(lam_n, jump_n, gap, c_num, friction):
-    return -friction * (lam_n + c_num * (jump_n - gap))
-
-
 def classify(lam_t, lam_n, jump_t, jump_n, jump_t_prev, gap, c_num, friction):
     """Per-cell deformation state at the current iterate."""
     if np.any(np.asarray(c_num) <= 0):
         raise ContactError("numerical parameter c must be positive")
-    b = friction_bound_of(lam_n, jump_n, gap, c_num, friction)
+    b = friction_bound(lam_n, jump_n, gap, c_num, friction)
     trial = np.abs(lam_t + c_num * (jump_t - jump_t_prev))
     state = np.full(np.shape(b), ContactState.GLIDING, dtype=int)
     state[trial < b] = ContactState.STICKING
@@ -73,7 +71,7 @@ def classify(lam_t, lam_n, jump_t, jump_n, jump_t_prev, gap, c_num, friction):
 
 def residuals(lam_t, lam_n, jump_t, jump_n, jump_t_prev, gap, c_num, friction):
     """Normal and tangential complementarity residuals, zero at solutions."""
-    b = friction_bound_of(lam_n, jump_n, gap, c_num, friction)
+    b = friction_bound(lam_n, jump_n, gap, c_num, friction)
     d_t = jump_t - jump_t_prev
     trial = lam_t + c_num * d_t
     c_normal = -lam_n - np.maximum(0.0, b) / friction
@@ -130,7 +128,7 @@ def row_coefficients(state, lam_t, lam_n, jump_t, jump_n, jump_t_prev, gap,
     state = np.asarray(state, dtype=int)
     nc = state.size
     c_arr = np.broadcast_to(np.asarray(c_num, dtype=float), (nc,))
-    b = friction_bound_of(lam_n, jump_n, gap, c_arr, friction)
+    b = friction_bound(lam_n, jump_n, gap, c_arr, friction)
     closed = state != ContactState.OPEN
     if np.any(closed & (b <= 0)):
         raise ContactError("closed-state row requested with nonpositive friction bound")

@@ -38,10 +38,6 @@ class BoundaryCondition:
         is_dir[grid.boundary_faces() if faces is None else faces] = True
         return cls(is_dir)
 
-    @classmethod
-    def neumann(cls, grid):
-        return cls(np.zeros(grid.num_faces, dtype=bool))
-
 
 @dataclass
 class ScalarDiffusionOps:

@@ -14,7 +14,6 @@ import scipy.sparse as sps
 
 # Codes for tags["domain_side"]
 SIDE_NONE, SIDE_LEFT, SIDE_RIGHT, SIDE_BOTTOM, SIDE_TOP = 0, 1, 2, 3, 4
-SIDE_NAMES = {"left": SIDE_LEFT, "right": SIDE_RIGHT, "bottom": SIDE_BOTTOM, "top": SIDE_TOP}
 
 
 class MeshError(ValueError):

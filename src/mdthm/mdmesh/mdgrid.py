@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sps
 
 from mdthm.mdmesh.grids import MeshError, SubdomainGrid
 from mdthm.mdmesh.mortar import SIDE_J, SIDE_K, MortarInterface
@@ -50,9 +51,6 @@ class MixedDimGrid:
     def interfaces_of_low(self, low_id: int) -> list[MortarInterface]:
         return [i for i in self.interfaces if i.low_id == low_id]
 
-    def interfaces_of_high(self, high_id: int) -> list[MortarInterface]:
-        return [i for i in self.interfaces if i.high_id == high_id]
-
     # ------------------------------------------------------------------
     def fracture_basis(self, frac_sd_id: int) -> tuple[np.ndarray, np.ndarray]:
         """Unit normal and tangent per fracture cell.
@@ -67,24 +65,25 @@ class MixedDimGrid:
         tau = np.vstack([-n[1], n[0]])
         return n, tau
 
-    def displacement_jump(self, frac_sd_id: int, u_j: np.ndarray, u_k: np.ndarray) -> np.ndarray:
-        """Jump of the interface displacements, k side minus j side.
+    def jump_operator(self) -> sps.csr_matrix:
+        """Displacement jump of every fracture cell, k side minus j side.
 
-        Inputs are mortar vector fields raveled cellwise ((u_x, u_y) per
-        cell); the result is a (2, n_frac_cells) array in global coordinates.
+        Columns are the mortar displacements of all matrix-fracture
+        interfaces in interface order, interleaved (u_x, u_y) per mortar
+        cell. Rows are the fracture cells in subdomain order, with the jump
+        in global coordinates, interleaved (x, y) per cell.
         """
-        intf_j, intf_k = self.fracture_interfaces(frac_sd_id)
-        frac = self.subdomain(frac_sd_id)
-        nc = frac.num_cells
-        pj = intf_j.from_mortar_low(nc, nd=2)
-        pk = intf_k.from_mortar_low(nc, nd=2)
-        jump = pk @ np.asarray(u_k, dtype=float).ravel() - pj @ np.asarray(u_j).ravel()
-        return jump.reshape(nc, 2).T
-
-    def jump_normal_tangential(self, frac_sd_id, u_j, u_k) -> tuple[np.ndarray, np.ndarray]:
-        jump = self.displacement_jump(frac_sd_id, u_j, u_k)
-        n, tau = self.fracture_basis(frac_sd_id)
-        return (jump * n).sum(axis=0), (jump * tau).sum(axis=0)
+        fracs = self.subdomains_of_dim(1)
+        row = {f.id: k for k, f in enumerate(fracs)}
+        walls = [i for i in self.interfaces if i.high_id == self.matrix.id]
+        if not walls:
+            return sps.csr_matrix((2 * sum(f.num_cells for f in fracs), 0))
+        blocks = [[None] * len(walls) for _ in fracs]
+        for col, intf in enumerate(walls):
+            sign = 1.0 if intf.side == SIDE_K else -1.0
+            n_cells = self.subdomain(intf.low_id).num_cells
+            blocks[row[intf.low_id]][col] = sign * intf.from_mortar_low(n_cells, nd=2)
+        return sps.bmat(blocks, format="csr")
 
     def inherit_aperture(self, point_sd_id: int, fracture_apertures: dict[int, np.ndarray]) -> np.ndarray:
         """Aperture of an intersection point: mean over incident branches."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mdthm.constitutive import DilationModel
+from mdthm.constitutive import aperture, gap as gap_fn
 from mdthm.contact import classify
 from mdthm.scenarios.config import ConfigError, ScenarioConfig, parse_config
 from mdthm.scenarios.errors import ErrorReport, compare_states
@@ -40,13 +40,6 @@ class RunResult:
     def max_newton_iterations(self) -> int:
         return max((r.newton.iterations for r in self.records), default=0)
 
-    def worst_balance(self):
-        mass = max((abs(r.balance.mass_residual) for r in self.records
-                    if r.balance is not None), default=0.0)
-        energy = max((abs(r.balance.energy_residual) for r in self.records
-                      if r.balance is not None), default=0.0)
-        return mass, energy
-
 
 def run(cfg: ScenarioConfig, out_dir=None, extra_refinement: int = 0) -> RunResult:
     """Execute all phases of a scenario; write VTK/CSV when out_dir is set."""
@@ -58,16 +51,26 @@ def run(cfg: ScenarioConfig, out_dir=None, extra_refinement: int = 0) -> RunResu
         writer.write_snapshot(scn.state, 0.0)
     records = []
     phase_ends = []
+    t_start = 0.0
     for phase_cfg, phase_spec in zip(scn.cfg.phases, scn.phases):
         # each phase is passed separately, so time_loop's clock (and hence
-        # the ramp) is phase-relative
+        # the ramp and the dt schedule) is phase-relative; records carry the
+        # absolute time
+
+        def observe(rec, state, t_start=t_start):
+            rec.time += t_start
+            if writer is not None:
+                writer.observe(rec, state)
+
         provider = scn.load_provider(phase_cfg)
         recs = time_loop(
             scn.assembler, scn.state, [phase_spec], provider, scn.loop_options,
-            observer=writer.observe if writer else None,
+            observer=observe,
         )
         records.extend(recs)
         phase_ends.append(scn.state.current.copy())
+        if recs:
+            t_start = recs[-1].time
     if writer is not None:
         writer.finalize()
         _write_summary(out_dir, scn, records)
@@ -135,7 +138,9 @@ def convergence_study(cfg: ScenarioConfig, levels: int, raw_cfg: dict | None = N
         raise ConfigError("a convergence study needs at least 3 levels")
     if cfg.mesh["kind"] == "gmsh":
         raise ConfigError("mesh.kind: the study needs a nestable generated mesh")
-    raw_cfg = raw_cfg if raw_cfg is not None else _rawify(cfg)
+    if raw_cfg is None:
+        raise ConfigError("convergence_study needs the raw configuration dictionary; "
+                          "pass raw_cfg or use the command line interface")
 
     jobs = [(raw_cfg, lvl) for lvl in range(levels)]
     if worker_count() > 1:
@@ -188,13 +193,6 @@ def convergence_study(cfg: ScenarioConfig, levels: int, raw_cfg: dict | None = N
     return report
 
 
-def _rawify(cfg: ScenarioConfig):
-    raise ConfigError(
-        "convergence_study needs the raw configuration dictionary; "
-        "pass raw_cfg or use the command line interface"
-    )
-
-
 # ----------------------------------------------------------------------
 # dilation-model comparison
 # ----------------------------------------------------------------------
@@ -210,11 +208,8 @@ def _run_model(args):
     for sd in scn.mdg.subdomains_of_dim(1):
         jn, jt = scn.assembler.jumps_of(x, sd.id)
         lam = x[scn.assembler.dofs.sd(sd.id, "lam")]
-        jt_prev = scn.assembler.jumps_of(scn.state.prev_step, sd.id)[1]
-        a = scn.assembler.aperture_of(jt, jn)
+        a = aperture(jn, jt, scn.assembler.model, scn.cfg.materials)
         order = np.argsort(sd.cell_centers[0], kind="stable")
-        from mdthm.constitutive import gap as gap_fn
-
         g = gap_fn(jt, scn.assembler.model, scn.cfg.materials.dilation_angle)
         states = classify(
             lam[0::2], lam[1::2], jt, jn, np.zeros_like(jt), g,
@@ -275,7 +270,8 @@ def cooling_aperture_localisation(result: RunResult, phase_index: int) -> dict:
     for sd in scn.mdg.subdomains_of_dim(1):
         jn0, jt0 = asm.jumps_of(x_start, sd.id)
         jn1, jt1 = asm.jumps_of(x_end, sd.id)
-        da = asm.aperture_of(jt1, jn1) - asm.aperture_of(jt0, jn0)
+        da = (aperture(jn1, jt1, asm.model, asm.mat)
+              - aperture(jn0, jt0, asm.model, asm.mat))
         q = np.zeros(sd.num_cells)
         for intf in scn.mdg.interfaces_of_low(sd.id):
             nu = x_end[dofs.intf(intf.id, "nu")]

@@ -54,16 +54,6 @@ class ErrorReport:
         self.orders = out
         return out
 
-    def minimum_order(self, variables, exclude_subdomains=()):
-        worst = np.inf
-        for (sd, var), seq in self.orders.items():
-            if var not in variables or sd in exclude_subdomains:
-                continue
-            tail = [v for v in seq if v is not None]
-            if tail:
-                worst = min(worst, tail[-1])
-        return worst
-
 
 def project_field(maps, sd_index, values):
     """Inject a coarse cellwise field onto the reference grid's cells."""

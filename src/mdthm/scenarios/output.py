@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 
-from mdthm.constitutive import gap as gap_fn
+from mdthm.constitutive import aperture, gap as gap_fn
 from mdthm.contact import classify
 from mdthm.mdmesh import MixedDimGrid, SubdomainGrid
 from mdthm.system import Assembler, State
@@ -61,6 +61,8 @@ def write_vtk(path, sd: SubdomainGrid, cell_data: dict):
 def snapshot_fields(assembler: Assembler, state: State) -> dict:
     """Cellwise output fields per subdomain at the current state."""
     mdg, dofs, mat = assembler.mdg, assembler.dofs, assembler.mat
+    jumps = {f.id: assembler.jumps_of(state.current, f.id) for f in assembler.fractures}
+    apertures = {k: aperture(jn, jt, assembler.model, mat) for k, (jn, jt) in jumps.items()}
     out = {}
     for sd in mdg.subdomains:
         data = {
@@ -72,10 +74,9 @@ def snapshot_fields(assembler: Assembler, state: State) -> dict:
             data["displacement"] = np.vstack([u[0::2], u[1::2]])
         elif sd.dim == 1:
             lam = state.current[dofs.sd(sd.id, "lam")]
-            jn, jt = assembler.jumps_of(state.current, sd.id)
-            jn_prev, jt_prev = assembler.jumps_of(state.prev_step, sd.id)
+            jn, jt = jumps[sd.id]
+            jt_prev = assembler.jumps_of(state.prev_step, sd.id)[1]
             g = gap_fn(jt, assembler.model, mat.dilation_angle)
-            a = assembler.aperture_of(jt, jn)
             states = classify(lam[0::2], lam[1::2], jt, jn, jt_prev, g,
                               assembler.c_num[sd.id], mat.friction_coefficient)
             cumulative = classify(lam[0::2], lam[1::2], jt, jn,
@@ -86,15 +87,11 @@ def snapshot_fields(assembler: Assembler, state: State) -> dict:
             data["jump"] = tau_vec * jt + n_vec * jn
             data["jump_tangential"] = jt
             data["jump_normal"] = jn
-            data["aperture"] = a
+            data["aperture"] = apertures[sd.id]
             data["contact_state"] = states.astype(float)
             data["contact_state_cumulative"] = cumulative.astype(float)
         else:
-            cache_aps = {}
-            for f in mdg.subdomains_of_dim(1):
-                jnf, jtf = assembler.jumps_of(state.current, f.id)
-                cache_aps[f.id] = assembler.aperture_of(jtf, jnf)
-            data["aperture"] = mdg.inherit_aperture(sd.id, cache_aps)
+            data["aperture"] = mdg.inherit_aperture(sd.id, apertures)
         out[sd.id] = data
     return out
 
@@ -112,6 +109,8 @@ class RunWriter:
         os.makedirs(os.path.join(out_dir, "vtk"), exist_ok=True)
 
     def write_snapshot(self, state: State, time: float):
+        """Write the state as snapshot number ``count``: the initial state
+        is number 0 and the state after step k is number k."""
         fields = snapshot_fields(self.assembler, state)
         for sd in self.assembler.mdg.subdomains:
             path = os.path.join(
@@ -134,9 +133,9 @@ class RunWriter:
                 (record.time, record.balance.mass_residual,
                  record.balance.energy_residual)
             )
+        self.count += 1
         if self.count % self.every == 0:
             self.write_snapshot(state, record.time)
-        self.count += 1
 
     def finalize(self):
         path = os.path.join(self.out_dir, "timeseries.csv")

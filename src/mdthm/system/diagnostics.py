@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mdthm.constitutive import fluid_density, specific_volume
+from mdthm.constitutive import fluid_density
+from mdthm.fvm import upwind_advective
 from mdthm.system.assembly import Assembler, Loads
-from mdthm.system.dofs import NU, NU_ADV, NU_COND, P, T, U_MORTAR, State
+from mdthm.system.dofs import NU, P, T, State
 
 
 @dataclass
@@ -84,7 +85,7 @@ def balance_report(assembler: Assembler, state: State, dt: float,
                     vols * v_lag * ((p_new - p_old) / mat.bulk_fluid
                                     - mat.thermal_expansion_fluid * (t_new - t_old))
                 ))
-                v_old = _spec_vol_at(assembler, xp, sd.id)
+                v_old = cache.spec_vol_prev[sd.id]
                 m_acc += float(np.sum(vols * (v_lag - v_old)))
                 e_acc += float(np.sum(
                     vols * mat.heat_capacity_fluid * rho * t_new * (v_lag - v_old)
@@ -119,9 +120,6 @@ def balance_report(assembler: Assembler, state: State, dt: float,
             ops = assembler.heat_ops if sd.dim == 2 else cache.frac_heat_ops[sd.id]
             bvals = assembler._scalar_boundary_values(sd.id, "heat", loads, x)
             q_cond = ops.flux @ t_new + ops.bound_flux @ bvals
-            from mdthm.fvm import upwind_matrices
-
-            u_cell, u_face = upwind_matrices(sd, q, sd.tags["internal"])
             w = mat.heat_capacity_fluid * rho
             ext_T = np.asarray(
                 loads.bc_heat.get(sd.id, np.zeros(sd.num_faces)), float
@@ -132,7 +130,7 @@ def balance_report(assembler: Assembler, state: State, dt: float,
             rho_b = fluid_density(x[dofs.sd(sd.id, P)][owner], ext_T, mat)
             w_bc = np.where(heat_bc.is_dir,
                             mat.heat_capacity_fluid * rho_b * ext_T, 0.0)
-            q_adv = u_cell @ (w * t_new) + u_face @ w_bc
+            q_adv = upwind_advective(sd, q, w * t_new, w_bc, sd.tags["internal"])
             e_out += dt * float(np.sum(q_cond[ext] + q_adv[ext]))
 
         rates = loads.well_rates.get(sd.id)
@@ -151,14 +149,6 @@ def balance_report(assembler: Assembler, state: State, dt: float,
                     mat.heat_capacity_fluid * rho[prod] * rates[prod] * t_new[prod]
                 ))
     return BalanceReport(m_acc, m_out, m_src, e_acc, e_out, e_src)
-
-
-def _spec_vol_at(assembler, x, sd_id):
-    sd = assembler.mdg.subdomain(sd_id)
-    if sd.dim == 1:
-        jn, jt = assembler.jumps_of(x, sd_id)
-        return specific_volume(assembler.aperture_of(jt, jn), 1)
-    return assembler._point_spec_vol(sd_id, x)
 
 
 def interface_flux_consistency(assembler: Assembler, state: State,

@@ -60,18 +60,15 @@ class DofMap:
     def intf(self, intf_id, var) -> slice:
         return self._slices[("intf", intf_id, var)]
 
-    def has(self, kind, ident, var) -> bool:
-        return (kind, ident, var) in self._slices
+    def indices(self, kind, idents, var) -> np.ndarray:
+        """Dof indices of one variable over several subdomains or
+        interfaces, concatenated in the given order."""
+        parts = [np.arange(sl.start, sl.stop)
+                 for sl in (self._slices[(kind, i, var)] for i in idents)]
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=int)
 
     def blocks(self):
         return self._slices.items()
-
-    def variable_of_dof(self) -> np.ndarray:
-        """Per-dof variable name, for scaled norms."""
-        out = np.empty(self.num_dofs, dtype=object)
-        for (kind, ident, var), sl in self._slices.items():
-            out[sl] = var
-        return out
 
 
 class State:
@@ -82,9 +79,6 @@ class State:
         self.prev_step = np.zeros(dofs.num_dofs)
         self.prev_iter = np.zeros(dofs.num_dofs)
         self.current = np.zeros(dofs.num_dofs)
-
-    def start_step(self):
-        self.prev_iter[:] = self.current
 
     def start_iteration(self):
         self.prev_iter[:] = self.current

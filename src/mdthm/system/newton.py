@@ -9,6 +9,7 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from mdthm import contact as ct
+from mdthm.constitutive import aperture, gap
 from mdthm.system.assembly import Assembler, IterationCache, Loads
 from mdthm.system.dofs import LAM, State
 
@@ -82,29 +83,21 @@ class NewtonReport:
 def contact_residual_norm(assembler: Assembler, x: np.ndarray,
                           x_prev_step: np.ndarray) -> float:
     """Worst scaled complementarity residual over all fracture cells."""
-    mat, dofs = assembler.mat, assembler.dofs
-    worst = 0.0
-    for sd in assembler.mdg.subdomains_of_dim(1):
-        lam = x[dofs.sd(sd.id, LAM)]
-        lam_t, lam_n = lam[0::2], lam[1::2]
-        jn, jt = _jumps(assembler, x, sd.id)
-        jn_prev, jt_prev = _jumps(assembler, x_prev_step, sd.id)
-        from mdthm.constitutive import gap as gap_fn
-
-        g = gap_fn(jt, assembler.model, mat.dilation_angle)
-        c_n, c_t = ct.residuals(
-            lam_t, lam_n, jt, jn, jt_prev, g,
-            assembler.c_num[sd.id], mat.friction_coefficient,
-        )
-        scale = np.maximum(1.0, np.hypot(lam_t, lam_n))
-        if c_n.size:
-            worst = max(worst, float(np.max(np.abs(c_n) / scale)))
-            worst = max(worst, float(np.max(np.abs(c_t) / scale**2)))
-    return worst
-
-
-def _jumps(assembler, x, frac_id):
-    return assembler.jumps_of(x, frac_id)
+    mat = assembler.mat
+    lam = x[assembler.frac_dofs[LAM]]
+    if lam.size == 0:
+        return 0.0
+    lam_t, lam_n = lam[0::2], lam[1::2]
+    jump, jump_prev = assembler.jumps(x), assembler.jumps(x_prev_step)
+    jt = jump[0::2]
+    g = gap(jt, assembler.model, mat.dilation_angle)
+    c_n, c_t = ct.residuals(
+        lam_t, lam_n, jt, jump[1::2], jump_prev[0::2], g,
+        assembler.c_all, mat.friction_coefficient,
+    )
+    scale = np.maximum(1.0, np.hypot(lam_t, lam_n))
+    return max(float(np.max(np.abs(c_n) / scale)),
+               float(np.max(np.abs(c_t) / scale**2)))
 
 
 PRIMARY_VARIABLES = ("u", "u_m", "p", "T", "lam")
@@ -191,11 +184,12 @@ def _scale_vector(assembler: Assembler, scales: dict) -> np.ndarray:
 
 def _check_apertures(assembler: Assembler, x: np.ndarray):
     """Converged states must satisfy nonpenetration strictly."""
-    for sd in assembler.mdg.subdomains_of_dim(1):
+    for sd in assembler.fractures:
         jn, jt = assembler.jumps_of(x, sd.id)
-        a = assembler.aperture_of(jt, jn)
-        if np.any(a <= 0):
+        try:
+            aperture(jn, jt, assembler.model, assembler.mat)
+        except ValueError as err:
             raise ct.ContactError(
                 f"nonpositive aperture on fracture subdomain {sd.id} at a "
                 "converged state: nonpenetration is violated"
-            )
+            ) from err

@@ -132,11 +132,18 @@ class TestDisplacementJump:
         self.mdg = build_cartesian_fractured(3, 2, [((0.0, 0.5), (1.0, 0.5))])
         self.frac = self.mdg.subdomains[1]
 
+    def jump(self, u_j, u_k):
+        """Jump per cell, (2, n) in global coordinates, from the two walls'
+        mortar displacements."""
+        intf_j, intf_k = self.mdg.fracture_interfaces(self.frac.id)
+        walls = {intf_j.id: u_j, intf_k.id: u_k}
+        u = np.concatenate([walls[i.id] for i in self.mdg.interfaces if i.high_id == 0])
+        return (self.mdg.jump_operator() @ u).reshape(-1, 2).T
+
     def test_zero_for_equal_fields(self):
         rng = np.random.default_rng(0)
         u = rng.standard_normal(2 * self.frac.num_cells)
-        jump = self.mdg.displacement_jump(self.frac.id, u, u)
-        assert np.allclose(jump, 0.0)
+        assert np.allclose(self.jump(u, u), 0.0)
 
     def test_sign_convention(self):
         # n points from the j side towards the k side; on a horizontal
@@ -146,9 +153,9 @@ class TestDisplacementJump:
         a = 1e-3
         u_j = np.zeros(2 * self.frac.num_cells)
         u_k = np.tile([0.0, a], self.frac.num_cells)
-        jn, jt = self.mdg.jump_normal_tangential(self.frac.id, u_j, u_k)
-        assert np.allclose(jn, a)
-        assert np.allclose(jt, 0.0, atol=1e-15)
+        jump = self.jump(u_j, u_k)
+        assert np.allclose((jump * n).sum(axis=0), a)
+        assert np.allclose((jump * tau).sum(axis=0), 0.0, atol=1e-15)
 
     def test_dense_projection_oracle(self):
         rng = np.random.default_rng(42)
@@ -159,8 +166,7 @@ class TestDisplacementJump:
         pj = intf_j.from_mortar_low(nc, 2).toarray()
         pk = intf_k.from_mortar_low(nc, 2).toarray()
         expected = (pk @ u_k - pj @ u_j).reshape(nc, 2).T
-        jump = self.mdg.displacement_jump(self.frac.id, u_j, u_k)
-        assert np.allclose(jump, expected, atol=1e-15)
+        assert np.allclose(self.jump(u_j, u_k), expected, atol=1e-15)
 
     def test_rejects_foreign_interfaces(self):
         mdg = build_cartesian_fractured(2, 2)

@@ -1,0 +1,83 @@
+import copy
+import json
+import os
+
+import numpy as np
+import pytest
+
+from mdthm.scenarios import drivers
+from mdthm.scenarios.config import parse_config
+from mdthm.scenarios.output import snapshot_fields, write_vtk
+from mdthm.scenarios.setup import build_scenario
+from mdthm.system import time_loop
+
+CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
+                      "fractured_convergence.json")
+
+
+def tiny_raw(every=1):
+    """One fracture on an 8x4 grid: steady compression, then two short
+    transient phases of two steps each."""
+    with open(CONFIG, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["mesh"].update(nx=8, ny=4, refinement=0, fractures=[[[0.5, 0.5], [1.5, 0.5]]])
+    compression, pressurise, cooling = (copy.deepcopy(p) for p in raw["phases"])
+    pressurise.update(duration=12.5, dt=6.25, dt_init=0.0)
+    cooling.update(duration=20.0, dt=10.0, dt_init=0.0)
+    raw["phases"] = [compression, pressurise, cooling]
+    raw["output"] = {"every": every}
+    return raw
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    return drivers.run(parse_config(tiny_raw()), out_dir=str(out)), str(out)
+
+
+class TestRunOutput:
+    def test_initial_state_is_snapshot_zero(self, tiny_run, tmp_path):
+        result, out = tiny_run
+        scn = build_scenario(parse_config(tiny_raw()))
+        fields = snapshot_fields(scn.assembler, scn.state)
+        for sd in scn.mdg.subdomains:
+            path = tmp_path / f"initial_{sd.id}.vtk"
+            write_vtk(path, sd, fields[sd.id])
+            written = os.path.join(out, "vtk", f"subdomain_{sd.id}_step_00000.vtk")
+            with open(written, encoding="utf-8") as fh:
+                assert fh.read() == path.read_text(encoding="utf-8")
+
+    def test_one_snapshot_per_step_plus_initial(self, tiny_run):
+        result, out = tiny_run
+        names = os.listdir(os.path.join(out, "vtk"))
+        n_sd = len(result.scenario.mdg.subdomains)
+        assert len(result.records) == 5
+        assert len(names) == n_sd * (len(result.records) + 1)
+
+    def test_output_every_honoured(self, tmp_path):
+        result = drivers.run(parse_config(tiny_raw(every=2)), out_dir=str(tmp_path))
+        steps = sorted({name.split("_step_")[1] for name in os.listdir(tmp_path / "vtk")})
+        assert len(result.records) == 5
+        assert steps == ["00000.vtk", "00002.vtk", "00004.vtk"]
+
+
+class TestAbsoluteTime:
+    def test_time_never_decreases_across_phases(self, tiny_run):
+        result, out = tiny_run
+        times = [r.time for r in result.records]
+        assert times == pytest.approx([0.0, 6.25, 12.5, 22.5, 32.5])
+        with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
+            summary = [step["time_s"] for step in json.load(fh)["steps"]]
+        assert summary == times
+        series = np.loadtxt(os.path.join(out, "timeseries.csv"), delimiter=",",
+                            skiprows=1, usecols=0)
+        assert np.all(np.diff(series) >= 0.0)
+
+    def test_end_state_unchanged(self, tiny_run):
+        # phase by phase with phase-relative clocks, as the loads see them
+        result, _ = tiny_run
+        scn = build_scenario(parse_config(tiny_raw()))
+        for phase_cfg, phase_spec in zip(scn.cfg.phases, scn.phases):
+            time_loop(scn.assembler, scn.state, [phase_spec],
+                      scn.load_provider(phase_cfg), scn.loop_options)
+        assert np.array_equal(scn.state.current, result.scenario.state.current)

@@ -5,12 +5,13 @@ import scipy.sparse.linalg as spla
 from helpers import default_bc_types, default_params, make_loads, make_problem
 
 from mdthm.constitutive import DilationModel, MaterialSet, gap as gap_fn
-from mdthm.contact import classify, complementarity_report
+from mdthm.contact import ContactError, classify, complementarity_report
 from mdthm.fvm import BoundaryCondition, mpfa_discretize
 from mdthm.system import (
     LAM,
     P,
     T,
+    U_MORTAR,
     DirectSolver,
     Loads,
     PhaseSpec,
@@ -22,10 +23,11 @@ from mdthm.system import (
     newton_solve,
     time_loop,
 )
-from mdthm.system.newton import contact_residual_norm
+from mdthm.system.newton import _check_apertures, contact_residual_norm
 
 MAT = MaterialSet()
 FR = [((0.25, 0.5), (0.75, 0.5))]
+CROSSING = [((0.25, 0.5), (0.75, 0.5)), ((0.5, 0.25), (0.5, 0.75))]
 
 
 class TestDirectSolver:
@@ -147,6 +149,19 @@ class TestFracturedContactSolve:
     def test_interface_flux_consistency(self):
         mdg, asm, state, rep, loads = self.solve()
         assert interface_flux_consistency(asm, state, loads) < 1e-12
+
+    def test_penetration_rejected_at_converged_state(self):
+        mdg, asm, state = make_problem(FR)
+        _check_apertures(asm, state.current)
+        frac = mdg.subdomains[1]
+        _, intf_k = mdg.fracture_interfaces(frac.id)
+        n, _ = asm.basis[frac.id]
+        x = state.current.copy()
+        # the k wall moves 2 a0 into the j wall: aperture -a0 everywhere
+        u_k = -2.0 * MAT.residual_aperture * n[:, intf_k.low_cells]
+        x[asm.dofs.intf(intf_k.id, U_MORTAR)] = u_k.T.ravel()
+        with pytest.raises(ContactError, match="nonpositive aperture"):
+            _check_apertures(asm, x)
 
     def test_all_open_contact_block_is_identity(self):
         # tension opens every cell; the lam block must reduce to the identity
@@ -327,3 +342,33 @@ class TestConservation:
         rep = balance_report(asm, state, 1.0, loads)
         assert rep.mass_residual == pytest.approx(0.0, abs=1e-20)
         assert rep.energy_residual == pytest.approx(0.0, abs=1e-12)
+
+    def test_crossing_fractures_balance(self):
+        # two fractures crossing at an intersection point: fracture-point
+        # mortars, 0d balances and trace couplings between mortars
+        mdg, asm, state = make_problem(CROSSING, nx=8, ny=8)
+        assert len(mdg.subdomains_of_dim(0)) == 1
+        frac = mdg.subdomains[1]
+        rate = np.zeros(frac.num_cells)
+        rate[1] = 1e-8
+        t_inj = np.full(frac.num_cells, 290.0)
+
+        def provider(t, tp):
+            loads = make_loads(asm, top_displacement=(1e-4, -1e-4),
+                               prev_top_displacement=(1e-4, -1e-4))
+            loads.well_rates = {frac.id: rate}
+            loads.well_T_injection = {frac.id: t_inj}
+            return loads
+
+        records = time_loop(
+            asm, state, [PhaseSpec("inject", duration=2e5, dt=1e5)],
+            provider, TimeLoopOptions(newton=default_params(increment_tol=1e-9)),
+        )
+        injected_mass = 1e-8 * 1e5
+        injected_energy = injected_mass * 1e3 * MAT.heat_capacity_fluid * 290.0
+        assert len(records) == 2
+        for rec in records:
+            assert rec.newton.converged
+            assert abs(rec.balance.mass_residual) < 1e-8 * injected_mass
+            assert abs(rec.balance.energy_residual) < 1e-8 * injected_energy
+        assert interface_flux_consistency(asm, state, provider(2e5, 1e5)) < 1e-12
