@@ -19,6 +19,7 @@ from mdthm.mdmesh.grids import (
     SIDE_TOP,
     MeshError,
     SubdomainGrid,
+    enumerate_faces,
     make_0d_grid,
 )
 from mdthm.mdmesh.mdgrid import MixedDimGrid
@@ -228,23 +229,7 @@ def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
     n_cells = len(cell_nodes)
 
     # preliminary face connectivity keyed by sorted node pairs
-    face_key_of = {}
-    faces = []  # (node_a, node_b)
-    face_cells = []
-    for c, poly in enumerate(cell_nodes):
-        m = len(poly)
-        for k in range(m):
-            a, b = poly[k], poly[(k + 1) % m]
-            key = (a, b) if a < b else (b, a)
-            f = face_key_of.get(key)
-            if f is None:
-                face_key_of[key] = len(faces)
-                faces.append(key)
-                face_cells.append([c, -1])
-            else:
-                if face_cells[f][1] >= 0:
-                    raise MeshError(f"face {key} shared by more than two cells")
-                face_cells[f][1] = c
+    face_key_of, faces, face_cells = enumerate_faces(cell_nodes)
 
     # resolve fracture paths to interior faces
     frac_faces = []  # per fracture, list of face ids along the path

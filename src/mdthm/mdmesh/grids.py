@@ -162,18 +162,15 @@ class SubdomainGrid:
         )
 
 
-def make_2d_grid(nodes: np.ndarray, cell_nodes: list[np.ndarray]) -> SubdomainGrid:
-    """Assemble a 2d grid from node coordinates and ccw cell polygons."""
-    g = SubdomainGrid(2)
-    g.nodes = np.asarray(nodes, dtype=float)
-    g.num_nodes = g.nodes.shape[1]
-    g.cell_nodes = [np.asarray(p, dtype=int) for p in cell_nodes]
-    g.num_cells = len(g.cell_nodes)
+def enumerate_faces(cell_nodes) -> tuple[dict, list, list]:
+    """Faces of a polygon mesh as sorted node pairs, numbered in order of
+    first appearance along the cells' boundaries.
 
-    face_of = {}
-    face_nodes = []
-    face_cells = []
-    for c, poly in enumerate(g.cell_nodes):
+    Returns the face number of each node pair, the node pairs, and per face
+    its [owner, neighbour] cells, the neighbour -1 on the boundary.
+    """
+    face_of, face_nodes, face_cells = {}, [], []
+    for c, poly in enumerate(cell_nodes):
         for k in range(len(poly)):
             a, b = int(poly[k]), int(poly[(k + 1) % len(poly)])
             key = (a, b) if a < b else (b, a)
@@ -186,6 +183,18 @@ def make_2d_grid(nodes: np.ndarray, cell_nodes: list[np.ndarray]) -> SubdomainGr
                 if face_cells[f][1] >= 0:
                     raise MeshError(f"face {key} shared by more than two cells")
                 face_cells[f][1] = c
+    return face_of, face_nodes, face_cells
+
+
+def make_2d_grid(nodes: np.ndarray, cell_nodes: list[np.ndarray]) -> SubdomainGrid:
+    """Assemble a 2d grid from node coordinates and ccw cell polygons."""
+    g = SubdomainGrid(2)
+    g.nodes = np.asarray(nodes, dtype=float)
+    g.num_nodes = g.nodes.shape[1]
+    g.cell_nodes = [np.asarray(p, dtype=int) for p in cell_nodes]
+    g.num_cells = len(g.cell_nodes)
+
+    _, face_nodes, face_cells = enumerate_faces(g.cell_nodes)
     g.face_nodes = np.array(face_nodes, dtype=int).T.reshape(2, -1)
     g.face_cells = np.array(face_cells, dtype=int).T.reshape(2, -1)
     g.num_faces = g.face_nodes.shape[1]
@@ -200,4 +209,37 @@ def make_0d_grid(point: np.ndarray, sd_id: int = -1) -> SubdomainGrid:
     g.num_nodes = 1
     g.cell_centers = g.nodes.copy()
     g.compute_geometry()
+    return g
+
+
+def stack_grids(dim: int, grids: list[SubdomainGrid]) -> SubdomainGrid:
+    """The disjoint union of grids of one dimension, in the given order.
+
+    Cells and faces are numbered grid by grid; ``cell_start`` and
+    ``face_start`` map each part's subdomain id to its first cell and face.
+    Face-cell connectivity (boundary neighbours stay -1), geometry and face
+    tags are stacked, nodes are not: the union carries what face-based
+    discretisations read, but its geometry cannot be recomputed.
+    """
+    g = SubdomainGrid(dim)
+    cells = np.cumsum([0] + [sd.num_cells for sd in grids])
+    faces = np.cumsum([0] + [sd.num_faces for sd in grids])
+    ids = [sd.id for sd in grids]
+    g.cell_start = dict(zip(ids, cells[:-1].tolist()))
+    g.face_start = dict(zip(ids, faces[:-1].tolist()))
+    g.num_cells, g.num_faces = int(cells[-1]), int(faces[-1])
+
+    def cat(name, parts):
+        # the union's empty default keeps the shape when there are no grids
+        return np.concatenate([getattr(g, name)] + parts, axis=-1)
+
+    g.face_cells = cat("face_cells", [np.where(sd.face_cells >= 0, sd.face_cells + c0, -1)
+                                      for sd, c0 in zip(grids, cells)])
+    for name in ("cell_centers", "cell_volumes", "face_centers", "face_normals",
+                 "face_areas"):
+        setattr(g, name, cat(name, [getattr(sd, name) for sd in grids]))
+    if grids:
+        g.tags = {key: np.concatenate([sd.tags[key] for sd in grids])
+                  for key in grids[0].tags}
+    g._default_tags()
     return g

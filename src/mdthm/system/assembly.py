@@ -6,13 +6,18 @@ system in all unknowns at the next iterate. Nonlinear coefficients
 permeabilities, contact sets) are taken from the previous iterate through
 an :class:`IterationCache`.
 
-Couplings are assembled per kind of mortar, never per interface: the
-matrix-fracture and the fracture-point mortars each form one
-:class:`MortarGroup`, whose lift restricts the stacked faces of the high
-side to all its mortar cells at once. Each coupling term is one product of
-a lift or its transpose with a subdomain discretisation, added as one
-block with global dof columns; on the matrix side the products are built
-once, on the fracture side from each iteration's 1d operators.
+Balance laws are assembled per dimension, never per subdomain: the
+fractures form one stacked 1d grid and the intersection points one stacked
+0d grid, in subdomain order. Each iteration discretises flow and heat on
+all fractures with one call each, and the cell and face fields of the
+cache are one array per dimension. Couplings are assembled per kind of
+mortar, never per interface: the matrix-fracture and the fracture-point
+mortars each form one :class:`MortarGroup`, whose lift restricts the
+stacked faces of the high side to all its mortar cells at once. Each
+coupling term is one product of a lift or its transpose with the
+discretisation of a dimension, added as one block with global dof columns;
+on the matrix side the products are built once, on the fracture side from
+each iteration's stacked 1d operators.
 
 The displacement jump of all fracture cells is one operator J = R D on the
 global state: D takes the difference of the walls' mortar displacements, R
@@ -57,7 +62,7 @@ from mdthm.fvm import (
     onedim_discretize,
     upwind_matrices,
 )
-from mdthm.mdmesh import SIDE_K, MixedDimGrid
+from mdthm.mdmesh import SIDE_K, MixedDimGrid, SubdomainGrid, stack_grids
 from mdthm.system.dofs import LAM, NU, NU_ADV, NU_COND, P, T, U, U_MORTAR, DofMap, State
 
 MECH, FLOW, HEAT = "mech", "flow", "heat"
@@ -79,40 +84,39 @@ class Loads:
 class IterationCache:
     """Lagged nonlinear quantities evaluated at the previous iterate.
 
-    Jumps (as J returns them), gaps and gap derivatives are stacked over all
-    fracture cells, the mortar fluxes over each group of mortars.
+    Cell and face fields are keyed by dimension and stacked over the
+    subdomains of that dimension. Jumps (as J returns them), gaps, gap
+    derivatives and contact states are stacked over all fracture cells, the
+    mortar fluxes over each group of mortars.
     """
 
     jumps: np.ndarray
     jumps_prev: np.ndarray  # at the previous time step
     gaps: np.ndarray
     dgaps: np.ndarray
-    apertures: dict  # sd id -> cellwise aperture (fractures and points)
-    spec_vol: dict  # sd id -> cellwise specific volume (all subdomains)
+    apertures: dict  # dim -> cellwise aperture (fractures and points)
+    spec_vol: dict  # dim -> cellwise specific volume (all dimensions)
     spec_vol_prev: dict  # fractures and points, at the previous time step
-    density: dict  # sd id -> cellwise fluid density
-    face_flux: dict  # sd id -> cached (possibly damped) fluid face fluxes
+    density: dict  # dim -> cellwise fluid density
+    face_flux: dict  # dim -> cached (possibly damped) fluid face fluxes
     mortar_flux: dict  # mortar group -> cached (possibly damped) fluid fluxes
-    frac_flow_ops: dict
-    frac_heat_ops: dict
-    contact_state: dict  # frac id -> cellwise contact state
+    fracture_ops: dict  # flow / heat -> 1d operators of the stacked fractures
+    contact: np.ndarray  # cellwise contact state of all fractures
+    contact_state: dict  # frac id -> its cells' view of ``contact``
     sign_flip_fraction: float = 0.0
 
 
 @dataclass
 class MortarGroup:
-    """All mortars whose high side has one dimension, in interface order.
+    """All mortars whose high side has dimension ``dim``, in interface order.
 
-    The high and low sides are all subdomains of that dimension and the one
-    below, with cells and faces stacked in subdomain order. Per mortar cell,
-    ``hi`` / ``lo`` index the adjacent high-side and the coupled low-side
-    cell in those stacks, ``low_dofs`` the latter's dofs. ``lift`` restricts
-    stacked high-side face fields to the mortar cells. ``dofs`` are the
-    interface unknowns, ``high_dofs`` the dofs of all high-side cells.
+    Per mortar cell, ``hi`` / ``lo`` index the adjacent high-side and the
+    coupled low-side cell in the stacked grids of the two dimensions.
+    ``lift`` restricts stacked high-side face fields to the mortar cells;
+    ``dofs`` are the interface unknowns.
     """
 
-    high: list
-    low: list
+    dim: int
     hi: np.ndarray
     lo: np.ndarray
     lift: sps.csr_matrix
@@ -120,73 +124,55 @@ class MortarGroup:
     normals: np.ndarray  # unit outward normals of the high-side faces
     sides: np.ndarray  # -1 on the j wall of a fracture, +1 on the k wall
     dofs: dict
-    high_dofs: dict
-    low_dofs: dict
 
     @property
     def size(self) -> int:
         return self.areas.size
-
-    def at_high(self, values: dict) -> np.ndarray:
-        """Cellwise values (sd id -> array) at the adjacent high-side cells."""
-        return np.concatenate([values[sd.id] for sd in self.high])[self.hi]
-
-    def at_low(self, values: dict) -> np.ndarray:
-        """Cellwise values (sd id -> array) at the coupled low-side cells."""
-        return np.concatenate([values[sd.id] for sd in self.low])[self.lo]
-
-
-def _first(items, size: str) -> dict:
-    """Offset of each item (by id) when the items' entities are stacked."""
-    sizes = [getattr(it, size) for it in items]
-    return dict(zip([it.id for it in items], np.cumsum([0] + sizes)))
 
 
 def _cat(parts) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=int)
 
 
-def mortar_group(mdg: MixedDimGrid, dofs: DofMap, dim: int) -> MortarGroup:
-    """Stack the mortars whose high side has dimension ``dim``."""
-    intfs = [i for i in mdg.interfaces if mdg.subdomain(i.high_id).dim == dim]
-    high, low = mdg.subdomains_of_dim(dim), mdg.subdomains_of_dim(dim - 1)
-    cell0, face0 = _first(high, "num_cells"), _first(high, "num_faces")
-    low0 = _first(low, "num_cells")
-    faces, hi, lo, normals, sides = [], [], [], [], []
-    for intf in intfs:
-        h = mdg.subdomain(intf.high_id)
-        faces.append(face0[h.id] + intf.high_faces)
-        hi.append(cell0[h.id] + h.face_cells[0, intf.high_faces])
-        lo.append(low0[intf.low_id] + intf.low_cells)
-        normals.append(h.face_normals[:, intf.high_faces] / h.face_areas[intf.high_faces])
-        sides.append(np.full(intf.num_cells, 1.0 if intf.side == SIDE_K else -1.0))
-    n = sum(i.num_cells for i in intfs)
-    lift = sps.csr_matrix((np.ones(n), (np.arange(n), _cat(faces))),
-                          shape=(n, sum(h.num_faces for h in high)))
-    ids = [i.id for i in intfs]
-    lo = _cat(lo)
+def _gather(table: dict, start: dict, size: int) -> np.ndarray:
+    """The per-subdomain arrays of ``table`` placed at their subdomains'
+    offsets ``start`` in a stack of ``size`` entries, zero elsewhere."""
+    out = np.zeros(size)
+    for sd_id, vals in table.items():
+        if sd_id in start:
+            out[start[sd_id]:start[sd_id] + len(vals)] = vals
+    return out
+
+
+def mortar_group(mdg: MixedDimGrid, dofs: DofMap, high: SubdomainGrid,
+                 low: SubdomainGrid) -> MortarGroup:
+    """Stack the mortars between the stacked grids ``high`` and ``low``."""
+    intfs = [i for i in mdg.interfaces if i.high_id in high.face_start]
+    faces = _cat([high.face_start[i.high_id] + i.high_faces for i in intfs])
+    n = faces.size
+    var = ((U_MORTAR,) if high.dim == 2 else ()) + (NU, NU_ADV, NU_COND)
     return MortarGroup(
-        high=high, low=low, hi=_cat(hi), lo=lo, lift=lift,
+        dim=high.dim,
+        hi=high.face_cells[0, faces],
+        lo=_cat([low.cell_start[i.low_id] + i.low_cells for i in intfs]),
+        lift=sps.csr_matrix((np.ones(n), (np.arange(n), faces)), shape=(n, high.num_faces)),
         areas=_cat([i.cell_volumes for i in intfs]).astype(float),
-        normals=np.hstack(normals) if normals else np.zeros((2, 0)),
-        sides=_cat(sides).astype(float),
-        dofs={var: dofs.indices("intf", ids, var)
-              for var in ((U_MORTAR,) if dim == 2 else ()) + (NU, NU_ADV, NU_COND)},
-        high_dofs={var: dofs.indices("sd", [sd.id for sd in high], var) for var in (P, T)},
-        low_dofs={var: dofs.indices("sd", [sd.id for sd in low], var)[lo]
-                  for var in (P, T)},
+        normals=high.face_normals[:, faces] / high.face_areas[faces],
+        sides=_cat([np.full(i.num_cells, 1.0 if i.side == SIDE_K else -1.0)
+                    for i in intfs]).astype(float),
+        dofs={v: dofs.indices("intf", [i.id for i in intfs], v) for v in var},
     )
 
 
-def _mortar_traces(group: MortarGroup, trace_cell, trace_face, trace_vsrc) -> dict:
+def _mortar_traces(group: MortarGroup, ops) -> dict:
     """High-side face traces on the mortar cells: cell, boundary-data,
     own-mortar-flux and vector-source parts."""
-    face = (group.lift @ trace_face).tocsr()
+    face = (group.lift @ ops.trace_face).tocsr()
     return {
-        "cell": (group.lift @ trace_cell).tocsr(),
+        "cell": (group.lift @ ops.trace_cell).tocsr(),
         "face": face,
         "mortar": (face @ group.lift.T).tocsr(),
-        "vsrc": (group.lift @ trace_vsrc).tocsr(),
+        "vsrc": (group.lift @ ops.trace_vector_source).tocsr(),
     }
 
 
@@ -200,10 +186,13 @@ class Assembler:
         self.dofs = DofMap(mdg)
         self.use_stabilization = use_stabilization
 
-        g2 = mdg.matrix
+        # the subdomains of each dimension as one grid, in subdomain order
+        self.grids = {dim: stack_grids(dim, mdg.subdomains_of_dim(dim)) for dim in (2, 1, 0)}
+        g2, g1 = mdg.matrix, self.grids[1]
         self.matrix = g2
-        self.div2, _ = g2.cell_faces_csr()
-        self.div2_vec = sps.kron(self.div2, sps.eye(2)).tocsr()
+        self.fractures = mdg.subdomains_of_dim(1)
+        self.div = {dim: self.grids[dim].cell_faces_csr()[0] for dim in (2, 1)}
+        self.div2_vec = sps.kron(self.div[2], sps.eye(2)).tocsr()
 
         # boundary condition types; internal faces are mechanical Dirichlet
         # and scalar Neumann by construction
@@ -213,12 +202,13 @@ class Assembler:
             is_dir[g2.tags["internal"]] = var == MECH
             self.bc[var] = BoundaryCondition(is_dir)
         self.frac_bc = {}
-        for sd in mdg.subdomains_of_dim(1):
-            self.frac_bc[sd.id] = {}
-            for var in (FLOW, HEAT):
-                is_dir = bc_types.get(("frac", sd.id, var), np.zeros(sd.num_faces, bool)).copy()
-                is_dir[sd.tags["internal"]] = False
-                self.frac_bc[sd.id][var] = BoundaryCondition(is_dir)
+        for var in (FLOW, HEAT):
+            is_dir = np.zeros(g1.num_faces, dtype=bool)
+            for sd in self.fractures:
+                start = g1.face_start[sd.id]
+                is_dir[start:start + sd.num_faces] = bc_types.get(("frac", sd.id, var), False)
+            is_dir[g1.tags["internal"]] = False
+            self.frac_bc[var] = BoundaryCondition(is_dir)
 
         self.mech_ops = mpsa_discretize(
             g2, mat.shear_modulus, mat.lame_lambda, mat.biot_alpha,
@@ -230,10 +220,7 @@ class Assembler:
         kappa_eff = mat.effective(mat.conductivity_solid, mat.conductivity_fluid)
         self.heat_ops = mpfa_discretize(g2, kappa_eff, self.bc[HEAT])
 
-        # fractures and intersection points, stacked in subdomain order
-        self.fractures = mdg.subdomains_of_dim(1)
-        self.lower = [sd for sd in mdg.subdomains if sd.dim < 2]
-        first = _first(self.fractures, "num_cells")
+        first = g1.cell_start
         self.frac_cells = {sd.id: slice(first[sd.id], first[sd.id] + sd.num_cells)
                            for sd in self.fractures}
         self.basis = {sd.id: mdg.fracture_basis(sd.id) for sd in self.fractures}
@@ -254,13 +241,17 @@ class Assembler:
         self.c_all = _cat([self.c_num[sd.id] for sd in self.fractures])
 
         dofs = self.dofs
-        frac_ids = [sd.id for sd in self.fractures]
-        self.frac_dofs = {var: dofs.indices("sd", frac_ids, var) for var in (LAM, P)}
-        self.lower_dofs = {var: dofs.indices("sd", [sd.id for sd in self.lower], var)
+        # per dimension, the cell dofs of each variable in stacked cell order
+        self.cell_dofs = {dim: {var: dofs.indices("sd", list(grid.cell_start), var)
+                                for var in (P, T)}
+                          for dim, grid in self.grids.items()}
+        self.cell_dofs[1][LAM] = dofs.indices("sd", list(g1.cell_start), LAM)
+        self.lower_dofs = {var: np.concatenate([self.cell_dofs[d][var] for d in (1, 0)])
                            for var in (P, T)}
-        self.lower_volumes = _cat([sd.cell_volumes for sd in self.lower])
+        self.lower_volumes = np.concatenate([g1.cell_volumes, self.grids[0].cell_volumes])
         self.block_starts = np.sort([sl.start for _, sl in dofs.blocks()])
-        self.mortars = {dim: mortar_group(mdg, dofs, dim) for dim in (2, 1)}
+        self.mortars = {dim: mortar_group(mdg, dofs, self.grids[dim], self.grids[dim - 1])
+                        for dim in (2, 1)}
         # D, the mesh's wall difference with its columns relabelled to dofs
         walls = mdg.jump_operator()
         um = self.mortars[2].dofs[U_MORTAR]
@@ -277,14 +268,9 @@ class Assembler:
         recomposed per iteration.
         """
         mf = self.mortars[2]
-        # projection of each high side's mortar fields onto its faces
-        self.to_faces = {}
-        for group in self.mortars.values():
-            extend = group.lift.T.tocsr()
-            for sd in group.high:
-                self.to_faces[sd.id] = extend[:sd.num_faces]
-                extend = extend[sd.num_faces:]
-        self.to_faces_vec = sps.kron(self.to_faces[self.matrix.id], sps.eye(2)).tocsr()
+        # projection of each dimension's mortar fields onto its faces
+        self.to_faces = {dim: group.lift.T.tocsr() for dim, group in self.mortars.items()}
+        self.to_faces_vec = sps.kron(self.to_faces[2], sps.eye(2)).tocsr()
 
         ops = self.mech_ops
 
@@ -314,17 +300,16 @@ class Assembler:
 
         self.scalar_static = {}
         self.mortar_traces = {}
+        div = self.div[2]
         for var, ops in ((FLOW, self.flow_ops), (HEAT, self.heat_ops)):
-            div_bound = (self.div2 @ ops.bound_flux).tocsr()
+            div_bound = (div @ ops.bound_flux).tocsr()
             self.scalar_static[var] = {
-                "div_flux": (self.div2 @ ops.flux).tocsr(),
+                "div_flux": (div @ ops.flux).tocsr(),
                 "div_bound": div_bound,
-                "div_vsrc": (self.div2 @ ops.vector_source).tocsr(),
-                "div_bound_mortar": (div_bound @ self.to_faces[self.matrix.id]).tocsr(),
+                "div_vsrc": (div @ ops.vector_source).tocsr(),
+                "div_bound_mortar": (div_bound @ self.to_faces[2]).tocsr(),
             }
-            self.mortar_traces[var] = _mortar_traces(
-                mf, ops.trace_cell, ops.trace_face, ops.trace_vector_source
-            )
+            self.mortar_traces[var] = _mortar_traces(mf, ops)
 
     # ------------------------------------------------------------------
     # lagged quantities
@@ -361,20 +346,20 @@ class Assembler:
         return np.maximum(a, 1e-3 * self.mat.residual_aperture)
 
     def _apertures(self, jumps: np.ndarray) -> dict:
-        """Floored apertures of all fractures and intersection points."""
+        """Floored apertures of the fractures and intersection points."""
         a = self.coefficient_aperture(
             aperture_unchecked(jumps[1::2], jumps[0::2], self.model, self.mat)
         )
-        out = {sd.id: a[self.frac_cells[sd.id]] for sd in self.fractures}
-        for sd in self.mdg.subdomains_of_dim(0):
-            out[sd.id] = self.coefficient_aperture(self.mdg.inherit_aperture(sd.id, out))
-        return out
+        branches = {k: a[cells] for k, cells in self.frac_cells.items()}
+        points = [self.coefficient_aperture(self.mdg.inherit_aperture(k, branches))
+                  for k in self.grids[0].cell_start]
+        return {1: a, 0: np.concatenate([np.zeros(0)] + points)}
 
     def build_cache(self, state: State, loads: Loads,
                     prev_cache: IterationCache | None = None,
                     damping: float = 1.0,
                     damping_threshold: float = 0.1) -> IterationCache:
-        mdg, mat, dofs = self.mdg, self.mat, self.dofs
+        mat, cells = self.mat, self.cell_dofs
         x = state.prev_iter
         jumps, jumps_prev = self.jumps(x), self.jumps(state.prev_step)
         jump_t = jumps[0::2]
@@ -382,39 +367,35 @@ class Assembler:
         dgaps = dgap_fn(jump_t, self.model, mat.dilation_angle)
         apertures = self._apertures(jumps)
         apertures_prev = self._apertures(jumps_prev)
-        spec_vol = {self.matrix.id: np.ones(self.matrix.num_cells)}
+        spec_vol = {2: np.ones(self.matrix.num_cells)}
         spec_vol_prev = {}
-        for sd in self.lower:
-            spec_vol[sd.id] = specific_volume(apertures[sd.id], sd.dim)
-            spec_vol_prev[sd.id] = specific_volume(apertures_prev[sd.id], sd.dim)
-        density = {sd.id: fluid_density(x[dofs.sd(sd.id, P)], x[dofs.sd(sd.id, T)], mat)
-                   for sd in mdg.subdomains}
-        frac_flow_ops, frac_heat_ops = {}, {}
-        for sd in self.fractures:
-            d_flow = spec_vol[sd.id] * cubic_law(apertures[sd.id]) / mat.viscosity
-            d_heat = spec_vol[sd.id] * mat.conductivity_fluid
-            frac_flow_ops[sd.id] = onedim_discretize(sd, d_flow, self.frac_bc[sd.id][FLOW])
-            frac_heat_ops[sd.id] = onedim_discretize(sd, d_heat, self.frac_bc[sd.id][HEAT])
+        for dim in (1, 0):
+            spec_vol[dim] = specific_volume(apertures[dim], dim)
+            spec_vol_prev[dim] = specific_volume(apertures_prev[dim], dim)
+        density = {dim: fluid_density(x[c[P]], x[c[T]], mat) for dim, c in cells.items()}
+        g1, v1 = self.grids[1], spec_vol[1]
+        fracture_ops = {
+            FLOW: onedim_discretize(g1, v1 * cubic_law(apertures[1]) / mat.viscosity,
+                                    self.frac_bc[FLOW]),
+            HEAT: onedim_discretize(g1, v1 * mat.conductivity_fluid, self.frac_bc[HEAT]),
+        }
         # contact classification at the previous iterate
-        lam = x[self.frac_dofs[LAM]]
-        states = ct.classify(
+        lam = x[cells[1][LAM]]
+        contact = ct.classify(
             lam[0::2], lam[1::2], jump_t, jumps[1::2], jumps_prev[0::2], gaps,
             self.c_all, mat.friction_coefficient,
         )
-        contact_state = {sd.id: states[self.frac_cells[sd.id]] for sd in self.fractures}
+        contact_state = {k: contact[sl] for k, sl in self.frac_cells.items()}
 
         # fluid face fluxes from the previous iterate, optionally damped
         face_flux = {}
-        n_flip = n_total = 0
-        for sd in mdg.subdomains:
-            if sd.dim == 0:
-                continue
-            ops = self.flow_ops if sd.dim == 2 else frac_flow_ops[sd.id]
-            bvals = self._scalar_boundary_values(sd.id, FLOW, loads, x)
-            face_flux[sd.id] = ops.flux @ x[dofs.sd(sd.id, P)] + ops.bound_flux @ bvals \
-                + ops.vector_source @ self._rho_g(density[sd.id])
+        for dim, ops in ((2, self.flow_ops), (1, fracture_ops[FLOW])):
+            bvals = self._scalar_boundary_values(dim, FLOW, loads, x)
+            face_flux[dim] = ops.flux @ x[cells[dim][P]] + ops.bound_flux @ bvals \
+                + ops.vector_source @ self._rho_g(density[dim])
         mortar_flux = {dim: x[group.dofs[NU]].copy() for dim, group in self.mortars.items()}
 
+        n_flip = n_total = 0
         if prev_cache is not None:
             old = prev_cache.face_flux
             flips = sum(
@@ -436,17 +417,17 @@ class Assembler:
             jumps=jumps, jumps_prev=jumps_prev, gaps=gaps, dgaps=dgaps,
             apertures=apertures, spec_vol=spec_vol, spec_vol_prev=spec_vol_prev,
             density=density, face_flux=face_flux, mortar_flux=mortar_flux,
-            frac_flow_ops=frac_flow_ops, frac_heat_ops=frac_heat_ops,
-            contact_state=contact_state,
+            fracture_ops=fracture_ops, contact=contact, contact_state=contact_state,
             sign_flip_fraction=n_flip / max(n_total, 1),
         )
 
-    def _ext_scalar(self, sd_id, var, loads: Loads):
-        """External boundary data with internal (mortar) slots zeroed."""
-        sd = self.mdg.subdomain(sd_id)
+    def _ext_scalar(self, dim, var, loads: Loads):
+        """External boundary data of one dimension, internal (mortar) slots
+        zeroed."""
+        grid = self.grids[dim]
         table = loads.bc_flow if var == FLOW else loads.bc_heat
-        vals = np.array(table.get(sd_id, np.zeros(sd.num_faces)), dtype=float)
-        vals[sd.tags["internal"]] = 0.0
+        vals = _gather(table, grid.face_start, grid.num_faces)
+        vals[grid.tags["internal"]] = 0.0
         return vals
 
     def _ext_mech(self, loads_vec):
@@ -456,15 +437,25 @@ class Assembler:
         vals[2 * internal + 1] = 0.0
         return vals
 
-    def _scalar_boundary_values(self, sd_id, var, loads: Loads, x: np.ndarray):
+    def _scalar_boundary_values(self, dim, var, loads: Loads, x: np.ndarray):
         """External boundary data plus mortar Neumann data on internal faces."""
-        group = self.mortars[self.mdg.subdomain(sd_id).dim]
-        mortar = x[group.dofs[NU if var == FLOW else NU_COND]]
-        return self._ext_scalar(sd_id, var, loads) + self.to_faces[sd_id] @ mortar
+        mortar = x[self.mortars[dim].dofs[NU if var == FLOW else NU_COND]]
+        return self._ext_scalar(dim, var, loads) + self.to_faces[dim] @ mortar
 
     def mech_boundary_values(self, loads_vec: np.ndarray, x: np.ndarray):
         um = x[self.mortars[2].dofs[U_MORTAR]]
         return self._ext_mech(loads_vec) + self.to_faces_vec @ um
+
+    def _wells(self, dim, loads: Loads):
+        """Well rates and injection temperatures of one dimension's cells,
+        zero where there is no well."""
+        grid = self.grids[dim]
+        return (_gather(loads.well_rates, grid.cell_start, grid.num_cells),
+                _gather(loads.well_T_injection, grid.cell_start, grid.num_cells))
+
+    def heat_bc(self, dim) -> BoundaryCondition:
+        """Heat boundary condition types of the matrix or the stacked fractures."""
+        return self.bc[HEAT] if dim == 2 else self.frac_bc[HEAT]
 
     # ------------------------------------------------------------------
     # assembly
@@ -530,8 +521,8 @@ class Assembler:
         _add_to(b, rows, -(bd @ self._ext_mech(loads.bc_mech)))
 
     def _matrix_mass(self, acc, b, state, cache, dt, steady, loads):
-        g, mat, dofs = self.matrix, self.mat, self.dofs
-        rows = _index(dofs.sd(0, P))
+        g, mat, cells = self.matrix, self.mat, self.cell_dofs[2]
+        rows = cells[P]
         xp = state.prev_step
         if not steady:
             cm = mat.porosity / mat.bulk_fluid + (
@@ -541,75 +532,61 @@ class Assembler:
                 mat.thermal_expansion_solid, mat.thermal_expansion_fluid
             )
             wvol = g.cell_volumes / dt
-            acc.add_diag(rows, dofs.sd(0, P), cm * wvol)
-            acc.add_diag(rows, dofs.sd(0, T), -beta_eff * wvol)
-            _add_to(b, rows, cm * wvol * xp[dofs.sd(0, P)]
-                    - beta_eff * wvol * xp[dofs.sd(0, T)])
+            acc.add_diag(rows, cells[P], cm * wvol)
+            acc.add_diag(rows, cells[T], -beta_eff * wvol)
+            _add_to(b, rows, cm * wvol * xp[cells[P]] - beta_eff * wvol * xp[cells[T]])
             self._div_u_terms(acc, b, rows, mat.biot_alpha * np.ones(g.num_cells),
                               state, dt, loads)
-        self._scalar_flux_divergence(acc, b, rows, 0, FLOW, cache, loads)
-        rates = loads.well_rates.get(0)
-        if rates is not None:
-            _add_to(b, rows, rates)
+        self._scalar_flux_divergence(acc, b, 2, FLOW, cache, loads)
+        _add_to(b, rows, self._wells(2, loads)[0])
 
-    def _scalar_flux_divergence(self, acc, b, rows, sd_id, var, cache, loads):
-        """div of diffusive (+gravity) fluxes of one scalar on a subdomain."""
-        dofs, mat = self.dofs, self.mat
-        sd = self.mdg.subdomain(sd_id)
-        if sd.dim == 2:
+    def _scalar_flux_divergence(self, acc, b, dim, var, cache, loads):
+        """div of diffusive (+gravity) fluxes of one scalar in one dimension."""
+        if dim == 2:
             static = self.scalar_static[var]
             div_flux, bfl = static["div_flux"], static["div_bound"]
             div_vsrc = static["div_vsrc"]
             bfl_mortar = static["div_bound_mortar"]
         else:
-            div, _ = sd.cell_faces_csr()
-            ops = (cache.frac_flow_ops if var == FLOW else cache.frac_heat_ops)[sd_id]
+            div, ops = self.div[1], cache.fracture_ops[var]
             div_flux = div @ ops.flux
             bfl = div @ ops.bound_flux
             div_vsrc = div @ ops.vector_source
-            bfl_mortar = bfl @ self.to_faces[sd_id]
-        acc.add_mat(rows, dofs.sd(sd_id, P if var == FLOW else T), div_flux)
-        mckey = NU if var == FLOW else NU_COND
-        acc.add_mat(rows, self.mortars[sd.dim].dofs[mckey], bfl_mortar)
-        ext = self._ext_scalar(sd_id, var, loads)
-        _add_to(b, rows, -(bfl @ ext))
-        if var == FLOW and np.any(np.asarray(mat.gravity)):
-            _add_to(b, rows, -(div_vsrc @ self._rho_g(cache.density[sd_id])))
+            bfl_mortar = bfl @ self.to_faces[1]
+        cells = self.cell_dofs[dim][P if var == FLOW else T]
+        acc.add_mat(cells, cells, div_flux)
+        acc.add_mat(cells, self.mortars[dim].dofs[NU if var == FLOW else NU_COND], bfl_mortar)
+        _add_to(b, cells, -(bfl @ self._ext_scalar(dim, var, loads)))
+        if var == FLOW and np.any(np.asarray(self.mat.gravity)):
+            _add_to(b, cells, -(div_vsrc @ self._rho_g(cache.density[dim])))
 
-    def _advective_divergence(self, acc, b, rows, sd_id, cache, loads, state):
+    def _advective_divergence(self, acc, b, dim, cache, loads, state):
         """Upwinded advective heat fluxes, implicit in temperature."""
-        dofs, mat = self.dofs, self.mat
-        sd = self.mdg.subdomain(sd_id)
-        div = self.div2 if sd.dim == 2 else sd.cell_faces_csr()[0]
-        exclude = sd.tags["internal"]
-        u_cell, u_face = upwind_matrices(sd, cache.face_flux[sd_id], exclude)
-        w = mat.heat_capacity_fluid * cache.density[sd_id]
-        acc.add_mat(rows, dofs.sd(sd_id, T), div @ u_cell @ sps.diags(w))
+        mat, cells, grid, div = self.mat, self.cell_dofs[dim], self.grids[dim], self.div[dim]
+        rows = cells[T]
+        u_cell, u_face = upwind_matrices(grid, cache.face_flux[dim], grid.tags["internal"])
+        w = mat.heat_capacity_fluid * cache.density[dim]
+        acc.add_mat(rows, rows, div @ u_cell @ sps.diags(w))
         # boundary inflow carries the boundary temperature where given
-        heat_bc = self.frac_bc[sd_id][HEAT] if sd.dim == 1 else self.bc[HEAT]
-        ext_T = self._ext_scalar(sd_id, HEAT, loads)
-        owner = sd.face_cells[0]
-        rho_b = fluid_density(
-            state.prev_iter[dofs.sd(sd_id, P)][owner], ext_T, mat
-        )
-        w_bc = np.where(heat_bc.is_dir, mat.heat_capacity_fluid * rho_b * ext_T, 0.0)
+        ext_T = self._ext_scalar(dim, HEAT, loads)
+        rho_b = fluid_density(state.prev_iter[cells[P]][grid.face_cells[0]], ext_T, mat)
+        w_bc = np.where(self.heat_bc(dim).is_dir,
+                        mat.heat_capacity_fluid * rho_b * ext_T, 0.0)
         _add_to(b, rows, -(div @ u_face @ w_bc))
         # advective transfer through internal faces enters via the mortar
         # advective unknowns
-        acc.add_mat(rows, self.mortars[sd.dim].dofs[NU_ADV], div @ self.to_faces[sd_id])
+        acc.add_mat(rows, self.mortars[dim].dofs[NU_ADV], div @ self.to_faces[dim])
 
-    def _energy_accumulation(self, acc, b, rows, sd_id, state, cache, dt,
-                             use_effective):
+    def _energy_accumulation(self, acc, b, dim, state, cache, dt, use_effective):
         """(rho c)_eff dT/dt plus the expanded coefficient-change term.
 
         The lower-dimensional balances are fluid-filled, so their heat
         capacities skip the porosity average.
         """
-        dofs, mat = self.dofs, self.mat
-        sd = self.mdg.subdomain(sd_id)
+        mat, cells = self.mat, self.cell_dofs[dim]
         xp, xi = state.prev_step, state.prev_iter
-        rho_f = cache.density[sd_id]
-        vols = sd.cell_volumes * cache.spec_vol[sd_id] / dt
+        rho_f = cache.density[dim]
+        vols = self.grids[dim].cell_volumes * cache.spec_vol[dim] / dt
 
         def eff(vs, vf):
             return mat.effective(vs, vf) if use_effective else vf
@@ -622,46 +599,38 @@ class Assembler:
             mat.density_solid * mat.heat_capacity_solid * mat.thermal_expansion_solid,
             rho_f * mat.heat_capacity_fluid * mat.thermal_expansion_fluid,
         )
-        T_lag = xi[dofs.sd(sd_id, T)]
+        T_lag = xi[cells[T]]
         coef_T = vols * (rc_eff - T_lag * rcb_eff)
         coef_p = vols * T_lag * rck_eff
-        acc.add_diag(rows, dofs.sd(sd_id, T), coef_T)
-        acc.add_diag(rows, dofs.sd(sd_id, P), coef_p)
-        _add_to(b, rows, coef_T * xp[dofs.sd(sd_id, T)] + coef_p * xp[dofs.sd(sd_id, P)])
+        acc.add_diag(cells[T], cells[T], coef_T)
+        acc.add_diag(cells[T], cells[P], coef_p)
+        _add_to(b, cells[T], coef_T * xp[cells[T]] + coef_p * xp[cells[P]])
 
     def _matrix_energy(self, acc, b, state, cache, dt, steady, loads):
-        g, mat, dofs = self.matrix, self.mat, self.dofs
-        rows = _index(dofs.sd(0, T))
+        g, mat = self.matrix, self.mat
         if not steady:
-            self._energy_accumulation(acc, b, rows, 0, state, cache, dt, True)
+            self._energy_accumulation(acc, b, 2, state, cache, dt, True)
             weight = (mat.thermal_stress_coefficient * mat.reference_temperature
                       * np.ones(g.num_cells))
-            self._div_u_terms(acc, b, rows, weight, state, dt, loads)
-        self._scalar_flux_divergence(acc, b, rows, 0, HEAT, cache, loads)
-        self._advective_divergence(acc, b, rows, 0, cache, loads, state)
-        self._well_energy(acc, b, rows, 0, cache, loads, state)
+            self._div_u_terms(acc, b, self.cell_dofs[2][T], weight, state, dt, loads)
+        self._scalar_flux_divergence(acc, b, 2, HEAT, cache, loads)
+        self._advective_divergence(acc, b, 2, cache, loads, state)
+        self._well_energy(acc, b, 2, cache, loads, state)
 
-    def _well_energy(self, acc, b, rows, sd_id, cache, loads, state):
-        mat, dofs = self.mat, self.dofs
-        rates = loads.well_rates.get(sd_id)
-        if rates is None:
-            return
-        t_inj = loads.well_T_injection.get(sd_id)
+    def _well_energy(self, acc, b, dim, cache, loads, state):
+        mat, cells = self.mat, self.cell_dofs[dim]
+        rates, t_inj = self._wells(dim, loads)
         inject = rates > 0
         if np.any(inject):
-            rho_in = fluid_density(
-                state.prev_iter[dofs.sd(sd_id, P)][inject], t_inj[inject], mat
-            )
+            rho_in = fluid_density(state.prev_iter[cells[P]][inject], t_inj[inject], mat)
             src = np.zeros(rates.size)
             src[inject] = rho_in * mat.heat_capacity_fluid * t_inj[inject] * rates[inject]
-            _add_to(b, rows, src)
+            _add_to(b, cells[T], src)
         produce = rates < 0
         if np.any(produce):
             # upwind: produced energy carries the local (implicit) temperature
-            coef = np.zeros(rates.size)
-            coef[produce] = (mat.heat_capacity_fluid * cache.density[sd_id][produce]
-                             * rates[produce])
-            acc.add_diag(rows, dofs.sd(sd_id, T), -coef)
+            coef = mat.heat_capacity_fluid * cache.density[dim][produce] * rates[produce]
+            acc.add_diag(cells[T][produce], cells[T][produce], -coef)
 
     # -- fracture and intersection-point equations -------------------------
     def _volume_change(self, acc, b, var, weight, cache, dt):
@@ -685,55 +654,47 @@ class Assembler:
             tanp = np.tan(self.mat.dilation_angle)
             v_prev = v_prev + tanp * np.abs(cache.jumps_prev[0::2])
             rem_new = tanp * np.abs(cache.jumps[0::2])
-        lagged = [cache.spec_vol_prev[sd.id] - cache.spec_vol[sd.id]
-                  for sd in self.lower if sd.dim == 0]
-        _add_to(b, rows, vols * np.concatenate([v_prev - rem_new] + lagged))
+        lagged = cache.spec_vol_prev[0] - cache.spec_vol[0]
+        _add_to(b, rows, vols * np.concatenate([v_prev - rem_new, lagged]))
 
     def _lower_mass(self, acc, b, state, cache, dt, steady, loads):
         """Mass balances of all fractures and intersection points."""
-        mat, dofs = self.mat, self.dofs
+        mat = self.mat
         xp = state.prev_step
         if not steady:
-            for sd in self.lower:
-                rows = _index(dofs.sd(sd.id, P))
-                wvol = sd.cell_volumes * cache.spec_vol[sd.id] / dt
-                acc.add_diag(rows, dofs.sd(sd.id, P), wvol / mat.bulk_fluid)
-                acc.add_diag(rows, dofs.sd(sd.id, T), -wvol * mat.thermal_expansion_fluid)
-                _add_to(b, rows, wvol / mat.bulk_fluid * xp[dofs.sd(sd.id, P)]
-                        - wvol * mat.thermal_expansion_fluid * xp[dofs.sd(sd.id, T)])
+            for dim in (1, 0):
+                cells = self.cell_dofs[dim]
+                wvol = self.grids[dim].cell_volumes * cache.spec_vol[dim] / dt
+                acc.add_diag(cells[P], cells[P], wvol / mat.bulk_fluid)
+                acc.add_diag(cells[P], cells[T], -wvol * mat.thermal_expansion_fluid)
+                _add_to(b, cells[P], wvol / mat.bulk_fluid * xp[cells[P]]
+                        - wvol * mat.thermal_expansion_fluid * xp[cells[T]])
             self._volume_change(acc, b, P, np.ones(self.lower_volumes.size), cache, dt)
-        for sd in self.fractures:
-            rows = _index(dofs.sd(sd.id, P))
-            self._scalar_flux_divergence(acc, b, rows, sd.id, FLOW, cache, loads)
+        self._scalar_flux_divergence(acc, b, 1, FLOW, cache, loads)
         self._mortar_sources(acc, P, (NU,))
-        for sd in self.lower:
-            rates = loads.well_rates.get(sd.id)
-            if rates is not None:
-                _add_to(b, _index(dofs.sd(sd.id, P)), rates)
+        for dim in (1, 0):
+            _add_to(b, self.cell_dofs[dim][P], self._wells(dim, loads)[0])
 
     def _lower_energy(self, acc, b, state, cache, dt, steady, loads):
         """Energy balances of all fractures and intersection points."""
-        mat, dofs = self.mat, self.dofs
+        mat = self.mat
         if not steady:
-            for sd in self.lower:
-                rows = _index(dofs.sd(sd.id, T))
-                self._energy_accumulation(acc, b, rows, sd.id, state, cache, dt, False)
-            rho = _cat([cache.density[sd.id] for sd in self.lower])
+            for dim in (1, 0):
+                self._energy_accumulation(acc, b, dim, state, cache, dt, False)
+            rho = np.concatenate([cache.density[1], cache.density[0]])
             weight = mat.heat_capacity_fluid * rho * state.prev_iter[self.lower_dofs[T]]
             self._volume_change(acc, b, T, weight, cache, dt)
-        for sd in self.fractures:
-            rows = _index(dofs.sd(sd.id, T))
-            self._scalar_flux_divergence(acc, b, rows, sd.id, HEAT, cache, loads)
-            self._advective_divergence(acc, b, rows, sd.id, cache, loads, state)
+        self._scalar_flux_divergence(acc, b, 1, HEAT, cache, loads)
+        self._advective_divergence(acc, b, 1, cache, loads, state)
         self._mortar_sources(acc, T, (NU_ADV, NU_COND))
-        for sd in self.lower:
-            self._well_energy(acc, b, _index(dofs.sd(sd.id, T)), sd.id, cache, loads, state)
+        for dim in (1, 0):
+            self._well_energy(acc, b, dim, cache, loads, state)
 
     def _mortar_sources(self, acc, var, keys):
         """The mortar fluxes ``keys`` enter every fracture and point cell's
         balance of ``var`` as sources."""
-        for group in self.mortars.values():
-            rows = np.tile(group.low_dofs[var], len(keys))
+        for dim, group in self.mortars.items():
+            rows = np.tile(self.cell_dofs[dim - 1][var][group.lo], len(keys))
             cols = np.concatenate([group.dofs[key] for key in keys])
             acc.add(rows, cols, -np.ones(rows.size))
 
@@ -742,13 +703,12 @@ class Assembler:
         if not self.fractures:
             return
         mat = self.mat
-        rows = self.frac_dofs[LAM]
+        rows = self.cell_dofs[1][LAM]
         lam = state.prev_iter[rows]
         jump_t, jump_n = cache.jumps[0::2], cache.jumps[1::2]
         jt_prev = cache.jumps_prev[0::2]
-        states = np.concatenate([cache.contact_state[sd.id] for sd in self.fractures])
         coeffs = ct.row_coefficients(
-            states, lam[0::2], lam[1::2], jump_t, jump_n, jt_prev, cache.gaps,
+            cache.contact, lam[0::2], lam[1::2], jump_t, jump_n, jt_prev, cache.gaps,
             self.c_all, mat.friction_coefficient,
         )
         a_lam, a_jump, rhs = ct.assemble_rows(
@@ -764,8 +724,8 @@ class Assembler:
         """Rows of the mortar displacements: contact traction balances the
         projected matrix traction minus the fracture pressure."""
         rows = self.mortars[2].dofs[U_MORTAR]
-        acc.add_mat(rows, self.frac_dofs[LAM], self.wall_lam)
-        acc.add_mat(rows, self.frac_dofs[P], self.wall_p)
+        acc.add_mat(rows, self.cell_dofs[1][LAM], self.wall_lam)
+        acc.add_mat(rows, self.cell_dofs[1][P], self.wall_p)
         self._momentum_traction_terms(acc, b, rows, self.wall_tractions, loads)
 
     def _interface_flux_rows(self, acc, b, cache, loads):
@@ -775,25 +735,22 @@ class Assembler:
             if dim == 2:
                 traces = self.mortar_traces
             else:
-                traces = {}
-                for var, ops in ((FLOW, cache.frac_flow_ops), (HEAT, cache.frac_heat_ops)):
-                    stacked = [sps.block_diag([getattr(ops[sd.id], name) for sd in group.high],
-                                              format="csr")
-                               for name in ("trace_cell", "trace_face", "trace_vector_source")]
-                    traces[var] = _mortar_traces(group, *stacked)
-            self._mortar_flux_rows(acc, b, dim, traces, cache, loads)
+                traces = {var: _mortar_traces(group, ops)
+                          for var, ops in cache.fracture_ops.items()}
+            self._mortar_flux_rows(acc, b, group, traces, cache, loads)
 
-    def _mortar_flux_rows(self, acc, b, dim, traces, cache, loads):
+    def _mortar_flux_rows(self, acc, b, group, traces, cache, loads):
         """Interface laws of one mortar group.
 
         Darcy and Fourier fluxes are w (trace of the high side - low cell
         value), with w = A V_high 2 kappa / a_low; the advective flux is the
         lagged fluid flux times c rho T on its upstream side.
         """
-        mat, group = self.mat, self.mortars[dim]
+        mat, dim, hi, lo = self.mat, group.dim, group.hi, group.lo
+        high, low = self.cell_dofs[dim], self.cell_dofs[dim - 1]
         ones = np.ones(group.size)
-        v_high = group.at_high(cache.spec_vol)
-        a_low = group.at_low(cache.apertures)
+        v_high = cache.spec_vol[dim][hi]
+        a_low = cache.apertures[dim - 1][lo]
         k_low = cubic_law(a_low)
         areas = group.areas
         w_flow = areas * v_high * (k_low / mat.viscosity) * 2.0 / a_low
@@ -802,19 +759,17 @@ class Assembler:
         for var, svar, key, w in ((P, FLOW, NU, w_flow), (T, HEAT, NU_COND, w_heat)):
             rows = group.dofs[key]
             acc.add_diag(rows, rows, ones)
-            acc.add(rows, group.low_dofs[var], w)
+            acc.add(rows, low[var][lo], w)
             wd = sps.diags(w)
             tr = traces[svar]
-            acc.add_mat(rows, group.high_dofs[var], -(wd @ tr["cell"]))
+            acc.add_mat(rows, high[var], -(wd @ tr["cell"]))
             acc.add_mat(rows, rows, -(wd @ tr["mortar"]))
-            ext = np.concatenate([self._ext_scalar(sd.id, svar, loads) for sd in group.high])
-            _add_to(b, rows, w * (tr["face"] @ ext))
+            _add_to(b, rows, w * (tr["face"] @ self._ext_scalar(dim, svar, loads)))
             if var == P and np.any(np.asarray(mat.gravity)):
                 grav = np.asarray(mat.gravity, float)
-                rho_high = np.concatenate([cache.density[sd.id] for sd in group.high])
-                _add_to(b, rows, w * (tr["vsrc"] @ self._rho_g(rho_high)))
+                _add_to(b, rows, w * (tr["vsrc"] @ self._rho_g(cache.density[dim])))
                 # gravity term of the interface law itself
-                rho_l = group.at_low(cache.density)
+                rho_l = cache.density[dim - 1][lo]
                 gn = (grav[:, None] * group.normals).sum(axis=0)
                 coef = areas * v_high * (k_low / mat.viscosity) * rho_l * gn
                 _add_to(b, rows, coef)
@@ -824,12 +779,12 @@ class Assembler:
         acc.add_diag(rows, rows, ones)
         nu_lag = cache.mortar_flux[dim]
         upstream_high = nu_lag > 0
-        w_high = mat.heat_capacity_fluid * group.at_high(cache.density)
-        w_low = mat.heat_capacity_fluid * group.at_low(cache.density)
+        w_high = mat.heat_capacity_fluid * cache.density[dim][hi]
+        w_low = mat.heat_capacity_fluid * cache.density[dim - 1][lo]
         coef_h = np.where(upstream_high, -nu_lag * w_high, 0.0)
         coef_l = np.where(~upstream_high, -nu_lag * w_low, 0.0)
-        acc.add(rows, group.high_dofs[T][group.hi], coef_h)
-        acc.add(rows, group.low_dofs[T], coef_l)
+        acc.add(rows, high[T][hi], coef_h)
+        acc.add(rows, low[T][lo], coef_l)
 
 
 def damp_advective_flux(flux_prev, flux_new, omega):

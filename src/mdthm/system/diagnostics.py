@@ -8,13 +8,14 @@ assembly encodes the conservative form and the solver met its tolerance.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from mdthm.constitutive import fluid_density
 from mdthm.fvm import upwind_advective
-from mdthm.system.assembly import Assembler, Loads
+from mdthm.system.assembly import HEAT, Assembler, Loads
 from mdthm.system.dofs import NU, P, T, State
 
 
@@ -38,26 +39,34 @@ class BalanceReport:
         )
 
 
+def _cache_at_current(assembler: Assembler, state: State, loads: Loads):
+    """The iteration cache linearised at the current state. ``state`` itself
+    is left untouched, so a diagnostic may run between Newton iterations."""
+    probe = copy.copy(state)
+    probe.prev_iter = state.current
+    return assembler.build_cache(probe, loads)
+
+
 def balance_report(assembler: Assembler, state: State, dt: float,
                    loads: Loads, steady: bool = False) -> BalanceReport:
     """Global volume and energy balance over one accepted step."""
-    mat, dofs, mdg = assembler.mat, assembler.dofs, assembler.mdg
+    mat, dofs = assembler.mat, assembler.dofs
     x, xp = state.current, state.prev_step
-    state.prev_iter[:] = x
-    cache = assembler.build_cache(state, loads)
+    cache = _cache_at_current(assembler, state, loads)
 
     m_acc = m_out = m_src = 0.0
     e_acc = e_out = e_src = 0.0
 
-    for sd in mdg.subdomains:
-        p_new, p_old = x[dofs.sd(sd.id, P)], xp[dofs.sd(sd.id, P)]
-        t_new, t_old = x[dofs.sd(sd.id, T)], xp[dofs.sd(sd.id, T)]
-        vols = sd.cell_volumes
-        v_lag = cache.spec_vol[sd.id]
-        rho = cache.density[sd.id]
+    for dim, grid in assembler.grids.items():
+        cells = assembler.cell_dofs[dim]
+        p_new, p_old = x[cells[P]], xp[cells[P]]
+        t_new, t_old = x[cells[T]], xp[cells[T]]
+        vols = grid.cell_volumes
+        v_lag = cache.spec_vol[dim]
+        rho = cache.density[dim]
 
         if not steady:
-            if sd.dim == 2:
+            if dim == 2:
                 cm = mat.porosity / mat.bulk_fluid + (
                     mat.biot_alpha - mat.porosity
                 ) / mat.bulk_solid
@@ -85,13 +94,13 @@ def balance_report(assembler: Assembler, state: State, dt: float,
                     vols * v_lag * ((p_new - p_old) / mat.bulk_fluid
                                     - mat.thermal_expansion_fluid * (t_new - t_old))
                 ))
-                v_old = cache.spec_vol_prev[sd.id]
+                v_old = cache.spec_vol_prev[dim]
                 m_acc += float(np.sum(vols * (v_lag - v_old)))
                 e_acc += float(np.sum(
                     vols * mat.heat_capacity_fluid * rho * t_new * (v_lag - v_old)
                 ))
             # energy accumulation with the expanded coefficient form
-            if sd.dim == 2:
+            if dim == 2:
                 rc = mat.effective(mat.density_solid * mat.heat_capacity_solid,
                                    rho * mat.heat_capacity_fluid)
                 rck = mat.effective(
@@ -113,55 +122,49 @@ def balance_report(assembler: Assembler, state: State, dt: float,
             ))
 
         # boundary outflow through exterior faces
-        if sd.dim > 0:
-            ext = sd.exterior_faces()
-            q = cache.face_flux[sd.id]
+        if dim > 0:
+            ext = grid.exterior_faces()
+            q = cache.face_flux[dim]
             m_out += dt * float(np.sum(q[ext]))
-            ops = assembler.heat_ops if sd.dim == 2 else cache.frac_heat_ops[sd.id]
-            bvals = assembler._scalar_boundary_values(sd.id, "heat", loads, x)
+            ops = assembler.heat_ops if dim == 2 else cache.fracture_ops[HEAT]
+            bvals = assembler._scalar_boundary_values(dim, HEAT, loads, x)
             q_cond = ops.flux @ t_new + ops.bound_flux @ bvals
             w = mat.heat_capacity_fluid * rho
-            ext_T = np.asarray(
-                loads.bc_heat.get(sd.id, np.zeros(sd.num_faces)), float
-            )
-            heat_bc = (assembler.frac_bc[sd.id]["heat"] if sd.dim == 1
-                       else assembler.bc["heat"])
-            owner = sd.face_cells[0]
-            rho_b = fluid_density(x[dofs.sd(sd.id, P)][owner], ext_T, mat)
-            w_bc = np.where(heat_bc.is_dir,
+            ext_T = assembler._ext_scalar(dim, HEAT, loads)
+            rho_b = fluid_density(p_new[grid.face_cells[0]], ext_T, mat)
+            w_bc = np.where(assembler.heat_bc(dim).is_dir,
                             mat.heat_capacity_fluid * rho_b * ext_T, 0.0)
-            q_adv = upwind_advective(sd, q, w * t_new, w_bc, sd.tags["internal"])
+            q_adv = upwind_advective(grid, q, w * t_new, w_bc, grid.tags["internal"])
             e_out += dt * float(np.sum(q_cond[ext] + q_adv[ext]))
 
-        rates = loads.well_rates.get(sd.id)
-        if rates is not None:
-            m_src += dt * float(np.sum(rates))
-            t_inj = loads.well_T_injection.get(sd.id)
-            inj = rates > 0
-            if np.any(inj):
-                rho_in = fluid_density(p_new[inj], t_inj[inj], mat)
-                e_src += dt * float(np.sum(
-                    rho_in * mat.heat_capacity_fluid * t_inj[inj] * rates[inj]
-                ))
-            prod = rates < 0
-            if np.any(prod):
-                e_src += dt * float(np.sum(
-                    mat.heat_capacity_fluid * rho[prod] * rates[prod] * t_new[prod]
-                ))
+        rates, t_inj = assembler._wells(dim, loads)
+        m_src += dt * float(np.sum(rates))
+        inj = rates > 0
+        if np.any(inj):
+            rho_in = fluid_density(p_new[inj], t_inj[inj], mat)
+            e_src += dt * float(np.sum(
+                rho_in * mat.heat_capacity_fluid * t_inj[inj] * rates[inj]
+            ))
+        prod = rates < 0
+        if np.any(prod):
+            e_src += dt * float(np.sum(
+                mat.heat_capacity_fluid * rho[prod] * rates[prod] * t_new[prod]
+            ))
     return BalanceReport(m_acc, m_out, m_src, e_acc, e_out, e_src)
 
 
 def interface_flux_consistency(assembler: Assembler, state: State,
                                loads: Loads) -> float:
-    """Max defect between duplicated-face fluxes and mortar flux values."""
-    mdg, dofs, mat = assembler.mdg, assembler.dofs, assembler.mat
+    """Max defect between duplicated-face fluxes and mortar flux values,
+    relative to the largest of either in each group of mortars."""
     x = state.current
-    state.prev_iter[:] = x
-    cache = assembler.build_cache(state, loads)
+    cache = _cache_at_current(assembler, state, loads)
     worst = 0.0
-    for intf in mdg.interfaces:
-        q = cache.face_flux[intf.high_id]
-        nu = x[dofs.intf(intf.id, NU)]
+    for dim, group in assembler.mortars.items():
+        if group.size == 0:
+            continue
+        q = cache.face_flux[dim]
+        nu = x[group.dofs[NU]]
         scale = max(1e-30, float(np.abs(nu).max()), float(np.abs(q).max()))
-        worst = max(worst, float(np.abs(q[intf.high_faces] - nu).max()) / scale)
+        worst = max(worst, float(np.abs(group.lift @ q - nu).max()) / scale)
     return worst

@@ -84,7 +84,7 @@ def contact_residual_norm(assembler: Assembler, x: np.ndarray,
                           x_prev_step: np.ndarray) -> float:
     """Worst scaled complementarity residual over all fracture cells."""
     mat = assembler.mat
-    lam = x[assembler.frac_dofs[LAM]]
+    lam = x[assembler.cell_dofs[1][LAM]]
     if lam.size == 0:
         return 0.0
     lam_t, lam_n = lam[0::2], lam[1::2]

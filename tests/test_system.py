@@ -1,14 +1,25 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from helpers import default_bc_types, default_params, make_loads, make_problem
 
 from mdthm.constitutive import DilationModel, MaterialSet, gap as gap_fn
 from mdthm.contact import ContactError, classify, complementarity_report
-from mdthm.fvm import BoundaryCondition, mpfa_discretize
+from mdthm.fvm import (
+    BoundaryCondition,
+    interface_advective,
+    interface_darcy,
+    interface_fourier,
+    mpfa_discretize,
+    onedim_discretize,
+)
 from mdthm.system import (
     LAM,
+    NU,
+    NU_ADV,
+    NU_COND,
     P,
     T,
     U_MORTAR,
@@ -372,3 +383,112 @@ class TestConservation:
             assert abs(rec.balance.mass_residual) < 1e-8 * injected_mass
             assert abs(rec.balance.energy_residual) < 1e-8 * injected_energy
         assert interface_flux_consistency(asm, state, provider(2e5, 1e5)) < 1e-12
+
+
+class TestStackedFractures:
+    def test_operators_equal_per_fracture_blocks(self):
+        # the stacked fracture grid's operators are the block diagonal of the
+        # per-fracture ones, entry sequence included
+        mdg, asm, _ = make_problem(CROSSING, nx=8, ny=8)
+        fracs = mdg.subdomains_of_dim(1)
+        grid = asm.grids[1]
+        rng = np.random.default_rng(3)
+        diff = rng.uniform(0.5, 2.0, grid.num_cells)
+        is_dir = np.zeros(grid.num_faces, dtype=bool)
+        is_dir[grid.exterior_faces()[::2]] = True
+        stacked = onedim_discretize(grid, diff, BoundaryCondition(is_dir))
+        parts = []
+        for sd in fracs:
+            c0, f0 = grid.cell_start[sd.id], grid.face_start[sd.id]
+            bc = BoundaryCondition(is_dir[f0:f0 + sd.num_faces])
+            parts.append(onedim_discretize(sd, diff[c0:c0 + sd.num_cells], bc))
+        for name in ("flux", "bound_flux", "trace_cell", "trace_face",
+                     "vector_source", "trace_vector_source"):
+            blocks = [getattr(p, name) for p in parts]
+            got = getattr(stacked, name)
+            assert got.shape == sps.block_diag(blocks).shape, name
+            # the block diagonal, each row's stored entries in their order
+            nnz = np.cumsum([0] + [m.nnz for m in blocks])
+            cols = np.cumsum([0] + [m.shape[1] for m in blocks])
+            indptr = np.concatenate([[0]] + [m.indptr[1:] + n for m, n in zip(blocks, nnz)])
+            indices = np.concatenate([m.indices + c for m, c in zip(blocks, cols)])
+            data = np.concatenate([m.data for m in blocks])
+            for attr, ref in (("indptr", indptr), ("indices", indices), ("data", data)):
+                assert np.array_equal(getattr(got, attr), ref), (name, attr)
+
+
+class TestDiagnosticsLeaveStateAlone:
+    def test_mid_iteration_state_unchanged(self):
+        mdg, asm, state = make_problem(FR)
+        loads = make_loads(asm, top_displacement=(5e-4, -2e-4), p_left=1e6)
+        # one Newton iteration: the iterate moves away from its linearisation
+        state.start_iteration()
+        A, b = asm.assemble(state, asm.build_cache(state, loads), 1.0, False, loads)
+        state.current[:] = DirectSolver().solve(A, b)
+        assert not np.array_equal(state.prev_iter, state.current)
+        before = {k: getattr(state, k).copy() for k in ("prev_step", "prev_iter", "current")}
+        balance_report(asm, state, 1.0, loads)
+        interface_flux_consistency(asm, state, loads)
+        for k, v in before.items():
+            assert np.array_equal(getattr(state, k), v), k
+
+
+class TestInterfaceLaws:
+    def test_assembled_fluxes_follow_interface_laws(self):
+        # at a converged state with a pressure and a temperature contrast,
+        # every mortar flux is the mortar area (times the high side's
+        # specific volume) times the law of fvm.interface_laws, evaluated on
+        # the high side's face traces and the low side's cell values; the
+        # advected heat comes from the upstream cell. A permeable matrix and
+        # a thin fracture make the pressure jump across the mortars a
+        # visible share of the pressure, so that the Darcy fluxes are
+        # resolved well below the tolerance.
+        mat = MaterialSet(matrix_permeability=1e-12, residual_aperture=5e-5)
+        mdg, asm, state = make_problem(CROSSING, nx=8, ny=8, mat=mat)
+        loads = make_loads(asm, top_displacement=(1e-4, -1e-4), p_left=1e3, T_left=320.0)
+        rep = newton_solve(asm, state, 1.0, True, loads,
+                           default_params(mat=mat, increment_tol=1e-12))
+        assert rep.converged
+        x = state.current
+        state.start_iteration()
+        cache = asm.build_cache(state, loads)
+        ops = {2: {P: asm.flow_ops, T: asm.heat_ops},
+               1: {P: cache.fracture_ops["flow"], T: cache.fracture_ops["heat"]}}
+        checked = 0
+        for dim, group in asm.mortars.items():
+            if group.size == 0:
+                continue
+            high, low = asm.cell_dofs[dim], asm.cell_dofs[dim - 1]
+            nu = {key: x[group.dofs[key]] for key in (NU, NU_COND, NU_ADV)}
+
+            def trace(var, mortar_key):
+                op = ops[dim][var]
+                var_name = "flow" if var == P else "heat"
+                bvals = asm._ext_scalar(dim, var_name, loads) + asm.to_faces[dim] @ nu[mortar_key]
+                face = op.trace_cell @ x[high[var]] + op.trace_face @ bvals
+                if var == P:
+                    face = face + op.trace_vector_source @ np.outer(
+                        cache.density[dim], mat.gravity).ravel()
+                return group.lift @ face
+
+            a_low = cache.apertures[dim - 1][group.lo]
+            weight = group.areas * cache.spec_vol[dim][group.hi]
+            darcy = weight * interface_darcy(
+                trace(P, NU), x[low[P]][group.lo], a_low, a_low**2 / 12.0,
+                mat.viscosity, cache.density[dim - 1][group.lo], mat.gravity,
+                group.normals,
+            )
+            fourier = weight * interface_fourier(
+                trace(T, NU_COND), x[low[T]][group.lo], a_low, mat.conductivity_fluid,
+            )
+            c = mat.heat_capacity_fluid
+            advective = interface_advective(
+                nu[NU], c * cache.density[dim][group.hi] * x[high[T]][group.hi],
+                c * cache.density[dim - 1][group.lo] * x[low[T]][group.lo],
+            )
+            for key, law in ((NU, darcy), (NU_COND, fourier), (NU_ADV, advective)):
+                assert np.abs(law).max() > 0.0, (dim, key)
+                err = np.abs(nu[key] - law).max() / np.abs(law).max()
+                assert err < 1e-8, (dim, key, err)
+            checked += 1
+        assert checked == 2
