@@ -148,6 +148,35 @@ def effective_param(val_solid, val_fluid, porosity, weights_solid: bool = True):
     return porosity * val_fluid + (1.0 - porosity) * val_solid
 
 
+def fluid_storage(dp, dT, mat: MaterialSet, porous: bool):
+    """Fluid volume stored per unit volume by the changes dp and dT.
+
+    The law is linear: its coefficients times a weight w are its values at
+    (w, 0) and (0, w). The porous matrix stores through fluid and pore
+    compressibility and a porosity-averaged expansion; fractures and
+    intersection points are filled with fluid only.
+    """
+    if porous:
+        cm = mat.porosity / mat.bulk_fluid + (mat.biot_alpha - mat.porosity) / mat.bulk_solid
+        beta = mat.effective(mat.thermal_expansion_solid, mat.thermal_expansion_fluid)
+        return cm * dp - beta * dT
+    return dp / mat.bulk_fluid - mat.thermal_expansion_fluid * dT
+
+
+def heat_capacities(rho_f, mat: MaterialSet, porous: bool):
+    """Volumetric heat capacity rc and its pressure and temperature
+    sensitivities rc/K and rc beta, porosity-averaged in the porous matrix
+    and of the fluid alone in fractures and intersection points."""
+
+    def average(solid, fluid):
+        return mat.effective(solid, fluid) if porous else fluid
+
+    rc_s, rc_f = mat.density_solid * mat.heat_capacity_solid, rho_f * mat.heat_capacity_fluid
+    return (average(rc_s, rc_f),
+            average(rc_s / mat.bulk_solid, rc_f / mat.bulk_fluid),
+            average(rc_s * mat.thermal_expansion_solid, rc_f * mat.thermal_expansion_fluid))
+
+
 def cubic_law(aperture):
     """Tangential permeability of a fracture, K = a^2 / 12."""
     a = np.asarray(aperture, dtype=float)

@@ -6,7 +6,14 @@ from mdthm.mdmesh.build import (
     refine,
 )
 from mdthm.mdmesh.gmsh_io import ingest_gmsh
-from mdthm.mdmesh.grids import MeshError, SubdomainGrid, make_0d_grid, make_2d_grid, stack_grids
+from mdthm.mdmesh.grids import (
+    MeshError,
+    SubdomainGrid,
+    make_0d_grid,
+    make_2d_grid,
+    split_cells,
+    stack_grids,
+)
 from mdthm.mdmesh.mdgrid import MixedDimGrid
 from mdthm.mdmesh.mortar import SIDE_J, SIDE_K, MortarInterface
 
@@ -25,5 +32,6 @@ __all__ = [
     "make_0d_grid",
     "make_2d_grid",
     "refine",
+    "split_cells",
     "stack_grids",
 ]

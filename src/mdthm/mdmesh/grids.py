@@ -243,3 +243,10 @@ def stack_grids(dim: int, grids: list[SubdomainGrid]) -> SubdomainGrid:
                   for key in grids[0].tags}
     g._default_tags()
     return g
+
+
+def split_cells(stacked: SubdomainGrid, values: np.ndarray) -> dict:
+    """Each part's view of a cellwise array (cells on the last axis) of the
+    stacked grid, keyed by the part's subdomain id."""
+    ends = list(stacked.cell_start.values())[1:]
+    return dict(zip(stacked.cell_start, np.split(values, ends, axis=-1)))

@@ -42,20 +42,13 @@ class MortarInterface:
         if self.low_cells.size != self.num_cells:
             raise MeshError("mortar cells must biject onto low-dim cells")
 
-    # -- projections ----------------------------------------------------
-    def to_mortar_high(self, n_high_faces: int, nd: int = 1) -> sps.csr_matrix:
-        """Restrict a face field on the high subdomain to the mortar cells."""
-        return _selection(self.high_faces, n_high_faces, self.num_cells, nd, "restrict")
-
-    def from_mortar_high(self, n_high_faces: int, nd: int = 1) -> sps.csr_matrix:
-        """Extend a mortar field to the high subdomain's faces (zero elsewhere)."""
-        return _selection(self.high_faces, n_high_faces, self.num_cells, nd, "extend")
-
-    def to_mortar_low(self, n_low_cells: int, nd: int = 1) -> sps.csr_matrix:
-        return _selection(self.low_cells, n_low_cells, self.num_cells, nd, "restrict")
-
     def from_mortar_low(self, n_low_cells: int, nd: int = 1) -> sps.csr_matrix:
-        return _selection(self.low_cells, n_low_cells, self.num_cells, nd, "extend")
+        """Extend a mortar field (nd components per cell, interleaved) to the
+        low subdomain's cells, zero elsewhere."""
+        cells = self.low_cells
+        rows = np.repeat(cells, nd) * nd + np.tile(np.arange(nd), cells.size)
+        shape = (n_low_cells * nd, self.num_cells * nd)
+        return sps.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))), shape=shape)
 
     def __repr__(self):
         return (
@@ -63,13 +56,3 @@ class MortarInterface:
             f"cells={self.num_cells}, side={'jk'[self.side]})"
         )
 
-
-def _selection(entity_ids, n_entities, n_mortar, nd, mode):
-    rows = np.repeat(np.arange(n_mortar), nd) * nd + np.tile(np.arange(nd), n_mortar)
-    cols = np.repeat(entity_ids, nd) * nd + np.tile(np.arange(nd), n_mortar)
-    vals = np.ones(n_mortar * nd)
-    if mode == "restrict":
-        shape = (n_mortar * nd, n_entities * nd)
-        return sps.csr_matrix((vals, (rows, cols)), shape=shape)
-    shape = (n_entities * nd, n_mortar * nd)
-    return sps.csr_matrix((vals, (cols, rows)), shape=shape)

@@ -8,7 +8,6 @@ from mdthm.scenarios.config import (
 from mdthm.scenarios.drivers import (
     RunResult,
     convergence_study,
-    cooling_aperture_localisation,
     dilation_comparison,
     run,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "build_mesh",
     "build_scenario",
     "convergence_study",
-    "cooling_aperture_localisation",
     "dilation_comparison",
     "load_config",
     "parse_config",

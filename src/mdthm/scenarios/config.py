@@ -5,6 +5,11 @@ overrides, the dilation model, initial conditions, fixed boundary-condition
 types, a list of loading phases with per-side boundary values and well
 sources, solver settings and output settings. Validation failures carry the
 offending field path.
+
+The ``solver`` section accepts ``max_iterations``, ``increment_tol``,
+``damping`` (the relaxation weight of the advective fluxes),
+``damping_threshold`` (the share of face fluxes that must flip sign before
+relaxation applies) and ``allow_dt_halving``; any other key is an error.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from mdthm.constitutive import DilationModel, MaterialSet
 
 SIDES = ("left", "right", "bottom", "top")
 SIDE_CODE = {"left": 1, "right": 2, "bottom": 3, "top": 4}
+SOLVER_KEYS = ("max_iterations", "increment_tol", "damping", "damping_threshold",
+               "allow_dt_halving")
 
 
 class ConfigError(ValueError):
@@ -226,6 +233,9 @@ def parse_config(raw: dict) -> ScenarioConfig:
                                   dt, dt_init, ramp, mech, flow, heat, wells))
 
     solver = dict(raw.get("solver", {}))
+    for key in solver:
+        _expect(key in SOLVER_KEYS, f"solver.{key}",
+                f"unknown solver setting; accepted: {', '.join(SOLVER_KEYS)}")
     out_every = int(raw.get("output", {}).get("every", 1))
     return ScenarioConfig(
         name=name, mesh=mesh, materials=materials,

@@ -15,12 +15,12 @@ import numpy as np
 
 from mdthm.constitutive import aperture, gap as gap_fn
 from mdthm.contact import classify
+from mdthm.mdmesh import split_cells
 from mdthm.scenarios.config import ConfigError, ScenarioConfig, parse_config
 from mdthm.scenarios.errors import ErrorReport, compare_states
 from mdthm.scenarios.output import RunWriter, snapshot_fields
 from mdthm.scenarios.setup import Scenario, build_loads, build_scenario
-from mdthm.system import newton_solve, time_loop
-from mdthm.system.timeloop import NonConvergence
+from mdthm.system import LAM, time_loop
 
 
 def worker_count() -> int:
@@ -100,6 +100,8 @@ def comparison_fields(scn: Scenario, x: np.ndarray) -> dict:
     """Cellwise fields entering the refinement comparison, keyed by
     (subdomain index, variable)."""
     asm, dofs = scn.assembler, scn.assembler.dofs
+    jump = asm.jumps(x)
+    jts, jns = split_cells(asm.grids[1], jump[0::2]), split_cells(asm.grids[1], jump[1::2])
     out = {}
     for idx, sd in enumerate(scn.mdg.subdomains):
         out[(idx, "p")] = x[dofs.sd(sd.id, "p")].copy()
@@ -108,9 +110,8 @@ def comparison_fields(scn: Scenario, x: np.ndarray) -> dict:
             u = x[dofs.sd(sd.id, "u")]
             out[(idx, "u")] = np.vstack([u[0::2], u[1::2]])
         elif sd.dim == 1:
-            jn, jt = asm.jumps_of(x, sd.id)
-            out[(idx, "jump_t")] = jt
-            out[(idx, "jump_n")] = jn
+            out[(idx, "jump_t")] = jts[sd.id]
+            out[(idx, "jump_n")] = jns[sd.id]
             lam = x[dofs.sd(sd.id, "lam")]
             out[(idx, "lam")] = np.vstack([lam[0::2], lam[1::2]])
     return out
@@ -202,26 +203,25 @@ def _run_model(args):
     raw["dilation_model"] = model
     cfg = parse_config(raw)
     result = run(cfg)
-    scn = result.scenario
-    profiles = {}
+    asm, mat = result.scenario.assembler, cfg.materials
     x = result.phase_end_states[-1]
-    for sd in scn.mdg.subdomains_of_dim(1):
-        jn, jt = scn.assembler.jumps_of(x, sd.id)
-        lam = x[scn.assembler.dofs.sd(sd.id, "lam")]
-        a = aperture(jn, jt, scn.assembler.model, scn.cfg.materials)
+    jump = asm.jumps(x)
+    jt, jn = jump[0::2], jump[1::2]
+    lam = x[asm.cell_dofs[1][LAM]]
+    g = gap_fn(jt, asm.model, mat.dilation_angle)
+    fields = {
+        "jump_t": jt,
+        "jump_n": jn,
+        "aperture": aperture(jn, jt, asm.model, mat),
+        "state": classify(lam[0::2], lam[1::2], jt, jn, np.zeros_like(jt), g,
+                          asm.c_num, mat.friction_coefficient),
+    }
+    parts = {name: split_cells(asm.grids[1], values) for name, values in fields.items()}
+    profiles = {}
+    for sd in asm.fractures:
         order = np.argsort(sd.cell_centers[0], kind="stable")
-        g = gap_fn(jt, scn.assembler.model, scn.cfg.materials.dilation_angle)
-        states = classify(
-            lam[0::2], lam[1::2], jt, jn, np.zeros_like(jt), g,
-            scn.assembler.c_num[sd.id], scn.cfg.materials.friction_coefficient,
-        )
-        profiles[sd.frac_num] = {
-            "x": sd.cell_centers[0, order],
-            "jump_t": jt[order],
-            "jump_n": jn[order],
-            "aperture": a[order],
-            "state": states[order],
-        }
+        profiles[sd.frac_num] = {"x": sd.cell_centers[0, order]}
+        profiles[sd.frac_num].update((name, part[sd.id][order]) for name, part in parts.items())
     return model, profiles, result.max_newton_iterations
 
 
@@ -247,42 +247,9 @@ def dilation_comparison(raw_cfg: dict, out_dir=None) -> dict:
                 for fid in sorted(profiles):
                     pr = profiles[fid]
                     for i in range(pr["x"].size):
-                        fh.write(
-                            f"{fid},{pr['x'][i]!r},{pr['jump_t'][i]!r},"
-                            f"{pr['jump_n'][i]!r},{pr['aperture'][i]!r},"
-                            f"{int(pr['state'][i])}\n"
-                        )
+                        # repr of a Python float: the shortest exact decimal
+                        reals = (repr(float(pr[k][i]))
+                                 for k in ("x", "jump_t", "jump_n", "aperture"))
+                        fh.write(f"{fid},{','.join(reals)},{int(pr['state'][i])}\n")
     return out
 
-
-def cooling_aperture_localisation(result: RunResult, phase_index: int) -> dict:
-    """Qualitative check of the cooling phase: aperture growth should
-    concentrate where fluid enters or leaves the fractures.
-
-    Compares the mean aperture increment of the top-quartile |mortar flux|
-    fracture cells against the fracture-wide mean increment.
-    """
-    scn = result.scenario
-    asm, dofs = scn.assembler, scn.assembler.dofs
-    x_start = result.phase_end_states[phase_index - 1]
-    x_end = result.phase_end_states[phase_index]
-    increments, fluxes = [], []
-    for sd in scn.mdg.subdomains_of_dim(1):
-        jn0, jt0 = asm.jumps_of(x_start, sd.id)
-        jn1, jt1 = asm.jumps_of(x_end, sd.id)
-        da = (aperture(jn1, jt1, asm.model, asm.mat)
-              - aperture(jn0, jt0, asm.model, asm.mat))
-        q = np.zeros(sd.num_cells)
-        for intf in scn.mdg.interfaces_of_low(sd.id):
-            nu = x_end[dofs.intf(intf.id, "nu")]
-            q[intf.low_cells] += np.abs(nu)
-        increments.append(da)
-        fluxes.append(q)
-    da = np.concatenate(increments)
-    q = np.concatenate(fluxes)
-    top = q >= np.quantile(q, 0.75)
-    return {
-        "mean_increment": float(da.mean()),
-        "top_flux_mean_increment": float(da[top].mean()),
-        "localised": bool(da[top].mean() >= da.mean()),
-    }

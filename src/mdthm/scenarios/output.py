@@ -8,8 +8,8 @@ import numpy as np
 
 from mdthm.constitutive import aperture, gap as gap_fn
 from mdthm.contact import classify
-from mdthm.mdmesh import MixedDimGrid, SubdomainGrid
-from mdthm.system import Assembler, State
+from mdthm.mdmesh import SubdomainGrid, split_cells
+from mdthm.system import LAM, Assembler, State
 
 VTK_TYPES = {1: 1, 2: 3, 3: 5, 4: 9}  # nodes per cell -> vtk cell type
 
@@ -58,11 +58,36 @@ def write_vtk(path, sd: SubdomainGrid, cell_data: dict):
         fh.write("\n".join(lines) + "\n")
 
 
+def _fracture_fields(assembler: Assembler, state: State) -> dict:
+    """Cellwise fields of all fracture cells at the current state, stacked."""
+    mat, x = assembler.mat, state.current
+    jump = assembler.jumps(x)
+    jt, jn = jump[0::2], jump[1::2]
+    jt_prev = assembler.jumps(state.prev_step)[0::2]
+    lam = x[assembler.cell_dofs[1][LAM]]
+    lam_t, lam_n = lam[0::2], lam[1::2]
+    g = gap_fn(jt, assembler.model, mat.dilation_angle)
+    states = classify(lam_t, lam_n, jt, jn, jt_prev, g, assembler.c_num,
+                      mat.friction_coefficient)
+    cumulative = classify(lam_t, lam_n, jt, jn, np.zeros_like(jt), g, assembler.c_num,
+                          mat.friction_coefficient)
+    tau_vec, n_vec = assembler.rotation[:, 0].T, assembler.rotation[:, 1].T
+    return {
+        "traction": tau_vec * lam_t + n_vec * lam_n,
+        "jump": tau_vec * jt + n_vec * jn,
+        "jump_tangential": jt,
+        "jump_normal": jn,
+        "aperture": aperture(jn, jt, assembler.model, mat),
+        "contact_state": states.astype(float),
+        "contact_state_cumulative": cumulative.astype(float),
+    }
+
+
 def snapshot_fields(assembler: Assembler, state: State) -> dict:
     """Cellwise output fields per subdomain at the current state."""
-    mdg, dofs, mat = assembler.mdg, assembler.dofs, assembler.mat
-    jumps = {f.id: assembler.jumps_of(state.current, f.id) for f in assembler.fractures}
-    apertures = {k: aperture(jn, jt, assembler.model, mat) for k, (jn, jt) in jumps.items()}
+    mdg, dofs = assembler.mdg, assembler.dofs
+    fractures = {name: split_cells(assembler.grids[1], values)
+                 for name, values in _fracture_fields(assembler, state).items()}
     out = {}
     for sd in mdg.subdomains:
         data = {
@@ -73,25 +98,9 @@ def snapshot_fields(assembler: Assembler, state: State) -> dict:
             u = state.current[dofs.sd(sd.id, "u")]
             data["displacement"] = np.vstack([u[0::2], u[1::2]])
         elif sd.dim == 1:
-            lam = state.current[dofs.sd(sd.id, "lam")]
-            jn, jt = jumps[sd.id]
-            jt_prev = assembler.jumps_of(state.prev_step, sd.id)[1]
-            g = gap_fn(jt, assembler.model, mat.dilation_angle)
-            states = classify(lam[0::2], lam[1::2], jt, jn, jt_prev, g,
-                              assembler.c_num[sd.id], mat.friction_coefficient)
-            cumulative = classify(lam[0::2], lam[1::2], jt, jn,
-                                  np.zeros_like(jt), g,
-                                  assembler.c_num[sd.id], mat.friction_coefficient)
-            n_vec, tau_vec = assembler.basis[sd.id]
-            data["traction"] = (tau_vec * lam[0::2] + n_vec * lam[1::2])
-            data["jump"] = tau_vec * jt + n_vec * jn
-            data["jump_tangential"] = jt
-            data["jump_normal"] = jn
-            data["aperture"] = apertures[sd.id]
-            data["contact_state"] = states.astype(float)
-            data["contact_state_cumulative"] = cumulative.astype(float)
+            data.update((name, parts[sd.id]) for name, parts in fractures.items())
         else:
-            data["aperture"] = mdg.inherit_aperture(sd.id, apertures)
+            data["aperture"] = mdg.inherit_aperture(sd.id, fractures["aperture"])
         out[sd.id] = data
     return out
 
@@ -120,9 +129,11 @@ class RunWriter:
             write_vtk(path, sd, fields[sd.id])
 
     def observe(self, record, state: State):
-        mdg, dofs = self.assembler.mdg, self.assembler.dofs
-        for sd in mdg.subdomains_of_dim(1):
-            jn, jt = self.assembler.jumps_of(state.current, sd.id)
+        jump = self.assembler.jumps(state.current)
+        stacked = self.assembler.grids[1]
+        jts, jns = split_cells(stacked, jump[0::2]), split_cells(stacked, jump[1::2])
+        for sd in self.assembler.fractures:
+            jt, jn = jts[sd.id], jns[sd.id]
             w = sd.cell_volumes / sd.cell_volumes.sum()
             l2_t = float(np.sqrt(np.sum(jt**2 * w)))
             l2_n = float(np.sqrt(np.sum(jn**2 * w)))

@@ -13,6 +13,7 @@ from mdthm.mdmesh import (
     build_triangular_fractured,
     ingest_gmsh,
     refine,
+    stack_grids,
 )
 from mdthm.scenarios.config import SIDE_CODE, ConfigError, PhaseConfig, ScenarioConfig
 from mdthm.system import Assembler, Loads, NewtonParams, PhaseSpec, State, TimeLoopOptions
@@ -49,7 +50,7 @@ class Scenario:
     state: State
     phases: list
     loop_options: TimeLoopOptions
-    well_cells: list  # per phase: dict sd_id -> (rates, T_inj)
+    well_cells: list  # per phase: dict dim -> (rates, T_inj) on the stacked cells
 
     def load_provider(self, phase: PhaseConfig, t_start: float = 0.0):
         """Loads at absolute times; boundary values ramp linearly from the
@@ -71,26 +72,16 @@ class Scenario:
 
 def build_scenario(cfg: ScenarioConfig, extra_refinement: int = 0) -> Scenario:
     mdg = build_mesh(cfg, extra_refinement)
-    g = mdg.matrix
-    side = g.tags["domain_side"]
-    bc_types = {
-        "mech": np.isin(side, [SIDE_CODE[s] for s in cfg.mech_dirichlet]),
-        "flow": np.isin(side, [SIDE_CODE[s] for s in cfg.flow_dirichlet]),
-        "heat": np.isin(side, [SIDE_CODE[s] for s in cfg.heat_dirichlet]),
-    }
-    for sd in mdg.subdomains_of_dim(1):
-        fside = sd.tags["domain_side"]
-        bc_types[("frac", sd.id, "flow")] = np.isin(
-            fside, [SIDE_CODE[s] for s in cfg.flow_dirichlet]
-        )
-        bc_types[("frac", sd.id, "heat")] = np.isin(
-            fside, [SIDE_CODE[s] for s in cfg.heat_dirichlet]
-        )
-    c_num = cfg.solver.get("c_num")
-    if c_num is not None:
-        c_num = {sd.id: float(c_num) for sd in mdg.subdomains_of_dim(1)}
-    asm = Assembler(mdg, cfg.materials, cfg.dilation_model, bc_types, c_num=c_num,
-                    use_stabilization=bool(cfg.solver.get("stabilization", True)))
+
+    def dirichlet(grid, sides):
+        return np.isin(grid.tags["domain_side"], [SIDE_CODE[s] for s in sides])
+
+    fractures = stack_grids(1, mdg.subdomains_of_dim(1))
+    bc_types = {"mech": dirichlet(mdg.matrix, cfg.mech_dirichlet)}
+    for var, sides in (("flow", cfg.flow_dirichlet), ("heat", cfg.heat_dirichlet)):
+        bc_types[var] = dirichlet(mdg.matrix, sides)
+        bc_types[("frac", var)] = dirichlet(fractures, sides)
+    asm = Assembler(mdg, cfg.materials, cfg.dilation_model, bc_types)
 
     state = State(asm.dofs)
     init = {}
@@ -107,24 +98,20 @@ def build_scenario(cfg: ScenarioConfig, extra_refinement: int = 0) -> Scenario:
             )
     state.set_initial(init)
 
-    scales = solver_scales(cfg, mdg)
     newton = NewtonParams(
         max_iterations=int(cfg.solver.get("max_iterations", 50)),
         increment_tol=float(cfg.solver.get("increment_tol", 1e-10)),
-        contact_tol=float(cfg.solver.get("contact_tol", 1e-8)),
-        residual_floor=float(cfg.solver.get("residual_floor", 1e-11)),
-        scales=scales,
+        scales=solver_scales(cfg, mdg),
         damping=float(cfg.solver.get("damping", 1.0)),
         damping_threshold=float(cfg.solver.get("damping_threshold", 0.1)),
     )
     options = TimeLoopOptions(
         newton=newton,
         allow_dt_halving=bool(cfg.solver.get("allow_dt_halving", True)),
-        max_halvings=int(cfg.solver.get("max_halvings", 3)),
     )
     phases = [PhaseSpec(ph.name, ph.duration, ph.dt, ph.steady, ph.dt_init)
               for ph in cfg.phases]
-    wells = [locate_wells(mdg, ph) for ph in cfg.phases]
+    wells = [locate_wells(mdg, asm.grids, ph) for ph in cfg.phases]
     return Scenario(cfg, mdg, asm, state, phases, options, wells)
 
 
@@ -155,16 +142,16 @@ def solver_scales(cfg: ScenarioConfig, mdg: MixedDimGrid) -> dict:
         k_nu * mat.density_fluid_ref * mat.heat_capacity_fluid
         * cfg.initial_temperature, 1e-12,
     )
-    scales = {
+    return {
         "u": k_u, "u_m": k_u, "p": k_p, "T": k_T,
         "lam": mat.youngs_modulus * k_u,
         "nu": k_nu, "nu_cond": k_cond, "nu_adv": k_adv,
     }
-    scales.update(cfg.solver.get("scales", {}))
-    return scales
 
 
-def locate_wells(mdg: MixedDimGrid, phase: PhaseConfig):
+def locate_wells(mdg: MixedDimGrid, grids: dict, phase: PhaseConfig) -> dict:
+    """Well rates and injection temperatures of one phase, per dimension on
+    the stacked cells of ``grids``; dimensions without a well are absent."""
     out = {}
     for w in phase.wells:
         target = np.asarray(w.at, dtype=float)
@@ -186,14 +173,13 @@ def locate_wells(mdg: MixedDimGrid, phase: PhaseConfig):
         if best is None:
             raise ConfigError(f"sources: no subdomain can host a well at {w.at}")
         sd_id, cell, _ = best
-        rates, t_inj = out.setdefault(
-            sd_id,
-            (np.zeros(mdg.subdomain(sd_id).num_cells),
-             np.zeros(mdg.subdomain(sd_id).num_cells)),
-        )
-        rates[cell] += w.rate
+        grid = grids[mdg.subdomain(sd_id).dim]
+        at = grid.cell_start[sd_id] + cell
+        rates, t_inj = out.setdefault(grid.dim, (np.zeros(grid.num_cells),
+                                                 np.zeros(grid.num_cells)))
+        rates[at] += w.rate
         if w.temperature is not None:
-            t_inj[cell] = w.temperature
+            t_inj[at] = w.temperature
     return out
 
 
@@ -248,14 +234,15 @@ def mech_values(scn: Scenario, phase: PhaseConfig) -> np.ndarray:
 
 
 def scalar_values(scn: Scenario, phase: PhaseConfig, var: str) -> dict:
+    """Boundary values of one scalar variable on the stacked faces of the
+    matrix and of the fractures, keyed by dimension."""
     cfg = scn.cfg
     table = phase.flow if var == "flow" else phase.heat
     out = {}
-    for sd in scn.mdg.subdomains:
-        if sd.dim == 0:
-            continue
-        side = sd.tags["domain_side"]
-        vals = np.zeros(sd.num_faces)
+    for dim in (2, 1):
+        grid = scn.assembler.grids[dim]
+        side = grid.tags["domain_side"]
+        vals = np.zeros(grid.num_faces)
         if var == "heat":
             # Dirichlet heat sides default to the initial temperature
             dir_sides = [SIDE_CODE[s] for s in cfg.heat_dirichlet]
@@ -263,12 +250,12 @@ def scalar_values(scn: Scenario, phase: PhaseConfig, var: str) -> dict:
         elif cfg.initial_pressure == "hydrostatic":
             dir_sides = [SIDE_CODE[s] for s in cfg.flow_dirichlet]
             sel = np.isin(side, dir_sides)
-            vals[sel] = hydrostatic_pressure(cfg, sd.face_centers[1, sel])
+            vals[sel] = hydrostatic_pressure(cfg, grid.face_centers[1, sel])
         for name, value in table.items():
             faces = side == SIDE_CODE[name]
             if value == "hydrostatic":
-                vals[faces] = hydrostatic_pressure(cfg, sd.face_centers[1, faces])
+                vals[faces] = hydrostatic_pressure(cfg, grid.face_centers[1, faces])
             else:
                 vals[faces] = value
-        out[sd.id] = vals
+        out[dim] = vals
     return out

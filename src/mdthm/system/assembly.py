@@ -30,6 +30,16 @@ The volume change of a fracture keeps its normal jump implicit through J
 and lags the one-way dilation remainder; at intersection points it is
 fully lagged.
 
+The inputs and outputs are stacked the same way. :class:`Loads` holds
+boundary values per dimension, over the stacked faces of the matrix (2) and
+the fractures (1), and well data per dimension, over the stacked cells of 2,
+1 and 0. The fracture boundary types are one array per scalar variable over
+the stacked fracture faces, ``bc_types[("frac", "flow" | "heat")]``
+(Neumann where absent). Callers read the jumps of all fracture cells from
+:meth:`Assembler.jumps`, with the contact scaling ``c_num`` and the bases
+``rotation`` stacked alike, and split them per fracture only to write a
+file (:func:`mdthm.mdmesh.split_cells`).
+
 Sign conventions: mortar fluid/heat fluxes are total fluxes per mortar cell,
 positive from the higher-dimensional side into the lower-dimensional one;
 they enter the high side as Neumann data on the duplicated faces and the
@@ -52,7 +62,9 @@ from mdthm.constitutive import (
     cubic_law,
     dgap as dgap_fn,
     fluid_density,
+    fluid_storage,
     gap as gap_fn,
+    heat_capacities,
     specific_volume,
 )
 from mdthm.fvm import (
@@ -62,7 +74,7 @@ from mdthm.fvm import (
     onedim_discretize,
     upwind_matrices,
 )
-from mdthm.mdmesh import SIDE_K, MixedDimGrid, SubdomainGrid, stack_grids
+from mdthm.mdmesh import SIDE_K, MixedDimGrid, SubdomainGrid, split_cells, stack_grids
 from mdthm.system.dofs import LAM, NU, NU_ADV, NU_COND, P, T, U, U_MORTAR, DofMap, State
 
 MECH, FLOW, HEAT = "mech", "flow", "heat"
@@ -70,7 +82,15 @@ MECH, FLOW, HEAT = "mech", "flow", "heat"
 
 @dataclass
 class Loads:
-    """Boundary data and sources for one time step (external slots only)."""
+    """Boundary data and sources for one time step (external slots only).
+
+    ``bc_mech`` / ``bc_mech_prev`` hold the matrix face values, interleaved
+    (x, y). The other tables map a dimension to one array over the stacked
+    entities of that dimension: ``bc_flow`` and ``bc_heat`` over the faces
+    of 2 and 1, ``well_rates`` and ``well_T_injection`` over the cells of
+    2, 1 and 0. A missing dimension has zero data: no well, homogeneous
+    boundary values.
+    """
 
     bc_mech: np.ndarray
     bc_mech_prev: np.ndarray
@@ -103,7 +123,6 @@ class IterationCache:
     fracture_ops: dict  # flow / heat -> 1d operators of the stacked fractures
     contact: np.ndarray  # cellwise contact state of all fractures
     contact_state: dict  # frac id -> its cells' view of ``contact``
-    sign_flip_fraction: float = 0.0
 
 
 @dataclass
@@ -134,14 +153,9 @@ def _cat(parts) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=int)
 
 
-def _gather(table: dict, start: dict, size: int) -> np.ndarray:
-    """The per-subdomain arrays of ``table`` placed at their subdomains'
-    offsets ``start`` in a stack of ``size`` entries, zero elsewhere."""
-    out = np.zeros(size)
-    for sd_id, vals in table.items():
-        if sd_id in start:
-            out[start[sd_id]:start[sd_id] + len(vals)] = vals
-    return out
+def _of_dim(table: dict, dim: int, size: int) -> np.ndarray:
+    """A copy of the stacked values of one dimension, zero if absent."""
+    return np.array(table[dim], dtype=float) if dim in table else np.zeros(size)
 
 
 def mortar_group(mdg: MixedDimGrid, dofs: DofMap, high: SubdomainGrid,
@@ -178,13 +192,11 @@ def _mortar_traces(group: MortarGroup, ops) -> dict:
 
 class Assembler:
     def __init__(self, mdg: MixedDimGrid, mat: MaterialSet,
-                 dilation_model: DilationModel, bc_types: dict,
-                 c_num: dict | None = None, use_stabilization: bool = True):
+                 dilation_model: DilationModel, bc_types: dict):
         self.mdg = mdg
         self.mat = mat
         self.model = dilation_model
         self.dofs = DofMap(mdg)
-        self.use_stabilization = use_stabilization
 
         # the subdomains of each dimension as one grid, in subdomain order
         self.grids = {dim: stack_grids(dim, mdg.subdomains_of_dim(dim)) for dim in (2, 1, 0)}
@@ -204,9 +216,7 @@ class Assembler:
         self.frac_bc = {}
         for var in (FLOW, HEAT):
             is_dir = np.zeros(g1.num_faces, dtype=bool)
-            for sd in self.fractures:
-                start = g1.face_start[sd.id]
-                is_dir[start:start + sd.num_faces] = bc_types.get(("frac", sd.id, var), False)
+            is_dir[:] = bc_types.get(("frac", var), False)
             is_dir[g1.tags["internal"]] = False
             self.frac_bc[var] = BoundaryCondition(is_dir)
 
@@ -220,25 +230,23 @@ class Assembler:
         kappa_eff = mat.effective(mat.conductivity_solid, mat.conductivity_fluid)
         self.heat_ops = mpfa_discretize(g2, kappa_eff, self.bc[HEAT])
 
-        first = g1.cell_start
-        self.frac_cells = {sd.id: slice(first[sd.id], first[sd.id] + sd.num_cells)
-                           for sd in self.fractures}
-        self.basis = {sd.id: mdg.fracture_basis(sd.id) for sd in self.fractures}
-        # per fracture cell, the rotation to its (tangential, normal) basis
+        # per fracture cell, the rotation to its (tangential, normal) basis:
+        # row 0 is the unit tangent, row 1 the unit normal
         self.rotation = np.concatenate(
             [np.zeros((0, 2, 2))]
-            + [np.stack([tau.T, n.T], axis=1) for n, tau in self.basis.values()]
+            + [np.stack([tau.T, n.T], axis=1)
+               for n, tau in (mdg.fracture_basis(sd.id) for sd in self.fractures)]
         )
-        # The traction/displacement scaling c of the contact conditions is a
-        # numerical parameter; taking it of the order of the elastic wall
-        # stiffness G / (fracture length) keeps the active-set iteration out
-        # of stick/glide limit cycles, which appear when c far exceeds that
+        # The traction/displacement scaling c of the contact conditions, per
+        # fracture cell. Of the order of the elastic wall stiffness
+        # G / (fracture length), it keeps the active-set iteration out of
+        # stick/glide limit cycles, which appear when c far exceeds that
         # stiffness. Grid-independent on purpose.
-        self.c_num = {}
-        for sd in self.fractures:
-            c = (c_num or {}).get(sd.id, mat.shear_modulus / float(np.sum(sd.cell_volumes)))
-            self.c_num[sd.id] = np.broadcast_to(np.asarray(c, float), (sd.num_cells,))
-        self.c_all = _cat([self.c_num[sd.id] for sd in self.fractures])
+        self.c_num = np.concatenate(
+            [np.zeros(0)]
+            + [np.full(sd.num_cells, mat.shear_modulus / float(np.sum(sd.cell_volumes)))
+               for sd in self.fractures]
+        )
 
         dofs = self.dofs
         # per dimension, the cell dofs of each variable in stacked cell order
@@ -329,12 +337,6 @@ class Assembler:
         return _block_product(np.einsum("cij,cjk->cik", blocks, self.rotation),
                               self.walls)
 
-    def jumps_of(self, x: np.ndarray, frac_id: int):
-        """(normal, tangential) jump of one fracture's cells at the state x."""
-        jump = self.jumps(x)
-        cells = self.frac_cells[frac_id]
-        return jump[1::2][cells], jump[0::2][cells]
-
     def coefficient_aperture(self, a):
         """Aperture entering coefficients, floored during iteration.
 
@@ -350,7 +352,7 @@ class Assembler:
         a = self.coefficient_aperture(
             aperture_unchecked(jumps[1::2], jumps[0::2], self.model, self.mat)
         )
-        branches = {k: a[cells] for k, cells in self.frac_cells.items()}
+        branches = split_cells(self.grids[1], a)
         points = [self.coefficient_aperture(self.mdg.inherit_aperture(k, branches))
                   for k in self.grids[0].cell_start]
         return {1: a, 0: np.concatenate([np.zeros(0)] + points)}
@@ -383,9 +385,9 @@ class Assembler:
         lam = x[cells[1][LAM]]
         contact = ct.classify(
             lam[0::2], lam[1::2], jump_t, jumps[1::2], jumps_prev[0::2], gaps,
-            self.c_all, mat.friction_coefficient,
+            self.c_num, mat.friction_coefficient,
         )
-        contact_state = {k: contact[sl] for k, sl in self.frac_cells.items()}
+        contact_state = split_cells(self.grids[1], contact)
 
         # fluid face fluxes from the previous iterate, optionally damped
         face_flux = {}
@@ -395,38 +397,35 @@ class Assembler:
                 + ops.vector_source @ self._rho_g(density[dim])
         mortar_flux = {dim: x[group.dofs[NU]].copy() for dim, group in self.mortars.items()}
 
-        n_flip = n_total = 0
-        if prev_cache is not None:
+        # relax both when more than a share damping_threshold of the face
+        # fluxes flipped sign since the previous iterate
+        if prev_cache is not None and damping < 1.0:
             old = prev_cache.face_flux
             flips = sum(
                 int(np.sum((np.sign(face_flux[k]) * np.sign(old[k])) < 0))
                 for k in face_flux
             )
             total = sum(v.size for v in face_flux.values())
-            frac_flipped = flips / max(total, 1)
-            if damping < 1.0 and frac_flipped > damping_threshold:
+            if flips / max(total, 1) > damping_threshold:
                 for k in face_flux:
                     face_flux[k] = damp_advective_flux(old[k], face_flux[k], damping)
                 for k in mortar_flux:
                     mortar_flux[k] = damp_advective_flux(
                         prev_cache.mortar_flux[k], mortar_flux[k], damping
                     )
-            n_flip, n_total = flips, total
 
         return IterationCache(
             jumps=jumps, jumps_prev=jumps_prev, gaps=gaps, dgaps=dgaps,
             apertures=apertures, spec_vol=spec_vol, spec_vol_prev=spec_vol_prev,
             density=density, face_flux=face_flux, mortar_flux=mortar_flux,
             fracture_ops=fracture_ops, contact=contact, contact_state=contact_state,
-            sign_flip_fraction=n_flip / max(n_total, 1),
         )
 
     def _ext_scalar(self, dim, var, loads: Loads):
         """External boundary data of one dimension, internal (mortar) slots
         zeroed."""
         grid = self.grids[dim]
-        table = loads.bc_flow if var == FLOW else loads.bc_heat
-        vals = _gather(table, grid.face_start, grid.num_faces)
+        vals = _of_dim(loads.bc_flow if var == FLOW else loads.bc_heat, dim, grid.num_faces)
         vals[grid.tags["internal"]] = 0.0
         return vals
 
@@ -449,9 +448,8 @@ class Assembler:
     def _wells(self, dim, loads: Loads):
         """Well rates and injection temperatures of one dimension's cells,
         zero where there is no well."""
-        grid = self.grids[dim]
-        return (_gather(loads.well_rates, grid.cell_start, grid.num_cells),
-                _gather(loads.well_T_injection, grid.cell_start, grid.num_cells))
+        n = self.grids[dim].num_cells
+        return _of_dim(loads.well_rates, dim, n), _of_dim(loads.well_T_injection, dim, n)
 
     def heat_bc(self, dim) -> BoundaryCondition:
         """Heat boundary condition types of the matrix or the stacked fractures."""
@@ -508,37 +506,34 @@ class Assembler:
         acc.add_mat(rows, dofs.sd(0, U), w @ ops.div_u)
         bd = w @ ops.bound_div_u
         acc.add_mat(rows, self.mortars[2].dofs[U_MORTAR], w @ self.div_u_mortar)
-        if self.use_stabilization:
-            acc.add_mat(rows, dofs.sd(0, P), w @ ops.stab_p)
-            acc.add_mat(rows, dofs.sd(0, T), w @ ops.stab_T)
+        acc.add_mat(rows, dofs.sd(0, P), w @ ops.stab_p)
+        acc.add_mat(rows, dofs.sd(0, T), w @ ops.stab_T)
         # previous-step value, including its boundary data
         xp = state.prev_step
         prev_bc = self.mech_boundary_values(loads.bc_mech_prev, xp)
-        prev = ops.div_u @ xp[dofs.sd(0, U)] + ops.bound_div_u @ prev_bc
-        if self.use_stabilization:
-            prev = prev + ops.stab_p @ xp[dofs.sd(0, P)] + ops.stab_T @ xp[dofs.sd(0, T)]
+        prev = (ops.div_u @ xp[dofs.sd(0, U)] + ops.bound_div_u @ prev_bc
+                + ops.stab_p @ xp[dofs.sd(0, P)] + ops.stab_T @ xp[dofs.sd(0, T)])
         _add_to(b, rows, weight / dt * prev)
         _add_to(b, rows, -(bd @ self._ext_mech(loads.bc_mech)))
 
     def _matrix_mass(self, acc, b, state, cache, dt, steady, loads):
-        g, mat, cells = self.matrix, self.mat, self.cell_dofs[2]
-        rows = cells[P]
-        xp = state.prev_step
+        g, mat, rows = self.matrix, self.mat, self.cell_dofs[2][P]
         if not steady:
-            cm = mat.porosity / mat.bulk_fluid + (
-                mat.biot_alpha - mat.porosity
-            ) / mat.bulk_solid
-            beta_eff = mat.effective(
-                mat.thermal_expansion_solid, mat.thermal_expansion_fluid
-            )
-            wvol = g.cell_volumes / dt
-            acc.add_diag(rows, cells[P], cm * wvol)
-            acc.add_diag(rows, cells[T], -beta_eff * wvol)
-            _add_to(b, rows, cm * wvol * xp[cells[P]] - beta_eff * wvol * xp[cells[T]])
+            self._fluid_storage(acc, b, 2, state.prev_step, g.cell_volumes / dt)
             self._div_u_terms(acc, b, rows, mat.biot_alpha * np.ones(g.num_cells),
                               state, dt, loads)
         self._scalar_flux_divergence(acc, b, 2, FLOW, cache, loads)
         _add_to(b, rows, self._wells(2, loads)[0])
+
+    def _fluid_storage(self, acc, b, dim, xp, wvol):
+        """Fluid storage of one dimension's cells of weighted volumes wvol,
+        implicit in p and T, against the previous-step state xp."""
+        cells = self.cell_dofs[dim]
+        c_p = fluid_storage(wvol, 0.0, self.mat, dim == 2)
+        c_T = fluid_storage(0.0, wvol, self.mat, dim == 2)
+        acc.add_diag(cells[P], cells[P], c_p)
+        acc.add_diag(cells[P], cells[T], c_T)
+        _add_to(b, cells[P], c_p * xp[cells[P]] + c_T * xp[cells[T]])
 
     def _scalar_flux_divergence(self, acc, b, dim, var, cache, loads):
         """div of diffusive (+gravity) fluxes of one scalar in one dimension."""
@@ -577,28 +572,12 @@ class Assembler:
         # advective unknowns
         acc.add_mat(rows, self.mortars[dim].dofs[NU_ADV], div @ self.to_faces[dim])
 
-    def _energy_accumulation(self, acc, b, dim, state, cache, dt, use_effective):
-        """(rho c)_eff dT/dt plus the expanded coefficient-change term.
-
-        The lower-dimensional balances are fluid-filled, so their heat
-        capacities skip the porosity average.
-        """
-        mat, cells = self.mat, self.cell_dofs[dim]
+    def _energy_accumulation(self, acc, b, dim, state, cache, dt):
+        """(rho c)_eff dT/dt plus the expanded coefficient-change term."""
+        cells = self.cell_dofs[dim]
         xp, xi = state.prev_step, state.prev_iter
-        rho_f = cache.density[dim]
         vols = self.grids[dim].cell_volumes * cache.spec_vol[dim] / dt
-
-        def eff(vs, vf):
-            return mat.effective(vs, vf) if use_effective else vf
-
-        rc_eff = eff(mat.density_solid * mat.heat_capacity_solid,
-                     rho_f * mat.heat_capacity_fluid)
-        rck_eff = eff(mat.density_solid * mat.heat_capacity_solid / mat.bulk_solid,
-                      rho_f * mat.heat_capacity_fluid / mat.bulk_fluid)
-        rcb_eff = eff(
-            mat.density_solid * mat.heat_capacity_solid * mat.thermal_expansion_solid,
-            rho_f * mat.heat_capacity_fluid * mat.thermal_expansion_fluid,
-        )
+        rc_eff, rck_eff, rcb_eff = heat_capacities(cache.density[dim], self.mat, dim == 2)
         T_lag = xi[cells[T]]
         coef_T = vols * (rc_eff - T_lag * rcb_eff)
         coef_p = vols * T_lag * rck_eff
@@ -609,7 +588,7 @@ class Assembler:
     def _matrix_energy(self, acc, b, state, cache, dt, steady, loads):
         g, mat = self.matrix, self.mat
         if not steady:
-            self._energy_accumulation(acc, b, 2, state, cache, dt, True)
+            self._energy_accumulation(acc, b, 2, state, cache, dt)
             weight = (mat.thermal_stress_coefficient * mat.reference_temperature
                       * np.ones(g.num_cells))
             self._div_u_terms(acc, b, self.cell_dofs[2][T], weight, state, dt, loads)
@@ -659,16 +638,10 @@ class Assembler:
 
     def _lower_mass(self, acc, b, state, cache, dt, steady, loads):
         """Mass balances of all fractures and intersection points."""
-        mat = self.mat
-        xp = state.prev_step
         if not steady:
             for dim in (1, 0):
-                cells = self.cell_dofs[dim]
                 wvol = self.grids[dim].cell_volumes * cache.spec_vol[dim] / dt
-                acc.add_diag(cells[P], cells[P], wvol / mat.bulk_fluid)
-                acc.add_diag(cells[P], cells[T], -wvol * mat.thermal_expansion_fluid)
-                _add_to(b, cells[P], wvol / mat.bulk_fluid * xp[cells[P]]
-                        - wvol * mat.thermal_expansion_fluid * xp[cells[T]])
+                self._fluid_storage(acc, b, dim, state.prev_step, wvol)
             self._volume_change(acc, b, P, np.ones(self.lower_volumes.size), cache, dt)
         self._scalar_flux_divergence(acc, b, 1, FLOW, cache, loads)
         self._mortar_sources(acc, P, (NU,))
@@ -680,7 +653,7 @@ class Assembler:
         mat = self.mat
         if not steady:
             for dim in (1, 0):
-                self._energy_accumulation(acc, b, dim, state, cache, dt, False)
+                self._energy_accumulation(acc, b, dim, state, cache, dt)
             rho = np.concatenate([cache.density[1], cache.density[0]])
             weight = mat.heat_capacity_fluid * rho * state.prev_iter[self.lower_dofs[T]]
             self._volume_change(acc, b, T, weight, cache, dt)
@@ -709,7 +682,7 @@ class Assembler:
         jt_prev = cache.jumps_prev[0::2]
         coeffs = ct.row_coefficients(
             cache.contact, lam[0::2], lam[1::2], jump_t, jump_n, jt_prev, cache.gaps,
-            self.c_all, mat.friction_coefficient,
+            self.c_num, mat.friction_coefficient,
         )
         a_lam, a_jump, rhs = ct.assemble_rows(
             coeffs, jump_t, jt_prev, cache.gaps, cache.dgaps, mat.friction_coefficient,

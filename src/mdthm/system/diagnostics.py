@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mdthm.constitutive import fluid_density
+from mdthm.constitutive import fluid_density, fluid_storage, heat_capacities
 from mdthm.fvm import upwind_advective
 from mdthm.system.assembly import HEAT, Assembler, Loads
 from mdthm.system.dofs import NU, P, T, State
@@ -66,56 +66,31 @@ def balance_report(assembler: Assembler, state: State, dt: float,
         rho = cache.density[dim]
 
         if not steady:
+            m_acc += float(np.sum(
+                vols * v_lag * fluid_storage(p_new - p_old, t_new - t_old, mat, dim == 2)
+            ))
             if dim == 2:
-                cm = mat.porosity / mat.bulk_fluid + (
-                    mat.biot_alpha - mat.porosity
-                ) / mat.bulk_solid
-                beta = mat.effective(
-                    mat.thermal_expansion_solid, mat.thermal_expansion_fluid
-                )
-                m_acc += float(np.sum(vols * (cm * (p_new - p_old)
-                                              - beta * (t_new - t_old))))
                 ops = assembler.mech_ops
                 u_new = x[dofs.sd(0, "u")]
                 u_old = xp[dofs.sd(0, "u")]
                 bc_new = assembler.mech_boundary_values(loads.bc_mech, x)
                 bc_old = assembler.mech_boundary_values(loads.bc_mech_prev, xp)
-                div_new = ops.div_u @ u_new + ops.bound_div_u @ bc_new
-                div_old = ops.div_u @ u_old + ops.bound_div_u @ bc_old
-                if assembler.use_stabilization:
-                    div_new = div_new + ops.stab_p @ p_new + ops.stab_T @ t_new
-                    div_old = div_old + ops.stab_p @ p_old + ops.stab_T @ t_old
+                div_new = (ops.div_u @ u_new + ops.bound_div_u @ bc_new
+                           + ops.stab_p @ p_new + ops.stab_T @ t_new)
+                div_old = (ops.div_u @ u_old + ops.bound_div_u @ bc_old
+                           + ops.stab_p @ p_old + ops.stab_T @ t_old)
                 ddiv = float(np.sum(div_new - div_old))
                 m_acc += mat.biot_alpha * ddiv
                 e_acc += (mat.thermal_stress_coefficient
                           * mat.reference_temperature * ddiv)
             else:
-                m_acc += float(np.sum(
-                    vols * v_lag * ((p_new - p_old) / mat.bulk_fluid
-                                    - mat.thermal_expansion_fluid * (t_new - t_old))
-                ))
                 v_old = cache.spec_vol_prev[dim]
                 m_acc += float(np.sum(vols * (v_lag - v_old)))
                 e_acc += float(np.sum(
                     vols * mat.heat_capacity_fluid * rho * t_new * (v_lag - v_old)
                 ))
             # energy accumulation with the expanded coefficient form
-            if dim == 2:
-                rc = mat.effective(mat.density_solid * mat.heat_capacity_solid,
-                                   rho * mat.heat_capacity_fluid)
-                rck = mat.effective(
-                    mat.density_solid * mat.heat_capacity_solid / mat.bulk_solid,
-                    rho * mat.heat_capacity_fluid / mat.bulk_fluid,
-                )
-                rcb = mat.effective(
-                    mat.density_solid * mat.heat_capacity_solid
-                    * mat.thermal_expansion_solid,
-                    rho * mat.heat_capacity_fluid * mat.thermal_expansion_fluid,
-                )
-            else:
-                rc = rho * mat.heat_capacity_fluid
-                rck = rho * mat.heat_capacity_fluid / mat.bulk_fluid
-                rcb = rho * mat.heat_capacity_fluid * mat.thermal_expansion_fluid
+            rc, rck, rcb = heat_capacities(rho, mat, dim == 2)
             e_acc += float(np.sum(
                 vols * v_lag * ((rc - t_new * rcb) * (t_new - t_old)
                                 + t_new * rck * (p_new - p_old))

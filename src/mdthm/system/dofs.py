@@ -87,10 +87,6 @@ class State:
         self.prev_step[:] = self.current
         self.prev_iter[:] = self.current
 
-    def get(self, which, kind, ident, var) -> np.ndarray:
-        vec = getattr(self, which)
-        return vec[self.dofs.block(kind, ident, var)]
-
     def set_initial(self, values: dict):
         for key, val in values.items():
             sl = self.dofs.block(*key)

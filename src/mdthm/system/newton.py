@@ -9,7 +9,8 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from mdthm import contact as ct
-from mdthm.constitutive import aperture, gap
+from mdthm.constitutive import aperture_unchecked, gap
+from mdthm.mdmesh import split_cells
 from mdthm.system.assembly import Assembler, IterationCache, Loads
 from mdthm.system.dofs import LAM, State
 
@@ -93,7 +94,7 @@ def contact_residual_norm(assembler: Assembler, x: np.ndarray,
     g = gap(jt, assembler.model, mat.dilation_angle)
     c_n, c_t = ct.residuals(
         lam_t, lam_n, jt, jump[1::2], jump_prev[0::2], g,
-        assembler.c_all, mat.friction_coefficient,
+        assembler.c_num, mat.friction_coefficient,
     )
     scale = np.maximum(1.0, np.hypot(lam_t, lam_n))
     return max(float(np.max(np.abs(c_n) / scale)),
@@ -183,13 +184,13 @@ def _scale_vector(assembler: Assembler, scales: dict) -> np.ndarray:
 
 
 def _check_apertures(assembler: Assembler, x: np.ndarray):
-    """Converged states must satisfy nonpenetration strictly."""
-    for sd in assembler.fractures:
-        jn, jt = assembler.jumps_of(x, sd.id)
-        try:
-            aperture(jn, jt, assembler.model, assembler.mat)
-        except ValueError as err:
-            raise ct.ContactError(
-                f"nonpositive aperture on fracture subdomain {sd.id} at a "
-                "converged state: nonpenetration is violated"
-            ) from err
+    """Converged states must satisfy nonpenetration strictly: a positive
+    aperture in every fracture cell."""
+    jump = assembler.jumps(x)
+    a = aperture_unchecked(jump[1::2], jump[0::2], assembler.model, assembler.mat)
+    closed = [k for k, part in split_cells(assembler.grids[1], a).items() if np.any(part <= 0.0)]
+    if closed:
+        raise ct.ContactError(
+            f"nonpositive aperture on fracture subdomain {closed[0]} at a "
+            "converged state: nonpenetration is violated"
+        )

@@ -19,11 +19,11 @@ def default_bc_types(grid):
 
 
 def make_problem(fractures=(), nx=8, ny=8, mat=None, model=DilationModel.TWO_WAY,
-                 perturb=0.0, seed=0, bc_types=None, **assembler_kw):
+                 perturb=0.0, seed=0, bc_types=None):
     mat = mat or MaterialSet()
     mdg = build_triangular_fractured(nx, ny, fractures, perturb=perturb, seed=seed)
     bc = bc_types or default_bc_types(mdg.matrix)
-    asm = Assembler(mdg, mat, model, bc, **assembler_kw)
+    asm = Assembler(mdg, mat, model, bc)
     state = State(asm.dofs)
     init = {("sd", sd.id, "T"): mat.reference_temperature for sd in mdg.subdomains}
     for sd in mdg.subdomains_of_dim(1):
@@ -49,12 +49,12 @@ def make_loads(asm, mat=None, top_displacement=(0.0, 0.0), p_left=0.0,
     else:
         bc_mech_prev = bc_mech.copy()
     dir_flow = asm.bc["flow"].is_dir
-    bc_flow = {0: np.where(dir_flow & (side == SIDE_LEFT), p_left, 0.0)}
+    bc_flow = {2: np.where(dir_flow & (side == SIDE_LEFT), p_left, 0.0)}
     T0 = mat.reference_temperature
     t_left = T0 if T_left is None else T_left
     vals = np.where(dir_flow, T0, 0.0)
     vals[dir_flow & (side == SIDE_LEFT)] = t_left
-    bc_heat = {0: vals}
+    bc_heat = {2: vals}
     loads = Loads(bc_mech, bc_mech_prev, bc_flow, bc_heat)
     if wells:
         loads.well_rates = wells.get("rates", {})

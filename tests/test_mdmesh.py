@@ -110,23 +110,6 @@ class TestCrossingTopology:
         assert len(mdg.interfaces_of_low(points[0].id)) == 2
 
 
-class TestProjections:
-    def test_round_trip_permutation(self):
-        mdg = build_cartesian_fractured(4, 2, [((0.0, 0.5), (1.0, 0.5))])
-        for intf in mdg.interfaces:
-            high = mdg.subdomain(intf.high_id)
-            low = mdg.subdomain(intf.low_id)
-            for nd in (1, 2):
-                xi = intf.to_mortar_high(high.num_faces, nd)
-                pi = intf.from_mortar_high(high.num_faces, nd)
-                rng = np.random.default_rng(intf.id)
-                f = rng.standard_normal(intf.num_cells * nd)
-                assert np.allclose(xi @ (pi @ f), f)
-                xil = intf.to_mortar_low(low.num_cells, nd)
-                pil = intf.from_mortar_low(low.num_cells, nd)
-                assert np.allclose(xil @ (pil @ f), f)
-
-
 class TestDisplacementJump:
     def setup_method(self):
         self.mdg = build_cartesian_fractured(3, 2, [((0.0, 0.5), (1.0, 0.5))])

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from mdthm import cli
 from mdthm.scenarios import drivers
 from mdthm.scenarios.config import parse_config
 from mdthm.scenarios.output import snapshot_fields, write_vtk
@@ -27,6 +28,12 @@ def tiny_raw(every=1):
     raw["phases"] = [compression, pressurise, cooling]
     raw["output"] = {"every": every}
     return raw
+
+
+def write_config(tmp_path, raw):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +88,28 @@ class TestAbsoluteTime:
             time_loop(scn.assembler, scn.state, [phase_spec],
                       scn.load_provider(phase_cfg), scn.loop_options)
         assert np.array_equal(scn.state.current, result.scenario.state.current)
+
+
+class TestCommandLine:
+    def test_dilation_comparison_writes_profiles(self, tmp_path):
+        raw = tiny_raw()
+        raw["phases"] = raw["phases"][:1]  # the steady compression only
+        out = tmp_path / "out"
+        assert cli.main(["dilation", "--config", write_config(tmp_path, raw),
+                         "--out", str(out)]) == 0
+        tables = [np.loadtxt(out / f"dilation_model_{m}.csv", delimiter=",", skiprows=1,
+                             ndmin=2) for m in (0, 1, 2)]
+        for table in tables:
+            assert table.shape == tables[0].shape and table.shape[0] > 0
+            # fracture_id, x_m, jump_t_m, jump_n_m, aperture_m, state
+            assert np.array_equal(table[:, :2], tables[0][:, :2])
+            assert np.all(table[:, 4] > 0.0)
+            assert set(table[:, 5]) <= {0.0, 1.0, 2.0}
+
+    def test_unknown_solver_key_rejected(self, tmp_path, capsys):
+        raw = tiny_raw()
+        raw["solver"]["c_num"] = 1e10
+        code = cli.main(["run", "--config", write_config(tmp_path, raw),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "solver.c_num" in capsys.readouterr().err

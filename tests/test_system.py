@@ -102,7 +102,7 @@ class TestSteadyNoFracture:
             g, MAT.matrix_permeability / MAT.viscosity, asm.bc["flow"]
         )
         div, _ = g.cell_faces_csr()
-        bc_flow = loads.bc_flow[0]
+        bc_flow = loads.bc_flow[2]
         p_oracle = spla.spsolve(
             (div @ ops.flux).tocsc(), -div @ (ops.bound_flux @ bc_flow)
         )
@@ -135,7 +135,8 @@ class TestFracturedContactSolve:
         mdg, asm, state, rep, loads = self.solve()
         frac = mdg.subdomains[1]
         lam = state.current[asm.dofs.sd(frac.id, LAM)]
-        jn, jt = asm.jumps_of(state.current, frac.id)
+        jump = asm.jumps(state.current)  # the only fracture's cells
+        jt, jn = jump[0::2], jump[1::2]
         g = gap_fn(jt, DilationModel.TWO_WAY, MAT.dilation_angle)
         # gliding cells: |lam_t| = -F lam_n, jn = gap, slip parallel to lam_t
         assert np.abs(np.abs(lam[0::2]) + 0.5 * lam[1::2]).max() < 1e-6 * np.abs(lam).max()
@@ -143,7 +144,7 @@ class TestFracturedContactSolve:
         assert np.all(np.sign(jt) == np.sign(lam[0::2]))
         report = complementarity_report(
             lam[0::2], lam[1::2], jt, jn, np.zeros_like(jt), g,
-            asm.c_num[frac.id], MAT.friction_coefficient,
+            asm.c_num, MAT.friction_coefficient,
         )
         assert report <= 1e-8
 
@@ -152,7 +153,8 @@ class TestFracturedContactSolve:
         assert rep.converged
         frac = mdg.subdomains[1]
         lam = state.current[asm.dofs.sd(frac.id, LAM)]
-        jn, jt = asm.jumps_of(state.current, frac.id)
+        jump = asm.jumps(state.current)
+        jt, jn = jump[0::2], jump[1::2]
         assert np.all(lam[1::2] < 0)
         assert np.abs(jt).max() < 1e-12
         assert np.abs(jn).max() < 1e-12
@@ -162,17 +164,21 @@ class TestFracturedContactSolve:
         assert interface_flux_consistency(asm, state, loads) < 1e-12
 
     def test_penetration_rejected_at_converged_state(self):
-        mdg, asm, state = make_problem(FR)
-        _check_apertures(asm, state.current)
-        frac = mdg.subdomains[1]
-        _, intf_k = mdg.fracture_interfaces(frac.id)
-        n, _ = asm.basis[frac.id]
-        x = state.current.copy()
-        # the k wall moves 2 a0 into the j wall: aperture -a0 everywhere
-        u_k = -2.0 * MAT.residual_aperture * n[:, intf_k.low_cells]
-        x[asm.dofs.intf(intf_k.id, U_MORTAR)] = u_k.T.ravel()
-        with pytest.raises(ContactError, match="nonpositive aperture"):
-            _check_apertures(asm, x)
+        # with crossing fractures only the second one penetrates, and the
+        # error names it
+        for fractures in (FR, CROSSING):
+            mdg, asm, state = make_problem(fractures)
+            _check_apertures(asm, state.current)
+            frac = mdg.subdomains_of_dim(1)[-1]
+            _, intf_k = mdg.fracture_interfaces(frac.id)
+            n, _ = mdg.fracture_basis(frac.id)
+            x = state.current.copy()
+            # the k wall moves 2 a0 into the j wall: aperture -a0 everywhere
+            u_k = -2.0 * MAT.residual_aperture * n[:, intf_k.low_cells]
+            x[asm.dofs.intf(intf_k.id, U_MORTAR)] = u_k.T.ravel()
+            with pytest.raises(ContactError,
+                               match=f"nonpositive aperture on fracture subdomain {frac.id} "):
+                _check_apertures(asm, x)
 
     def test_all_open_contact_block_is_identity(self):
         # tension opens every cell; the lam block must reduce to the identity
@@ -183,8 +189,7 @@ class TestFracturedContactSolve:
         frac = mdg.subdomains[1]
         lam = state.current[asm.dofs.sd(frac.id, LAM)]
         assert np.abs(lam).max() < 1e-6
-        jn, _ = asm.jumps_of(state.current, frac.id)
-        assert np.all(jn > 0)
+        assert np.all(asm.jumps(state.current)[1::2] > 0)
         # assemble at the converged state and inspect the lam-lam block
         state.start_iteration()
         cache = asm.build_cache(state, loads)
@@ -293,8 +298,8 @@ class TestTimeLoop:
             def provider(t_new, t_prev):
                 loads = make_loads(asm, mat=mat)
                 rate = 1e-6 * t_new * g.cell_volumes / vol
-                loads.well_rates = {0: rate}
-                loads.well_T_injection = {0: np.full(g.num_cells, 300.0)}
+                loads.well_rates = {2: rate}
+                loads.well_T_injection = {2: np.full(g.num_cells, 300.0)}
                 return loads
 
             time_loop(asm, st, [PhaseSpec("inject", duration=t_end, dt=dt)],
@@ -324,16 +329,15 @@ class TestTimeLoop:
 class TestConservation:
     def test_injection_balance(self):
         mdg, asm, state = make_problem(FR, nx=8, ny=8)
-        frac = mdg.subdomains[1]
-        rate = np.zeros(frac.num_cells)
-        rate[1] = 1e-8
-        t_inj = np.full(frac.num_cells, 290.0)
+        rate = np.zeros(asm.grids[1].num_cells)
+        rate[1] = 1e-8  # in the first fracture
+        t_inj = np.full(asm.grids[1].num_cells, 290.0)
 
         def provider(t, tp):
             loads = make_loads(asm, top_displacement=(1e-4, -1e-4),
                                prev_top_displacement=(1e-4, -1e-4))
-            loads.well_rates = {frac.id: rate}
-            loads.well_T_injection = {frac.id: t_inj}
+            loads.well_rates = {1: rate}
+            loads.well_T_injection = {1: t_inj}
             return loads
 
         records = time_loop(
@@ -359,16 +363,15 @@ class TestConservation:
         # mortars, 0d balances and trace couplings between mortars
         mdg, asm, state = make_problem(CROSSING, nx=8, ny=8)
         assert len(mdg.subdomains_of_dim(0)) == 1
-        frac = mdg.subdomains[1]
-        rate = np.zeros(frac.num_cells)
-        rate[1] = 1e-8
-        t_inj = np.full(frac.num_cells, 290.0)
+        rate = np.zeros(asm.grids[1].num_cells)
+        rate[1] = 1e-8  # in the first fracture
+        t_inj = np.full(asm.grids[1].num_cells, 290.0)
 
         def provider(t, tp):
             loads = make_loads(asm, top_displacement=(1e-4, -1e-4),
                                prev_top_displacement=(1e-4, -1e-4))
-            loads.well_rates = {frac.id: rate}
-            loads.well_T_injection = {frac.id: t_inj}
+            loads.well_rates = {1: rate}
+            loads.well_T_injection = {1: t_inj}
             return loads
 
         records = time_loop(
