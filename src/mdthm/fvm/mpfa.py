@@ -82,7 +82,7 @@ def default_eta(grid: SubdomainGrid) -> float:
     The face-centre placement makes the scheme collapse to the two-point
     flux stencil on orthogonal quads with isotropic coefficients.
     """
-    if all(len(p) == 4 for p in grid.cell_nodes):
+    if np.all(np.diff(grid.cell_nodes_csr()[0]) == 4):
         return 0.0
     return 1.0 / 3.0
 
@@ -94,20 +94,21 @@ def mpfa_discretize(grid: SubdomainGrid, diffusivity, bc: BoundaryCondition,
         raise MeshError("mpfa_discretize expects a 2d grid; use onedim for 1d")
     if eta is None:
         eta = default_eta(grid)
-    top = SubcellTopology(grid, eta)
+    top = SubcellTopology(grid)
     D = _expand_tensor(diffusivity, grid.num_cells)
     if np.any(np.linalg.eigvalsh(D) <= 0):
         raise MeshError("diffusivity must be positive definite")
 
-    row_primary, row_secondary, eq_ptr = top.equation_layout(bc.is_dir)
+    row_primary, row_secondary, eq_ptr = top.equation_layout()
     npos_sf = top.node_pos[top.sf_node]
 
     # subface quantities; owner-out orientation matches the face normal
     n_sf = top.sf_normal  # (2, n_subfaces)
     nK = np.einsum("si,sij->sj", n_sf.T, D[top.sf_owner])
     nL = np.einsum("si,sij->sj", n_sf.T, D[np.maximum(top.sf_nbr, 0)])
-    dK = (top.sf_cont_pt - grid.cell_centers[:, top.sf_owner]).T
-    dL = (top.sf_cont_pt - grid.cell_centers[:, np.maximum(top.sf_nbr, 0)]).T
+    cont_pt = top.continuity_points(eta)
+    dK = (cont_pt - grid.cell_centers[:, top.sf_owner]).T
+    dL = (cont_pt - grid.cell_centers[:, np.maximum(top.sf_nbr, 0)]).T
     # per-face boundary data lives at the face centre, both for imposing
     # Dirichlet values and for reconstructing face potentials
     dK_fc = (grid.face_centers[:, top.sf_face] - grid.cell_centers[:, top.sf_owner]).T

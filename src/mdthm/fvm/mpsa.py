@@ -24,8 +24,8 @@ import numpy as np
 import scipy.sparse as sps
 
 from mdthm.fvm.local import least_squares_block_solve
-from mdthm.fvm.mpfa import BoundaryCondition, default_eta
-from mdthm.fvm.subcell import SubcellTopology
+from mdthm.fvm.mpfa import BoundaryCondition
+from mdthm.fvm.subcell import SubcellTopology, subcell_volumes
 from mdthm.mdmesh.grids import MeshError, SubdomainGrid
 
 
@@ -95,7 +95,7 @@ def mpsa_discretize(grid: SubdomainGrid, mu, lam, alpha, beta_ks,
     if np.any(mu <= 0) or np.any(2 * mu + 2 * lam <= 0):
         raise MeshError("stiffness must be positive definite")
 
-    top = SubcellTopology(grid, eta)
+    top = SubcellTopology(grid)
     rows_cond, cond_ptr = top.overdetermined_layout(3)
     row_cond = rows_cond[:, 0]
     row_cont = (rows_cond[:, 1], rows_cond[:, 2])
@@ -108,9 +108,7 @@ def mpsa_discretize(grid: SubdomainGrid, mu, lam, alpha, beta_ks,
     t_nbr = _traction_coeffs(
         mu[np.maximum(top.sf_nbr, 0)], lam[np.maximum(top.sf_nbr, 0)], n_sf
     )
-    fc = grid.face_centers[:, top.sf_face]
-    xn = grid.nodes[:, top.sf_node]
-    cont_pts = [fc + e * (xn - fc) for e in (eta, eta_second)]
+    cont_pts = [top.continuity_points(e) for e in (eta, eta_second)]
     dK = [(pt - grid.cell_centers[:, top.sf_owner]).T for pt in cont_pts]
     dL = [(pt - grid.cell_centers[:, np.maximum(top.sf_nbr, 0)]).T for pt in cont_pts]
     dK_fc = (grid.face_centers[:, top.sf_face] - grid.cell_centers[:, top.sf_owner]).T
@@ -262,7 +260,8 @@ def mpsa_discretize(grid: SubdomainGrid, mu, lam, alpha, beta_ks,
     dg_rows = np.concatenate([top.sc_cell, top.sc_cell])
     dg_cols = np.concatenate([4 * np.arange(top.num_subcells),
                               4 * np.arange(top.num_subcells) + 3])
-    dg_vals = np.concatenate([top.sc_volume, top.sc_volume])
+    sc_volume = subcell_volumes(top)
+    dg_vals = np.concatenate([sc_volume, sc_volume])
     d_g = sps.csr_matrix(
         (dg_vals, (dg_rows, dg_cols)), shape=(nc, 4 * top.num_subcells)
     ) @ sc_to_col

@@ -3,8 +3,8 @@
 Every face is halved at its midpoint into two subfaces, one per end node.
 The interaction region of a node collects the adjacent subcells (one per
 incident cell) and subfaces; gradients are piecewise constant per subcell
-and continuity is enforced at a point on each subface, placed a relative
-offset ``eta`` from the face centre towards the node.
+and continuity is enforced at points on the subfaces
+(``SubcellTopology.continuity_points``).
 """
 
 from __future__ import annotations
@@ -15,19 +15,14 @@ from mdthm.mdmesh.grids import MeshError, SubdomainGrid
 
 
 class SubcellTopology:
-    def __init__(self, grid: SubdomainGrid, eta: float = 1.0 / 3.0):
+    def __init__(self, grid: SubdomainGrid):
         if grid.dim != 2:
             raise MeshError("subcell topology requires a 2d grid")
         self.grid = grid
-        self.eta = eta
 
         # subcells: unique (cell, node) incidences sorted by (node, cell)
-        cells, nodes = [], []
-        for c, poly in enumerate(grid.cell_nodes):
-            cells.extend([c] * len(poly))
-            nodes.extend(poly.tolist())
-        cells = np.asarray(cells)
-        nodes = np.asarray(nodes)
+        ptr, nodes = grid.cell_nodes_csr()
+        cells = np.repeat(np.arange(grid.num_cells), np.diff(ptr))
         order = np.lexsort((cells, nodes))
         self.sc_cell = cells[order]
         self.sc_node = nodes[order]
@@ -52,11 +47,8 @@ class SubcellTopology:
             self.sf_nbr[interior], self.sf_node[interior]
         )
 
-        # geometry: half normals (owner-outward) and continuity points
+        # half normals, oriented out of the owner
         self.sf_normal = 0.5 * grid.face_normals[:, self.sf_face]
-        fc = grid.face_centers[:, self.sf_face]
-        xn = grid.nodes[:, self.sf_node]
-        self.sf_cont_pt = fc + eta * (xn - fc)
 
         # group subcells and subfaces by node
         self.node_ids, sc_counts = np.unique(self.sc_node, return_counts=True)
@@ -71,9 +63,6 @@ class SubcellTopology:
         sf_counts = np.bincount(node_pos[self.sf_node], minlength=self.node_ids.size)
         self.sf_node_ptr = np.concatenate([[0], np.cumsum(sf_counts)])
 
-        # subcell volumes (cell centre, face centres, node quadrilateral)
-        self.sc_volume = self._subcell_volumes()
-
     def subcell_index(self, cell, node):
         keys = np.asarray(node) * self.grid.num_cells + np.asarray(cell)
         idx = np.searchsorted(self._sc_keys, keys)
@@ -81,29 +70,25 @@ class SubcellTopology:
             raise MeshError("unknown (cell, node) incidence")
         return idx
 
-    def _subcell_volumes(self):
-        g = self.grid
-        vol = np.zeros(self.num_subcells)
-        # the two subfaces adjacent to each subcell supply the face centres
-        corners = {}
-        for sf in range(self.num_subfaces):
-            for sc in (self.sc_of_owner[sf], self.sc_of_nbr[sf]):
-                if sc >= 0:
-                    corners.setdefault(sc, []).append(g.face_centers[:, self.sf_face[sf]])
-        for sc, pts in corners.items():
-            if len(pts) != 2:
-                raise MeshError(
-                    f"node {self.sc_node[sc]} of cell {self.sc_cell[sc]} has "
-                    f"{len(pts)} incident subfaces, expected 2"
-                )
-            xc = g.cell_centers[:, self.sc_cell[sc]]
-            xn = g.nodes[:, self.sc_node[sc]]
-            quad = np.array([xc, pts[0], xn, pts[1]])
-            x, y = quad[:, 0], quad[:, 1]
-            vol[sc] = 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-        return vol
+    def continuity_points(self, eta: float) -> np.ndarray:
+        """(2, n_subfaces) points a relative offset ``eta`` from each
+        subface's face centre towards its node."""
+        fc = self.grid.face_centers[:, self.sf_face]
+        xn = self.grid.nodes[:, self.sf_node]
+        return fc + eta * (xn - fc)
 
-    def equation_layout(self, is_dir: np.ndarray):
+    def _local_rows(self, n_eq_sf):
+        """Per-node equation counts and offsets, and the first local row of
+        each subface, given its number of equations; a node's subfaces take
+        consecutive rows in subface order."""
+        npos = self.node_pos[self.sf_node]
+        node_eq_counts = np.zeros(self.node_ids.size, dtype=int)
+        np.add.at(node_eq_counts, npos, n_eq_sf)
+        node_eq_ptr = np.concatenate([[0], np.cumsum(node_eq_counts)])
+        first_row = np.cumsum(n_eq_sf) - n_eq_sf - node_eq_ptr[npos]
+        return node_eq_counts, node_eq_ptr, first_row
+
+    def equation_layout(self):
         """Row bookkeeping of the per-node local systems.
 
         Interior subfaces carry a flux and a potential continuity equation,
@@ -112,28 +97,15 @@ class SubcellTopology:
         boundary row) plus, for interior subfaces, the potential row, along
         with the per-node equation offsets.
         """
-        n_eq_sf = np.where(self.sf_boundary, 1, 2)
-        node_eq_counts = np.zeros(self.node_ids.size, dtype=int)
-        np.add.at(node_eq_counts, self.node_pos[self.sf_node], n_eq_sf)
+        node_eq_counts, node_eq_ptr, row_primary = self._local_rows(
+            np.where(self.sf_boundary, 1, 2))
         # a gradient has two components, so each subcell balances two
         # continuity conditions
         node_unknowns = 2 * np.diff(self.sc_node_ptr)
         if not np.array_equal(node_eq_counts, node_unknowns):
             bad = self.node_ids[node_eq_counts != node_unknowns]
             raise MeshError(f"unbalanced interaction region at nodes {bad[:5]}")
-        node_eq_ptr = np.concatenate([[0], np.cumsum(node_eq_counts)])
-
-        row_primary = np.zeros(self.num_subfaces, dtype=int)
-        row_secondary = np.full(self.num_subfaces, -1)
-        for pos in range(self.node_ids.size):
-            lo, hi = self.sf_node_ptr[pos], self.sf_node_ptr[pos + 1]
-            nxt = 0
-            for sf in range(lo, hi):
-                row_primary[sf] = nxt
-                nxt += 1
-                if not self.sf_boundary[sf]:
-                    row_secondary[sf] = nxt
-                    nxt += 1
+        row_secondary = np.where(self.sf_boundary, -1, row_primary + 1)
         return row_primary, row_secondary, node_eq_ptr
 
     def overdetermined_layout(self, conditions_interior: int):
@@ -147,17 +119,38 @@ class SubcellTopology:
         shape (n_subfaces, conditions_interior) (-1 where absent) and the
         per-node condition offsets.
         """
-        n_eq_sf = np.where(self.sf_boundary, 1, conditions_interior)
-        node_eq_counts = np.zeros(self.node_ids.size, dtype=int)
-        np.add.at(node_eq_counts, self.node_pos[self.sf_node], n_eq_sf)
-        node_eq_ptr = np.concatenate([[0], np.cumsum(node_eq_counts)])
-        rows = np.full((self.num_subfaces, conditions_interior), -1)
-        for pos in range(self.node_ids.size):
-            lo, hi = self.sf_node_ptr[pos], self.sf_node_ptr[pos + 1]
-            nxt = 0
-            for sf in range(lo, hi):
-                count = 1 if self.sf_boundary[sf] else conditions_interior
-                for k in range(count):
-                    rows[sf, k] = nxt
-                    nxt += 1
+        _, node_eq_ptr, first_row = self._local_rows(
+            np.where(self.sf_boundary, 1, conditions_interior))
+        rows = first_row[:, None] + np.arange(conditions_interior)
+        rows[self.sf_boundary, 1:] = -1
         return rows, node_eq_ptr
+
+
+def subcell_volumes(top: SubcellTopology) -> np.ndarray:
+    """Area of each subcell: the quadrilateral of its cell centre, the
+    centres of its two faces at the node, and the node."""
+    g = top.grid
+    # the subcells each subface touches, ascending subface, owner first
+    sc = np.stack([top.sc_of_owner, top.sc_of_nbr], axis=1).ravel()
+    face = np.repeat(top.sf_face, 2)
+    touches = sc >= 0
+    sc, face = sc[touches], face[touches]
+    counts = np.bincount(sc, minlength=top.num_subcells)
+    bad = np.flatnonzero(counts[sc] != 2)
+    if bad.size:
+        first = sc[bad[0]]
+        raise MeshError(
+            f"node {top.sc_node[first]} of cell {top.sc_cell[first]} has "
+            f"{counts[first]} incident subfaces, expected 2"
+        )
+    pairs = np.argsort(sc, kind="stable").reshape(-1, 2)
+    quad_sc = sc[pairs[:, 0]]
+    f0, f1 = face[pairs[:, 0]], face[pairs[:, 1]]
+    xc = g.cell_centers[:, top.sc_cell[quad_sc]]
+    xn = g.nodes[:, top.sc_node[quad_sc]]
+    x = np.stack([xc[0], g.face_centers[0, f0], xn[0], g.face_centers[0, f1]], axis=1)
+    y = np.stack([xc[1], g.face_centers[1, f0], xn[1], g.face_centers[1, f1]], axis=1)
+    vol = np.zeros(top.num_subcells)
+    vol[quad_sc] = 0.5 * np.abs(
+        np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1))
+    return vol

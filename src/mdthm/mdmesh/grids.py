@@ -67,20 +67,34 @@ class SubdomainGrid:
             if key not in self.tags:
                 self.tags[key] = np.zeros(self.num_faces, dtype=dtype)
 
+    def cell_nodes_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``cell_nodes`` in CSR form: per-cell offsets (n_cells + 1) into
+        the concatenated node lists."""
+        sizes = np.fromiter(map(len, self.cell_nodes), dtype=int)
+        ptr = np.concatenate([[0], np.cumsum(sizes)])
+        return ptr, np.concatenate([np.zeros(0, dtype=int), *self.cell_nodes])
+
     def _geometry_2d(self):
         x = self.nodes
-        self.cell_centers = np.zeros((2, self.num_cells))
-        self.cell_volumes = np.zeros(self.num_cells)
-        for c, poly in enumerate(self.cell_nodes):
+        ptr, nodes = self.cell_nodes_csr()
+        sizes = np.diff(ptr)
+        area = np.zeros(self.num_cells)
+        moment = np.zeros((2, self.num_cells))
+        # shoelace sums over the cells of each polygon size at once
+        for size in np.unique(sizes):
+            cells = np.flatnonzero(sizes == size)
+            poly = nodes[ptr[cells, None] + np.arange(size)]
             px, py = x[0, poly], x[1, poly]
-            cross = px * np.roll(py, -1) - np.roll(px, -1) * py
-            area = 0.5 * cross.sum()
-            if area <= 0:
-                raise MeshError(f"cell {c} has nonpositive area {area}")
-            cx = ((px + np.roll(px, -1)) * cross).sum() / (6.0 * area)
-            cy = ((py + np.roll(py, -1)) * cross).sum() / (6.0 * area)
-            self.cell_volumes[c] = area
-            self.cell_centers[:, c] = (cx, cy)
+            px_next, py_next = np.roll(px, -1, axis=1), np.roll(py, -1, axis=1)
+            cross = px * py_next - px_next * py
+            area[cells] = 0.5 * cross.sum(axis=1)
+            moment[0, cells] = ((px + px_next) * cross).sum(axis=1)
+            moment[1, cells] = ((py + py_next) * cross).sum(axis=1)
+        bad = np.flatnonzero(area <= 0)
+        if bad.size:
+            raise MeshError(f"cell {bad[0]} has nonpositive area {area[bad[0]]}")
+        self.cell_volumes = area
+        self.cell_centers = moment / (6.0 * area)
 
         a, b = self.face_nodes
         self.face_centers = 0.5 * (x[:, a] + x[:, b])
@@ -102,12 +116,10 @@ class SubdomainGrid:
         self.face_centers = x[:, fn]
         self.face_areas = np.ones(self.num_faces)
         # cell geometry from the stored endpoint nodes
-        self.cell_centers = np.zeros((2, self.num_cells))
-        self.cell_volumes = np.zeros(self.num_cells)
-        for c, poly in enumerate(self.cell_nodes):
-            pa, pb = x[:, poly[0]], x[:, poly[1]]
-            self.cell_centers[:, c] = 0.5 * (pa + pb)
-            self.cell_volumes[c] = np.hypot(*(pb - pa))
+        ptr, nodes = self.cell_nodes_csr()
+        pa, pb = x[:, nodes[ptr[:-1]]], x[:, nodes[ptr[:-1] + 1]]
+        self.cell_centers = 0.5 * (pa + pb)
+        self.cell_volumes = np.hypot(*(pb - pa))
         if np.any(self.cell_volumes <= 0):
             raise MeshError("degenerate 1d cell of zero length")
         owner = self.face_cells[0]
