@@ -5,9 +5,7 @@ Subcommands:
     converge --config FILE --levels N --out DIR
     dilation --config FILE --out DIR
 
-Exit codes: 0 success, 1 configuration error, 2 nonconvergence. The
-MDTHM_THREADS environment variable caps worker parallelism for independent
-runs (refinement levels, dilation models).
+Exit codes: 0 success, 1 configuration error, 2 nonconvergence.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ def main(argv=None) -> int:
             print(f"completed {len(result.records)} steps; "
                   f"max Newton iterations {result.max_newton_iterations}")
         elif args.command == "converge":
-            report = convergence_study(cfg, args.levels, raw_cfg=raw, out_dir=args.out)
+            report = convergence_study(cfg, args.levels, out_dir=args.out)
             for key, seq in sorted(report.orders.items()):
                 label = f"subdomain {key[0]} {key[1]}"
                 text = ", ".join("-" if v is None else f"{v:.2f}" for v in seq)

@@ -1,8 +1,3 @@
-from mdthm.fvm.interface_laws import (
-    interface_advective,
-    interface_darcy,
-    interface_fourier,
-)
 from mdthm.fvm.mpfa import (
     BoundaryCondition,
     ScalarDiffusionOps,
@@ -16,9 +11,6 @@ __all__ = [
     "BoundaryCondition",
     "ScalarDiffusionOps",
     "VectorMechanicsOps",
-    "interface_advective",
-    "interface_darcy",
-    "interface_fourier",
     "mpfa_discretize",
     "mpsa_discretize",
     "onedim_discretize",

@@ -73,7 +73,8 @@ def least_squares_block_solve(node_ids, row_ptr, col_ptr, triplets):
     n_rows = np.diff(row_ptr)
     n_cols = np.diff(col_ptr)
     if np.any(n_rows < n_cols):
-        raise MeshError("local system with fewer equations than unknowns")
+        bad = node_ids[int(np.argmax(n_rows < n_cols))]
+        raise MeshError(f"local system with fewer equations than unknowns at node {bad}")
     out_rows, out_cols, out_vals = [], [], []
     shapes = np.stack([n_rows, n_cols], axis=1)
     for r, c in np.unique(shapes, axis=0):

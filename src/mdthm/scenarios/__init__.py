@@ -2,7 +2,6 @@ from mdthm.scenarios.config import (
     ConfigError,
     PhaseConfig,
     ScenarioConfig,
-    load_config,
     parse_config,
 )
 from mdthm.scenarios.drivers import (
@@ -28,7 +27,6 @@ __all__ = [
     "build_scenario",
     "convergence_study",
     "dilation_comparison",
-    "load_config",
     "parse_config",
     "run",
     "snapshot_fields",

@@ -14,7 +14,6 @@ relaxation applies) and ``allow_dt_halving``; any other key is an error.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,12 +111,6 @@ class ScenarioConfig:
 def _expect(cond, path, message):
     if not cond:
         raise ConfigError(f"{path}: {message}")
-
-
-def load_config(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return parse_config(raw)
 
 
 def parse_config(raw: dict) -> ScenarioConfig:

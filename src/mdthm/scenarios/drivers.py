@@ -1,33 +1,24 @@
 """The three experiment drivers: plain runs, the grid-convergence study and
 the dilation-model comparison. All of them are deterministic for a given
-configuration; independent runs (refinement levels, dilation variants) can
-execute in parallel worker processes capped by the MDTHM_THREADS variable.
+configuration and run their refinement levels or dilation variants one
+after another in the calling process.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from mdthm.constitutive import aperture, gap as gap_fn
-from mdthm.contact import classify
+from mdthm.constitutive import aperture
 from mdthm.mdmesh import split_cells
 from mdthm.scenarios.config import ConfigError, ScenarioConfig, parse_config
 from mdthm.scenarios.errors import ErrorReport, compare_states
-from mdthm.scenarios.output import RunWriter, snapshot_fields
-from mdthm.scenarios.setup import Scenario, build_loads, build_scenario
-from mdthm.system import LAM, time_loop
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("MDTHM_THREADS", "1")))
-    except ValueError:
-        return 1
+from mdthm.scenarios.output import RunWriter
+from mdthm.scenarios.setup import Scenario, build_scenario
+from mdthm.system import time_loop
 
 
 @dataclass
@@ -117,60 +108,44 @@ def comparison_fields(scn: Scenario, x: np.ndarray) -> dict:
     return out
 
 
-def _run_level(args):
-    cfg_raw, level = args
-    cfg = parse_config(cfg_raw)
+def _run_level(cfg: ScenarioConfig, level: int):
+    """The grid of one refinement level and the comparison fields of each
+    of its end-of-phase states."""
     result = run(cfg, out_dir=None, extra_refinement=level)
     scn = result.scenario
-    fields = [comparison_fields(scn, x) for x in result.phase_end_states]
-    return level, scn.mdg.generator, fields, result.max_newton_iterations
+    return scn.mdg, [comparison_fields(scn, x) for x in result.phase_end_states]
 
 
-def convergence_study(cfg: ScenarioConfig, levels: int, raw_cfg: dict | None = None,
-                      out_dir=None) -> ErrorReport:
+def convergence_study(cfg: ScenarioConfig, levels: int, out_dir=None) -> ErrorReport:
     """Nested-refinement study; the finest level is the reference.
 
     Each level halves the mesh spacing. Errors are reported per end-of-phase
     snapshot, per subdomain and variable, weighted by the characteristic
     magnitudes of the boundary data (the traction weight is Young's modulus
-    times the displacement weight).
+    times the displacement weight). The levels run one after another.
     """
     if levels < 3:
         raise ConfigError("a convergence study needs at least 3 levels")
     if cfg.mesh["kind"] == "gmsh":
         raise ConfigError("mesh.kind: the study needs a nestable generated mesh")
-    if raw_cfg is None:
-        raise ConfigError("convergence_study needs the raw configuration dictionary; "
-                          "pass raw_cfg or use the command line interface")
 
-    jobs = [(raw_cfg, lvl) for lvl in range(levels)]
-    if worker_count() > 1:
-        with ProcessPoolExecutor(max_workers=worker_count()) as pool:
-            results = list(pool.map(_run_level, jobs))
-    else:
-        results = [_run_level(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
-
-    # rebuild grids for the containment maps
-    scns = [build_scenario(cfg, extra_refinement=lvl) for lvl in range(levels)]
-    ref_fields_per_phase = results[-1][2]
-    ref_mdg = scns[-1].mdg
+    results = [_run_level(cfg, lvl) for lvl in range(levels)]
+    ref_mdg, ref_fields_per_phase = results[-1]
 
     scales = cfg.characteristic_scales
     weights = {
         "u": scales["u"], "p": scales["p"], "T": scales["T"],
-        "jump_t": scales["u"], "jump_n": scales["u"], "lam": scales["lam"],
+        "jump_t": scales["u"], "jump_n": scales["u"],
+        "lam": cfg.materials.youngs_modulus * scales["u"],
     }
     report = ErrorReport()
     n_phases = len(ref_fields_per_phase)
     for lvl in range(levels - 1):
+        mdg, fields = results[lvl]
         table = {}
         for phase_idx in range(n_phases):
-            errs = compare_states(
-                scns[lvl].mdg, ref_mdg,
-                results[lvl][2][phase_idx], ref_fields_per_phase[phase_idx],
-                weights,
-            )
+            errs = compare_states(mdg, ref_mdg, fields[phase_idx],
+                                  ref_fields_per_phase[phase_idx], weights)
             for key, val in errs.items():
                 # track the worst phase per variable
                 table[key] = max(table.get(key, 0.0), val)
@@ -197,24 +172,19 @@ def convergence_study(cfg: ScenarioConfig, levels: int, raw_cfg: dict | None = N
 # ----------------------------------------------------------------------
 # dilation-model comparison
 # ----------------------------------------------------------------------
-def _run_model(args):
-    cfg_raw, model = args
-    raw = dict(cfg_raw)
-    raw["dilation_model"] = model
-    cfg = parse_config(raw)
-    result = run(cfg)
-    asm, mat = result.scenario.assembler, cfg.materials
+def _run_model(raw_cfg: dict, model: int) -> dict:
+    """The fracture profiles at the end of a run under one dilation model:
+    per fracture, its cells sorted by x."""
+    result = run(parse_config(dict(raw_cfg, dilation_model=model)))
+    asm = result.scenario.assembler
     x = result.phase_end_states[-1]
-    jump = asm.jumps(x)
-    jt, jn = jump[0::2], jump[1::2]
-    lam = x[asm.cell_dofs[1][LAM]]
-    g = gap_fn(jt, asm.model, mat.dilation_angle)
+    frac = asm.fracture_state(x, np.zeros_like(x))
+    jt, jn = frac.jumps[0::2], frac.jumps[1::2]
     fields = {
         "jump_t": jt,
         "jump_n": jn,
-        "aperture": aperture(jn, jt, asm.model, mat),
-        "state": classify(lam[0::2], lam[1::2], jt, jn, np.zeros_like(jt), g,
-                          asm.c_num, mat.friction_coefficient),
+        "aperture": aperture(jn, jt, asm.model, asm.mat),
+        "state": frac.contact,
     }
     parts = {name: split_cells(asm.grids[1], values) for name, values in fields.items()}
     profiles = {}
@@ -222,7 +192,7 @@ def _run_model(args):
         order = np.argsort(sd.cell_centers[0], kind="stable")
         profiles[sd.frac_num] = {"x": sd.cell_centers[0, order]}
         profiles[sd.frac_num].update((name, part[sd.id][order]) for name, part in parts.items())
-    return model, profiles, result.max_newton_iterations
+    return profiles
 
 
 def dilation_comparison(raw_cfg: dict, out_dir=None) -> dict:
@@ -231,16 +201,10 @@ def dilation_comparison(raw_cfg: dict, out_dir=None) -> dict:
     Returns {model: {fracture: profile}} with cells sorted by x coordinate;
     writes one CSV per model when out_dir is given.
     """
-    jobs = [(raw_cfg, m) for m in (0, 1, 2)]
-    if worker_count() > 1:
-        with ProcessPoolExecutor(max_workers=min(3, worker_count())) as pool:
-            results = list(pool.map(_run_model, jobs))
-    else:
-        results = [_run_model(j) for j in jobs]
-    out = {model: profiles for model, profiles, _ in results}
+    out = {model: _run_model(raw_cfg, model) for model in (0, 1, 2)}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        for model, profiles, _ in results:
+        for model, profiles in out.items():
             path = os.path.join(out_dir, f"dilation_model_{model}.csv")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("fracture_id,x_m,jump_t_m,jump_n_m,aperture_m,state\n")

@@ -2,11 +2,13 @@
 
 Coarse solutions are projected onto the reference grid through the nested
 containment map (piecewise-constant injection); the error of a variable is
+the volume-weighted root mean square of the difference d,
 
-    e = || projected difference ||_2 / (N_ref * k)
+    e = sqrt(sum_c V_c d_c^2) / (k sqrt(|Omega|)),
 
-with N_ref the number of reference cells of the subdomain and k the
-variable's characteristic magnitude taken from the boundary data.
+over the reference cells c of the subdomain, with |Omega| = sum_c V_c and k
+the variable's characteristic magnitude taken from the boundary data. A
+constant difference c gives c / k on every grid.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ import numpy as np
 from mdthm.mdmesh import MixedDimGrid, containment_map
 
 
-def weighted_l2_error(diff: np.ndarray, n_ref: int, k: float) -> float:
+def weighted_l2_error(diff: np.ndarray, volumes: np.ndarray, k: float) -> float:
+    """The error of a cellwise difference over cells of the given volumes;
+    a vector difference, shaped (2, n), counts by its length."""
     d = np.asarray(diff, dtype=float)
     if d.ndim == 2:
         d = np.hypot(d[0], d[1])
-    return float(np.sqrt(np.sum(d * d)) / (n_ref * k))
+    return float(np.sqrt(np.sum(volumes * d * d)) / (k * np.sqrt(np.sum(volumes))))
 
 
 @dataclass
@@ -74,8 +78,7 @@ def compare_states(coarse_mdg: MixedDimGrid, ref_mdg: MixedDimGrid,
         sd_index, var = key
         ref_vals = ref_fields[key]
         proj = project_field(maps, sd_index, coarse_vals)
-        n_ref = ref_mdg.subdomains[sd_index].num_cells
-        k = weights[var]
+        volumes = ref_mdg.subdomains[sd_index].cell_volumes
         diff = np.asarray(ref_vals) - proj
-        out[key] = weighted_l2_error(diff, n_ref, k)
+        out[key] = weighted_l2_error(diff, volumes, weights[var])
     return out

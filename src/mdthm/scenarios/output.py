@@ -6,10 +6,9 @@ import os
 
 import numpy as np
 
-from mdthm.constitutive import aperture, gap as gap_fn
-from mdthm.contact import classify
+from mdthm.constitutive import aperture
 from mdthm.mdmesh import SubdomainGrid, split_cells
-from mdthm.system import LAM, Assembler, State
+from mdthm.system import Assembler, State
 
 VTK_TYPES = {1: 1, 2: 3, 3: 5, 4: 9}  # nodes per cell -> vtk cell type
 
@@ -60,25 +59,19 @@ def write_vtk(path, sd: SubdomainGrid, cell_data: dict):
 
 def _fracture_fields(assembler: Assembler, state: State) -> dict:
     """Cellwise fields of all fracture cells at the current state, stacked."""
-    mat, x = assembler.mat, state.current
-    jump = assembler.jumps(x)
-    jt, jn = jump[0::2], jump[1::2]
-    jt_prev = assembler.jumps(state.prev_step)[0::2]
-    lam = x[assembler.cell_dofs[1][LAM]]
-    lam_t, lam_n = lam[0::2], lam[1::2]
-    g = gap_fn(jt, assembler.model, mat.dilation_angle)
-    states = classify(lam_t, lam_n, jt, jn, jt_prev, g, assembler.c_num,
-                      mat.friction_coefficient)
-    cumulative = classify(lam_t, lam_n, jt, jn, np.zeros_like(jt), g, assembler.c_num,
-                          mat.friction_coefficient)
+    x = state.current
+    frac = assembler.fracture_state(x, state.prev_step)
+    cumulative = assembler.fracture_state(x, np.zeros_like(x)).contact
+    jt, jn = frac.jumps[0::2], frac.jumps[1::2]
+    lam_t, lam_n = frac.lam[0::2], frac.lam[1::2]
     tau_vec, n_vec = assembler.rotation[:, 0].T, assembler.rotation[:, 1].T
     return {
         "traction": tau_vec * lam_t + n_vec * lam_n,
         "jump": tau_vec * jt + n_vec * jn,
         "jump_tangential": jt,
         "jump_normal": jn,
-        "aperture": aperture(jn, jt, assembler.model, mat),
-        "contact_state": states.astype(float),
+        "aperture": aperture(jn, jt, assembler.model, assembler.mat),
+        "contact_state": frac.contact.astype(float),
         "contact_state_cumulative": cumulative.astype(float),
     }
 

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mdthm.constitutive import fluid_density
 from mdthm.mdmesh import (
     MixedDimGrid,
     build_cartesian_fractured,
@@ -52,14 +51,15 @@ class Scenario:
     loop_options: TimeLoopOptions
     well_cells: list  # per phase: dict dim -> (rates, T_inj) on the stacked cells
 
-    def load_provider(self, phase: PhaseConfig, t_start: float = 0.0):
-        """Loads at absolute times; boundary values ramp linearly from the
-        previous phase's values over the first ``phase.ramp`` seconds."""
+    def load_provider(self, phase: PhaseConfig):
+        """Loads at times counted from the start of the phase; boundary
+        values ramp linearly from the previous phase's values over the
+        first ``phase.ramp`` seconds."""
 
         def provider(t_new, t_prev):
             return build_loads(self, phase,
-                               alpha_new=self._ramp_alpha(phase, t_new - t_start),
-                               alpha_prev=self._ramp_alpha(phase, t_prev - t_start))
+                               alpha_new=self._ramp_alpha(phase, t_new),
+                               alpha_prev=self._ramp_alpha(phase, t_prev))
 
         return provider
 

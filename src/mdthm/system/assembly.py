@@ -36,9 +36,10 @@ the fractures (1), and well data per dimension, over the stacked cells of 2,
 1 and 0. The fracture boundary types are one array per scalar variable over
 the stacked fracture faces, ``bc_types[("frac", "flow" | "heat")]``
 (Neumann where absent). Callers read the jumps of all fracture cells from
-:meth:`Assembler.jumps`, with the contact scaling ``c_num`` and the bases
-``rotation`` stacked alike, and split them per fracture only to write a
-file (:func:`mdthm.mdmesh.split_cells`).
+:meth:`Assembler.jumps`, and jumps with tractions, gaps and contact states
+from :meth:`Assembler.fracture_state`, with the contact scaling ``c_num``
+and the bases ``rotation`` stacked alike. They split them per fracture only
+to write a file (:func:`mdthm.mdmesh.split_cells`).
 
 Sign conventions: mortar fluid/heat fluxes are total fluxes per mortar cell,
 positive from the higher-dimensional side into the lower-dimensional one;
@@ -60,10 +61,10 @@ from mdthm.constitutive import (
     MaterialSet,
     aperture_unchecked,
     cubic_law,
-    dgap as dgap_fn,
+    dgap,
     fluid_density,
     fluid_storage,
-    gap as gap_fn,
+    gap,
     heat_capacities,
     specific_volume,
 )
@@ -101,19 +102,31 @@ class Loads:
 
 
 @dataclass
+class FractureState:
+    """Contact variables of all fracture cells at a state x, stacked: J x and
+    J x_ref interleaved (tangential, normal), the tractions interleaved
+    alike, the gap and its derivative in the tangential jump, and the
+    cellwise :class:`mdthm.contact.ContactState`."""
+
+    jumps: np.ndarray
+    jumps_ref: np.ndarray
+    lam: np.ndarray
+    gaps: np.ndarray
+    dgaps: np.ndarray
+    contact: np.ndarray
+
+
+@dataclass
 class IterationCache:
     """Lagged nonlinear quantities evaluated at the previous iterate.
 
     Cell and face fields are keyed by dimension and stacked over the
-    subdomains of that dimension. Jumps (as J returns them), gaps, gap
-    derivatives and contact states are stacked over all fracture cells, the
-    mortar fluxes over each group of mortars.
+    subdomains of that dimension. The fracture state (against the previous
+    time step) is stacked over all fracture cells, the mortar fluxes over
+    each group of mortars.
     """
 
-    jumps: np.ndarray
-    jumps_prev: np.ndarray  # at the previous time step
-    gaps: np.ndarray
-    dgaps: np.ndarray
+    fracture: FractureState
     apertures: dict  # dim -> cellwise aperture (fractures and points)
     spec_vol: dict  # dim -> cellwise specific volume (all dimensions)
     spec_vol_prev: dict  # fractures and points, at the previous time step
@@ -121,8 +134,7 @@ class IterationCache:
     face_flux: dict  # dim -> cached (possibly damped) fluid face fluxes
     mortar_flux: dict  # mortar group -> cached (possibly damped) fluid fluxes
     fracture_ops: dict  # flow / heat -> 1d operators of the stacked fractures
-    contact: np.ndarray  # cellwise contact state of all fractures
-    contact_state: dict  # frac id -> its cells' view of ``contact``
+    contact_state: dict  # frac id -> its cells' view of ``fracture.contact``
 
 
 @dataclass
@@ -357,18 +369,32 @@ class Assembler:
                   for k in self.grids[0].cell_start]
         return {1: a, 0: np.concatenate([np.zeros(0)] + points)}
 
+    def fracture_state(self, x: np.ndarray, x_ref: np.ndarray) -> FractureState:
+        """Jumps, tractions, gaps and contact states of all fracture cells
+        at x, with the tangential slip counted from x_ref: the previous time
+        step within a step, zero for the slip accumulated since the start."""
+        mat = self.mat
+        jumps, jumps_ref = self.jumps(x), self.jumps(x_ref)
+        lam = x[self.cell_dofs[1][LAM]]
+        jump_t = jumps[0::2]
+        gaps = gap(jump_t, self.model, mat.dilation_angle)
+        contact = ct.classify(
+            lam[0::2], lam[1::2], jump_t, jumps[1::2], jumps_ref[0::2], gaps,
+            self.c_num, mat.friction_coefficient,
+        )
+        dgaps = dgap(jump_t, self.model, mat.dilation_angle)
+        return FractureState(jumps, jumps_ref, lam, gaps, dgaps, contact)
+
     def build_cache(self, state: State, loads: Loads,
                     prev_cache: IterationCache | None = None,
                     damping: float = 1.0,
                     damping_threshold: float = 0.1) -> IterationCache:
         mat, cells = self.mat, self.cell_dofs
         x = state.prev_iter
-        jumps, jumps_prev = self.jumps(x), self.jumps(state.prev_step)
-        jump_t = jumps[0::2]
-        gaps = gap_fn(jump_t, self.model, mat.dilation_angle)
-        dgaps = dgap_fn(jump_t, self.model, mat.dilation_angle)
-        apertures = self._apertures(jumps)
-        apertures_prev = self._apertures(jumps_prev)
+        # jumps and contact states at the previous iterate
+        frac = self.fracture_state(x, state.prev_step)
+        apertures = self._apertures(frac.jumps)
+        apertures_prev = self._apertures(frac.jumps_ref)
         spec_vol = {2: np.ones(self.matrix.num_cells)}
         spec_vol_prev = {}
         for dim in (1, 0):
@@ -381,14 +407,6 @@ class Assembler:
                                     self.frac_bc[FLOW]),
             HEAT: onedim_discretize(g1, v1 * mat.conductivity_fluid, self.frac_bc[HEAT]),
         }
-        # contact classification at the previous iterate
-        lam = x[cells[1][LAM]]
-        contact = ct.classify(
-            lam[0::2], lam[1::2], jump_t, jumps[1::2], jumps_prev[0::2], gaps,
-            self.c_num, mat.friction_coefficient,
-        )
-        contact_state = split_cells(self.grids[1], contact)
-
         # fluid face fluxes from the previous iterate, optionally damped
         face_flux = {}
         for dim, ops in ((2, self.flow_ops), (1, fracture_ops[FLOW])):
@@ -415,10 +433,11 @@ class Assembler:
                     )
 
         return IterationCache(
-            jumps=jumps, jumps_prev=jumps_prev, gaps=gaps, dgaps=dgaps,
+            fracture=frac,
             apertures=apertures, spec_vol=spec_vol, spec_vol_prev=spec_vol_prev,
             density=density, face_flux=face_flux, mortar_flux=mortar_flux,
-            fracture_ops=fracture_ops, contact=contact, contact_state=contact_state,
+            fracture_ops=fracture_ops,
+            contact_state=split_cells(self.grids[1], frac.contact),
         )
 
     def _ext_scalar(self, dim, var, loads: Loads):
@@ -451,9 +470,26 @@ class Assembler:
         n = self.grids[dim].num_cells
         return _of_dim(loads.well_rates, dim, n), _of_dim(loads.well_T_injection, dim, n)
 
-    def heat_bc(self, dim) -> BoundaryCondition:
-        """Heat boundary condition types of the matrix or the stacked fractures."""
-        return self.bc[HEAT] if dim == 2 else self.frac_bc[HEAT]
+    def boundary_heat_weight(self, dim, loads: Loads, x: np.ndarray) -> np.ndarray:
+        """rho c T_b on the Dirichlet heat faces of one dimension, zero on
+        the others: boundary inflow carries the boundary temperature, at
+        the density of the adjacent cell's pressure in state x."""
+        mat, grid = self.mat, self.grids[dim]
+        is_dir = (self.bc[HEAT] if dim == 2 else self.frac_bc[HEAT]).is_dir
+        ext_T = self._ext_scalar(dim, HEAT, loads)
+        rho_b = fluid_density(x[self.cell_dofs[dim][P]][grid.face_cells[0]], ext_T, mat)
+        return np.where(is_dir, mat.heat_capacity_fluid * rho_b * ext_T, 0.0)
+
+    def injected_energy(self, dim, loads: Loads, x: np.ndarray) -> np.ndarray:
+        """Energy rate rho c T_inj q of each injecting well of one dimension,
+        at the density of the cell's pressure in state x; zero elsewhere."""
+        mat = self.mat
+        rates, t_inj = self._wells(dim, loads)
+        inject = rates > 0
+        src = np.zeros(rates.size)
+        rho_in = fluid_density(x[self.cell_dofs[dim][P]][inject], t_inj[inject], mat)
+        src[inject] = rho_in * mat.heat_capacity_fluid * t_inj[inject] * rates[inject]
+        return src
 
     # ------------------------------------------------------------------
     # assembly
@@ -468,7 +504,7 @@ class Assembler:
         self._matrix_energy(acc, b, state, cache, dt, steady, loads)
         self._lower_mass(acc, b, state, cache, dt, steady, loads)
         self._lower_energy(acc, b, state, cache, dt, steady, loads)
-        self._contact_rows(acc, b, state, cache)
+        self._contact_rows(acc, b, cache)
         self._traction_balance(acc, b, loads)
         self._interface_flux_rows(acc, b, cache, loads)
         return acc.matrix(), b
@@ -489,14 +525,12 @@ class Assembler:
         _add_to(b, rows, b_contrib)
 
     def _matrix_momentum(self, acc, b, loads):
+        """The rows sum the outward face tractions of each cell, which
+        balance the body force: sum of tractions = -rho_s g V."""
         g, mat = self.matrix, self.mat
         rows = _index(self.dofs.sd(0, U))
         self._momentum_traction_terms(acc, b, rows, self.mom, loads)
-        grav = np.asarray(mat.gravity, float)
-        f = np.zeros(2 * g.num_cells)
-        f[0::2] = mat.density_solid * grav[0] * g.cell_volumes
-        f[1::2] = mat.density_solid * grav[1] * g.cell_volumes
-        _add_to(b, rows, f)
+        _add_to(b, rows, -self._rho_g(mat.density_solid * g.cell_volumes))
 
     def _div_u_terms(self, acc, b, rows, weight, state, dt, loads):
         """weight/dt * (div u at new state minus at previous step)."""
@@ -509,12 +543,17 @@ class Assembler:
         acc.add_mat(rows, dofs.sd(0, P), w @ ops.stab_p)
         acc.add_mat(rows, dofs.sd(0, T), w @ ops.stab_T)
         # previous-step value, including its boundary data
-        xp = state.prev_step
-        prev_bc = self.mech_boundary_values(loads.bc_mech_prev, xp)
-        prev = (ops.div_u @ xp[dofs.sd(0, U)] + ops.bound_div_u @ prev_bc
-                + ops.stab_p @ xp[dofs.sd(0, P)] + ops.stab_T @ xp[dofs.sd(0, T)])
+        prev = self.div_u(state.prev_step, loads.bc_mech_prev)
         _add_to(b, rows, weight / dt * prev)
         _add_to(b, rows, -(bd @ self._ext_mech(loads.bc_mech)))
+
+    def div_u(self, x: np.ndarray, bc_mech: np.ndarray) -> np.ndarray:
+        """The cellwise volume change of the matrix at state x with the
+        mechanical boundary values bc_mech, stabilisation included."""
+        ops, dofs = self.mech_ops, self.dofs
+        bc = self.mech_boundary_values(bc_mech, x)
+        return (ops.div_u @ x[dofs.sd(0, U)] + ops.bound_div_u @ bc
+                + ops.stab_p @ x[dofs.sd(0, P)] + ops.stab_T @ x[dofs.sd(0, T)])
 
     def _matrix_mass(self, acc, b, state, cache, dt, steady, loads):
         g, mat, rows = self.matrix, self.mat, self.cell_dofs[2][P]
@@ -562,11 +601,7 @@ class Assembler:
         u_cell, u_face = upwind_matrices(grid, cache.face_flux[dim], grid.tags["internal"])
         w = mat.heat_capacity_fluid * cache.density[dim]
         acc.add_mat(rows, rows, div @ u_cell @ sps.diags(w))
-        # boundary inflow carries the boundary temperature where given
-        ext_T = self._ext_scalar(dim, HEAT, loads)
-        rho_b = fluid_density(state.prev_iter[cells[P]][grid.face_cells[0]], ext_T, mat)
-        w_bc = np.where(self.heat_bc(dim).is_dir,
-                        mat.heat_capacity_fluid * rho_b * ext_T, 0.0)
+        w_bc = self.boundary_heat_weight(dim, loads, state.prev_iter)
         _add_to(b, rows, -(div @ u_face @ w_bc))
         # advective transfer through internal faces enters via the mortar
         # advective unknowns
@@ -598,13 +633,9 @@ class Assembler:
 
     def _well_energy(self, acc, b, dim, cache, loads, state):
         mat, cells = self.mat, self.cell_dofs[dim]
-        rates, t_inj = self._wells(dim, loads)
-        inject = rates > 0
-        if np.any(inject):
-            rho_in = fluid_density(state.prev_iter[cells[P]][inject], t_inj[inject], mat)
-            src = np.zeros(rates.size)
-            src[inject] = rho_in * mat.heat_capacity_fluid * t_inj[inject] * rates[inject]
-            _add_to(b, cells[T], src)
+        rates = self._wells(dim, loads)[0]
+        if np.any(rates > 0):
+            _add_to(b, cells[T], self.injected_energy(dim, loads, state.prev_iter))
         produce = rates < 0
         if np.any(produce):
             # upwind: produced energy carries the local (implicit) temperature
@@ -627,12 +658,13 @@ class Assembler:
         acc.add_mat(rows[:nfc], slice(0, self.dofs.num_dofs),
                     self.jump_rows(vols[:nfc, None, None] * np.eye(2))[1::2])
         # previous-step V without a0 (the constant cancels in the difference)
-        v_prev = cache.jumps_prev[1::2]
+        jumps, jumps_prev = cache.fracture.jumps, cache.fracture.jumps_ref
+        v_prev = jumps_prev[1::2]
         rem_new = np.zeros(nfc)
         if self.model is DilationModel.ONE_WAY:
             tanp = np.tan(self.mat.dilation_angle)
-            v_prev = v_prev + tanp * np.abs(cache.jumps_prev[0::2])
-            rem_new = tanp * np.abs(cache.jumps[0::2])
+            v_prev = v_prev + tanp * np.abs(jumps_prev[0::2])
+            rem_new = tanp * np.abs(jumps[0::2])
         lagged = cache.spec_vol_prev[0] - cache.spec_vol[0]
         _add_to(b, rows, vols * np.concatenate([v_prev - rem_new, lagged]))
 
@@ -671,21 +703,21 @@ class Assembler:
             cols = np.concatenate([group.dofs[key] for key in keys])
             acc.add(rows, cols, -np.ones(rows.size))
 
-    def _contact_rows(self, acc, b, state, cache):
+    def _contact_rows(self, acc, b, cache):
         """Contact conditions of every fracture cell in lam and the jump J x."""
         if not self.fractures:
             return
         mat = self.mat
         rows = self.cell_dofs[1][LAM]
-        lam = state.prev_iter[rows]
-        jump_t, jump_n = cache.jumps[0::2], cache.jumps[1::2]
-        jt_prev = cache.jumps_prev[0::2]
+        frac = cache.fracture
+        lam, jump_t, jump_n = frac.lam, frac.jumps[0::2], frac.jumps[1::2]
+        jt_prev = frac.jumps_ref[0::2]
         coeffs = ct.row_coefficients(
-            cache.contact, lam[0::2], lam[1::2], jump_t, jump_n, jt_prev, cache.gaps,
+            frac.contact, lam[0::2], lam[1::2], jump_t, jump_n, jt_prev, frac.gaps,
             self.c_num, mat.friction_coefficient,
         )
         a_lam, a_jump, rhs = ct.assemble_rows(
-            coeffs, jump_t, jt_prev, cache.gaps, cache.dgaps, mat.friction_coefficient,
+            coeffs, jump_t, jt_prev, frac.gaps, frac.dgaps, mat.friction_coefficient,
         )
         rows2 = rows.reshape(-1, 2)
         _add_blocks(acc, rows2, rows2, a_lam)

@@ -9,10 +9,16 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from mdthm import contact as ct
-from mdthm.constitutive import aperture_unchecked, gap
+from mdthm.constitutive import aperture_unchecked
 from mdthm.mdmesh import split_cells
 from mdthm.system.assembly import Assembler, IterationCache, Loads
-from mdthm.system.dofs import LAM, State
+from mdthm.system.dofs import State
+
+# Convergence needs the scaled contact residual at most CONTACT_TOL, and
+# either a scaled increment at most NewtonParams.increment_tol or a scaled
+# residual at most RESIDUAL_FLOOR (a start at the solution).
+CONTACT_TOL = 1e-8
+RESIDUAL_FLOOR = 1e-11
 
 
 class SolverFailure(RuntimeError):
@@ -64,8 +70,6 @@ class DirectSolver:
 class NewtonParams:
     max_iterations: int = 50
     increment_tol: float = 1e-10
-    contact_tol: float = 1e-8
-    residual_floor: float = 1e-11
     scales: dict = field(default_factory=dict)
     damping: float = 1.0
     damping_threshold: float = 0.1
@@ -81,20 +85,16 @@ class NewtonReport:
     failure: str = ""
 
 
-def contact_residual_norm(assembler: Assembler, x: np.ndarray,
-                          x_prev_step: np.ndarray) -> float:
-    """Worst scaled complementarity residual over all fracture cells."""
-    mat = assembler.mat
-    lam = x[assembler.cell_dofs[1][LAM]]
-    if lam.size == 0:
+def contact_residual_norm(assembler: Assembler, cache: IterationCache) -> float:
+    """Worst scaled complementarity residual over all fracture cells, at
+    the state the cache was built at."""
+    frac = cache.fracture
+    if frac.lam.size == 0:
         return 0.0
-    lam_t, lam_n = lam[0::2], lam[1::2]
-    jump, jump_prev = assembler.jumps(x), assembler.jumps(x_prev_step)
-    jt = jump[0::2]
-    g = gap(jt, assembler.model, mat.dilation_angle)
+    lam_t, lam_n = frac.lam[0::2], frac.lam[1::2]
     c_n, c_t = ct.residuals(
-        lam_t, lam_n, jt, jump[1::2], jump_prev[0::2], g,
-        assembler.c_num, mat.friction_coefficient,
+        lam_t, lam_n, frac.jumps[0::2], frac.jumps[1::2], frac.jumps_ref[0::2],
+        frac.gaps, assembler.c_num, assembler.mat.friction_coefficient,
     )
     scale = np.maximum(1.0, np.hypot(lam_t, lam_n))
     return max(float(np.max(np.abs(c_n) / scale)),
@@ -136,6 +136,7 @@ def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
     cache: IterationCache | None = None
     inc_hist, res_hist = [], []
     last_inc = np.inf
+    col_scale = _scale_vector(assembler, params.scales)
 
     for it in range(params.max_iterations + 1):
         state.start_iteration()
@@ -145,14 +146,15 @@ def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
         )
         A, b = assembler.assemble(state, cache, dt, steady, loads)
         residual = A @ state.current - b
-        row_scale = np.abs(A) @ _scale_vector(assembler, params.scales) + 1e-300
+        row_scale = np.abs(A) @ col_scale + 1e-300
         res_scaled = float(np.max(np.abs(residual) / row_scale))
         res_hist.append(res_scaled)
-        contact_res = contact_residual_norm(assembler, state.current, state.prev_step)
+        # the cache is built at prev_iter, which start_iteration set to current
+        contact_res = contact_residual_norm(assembler, cache)
 
-        contact_ok = contact_res <= params.contact_tol
+        contact_ok = contact_res <= CONTACT_TOL
         converged = (it > 0 and last_inc <= params.increment_tol and contact_ok) or (
-            res_scaled <= params.residual_floor and contact_ok
+            res_scaled <= RESIDUAL_FLOOR and contact_ok
         )
         if converged:
             _check_apertures(assembler, state.current)
@@ -163,7 +165,7 @@ def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
                 failure="iteration cap exceeded",
             )
         try:
-            x_new = solver.solve(A, b, _scale_vector(assembler, params.scales))
+            x_new = solver.solve(A, b, col_scale)
         except SolverFailure as err:
             return NewtonReport(
                 False, it, inc_hist, res_hist, contact_res, failure=str(err)

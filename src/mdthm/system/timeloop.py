@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from mdthm.system.assembly import Assembler, Loads
+from mdthm.system.assembly import Assembler
 from mdthm.system.diagnostics import BalanceReport, balance_report
 from mdthm.system.dofs import State
 from mdthm.system.newton import DirectSolver, NewtonParams, NewtonReport, newton_solve
+
+MAX_HALVINGS = 3  # time-step halvings allowed per step
 
 
 class NonConvergence(RuntimeError):
@@ -46,7 +46,6 @@ class StepRecord:
 class TimeLoopOptions:
     newton: NewtonParams = field(default_factory=NewtonParams)
     allow_dt_halving: bool = True
-    max_halvings: int = 3
     compute_balance: bool = True
 
 
@@ -96,7 +95,7 @@ def time_loop(assembler: Assembler, state: State, phases: list[PhaseSpec],
                 )
                 if report.converged:
                     break
-                if not options.allow_dt_halving or halvings >= options.max_halvings:
+                if not options.allow_dt_halving or halvings >= MAX_HALVINGS:
                     raise NonConvergence(
                         f"step at t={t:.6g} (phase {phase.name!r}) failed: "
                         f"{report.failure}",

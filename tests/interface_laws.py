@@ -1,4 +1,7 @@
-"""The three flux laws on mortar interfaces.
+"""The three flux laws on mortar interfaces, as an independent reference.
+
+The package writes these laws once, in ``Assembler._mortar_flux_rows``;
+the tests check the assembled mortar fluxes against the forms here.
 
 The fluid flux follows a normal Darcy law over the half-aperture with the
 permeability inherited from the lower-dimensional neighbour; heat crosses

@@ -3,11 +3,10 @@ import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
+from interface_laws import interface_advective, interface_darcy, interface_fourier
+
 from mdthm.fvm import (
     BoundaryCondition,
-    interface_advective,
-    interface_darcy,
-    interface_fourier,
     mpfa_discretize,
     mpsa_discretize,
     onedim_discretize,

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from mdthm import cli
+from mdthm.mdmesh import build_cartesian_fractured, refine
 from mdthm.scenarios import drivers
 from mdthm.scenarios.config import parse_config
+from mdthm.scenarios.errors import ErrorReport, compare_states
 from mdthm.scenarios.output import snapshot_fields, write_vtk
 from mdthm.scenarios.setup import build_scenario
 from mdthm.system import time_loop
@@ -106,6 +108,20 @@ class TestCommandLine:
             assert np.all(table[:, 4] > 0.0)
             assert set(table[:, 5]) <= {0.0, 1.0, 2.0}
 
+    def test_convergence_study_writes_errors_and_orders(self, tmp_path):
+        raw = tiny_raw()
+        raw["mesh"].update(nx=4, ny=2)
+        raw["phases"] = raw["phases"][:1]  # the steady compression only
+        out = tmp_path / "out"
+        assert cli.main(["converge", "--levels", "3", "--config",
+                         write_config(tmp_path, raw), "--out", str(out)]) == 0
+        with open(out / "convergence.json", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        assert payload["levels"] == [0, 1]
+        # the fracture's tractions are weighted too
+        assert all("sd1:lam" in table for table in payload["errors"])
+        assert len(payload["orders"]["sd1:lam"]) == 1
+
     def test_unknown_solver_key_rejected(self, tmp_path, capsys):
         raw = tiny_raw()
         raw["solver"]["c_num"] = 1e10
@@ -113,3 +129,49 @@ class TestCommandLine:
                          "--out", str(tmp_path / "out")])
         assert code == 1
         assert "solver.c_num" in capsys.readouterr().err
+
+
+class TestErrorNorms:
+    """compare_states and observed_orders on nested Cartesian grids with one
+    fracture; the finest grid is the reference."""
+
+    @staticmethod
+    def nested(levels):
+        base = build_cartesian_fractured(4, 4, [((0.25, 0.5), (0.75, 0.5))])
+        return [base] + [refine(base, 2**k) for k in range(1, levels)]
+
+    def test_constant_offset_gives_offset_over_scale(self):
+        grids = self.nested(3)
+
+        def fields(mdg, offset):
+            n = mdg.matrix.num_cells
+            return {(0, "p"): np.full(n, 5.0 + offset),
+                    (0, "u"): np.vstack([np.full(n, offset), np.zeros(n)]),
+                    (1, "p"): np.full(mdg.subdomains[1].num_cells, 5.0 + offset)}
+
+        for mdg in grids[:-1]:
+            errs = compare_states(mdg, grids[-1], fields(mdg, 0.0), fields(grids[-1], 3.0),
+                                  {"p": 2.0, "u": 6.0})
+            assert errs == pytest.approx({(0, "p"): 1.5, (0, "u"): 0.5, (1, "p"): 1.5},
+                                         rel=1e-12)
+
+    def test_injected_linear_field_converges_at_first_order(self):
+        # the error of an injected cellwise linear field, sqrt(H^2 - h^2) /
+        # sqrt(12) per unit slope for coarse spacing H and reference
+        # spacing h, halves with H
+        grids = self.nested(5)
+
+        def fields(mdg):
+            return {(idx, "p"): sd.cell_centers[0].copy()
+                    for idx, sd in enumerate(mdg.subdomains)}
+
+        report = ErrorReport()
+        for level, mdg in enumerate(grids[:-1]):
+            report.levels.append(level)
+            report.errors.append(compare_states(mdg, grids[-1], fields(mdg),
+                                                fields(grids[-1]), {"p": 1.0}))
+        orders = report.observed_orders()
+        assert set(orders) == {(0, "p"), (1, "p")}
+        for seq in orders.values():
+            assert len(seq) == 3
+            assert all(abs(order - 1.0) < 0.2 for order in seq)

@@ -14,6 +14,7 @@ import pytest
 
 from test_fvm import perturbed_triangles
 
+from mdthm.fvm import BoundaryCondition, mpsa_discretize
 from mdthm.fvm.subcell import SubcellTopology, subcell_volumes
 from mdthm.mdmesh import (
     MeshError,
@@ -121,6 +122,21 @@ def loop_node_offsets(top, conditions_interior):
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------
+def missing_edge_grid():
+    """Two unit squares whose shared edge is missing from the face list."""
+    g = SubdomainGrid(2)
+    g.nodes = np.array([[0.0, 1.0, 2.0, 0.0, 1.0, 2.0],
+                        [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]])
+    g.num_nodes = 6
+    g.cell_nodes = [np.array([0, 1, 4, 3]), np.array([1, 2, 5, 4])]
+    g.num_cells = 2
+    g.face_nodes = np.array([[1, 2], [2, 5], [4, 5], [0, 1], [3, 4], [0, 3]]).T
+    g.face_cells = np.array([[1, -1], [1, -1], [1, -1], [0, -1], [0, -1], [0, -1]]).T
+    g.num_faces = 6
+    g.compute_geometry()
+    return g
+
+
 def mixed_polygons():
     """Quads on the left half of a 3x2 lattice, triangles on the right, the
     cells interleaved so that both sizes occur at low and high indices."""
@@ -211,21 +227,17 @@ class TestErrorPaths:
             make_2d_grid(nodes, cells)
 
     def test_missing_face_names_first_subcell_met(self):
-        # two unit squares whose shared edge is missing from the face list;
         # at node 1 the subfaces meet cell 1 before cell 0
-        g = SubdomainGrid(2)
-        g.nodes = np.array([[0.0, 1.0, 2.0, 0.0, 1.0, 2.0],
-                            [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]])
-        g.num_nodes = 6
-        g.cell_nodes = [np.array([0, 1, 4, 3]), np.array([1, 2, 5, 4])]
-        g.num_cells = 2
-        g.face_nodes = np.array([[1, 2], [2, 5], [4, 5], [0, 1], [3, 4], [0, 3]]).T
-        g.face_cells = np.array([[1, -1], [1, -1], [1, -1], [0, -1], [0, -1], [0, -1]]).T
-        g.num_faces = 6
-        g.compute_geometry()
-        top = SubcellTopology(g)
+        top = SubcellTopology(missing_edge_grid())
         with pytest.raises(MeshError, match="^node 1 of cell 1 has 1 incident subfaces"):
             subcell_volumes(top)
+
+    def test_missing_face_names_node_of_short_local_system(self):
+        # MPSA stops before it computes subcell volumes: the local systems
+        # of nodes 1 and 4 lack the equations of the missing edge
+        g = missing_edge_grid()
+        with pytest.raises(MeshError, match="fewer equations than unknowns at node 1$"):
+            mpsa_discretize(g, 1.0, 1.0, 1.0, 1.0, BoundaryCondition.dirichlet(g))
 
     def test_zero_length_1d_cell(self):
         g = SubdomainGrid(1)

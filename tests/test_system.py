@@ -3,18 +3,24 @@ import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from helpers import default_bc_types, default_params, make_loads, make_problem
+from helpers import (
+    SIDE_BOTTOM,
+    SIDE_TOP,
+    default_bc_types,
+    default_params,
+    make_loads,
+    make_problem,
+)
+from interface_laws import interface_advective, interface_darcy, interface_fourier
 
 from mdthm.constitutive import DilationModel, MaterialSet, gap as gap_fn
 from mdthm.contact import ContactError, classify, complementarity_report
 from mdthm.fvm import (
     BoundaryCondition,
-    interface_advective,
-    interface_darcy,
-    interface_fourier,
     mpfa_discretize,
     onedim_discretize,
 )
+from mdthm.mdmesh import build_cartesian_fractured
 from mdthm.system import (
     LAM,
     NU,
@@ -23,10 +29,12 @@ from mdthm.system import (
     P,
     T,
     U_MORTAR,
+    Assembler,
     DirectSolver,
     Loads,
     PhaseSpec,
     SolverFailure,
+    State,
     TimeLoopOptions,
     balance_report,
     damp_advective_flux,
@@ -116,6 +124,30 @@ class TestSteadyNoFracture:
         assert rep.converged
         T_sol = state.current[asm.dofs.sd(0, T)]
         assert np.abs(T_sol - MAT.reference_temperature).max() < 1e-8
+
+    def test_self_weight_column_settles(self):
+        # a column fixed at its base and free on top and at the sides sinks
+        # under its own weight; the uniaxial estimate of the top's
+        # settlement is rho_s g H^2 / (2 E). Without Biot coupling the fluid,
+        # at rest with its pressure and temperature fixed on top, adds no
+        # load.
+        height = 100.0
+        mat = MaterialSet(gravity=(0.0, -9.81), biot_alpha=0.0)
+        mdg = build_cartesian_fractured(8, 8, [], ((0.0, 0.0), (height, height)))
+        g = mdg.matrix
+        side = g.tags["domain_side"]
+        bc = {"mech": side == SIDE_BOTTOM, "flow": side == SIDE_TOP, "heat": side == SIDE_TOP}
+        asm = Assembler(mdg, mat, DilationModel.TWO_WAY, bc)
+        state = State(asm.dofs)
+        state.set_initial({("sd", g.id, "T"): mat.reference_temperature})
+        rep = newton_solve(asm, state, 1.0, True, make_loads(asm),
+                           default_params(mat, k_u=1e-3))
+        assert rep.converged
+        u_y = state.current[asm.dofs.sd(g.id, "u")][1::2]
+        top = u_y[g.cell_centers[1] > height * 7 / 8].mean()
+        settlement = mat.density_solid * 9.81 * height**2 / (2.0 * mat.youngs_modulus)
+        assert top < 0.0
+        assert abs(-top - settlement) < 0.05 * settlement
 
 
 class TestFracturedContactSolve:
@@ -440,7 +472,7 @@ class TestInterfaceLaws:
     def test_assembled_fluxes_follow_interface_laws(self):
         # at a converged state with a pressure and a temperature contrast,
         # every mortar flux is the mortar area (times the high side's
-        # specific volume) times the law of fvm.interface_laws, evaluated on
+        # specific volume) times the law of tests/interface_laws.py, evaluated on
         # the high side's face traces and the low side's cell values; the
         # advected heat comes from the upstream cell. A permeable matrix and
         # a thin fracture make the pressure jump across the mortars a
