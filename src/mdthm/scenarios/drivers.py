@@ -44,10 +44,6 @@ def run(cfg: ScenarioConfig, out_dir=None, extra_refinement: int = 0) -> RunResu
     phase_ends = []
     t_start = 0.0
     for phase_cfg, phase_spec in zip(scn.cfg.phases, scn.phases):
-        # each phase is passed separately, so time_loop's clock (and hence
-        # the ramp and the dt schedule) is phase-relative; records carry the
-        # absolute time
-
         def observe(rec, state, t_start=t_start):
             rec.time += t_start
             if writer is not None:
@@ -55,7 +51,7 @@ def run(cfg: ScenarioConfig, out_dir=None, extra_refinement: int = 0) -> RunResu
 
         provider = scn.load_provider(phase_cfg)
         recs = time_loop(
-            scn.assembler, scn.state, [phase_spec], provider, scn.loop_options,
+            scn.assembler, scn.state, phase_spec, provider, scn.loop_options,
             observer=observe,
         )
         records.extend(recs)

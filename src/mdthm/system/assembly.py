@@ -3,21 +3,22 @@
 One call produces the sparse matrix and right-hand side of the linearised
 system in all unknowns at the next iterate. Nonlinear coefficients
 (apertures, specific volumes, densities, advective fluxes, fracture
-permeabilities, contact sets) are taken from the previous iterate through
-an :class:`IterationCache`.
+permeabilities, contact sets) are taken at the current iterate through an
+:class:`IterationCache`.
 
-Balance laws are assembled per dimension, never per subdomain: the
-fractures form one stacked 1d grid and the intersection points one stacked
-0d grid, in subdomain order. Each iteration discretises flow and heat on
-all fractures with one call each, and the cell and face fields of the
-cache are one array per dimension. Couplings are assembled per kind of
-mortar, never per interface: the matrix-fracture and the fracture-point
-mortars each form one :class:`MortarGroup`, whose lift restricts the
-stacked faces of the high side to all its mortar cells at once. Each
-coupling term is one product of a lift or its transpose with the
-discretisation of a dimension, added as one block with global dof columns;
-on the matrix side the products are built once, on the fracture side from
-each iteration's stacked 1d operators.
+Each balance law is one function that loops over the dimensions 2, 1 and 0,
+never over subdomains: the fractures form one stacked 1d grid and the
+intersection points one stacked 0d grid, in subdomain order. Each
+iteration discretises flow and heat on all fractures with one call each,
+and the cell and face fields of the cache are one array per dimension.
+Couplings are assembled per kind of mortar, never per interface: the
+matrix-fracture and the fracture-point mortars each form one
+:class:`MortarGroup`, whose lift restricts the stacked faces of the high
+side to all its mortar cells at once. The divergence, boundary, mortar and
+vector-source blocks of a scalar discretisation and its traces on the
+mortars are composed by one function, once for the matrix and once per
+iteration for the fractures; each coupling term is one of these blocks,
+added with global dof columns.
 
 The displacement jump of all fracture cells is one operator J = R D on the
 global state: D takes the difference of the walls' mortar displacements, R
@@ -118,7 +119,7 @@ class FractureState:
 
 @dataclass
 class IterationCache:
-    """Lagged nonlinear quantities evaluated at the previous iterate.
+    """Lagged nonlinear quantities evaluated at the current iterate.
 
     Cell and face fields are keyed by dimension and stacked over the
     subdomains of that dimension. The fracture state (against the previous
@@ -190,18 +191,6 @@ def mortar_group(mdg: MixedDimGrid, dofs: DofMap, high: SubdomainGrid,
     )
 
 
-def _mortar_traces(group: MortarGroup, ops) -> dict:
-    """High-side face traces on the mortar cells: cell, boundary-data,
-    own-mortar-flux and vector-source parts."""
-    face = (group.lift @ ops.trace_face).tocsr()
-    return {
-        "cell": (group.lift @ ops.trace_cell).tocsr(),
-        "face": face,
-        "mortar": (face @ group.lift.T).tocsr(),
-        "vsrc": (group.lift @ ops.trace_vector_source).tocsr(),
-    }
-
-
 class Assembler:
     def __init__(self, mdg: MixedDimGrid, mat: MaterialSet,
                  dilation_model: DilationModel, bc_types: dict):
@@ -266,9 +255,6 @@ class Assembler:
                                 for var in (P, T)}
                           for dim, grid in self.grids.items()}
         self.cell_dofs[1][LAM] = dofs.indices("sd", list(g1.cell_start), LAM)
-        self.lower_dofs = {var: np.concatenate([self.cell_dofs[d][var] for d in (1, 0)])
-                           for var in (P, T)}
-        self.lower_volumes = np.concatenate([g1.cell_volumes, self.grids[0].cell_volumes])
         self.block_starts = np.sort([sl.start for _, sl in dofs.blocks()])
         self.mortars = {dim: mortar_group(mdg, dofs, self.grids[dim], self.grids[dim - 1])
                         for dim in (2, 1)}
@@ -284,8 +270,8 @@ class Assembler:
 
         The matrix discretisations never change during a run, so products of
         divergences, boundary operators and the matrix-fracture mortar
-        projections are built once; only the fracture operators are
-        recomposed per iteration.
+        projections are built once; the fracture operators are composed by
+        the same :meth:`_scalar_terms` once per assembly.
         """
         mf = self.mortars[2]
         # projection of each dimension's mortar fields onto its faces
@@ -318,18 +304,27 @@ class Assembler:
         self.wall_p = -wall_jump[:, 1::2]
         self.div_u_mortar = (ops.bound_div_u @ self.to_faces_vec).tocsr()
 
-        self.scalar_static = {}
-        self.mortar_traces = {}
-        div = self.div[2]
-        for var, ops in ((FLOW, self.flow_ops), (HEAT, self.heat_ops)):
-            div_bound = (div @ ops.bound_flux).tocsr()
-            self.scalar_static[var] = {
-                "div_flux": (div @ ops.flux).tocsr(),
-                "div_bound": div_bound,
-                "div_vsrc": (div @ ops.vector_source).tocsr(),
-                "div_bound_mortar": (div_bound @ self.to_faces[2]).tocsr(),
-            }
-            self.mortar_traces[var] = _mortar_traces(mf, ops)
+        self.matrix_terms = {FLOW: self._scalar_terms(2, self.flow_ops),
+                             HEAT: self._scalar_terms(2, self.heat_ops)}
+
+    def _scalar_terms(self, dim, ops) -> dict:
+        """The blocks of one scalar discretisation of one dimension: the
+        divergence of its flux, boundary, own-mortar and vector-source
+        parts, and the high-side face traces on the mortars below it in
+        cell, boundary-data, own-mortar-flux and vector-source parts."""
+        div, lift = self.div[dim], self.mortars[dim].lift
+        div_bound = (div @ ops.bound_flux).tocsr()
+        trace_face = (lift @ ops.trace_face).tocsr()
+        return {
+            "div_flux": (div @ ops.flux).tocsr(),
+            "div_bound": div_bound,
+            "div_vsrc": (div @ ops.vector_source).tocsr(),
+            "div_bound_mortar": (div_bound @ self.to_faces[dim]).tocsr(),
+            "trace_cell": (lift @ ops.trace_cell).tocsr(),
+            "trace_face": trace_face,
+            "trace_mortar": (trace_face @ lift.T).tocsr(),
+            "trace_vsrc": (lift @ ops.trace_vector_source).tocsr(),
+        }
 
     # ------------------------------------------------------------------
     # lagged quantities
@@ -390,8 +385,8 @@ class Assembler:
                     damping: float = 1.0,
                     damping_threshold: float = 0.1) -> IterationCache:
         mat, cells = self.mat, self.cell_dofs
-        x = state.prev_iter
-        # jumps and contact states at the previous iterate
+        x = state.current
+        # jumps and contact states at the current iterate
         frac = self.fracture_state(x, state.prev_step)
         apertures = self._apertures(frac.jumps)
         apertures_prev = self._apertures(frac.jumps_ref)
@@ -407,7 +402,7 @@ class Assembler:
                                     self.frac_bc[FLOW]),
             HEAT: onedim_discretize(g1, v1 * mat.conductivity_fluid, self.frac_bc[HEAT]),
         }
-        # fluid face fluxes from the previous iterate, optionally damped
+        # fluid face fluxes at the current iterate, optionally damped
         face_flux = {}
         for dim, ops in ((2, self.flow_ops), (1, fracture_ops[FLOW])):
             bvals = self._scalar_boundary_values(dim, FLOW, loads, x)
@@ -499,17 +494,19 @@ class Assembler:
         n = self.dofs.num_dofs
         acc = _Coo(n, self.block_starts)
         b = np.zeros(n)
+        terms = {2: self.matrix_terms,
+                 1: {var: self._scalar_terms(1, ops) for var, ops in cache.fracture_ops.items()}}
         self._matrix_momentum(acc, b, loads)
-        self._matrix_mass(acc, b, state, cache, dt, steady, loads)
-        self._matrix_energy(acc, b, state, cache, dt, steady, loads)
-        self._lower_mass(acc, b, state, cache, dt, steady, loads)
-        self._lower_energy(acc, b, state, cache, dt, steady, loads)
+        self._mass(acc, b, state, cache, terms, dt, steady, loads)
+        self._energy(acc, b, state, cache, terms, dt, steady, loads)
         self._contact_rows(acc, b, cache)
         self._traction_balance(acc, b, loads)
-        self._interface_flux_rows(acc, b, cache, loads)
+        for dim, group in self.mortars.items():
+            if group.size:
+                self._mortar_flux_rows(acc, b, group, terms[dim], cache, loads)
         return acc.matrix(), b
 
-    # -- matrix equations ------------------------------------------------
+    # -- momentum ----------------------------------------------------------
     def _momentum_traction_terms(self, acc, b, rows, bundle, loads):
         """Add the face tractions that ``bundle`` maps to the given rows."""
         dofs, mat = self.dofs, self.mat
@@ -532,37 +529,47 @@ class Assembler:
         self._momentum_traction_terms(acc, b, rows, self.mom, loads)
         _add_to(b, rows, -self._rho_g(mat.density_solid * g.cell_volumes))
 
-    def _div_u_terms(self, acc, b, rows, weight, state, dt, loads):
-        """weight/dt * (div u at new state minus at previous step)."""
-        dofs = self.dofs
-        ops = self.mech_ops
-        w = sps.diags(weight / dt)
-        acc.add_mat(rows, dofs.sd(0, U), w @ ops.div_u)
-        bd = w @ ops.bound_div_u
-        acc.add_mat(rows, self.mortars[2].dofs[U_MORTAR], w @ self.div_u_mortar)
-        acc.add_mat(rows, dofs.sd(0, P), w @ ops.stab_p)
-        acc.add_mat(rows, dofs.sd(0, T), w @ ops.stab_T)
-        # previous-step value, including its boundary data
-        prev = self.div_u(state.prev_step, loads.bc_mech_prev)
-        _add_to(b, rows, weight / dt * prev)
-        _add_to(b, rows, -(bd @ self._ext_mech(loads.bc_mech)))
+    # -- mass and energy -----------------------------------------------------
+    def _mass(self, acc, b, state, cache, terms, dt, steady, loads):
+        """Mass balances of the matrix, the fractures and the intersection
+        points: storage and volume change (transient only), flux
+        divergence, mortar sources from the dimension above, wells."""
+        mat = self.mat
+        for dim, grid in self.grids.items():
+            rows = self.cell_dofs[dim][P]
+            if not steady:
+                wvol = grid.cell_volumes * cache.spec_vol[dim] / dt
+                self._fluid_storage(acc, b, dim, state.prev_step, wvol)
+                weight = np.full(grid.num_cells, mat.biot_alpha if dim == 2 else 1.0)
+                self._volume_change(acc, b, dim, P, weight, state, cache, dt, loads)
+            if dim > 0:
+                self._scalar_flux_divergence(acc, b, dim, FLOW, terms[dim][FLOW], cache, loads)
+            if dim < 2:
+                self._mortar_sources(acc, dim, P, (NU,))
+            _add_to(b, rows, self._wells(dim, loads)[0])
 
-    def div_u(self, x: np.ndarray, bc_mech: np.ndarray) -> np.ndarray:
-        """The cellwise volume change of the matrix at state x with the
-        mechanical boundary values bc_mech, stabilisation included."""
-        ops, dofs = self.mech_ops, self.dofs
-        bc = self.mech_boundary_values(bc_mech, x)
-        return (ops.div_u @ x[dofs.sd(0, U)] + ops.bound_div_u @ bc
-                + ops.stab_p @ x[dofs.sd(0, P)] + ops.stab_T @ x[dofs.sd(0, T)])
-
-    def _matrix_mass(self, acc, b, state, cache, dt, steady, loads):
-        g, mat, rows = self.matrix, self.mat, self.cell_dofs[2][P]
-        if not steady:
-            self._fluid_storage(acc, b, 2, state.prev_step, g.cell_volumes / dt)
-            self._div_u_terms(acc, b, rows, mat.biot_alpha * np.ones(g.num_cells),
-                              state, dt, loads)
-        self._scalar_flux_divergence(acc, b, 2, FLOW, cache, loads)
-        _add_to(b, rows, self._wells(2, loads)[0])
+    def _energy(self, acc, b, state, cache, terms, dt, steady, loads):
+        """Energy balances of the matrix, the fractures and the intersection
+        points: accumulation and volume change (transient only),
+        conductive and advective flux divergence, mortar sources from the
+        dimension above, wells."""
+        mat = self.mat
+        for dim in self.grids:
+            if not steady:
+                self._energy_accumulation(acc, b, dim, state, cache, dt)
+                if dim == 2:
+                    weight = np.full(self.matrix.num_cells,
+                                     mat.thermal_stress_coefficient * mat.reference_temperature)
+                else:
+                    weight = (mat.heat_capacity_fluid * cache.density[dim]
+                              * state.current[self.cell_dofs[dim][T]])
+                self._volume_change(acc, b, dim, T, weight, state, cache, dt, loads)
+            if dim > 0:
+                self._scalar_flux_divergence(acc, b, dim, HEAT, terms[dim][HEAT], cache, loads)
+                self._advective_divergence(acc, b, dim, cache, loads, state)
+            if dim < 2:
+                self._mortar_sources(acc, dim, T, (NU_ADV, NU_COND))
+            self._well_energy(acc, b, dim, cache, loads, state)
 
     def _fluid_storage(self, acc, b, dim, xp, wvol):
         """Fluid storage of one dimension's cells of weighted volumes wvol,
@@ -574,25 +581,76 @@ class Assembler:
         acc.add_diag(cells[P], cells[T], c_T)
         _add_to(b, cells[P], c_p * xp[cells[P]] + c_T * xp[cells[T]])
 
-    def _scalar_flux_divergence(self, acc, b, dim, var, cache, loads):
-        """div of diffusive (+gravity) fluxes of one scalar in one dimension."""
+    def _energy_accumulation(self, acc, b, dim, state, cache, dt):
+        """(rho c)_eff dT/dt plus the expanded coefficient-change term."""
+        cells = self.cell_dofs[dim]
+        xp = state.prev_step
+        vols = self.grids[dim].cell_volumes * cache.spec_vol[dim] / dt
+        rc_eff, rck_eff, rcb_eff = heat_capacities(cache.density[dim], self.mat, dim == 2)
+        T_lag = state.current[cells[T]]
+        coef_T = vols * (rc_eff - T_lag * rcb_eff)
+        coef_p = vols * T_lag * rck_eff
+        acc.add_diag(cells[T], cells[T], coef_T)
+        acc.add_diag(cells[T], cells[P], coef_p)
+        _add_to(b, cells[T], coef_T * xp[cells[T]] + coef_p * xp[cells[P]])
+
+    def _volume_change(self, acc, b, dim, var, weight, state, cache, dt, loads):
+        """weight/dt * (V_new - V_old) in the balance of ``var`` of one
+        dimension's cells.
+
+        In the matrix V is div u, stabilisation included, implicit in u,
+        the mortar displacements, p and T. On fractures V = a0 + jump_n
+        (+ one-way slip remainder, lagged), with the normal jump implicit
+        through J. At intersection points V is the inherited specific
+        volume, fully lagged.
+        """
+        rows = self.cell_dofs[dim][var]
         if dim == 2:
-            static = self.scalar_static[var]
-            div_flux, bfl = static["div_flux"], static["div_bound"]
-            div_vsrc = static["div_vsrc"]
-            bfl_mortar = static["div_bound_mortar"]
-        else:
-            div, ops = self.div[1], cache.fracture_ops[var]
-            div_flux = div @ ops.flux
-            bfl = div @ ops.bound_flux
-            div_vsrc = div @ ops.vector_source
-            bfl_mortar = bfl @ self.to_faces[1]
+            ops = self.mech_ops
+            w = sps.diags(weight / dt)
+            acc.add_mat(rows, self.dofs.sd(0, U), w @ ops.div_u)
+            acc.add_mat(rows, self.mortars[2].dofs[U_MORTAR], w @ self.div_u_mortar)
+            acc.add_mat(rows, self.dofs.sd(0, P), w @ ops.stab_p)
+            acc.add_mat(rows, self.dofs.sd(0, T), w @ ops.stab_T)
+            # previous-step value, including its boundary data
+            prev = self.div_u(state.prev_step, loads.bc_mech_prev)
+            _add_to(b, rows, weight / dt * prev)
+            _add_to(b, rows, -((w @ ops.bound_div_u) @ self._ext_mech(loads.bc_mech)))
+            return
+        vols = self.grids[dim].cell_volumes / dt * weight
+        if dim == 0:
+            _add_to(b, rows, vols * (cache.spec_vol_prev[0] - cache.spec_vol[0]))
+            return
+        acc.add_mat(rows, slice(0, self.dofs.num_dofs),
+                    self.jump_rows(vols[:, None, None] * np.eye(2))[1::2])
+        # previous-step V without a0 (the constant cancels in the difference)
+        jumps, jumps_prev = cache.fracture.jumps, cache.fracture.jumps_ref
+        v_prev = jumps_prev[1::2]
+        rem_new = np.zeros(vols.size)
+        if self.model is DilationModel.ONE_WAY:
+            tanp = np.tan(self.mat.dilation_angle)
+            v_prev = v_prev + tanp * np.abs(jumps_prev[0::2])
+            rem_new = tanp * np.abs(jumps[0::2])
+        _add_to(b, rows, vols * (v_prev - rem_new))
+
+    def div_u(self, x: np.ndarray, bc_mech: np.ndarray) -> np.ndarray:
+        """The cellwise volume change of the matrix at state x with the
+        mechanical boundary values bc_mech, stabilisation included."""
+        ops, dofs = self.mech_ops, self.dofs
+        bc = self.mech_boundary_values(bc_mech, x)
+        return (ops.div_u @ x[dofs.sd(0, U)] + ops.bound_div_u @ bc
+                + ops.stab_p @ x[dofs.sd(0, P)] + ops.stab_T @ x[dofs.sd(0, T)])
+
+    def _scalar_flux_divergence(self, acc, b, dim, var, terms, cache, loads):
+        """div of diffusive (+gravity) fluxes of one scalar in one dimension,
+        from that dimension's :meth:`_scalar_terms`."""
         cells = self.cell_dofs[dim][P if var == FLOW else T]
-        acc.add_mat(cells, cells, div_flux)
-        acc.add_mat(cells, self.mortars[dim].dofs[NU if var == FLOW else NU_COND], bfl_mortar)
-        _add_to(b, cells, -(bfl @ self._ext_scalar(dim, var, loads)))
+        acc.add_mat(cells, cells, terms["div_flux"])
+        acc.add_mat(cells, self.mortars[dim].dofs[NU if var == FLOW else NU_COND],
+                    terms["div_bound_mortar"])
+        _add_to(b, cells, -(terms["div_bound"] @ self._ext_scalar(dim, var, loads)))
         if var == FLOW and np.any(np.asarray(self.mat.gravity)):
-            _add_to(b, cells, -(div_vsrc @ self._rho_g(cache.density[dim])))
+            _add_to(b, cells, -(terms["div_vsrc"] @ self._rho_g(cache.density[dim])))
 
     def _advective_divergence(self, acc, b, dim, cache, loads, state):
         """Upwinded advective heat fluxes, implicit in temperature."""
@@ -601,108 +659,32 @@ class Assembler:
         u_cell, u_face = upwind_matrices(grid, cache.face_flux[dim], grid.tags["internal"])
         w = mat.heat_capacity_fluid * cache.density[dim]
         acc.add_mat(rows, rows, div @ u_cell @ sps.diags(w))
-        w_bc = self.boundary_heat_weight(dim, loads, state.prev_iter)
+        w_bc = self.boundary_heat_weight(dim, loads, state.current)
         _add_to(b, rows, -(div @ u_face @ w_bc))
         # advective transfer through internal faces enters via the mortar
         # advective unknowns
         acc.add_mat(rows, self.mortars[dim].dofs[NU_ADV], div @ self.to_faces[dim])
 
-    def _energy_accumulation(self, acc, b, dim, state, cache, dt):
-        """(rho c)_eff dT/dt plus the expanded coefficient-change term."""
-        cells = self.cell_dofs[dim]
-        xp, xi = state.prev_step, state.prev_iter
-        vols = self.grids[dim].cell_volumes * cache.spec_vol[dim] / dt
-        rc_eff, rck_eff, rcb_eff = heat_capacities(cache.density[dim], self.mat, dim == 2)
-        T_lag = xi[cells[T]]
-        coef_T = vols * (rc_eff - T_lag * rcb_eff)
-        coef_p = vols * T_lag * rck_eff
-        acc.add_diag(cells[T], cells[T], coef_T)
-        acc.add_diag(cells[T], cells[P], coef_p)
-        _add_to(b, cells[T], coef_T * xp[cells[T]] + coef_p * xp[cells[P]])
-
-    def _matrix_energy(self, acc, b, state, cache, dt, steady, loads):
-        g, mat = self.matrix, self.mat
-        if not steady:
-            self._energy_accumulation(acc, b, 2, state, cache, dt)
-            weight = (mat.thermal_stress_coefficient * mat.reference_temperature
-                      * np.ones(g.num_cells))
-            self._div_u_terms(acc, b, self.cell_dofs[2][T], weight, state, dt, loads)
-        self._scalar_flux_divergence(acc, b, 2, HEAT, cache, loads)
-        self._advective_divergence(acc, b, 2, cache, loads, state)
-        self._well_energy(acc, b, 2, cache, loads, state)
+    def _mortar_sources(self, acc, dim, var, keys):
+        """The mortar fluxes ``keys`` from the dimension above enter the
+        balance of ``var`` of one dimension's cells as sources."""
+        group = self.mortars[dim + 1]
+        rows = np.tile(self.cell_dofs[dim][var][group.lo], len(keys))
+        cols = np.concatenate([group.dofs[key] for key in keys])
+        acc.add(rows, cols, -np.ones(rows.size))
 
     def _well_energy(self, acc, b, dim, cache, loads, state):
         mat, cells = self.mat, self.cell_dofs[dim]
         rates = self._wells(dim, loads)[0]
         if np.any(rates > 0):
-            _add_to(b, cells[T], self.injected_energy(dim, loads, state.prev_iter))
+            _add_to(b, cells[T], self.injected_energy(dim, loads, state.current))
         produce = rates < 0
         if np.any(produce):
             # upwind: produced energy carries the local (implicit) temperature
             coef = mat.heat_capacity_fluid * cache.density[dim][produce] * rates[produce]
             acc.add_diag(cells[T][produce], cells[T][produce], -coef)
 
-    # -- fracture and intersection-point equations -------------------------
-    def _volume_change(self, acc, b, var, weight, cache, dt):
-        """weight/dt * (V_new - V_old) in every fracture and point balance.
-
-        On fractures V = a0 + jump_n (+ one-way slip remainder, lagged), with
-        the normal jump implicit through J. At intersection points V is the
-        inherited specific volume, fully lagged. ``weight``, stacked over the
-        lower-dimensional cells, is 1 for the mass balance and the lagged
-        rho c T for the energy balance.
-        """
-        rows = self.lower_dofs[var]
-        vols = self.lower_volumes / dt * weight
-        nfc = self.rotation.shape[0]
-        acc.add_mat(rows[:nfc], slice(0, self.dofs.num_dofs),
-                    self.jump_rows(vols[:nfc, None, None] * np.eye(2))[1::2])
-        # previous-step V without a0 (the constant cancels in the difference)
-        jumps, jumps_prev = cache.fracture.jumps, cache.fracture.jumps_ref
-        v_prev = jumps_prev[1::2]
-        rem_new = np.zeros(nfc)
-        if self.model is DilationModel.ONE_WAY:
-            tanp = np.tan(self.mat.dilation_angle)
-            v_prev = v_prev + tanp * np.abs(jumps_prev[0::2])
-            rem_new = tanp * np.abs(jumps[0::2])
-        lagged = cache.spec_vol_prev[0] - cache.spec_vol[0]
-        _add_to(b, rows, vols * np.concatenate([v_prev - rem_new, lagged]))
-
-    def _lower_mass(self, acc, b, state, cache, dt, steady, loads):
-        """Mass balances of all fractures and intersection points."""
-        if not steady:
-            for dim in (1, 0):
-                wvol = self.grids[dim].cell_volumes * cache.spec_vol[dim] / dt
-                self._fluid_storage(acc, b, dim, state.prev_step, wvol)
-            self._volume_change(acc, b, P, np.ones(self.lower_volumes.size), cache, dt)
-        self._scalar_flux_divergence(acc, b, 1, FLOW, cache, loads)
-        self._mortar_sources(acc, P, (NU,))
-        for dim in (1, 0):
-            _add_to(b, self.cell_dofs[dim][P], self._wells(dim, loads)[0])
-
-    def _lower_energy(self, acc, b, state, cache, dt, steady, loads):
-        """Energy balances of all fractures and intersection points."""
-        mat = self.mat
-        if not steady:
-            for dim in (1, 0):
-                self._energy_accumulation(acc, b, dim, state, cache, dt)
-            rho = np.concatenate([cache.density[1], cache.density[0]])
-            weight = mat.heat_capacity_fluid * rho * state.prev_iter[self.lower_dofs[T]]
-            self._volume_change(acc, b, T, weight, cache, dt)
-        self._scalar_flux_divergence(acc, b, 1, HEAT, cache, loads)
-        self._advective_divergence(acc, b, 1, cache, loads, state)
-        self._mortar_sources(acc, T, (NU_ADV, NU_COND))
-        for dim in (1, 0):
-            self._well_energy(acc, b, dim, cache, loads, state)
-
-    def _mortar_sources(self, acc, var, keys):
-        """The mortar fluxes ``keys`` enter every fracture and point cell's
-        balance of ``var`` as sources."""
-        for dim, group in self.mortars.items():
-            rows = np.tile(self.cell_dofs[dim - 1][var][group.lo], len(keys))
-            cols = np.concatenate([group.dofs[key] for key in keys])
-            acc.add(rows, cols, -np.ones(rows.size))
-
+    # -- contact and interface rows -----------------------------------------
     def _contact_rows(self, acc, b, cache):
         """Contact conditions of every fracture cell in lam and the jump J x."""
         if not self.fractures:
@@ -724,7 +706,6 @@ class Assembler:
         acc.add_mat(rows, slice(0, self.dofs.num_dofs), self.jump_rows(a_jump))
         _add_to(b, rows, rhs.ravel())
 
-    # -- interface rows ------------------------------------------------------
     def _traction_balance(self, acc, b, loads):
         """Rows of the mortar displacements: contact traction balances the
         projected matrix traction minus the fracture pressure."""
@@ -733,19 +714,9 @@ class Assembler:
         acc.add_mat(rows, self.cell_dofs[1][P], self.wall_p)
         self._momentum_traction_terms(acc, b, rows, self.wall_tractions, loads)
 
-    def _interface_flux_rows(self, acc, b, cache, loads):
-        for dim, group in self.mortars.items():
-            if group.size == 0:
-                continue
-            if dim == 2:
-                traces = self.mortar_traces
-            else:
-                traces = {var: _mortar_traces(group, ops)
-                          for var, ops in cache.fracture_ops.items()}
-            self._mortar_flux_rows(acc, b, group, traces, cache, loads)
-
-    def _mortar_flux_rows(self, acc, b, group, traces, cache, loads):
-        """Interface laws of one mortar group.
+    def _mortar_flux_rows(self, acc, b, group, terms, cache, loads):
+        """Interface laws of one mortar group, with the high side's
+        :meth:`_scalar_terms`.
 
         Darcy and Fourier fluxes are w (trace of the high side - low cell
         value), with w = A V_high 2 kappa / a_low; the advective flux is the
@@ -766,13 +737,13 @@ class Assembler:
             acc.add_diag(rows, rows, ones)
             acc.add(rows, low[var][lo], w)
             wd = sps.diags(w)
-            tr = traces[svar]
-            acc.add_mat(rows, high[var], -(wd @ tr["cell"]))
-            acc.add_mat(rows, rows, -(wd @ tr["mortar"]))
-            _add_to(b, rows, w * (tr["face"] @ self._ext_scalar(dim, svar, loads)))
+            tr = terms[svar]
+            acc.add_mat(rows, high[var], -(wd @ tr["trace_cell"]))
+            acc.add_mat(rows, rows, -(wd @ tr["trace_mortar"]))
+            _add_to(b, rows, w * (tr["trace_face"] @ self._ext_scalar(dim, svar, loads)))
             if var == P and np.any(np.asarray(mat.gravity)):
                 grav = np.asarray(mat.gravity, float)
-                _add_to(b, rows, w * (tr["vsrc"] @ self._rho_g(cache.density[dim])))
+                _add_to(b, rows, w * (tr["trace_vsrc"] @ self._rho_g(cache.density[dim])))
                 # gravity term of the interface law itself
                 rho_l = cache.density[dim - 1][lo]
                 gn = (grav[:, None] * group.normals).sum(axis=0)

@@ -10,7 +10,6 @@ carries and the energy that wells inject are the assembler's own terms.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,20 +40,12 @@ class BalanceReport:
         )
 
 
-def _cache_at_current(assembler: Assembler, state: State, loads: Loads):
-    """The iteration cache linearised at the current state. ``state`` itself
-    is left untouched, so a diagnostic may run between Newton iterations."""
-    probe = copy.copy(state)
-    probe.prev_iter = state.current
-    return assembler.build_cache(probe, loads)
-
-
 def balance_report(assembler: Assembler, state: State, dt: float,
                    loads: Loads, steady: bool = False) -> BalanceReport:
     """Global volume and energy balance over one accepted step."""
     mat = assembler.mat
     x, xp = state.current, state.prev_step
-    cache = _cache_at_current(assembler, state, loads)
+    cache = assembler.build_cache(state, loads)
 
     m_acc = m_out = m_src = 0.0
     e_acc = e_out = e_src = 0.0
@@ -121,7 +112,7 @@ def interface_flux_consistency(assembler: Assembler, state: State,
     """Max defect between duplicated-face fluxes and mortar flux values,
     relative to the largest of either in each group of mortars."""
     x = state.current
-    cache = _cache_at_current(assembler, state, loads)
+    cache = assembler.build_cache(state, loads)
     worst = 0.0
     for dim, group in assembler.mortars.items():
         if group.size == 0:

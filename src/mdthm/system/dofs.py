@@ -72,24 +72,22 @@ class DofMap:
 
 
 class State:
-    """Solution snapshots: previous time step, previous iterate, current."""
+    """Solution snapshots: the previous time step and the current iterate.
+
+    Assembly linearises at ``current``; Newton overwrites it with each new
+    iterate, and accepting a step copies it to ``prev_step``.
+    """
 
     def __init__(self, dofs: DofMap):
         self.dofs = dofs
         self.prev_step = np.zeros(dofs.num_dofs)
-        self.prev_iter = np.zeros(dofs.num_dofs)
         self.current = np.zeros(dofs.num_dofs)
-
-    def start_iteration(self):
-        self.prev_iter[:] = self.current
 
     def accept_step(self):
         self.prev_step[:] = self.current
-        self.prev_iter[:] = self.current
 
     def set_initial(self, values: dict):
         for key, val in values.items():
             sl = self.dofs.block(*key)
             self.current[sl] = val
         self.prev_step[:] = self.current
-        self.prev_iter[:] = self.current

@@ -129,7 +129,7 @@ def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
 
     Each iteration reclassifies the contact sets, refreshes apertures,
     specific volumes, densities, fracture permeabilities and advective
-    fluxes from the previous iterate, reassembles and solves the monolithic
+    fluxes at the current iterate, reassembles and solves the monolithic
     system for the full next iterate.
     """
     solver = solver or DirectSolver()
@@ -139,7 +139,6 @@ def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
     col_scale = _scale_vector(assembler, params.scales)
 
     for it in range(params.max_iterations + 1):
-        state.start_iteration()
         cache = assembler.build_cache(
             state, loads, prev_cache=cache, damping=params.damping,
             damping_threshold=params.damping_threshold,
@@ -149,7 +148,6 @@ def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
         row_scale = np.abs(A) @ col_scale + 1e-300
         res_scaled = float(np.max(np.abs(residual) / row_scale))
         res_hist.append(res_scaled)
-        # the cache is built at prev_iter, which start_iteration set to current
         contact_res = contact_residual_norm(assembler, cache)
 
         contact_ok = contact_res <= CONTACT_TOL

@@ -1,4 +1,4 @@
-"""Implicit Euler time stepping over a sequence of loading phases."""
+"""Implicit Euler time stepping through one loading phase."""
 
 from __future__ import annotations
 
@@ -46,72 +46,67 @@ class StepRecord:
 class TimeLoopOptions:
     newton: NewtonParams = field(default_factory=NewtonParams)
     allow_dt_halving: bool = True
-    compute_balance: bool = True
 
 
-def time_loop(assembler: Assembler, state: State, phases: list[PhaseSpec],
+def time_loop(assembler: Assembler, state: State, phase: PhaseSpec,
               load_provider, options: TimeLoopOptions | None = None,
               solver: DirectSolver | None = None, observer=None) -> list[StepRecord]:
-    """Run all phases; ``load_provider(t_new, t_prev)`` supplies the Loads.
+    """Run one phase on a clock that starts at 0; ``load_provider(t_new,
+    t_prev)`` supplies the Loads.
 
-    The observer, if given, is called as observer(record, state) after each
-    accepted step. Raises NonConvergence when a step fails even after the
-    permitted time-step halvings.
+    A transient step's record carries its balance report. The observer, if
+    given, is called as observer(record, state) after each converged step
+    and before the step is accepted, so ``state.prev_step`` still holds the
+    previous step: increments over the step, the slip that classifies
+    contact among them, are those Newton converged with. Raises
+    NonConvergence when a step fails even after the permitted time-step
+    halvings.
     """
     options = options or TimeLoopOptions()
     solver = solver or DirectSolver()
     records: list[StepRecord] = []
-    t = 0.0
 
-    for phase in phases:
-        if phase.steady:
-            loads = load_provider(t, t)
-            report = newton_solve(
-                assembler, state, 1.0, True, loads, options.newton, solver
+    def accept(rec: StepRecord):
+        records.append(rec)
+        if observer is not None:
+            observer(rec, state)
+        state.accept_step()
+
+    if phase.steady:
+        loads = load_provider(0.0, 0.0)
+        report = newton_solve(assembler, state, 1.0, True, loads, options.newton, solver)
+        if not report.converged:
+            raise NonConvergence(
+                f"steady phase {phase.name!r} did not converge: {report.failure}",
+                records,
             )
-            if not report.converged:
+        accept(StepRecord(phase.name, 0.0, 0.0, report, None))
+        return records
+
+    t, t_end = 0.0, phase.duration
+    dt_phase = phase.dt if phase.dt > 0 else phase.duration
+    dt_next = phase.dt_init if phase.dt_init > 0 else dt_phase
+    while t < t_end - 1e-12 * max(1.0, t_end):
+        dt = min(dt_next, dt_phase, t_end - t)
+        dt_next = min(2.0 * dt, dt_phase)
+        halvings = 0
+        while True:
+            loads = load_provider(t + dt, t)
+            report = newton_solve(
+                assembler, state, dt, False, loads, options.newton, solver
+            )
+            if report.converged:
+                break
+            if not options.allow_dt_halving or halvings >= MAX_HALVINGS:
                 raise NonConvergence(
-                    f"steady phase {phase.name!r} did not converge: {report.failure}",
+                    f"step at t={t:.6g} (phase {phase.name!r}) failed: "
+                    f"{report.failure}",
                     records,
                 )
-            state.accept_step()
-            rec = StepRecord(phase.name, t, 0.0, report, None)
-            records.append(rec)
-            if observer is not None:
-                observer(rec, state)
-            continue
-
-        t_end = t + phase.duration
-        dt_phase = phase.dt if phase.dt > 0 else phase.duration
-        dt_next = phase.dt_init if phase.dt_init > 0 else dt_phase
-        while t < t_end - 1e-12 * max(1.0, t_end):
-            dt = min(dt_next, dt_phase, t_end - t)
-            dt_next = min(2.0 * dt, dt_phase)
-            halvings = 0
-            while True:
-                loads = load_provider(t + dt, t)
-                report = newton_solve(
-                    assembler, state, dt, False, loads, options.newton, solver
-                )
-                if report.converged:
-                    break
-                if not options.allow_dt_halving or halvings >= MAX_HALVINGS:
-                    raise NonConvergence(
-                        f"step at t={t:.6g} (phase {phase.name!r}) failed: "
-                        f"{report.failure}",
-                        records,
-                    )
-                halvings += 1
-                dt *= 0.5
-                state.current[:] = state.prev_step
-                state.prev_iter[:] = state.prev_step
-            balance = None
-            if options.compute_balance:
-                balance = balance_report(assembler, state, dt, loads)
-            state.accept_step()
-            t += dt
-            rec = StepRecord(phase.name, t, dt, report, balance)
-            records.append(rec)
-            if observer is not None:
-                observer(rec, state)
+            halvings += 1
+            dt *= 0.5
+            state.current[:] = state.prev_step
+        balance = balance_report(assembler, state, dt, loads)
+        t += dt
+        accept(StepRecord(phase.name, t, dt, report, balance))
     return records

@@ -1,9 +1,12 @@
 """Static checks of the package sources that need no external linter."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def unused_imports(path: Path) -> list:
@@ -36,3 +39,96 @@ def test_no_unused_module_level_imports():
              for path in sorted(SRC.rglob("*.py")) if path.name != "__init__.py"
              for line, name in unused_imports(path)]
     assert found == []
+
+
+def definitions(path: Path) -> list:
+    """(line, name) of each function, method and ``self.<attr>`` assignment
+    in a module, dunder names excepted."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(sub.lineno, sub.attr) for target in targets for sub in ast.walk(target)
+                      if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                      and sub.value.id == "self"]
+    return [(line, name) for line, name in found if not name.startswith("__")]
+
+
+def references(path: Path) -> set:
+    """Every name a module reads: loaded names and attributes, and string
+    constants (``getattr`` and the like) outside ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(id(sub) for sub in ast.walk(node.value))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in exported):
+            names.add(node.value)
+    return names
+
+
+def unreferenced(defining: list, reading: list) -> list:
+    """(path, line, name) of each definition in ``defining`` that no module
+    in ``reading`` names."""
+    read = set().union(*(references(path) for path in reading))
+    return [(path, line, name) for path in defining
+            for line, name in definitions(path) if name not in read]
+
+
+def test_unreferenced_definitions_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "__all__ = ['orphan']\n"
+        "def used():\n    return 1\n"
+        "def orphan():\n    pass\n"
+        "class A:\n"
+        "    def __init__(self):\n        self.read = used()\n        self.written = 2\n"
+        "        self.bumped = 0\n"
+        "    def by_name(self):\n        self.bumped += self.read\n"
+        "getattr(A(), 'by_name')\n", encoding="utf-8")
+    found = [(line, name) for _, line, name in unreferenced([module], [module])]
+    assert found == [(4, "orphan"), (9, "written"), (10, "bumped"), (12, "bumped")]
+
+
+def test_every_definition_is_named_again():
+    # a function, method or attribute of the package that neither the
+    # package nor its tests nor the benchmark name again is dead code
+    reading = [path for part in (SRC, ROOT / "tests", ROOT / "bench")
+               for path in sorted(part.rglob("*.py"))]
+    found = [f"{path.relative_to(SRC)}:{line} {name}"
+             for path, line, name in unreferenced(sorted(SRC.rglob("*.py")), reading)]
+    assert found == []
+
+
+def test_benchmark_hooks_exist():
+    # the benchmark's tracer wraps package attributes by name from outside
+    # the package; a rename would only show as a crashed traced run
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    install = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    namespace = {}
+    imports = [node for node in install.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    exec(compile(ast.Module(body=imports, type_ignores=[]), "install", "exec"), namespace)
+    hooks = [(call.args[0], call.args[1].value) for call in ast.walk(install)
+             if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+             and call.func.attr == "wrap"]
+    assert len(hooks) > 10
+    for owner, attr in hooks:
+        target = eval(compile(ast.Expression(owner), "install", "eval"), namespace)
+        assert hasattr(target, attr), f"{ast.unparse(owner)}.{attr}"
+    # and the attributes its callbacks read
+    from mdthm.system.assembly import Assembler, IterationCache
+
+    assert "prev_cache" in inspect.signature(Assembler.build_cache).parameters
+    assert "contact_state" in {f.name for f in dataclasses.fields(IterationCache)}

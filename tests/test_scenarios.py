@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mdthm import cli
-from mdthm.mdmesh import build_cartesian_fractured, refine
+from mdthm.mdmesh import build_cartesian_fractured, refine, split_cells
 from mdthm.scenarios import drivers
 from mdthm.scenarios.config import parse_config
 from mdthm.scenarios.errors import ErrorReport, compare_states
@@ -70,6 +70,38 @@ class TestRunOutput:
         assert steps == ["00000.vtk", "00002.vtk", "00004.vtk"]
 
 
+def read_vtk_scalars(path, name) -> np.ndarray:
+    """One cell scalar field of a legacy ASCII VTK file written by write_vtk."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    n = int(next(line for line in lines if line.startswith("CELL_DATA")).split()[1])
+    start = lines.index(f"SCALARS {name} double 1") + 2  # past LOOKUP_TABLE
+    return np.array([float(v) for v in lines[start:start + n]])
+
+
+class TestContactOutput:
+    def test_snapshots_hold_the_converged_contact_state(self, tiny_run):
+        # snapshot k holds the contact state that Newton converged with in
+        # step k: its slip counted from the state after step k - 1
+        result, out = tiny_run
+        scn = build_scenario(parse_config(tiny_raw()))
+        states = [scn.state.current.copy()]
+        for phase_cfg, phase_spec in zip(scn.cfg.phases, scn.phases):
+            time_loop(scn.assembler, scn.state, phase_spec, scn.load_provider(phase_cfg),
+                      scn.loop_options,
+                      observer=lambda rec, state: states.append(state.current.copy()))
+        assert np.array_equal(states[-1], result.scenario.state.current)
+        asm = scn.assembler
+        assert len(states) == len(result.records) + 1
+        for k in range(1, len(states)):
+            contact = asm.fracture_state(states[k], states[k - 1]).contact
+            for sd in asm.fractures:
+                path = os.path.join(out, "vtk", f"subdomain_{sd.id}_step_{k:05d}.vtk")
+                written = read_vtk_scalars(path, "contact_state")
+                assert np.array_equal(written, split_cells(asm.grids[1], contact)[sd.id]), \
+                    (sd.id, k)
+
+
 class TestAbsoluteTime:
     def test_time_never_decreases_across_phases(self, tiny_run):
         result, out = tiny_run
@@ -87,7 +119,7 @@ class TestAbsoluteTime:
         result, _ = tiny_run
         scn = build_scenario(parse_config(tiny_raw()))
         for phase_cfg, phase_spec in zip(scn.cfg.phases, scn.phases):
-            time_loop(scn.assembler, scn.state, [phase_spec],
+            time_loop(scn.assembler, scn.state, phase_spec,
                       scn.load_provider(phase_cfg), scn.loop_options)
         assert np.array_equal(scn.state.current, result.scenario.state.current)
 

@@ -223,7 +223,6 @@ class TestFracturedContactSolve:
         assert np.abs(lam).max() < 1e-6
         assert np.all(asm.jumps(state.current)[1::2] > 0)
         # assemble at the converged state and inspect the lam-lam block
-        state.start_iteration()
         cache = asm.build_cache(state, loads)
         A, b = asm.assemble(state, cache, 1.0, True, loads)
         sl = asm.dofs.sd(frac.id, LAM)
@@ -270,7 +269,7 @@ class TestTimeLoop:
         loads = make_loads(asm)
         x0 = state.current.copy()
         records = time_loop(
-            asm, state, [PhaseSpec("hold", duration=4.0, dt=2.0)],
+            asm, state, PhaseSpec("hold", duration=4.0, dt=2.0),
             lambda t, tp: loads, TimeLoopOptions(newton=default_params()),
         )
         assert len(records) == 2
@@ -285,11 +284,11 @@ class TestTimeLoop:
 
         # long steps let the diffusive transient die out
         records = time_loop(
-            asm, state, [PhaseSpec("load", duration=4e13, dt=1e13)],
+            asm, state, PhaseSpec("load", duration=4e13, dt=1e13),
             provider, TimeLoopOptions(newton=default_params()),
         )
         before = state.current.copy()
-        time_loop(asm, state, [PhaseSpec("again", duration=1e13, dt=1e13)],
+        time_loop(asm, state, PhaseSpec("again", duration=1e13, dt=1e13),
                   provider, TimeLoopOptions(newton=default_params()))
         scale = np.abs(before).max()
         assert np.abs(state.current - before).max() < 1e-10 * scale
@@ -334,10 +333,8 @@ class TestTimeLoop:
                 loads.well_T_injection = {2: np.full(g.num_cells, 300.0)}
                 return loads
 
-            time_loop(asm, st, [PhaseSpec("inject", duration=t_end, dt=dt)],
-                      provider,
-                      TimeLoopOptions(newton=default_params(mat=mat),
-                                      compute_balance=False))
+            time_loop(asm, st, PhaseSpec("inject", duration=t_end, dt=dt),
+                      provider, TimeLoopOptions(newton=default_params(mat=mat)))
             return st.current[asm.dofs.sd(0, P)].mean()
 
         errs = []
@@ -354,7 +351,7 @@ class TestTimeLoop:
         opts = TimeLoopOptions(newton=default_params(max_iterations=1),
                                allow_dt_halving=False)
         with pytest.raises(NonConvergence):
-            time_loop(asm, state, [PhaseSpec("load", duration=1.0, dt=1.0)],
+            time_loop(asm, state, PhaseSpec("load", duration=1.0, dt=1.0),
                       lambda t, tp: loads, opts)
 
 
@@ -373,7 +370,7 @@ class TestConservation:
             return loads
 
         records = time_loop(
-            asm, state, [PhaseSpec("inject", duration=2e5, dt=1e5)],
+            asm, state, PhaseSpec("inject", duration=2e5, dt=1e5),
             provider, TimeLoopOptions(newton=default_params(increment_tol=1e-9)),
         )
         injected_mass = 1e-8 * 1e5
@@ -407,7 +404,7 @@ class TestConservation:
             return loads
 
         records = time_loop(
-            asm, state, [PhaseSpec("inject", duration=2e5, dt=1e5)],
+            asm, state, PhaseSpec("inject", duration=2e5, dt=1e5),
             provider, TimeLoopOptions(newton=default_params(increment_tol=1e-9)),
         )
         injected_mass = 1e-8 * 1e5
@@ -456,12 +453,11 @@ class TestDiagnosticsLeaveStateAlone:
     def test_mid_iteration_state_unchanged(self):
         mdg, asm, state = make_problem(FR)
         loads = make_loads(asm, top_displacement=(5e-4, -2e-4), p_left=1e6)
-        # one Newton iteration: the iterate moves away from its linearisation
-        state.start_iteration()
+        # one Newton iteration: the iterate moves away from the previous step
         A, b = asm.assemble(state, asm.build_cache(state, loads), 1.0, False, loads)
         state.current[:] = DirectSolver().solve(A, b)
-        assert not np.array_equal(state.prev_iter, state.current)
-        before = {k: getattr(state, k).copy() for k in ("prev_step", "prev_iter", "current")}
+        assert not np.array_equal(state.prev_step, state.current)
+        before = {k: getattr(state, k).copy() for k in ("prev_step", "current")}
         balance_report(asm, state, 1.0, loads)
         interface_flux_consistency(asm, state, loads)
         for k, v in before.items():
@@ -485,7 +481,6 @@ class TestInterfaceLaws:
                            default_params(mat=mat, increment_tol=1e-12))
         assert rep.converged
         x = state.current
-        state.start_iteration()
         cache = asm.build_cache(state, loads)
         ops = {2: {P: asm.flow_ops, T: asm.heat_ops},
                1: {P: cache.fracture_ops["flow"], T: cache.fracture_ops["heat"]}}
