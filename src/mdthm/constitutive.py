@@ -240,12 +240,9 @@ def aperture_unchecked(jump_n, jump_t, model: DilationModel, mat: MaterialSet):
     return a
 
 
-def specific_volume(apert, dim: int, nd: int = 2):
-    """Conversion factor a^(nd - d) from reduced to full-dimensional measure."""
-    a = np.asarray(apert, dtype=float)
-    if dim == nd:
-        return np.ones_like(a)
-    return a ** (nd - dim)
+def specific_volume(apert, dim: int):
+    """Conversion factor a^(2 - d) from reduced to full-dimensional measure."""
+    return np.asarray(apert, dtype=float) ** (2 - dim)
 
 
 def friction_bound(lam_n, jump_n, gap_value, c_num, friction_coefficient):

@@ -80,12 +80,13 @@ def residuals(lam_t, lam_n, jump_t, jump_n, jump_t_prev, gap, c_num, friction):
 
 
 def complementarity_report(lam_t, lam_n, jump_t, jump_n, jump_t_prev, gap,
-                           c_num, friction, tol=1e-8):
+                           c_num, friction):
     """Worst scaled violation of the contact conditions at a converged state.
 
     Checks nonpenetration (jump_n >= g, lam_n <= 0, complementarity), the
     Coulomb bound, and that gliding cells slip parallel to the tangential
-    traction. The scale is max(1, |lam|) per cell.
+    traction, where their scaled slip exceeds 1e-8. The scale is
+    max(1, |lam|) per cell.
     """
     lam_t = np.asarray(lam_t, float)
     lam_n = np.asarray(lam_n, float)
@@ -102,7 +103,7 @@ def complementarity_report(lam_t, lam_n, jump_t, jump_n, jump_t_prev, gap,
     state = classify(lam_t, lam_n, jump_t, jump_n, jump_t_prev, gap, c_num, friction)
     gliding = state == ContactState.GLIDING
     d_t = jump_t - jump_t_prev
-    active = gliding & (np.abs(d_t) * c_num > tol * scale)
+    active = gliding & (np.abs(d_t) * c_num > 1e-8 * scale)
     align = np.zeros_like(scale)
     align[active] = np.where(
         np.sign(d_t[active]) == np.sign(lam_t[active]), 0.0, 1.0

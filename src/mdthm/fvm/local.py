@@ -8,7 +8,7 @@ import scipy.sparse as sps
 from mdthm.mdmesh.grids import MeshError
 
 
-def invert_block_diagonal(node_ids, row_ptr, col_ptr, triplets, cond_tol=1e30):
+def invert_block_diagonal(node_ids, row_ptr, col_ptr, triplets):
     """Invert the block-diagonal local-system matrix.
 
     ``triplets`` is (node_pos, local_row, local_col, value) with one square

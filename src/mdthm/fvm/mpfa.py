@@ -87,13 +87,12 @@ def default_eta(grid: SubdomainGrid) -> float:
     return 1.0 / 3.0
 
 
-def mpfa_discretize(grid: SubdomainGrid, diffusivity, bc: BoundaryCondition,
-                    eta: float | None = None) -> ScalarDiffusionOps:
-    """Discretise scalar diffusion with the O-variant multi-point scheme."""
+def mpfa_discretize(grid: SubdomainGrid, diffusivity,
+                    bc: BoundaryCondition) -> ScalarDiffusionOps:
+    """Discretise scalar diffusion with the O-variant multi-point scheme,
+    continuity points placed by :func:`default_eta`."""
     if grid.dim != 2:
         raise MeshError("mpfa_discretize expects a 2d grid; use onedim for 1d")
-    if eta is None:
-        eta = default_eta(grid)
     top = SubcellTopology(grid)
     D = _expand_tensor(diffusivity, grid.num_cells)
     if np.any(np.linalg.eigvalsh(D) <= 0):
@@ -106,7 +105,7 @@ def mpfa_discretize(grid: SubdomainGrid, diffusivity, bc: BoundaryCondition,
     n_sf = top.sf_normal  # (2, n_subfaces)
     nK = np.einsum("si,sij->sj", n_sf.T, D[top.sf_owner])
     nL = np.einsum("si,sij->sj", n_sf.T, D[np.maximum(top.sf_nbr, 0)])
-    cont_pt = top.continuity_points(eta)
+    cont_pt = top.continuity_points(default_eta(grid))
     dK = (cont_pt - grid.cell_centers[:, top.sf_owner]).T
     dL = (cont_pt - grid.cell_centers[:, np.maximum(top.sf_nbr, 0)]).T
     # per-face boundary data lives at the face centre, both for imposing

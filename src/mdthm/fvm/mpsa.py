@@ -68,8 +68,7 @@ def _traction_coeffs(mu, lam, normals):
 
 
 def mpsa_discretize(grid: SubdomainGrid, mu, lam, alpha, beta_ks,
-                    bc: BoundaryCondition, eta: float | None = None,
-                    eta_second: float = 2.0 / 3.0) -> VectorMechanicsOps:
+                    bc: BoundaryCondition) -> VectorMechanicsOps:
     """Discretise quasi-static elasticity with pressure/temperature coupling.
 
     ``mu``/``lam`` are cellwise Lame coefficients, ``alpha`` the Biot
@@ -78,15 +77,13 @@ def mpsa_discretize(grid: SubdomainGrid, mu, lam, alpha, beta_ks,
     outward traction per face; Dirichlet data is the face displacement.
 
     Displacement continuity is enforced at two points per interior subface
-    (offsets ``eta`` and ``eta_second`` from the face centre towards the
-    node) and the overdetermined local systems are solved by least squares;
-    a single continuity point admits spurious rotation modes on repetitive
-    lattices, quadrilateral ones included.
+    (offsets 1/3 and 2/3 from the face centre towards the node) and the
+    overdetermined local systems are solved by least squares; a single
+    continuity point admits spurious rotation modes on repetitive lattices,
+    quadrilateral ones included.
     """
     if grid.dim != 2:
         raise MeshError("mpsa_discretize expects a 2d grid")
-    if eta is None:
-        eta = 1.0 / 3.0
     nc, nf = grid.num_cells, grid.num_faces
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (nc,))
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (nc,))
@@ -108,7 +105,7 @@ def mpsa_discretize(grid: SubdomainGrid, mu, lam, alpha, beta_ks,
     t_nbr = _traction_coeffs(
         mu[np.maximum(top.sf_nbr, 0)], lam[np.maximum(top.sf_nbr, 0)], n_sf
     )
-    cont_pts = [top.continuity_points(e) for e in (eta, eta_second)]
+    cont_pts = [top.continuity_points(e) for e in (1.0 / 3.0, 2.0 / 3.0)]
     dK = [(pt - grid.cell_centers[:, top.sf_owner]).T for pt in cont_pts]
     dL = [(pt - grid.cell_centers[:, np.maximum(top.sf_nbr, 0)]).T for pt in cont_pts]
     dK_fc = (grid.face_centers[:, top.sf_face] - grid.cell_centers[:, top.sf_owner]).T

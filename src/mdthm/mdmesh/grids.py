@@ -158,7 +158,7 @@ class SubdomainGrid:
         """Boundary faces on the domain boundary (not fracture walls)."""
         return np.where((self.face_cells[1] < 0) & ~self.tags["internal"])[0]
 
-    def check_closure(self, tol: float = 1e-12) -> float:
+    def check_closure(self) -> float:
         """Max relative defect of the per-cell sum of outward area normals."""
         signed, _ = self.cell_faces_csr()
         if self.num_faces == 0:

@@ -7,9 +7,10 @@ sources, solver settings and output settings. Validation failures carry the
 offending field path.
 
 The ``solver`` section accepts ``max_iterations``, ``increment_tol``,
-``damping`` (the relaxation weight of the advective fluxes),
+``damping`` (the relaxation weight of the advective fluxes) and
 ``damping_threshold`` (the share of face fluxes that must flip sign before
-relaxation applies) and ``allow_dt_halving``; any other key is an error.
+relaxation applies); any other key is an error. A time step whose Newton
+iteration fails ends the run.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from mdthm.constitutive import DilationModel, MaterialSet
 
 SIDES = ("left", "right", "bottom", "top")
 SIDE_CODE = {"left": 1, "right": 2, "bottom": 3, "top": 4}
-SOLVER_KEYS = ("max_iterations", "increment_tol", "damping", "damping_threshold",
-               "allow_dt_halving")
+SOLVER_KEYS = ("max_iterations", "increment_tol", "damping", "damping_threshold")
 
 
 class ConfigError(ValueError):

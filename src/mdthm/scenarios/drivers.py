@@ -43,17 +43,17 @@ def run(cfg: ScenarioConfig, out_dir=None, extra_refinement: int = 0) -> RunResu
     records = []
     phase_ends = []
     t_start = 0.0
-    for phase_cfg, phase_spec in zip(scn.cfg.phases, scn.phases):
-        def observe(rec, state, t_start=t_start):
-            rec.time += t_start
-            if writer is not None:
-                writer.observe(rec, state)
 
+    def observe(rec, state):
+        # each phase's clock starts at 0; time is absolute across phases
+        rec.time += t_start
+        if writer is not None:
+            writer.observe(rec, state)
+
+    for phase_cfg, phase_spec in zip(scn.cfg.phases, scn.phases):
         provider = scn.load_provider(phase_cfg)
-        recs = time_loop(
-            scn.assembler, scn.state, phase_spec, provider, scn.loop_options,
-            observer=observe,
-        )
+        recs = time_loop(scn.assembler, scn.state, phase_spec, provider, scn.newton,
+                         observer=observe)
         records.extend(recs)
         phase_ends.append(scn.state.current.copy())
         if recs:

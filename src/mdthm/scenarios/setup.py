@@ -15,7 +15,7 @@ from mdthm.mdmesh import (
     stack_grids,
 )
 from mdthm.scenarios.config import SIDE_CODE, ConfigError, PhaseConfig, ScenarioConfig
-from mdthm.system import Assembler, Loads, NewtonParams, PhaseSpec, State, TimeLoopOptions
+from mdthm.system import Assembler, Loads, NewtonParams, PhaseSpec, State
 
 
 def build_mesh(cfg: ScenarioConfig, extra_refinement: int = 0) -> MixedDimGrid:
@@ -48,7 +48,7 @@ class Scenario:
     assembler: Assembler
     state: State
     phases: list
-    loop_options: TimeLoopOptions
+    newton: NewtonParams
     well_cells: list  # per phase: dict dim -> (rates, T_inj) on the stacked cells
 
     def load_provider(self, phase: PhaseConfig):
@@ -105,14 +105,10 @@ def build_scenario(cfg: ScenarioConfig, extra_refinement: int = 0) -> Scenario:
         damping=float(cfg.solver.get("damping", 1.0)),
         damping_threshold=float(cfg.solver.get("damping_threshold", 0.1)),
     )
-    options = TimeLoopOptions(
-        newton=newton,
-        allow_dt_halving=bool(cfg.solver.get("allow_dt_halving", True)),
-    )
     phases = [PhaseSpec(ph.name, ph.duration, ph.dt, ph.steady, ph.dt_init)
               for ph in cfg.phases]
     wells = [locate_wells(mdg, asm.grids, ph) for ph in cfg.phases]
-    return Scenario(cfg, mdg, asm, state, phases, options, wells)
+    return Scenario(cfg, mdg, asm, state, phases, newton, wells)
 
 
 def solver_scales(cfg: ScenarioConfig, mdg: MixedDimGrid) -> dict:
@@ -166,10 +162,6 @@ def locate_wells(mdg: MixedDimGrid, grids: dict, phase: PhaseConfig) -> dict:
             c = int(np.argmin(d))
             if best is None or d[c] < best[2]:
                 best = (sd.id, c, d[c])
-        if w.subdomain == "matrix":
-            sd = mdg.matrix
-            d = np.hypot(*(sd.cell_centers - target[:, None]))
-            best = (0, int(np.argmin(d)), 0.0)
         if best is None:
             raise ConfigError(f"sources: no subdomain can host a well at {w.at}")
         sd_id, cell, _ = best

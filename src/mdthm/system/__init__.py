@@ -16,7 +16,6 @@ from mdthm.system.timeloop import (
     NonConvergence,
     PhaseSpec,
     StepRecord,
-    TimeLoopOptions,
     time_loop,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "State",
     "StepRecord",
     "T",
-    "TimeLoopOptions",
     "U",
     "U_MORTAR",
     "balance_report",

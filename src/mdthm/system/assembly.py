@@ -20,16 +20,17 @@ mortars are composed by one function, once for the matrix and once per
 iteration for the fractures; each coupling term is one of these blocks,
 added with global dof columns.
 
-The displacement jump of all fracture cells is one operator J = R D on the
-global state: D takes the difference of the walls' mortar displacements, R
-rotates it to each cell's (tangential, normal) basis, interleaved like the
-contact tractions. States pass through the factors, so sticking walls give
-their jump by one subtraction instead of cancelling products. Contact
-rows, the fracture volume change, apertures and diagnostics read jumps
-through J; the contact traction acts on the walls through its transpose.
-The volume change of a fracture keeps its normal jump implicit through J
-and lags the one-way dilation remainder; at intersection points it is
-fully lagged.
+The displacement jump of all fracture cells is one static matrix J = R D
+on the global state: D takes the difference of the walls' mortar
+displacements, R rotates it to each cell's (tangential, normal) basis,
+interleaved like the contact tractions. The contact rows and the fracture
+volume change multiply J from the left by per-cell blocks; the contact
+traction acts on the walls through its transpose. States are evaluated
+through the factors instead, R (D x): a sticking wall pair then gives its
+jump by one subtraction, not by a sum of products that cancel in roundoff.
+Apertures, contact states and diagnostics read jumps that way. The volume
+change of a fracture keeps its normal jump implicit through J and lags the
+one-way dilation remainder; at intersection points it is fully lagged.
 
 The inputs and outputs are stacked the same way. :class:`Loads` holds
 boundary values per dimension, over the stacked faces of the matrix (2) and
@@ -255,7 +256,6 @@ class Assembler:
                                 for var in (P, T)}
                           for dim, grid in self.grids.items()}
         self.cell_dofs[1][LAM] = dofs.indices("sd", list(g1.cell_start), LAM)
-        self.block_starts = np.sort([sl.start for _, sl in dofs.blocks()])
         self.mortars = {dim: mortar_group(mdg, dofs, self.grids[dim], self.grids[dim - 1])
                         for dim in (2, 1)}
         # D, the mesh's wall difference with its columns relabelled to dofs
@@ -270,10 +270,12 @@ class Assembler:
 
         The matrix discretisations never change during a run, so products of
         divergences, boundary operators and the matrix-fracture mortar
-        projections are built once; the fracture operators are composed by
-        the same :meth:`_scalar_terms` once per assembly.
+        projections are built once, and so is the jump matrix J; the
+        fracture operators are composed by the same :meth:`_scalar_terms`
+        once per assembly.
         """
         mf = self.mortars[2]
+        self.J = _block_diag(self.rotation) @ self.walls
         # projection of each dimension's mortar fields onto its faces
         self.to_faces = {dim: group.lift.T.tocsr() for dim, group in self.mortars.items()}
         self.to_faces_vec = sps.kron(self.to_faces[2], sps.eye(2)).tocsr()
@@ -295,13 +297,9 @@ class Assembler:
         walls = sps.diags(np.repeat(mf.sides, 2)) @ self.to_faces_vec.T
         self.wall_tractions = tractions(walls)
         # and the contact traction through the transpose of the jump
-        nfc = self.rotation.shape[0]
-        wall_jump = self.jump_rows(np.broadcast_to(np.eye(2), (nfc, 2, 2)))
-        wall_jump = wall_jump.T.tocsr()[mf.dofs[U_MORTAR]]
-        wall_jump.data *= np.repeat(np.repeat(mf.areas * mf.sides, 2),
-                                    np.diff(wall_jump.indptr))
-        self.wall_lam = wall_jump
-        self.wall_p = -wall_jump[:, 1::2]
+        self.wall_lam = (sps.diags(np.repeat(mf.areas * mf.sides, 2))
+                         @ self.J.T.tocsr()[mf.dofs[U_MORTAR]]).tocsr()
+        self.wall_p = -self.wall_lam[:, 1::2]
         self.div_u_mortar = (ops.bound_div_u @ self.to_faces_vec).tocsr()
 
         self.matrix_terms = {FLOW: self._scalar_terms(2, self.flow_ops),
@@ -330,19 +328,14 @@ class Assembler:
     # lagged quantities
     # ------------------------------------------------------------------
     def jumps(self, x: np.ndarray) -> np.ndarray:
-        """J x: the (tangential, normal) jump of every fracture cell."""
+        """J x, as R (D x): the (tangential, normal) jump of every fracture
+        cell."""
         d = (self.walls @ x).reshape(-1, 1, 2)
         return (self.rotation * d).sum(axis=2).ravel()
 
     def _rho_g(self, rho):
         """The cellwise vector source rho g, interleaved (x, y) per cell."""
         return np.outer(rho, self.mat.gravity).ravel()
-
-    def jump_rows(self, blocks: np.ndarray) -> sps.csr_matrix:
-        """Per-cell 2x2 blocks times J, over the global dofs. The pattern
-        is that of J whatever the block values, zeros included."""
-        return _block_product(np.einsum("cij,cjk->cik", blocks, self.rotation),
-                              self.walls)
 
     def coefficient_aperture(self, a):
         """Aperture entering coefficients, floored during iteration.
@@ -492,7 +485,7 @@ class Assembler:
     def assemble(self, state: State, cache: IterationCache, dt: float,
                  steady: bool, loads: Loads):
         n = self.dofs.num_dofs
-        acc = _Coo(n, self.block_starts)
+        acc = _Coo(n)
         b = np.zeros(n)
         terms = {2: self.matrix_terms,
                  1: {var: self._scalar_terms(1, ops) for var, ops in cache.fracture_ops.items()}}
@@ -621,8 +614,7 @@ class Assembler:
         if dim == 0:
             _add_to(b, rows, vols * (cache.spec_vol_prev[0] - cache.spec_vol[0]))
             return
-        acc.add_mat(rows, slice(0, self.dofs.num_dofs),
-                    self.jump_rows(vols[:, None, None] * np.eye(2))[1::2])
+        acc.add_mat(rows, slice(0, self.dofs.num_dofs), sps.diags(vols) @ self.J[1::2])
         # previous-step V without a0 (the constant cancels in the difference)
         jumps, jumps_prev = cache.fracture.jumps, cache.fracture.jumps_ref
         v_prev = jumps_prev[1::2]
@@ -701,9 +693,8 @@ class Assembler:
         a_lam, a_jump, rhs = ct.assemble_rows(
             coeffs, jump_t, jt_prev, frac.gaps, frac.dgaps, mat.friction_coefficient,
         )
-        rows2 = rows.reshape(-1, 2)
-        _add_blocks(acc, rows2, rows2, a_lam)
-        acc.add_mat(rows, slice(0, self.dofs.num_dofs), self.jump_rows(a_jump))
+        acc.add_mat(rows, rows, _block_diag(a_lam))
+        acc.add_mat(rows, slice(0, self.dofs.num_dofs), _block_diag(a_jump) @ self.J)
         _add_to(b, rows, rhs.ravel())
 
     def _traction_balance(self, acc, b, loads):
@@ -771,31 +762,18 @@ def damp_advective_flux(flux_prev, flux_new, omega):
 
 
 class _Coo:
-    """Coordinate-format accumulator of the system matrix.
+    """Coordinate-format accumulator of the system matrix: lists of rows,
+    columns and values, whose entries at equal positions add up."""
 
-    scipy sums duplicate entries in an order that depends on the sequence of
-    entries in each row. Every addition is therefore stored one dof block
-    of columns at a time, in dof order and otherwise in the given order:
-    a coupling stacked over many interfaces enters its rows in the same
-    sequence as one added interface by interface.
-    """
-
-    def __init__(self, n, block_starts):
+    def __init__(self, n):
         self.n = n
-        self.block_starts = block_starts
         self.rows, self.cols, self.vals = [], [], []
 
     def add(self, rows, cols, vals):
         rows = np.asarray(rows, dtype=int)
-        cols = np.asarray(cols, dtype=int)
-        vals = np.broadcast_to(np.asarray(vals, dtype=float), rows.shape)
-        block = np.searchsorted(self.block_starts, cols, side="right")
-        if np.any(block[1:] < block[:-1]):
-            order = np.argsort(block, kind="stable")
-            rows, cols, vals = rows[order], cols[order], vals[order]
         self.rows.append(rows)
-        self.cols.append(cols)
-        self.vals.append(vals)
+        self.cols.append(np.asarray(cols, dtype=int))
+        self.vals.append(np.broadcast_to(np.asarray(vals, dtype=float), rows.shape))
 
     def add_diag(self, rows, cols, vals):
         self.add(rows, _index(cols), vals)
@@ -822,22 +800,13 @@ def _index(dofs) -> np.ndarray:
     return np.asarray(dofs)
 
 
-def _block_product(blocks, m) -> sps.csr_matrix:
-    """Per-cell 2x2 blocks times the row pairs (2c, 2c + 1) of m, whose two
-    rows share no column. Every stored entry of m is kept, zeros included."""
-    m = m.tocoo()
-    cell, comp = np.divmod(m.row, 2)
-    rows = np.concatenate([2 * cell, 2 * cell + 1])
-    vals = np.concatenate([blocks[cell, 0, comp] * m.data, blocks[cell, 1, comp] * m.data])
-    return sps.csr_matrix((vals, (rows, np.tile(m.col, 2))), shape=m.shape)
+def _block_diag(blocks) -> sps.csr_matrix:
+    """Per-cell 2x2 blocks, shape (nc, 2, 2), as one block-diagonal matrix
+    of shape (2 nc, 2 nc); nc may be 0."""
+    n = 2 * blocks.shape[0]
+    cols = np.repeat(np.arange(n).reshape(-1, 2), 2, axis=0).ravel()
+    return sps.csr_matrix((np.ravel(blocks), cols, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
 
 
 def _add_to(b, rows, vals):
     np.add.at(b, rows, vals)
-
-
-def _add_blocks(acc: _Coo, rows2, cols2, blocks):
-    """Scatter per-cell 2x2 blocks; rows2/cols2 are (nc, 2) global indices."""
-    rr = np.repeat(rows2, 2, axis=1).ravel()
-    cc = np.tile(cols2, (1, 2)).ravel()
-    acc.add(rr, cc, blocks.ravel())

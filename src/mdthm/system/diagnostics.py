@@ -41,8 +41,8 @@ class BalanceReport:
 
 
 def balance_report(assembler: Assembler, state: State, dt: float,
-                   loads: Loads, steady: bool = False) -> BalanceReport:
-    """Global volume and energy balance over one accepted step."""
+                   loads: Loads) -> BalanceReport:
+    """Global volume and energy balance over one accepted transient step."""
     mat = assembler.mat
     x, xp = state.current, state.prev_step
     cache = assembler.build_cache(state, loads)
@@ -58,28 +58,27 @@ def balance_report(assembler: Assembler, state: State, dt: float,
         v_lag = cache.spec_vol[dim]
         rho = cache.density[dim]
 
-        if not steady:
-            m_acc += float(np.sum(
-                vols * v_lag * fluid_storage(p_new - p_old, t_new - t_old, mat, dim == 2)
-            ))
-            if dim == 2:
-                ddiv = float(np.sum(assembler.div_u(x, loads.bc_mech)
-                                    - assembler.div_u(xp, loads.bc_mech_prev)))
-                m_acc += mat.biot_alpha * ddiv
-                e_acc += (mat.thermal_stress_coefficient
-                          * mat.reference_temperature * ddiv)
-            else:
-                v_old = cache.spec_vol_prev[dim]
-                m_acc += float(np.sum(vols * (v_lag - v_old)))
-                e_acc += float(np.sum(
-                    vols * mat.heat_capacity_fluid * rho * t_new * (v_lag - v_old)
-                ))
-            # energy accumulation with the expanded coefficient form
-            rc, rck, rcb = heat_capacities(rho, mat, dim == 2)
+        m_acc += float(np.sum(
+            vols * v_lag * fluid_storage(p_new - p_old, t_new - t_old, mat, dim == 2)
+        ))
+        if dim == 2:
+            ddiv = float(np.sum(assembler.div_u(x, loads.bc_mech)
+                                - assembler.div_u(xp, loads.bc_mech_prev)))
+            m_acc += mat.biot_alpha * ddiv
+            e_acc += (mat.thermal_stress_coefficient
+                      * mat.reference_temperature * ddiv)
+        else:
+            v_old = cache.spec_vol_prev[dim]
+            m_acc += float(np.sum(vols * (v_lag - v_old)))
             e_acc += float(np.sum(
-                vols * v_lag * ((rc - t_new * rcb) * (t_new - t_old)
-                                + t_new * rck * (p_new - p_old))
+                vols * mat.heat_capacity_fluid * rho * t_new * (v_lag - v_old)
             ))
+        # energy accumulation with the expanded coefficient form
+        rc, rck, rcb = heat_capacities(rho, mat, dim == 2)
+        e_acc += float(np.sum(
+            vols * v_lag * ((rc - t_new * rcb) * (t_new - t_old)
+                            + t_new * rck * (p_new - p_old))
+        ))
 
         # boundary outflow through exterior faces
         if dim > 0:

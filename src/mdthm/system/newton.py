@@ -19,6 +19,8 @@ from mdthm.system.dofs import State
 # residual at most RESIDUAL_FLOOR (a start at the solution).
 CONTACT_TOL = 1e-8
 RESIDUAL_FLOOR = 1e-11
+# A linear solve fails when its relative residual exceeds SOLVE_TOL.
+SOLVE_TOL = 1e-10
 
 
 class SolverFailure(RuntimeError):
@@ -33,9 +35,6 @@ class DirectSolver:
     orders); without them the traction columns are numerically invisible
     after row equilibration.
     """
-
-    def __init__(self, tol: float = 1e-10):
-        self.tol = tol
 
     def solve(self, A: sps.spmatrix, b: np.ndarray,
               col_scale: np.ndarray | None = None) -> np.ndarray:
@@ -59,10 +58,8 @@ class DirectSolver:
             raise SolverFailure(f"sparse factorisation failed: {err}") from err
         x = cs * y
         rel = np.linalg.norm(A @ x - b) / b_norm
-        if not np.isfinite(rel) or rel > self.tol:
-            raise SolverFailure(
-                f"linear solve residual {rel:.3e} exceeds {self.tol:.1e}"
-            )
+        if not np.isfinite(rel) or rel > SOLVE_TOL:
+            raise SolverFailure(f"linear solve residual {rel:.3e} exceeds {SOLVE_TOL:.1e}")
         return x
 
 
@@ -123,8 +120,7 @@ def scaled_increment(assembler: Assembler, dx: np.ndarray,
 
 
 def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
-                 loads: Loads, params: NewtonParams,
-                 solver: DirectSolver | None = None) -> NewtonReport:
+                 loads: Loads, params: NewtonParams) -> NewtonReport:
     """Iterate the lagged-coefficient linearisation to a fixed point.
 
     Each iteration reclassifies the contact sets, refreshes apertures,
@@ -132,7 +128,7 @@ def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
     fluxes at the current iterate, reassembles and solves the monolithic
     system for the full next iterate.
     """
-    solver = solver or DirectSolver()
+    solver = DirectSolver()
     cache: IterationCache | None = None
     inc_hist, res_hist = [], []
     last_inc = np.inf

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mdthm.system.assembly import Assembler
 from mdthm.system.diagnostics import BalanceReport, balance_report
 from mdthm.system.dofs import State
-from mdthm.system.newton import DirectSolver, NewtonParams, NewtonReport, newton_solve
-
-MAX_HALVINGS = 3  # time-step halvings allowed per step
+from mdthm.system.newton import NewtonParams, NewtonReport, newton_solve
 
 
 class NonConvergence(RuntimeError):
@@ -42,15 +40,8 @@ class StepRecord:
     balance: BalanceReport | None = None
 
 
-@dataclass
-class TimeLoopOptions:
-    newton: NewtonParams = field(default_factory=NewtonParams)
-    allow_dt_halving: bool = True
-
-
 def time_loop(assembler: Assembler, state: State, phase: PhaseSpec,
-              load_provider, options: TimeLoopOptions | None = None,
-              solver: DirectSolver | None = None, observer=None) -> list[StepRecord]:
+              load_provider, newton: NewtonParams, observer=None) -> list[StepRecord]:
     """Run one phase on a clock that starts at 0; ``load_provider(t_new,
     t_prev)`` supplies the Loads.
 
@@ -59,11 +50,8 @@ def time_loop(assembler: Assembler, state: State, phase: PhaseSpec,
     and before the step is accepted, so ``state.prev_step`` still holds the
     previous step: increments over the step, the slip that classifies
     contact among them, are those Newton converged with. Raises
-    NonConvergence when a step fails even after the permitted time-step
-    halvings.
+    NonConvergence naming the step that fails to converge.
     """
-    options = options or TimeLoopOptions()
-    solver = solver or DirectSolver()
     records: list[StepRecord] = []
 
     def accept(rec: StepRecord):
@@ -74,7 +62,7 @@ def time_loop(assembler: Assembler, state: State, phase: PhaseSpec,
 
     if phase.steady:
         loads = load_provider(0.0, 0.0)
-        report = newton_solve(assembler, state, 1.0, True, loads, options.newton, solver)
+        report = newton_solve(assembler, state, 1.0, True, loads, newton)
         if not report.converged:
             raise NonConvergence(
                 f"steady phase {phase.name!r} did not converge: {report.failure}",
@@ -89,23 +77,13 @@ def time_loop(assembler: Assembler, state: State, phase: PhaseSpec,
     while t < t_end - 1e-12 * max(1.0, t_end):
         dt = min(dt_next, dt_phase, t_end - t)
         dt_next = min(2.0 * dt, dt_phase)
-        halvings = 0
-        while True:
-            loads = load_provider(t + dt, t)
-            report = newton_solve(
-                assembler, state, dt, False, loads, options.newton, solver
+        loads = load_provider(t + dt, t)
+        report = newton_solve(assembler, state, dt, False, loads, newton)
+        if not report.converged:
+            raise NonConvergence(
+                f"step at t={t:.6g} (phase {phase.name!r}) failed: {report.failure}",
+                records,
             )
-            if report.converged:
-                break
-            if not options.allow_dt_halving or halvings >= MAX_HALVINGS:
-                raise NonConvergence(
-                    f"step at t={t:.6g} (phase {phase.name!r}) failed: "
-                    f"{report.failure}",
-                    records,
-                )
-            halvings += 1
-            dt *= 0.5
-            state.current[:] = state.prev_step
         balance = balance_report(assembler, state, dt, loads)
         t += dt
         accept(StepRecord(phase.name, t, dt, report, balance))

@@ -111,6 +111,101 @@ def test_every_definition_is_named_again():
     assert found == []
 
 
+def defaulted_parameters(path: Path) -> list:
+    """(line, callee, parameter, position) of each parameter with a default
+    of a function or method in a module. ``callee`` is the name calls use:
+    the class name for a constructor. ``position`` is the parameter's index
+    among the arguments a call passes by position (``self`` excluded), None
+    for a keyword-only one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if cls is not None and not static else 0
+                callee = cls if cls is not None and child.name == "__init__" else child.name
+                args = child.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                found.extend((arg.lineno, callee, arg.arg, pos - skip)
+                             for pos, arg in enumerate(positional) if pos >= first)
+                found.extend((arg.lineno, callee, arg.arg, None)
+                             for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                             if default is not None)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def calls(path: Path) -> dict:
+    """Per called name, the (positional count, keyword names) of each call
+    in a module; a call that unpacks ``*args`` or ``**kwargs`` counts as
+    passing every parameter."""
+    out = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if any(isinstance(arg, ast.Starred) for arg in node.args) or any(
+                kw.arg is None for kw in node.keywords):
+            out.setdefault(name, []).append((float("inf"), None))
+        else:
+            out.setdefault(name, []).append(
+                (len(node.args), {kw.arg for kw in node.keywords}))
+    return out
+
+
+def unpassed_parameters(defining: list, reading: list) -> list:
+    """(path, line, 'callee(parameter)') of each defaulted parameter in
+    ``defining`` that no call in ``reading`` passes."""
+    seen = {}
+    for path in reading:
+        for name, found in calls(path).items():
+            seen.setdefault(name, []).extend(found)
+
+    def passed(callee, param, pos):
+        return any(keywords is None or param in keywords
+                   or (pos is not None and n_pos > pos)
+                   for n_pos, keywords in seen.get(callee, []))
+
+    return [(path, line, f"{callee}({param})") for path in defining
+            for line, callee, param, pos in defaulted_parameters(path)
+            if not passed(callee, param, pos)]
+
+
+def test_unpassed_parameters_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, x, y=0):\n        pass\n"
+        "    def m(self, p=1, q=2):\n        pass\n"
+        "    @staticmethod\n    def s(r=1):\n        pass\n"
+        "def g(h=1):\n    pass\n"
+        "f(0, 5, e=1)\nK(1, 2).m(q=3)\nK.s(0)\ng(**{})\n", encoding="utf-8")
+    found = [(line, name) for _, line, name in unpassed_parameters([module], [module])]
+    assert found == [(1, "f(c)"), (1, "f(d)"), (6, "m(p)")]
+
+
+def test_every_default_is_passed_somewhere():
+    # a defaulted parameter that no call in the package, its tests or the
+    # benchmark passes is a constant in disguise
+    reading = [path for part in (SRC, ROOT / "tests", ROOT / "bench")
+               for path in sorted(part.rglob("*.py"))]
+    found = [f"{path.relative_to(SRC)}:{line} {name}"
+             for path, line, name in unpassed_parameters(sorted(SRC.rglob("*.py")), reading)]
+    assert found == []
+
+
 def test_benchmark_hooks_exist():
     # the benchmark's tracer wraps package attributes by name from outside
     # the package; a rename would only show as a crashed traced run

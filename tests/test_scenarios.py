@@ -8,7 +8,7 @@ import pytest
 from mdthm import cli
 from mdthm.mdmesh import build_cartesian_fractured, refine, split_cells
 from mdthm.scenarios import drivers
-from mdthm.scenarios.config import parse_config
+from mdthm.scenarios.config import ConfigError, parse_config
 from mdthm.scenarios.errors import ErrorReport, compare_states
 from mdthm.scenarios.output import snapshot_fields, write_vtk
 from mdthm.scenarios.setup import build_scenario
@@ -88,7 +88,7 @@ class TestContactOutput:
         states = [scn.state.current.copy()]
         for phase_cfg, phase_spec in zip(scn.cfg.phases, scn.phases):
             time_loop(scn.assembler, scn.state, phase_spec, scn.load_provider(phase_cfg),
-                      scn.loop_options,
+                      scn.newton,
                       observer=lambda rec, state: states.append(state.current.copy()))
         assert np.array_equal(states[-1], result.scenario.state.current)
         asm = scn.assembler
@@ -120,8 +120,45 @@ class TestAbsoluteTime:
         scn = build_scenario(parse_config(tiny_raw()))
         for phase_cfg, phase_spec in zip(scn.cfg.phases, scn.phases):
             time_loop(scn.assembler, scn.state, phase_spec,
-                      scn.load_provider(phase_cfg), scn.loop_options)
+                      scn.load_provider(phase_cfg), scn.newton)
         assert np.array_equal(scn.state.current, result.scenario.state.current)
+
+
+class TestSources:
+    AT = (0.9, 0.55)  # 0.05 above the fracture of tiny_raw
+
+    def wells(self, subdomain=None, fractures=True):
+        raw = tiny_raw()
+        if not fractures:
+            raw["mesh"]["fractures"] = []
+        source = {"at": list(self.AT), "rate": 1e-6, "temperature": 300.0}
+        if subdomain is not None:
+            source["subdomain"] = subdomain
+        raw["phases"][1]["sources"] = [source]
+        scn = build_scenario(parse_config(raw))
+        assert scn.well_cells[0] == {}
+        return scn, scn.well_cells[1]
+
+    @staticmethod
+    def nearest(grid, at):
+        return int(np.argmin(np.hypot(*(grid.cell_centers - np.array(at)[:, None]))))
+
+    @pytest.mark.parametrize("subdomain, fractures, dim", [
+        ("fracture", True, 1), ("matrix", True, 2), (None, True, 1), (None, False, 2)])
+    def test_well_lands_in_nearest_cell_of_its_dimension(self, subdomain, fractures, dim):
+        scn, wells = self.wells(subdomain, fractures)
+        assert list(wells) == [dim]
+        rates, t_inj = wells[dim]
+        cell = self.nearest(scn.assembler.grids[dim], self.AT)
+        assert np.flatnonzero(rates).tolist() == [cell]
+        assert rates[cell] == 1e-6 and t_inj[cell] == 300.0
+
+    def test_injection_needs_a_temperature(self):
+        raw = tiny_raw()
+        raw["phases"][2]["sources"] = [{"at": [0.2, 0.2], "rate": -1e-6},
+                                       {"at": list(self.AT), "rate": 1e-6}]
+        with pytest.raises(ConfigError, match=r"phases\[2\]\.sources\[1\]\.temperature"):
+            parse_config(raw)
 
 
 class TestCommandLine:

@@ -35,7 +35,6 @@ from mdthm.system import (
     PhaseSpec,
     SolverFailure,
     State,
-    TimeLoopOptions,
     balance_report,
     damp_advective_flux,
     interface_flux_consistency,
@@ -270,7 +269,7 @@ class TestTimeLoop:
         x0 = state.current.copy()
         records = time_loop(
             asm, state, PhaseSpec("hold", duration=4.0, dt=2.0),
-            lambda t, tp: loads, TimeLoopOptions(newton=default_params()),
+            lambda t, tp: loads, default_params(),
         )
         assert len(records) == 2
         assert np.abs(state.current - x0).max() < 1e-8
@@ -285,11 +284,11 @@ class TestTimeLoop:
         # long steps let the diffusive transient die out
         records = time_loop(
             asm, state, PhaseSpec("load", duration=4e13, dt=1e13),
-            provider, TimeLoopOptions(newton=default_params()),
+            provider, default_params(),
         )
         before = state.current.copy()
         time_loop(asm, state, PhaseSpec("again", duration=1e13, dt=1e13),
-                  provider, TimeLoopOptions(newton=default_params()))
+                  provider, default_params())
         scale = np.abs(before).max()
         assert np.abs(state.current - before).max() < 1e-10 * scale
 
@@ -334,7 +333,7 @@ class TestTimeLoop:
                 return loads
 
             time_loop(asm, st, PhaseSpec("inject", duration=t_end, dt=dt),
-                      provider, TimeLoopOptions(newton=default_params(mat=mat)))
+                      provider, default_params(mat=mat))
             return st.current[asm.dofs.sd(0, P)].mean()
 
         errs = []
@@ -348,8 +347,7 @@ class TestTimeLoop:
 
         mdg, asm, state = make_problem(FR)
         loads = make_loads(asm, top_displacement=(5e-4, -2e-4))
-        opts = TimeLoopOptions(newton=default_params(max_iterations=1),
-                               allow_dt_halving=False)
+        opts = default_params(max_iterations=1)
         with pytest.raises(NonConvergence):
             time_loop(asm, state, PhaseSpec("load", duration=1.0, dt=1.0),
                       lambda t, tp: loads, opts)
@@ -371,7 +369,7 @@ class TestConservation:
 
         records = time_loop(
             asm, state, PhaseSpec("inject", duration=2e5, dt=1e5),
-            provider, TimeLoopOptions(newton=default_params(increment_tol=1e-9)),
+            provider, default_params(increment_tol=1e-9),
         )
         injected_mass = 1e-8 * 1e5
         injected_energy = injected_mass * 1e3 * MAT.heat_capacity_fluid * 290.0
@@ -405,7 +403,7 @@ class TestConservation:
 
         records = time_loop(
             asm, state, PhaseSpec("inject", duration=2e5, dt=1e5),
-            provider, TimeLoopOptions(newton=default_params(increment_tol=1e-9)),
+            provider, default_params(increment_tol=1e-9),
         )
         injected_mass = 1e-8 * 1e5
         injected_energy = injected_mass * 1e3 * MAT.heat_capacity_fluid * 290.0
@@ -447,6 +445,25 @@ class TestStackedFractures:
             data = np.concatenate([m.data for m in blocks])
             for attr, ref in (("indptr", indptr), ("indices", indices), ("data", data)):
                 assert np.array_equal(getattr(got, attr), ref), (name, attr)
+
+
+class TestJumpMatrix:
+    def test_matrix_equals_factored_evaluation(self):
+        # J is one static matrix; jumps() evaluates states through its
+        # factors R (D x). Both must agree on a diagonal fracture and on a
+        # crossing pair.
+        diagonal = [((0.125, 0.125), (0.375, 0.375))]
+        _, asm, _ = make_problem(diagonal + CROSSING, nx=8, ny=8)
+        assert asm.J.shape == (2 * asm.grids[1].num_cells, asm.dofs.num_dofs)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            x = rng.standard_normal(asm.dofs.num_dofs)
+            expected = asm.jumps(x)
+            assert np.abs(asm.J @ x - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_unfractured_grid_has_an_empty_jump_matrix(self):
+        _, asm, _ = make_problem(nx=4, ny=4)
+        assert asm.J.shape == (0, asm.dofs.num_dofs)
 
 
 class TestDiagnosticsLeaveStateAlone:
