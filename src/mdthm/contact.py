@@ -40,7 +40,6 @@ two dimensions is one-dimensional.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,70 +111,31 @@ def complementarity_report(lam_t, lam_n, jump_t, jump_n, jump_t_prev, gap,
     return float(viol.max()) if viol.size else 0.0
 
 
-@dataclass
-class ContactRowCoefficients:
-    """Linearisation data per fracture cell at the current iterate."""
-
-    state: np.ndarray
-    bound: np.ndarray
-    L: np.ndarray
-    v: np.ndarray
-    r: np.ndarray
-    stick_slope: np.ndarray  # F d_t / b on sticking cells
-
-
-def row_coefficients(state, lam_t, lam_n, jump_t, jump_n, jump_t_prev, gap,
-                     c_num, friction) -> ContactRowCoefficients:
-    state = np.asarray(state, dtype=int)
-    nc = state.size
-    c_arr = np.broadcast_to(np.asarray(c_num, dtype=float), (nc,))
-    b = friction_bound(lam_n, jump_n, gap, c_arr, friction)
-    closed = state != ContactState.OPEN
-    if np.any(closed & (b <= 0)):
-        raise ContactError("closed-state row requested with nonpositive friction bound")
-    d_t = jump_t - jump_t_prev
-    trial = lam_t + c_arr * d_t
-    m = np.abs(trial)
-    w = np.sign(trial)
-    w = np.where(w == 0.0, 1.0, w)
-
-    L = np.zeros(nc)
-    v = np.zeros(nc)
-    r = np.zeros(nc)
-    stick = np.zeros(nc)
-
-    gl = state == ContactState.GLIDING
-    if np.any(gl):
-        pivot = b[gl] - m[gl] - lam_t[gl] * w[gl]
-        ref = b[gl] + m[gl] + np.abs(lam_t[gl])
-        safe = np.where(np.abs(pivot) > 1e-10 * ref, pivot, -ref)
-        L[gl] = -c_arr[gl] * (b[gl] - lam_t[gl] * w[gl]) / safe
-        v[gl] = -m[gl] * w[gl] / safe
-        r[gl] = m[gl] * (2.0 * b[gl] * w[gl] - lam_t[gl]) / safe
-    st = state == ContactState.STICKING
-    stick[st] = friction * d_t[st] / b[st]
-    return ContactRowCoefficients(state, b, L, v, r, stick)
-
-
-def assemble_rows(coeffs: ContactRowCoefficients, jump_t, jump_t_prev, gap,
-                  dgap, friction):
-    """Per-cell constraint rows in the (lam, jump') unknowns.
+def contact_rows(state, lam_t, lam_n, jump_t, jump_n, jump_t_prev, gap, dgap,
+                 c_num, friction):
+    """Per-cell constraint rows in the (lam, jump') unknowns, linearised at
+    the current iterate with the contact states ``state``.
 
     Unknown and row ordering is (tangential, normal) per cell. Returns
     (A_lam, A_jump, rhs) with shapes (nc, 2, 2), (nc, 2, 2), (nc, 2) such
     that  A_lam lam' + A_jump jump' = rhs  holds for the next iterate.
     """
-    state = coeffs.state
+    state = np.asarray(state, dtype=int)
     nc = state.size
+    c_arr = np.broadcast_to(np.asarray(c_num, dtype=float), (nc,))
+    b = friction_bound(lam_n, jump_n, gap, c_arr, friction)
+    opened = state == ContactState.OPEN
+    closed = ~opened
+    if np.any(closed & (b <= 0)):
+        raise ContactError("closed-state row requested with nonpositive friction bound")
+    d_t = jump_t - jump_t_prev
     a_lam = np.zeros((nc, 2, 2))
     a_jump = np.zeros((nc, 2, 2))
     rhs = np.zeros((nc, 2))
 
-    opened = state == ContactState.OPEN
     a_lam[opened, 0, 0] = 1.0
     a_lam[opened, 1, 1] = 1.0
 
-    closed = ~opened
     # normal condition: jump_n' - dgap jump_t' = g - dgap jump_t
     a_jump[closed, 1, 1] = 1.0
     a_jump[closed, 1, 0] = -dgap[closed]
@@ -184,16 +144,25 @@ def assemble_rows(coeffs: ContactRowCoefficients, jump_t, jump_t_prev, gap,
     st = state == ContactState.STICKING
     # d_t' - (F d_t / b) lam_n' = d_t, in terms of jump_t'
     a_jump[st, 0, 0] = 1.0
-    a_lam[st, 0, 1] = -coeffs.stick_slope[st]
+    a_lam[st, 0, 1] = -(friction * d_t[st] / b[st])
     rhs[st, 0] = jump_t[st]
 
     gl = state == ContactState.GLIDING
-    # lam_t' - L d_t' + F v lam_n' = r + b v
-    a_lam[gl, 0, 0] = 1.0
-    a_lam[gl, 0, 1] = friction * coeffs.v[gl]
-    a_jump[gl, 0, 0] = -coeffs.L[gl]
-    rhs[gl, 0] = (
-        coeffs.r[gl] + coeffs.bound[gl] * coeffs.v[gl]
-        - coeffs.L[gl] * jump_t_prev[gl]
-    )
+    if np.any(gl):
+        # lam_t' - L d_t' + F v lam_n' = r + b v
+        trial = lam_t[gl] + c_arr[gl] * d_t[gl]
+        m = np.abs(trial)
+        w = np.sign(trial)
+        w = np.where(w == 0.0, 1.0, w)
+        b_gl, lt = b[gl], lam_t[gl]
+        pivot = b_gl - m - lt * w
+        ref = b_gl + m + np.abs(lt)
+        safe = np.where(np.abs(pivot) > 1e-10 * ref, pivot, -ref)
+        L = -c_arr[gl] * (b_gl - lt * w) / safe
+        v = -m * w / safe
+        r = m * (2.0 * b_gl * w - lt) / safe
+        a_lam[gl, 0, 0] = 1.0
+        a_lam[gl, 0, 1] = friction * v
+        a_jump[gl, 0, 0] = -L
+        rhs[gl, 0] = r + b_gl * v - L * jump_t_prev[gl]
     return a_lam, a_jump, rhs

@@ -1,12 +1,23 @@
-"""The mixed-dimensional grid: subdomains, interfaces and jump geometry."""
+"""The mixed-dimensional grid: subdomains, interfaces and their stacked view.
+
+Besides the subdomains and the interfaces one by one, the grid owns the
+per-dimension view that assembly, set-up and output work on: ``grids[dim]``
+stacks the subdomains of dimension 2, 1 and 0 in subdomain order
+(:func:`mdthm.mdmesh.stack_grids`), and ``mortars[dim]`` stacks the
+interfaces whose high side has dimension 2 (the fracture walls) or 1 (the
+branches at intersection points) in interface order
+(:class:`mdthm.mdmesh.mortar.MortarGroup`). The jump operator, the
+fracture bases and the inherited apertures of the intersection points are
+read from these stacks, for all cells at once.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sps
 
-from mdthm.mdmesh.grids import MeshError, SubdomainGrid
-from mdthm.mdmesh.mortar import SIDE_J, SIDE_K, MortarInterface
+from mdthm.mdmesh.grids import MeshError, SubdomainGrid, stack_grids
+from mdthm.mdmesh.mortar import MortarInterface, mortar_group
 
 
 class MixedDimGrid:
@@ -28,6 +39,9 @@ class MixedDimGrid:
         self.subdomains = subdomains
         self.interfaces = interfaces
         self._by_id = {sd.id: sd for sd in subdomains}
+        self.grids = {dim: stack_grids(dim, self.subdomains_of_dim(dim)) for dim in (2, 1, 0)}
+        self.mortars = {dim: mortar_group(interfaces, self.grids[dim], self.grids[dim - 1])
+                        for dim in (2, 1)}
 
     def subdomain(self, sd_id: int) -> SubdomainGrid:
         return self._by_id[sd_id]
@@ -39,65 +53,43 @@ class MixedDimGrid:
     def matrix(self) -> SubdomainGrid:
         return self.subdomains[0]
 
-    def fracture_interfaces(self, frac_sd_id: int) -> tuple[MortarInterface, MortarInterface]:
-        """The j- and k-side interfaces of a fracture subdomain."""
-        pair = [i for i in self.interfaces if i.low_id == frac_sd_id and i.high_id == 0]
-        if len(pair) != 2:
-            raise MeshError(f"subdomain {frac_sd_id} is not a matrix-coupled fracture")
-        j = next(i for i in pair if i.side == SIDE_J)
-        k = next(i for i in pair if i.side == SIDE_K)
-        return j, k
-
-    def interfaces_of_low(self, low_id: int) -> list[MortarInterface]:
-        return [i for i in self.interfaces if i.low_id == low_id]
-
     # ------------------------------------------------------------------
-    def fracture_basis(self, frac_sd_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """Unit normal and tangent per fracture cell.
+    def fracture_basis(self) -> np.ndarray:
+        """Rotation of every fracture cell to its (tangential, normal) basis,
+        shape (n, 2, 2): row 0 is the unit tangent, row 1 the unit normal.
 
         The normal equals the outward matrix normal on the j side; the
         tangent is the normal rotated a quarter turn counterclockwise. Both
         are fixed by the geometry at construction time.
         """
-        intf_j, _ = self.fracture_interfaces(frac_sd_id)
-        high = self.subdomain(intf_j.high_id)
-        n = high.face_normals[:, intf_j.high_faces] / high.face_areas[intf_j.high_faces]
-        tau = np.vstack([-n[1], n[0]])
-        return n, tau
+        walls = self.mortars[2]
+        j = walls.sides < 0
+        n = walls.normals[:, j]
+        rotation = np.zeros((self.grids[1].num_cells, 2, 2))
+        rotation[walls.lo[j], 0] = np.stack([-n[1], n[0]], axis=1)
+        rotation[walls.lo[j], 1] = n.T
+        return rotation
 
     def jump_operator(self) -> sps.csr_matrix:
         """Displacement jump of every fracture cell, k side minus j side.
 
-        Columns are the mortar displacements of all matrix-fracture
-        interfaces in interface order, interleaved (u_x, u_y) per mortar
-        cell. Rows are the fracture cells in subdomain order, with the jump
-        in global coordinates, interleaved (x, y) per cell.
+        Columns are the mortar displacements of ``mortars[2]``, interleaved
+        (u_x, u_y) per mortar cell. Rows are the stacked fracture cells,
+        with the jump in global coordinates, interleaved (x, y) per cell.
         """
-        fracs = self.subdomains_of_dim(1)
-        row = {f.id: k for k, f in enumerate(fracs)}
-        walls = [i for i in self.interfaces if i.high_id == self.matrix.id]
-        if not walls:
-            return sps.csr_matrix((2 * sum(f.num_cells for f in fracs), 0))
-        blocks = [[None] * len(walls) for _ in fracs]
-        for col, intf in enumerate(walls):
-            sign = 1.0 if intf.side == SIDE_K else -1.0
-            n_cells = self.subdomain(intf.low_id).num_cells
-            blocks[row[intf.low_id]][col] = sign * intf.from_mortar_low(n_cells, nd=2)
-        return sps.bmat(blocks, format="csr")
+        walls = self.mortars[2]
+        comp = np.arange(2)
+        rows = (2 * walls.lo[:, None] + comp).ravel()
+        cols = (2 * np.arange(walls.size)[:, None] + comp).ravel()
+        return sps.csr_matrix((np.repeat(walls.sides, 2), (rows, cols)),
+                              shape=(2 * self.grids[1].num_cells, 2 * walls.size))
 
-    def inherit_aperture(self, point_sd_id: int, fracture_apertures: dict[int, np.ndarray]) -> np.ndarray:
-        """Aperture of an intersection point: mean over incident branches."""
-        incident = self.interfaces_of_low(point_sd_id)
-        if not incident:
-            raise MeshError(f"subdomain {point_sd_id} has no incident interfaces")
-        vals = []
-        for intf in incident:
-            high = self.subdomain(intf.high_id)
-            a_h = np.asarray(fracture_apertures[intf.high_id], dtype=float)
-            # project the aperture of the adjacent high-dim cell to the point
-            a_face = a_h[high.face_cells[0, intf.high_faces]]
-            vals.append(a_face)
-        return np.mean(np.concatenate(vals)) * np.ones(1)
+    def inherit_aperture(self, a: np.ndarray) -> np.ndarray:
+        """Aperture of every intersection point, the mean over the fracture
+        cells of its incident branches; ``a`` holds the apertures of the
+        stacked fracture cells."""
+        tips, n = self.mortars[1], self.grids[0].num_cells
+        return np.bincount(tips.lo, a[tips.hi], n) / np.bincount(tips.lo, minlength=n)
 
     def __repr__(self):
         dims = [sd.dim for sd in self.subdomains]

@@ -6,11 +6,10 @@ types, a list of loading phases with per-side boundary values and well
 sources, solver settings and output settings. Validation failures carry the
 offending field path.
 
-The ``solver`` section accepts ``max_iterations``, ``increment_tol``,
-``damping`` (the relaxation weight of the advective fluxes) and
-``damping_threshold`` (the share of face fluxes that must flip sign before
-relaxation applies); any other key is an error. A time step whose Newton
-iteration fails ends the run.
+The ``solver`` section accepts ``max_iterations``, ``increment_tol`` and
+``damping`` (the relaxation weight of the advective fluxes, applied when
+more than a tenth of the face fluxes flip sign between iterates); any other
+key is an error. A time step whose Newton iteration fails ends the run.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ from mdthm.constitutive import DilationModel, MaterialSet
 
 SIDES = ("left", "right", "bottom", "top")
 SIDE_CODE = {"left": 1, "right": 2, "bottom": 3, "top": 4}
-SOLVER_KEYS = ("max_iterations", "increment_tol", "damping", "damping_threshold")
+SOLVER_KEYS = ("max_iterations", "increment_tol", "damping")
+WELL_SUBDOMAINS = ("fracture", "matrix", "auto")
 
 
 class ConfigError(ValueError):
@@ -43,7 +43,7 @@ class WellSpec:
     at: tuple
     rate: float
     temperature: float | None = None
-    subdomain: str = "auto"  # "fracture" | "matrix" | "auto"
+    subdomain: str = "auto"  # one of WELL_SUBDOMAINS
 
 
 @dataclass
@@ -219,9 +219,11 @@ def parse_config(raw: dict) -> ScenarioConfig:
             if rate > 0:
                 _expect(temp is not None, f"{wpath}.temperature",
                         "injection sources need a temperature")
+            subdomain = w.get("subdomain", "auto")
+            _expect(subdomain in WELL_SUBDOMAINS, f"{wpath}.subdomain",
+                    f"must be one of {', '.join(WELL_SUBDOMAINS)}, not {subdomain!r}")
             wells.append(WellSpec(tuple(map(float, w["at"])), rate,
-                                  None if temp is None else float(temp),
-                                  w.get("subdomain", "auto")))
+                                  None if temp is None else float(temp), subdomain))
         phases.append(PhaseConfig(ph.get("name", f"phase{i}"), steady, duration,
                                   dt, dt_init, ramp, mech, flow, heat, wells))
 

@@ -88,7 +88,8 @@ def comparison_fields(scn: Scenario, x: np.ndarray) -> dict:
     (subdomain index, variable)."""
     asm, dofs = scn.assembler, scn.assembler.dofs
     jump = asm.jumps(x)
-    jts, jns = split_cells(asm.grids[1], jump[0::2]), split_cells(asm.grids[1], jump[1::2])
+    fractures = scn.mdg.grids[1]
+    jts, jns = split_cells(fractures, jump[0::2]), split_cells(fractures, jump[1::2])
     out = {}
     for idx, sd in enumerate(scn.mdg.subdomains):
         out[(idx, "p")] = x[dofs.sd(sd.id, "p")].copy()
@@ -182,7 +183,7 @@ def _run_model(raw_cfg: dict, model: int) -> dict:
         "aperture": aperture(jn, jt, asm.model, asm.mat),
         "state": frac.contact,
     }
-    parts = {name: split_cells(asm.grids[1], values) for name, values in fields.items()}
+    parts = {name: split_cells(asm.mdg.grids[1], values) for name, values in fields.items()}
     profiles = {}
     for sd in asm.fractures:
         order = np.argsort(sd.cell_centers[0], kind="stable")

@@ -79,8 +79,9 @@ def _fracture_fields(assembler: Assembler, state: State) -> dict:
 def snapshot_fields(assembler: Assembler, state: State) -> dict:
     """Cellwise output fields per subdomain at the current state."""
     mdg, dofs = assembler.mdg, assembler.dofs
-    fractures = {name: split_cells(assembler.grids[1], values)
-                 for name, values in _fracture_fields(assembler, state).items()}
+    stacked = _fracture_fields(assembler, state)
+    fractures = {name: split_cells(mdg.grids[1], values) for name, values in stacked.items()}
+    points = split_cells(mdg.grids[0], mdg.inherit_aperture(stacked["aperture"]))
     out = {}
     for sd in mdg.subdomains:
         data = {
@@ -93,7 +94,7 @@ def snapshot_fields(assembler: Assembler, state: State) -> dict:
         elif sd.dim == 1:
             data.update((name, parts[sd.id]) for name, parts in fractures.items())
         else:
-            data["aperture"] = mdg.inherit_aperture(sd.id, fractures["aperture"])
+            data["aperture"] = points[sd.id]
         out[sd.id] = data
     return out
 
@@ -123,7 +124,7 @@ class RunWriter:
 
     def observe(self, record, state: State):
         jump = self.assembler.jumps(state.current)
-        stacked = self.assembler.grids[1]
+        stacked = self.assembler.mdg.grids[1]
         jts, jns = split_cells(stacked, jump[0::2]), split_cells(stacked, jump[1::2])
         for sd in self.assembler.fractures:
             jt, jn = jts[sd.id], jns[sd.id]

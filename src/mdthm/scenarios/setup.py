@@ -12,7 +12,6 @@ from mdthm.mdmesh import (
     build_triangular_fractured,
     ingest_gmsh,
     refine,
-    stack_grids,
 )
 from mdthm.scenarios.config import SIDE_CODE, ConfigError, PhaseConfig, ScenarioConfig
 from mdthm.system import Assembler, Loads, NewtonParams, PhaseSpec, State
@@ -76,11 +75,10 @@ def build_scenario(cfg: ScenarioConfig, extra_refinement: int = 0) -> Scenario:
     def dirichlet(grid, sides):
         return np.isin(grid.tags["domain_side"], [SIDE_CODE[s] for s in sides])
 
-    fractures = stack_grids(1, mdg.subdomains_of_dim(1))
     bc_types = {"mech": dirichlet(mdg.matrix, cfg.mech_dirichlet)}
     for var, sides in (("flow", cfg.flow_dirichlet), ("heat", cfg.heat_dirichlet)):
         bc_types[var] = dirichlet(mdg.matrix, sides)
-        bc_types[("frac", var)] = dirichlet(fractures, sides)
+        bc_types[("frac", var)] = dirichlet(mdg.grids[1], sides)
     asm = Assembler(mdg, cfg.materials, cfg.dilation_model, bc_types)
 
     state = State(asm.dofs)
@@ -103,11 +101,10 @@ def build_scenario(cfg: ScenarioConfig, extra_refinement: int = 0) -> Scenario:
         increment_tol=float(cfg.solver.get("increment_tol", 1e-10)),
         scales=solver_scales(cfg, mdg),
         damping=float(cfg.solver.get("damping", 1.0)),
-        damping_threshold=float(cfg.solver.get("damping_threshold", 0.1)),
     )
     phases = [PhaseSpec(ph.name, ph.duration, ph.dt, ph.steady, ph.dt_init)
               for ph in cfg.phases]
-    wells = [locate_wells(mdg, asm.grids, ph) for ph in cfg.phases]
+    wells = [locate_wells(mdg, ph, f"phases[{i}]") for i, ph in enumerate(cfg.phases)]
     return Scenario(cfg, mdg, asm, state, phases, newton, wells)
 
 
@@ -145,12 +142,20 @@ def solver_scales(cfg: ScenarioConfig, mdg: MixedDimGrid) -> dict:
     }
 
 
-def locate_wells(mdg: MixedDimGrid, grids: dict, phase: PhaseConfig) -> dict:
+def locate_wells(mdg: MixedDimGrid, phase: PhaseConfig, path: str) -> dict:
     """Well rates and injection temperatures of one phase, per dimension on
-    the stacked cells of ``grids``; dimensions without a well are absent."""
+    the stacked cells of ``mdg.grids``; dimensions without a well are
+    absent. A source must lie in the matrix's bounding box; errors name the
+    source under ``path``, the phase's field path."""
+    nodes = mdg.matrix.nodes
+    lower, upper = nodes.min(axis=1), nodes.max(axis=1)
     out = {}
-    for w in phase.wells:
+    for j, w in enumerate(phase.wells):
+        wpath = f"{path}.sources[{j}]"
         target = np.asarray(w.at, dtype=float)
+        if np.any(target < lower) or np.any(target > upper):
+            raise ConfigError(f"{wpath}.at: {w.at} lies outside the domain "
+                              f"{tuple(lower.tolist())} - {tuple(upper.tolist())}")
         best = None
         candidates = []
         if w.subdomain in ("fracture", "auto"):
@@ -163,9 +168,10 @@ def locate_wells(mdg: MixedDimGrid, grids: dict, phase: PhaseConfig) -> dict:
             if best is None or d[c] < best[2]:
                 best = (sd.id, c, d[c])
         if best is None:
-            raise ConfigError(f"sources: no subdomain can host a well at {w.at}")
+            raise ConfigError(f"{wpath}.subdomain: no {w.subdomain} subdomain can host "
+                              f"a well at {w.at}")
         sd_id, cell, _ = best
-        grid = grids[mdg.subdomain(sd_id).dim]
+        grid = mdg.grids[mdg.subdomain(sd_id).dim]
         at = grid.cell_start[sd_id] + cell
         rates, t_inj = out.setdefault(grid.dim, (np.zeros(grid.num_cells),
                                                  np.zeros(grid.num_cells)))
@@ -232,7 +238,7 @@ def scalar_values(scn: Scenario, phase: PhaseConfig, var: str) -> dict:
     table = phase.flow if var == "flow" else phase.heat
     out = {}
     for dim in (2, 1):
-        grid = scn.assembler.grids[dim]
+        grid = scn.mdg.grids[dim]
         side = grid.tags["domain_side"]
         vals = np.zeros(grid.num_faces)
         if var == "heat":

@@ -7,30 +7,32 @@ permeabilities, contact sets) are taken at the current iterate through an
 :class:`IterationCache`.
 
 Each balance law is one function that loops over the dimensions 2, 1 and 0,
-never over subdomains: the fractures form one stacked 1d grid and the
-intersection points one stacked 0d grid, in subdomain order. Each
-iteration discretises flow and heat on all fractures with one call each,
-and the cell and face fields of the cache are one array per dimension.
-Couplings are assembled per kind of mortar, never per interface: the
-matrix-fracture and the fracture-point mortars each form one
-:class:`MortarGroup`, whose lift restricts the stacked faces of the high
-side to all its mortar cells at once. The divergence, boundary, mortar and
-vector-source blocks of a scalar discretisation and its traces on the
-mortars are composed by one function, once for the matrix and once per
-iteration for the fractures; each coupling term is one of these blocks,
-added with global dof columns.
+never over subdomains. It reads the per-dimension view that the mesh owns:
+``mdg.grids[dim]`` stacks the subdomains of one dimension in subdomain
+order, and ``mdg.mortars[dim]`` stacks the mortars whose high side has that
+dimension (:class:`mdthm.mdmesh.mortar.MortarGroup`), whose lift restricts
+the stacked faces of the high side to all its mortar cells at once. The
+dofs of the stacks come from :meth:`DofMap.cells` and :meth:`DofMap.mortar`.
+Each iteration discretises flow and heat on all fractures with one call
+each, and the cell and face fields of the cache are one array per
+dimension. The divergence, boundary, mortar and vector-source blocks of a
+scalar discretisation and its traces on the mortars are composed by one
+function, once for the matrix and once per iteration for the fractures;
+each coupling term is one of these blocks, added with global dof columns.
 
 The displacement jump of all fracture cells is one static matrix J = R D
-on the global state: D takes the difference of the walls' mortar
-displacements, R rotates it to each cell's (tangential, normal) basis,
-interleaved like the contact tractions. The contact rows and the fracture
-volume change multiply J from the left by per-cell blocks; the contact
-traction acts on the walls through its transpose. States are evaluated
-through the factors instead, R (D x): a sticking wall pair then gives its
-jump by one subtraction, not by a sum of products that cancel in roundoff.
-Apertures, contact states and diagnostics read jumps that way. The volume
-change of a fracture keeps its normal jump implicit through J and lags the
-one-way dilation remainder; at intersection points it is fully lagged.
+on the global state: D, the mesh's jump operator, takes the difference of
+the walls' mortar displacements, R (the mesh's fracture basis) rotates it
+to each cell's (tangential, normal) basis, interleaved like the contact
+tractions. The contact rows and the fracture volume change multiply J from
+the left by per-cell blocks; the contact traction acts on the walls through
+its transpose. States are evaluated through the factors instead, R (D x):
+a sticking wall pair then gives its jump by one subtraction, not by a sum
+of products that cancel in roundoff. Apertures, contact states and
+diagnostics read jumps that way. The volume change of a fracture keeps its
+normal jump implicit through J and lags the one-way dilation remainder; at
+intersection points it is fully lagged, with the apertures the mesh
+inherits from the incident fracture cells.
 
 The inputs and outputs are stacked the same way. :class:`Loads` holds
 boundary values per dimension, over the stacked faces of the matrix (2) and
@@ -77,10 +79,13 @@ from mdthm.fvm import (
     onedim_discretize,
     upwind_matrices,
 )
-from mdthm.mdmesh import SIDE_K, MixedDimGrid, SubdomainGrid, split_cells, stack_grids
+from mdthm.mdmesh import MixedDimGrid, split_cells
 from mdthm.system.dofs import LAM, NU, NU_ADV, NU_COND, P, T, U, U_MORTAR, DofMap, State
 
 MECH, FLOW, HEAT = "mech", "flow", "heat"
+# With damping on, the advective fluxes are relaxed only when more than
+# this share of the face fluxes flipped sign since the previous iterate.
+DAMPING_THRESHOLD = 0.1
 
 
 @dataclass
@@ -139,57 +144,9 @@ class IterationCache:
     contact_state: dict  # frac id -> its cells' view of ``fracture.contact``
 
 
-@dataclass
-class MortarGroup:
-    """All mortars whose high side has dimension ``dim``, in interface order.
-
-    Per mortar cell, ``hi`` / ``lo`` index the adjacent high-side and the
-    coupled low-side cell in the stacked grids of the two dimensions.
-    ``lift`` restricts stacked high-side face fields to the mortar cells;
-    ``dofs`` are the interface unknowns.
-    """
-
-    dim: int
-    hi: np.ndarray
-    lo: np.ndarray
-    lift: sps.csr_matrix
-    areas: np.ndarray
-    normals: np.ndarray  # unit outward normals of the high-side faces
-    sides: np.ndarray  # -1 on the j wall of a fracture, +1 on the k wall
-    dofs: dict
-
-    @property
-    def size(self) -> int:
-        return self.areas.size
-
-
-def _cat(parts) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=int)
-
-
 def _of_dim(table: dict, dim: int, size: int) -> np.ndarray:
     """A copy of the stacked values of one dimension, zero if absent."""
     return np.array(table[dim], dtype=float) if dim in table else np.zeros(size)
-
-
-def mortar_group(mdg: MixedDimGrid, dofs: DofMap, high: SubdomainGrid,
-                 low: SubdomainGrid) -> MortarGroup:
-    """Stack the mortars between the stacked grids ``high`` and ``low``."""
-    intfs = [i for i in mdg.interfaces if i.high_id in high.face_start]
-    faces = _cat([high.face_start[i.high_id] + i.high_faces for i in intfs])
-    n = faces.size
-    var = ((U_MORTAR,) if high.dim == 2 else ()) + (NU, NU_ADV, NU_COND)
-    return MortarGroup(
-        dim=high.dim,
-        hi=high.face_cells[0, faces],
-        lo=_cat([low.cell_start[i.low_id] + i.low_cells for i in intfs]),
-        lift=sps.csr_matrix((np.ones(n), (np.arange(n), faces)), shape=(n, high.num_faces)),
-        areas=_cat([i.cell_volumes for i in intfs]).astype(float),
-        normals=high.face_normals[:, faces] / high.face_areas[faces],
-        sides=_cat([np.full(i.num_cells, 1.0 if i.side == SIDE_K else -1.0)
-                    for i in intfs]).astype(float),
-        dofs={v: dofs.indices("intf", [i.id for i in intfs], v) for v in var},
-    )
 
 
 class Assembler:
@@ -200,12 +157,10 @@ class Assembler:
         self.model = dilation_model
         self.dofs = DofMap(mdg)
 
-        # the subdomains of each dimension as one grid, in subdomain order
-        self.grids = {dim: stack_grids(dim, mdg.subdomains_of_dim(dim)) for dim in (2, 1, 0)}
-        g2, g1 = mdg.matrix, self.grids[1]
+        g2, g1 = mdg.matrix, mdg.grids[1]
         self.matrix = g2
         self.fractures = mdg.subdomains_of_dim(1)
-        self.div = {dim: self.grids[dim].cell_faces_csr()[0] for dim in (2, 1)}
+        self.div = {dim: mdg.grids[dim].cell_faces_csr()[0] for dim in (2, 1)}
         self.div2_vec = sps.kron(self.div[2], sps.eye(2)).tocsr()
 
         # boundary condition types; internal faces are mechanical Dirichlet
@@ -232,37 +187,25 @@ class Assembler:
         kappa_eff = mat.effective(mat.conductivity_solid, mat.conductivity_fluid)
         self.heat_ops = mpfa_discretize(g2, kappa_eff, self.bc[HEAT])
 
-        # per fracture cell, the rotation to its (tangential, normal) basis:
-        # row 0 is the unit tangent, row 1 the unit normal
-        self.rotation = np.concatenate(
-            [np.zeros((0, 2, 2))]
-            + [np.stack([tau.T, n.T], axis=1)
-               for n, tau in (mdg.fracture_basis(sd.id) for sd in self.fractures)]
-        )
+        # per fracture cell, the rotation to its (tangential, normal) basis
+        self.rotation = mdg.fracture_basis()
         # The traction/displacement scaling c of the contact conditions, per
         # fracture cell. Of the order of the elastic wall stiffness
         # G / (fracture length), it keeps the active-set iteration out of
         # stick/glide limit cycles, which appear when c far exceeds that
-        # stiffness. Grid-independent on purpose.
+        # stiffness. Grid-independent on purpose. Each length is an np.sum
+        # per fracture; a bincount over the stacked cells rounds differently.
         self.c_num = np.concatenate(
             [np.zeros(0)]
             + [np.full(sd.num_cells, mat.shear_modulus / float(np.sum(sd.cell_volumes)))
                for sd in self.fractures]
         )
 
-        dofs = self.dofs
-        # per dimension, the cell dofs of each variable in stacked cell order
-        self.cell_dofs = {dim: {var: dofs.indices("sd", list(grid.cell_start), var)
-                                for var in (P, T)}
-                          for dim, grid in self.grids.items()}
-        self.cell_dofs[1][LAM] = dofs.indices("sd", list(g1.cell_start), LAM)
-        self.mortars = {dim: mortar_group(mdg, dofs, self.grids[dim], self.grids[dim - 1])
-                        for dim in (2, 1)}
         # D, the mesh's wall difference with its columns relabelled to dofs
         walls = mdg.jump_operator()
-        um = self.mortars[2].dofs[U_MORTAR]
+        um = self.dofs.mortar(2, U_MORTAR)
         self.walls = sps.csr_matrix((walls.data, um[walls.indices], walls.indptr),
-                                    shape=(walls.shape[0], dofs.num_dofs))
+                                    shape=(walls.shape[0], self.dofs.num_dofs))
         self._precompute_static()
 
     def _precompute_static(self):
@@ -274,10 +217,10 @@ class Assembler:
         fracture operators are composed by the same :meth:`_scalar_terms`
         once per assembly.
         """
-        mf = self.mortars[2]
+        mf = self.mdg.mortars[2]
         self.J = _block_diag(self.rotation) @ self.walls
         # projection of each dimension's mortar fields onto its faces
-        self.to_faces = {dim: group.lift.T.tocsr() for dim, group in self.mortars.items()}
+        self.to_faces = {dim: group.lift.T.tocsr() for dim, group in self.mdg.mortars.items()}
         self.to_faces_vec = sps.kron(self.to_faces[2], sps.eye(2)).tocsr()
 
         ops = self.mech_ops
@@ -298,7 +241,7 @@ class Assembler:
         self.wall_tractions = tractions(walls)
         # and the contact traction through the transpose of the jump
         self.wall_lam = (sps.diags(np.repeat(mf.areas * mf.sides, 2))
-                         @ self.J.T.tocsr()[mf.dofs[U_MORTAR]]).tocsr()
+                         @ self.J.T.tocsr()[self.dofs.mortar(2, U_MORTAR)]).tocsr()
         self.wall_p = -self.wall_lam[:, 1::2]
         self.div_u_mortar = (ops.bound_div_u @ self.to_faces_vec).tocsr()
 
@@ -310,7 +253,7 @@ class Assembler:
         divergence of its flux, boundary, own-mortar and vector-source
         parts, and the high-side face traces on the mortars below it in
         cell, boundary-data, own-mortar-flux and vector-source parts."""
-        div, lift = self.div[dim], self.mortars[dim].lift
+        div, lift = self.div[dim], self.mdg.mortars[dim].lift
         div_bound = (div @ ops.bound_flux).tocsr()
         trace_face = (lift @ ops.trace_face).tocsr()
         return {
@@ -352,10 +295,7 @@ class Assembler:
         a = self.coefficient_aperture(
             aperture_unchecked(jumps[1::2], jumps[0::2], self.model, self.mat)
         )
-        branches = split_cells(self.grids[1], a)
-        points = [self.coefficient_aperture(self.mdg.inherit_aperture(k, branches))
-                  for k in self.grids[0].cell_start]
-        return {1: a, 0: np.concatenate([np.zeros(0)] + points)}
+        return {1: a, 0: self.coefficient_aperture(self.mdg.inherit_aperture(a))}
 
     def fracture_state(self, x: np.ndarray, x_ref: np.ndarray) -> FractureState:
         """Jumps, tractions, gaps and contact states of all fracture cells
@@ -363,7 +303,7 @@ class Assembler:
         step within a step, zero for the slip accumulated since the start."""
         mat = self.mat
         jumps, jumps_ref = self.jumps(x), self.jumps(x_ref)
-        lam = x[self.cell_dofs[1][LAM]]
+        lam = x[self.dofs.cells(1, LAM)]
         jump_t = jumps[0::2]
         gaps = gap(jump_t, self.model, mat.dilation_angle)
         contact = ct.classify(
@@ -375,9 +315,8 @@ class Assembler:
 
     def build_cache(self, state: State, loads: Loads,
                     prev_cache: IterationCache | None = None,
-                    damping: float = 1.0,
-                    damping_threshold: float = 0.1) -> IterationCache:
-        mat, cells = self.mat, self.cell_dofs
+                    damping: float = 1.0) -> IterationCache:
+        mat, dofs = self.mat, self.dofs
         x = state.current
         # jumps and contact states at the current iterate
         frac = self.fracture_state(x, state.prev_step)
@@ -388,8 +327,9 @@ class Assembler:
         for dim in (1, 0):
             spec_vol[dim] = specific_volume(apertures[dim], dim)
             spec_vol_prev[dim] = specific_volume(apertures_prev[dim], dim)
-        density = {dim: fluid_density(x[c[P]], x[c[T]], mat) for dim, c in cells.items()}
-        g1, v1 = self.grids[1], spec_vol[1]
+        density = {dim: fluid_density(x[dofs.cells(dim, P)], x[dofs.cells(dim, T)], mat)
+                   for dim in self.mdg.grids}
+        g1, v1 = self.mdg.grids[1], spec_vol[1]
         fracture_ops = {
             FLOW: onedim_discretize(g1, v1 * cubic_law(apertures[1]) / mat.viscosity,
                                     self.frac_bc[FLOW]),
@@ -399,11 +339,11 @@ class Assembler:
         face_flux = {}
         for dim, ops in ((2, self.flow_ops), (1, fracture_ops[FLOW])):
             bvals = self._scalar_boundary_values(dim, FLOW, loads, x)
-            face_flux[dim] = ops.flux @ x[cells[dim][P]] + ops.bound_flux @ bvals \
+            face_flux[dim] = ops.flux @ x[dofs.cells(dim, P)] + ops.bound_flux @ bvals \
                 + ops.vector_source @ self._rho_g(density[dim])
-        mortar_flux = {dim: x[group.dofs[NU]].copy() for dim, group in self.mortars.items()}
+        mortar_flux = {dim: x[dofs.mortar(dim, NU)].copy() for dim in self.mdg.mortars}
 
-        # relax both when more than a share damping_threshold of the face
+        # relax both when more than a share DAMPING_THRESHOLD of the face
         # fluxes flipped sign since the previous iterate
         if prev_cache is not None and damping < 1.0:
             old = prev_cache.face_flux
@@ -412,7 +352,7 @@ class Assembler:
                 for k in face_flux
             )
             total = sum(v.size for v in face_flux.values())
-            if flips / max(total, 1) > damping_threshold:
+            if flips / max(total, 1) > DAMPING_THRESHOLD:
                 for k in face_flux:
                     face_flux[k] = damp_advective_flux(old[k], face_flux[k], damping)
                 for k in mortar_flux:
@@ -425,13 +365,13 @@ class Assembler:
             apertures=apertures, spec_vol=spec_vol, spec_vol_prev=spec_vol_prev,
             density=density, face_flux=face_flux, mortar_flux=mortar_flux,
             fracture_ops=fracture_ops,
-            contact_state=split_cells(self.grids[1], frac.contact),
+            contact_state=split_cells(self.mdg.grids[1], frac.contact),
         )
 
     def _ext_scalar(self, dim, var, loads: Loads):
         """External boundary data of one dimension, internal (mortar) slots
         zeroed."""
-        grid = self.grids[dim]
+        grid = self.mdg.grids[dim]
         vals = _of_dim(loads.bc_flow if var == FLOW else loads.bc_heat, dim, grid.num_faces)
         vals[grid.tags["internal"]] = 0.0
         return vals
@@ -445,27 +385,27 @@ class Assembler:
 
     def _scalar_boundary_values(self, dim, var, loads: Loads, x: np.ndarray):
         """External boundary data plus mortar Neumann data on internal faces."""
-        mortar = x[self.mortars[dim].dofs[NU if var == FLOW else NU_COND]]
+        mortar = x[self.dofs.mortar(dim, NU if var == FLOW else NU_COND)]
         return self._ext_scalar(dim, var, loads) + self.to_faces[dim] @ mortar
 
     def mech_boundary_values(self, loads_vec: np.ndarray, x: np.ndarray):
-        um = x[self.mortars[2].dofs[U_MORTAR]]
+        um = x[self.dofs.mortar(2, U_MORTAR)]
         return self._ext_mech(loads_vec) + self.to_faces_vec @ um
 
     def _wells(self, dim, loads: Loads):
         """Well rates and injection temperatures of one dimension's cells,
         zero where there is no well."""
-        n = self.grids[dim].num_cells
+        n = self.mdg.grids[dim].num_cells
         return _of_dim(loads.well_rates, dim, n), _of_dim(loads.well_T_injection, dim, n)
 
     def boundary_heat_weight(self, dim, loads: Loads, x: np.ndarray) -> np.ndarray:
         """rho c T_b on the Dirichlet heat faces of one dimension, zero on
         the others: boundary inflow carries the boundary temperature, at
         the density of the adjacent cell's pressure in state x."""
-        mat, grid = self.mat, self.grids[dim]
+        mat, grid = self.mat, self.mdg.grids[dim]
         is_dir = (self.bc[HEAT] if dim == 2 else self.frac_bc[HEAT]).is_dir
         ext_T = self._ext_scalar(dim, HEAT, loads)
-        rho_b = fluid_density(x[self.cell_dofs[dim][P]][grid.face_cells[0]], ext_T, mat)
+        rho_b = fluid_density(x[self.dofs.cells(dim, P)][grid.face_cells[0]], ext_T, mat)
         return np.where(is_dir, mat.heat_capacity_fluid * rho_b * ext_T, 0.0)
 
     def injected_energy(self, dim, loads: Loads, x: np.ndarray) -> np.ndarray:
@@ -475,7 +415,7 @@ class Assembler:
         rates, t_inj = self._wells(dim, loads)
         inject = rates > 0
         src = np.zeros(rates.size)
-        rho_in = fluid_density(x[self.cell_dofs[dim][P]][inject], t_inj[inject], mat)
+        rho_in = fluid_density(x[self.dofs.cells(dim, P)][inject], t_inj[inject], mat)
         src[inject] = rho_in * mat.heat_capacity_fluid * t_inj[inject] * rates[inject]
         return src
 
@@ -494,7 +434,7 @@ class Assembler:
         self._energy(acc, b, state, cache, terms, dt, steady, loads)
         self._contact_rows(acc, b, cache)
         self._traction_balance(acc, b, loads)
-        for dim, group in self.mortars.items():
+        for dim, group in self.mdg.mortars.items():
             if group.size:
                 self._mortar_flux_rows(acc, b, group, terms[dim], cache, loads)
         return acc.matrix(), b
@@ -506,7 +446,7 @@ class Assembler:
         acc.add_mat(rows, dofs.sd(0, U), bundle["stress"])
         acc.add_mat(rows, dofs.sd(0, P), bundle["grad_p"])
         acc.add_mat(rows, dofs.sd(0, T), bundle["grad_T"])
-        acc.add_mat(rows, self.mortars[2].dofs[U_MORTAR], bundle["bound_mortar"])
+        acc.add_mat(rows, self.dofs.mortar(2, U_MORTAR), bundle["bound_mortar"])
         ext = self._ext_mech(loads.bc_mech)
         ones = np.ones(self.matrix.num_cells)
         b_contrib = -(bundle["bound"] @ ext)
@@ -528,8 +468,8 @@ class Assembler:
         points: storage and volume change (transient only), flux
         divergence, mortar sources from the dimension above, wells."""
         mat = self.mat
-        for dim, grid in self.grids.items():
-            rows = self.cell_dofs[dim][P]
+        for dim, grid in self.mdg.grids.items():
+            rows = self.dofs.cells(dim, P)
             if not steady:
                 wvol = grid.cell_volumes * cache.spec_vol[dim] / dt
                 self._fluid_storage(acc, b, dim, state.prev_step, wvol)
@@ -547,7 +487,7 @@ class Assembler:
         conductive and advective flux divergence, mortar sources from the
         dimension above, wells."""
         mat = self.mat
-        for dim in self.grids:
+        for dim in self.mdg.grids:
             if not steady:
                 self._energy_accumulation(acc, b, dim, state, cache, dt)
                 if dim == 2:
@@ -555,7 +495,7 @@ class Assembler:
                                      mat.thermal_stress_coefficient * mat.reference_temperature)
                 else:
                     weight = (mat.heat_capacity_fluid * cache.density[dim]
-                              * state.current[self.cell_dofs[dim][T]])
+                              * state.current[self.dofs.cells(dim, T)])
                 self._volume_change(acc, b, dim, T, weight, state, cache, dt, loads)
             if dim > 0:
                 self._scalar_flux_divergence(acc, b, dim, HEAT, terms[dim][HEAT], cache, loads)
@@ -567,25 +507,25 @@ class Assembler:
     def _fluid_storage(self, acc, b, dim, xp, wvol):
         """Fluid storage of one dimension's cells of weighted volumes wvol,
         implicit in p and T, against the previous-step state xp."""
-        cells = self.cell_dofs[dim]
+        p, t = self.dofs.cells(dim, P), self.dofs.cells(dim, T)
         c_p = fluid_storage(wvol, 0.0, self.mat, dim == 2)
         c_T = fluid_storage(0.0, wvol, self.mat, dim == 2)
-        acc.add_diag(cells[P], cells[P], c_p)
-        acc.add_diag(cells[P], cells[T], c_T)
-        _add_to(b, cells[P], c_p * xp[cells[P]] + c_T * xp[cells[T]])
+        acc.add_diag(p, p, c_p)
+        acc.add_diag(p, t, c_T)
+        _add_to(b, p, c_p * xp[p] + c_T * xp[t])
 
     def _energy_accumulation(self, acc, b, dim, state, cache, dt):
         """(rho c)_eff dT/dt plus the expanded coefficient-change term."""
-        cells = self.cell_dofs[dim]
+        p, t = self.dofs.cells(dim, P), self.dofs.cells(dim, T)
         xp = state.prev_step
-        vols = self.grids[dim].cell_volumes * cache.spec_vol[dim] / dt
+        vols = self.mdg.grids[dim].cell_volumes * cache.spec_vol[dim] / dt
         rc_eff, rck_eff, rcb_eff = heat_capacities(cache.density[dim], self.mat, dim == 2)
-        T_lag = state.current[cells[T]]
+        T_lag = state.current[t]
         coef_T = vols * (rc_eff - T_lag * rcb_eff)
         coef_p = vols * T_lag * rck_eff
-        acc.add_diag(cells[T], cells[T], coef_T)
-        acc.add_diag(cells[T], cells[P], coef_p)
-        _add_to(b, cells[T], coef_T * xp[cells[T]] + coef_p * xp[cells[P]])
+        acc.add_diag(t, t, coef_T)
+        acc.add_diag(t, p, coef_p)
+        _add_to(b, t, coef_T * xp[t] + coef_p * xp[p])
 
     def _volume_change(self, acc, b, dim, var, weight, state, cache, dt, loads):
         """weight/dt * (V_new - V_old) in the balance of ``var`` of one
@@ -597,12 +537,12 @@ class Assembler:
         through J. At intersection points V is the inherited specific
         volume, fully lagged.
         """
-        rows = self.cell_dofs[dim][var]
+        rows = self.dofs.cells(dim, var)
         if dim == 2:
             ops = self.mech_ops
             w = sps.diags(weight / dt)
             acc.add_mat(rows, self.dofs.sd(0, U), w @ ops.div_u)
-            acc.add_mat(rows, self.mortars[2].dofs[U_MORTAR], w @ self.div_u_mortar)
+            acc.add_mat(rows, self.dofs.mortar(2, U_MORTAR), w @ self.div_u_mortar)
             acc.add_mat(rows, self.dofs.sd(0, P), w @ ops.stab_p)
             acc.add_mat(rows, self.dofs.sd(0, T), w @ ops.stab_T)
             # previous-step value, including its boundary data
@@ -610,7 +550,7 @@ class Assembler:
             _add_to(b, rows, weight / dt * prev)
             _add_to(b, rows, -((w @ ops.bound_div_u) @ self._ext_mech(loads.bc_mech)))
             return
-        vols = self.grids[dim].cell_volumes / dt * weight
+        vols = self.mdg.grids[dim].cell_volumes / dt * weight
         if dim == 0:
             _add_to(b, rows, vols * (cache.spec_vol_prev[0] - cache.spec_vol[0]))
             return
@@ -636,9 +576,9 @@ class Assembler:
     def _scalar_flux_divergence(self, acc, b, dim, var, terms, cache, loads):
         """div of diffusive (+gravity) fluxes of one scalar in one dimension,
         from that dimension's :meth:`_scalar_terms`."""
-        cells = self.cell_dofs[dim][P if var == FLOW else T]
+        cells = self.dofs.cells(dim, P if var == FLOW else T)
         acc.add_mat(cells, cells, terms["div_flux"])
-        acc.add_mat(cells, self.mortars[dim].dofs[NU if var == FLOW else NU_COND],
+        acc.add_mat(cells, self.dofs.mortar(dim, NU if var == FLOW else NU_COND),
                     terms["div_bound_mortar"])
         _add_to(b, cells, -(terms["div_bound"] @ self._ext_scalar(dim, var, loads)))
         if var == FLOW and np.any(np.asarray(self.mat.gravity)):
@@ -646,8 +586,8 @@ class Assembler:
 
     def _advective_divergence(self, acc, b, dim, cache, loads, state):
         """Upwinded advective heat fluxes, implicit in temperature."""
-        mat, cells, grid, div = self.mat, self.cell_dofs[dim], self.grids[dim], self.div[dim]
-        rows = cells[T]
+        mat, grid, div = self.mat, self.mdg.grids[dim], self.div[dim]
+        rows = self.dofs.cells(dim, T)
         u_cell, u_face = upwind_matrices(grid, cache.face_flux[dim], grid.tags["internal"])
         w = mat.heat_capacity_fluid * cache.density[dim]
         acc.add_mat(rows, rows, div @ u_cell @ sps.diags(w))
@@ -655,26 +595,26 @@ class Assembler:
         _add_to(b, rows, -(div @ u_face @ w_bc))
         # advective transfer through internal faces enters via the mortar
         # advective unknowns
-        acc.add_mat(rows, self.mortars[dim].dofs[NU_ADV], div @ self.to_faces[dim])
+        acc.add_mat(rows, self.dofs.mortar(dim, NU_ADV), div @ self.to_faces[dim])
 
     def _mortar_sources(self, acc, dim, var, keys):
         """The mortar fluxes ``keys`` from the dimension above enter the
         balance of ``var`` of one dimension's cells as sources."""
-        group = self.mortars[dim + 1]
-        rows = np.tile(self.cell_dofs[dim][var][group.lo], len(keys))
-        cols = np.concatenate([group.dofs[key] for key in keys])
+        group = self.mdg.mortars[dim + 1]
+        rows = np.tile(self.dofs.cells(dim, var)[group.lo], len(keys))
+        cols = np.concatenate([self.dofs.mortar(dim + 1, key) for key in keys])
         acc.add(rows, cols, -np.ones(rows.size))
 
     def _well_energy(self, acc, b, dim, cache, loads, state):
-        mat, cells = self.mat, self.cell_dofs[dim]
+        mat, t = self.mat, self.dofs.cells(dim, T)
         rates = self._wells(dim, loads)[0]
         if np.any(rates > 0):
-            _add_to(b, cells[T], self.injected_energy(dim, loads, state.current))
+            _add_to(b, t, self.injected_energy(dim, loads, state.current))
         produce = rates < 0
         if np.any(produce):
             # upwind: produced energy carries the local (implicit) temperature
             coef = mat.heat_capacity_fluid * cache.density[dim][produce] * rates[produce]
-            acc.add_diag(cells[T][produce], cells[T][produce], -coef)
+            acc.add_diag(t[produce], t[produce], -coef)
 
     # -- contact and interface rows -----------------------------------------
     def _contact_rows(self, acc, b, cache):
@@ -682,16 +622,12 @@ class Assembler:
         if not self.fractures:
             return
         mat = self.mat
-        rows = self.cell_dofs[1][LAM]
+        rows = self.dofs.cells(1, LAM)
         frac = cache.fracture
-        lam, jump_t, jump_n = frac.lam, frac.jumps[0::2], frac.jumps[1::2]
-        jt_prev = frac.jumps_ref[0::2]
-        coeffs = ct.row_coefficients(
-            frac.contact, lam[0::2], lam[1::2], jump_t, jump_n, jt_prev, frac.gaps,
-            self.c_num, mat.friction_coefficient,
-        )
-        a_lam, a_jump, rhs = ct.assemble_rows(
-            coeffs, jump_t, jt_prev, frac.gaps, frac.dgaps, mat.friction_coefficient,
+        lam = frac.lam
+        a_lam, a_jump, rhs = ct.contact_rows(
+            frac.contact, lam[0::2], lam[1::2], frac.jumps[0::2], frac.jumps[1::2],
+            frac.jumps_ref[0::2], frac.gaps, frac.dgaps, self.c_num, mat.friction_coefficient,
         )
         acc.add_mat(rows, rows, _block_diag(a_lam))
         acc.add_mat(rows, slice(0, self.dofs.num_dofs), _block_diag(a_jump) @ self.J)
@@ -700,9 +636,9 @@ class Assembler:
     def _traction_balance(self, acc, b, loads):
         """Rows of the mortar displacements: contact traction balances the
         projected matrix traction minus the fracture pressure."""
-        rows = self.mortars[2].dofs[U_MORTAR]
-        acc.add_mat(rows, self.cell_dofs[1][LAM], self.wall_lam)
-        acc.add_mat(rows, self.cell_dofs[1][P], self.wall_p)
+        rows = self.dofs.mortar(2, U_MORTAR)
+        acc.add_mat(rows, self.dofs.cells(1, LAM), self.wall_lam)
+        acc.add_mat(rows, self.dofs.cells(1, P), self.wall_p)
         self._momentum_traction_terms(acc, b, rows, self.wall_tractions, loads)
 
     def _mortar_flux_rows(self, acc, b, group, terms, cache, loads):
@@ -713,8 +649,7 @@ class Assembler:
         value), with w = A V_high 2 kappa / a_low; the advective flux is the
         lagged fluid flux times c rho T on its upstream side.
         """
-        mat, dim, hi, lo = self.mat, group.dim, group.hi, group.lo
-        high, low = self.cell_dofs[dim], self.cell_dofs[dim - 1]
+        mat, dofs, dim, hi, lo = self.mat, self.dofs, group.dim, group.hi, group.lo
         ones = np.ones(group.size)
         v_high = cache.spec_vol[dim][hi]
         a_low = cache.apertures[dim - 1][lo]
@@ -724,12 +659,12 @@ class Assembler:
         w_heat = areas * v_high * mat.conductivity_fluid * 2.0 / a_low
 
         for var, svar, key, w in ((P, FLOW, NU, w_flow), (T, HEAT, NU_COND, w_heat)):
-            rows = group.dofs[key]
+            rows = dofs.mortar(dim, key)
             acc.add_diag(rows, rows, ones)
-            acc.add(rows, low[var][lo], w)
+            acc.add(rows, dofs.cells(dim - 1, var)[lo], w)
             wd = sps.diags(w)
             tr = terms[svar]
-            acc.add_mat(rows, high[var], -(wd @ tr["trace_cell"]))
+            acc.add_mat(rows, dofs.cells(dim, var), -(wd @ tr["trace_cell"]))
             acc.add_mat(rows, rows, -(wd @ tr["trace_mortar"]))
             _add_to(b, rows, w * (tr["trace_face"] @ self._ext_scalar(dim, svar, loads)))
             if var == P and np.any(np.asarray(mat.gravity)):
@@ -742,7 +677,7 @@ class Assembler:
                 _add_to(b, rows, coef)
 
         # advective rows: nu_adv = nu_lagged * c rho T(upstream side)
-        rows = group.dofs[NU_ADV]
+        rows = dofs.mortar(dim, NU_ADV)
         acc.add_diag(rows, rows, ones)
         nu_lag = cache.mortar_flux[dim]
         upstream_high = nu_lag > 0
@@ -750,8 +685,8 @@ class Assembler:
         w_low = mat.heat_capacity_fluid * cache.density[dim - 1][lo]
         coef_h = np.where(upstream_high, -nu_lag * w_high, 0.0)
         coef_l = np.where(~upstream_high, -nu_lag * w_low, 0.0)
-        acc.add(rows, high[T][hi], coef_h)
-        acc.add(rows, low[T][lo], coef_l)
+        acc.add(rows, dofs.cells(dim, T)[hi], coef_h)
+        acc.add(rows, dofs.cells(dim - 1, T)[lo], coef_l)
 
 
 def damp_advective_flux(flux_prev, flux_new, omega):

@@ -50,10 +50,10 @@ def balance_report(assembler: Assembler, state: State, dt: float,
     m_acc = m_out = m_src = 0.0
     e_acc = e_out = e_src = 0.0
 
-    for dim, grid in assembler.grids.items():
-        cells = assembler.cell_dofs[dim]
-        p_new, p_old = x[cells[P]], xp[cells[P]]
-        t_new, t_old = x[cells[T]], xp[cells[T]]
+    for dim, grid in assembler.mdg.grids.items():
+        p, t = assembler.dofs.cells(dim, P), assembler.dofs.cells(dim, T)
+        p_new, p_old = x[p], xp[p]
+        t_new, t_old = x[t], xp[t]
         vols = grid.cell_volumes
         v_lag = cache.spec_vol[dim]
         rho = cache.density[dim]
@@ -113,11 +113,11 @@ def interface_flux_consistency(assembler: Assembler, state: State,
     x = state.current
     cache = assembler.build_cache(state, loads)
     worst = 0.0
-    for dim, group in assembler.mortars.items():
+    for dim, group in assembler.mdg.mortars.items():
         if group.size == 0:
             continue
         q = cache.face_flux[dim]
-        nu = x[group.dofs[NU]]
+        nu = x[assembler.dofs.mortar(dim, NU)]
         scale = max(1e-30, float(np.abs(nu).max()), float(np.abs(q).max()))
         worst = max(worst, float(np.abs(group.lift @ q - nu).max()) / scale)
     return worst

@@ -8,6 +8,11 @@ basis), pressure and temperature; intersection points pressure and
 temperature. Matrix-fracture interfaces carry the mortar displacement and
 the fluid / advective-heat / conductive-heat fluxes; fracture-point
 interfaces only the fluxes. Vector dofs are interleaved cellwise.
+
+Assembly reads the dofs through the stacked view of the mesh:
+:meth:`DofMap.cells` gives one variable's dofs over the stacked cells of a
+dimension (``mdg.grids``), :meth:`DofMap.mortar` one interface variable's
+dofs over a mortar group (``mdg.mortars``). Both are computed once.
 """
 
 from __future__ import annotations
@@ -19,37 +24,33 @@ from mdthm.mdmesh import MixedDimGrid
 U, P, T, LAM = "u", "p", "T", "lam"
 U_MORTAR, NU, NU_ADV, NU_COND = "u_m", "nu", "nu_adv", "nu_cond"
 
+# per dimension, the variables of a subdomain's cells and of an interface
+# whose high side has that dimension, with their components per cell
+CELL_VARS = {2: ((U, 2), (P, 1), (T, 1)), 1: ((LAM, 2), (P, 1), (T, 1)), 0: ((P, 1), (T, 1))}
+MORTAR_VARS = {2: ((U_MORTAR, 2), (NU, 1), (NU_ADV, 1), (NU_COND, 1)),
+               1: ((NU, 1), (NU_ADV, 1), (NU_COND, 1))}
+
 
 class DofMap:
     def __init__(self, mdg: MixedDimGrid):
         self.mdg = mdg
         self._slices: dict[tuple, slice] = {}
+        blocks = [("sd", sd, CELL_VARS[sd.dim]) for sd in mdg.subdomains]
+        blocks += [("intf", i, MORTAR_VARS[mdg.subdomain(i.high_id).dim])
+                   for i in mdg.interfaces]
         offset = 0
-
-        def add(kind, ident, var, size):
-            nonlocal offset
-            self._slices[(kind, ident, var)] = slice(offset, offset + size)
-            offset += size
-
-        for sd in mdg.subdomains:
-            if sd.dim == 2:
-                add("sd", sd.id, U, 2 * sd.num_cells)
-                add("sd", sd.id, P, sd.num_cells)
-                add("sd", sd.id, T, sd.num_cells)
-            elif sd.dim == 1:
-                add("sd", sd.id, LAM, 2 * sd.num_cells)
-                add("sd", sd.id, P, sd.num_cells)
-                add("sd", sd.id, T, sd.num_cells)
-            else:
-                add("sd", sd.id, P, sd.num_cells)
-                add("sd", sd.id, T, sd.num_cells)
-        for intf in mdg.interfaces:
-            if mdg.subdomain(intf.high_id).dim == 2:
-                add("intf", intf.id, U_MORTAR, 2 * intf.num_cells)
-            add("intf", intf.id, NU, intf.num_cells)
-            add("intf", intf.id, NU_ADV, intf.num_cells)
-            add("intf", intf.id, NU_COND, intf.num_cells)
+        for kind, item, variables in blocks:
+            for var, nd in variables:
+                size = nd * item.num_cells
+                self._slices[(kind, item.id, var)] = slice(offset, offset + size)
+                offset += size
         self.num_dofs = offset
+        # the stacked views, in the cell order of ``mdg.grids`` and the mortar
+        # cell order of ``mdg.mortars``
+        self._cells = {(dim, var): self._indices("sd", list(grid.cell_start), var)
+                       for dim, grid in mdg.grids.items() for var, _ in CELL_VARS[dim]}
+        self._mortars = {(dim, var): self._indices("intf", group.ids, var)
+                         for dim, group in mdg.mortars.items() for var, _ in MORTAR_VARS[dim]}
 
     def block(self, kind, ident, var) -> slice:
         return self._slices[(kind, ident, var)]
@@ -57,15 +58,22 @@ class DofMap:
     def sd(self, sd_id, var) -> slice:
         return self._slices[("sd", sd_id, var)]
 
-    def intf(self, intf_id, var) -> slice:
-        return self._slices[("intf", intf_id, var)]
-
-    def indices(self, kind, idents, var) -> np.ndarray:
+    def _indices(self, kind, idents, var) -> np.ndarray:
         """Dof indices of one variable over several subdomains or
         interfaces, concatenated in the given order."""
         parts = [np.arange(sl.start, sl.stop)
                  for sl in (self._slices[(kind, i, var)] for i in idents)]
         return np.concatenate(parts) if parts else np.zeros(0, dtype=int)
+
+    def cells(self, dim, var) -> np.ndarray:
+        """Dof indices of one variable over the stacked cells of one
+        dimension, ``mdg.grids[dim]``."""
+        return self._cells[(dim, var)]
+
+    def mortar(self, dim, var) -> np.ndarray:
+        """Dof indices of one interface variable over the stacked mortar
+        cells of ``mdg.mortars[dim]``."""
+        return self._mortars[(dim, var)]
 
     def blocks(self):
         return self._slices.items()

@@ -69,7 +69,6 @@ class NewtonParams:
     increment_tol: float = 1e-10
     scales: dict = field(default_factory=dict)
     damping: float = 1.0
-    damping_threshold: float = 0.1
 
 
 @dataclass
@@ -135,10 +134,7 @@ def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
     col_scale = _scale_vector(assembler, params.scales)
 
     for it in range(params.max_iterations + 1):
-        cache = assembler.build_cache(
-            state, loads, prev_cache=cache, damping=params.damping,
-            damping_threshold=params.damping_threshold,
-        )
+        cache = assembler.build_cache(state, loads, prev_cache=cache, damping=params.damping)
         A, b = assembler.assemble(state, cache, dt, steady, loads)
         residual = A @ state.current - b
         row_scale = np.abs(A) @ col_scale + 1e-300
@@ -184,7 +180,8 @@ def _check_apertures(assembler: Assembler, x: np.ndarray):
     aperture in every fracture cell."""
     jump = assembler.jumps(x)
     a = aperture_unchecked(jump[1::2], jump[0::2], assembler.model, assembler.mat)
-    closed = [k for k, part in split_cells(assembler.grids[1], a).items() if np.any(part <= 0.0)]
+    parts = split_cells(assembler.mdg.grids[1], a)
+    closed = [k for k, part in parts.items() if np.any(part <= 0.0)]
     if closed:
         raise ct.ContactError(
             f"nonpositive aperture on fracture subdomain {closed[0]} at a "

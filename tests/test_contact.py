@@ -4,11 +4,10 @@ import pytest
 from mdthm.contact import (
     ContactError,
     ContactState,
-    assemble_rows,
     classify,
     complementarity_report,
+    contact_rows,
     residuals,
-    row_coefficients,
 )
 
 F = 0.5
@@ -100,10 +99,9 @@ class TestResiduals:
 class TestRows:
     def rows_for(self, lam_t, lam_n, jump_t, jump_n, jump_t_prev, g, dg):
         state = classify(lam_t, lam_n, jump_t, jump_n, jump_t_prev, g, C, F)
-        coeffs = row_coefficients(
-            state, lam_t, lam_n, jump_t, jump_n, jump_t_prev, g, C, F
+        return state, contact_rows(
+            state, lam_t, lam_n, jump_t, jump_n, jump_t_prev, g, dg, C, F
         )
-        return state, assemble_rows(coeffs, jump_t, jump_t_prev, g, dg, F)
 
     def test_open_cell_identity(self):
         _, (a_lam, a_jump, rhs) = self.rows_for(
@@ -129,8 +127,9 @@ class TestRows:
     def test_closed_row_requires_positive_bound(self):
         state = np.array([int(ContactState.GLIDING)])
         with pytest.raises(ContactError, match="bound"):
-            row_coefficients(
-                state, arr(1e5), arr(1e5), arr(0.0), arr(0.0), arr(0.0), arr(0.0), C, F
+            contact_rows(
+                state, arr(1e5), arr(1e5), arr(0.0), arr(0.0), arr(0.0), arr(0.0), arr(0.0),
+                C, F,
             )
 
     def test_gliding_fixed_point_satisfies_row(self):
@@ -192,12 +191,9 @@ class SingleCellModel:
                 arr(lam[0]), arr(lam[1]), arr(jump[0]), arr(jump[1]),
                 arr(jump_prev[0]), arr(g), self.c, self.f,
             )
-            coeffs = row_coefficients(
+            a_lam, a_jump, rhs = contact_rows(
                 state, arr(lam[0]), arr(lam[1]), arr(jump[0]), arr(jump[1]),
-                arr(jump_prev[0]), arr(g), self.c, self.f,
-            )
-            a_lam, a_jump, rhs = assemble_rows(
-                coeffs, arr(jump[0]), arr(jump_prev[0]), arr(g), arr(dg), self.f,
+                arr(jump_prev[0]), arr(g), arr(dg), self.c, self.f,
             )
             sys = np.zeros((4, 4))
             sys[:2, :2] = a_lam[0]

@@ -41,6 +41,42 @@ def test_no_unused_module_level_imports():
     assert found == []
 
 
+STACKING = ("stack_grids", "mortar_group", "MortarGroup")
+
+
+def stacking_calls(path: Path) -> list:
+    """(line, name) of each call in a module that stacks the mesh per
+    dimension: ``stack_grids``, ``mortar_group`` or ``MortarGroup(...)``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in STACKING:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_stacking_calls_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from mdthm import mdmesh\nfrom mdthm.mdmesh.mortar import MortarGroup, mortar_group\n"
+        "g = mdmesh.stack_grids(1, [])\nm = mortar_group([], g, g)\n"
+        "k = MortarGroup\nc = MortarGroup(**{})\nstack_grids = None\n", encoding="utf-8")
+    assert stacking_calls(module) == [(3, "stack_grids"), (4, "mortar_group"),
+                                      (6, "MortarGroup")]
+
+
+def test_mesh_is_stacked_only_in_mdmesh():
+    # the per-dimension grids and mortar groups are built once, by
+    # MixedDimGrid; every other layer reads mdg.grids and mdg.mortars
+    mdmesh = SRC / "mdthm" / "mdmesh"
+    found = [f"{path.relative_to(SRC)}:{line} {name}"
+             for path in sorted(SRC.rglob("*.py")) if mdmesh not in path.parents
+             for line, name in stacking_calls(path)]
+    assert found == []
+
+
 def definitions(path: Path) -> list:
     """(line, name) of each function, method and ``self.<attr>`` assignment
     in a module, dunder names excepted."""

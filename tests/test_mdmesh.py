@@ -20,6 +20,17 @@ def closure_defect(mdg):
     return max(sd.check_closure() for sd in mdg.subdomains if sd.dim > 0)
 
 
+def branch_count(mdg, point):
+    """Mortar cells between the fractures and one intersection point."""
+    return int(np.sum(mdg.mortars[1].lo == mdg.grids[0].cell_start[point.id]))
+
+
+def walls_of(mdg, frac):
+    """The j- and k-side interfaces of a fracture."""
+    return sorted((i for i in mdg.interfaces if i.low_id == frac.id and i.high_id == 0),
+                  key=lambda i: i.side)
+
+
 class TestCartesianBuilder:
     def test_unfractured_counts(self):
         mdg = build_cartesian_fractured(2, 2)
@@ -73,7 +84,7 @@ class TestGeometry:
 
     def test_duplicated_face_normals_opposite(self):
         mdg = build_cartesian_fractured(2, 2, HORIZONTAL)
-        intf_j, intf_k = mdg.fracture_interfaces(1)
+        intf_j, intf_k = walls_of(mdg, mdg.subdomains[1])
         g = mdg.matrix
         for c in range(2):
             nj = g.face_normals[:, intf_j.high_faces[c]]
@@ -93,10 +104,10 @@ class TestCrossingTopology:
         assert dims == [2, 1, 1, 0]
         point = mdg.subdomains[3]
         assert point.num_cells == 1
-        incident = mdg.interfaces_of_low(point.id)
-        # one interface per incident 1d branch: an X crossing has four
-        assert len(incident) == 4
-        assert all(i.num_cells == 1 for i in incident)
+        # one interface of one mortar cell per incident 1d branch: an X
+        # crossing has four
+        assert branch_count(mdg, point) == 4
+        assert len(mdg.mortars[1].ids) == 4
         # the crossing splits each fracture grid internally
         for frac in mdg.subdomains[1:3]:
             assert frac.tags["internal"].sum() == 2
@@ -107,7 +118,7 @@ class TestCrossingTopology:
         mdg = build_triangular_fractured(4, 4, frs)
         points = mdg.subdomains_of_dim(0)
         assert len(points) == 1
-        assert len(mdg.interfaces_of_low(points[0].id)) == 2
+        assert branch_count(mdg, points[0]) == 2
 
 
 class TestDisplacementJump:
@@ -118,10 +129,11 @@ class TestDisplacementJump:
     def jump(self, u_j, u_k):
         """Jump per cell, (2, n) in global coordinates, from the two walls'
         mortar displacements."""
-        intf_j, intf_k = self.mdg.fracture_interfaces(self.frac.id)
-        walls = {intf_j.id: u_j, intf_k.id: u_k}
-        u = np.concatenate([walls[i.id] for i in self.mdg.interfaces if i.high_id == 0])
-        return (self.mdg.jump_operator() @ u).reshape(-1, 2).T
+        sides = self.mdg.mortars[2].sides
+        u = np.zeros((sides.size, 2))
+        u[sides < 0] = u_j.reshape(-1, 2)
+        u[sides > 0] = u_k.reshape(-1, 2)
+        return (self.mdg.jump_operator() @ u.ravel()).reshape(-1, 2).T
 
     def test_zero_for_equal_fields(self):
         rng = np.random.default_rng(0)
@@ -131,7 +143,8 @@ class TestDisplacementJump:
     def test_sign_convention(self):
         # n points from the j side towards the k side; on a horizontal
         # fracture generated here that is the +y direction
-        n, tau = self.mdg.fracture_basis(self.frac.id)
+        rotation = self.mdg.fracture_basis()
+        tau, n = rotation[:, 0].T, rotation[:, 1].T
         assert np.allclose(n[1], 1.0)
         a = 1e-3
         u_j = np.zeros(2 * self.frac.num_cells)
@@ -145,16 +158,17 @@ class TestDisplacementJump:
         nc = self.frac.num_cells
         u_j = rng.standard_normal(2 * nc)
         u_k = rng.standard_normal(2 * nc)
-        intf_j, intf_k = self.mdg.fracture_interfaces(self.frac.id)
-        pj = intf_j.from_mortar_low(nc, 2).toarray()
-        pk = intf_k.from_mortar_low(nc, 2).toarray()
-        expected = (pk @ u_k - pj @ u_j).reshape(nc, 2).T
-        assert np.allclose(self.jump(u_j, u_k), expected, atol=1e-15)
+        intf_j, intf_k = walls_of(self.mdg, self.frac)
 
-    def test_rejects_foreign_interfaces(self):
-        mdg = build_cartesian_fractured(2, 2)
-        with pytest.raises(MeshError):
-            mdg.fracture_interfaces(0)
+        def to_cells(intf):
+            # a wall's mortar displacements onto the fracture cells
+            lift = np.zeros((2 * nc, 2 * intf.num_cells))
+            for m, c in enumerate(intf.low_cells):
+                lift[2 * c:2 * c + 2, 2 * m:2 * m + 2] = np.eye(2)
+            return lift
+
+        expected = (to_cells(intf_k) @ u_k - to_cells(intf_j) @ u_j).reshape(nc, 2).T
+        assert np.allclose(self.jump(u_j, u_k), expected, atol=1e-15)
 
 
 class TestInheritAperture:
@@ -162,30 +176,26 @@ class TestInheritAperture:
         mdg = build_cartesian_fractured(2, 2, CROSSING)
         point = mdg.subdomains_of_dim(0)[0]
         f1, f2 = mdg.subdomains_of_dim(1)
-        ap = {
-            f1.id: np.full(f1.num_cells, 1e-3),
-            f2.id: np.full(f2.num_cells, 3e-3),
-        }
-        a = mdg.inherit_aperture(point.id, ap)
+        ap = np.concatenate([np.full(f1.num_cells, 1e-3), np.full(f2.num_cells, 3e-3)])
+        a = mdg.inherit_aperture(ap)[mdg.grids[0].cell_start[point.id]]
         assert a == pytest.approx(2e-3)
 
     def test_mean_of_equal(self):
         mdg = build_cartesian_fractured(2, 2, CROSSING)
         point = mdg.subdomains_of_dim(0)[0]
-        ap = {sd.id: np.full(sd.num_cells, 7e-4) for sd in mdg.subdomains_of_dim(1)}
-        assert mdg.inherit_aperture(point.id, ap) == pytest.approx(7e-4)
+        ap = np.full(mdg.grids[1].num_cells, 7e-4)
+        assert mdg.inherit_aperture(ap)[mdg.grids[0].cell_start[point.id]] == pytest.approx(7e-4)
 
     def test_three_branches(self):
         # T junction: one throughgoing fracture (2 branches) and one abutting
         frs = [((0.0, 0.5), (1.0, 0.5)), ((0.5, 0.0), (0.5, 0.5))]
         mdg = build_cartesian_fractured(2, 2, frs)
         point = mdg.subdomains_of_dim(0)[0]
-        assert len(mdg.interfaces_of_low(point.id)) == 3
-        f1, f2 = mdg.subdomains_of_dim(1)
+        assert branch_count(mdg, point) == 3
         # branch apertures {1, 2, 6}e-4 -> mean 3e-4: through-fracture cells
         # carry 1e-4 and 2e-4, the abutting fracture 6e-4
-        ap = {f1.id: np.array([1e-4, 2e-4]), f2.id: np.array([6e-4])}
-        assert mdg.inherit_aperture(point.id, ap) == pytest.approx(3e-4)
+        ap = np.array([1e-4, 2e-4, 6e-4])
+        assert mdg.inherit_aperture(ap)[mdg.grids[0].cell_start[point.id]] == pytest.approx(3e-4)
 
 
 MSH_HEADER = """$MeshFormat
@@ -257,7 +267,7 @@ class TestGmshIngestion:
         mdg = ingest_gmsh(path)
         assert [sd.dim for sd in mdg.subdomains] == [2, 1, 1, 0]
         point = mdg.subdomains[3]
-        assert len(mdg.interfaces_of_low(point.id)) == 4
+        assert branch_count(mdg, point) == 4
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "bad.msh"
@@ -292,5 +302,5 @@ class TestTriangularContainment:
         mdg = build_triangular_fractured(4, 4, [((0.25, 0.25), (0.75, 0.75))])
         frac = mdg.subdomains[1]
         assert frac.num_cells == 2
-        n, tau = mdg.fracture_basis(frac.id)
+        n = mdg.fracture_basis()[:, 1].T
         assert np.allclose(np.abs(n[0]), np.sqrt(0.5), atol=1e-12)

@@ -98,8 +98,29 @@ class TestContactOutput:
             for sd in asm.fractures:
                 path = os.path.join(out, "vtk", f"subdomain_{sd.id}_step_{k:05d}.vtk")
                 written = read_vtk_scalars(path, "contact_state")
-                assert np.array_equal(written, split_cells(asm.grids[1], contact)[sd.id]), \
+                assert np.array_equal(written, split_cells(asm.mdg.grids[1], contact)[sd.id]), \
                     (sd.id, k)
+
+    def test_point_aperture_is_the_mean_of_its_branches(self, tmp_path):
+        # a diagonal fracture crosses the horizontal one of tiny_raw at (1, 0.5)
+        raw = tiny_raw()
+        raw["mesh"]["fractures"].append([[0.75, 0.25], [1.25, 0.75]])
+        raw["phases"] = raw["phases"][:2]
+        result = drivers.run(parse_config(raw), out_dir=str(tmp_path))
+        mdg = result.scenario.mdg
+        (point,) = mdg.subdomains_of_dim(0)
+        # the fracture cells next to the point, one per incident interface
+        branches = [(i.high_id, int(mdg.subdomain(i.high_id).face_cells[0, i.high_faces[0]]))
+                    for i in mdg.interfaces if i.low_id == point.id]
+        assert len(branches) == 4
+
+        def aperture(sd_id, k):
+            path = tmp_path / "vtk" / f"subdomain_{sd_id}_step_{k:05d}.vtk"
+            return read_vtk_scalars(path, "aperture")
+
+        for k in range(len(result.records) + 1):
+            expected = np.mean([aperture(sd_id, k)[cell] for sd_id, cell in branches])
+            assert aperture(point.id, k) == pytest.approx([expected], rel=1e-15), k
 
 
 class TestAbsoluteTime:
@@ -149,9 +170,24 @@ class TestSources:
         scn, wells = self.wells(subdomain, fractures)
         assert list(wells) == [dim]
         rates, t_inj = wells[dim]
-        cell = self.nearest(scn.assembler.grids[dim], self.AT)
+        cell = self.nearest(scn.mdg.grids[dim], self.AT)
         assert np.flatnonzero(rates).tolist() == [cell]
         assert rates[cell] == 1e-6 and t_inj[cell] == 300.0
+
+    @pytest.mark.parametrize("source, fractures, field", [
+        ({"subdomain": "matrx"}, True, "subdomain"),
+        ({"at": [50.0, -40.0], "subdomain": "matrix"}, True, "at"),
+        ({"at": [2.5, 0.5]}, True, "at"),
+        ({"subdomain": "fracture"}, False, "subdomain")],
+        ids=["unknown-subdomain", "matrix-outside", "auto-outside", "no-fracture"])
+    def test_bad_source_is_named(self, source, fractures, field):
+        raw = tiny_raw()
+        if not fractures:
+            raw["mesh"]["fractures"] = []
+        raw["phases"][1]["sources"] = [{"at": [0.2, 0.2], "rate": -1e-6},
+                                       dict({"at": list(self.AT), "rate": -1e-6}, **source)]
+        with pytest.raises(ConfigError, match=rf"^phases\[1\]\.sources\[1\]\.{field}: "):
+            build_scenario(parse_config(raw))
 
     def test_injection_needs_a_temperature(self):
         raw = tiny_raw()
@@ -190,6 +226,12 @@ class TestCommandLine:
         # the fracture's tractions are weighted too
         assert all("sd1:lam" in table for table in payload["errors"])
         assert len(payload["orders"]["sd1:lam"]) == 1
+
+    def test_damping_threshold_is_not_a_setting(self):
+        raw = tiny_raw()
+        raw["solver"]["damping_threshold"] = 0.1
+        with pytest.raises(ConfigError, match=r"^solver\.damping_threshold: "):
+            parse_config(raw)
 
     def test_unknown_solver_key_rejected(self, tmp_path, capsys):
         raw = tiny_raw()

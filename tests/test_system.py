@@ -201,12 +201,14 @@ class TestFracturedContactSolve:
             mdg, asm, state = make_problem(fractures)
             _check_apertures(asm, state.current)
             frac = mdg.subdomains_of_dim(1)[-1]
-            _, intf_k = mdg.fracture_interfaces(frac.id)
-            n, _ = mdg.fracture_basis(frac.id)
+            walls = mdg.mortars[2]
+            # the mortar cells of the last fracture's k wall
+            k_wall = (walls.sides > 0) & (walls.lo >= mdg.grids[1].cell_start[frac.id])
+            n = mdg.fracture_basis()[walls.lo[k_wall], 1]
             x = state.current.copy()
             # the k wall moves 2 a0 into the j wall: aperture -a0 everywhere
-            u_k = -2.0 * MAT.residual_aperture * n[:, intf_k.low_cells]
-            x[asm.dofs.intf(intf_k.id, U_MORTAR)] = u_k.T.ravel()
+            u_k = -2.0 * MAT.residual_aperture * n
+            x[asm.dofs.mortar(2, U_MORTAR).reshape(-1, 2)[k_wall]] = u_k
             with pytest.raises(ContactError,
                                match=f"nonpositive aperture on fracture subdomain {frac.id} "):
                 _check_apertures(asm, x)
@@ -356,9 +358,9 @@ class TestTimeLoop:
 class TestConservation:
     def test_injection_balance(self):
         mdg, asm, state = make_problem(FR, nx=8, ny=8)
-        rate = np.zeros(asm.grids[1].num_cells)
+        rate = np.zeros(mdg.grids[1].num_cells)
         rate[1] = 1e-8  # in the first fracture
-        t_inj = np.full(asm.grids[1].num_cells, 290.0)
+        t_inj = np.full(mdg.grids[1].num_cells, 290.0)
 
         def provider(t, tp):
             loads = make_loads(asm, top_displacement=(1e-4, -1e-4),
@@ -390,9 +392,9 @@ class TestConservation:
         # mortars, 0d balances and trace couplings between mortars
         mdg, asm, state = make_problem(CROSSING, nx=8, ny=8)
         assert len(mdg.subdomains_of_dim(0)) == 1
-        rate = np.zeros(asm.grids[1].num_cells)
+        rate = np.zeros(mdg.grids[1].num_cells)
         rate[1] = 1e-8  # in the first fracture
-        t_inj = np.full(asm.grids[1].num_cells, 290.0)
+        t_inj = np.full(mdg.grids[1].num_cells, 290.0)
 
         def provider(t, tp):
             loads = make_loads(asm, top_displacement=(1e-4, -1e-4),
@@ -421,7 +423,7 @@ class TestStackedFractures:
         # per-fracture ones, entry sequence included
         mdg, asm, _ = make_problem(CROSSING, nx=8, ny=8)
         fracs = mdg.subdomains_of_dim(1)
-        grid = asm.grids[1]
+        grid = mdg.grids[1]
         rng = np.random.default_rng(3)
         diff = rng.uniform(0.5, 2.0, grid.num_cells)
         is_dir = np.zeros(grid.num_faces, dtype=bool)
@@ -454,7 +456,7 @@ class TestJumpMatrix:
         # crossing pair.
         diagonal = [((0.125, 0.125), (0.375, 0.375))]
         _, asm, _ = make_problem(diagonal + CROSSING, nx=8, ny=8)
-        assert asm.J.shape == (2 * asm.grids[1].num_cells, asm.dofs.num_dofs)
+        assert asm.J.shape == (2 * asm.mdg.grids[1].num_cells, asm.dofs.num_dofs)
         rng = np.random.default_rng(11)
         for _ in range(3):
             x = rng.standard_normal(asm.dofs.num_dofs)
@@ -502,11 +504,12 @@ class TestInterfaceLaws:
         ops = {2: {P: asm.flow_ops, T: asm.heat_ops},
                1: {P: cache.fracture_ops["flow"], T: cache.fracture_ops["heat"]}}
         checked = 0
-        for dim, group in asm.mortars.items():
+        for dim, group in mdg.mortars.items():
             if group.size == 0:
                 continue
-            high, low = asm.cell_dofs[dim], asm.cell_dofs[dim - 1]
-            nu = {key: x[group.dofs[key]] for key in (NU, NU_COND, NU_ADV)}
+            high = {var: asm.dofs.cells(dim, var) for var in (P, T)}
+            low = {var: asm.dofs.cells(dim - 1, var) for var in (P, T)}
+            nu = {key: x[asm.dofs.mortar(dim, key)] for key in (NU, NU_COND, NU_ADV)}
 
             def trace(var, mortar_key):
                 op = ops[dim][var]
