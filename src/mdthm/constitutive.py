@@ -177,6 +177,15 @@ def heat_capacities(rho_f, mat: MaterialSet, porous: bool):
             average(rc_s * mat.thermal_expansion_solid, rc_f * mat.thermal_expansion_fluid))
 
 
+def carried_heat(rho_f, T, mat: MaterialSet):
+    """Heat c_f rho_f T that fluid of density rho_f = rho_f(p, T) carries,
+    and its derivatives in T and in p: c_f rho_f (1 - beta_f T) and
+    c_f rho_f T / K_f."""
+    h = mat.heat_capacity_fluid * rho_f * T
+    return (h, mat.heat_capacity_fluid * rho_f * (1.0 - mat.thermal_expansion_fluid * T),
+            h / mat.bulk_fluid)
+
+
 def cubic_law(aperture):
     """Tangential permeability of a fracture, K = a^2 / 12."""
     a = np.asarray(aperture, dtype=float)

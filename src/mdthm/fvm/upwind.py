@@ -1,10 +1,10 @@
 """First-order upwind advection on a subdomain grid.
 
-Face fluxes are signed along the stored (owner-out) face normals and come
-from the previous nonlinear iterate. The advected quantity is supplied
-cellwise (e.g. rho_f c_f T); boundary inflow carries the boundary value,
-boundary outflow the interior one. Faces flagged as excluded (fracture
-walls coupled through interface unknowns) are skipped entirely.
+Face fluxes are signed along the stored (owner-out) face normals. The
+advected quantity is supplied cellwise (e.g. rho_f c_f T); boundary inflow
+carries the boundary value, boundary outflow the interior one. Faces
+flagged as excluded (fracture walls coupled through interface unknowns)
+carry nothing.
 """
 
 from __future__ import annotations
@@ -16,47 +16,33 @@ from mdthm.mdmesh.grids import SubdomainGrid
 
 
 def upwind_matrices(grid: SubdomainGrid, face_flux, exclude=None):
-    """Sparse upwind selectors: face value = U_cell @ w + U_face @ w_bc.
+    """Unweighted upwind selectors: the carried value of each face is
+    S_cell @ w + S_face @ w_bc.
 
-    U_cell picks the upstream cell's value weighted by the face flux;
-    U_face routes boundary data on inflow boundary faces.
+    S_cell picks the upstream cell, the owner where the face flux is
+    nonnegative; S_face picks the boundary value on inflow boundary faces.
+    The advective face flux is the face flux times the carried value.
     """
     nf, nc = grid.num_faces, grid.num_cells
     q = np.asarray(face_flux, dtype=float)
     owner, nbr = grid.face_cells
-    skip = np.zeros(nf, dtype=bool) if exclude is None else np.asarray(exclude, bool)
+    use = np.ones(nf, dtype=bool) if exclude is None else ~np.asarray(exclude, bool)
+    from_owner = use & (q >= 0.0)
+    from_nbr = use & (q < 0.0) & (nbr >= 0)
+    inflow = np.flatnonzero(use & (q < 0.0) & (nbr < 0))
 
-    use = ~skip
-    up_is_owner = q >= 0.0
-    interior = nbr >= 0
-
-    rows, cols, vals = [], [], []
-    # owner side upstream, including outflow through boundary faces
-    sel = use & up_is_owner
-    rows.append(np.where(sel)[0])
-    cols.append(owner[sel])
-    vals.append(q[sel])
-    sel = use & ~up_is_owner & interior
-    rows.append(np.where(sel)[0])
-    cols.append(nbr[sel])
-    vals.append(q[sel])
-    u_cell = sps.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nf, nc),
-    )
-
-    sel = use & ~up_is_owner & ~interior  # inflow across a boundary face
-    u_face = sps.csr_matrix(
-        (q[sel], (np.where(sel)[0], np.where(sel)[0])), shape=(nf, nf)
-    )
-    return u_cell, u_face
+    faces = np.flatnonzero(from_owner | from_nbr)
+    cells = np.where(from_owner, owner, nbr)[faces]
+    s_cell = sps.csr_matrix((np.ones(faces.size), (faces, cells)), shape=(nf, nc))
+    s_face = sps.csr_matrix((np.ones(inflow.size), (inflow, inflow)), shape=(nf, nf))
+    return s_cell, s_face
 
 
 def upwind_advective(grid: SubdomainGrid, face_flux, carried_cells,
                      carried_boundary=None, exclude=None):
     """Face advective fluxes q * w_upstream for a cellwise quantity w."""
-    u_cell, u_face = upwind_matrices(grid, face_flux, exclude)
-    out = u_cell @ np.asarray(carried_cells, dtype=float)
+    s_cell, s_face = upwind_matrices(grid, face_flux, exclude)
+    carried = s_cell @ np.asarray(carried_cells, dtype=float)
     if carried_boundary is not None:
-        out = out + u_face @ np.asarray(carried_boundary, dtype=float)
-    return out
+        carried = carried + s_face @ np.asarray(carried_boundary, dtype=float)
+    return np.asarray(face_flux, dtype=float) * carried

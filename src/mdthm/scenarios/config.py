@@ -6,10 +6,11 @@ types, a list of loading phases with per-side boundary values and well
 sources, solver settings and output settings. Validation failures carry the
 offending field path.
 
-The ``solver`` section accepts ``max_iterations``, ``increment_tol`` and
-``damping`` (the relaxation weight of the advective fluxes, applied when
-more than a tenth of the face fluxes flip sign between iterates); any other
-key is an error. A time step whose Newton iteration fails ends the run.
+The ``solver`` section accepts ``max_iterations`` (the Newton iteration
+cap per step) and ``increment_tol`` (the scaled increment at which Newton
+stops; a start whose scaled residual is below 1e-4 times it stops at
+once); any other key is an error. A time step whose Newton iteration fails
+ends the run.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from mdthm.constitutive import DilationModel, MaterialSet
 
 SIDES = ("left", "right", "bottom", "top")
 SIDE_CODE = {"left": 1, "right": 2, "bottom": 3, "top": 4}
-SOLVER_KEYS = ("max_iterations", "increment_tol", "damping")
+SOLVER_KEYS = ("max_iterations", "increment_tol")
 WELL_SUBDOMAINS = ("fracture", "matrix", "auto")
 
 

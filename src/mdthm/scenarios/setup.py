@@ -11,7 +11,6 @@ from mdthm.mdmesh import (
     build_cartesian_fractured,
     build_triangular_fractured,
     ingest_gmsh,
-    refine,
 )
 from mdthm.scenarios.config import SIDE_CODE, ConfigError, PhaseConfig, ScenarioConfig
 from mdthm.system import Assembler, Loads, NewtonParams, PhaseSpec, State
@@ -23,14 +22,14 @@ def build_mesh(cfg: ScenarioConfig, extra_refinement: int = 0) -> MixedDimGrid:
         if extra_refinement or int(mesh.get("refinement", 0)):
             raise ConfigError("mesh.refinement: gmsh meshes cannot be refined")
         return ingest_gmsh(mesh["path"])
-    level = int(mesh.get("refinement", 0)) + extra_refinement
-    factor = 2**level
+    # refinement level k is the generator's grid with 2^k times the cells
+    # along each axis, the same grid that ``refine`` builds
+    factor = 2 ** (int(mesh.get("refinement", 0)) + extra_refinement)
     box = tuple(tuple(map(float, p)) for p in mesh.get("box", ((0, 0), (1, 1))))
     fractures = [tuple(map(tuple, s)) for s in mesh.get("fractures", [])]
     builder = (build_triangular_fractured if mesh["kind"] == "triangular"
                else build_cartesian_fractured)
-    base = builder(mesh["nx"], mesh["ny"], fractures, box)
-    return refine(base, factor) if factor > 1 else base
+    return builder(mesh["nx"] * factor, mesh["ny"] * factor, fractures, box)
 
 
 def hydrostatic_pressure(cfg: ScenarioConfig, y):
@@ -100,7 +99,6 @@ def build_scenario(cfg: ScenarioConfig, extra_refinement: int = 0) -> Scenario:
         max_iterations=int(cfg.solver.get("max_iterations", 50)),
         increment_tol=float(cfg.solver.get("increment_tol", 1e-10)),
         scales=solver_scales(cfg, mdg),
-        damping=float(cfg.solver.get("damping", 1.0)),
     )
     phases = [PhaseSpec(ph.name, ph.duration, ph.dt, ph.steady, ph.dt_init)
               for ph in cfg.phases]

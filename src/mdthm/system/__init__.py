@@ -1,4 +1,4 @@
-from mdthm.system.assembly import Assembler, IterationCache, Loads, damp_advective_flux
+from mdthm.system.assembly import Assembler, IterationCache, Loads
 from mdthm.system.diagnostics import (
     BalanceReport,
     balance_report,
@@ -42,7 +42,6 @@ __all__ = [
     "U",
     "U_MORTAR",
     "balance_report",
-    "damp_advective_flux",
     "interface_flux_consistency",
     "newton_solve",
     "time_loop",

@@ -1,10 +1,28 @@
 """Monolithic assembly of the coupled mixed-dimensional system.
 
 One call produces the sparse matrix and right-hand side of the linearised
-system in all unknowns at the next iterate. Nonlinear coefficients
-(apertures, specific volumes, densities, advective fluxes, fracture
-permeabilities, contact sets) are taken at the current iterate through an
-:class:`IterationCache`.
+system in all unknowns at the next iterate, from the current iterate x_k
+through an :class:`IterationCache`.
+
+The advected heat is linearised by Newton's method. Wherever the fluid
+carries heat c rho(p, T) T, its derivatives in p and T enter the matrix,
+and so do those of the Darcy flux q(p, nu) that carries it: the upwinded
+advective face fluxes of the matrix and the fractures, boundary inflow
+included, the interface law nu_adv = nu c rho T_upstream, the heat
+that wells carry, and the volume-change weight c rho T of fractures and
+intersection points. A derivative block D enters as A += D and b += D x_k,
+so that the solve still gives the next iterate; where a whole term F is
+linearised, b also takes -F(x_k). The rest is lagged at x_k: the density
+of the gravity terms, apertures, specific volumes and fracture
+permeabilities, the interface weights, the coefficients of the storage
+and accumulation terms (exact at the previous step's state), the one-way
+dilation remainder, and the density of the heat that boundary inflow
+carries, which :meth:`Assembler.boundary_heat_weight` takes at the
+pressure of the face's cell. Differentiated in that pressure, the inflow
+weight turns a start whose interior fluxes vanish, such as a steady solve
+from rest under a pressure drop, into a heat source that only conduction
+balances: the first iterate then overshoots by 1e4 K and Newton diverges.
+The contact rows use the semismooth generalised Jacobian.
 
 Each balance law is one function that loops over the dimensions 2, 1 and 0,
 never over subdomains. It reads the per-dimension view that the mesh owns:
@@ -64,6 +82,7 @@ from mdthm.constitutive import (
     DilationModel,
     MaterialSet,
     aperture_unchecked,
+    carried_heat,
     cubic_law,
     dgap,
     fluid_density,
@@ -83,9 +102,6 @@ from mdthm.mdmesh import MixedDimGrid, split_cells
 from mdthm.system.dofs import LAM, NU, NU_ADV, NU_COND, P, T, U, U_MORTAR, DofMap, State
 
 MECH, FLOW, HEAT = "mech", "flow", "heat"
-# With damping on, the advective fluxes are relaxed only when more than
-# this share of the face fluxes flipped sign since the previous iterate.
-DAMPING_THRESHOLD = 0.1
 
 
 @dataclass
@@ -125,12 +141,11 @@ class FractureState:
 
 @dataclass
 class IterationCache:
-    """Lagged nonlinear quantities evaluated at the current iterate.
+    """Nonlinear quantities evaluated at the current iterate.
 
     Cell and face fields are keyed by dimension and stacked over the
     subdomains of that dimension. The fracture state (against the previous
-    time step) is stacked over all fracture cells, the mortar fluxes over
-    each group of mortars.
+    time step) is stacked over all fracture cells.
     """
 
     fracture: FractureState
@@ -138,8 +153,7 @@ class IterationCache:
     spec_vol: dict  # dim -> cellwise specific volume (all dimensions)
     spec_vol_prev: dict  # fractures and points, at the previous time step
     density: dict  # dim -> cellwise fluid density
-    face_flux: dict  # dim -> cached (possibly damped) fluid face fluxes
-    mortar_flux: dict  # mortar group -> cached (possibly damped) fluid fluxes
+    face_flux: dict  # dim -> fluid face fluxes
     fracture_ops: dict  # flow / heat -> 1d operators of the stacked fractures
     contact_state: dict  # frac id -> its cells' view of ``fracture.contact``
 
@@ -314,8 +328,13 @@ class Assembler:
         return FractureState(jumps, jumps_ref, lam, gaps, dgaps, contact)
 
     def build_cache(self, state: State, loads: Loads,
-                    prev_cache: IterationCache | None = None,
-                    damping: float = 1.0) -> IterationCache:
+                    prev_cache: IterationCache | None = None) -> IterationCache:
+        """The nonlinear quantities at ``state.current``.
+
+        Newton passes the previous iteration's cache as ``prev_cache``; the
+        cache does not read it, but the benchmark's tracer does, to count
+        the contact cells that flip between iterations.
+        """
         mat, dofs = self.mat, self.dofs
         x = state.current
         # jumps and contact states at the current iterate
@@ -335,36 +354,16 @@ class Assembler:
                                     self.frac_bc[FLOW]),
             HEAT: onedim_discretize(g1, v1 * mat.conductivity_fluid, self.frac_bc[HEAT]),
         }
-        # fluid face fluxes at the current iterate, optionally damped
         face_flux = {}
         for dim, ops in ((2, self.flow_ops), (1, fracture_ops[FLOW])):
             bvals = self._scalar_boundary_values(dim, FLOW, loads, x)
             face_flux[dim] = ops.flux @ x[dofs.cells(dim, P)] + ops.bound_flux @ bvals \
                 + ops.vector_source @ self._rho_g(density[dim])
-        mortar_flux = {dim: x[dofs.mortar(dim, NU)].copy() for dim in self.mdg.mortars}
-
-        # relax both when more than a share DAMPING_THRESHOLD of the face
-        # fluxes flipped sign since the previous iterate
-        if prev_cache is not None and damping < 1.0:
-            old = prev_cache.face_flux
-            flips = sum(
-                int(np.sum((np.sign(face_flux[k]) * np.sign(old[k])) < 0))
-                for k in face_flux
-            )
-            total = sum(v.size for v in face_flux.values())
-            if flips / max(total, 1) > DAMPING_THRESHOLD:
-                for k in face_flux:
-                    face_flux[k] = damp_advective_flux(old[k], face_flux[k], damping)
-                for k in mortar_flux:
-                    mortar_flux[k] = damp_advective_flux(
-                        prev_cache.mortar_flux[k], mortar_flux[k], damping
-                    )
 
         return IterationCache(
             fracture=frac,
             apertures=apertures, spec_vol=spec_vol, spec_vol_prev=spec_vol_prev,
-            density=density, face_flux=face_flux, mortar_flux=mortar_flux,
-            fracture_ops=fracture_ops,
+            density=density, face_flux=face_flux, fracture_ops=fracture_ops,
             contact_state=split_cells(self.mdg.grids[1], frac.contact),
         )
 
@@ -408,16 +407,18 @@ class Assembler:
         rho_b = fluid_density(x[self.dofs.cells(dim, P)][grid.face_cells[0]], ext_T, mat)
         return np.where(is_dir, mat.heat_capacity_fluid * rho_b * ext_T, 0.0)
 
-    def injected_energy(self, dim, loads: Loads, x: np.ndarray) -> np.ndarray:
-        """Energy rate rho c T_inj q of each injecting well of one dimension,
-        at the density of the cell's pressure in state x; zero elsewhere."""
-        mat = self.mat
+    def well_heat(self, dim, loads: Loads, x: np.ndarray):
+        """Per cell of one dimension in state x: the well rate q, the heat
+        c rho T that the well fluid carries and its derivatives in the
+        cell's T and p. Injectors carry the injection temperature, producers
+        the cell's own, both at the density of the cell's pressure; the rate
+        is zero where there is no well."""
         rates, t_inj = self._wells(dim, loads)
         inject = rates > 0
-        src = np.zeros(rates.size)
-        rho_in = fluid_density(x[self.dofs.cells(dim, P)][inject], t_inj[inject], mat)
-        src[inject] = rho_in * mat.heat_capacity_fluid * t_inj[inject] * rates[inject]
-        return src
+        temp = np.where(inject, t_inj, x[self.dofs.cells(dim, T)])
+        rho = fluid_density(x[self.dofs.cells(dim, P)], temp, self.mat)
+        h, dh_dT, dh_dp = carried_heat(rho, temp, self.mat)
+        return rates, h, np.where(inject, 0.0, dh_dT), dh_dp
 
     # ------------------------------------------------------------------
     # assembly
@@ -436,7 +437,7 @@ class Assembler:
         self._traction_balance(acc, b, loads)
         for dim, group in self.mdg.mortars.items():
             if group.size:
-                self._mortar_flux_rows(acc, b, group, terms[dim], cache, loads)
+                self._mortar_flux_rows(acc, b, group, terms[dim], state, cache, loads)
         return acc.matrix(), b
 
     # -- momentum ----------------------------------------------------------
@@ -493,16 +494,19 @@ class Assembler:
                 if dim == 2:
                     weight = np.full(self.matrix.num_cells,
                                      mat.thermal_stress_coefficient * mat.reference_temperature)
+                    self._volume_change(acc, b, dim, T, weight, state, cache, dt, loads)
                 else:
-                    weight = (mat.heat_capacity_fluid * cache.density[dim]
-                              * state.current[self.dofs.cells(dim, T)])
-                self._volume_change(acc, b, dim, T, weight, state, cache, dt, loads)
+                    # the fluid filling the volume change carries c rho T
+                    weight, *dweight = carried_heat(
+                        cache.density[dim], state.current[self.dofs.cells(dim, T)], mat)
+                    self._volume_change(acc, b, dim, T, weight, state, cache, dt, loads,
+                                        dweight)
             if dim > 0:
                 self._scalar_flux_divergence(acc, b, dim, HEAT, terms[dim][HEAT], cache, loads)
                 self._advective_divergence(acc, b, dim, cache, loads, state)
             if dim < 2:
                 self._mortar_sources(acc, dim, T, (NU_ADV, NU_COND))
-            self._well_energy(acc, b, dim, cache, loads, state)
+            self._well_energy(acc, b, dim, loads, state)
 
     def _fluid_storage(self, acc, b, dim, xp, wvol):
         """Fluid storage of one dimension's cells of weighted volumes wvol,
@@ -527,7 +531,8 @@ class Assembler:
         acc.add_diag(t, p, coef_p)
         _add_to(b, t, coef_T * xp[t] + coef_p * xp[p])
 
-    def _volume_change(self, acc, b, dim, var, weight, state, cache, dt, loads):
+    def _volume_change(self, acc, b, dim, var, weight, state, cache, dt, loads,
+                       dweight=None):
         """weight/dt * (V_new - V_old) in the balance of ``var`` of one
         dimension's cells.
 
@@ -535,7 +540,9 @@ class Assembler:
         the mortar displacements, p and T. On fractures V = a0 + jump_n
         (+ one-way slip remainder, lagged), with the normal jump implicit
         through J. At intersection points V is the inherited specific
-        volume, fully lagged.
+        volume, fully lagged. On fractures and points, ``dweight`` holds the
+        weight's derivatives in the cells' T and p, which enter as Newton
+        terms.
         """
         rows = self.dofs.cells(dim, var)
         if dim == 2:
@@ -550,20 +557,28 @@ class Assembler:
             _add_to(b, rows, weight / dt * prev)
             _add_to(b, rows, -((w @ ops.bound_div_u) @ self._ext_mech(loads.bc_mech)))
             return
-        vols = self.mdg.grids[dim].cell_volumes / dt * weight
+        vols = self.mdg.grids[dim].cell_volumes / dt
         if dim == 0:
-            _add_to(b, rows, vols * (cache.spec_vol_prev[0] - cache.spec_vol[0]))
-            return
-        acc.add_mat(rows, slice(0, self.dofs.num_dofs), sps.diags(vols) @ self.J[1::2])
-        # previous-step V without a0 (the constant cancels in the difference)
-        jumps, jumps_prev = cache.fracture.jumps, cache.fracture.jumps_ref
-        v_prev = jumps_prev[1::2]
-        rem_new = np.zeros(vols.size)
-        if self.model is DilationModel.ONE_WAY:
-            tanp = np.tan(self.mat.dilation_angle)
-            v_prev = v_prev + tanp * np.abs(jumps_prev[0::2])
-            rem_new = tanp * np.abs(jumps[0::2])
-        _add_to(b, rows, vols * (v_prev - rem_new))
+            change = cache.spec_vol[0] - cache.spec_vol_prev[0]
+            _add_to(b, rows, -vols * weight * change)
+        else:
+            acc.add_mat(rows, slice(0, self.dofs.num_dofs),
+                        sps.diags(vols * weight) @ self.J[1::2])
+            # previous-step V without a0 (the constant cancels in the difference)
+            jumps, jumps_prev = cache.fracture.jumps, cache.fracture.jumps_ref
+            v_prev = jumps_prev[1::2]
+            rem_new = np.zeros(vols.size)
+            if self.model is DilationModel.ONE_WAY:
+                tanp = np.tan(self.mat.dilation_angle)
+                v_prev = v_prev + tanp * np.abs(jumps_prev[0::2])
+                rem_new = tanp * np.abs(jumps[0::2])
+            _add_to(b, rows, vols * weight * (v_prev - rem_new))
+            change = jumps[1::2] + rem_new - v_prev
+        if dweight is not None:
+            dw_dT, dw_dp = dweight
+            _newton(acc, b, rows, state.current,
+                    ((self.dofs.cells(dim, T), sps.diags(vols * change * dw_dT)),
+                     (self.dofs.cells(dim, P), sps.diags(vols * change * dw_dp))))
 
     def div_u(self, x: np.ndarray, bc_mech: np.ndarray) -> np.ndarray:
         """The cellwise volume change of the matrix at state x with the
@@ -585,17 +600,33 @@ class Assembler:
             _add_to(b, cells, -(terms["div_vsrc"] @ self._rho_g(cache.density[dim])))
 
     def _advective_divergence(self, acc, b, dim, cache, loads, state):
-        """Upwinded advective heat fluxes, implicit in temperature."""
-        mat, grid, div = self.mat, self.mdg.grids[dim], self.div[dim]
-        rows = self.dofs.cells(dim, T)
-        u_cell, u_face = upwind_matrices(grid, cache.face_flux[dim], grid.tags["internal"])
-        w = mat.heat_capacity_fluid * cache.density[dim]
-        acc.add_mat(rows, rows, div @ u_cell @ sps.diags(w))
-        w_bc = self.boundary_heat_weight(dim, loads, state.current)
-        _add_to(b, rows, -(div @ u_face @ w_bc))
+        """The divergence of the upwinded advective heat fluxes q h,
+        linearised by Newton in p, T and the mortar fluxes nu.
+
+        q is the Darcy face flux and h the heat it carries: c rho T of the
+        upstream cell, the boundary weight on inflow faces, nothing on the
+        faces that the mortars couple. One upwind selection serves h and
+        its derivatives; the flux's derivatives are its operators. The
+        density of the boundary weight is lagged (see the module).
+        """
+        mat, grid, div, dofs = self.mat, self.mdg.grids[dim], self.div[dim], self.dofs
+        x = state.current
+        ops = self.flow_ops if dim == 2 else cache.fracture_ops[FLOW]
+        p, t = dofs.cells(dim, P), dofs.cells(dim, T)
+        q = cache.face_flux[dim]
+        s_cell, s_face = upwind_matrices(grid, q, grid.tags["internal"])
+        h_cell, dh_dT, dh_dp = carried_heat(cache.density[dim], x[t], mat)
+        h = s_cell @ h_cell + s_face @ self.boundary_heat_weight(dim, loads, x)
+        div_q, div_h = div @ sps.diags(q), div @ sps.diags(h)
+        _newton(acc, b, t, x, (
+            (t, div_q @ s_cell @ sps.diags(dh_dT)),
+            (p, div_q @ s_cell @ sps.diags(dh_dp) + div_h @ ops.flux),
+            (dofs.mortar(dim, NU), div_h @ ops.bound_flux @ self.to_faces[dim]),
+        ))
+        _add_to(b, t, -(div @ (q * h)))
         # advective transfer through internal faces enters via the mortar
         # advective unknowns
-        acc.add_mat(rows, self.dofs.mortar(dim, NU_ADV), div @ self.to_faces[dim])
+        acc.add_mat(t, dofs.mortar(dim, NU_ADV), div @ self.to_faces[dim])
 
     def _mortar_sources(self, acc, dim, var, keys):
         """The mortar fluxes ``keys`` from the dimension above enter the
@@ -605,16 +636,19 @@ class Assembler:
         cols = np.concatenate([self.dofs.mortar(dim + 1, key) for key in keys])
         acc.add(rows, cols, -np.ones(rows.size))
 
-    def _well_energy(self, acc, b, dim, cache, loads, state):
-        mat, t = self.mat, self.dofs.cells(dim, T)
-        rates = self._wells(dim, loads)[0]
-        if np.any(rates > 0):
-            _add_to(b, t, self.injected_energy(dim, loads, state.current))
-        produce = rates < 0
-        if np.any(produce):
-            # upwind: produced energy carries the local (implicit) temperature
-            coef = mat.heat_capacity_fluid * cache.density[dim][produce] * rates[produce]
-            acc.add_diag(t[produce], t[produce], -coef)
+    def _well_energy(self, acc, b, dim, loads, state):
+        """The heat q h that wells carry in (q > 0) or out, linearised by
+        Newton in the cells' T and p."""
+        x = state.current
+        rates, h, dh_dT, dh_dp = self.well_heat(dim, loads, x)
+        wells = np.flatnonzero(rates)
+        if wells.size == 0:
+            return
+        t, p = self.dofs.cells(dim, T)[wells], self.dofs.cells(dim, P)[wells]
+        q = rates[wells]
+        _newton(acc, b, t, x, ((t, sps.diags(-q * dh_dT[wells])),
+                               (p, sps.diags(-q * dh_dp[wells]))))
+        _add_to(b, t, q * h[wells])
 
     # -- contact and interface rows -----------------------------------------
     def _contact_rows(self, acc, b, cache):
@@ -641,13 +675,14 @@ class Assembler:
         acc.add_mat(rows, self.dofs.cells(1, P), self.wall_p)
         self._momentum_traction_terms(acc, b, rows, self.wall_tractions, loads)
 
-    def _mortar_flux_rows(self, acc, b, group, terms, cache, loads):
+    def _mortar_flux_rows(self, acc, b, group, terms, state, cache, loads):
         """Interface laws of one mortar group, with the high side's
         :meth:`_scalar_terms`.
 
         Darcy and Fourier fluxes are w (trace of the high side - low cell
         value), with w = A V_high 2 kappa / a_low; the advective flux is the
-        lagged fluid flux times c rho T on its upstream side.
+        fluid flux times c rho T on its upstream side, linearised by Newton
+        in the fluid flux and in the upstream cell's T and p.
         """
         mat, dofs, dim, hi, lo = self.mat, self.dofs, group.dim, group.hi, group.lo
         ones = np.ones(group.size)
@@ -676,24 +711,23 @@ class Assembler:
                 coef = areas * v_high * (k_low / mat.viscosity) * rho_l * gn
                 _add_to(b, rows, coef)
 
-        # advective rows: nu_adv = nu_lagged * c rho T(upstream side)
-        rows = dofs.mortar(dim, NU_ADV)
+        # advective rows: nu_adv = nu c rho T(upstream side)
+        rows, x = dofs.mortar(dim, NU_ADV), state.current
+        nu_dofs = dofs.mortar(dim, NU)
+        nu = x[nu_dofs]
+        high = nu > 0
+
+        def upstream(var):
+            return np.where(high, dofs.cells(dim, var)[hi], dofs.cells(dim - 1, var)[lo])
+
+        t_up, p_up = upstream(T), upstream(P)
+        rho = np.where(high, cache.density[dim][hi], cache.density[dim - 1][lo])
+        h, dh_dT, dh_dp = carried_heat(rho, x[t_up], mat)
         acc.add_diag(rows, rows, ones)
-        nu_lag = cache.mortar_flux[dim]
-        upstream_high = nu_lag > 0
-        w_high = mat.heat_capacity_fluid * cache.density[dim][hi]
-        w_low = mat.heat_capacity_fluid * cache.density[dim - 1][lo]
-        coef_h = np.where(upstream_high, -nu_lag * w_high, 0.0)
-        coef_l = np.where(~upstream_high, -nu_lag * w_low, 0.0)
-        acc.add(rows, dofs.cells(dim, T)[hi], coef_h)
-        acc.add(rows, dofs.cells(dim - 1, T)[lo], coef_l)
-
-
-def damp_advective_flux(flux_prev, flux_new, omega):
-    """Relaxed flux update q = omega q_new + (1 - omega) q_prev."""
-    return omega * np.asarray(flux_new, float) + (1.0 - omega) * np.asarray(
-        flux_prev, float
-    )
+        _newton(acc, b, rows, x, ((nu_dofs, sps.diags(-h)),
+                                  (t_up, sps.diags(-nu * dh_dT)),
+                                  (p_up, sps.diags(-nu * dh_dp))))
+        _add_to(b, rows, nu * h)
 
 
 class _Coo:
@@ -741,6 +775,14 @@ def _block_diag(blocks) -> sps.csr_matrix:
     n = 2 * blocks.shape[0]
     cols = np.repeat(np.arange(n).reshape(-1, 2), 2, axis=0).ravel()
     return sps.csr_matrix((np.ravel(blocks), cols, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
+
+
+def _newton(acc, b, rows, x, blocks):
+    """Add derivative blocks D of the rows' residual at the iterate x, as
+    (global columns, block) pairs: A += D and b += D x."""
+    for cols, block in blocks:
+        acc.add_mat(rows, cols, block)
+        _add_to(b, rows, block @ x[cols])
 
 
 def _add_to(b, rows, vals):

@@ -5,7 +5,7 @@ from the end state of a step, apart from the Newton residual: interior and
 interdimensional transfers cancel by construction, so the per-step defect
 measures whether assembly encodes the conservative form and the solver met
 its tolerance. The matrix volume change, the heat that boundary inflow
-carries and the energy that wells inject are the assembler's own terms.
+carries and the heat that wells carry are the assembler's own terms.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mdthm.constitutive import fluid_storage, heat_capacities
+from mdthm.constitutive import carried_heat, fluid_storage, heat_capacities
 from mdthm.fvm import upwind_advective
 from mdthm.system.assembly import HEAT, Assembler, Loads
 from mdthm.system.dofs import NU, P, T, State
@@ -57,6 +57,7 @@ def balance_report(assembler: Assembler, state: State, dt: float,
         vols = grid.cell_volumes
         v_lag = cache.spec_vol[dim]
         rho = cache.density[dim]
+        heat = carried_heat(rho, t_new, mat)[0]
 
         m_acc += float(np.sum(
             vols * v_lag * fluid_storage(p_new - p_old, t_new - t_old, mat, dim == 2)
@@ -70,9 +71,7 @@ def balance_report(assembler: Assembler, state: State, dt: float,
         else:
             v_old = cache.spec_vol_prev[dim]
             m_acc += float(np.sum(vols * (v_lag - v_old)))
-            e_acc += float(np.sum(
-                vols * mat.heat_capacity_fluid * rho * t_new * (v_lag - v_old)
-            ))
+            e_acc += float(np.sum(vols * heat * (v_lag - v_old)))
         # energy accumulation with the expanded coefficient form
         rc, rck, rcb = heat_capacities(rho, mat, dim == 2)
         e_acc += float(np.sum(
@@ -88,21 +87,13 @@ def balance_report(assembler: Assembler, state: State, dt: float,
             ops = assembler.heat_ops if dim == 2 else cache.fracture_ops[HEAT]
             bvals = assembler._scalar_boundary_values(dim, HEAT, loads, x)
             q_cond = ops.flux @ t_new + ops.bound_flux @ bvals
-            w = mat.heat_capacity_fluid * rho
             w_bc = assembler.boundary_heat_weight(dim, loads, x)
-            q_adv = upwind_advective(grid, q, w * t_new, w_bc, grid.tags["internal"])
+            q_adv = upwind_advective(grid, q, heat, w_bc, grid.tags["internal"])
             e_out += dt * float(np.sum(q_cond[ext] + q_adv[ext]))
 
-        rates = assembler._wells(dim, loads)[0]
+        rates, well_heat, *_ = assembler.well_heat(dim, loads, x)
         m_src += dt * float(np.sum(rates))
-        inj = rates > 0
-        if np.any(inj):
-            e_src += dt * float(np.sum(assembler.injected_energy(dim, loads, x)[inj]))
-        prod = rates < 0
-        if np.any(prod):
-            e_src += dt * float(np.sum(
-                mat.heat_capacity_fluid * rho[prod] * rates[prod] * t_new[prod]
-            ))
+        e_src += dt * float(np.sum(rates * well_heat))
     return BalanceReport(m_acc, m_out, m_src, e_acc, e_out, e_src)
 
 

@@ -12,7 +12,10 @@ interfaces only the fluxes. Vector dofs are interleaved cellwise.
 Assembly reads the dofs through the stacked view of the mesh:
 :meth:`DofMap.cells` gives one variable's dofs over the stacked cells of a
 dimension (``mdg.grids``), :meth:`DofMap.mortar` one interface variable's
-dofs over a mortar group (``mdg.mortars``). Both are computed once.
+dofs over a mortar group (``mdg.mortars``). Both are computed once, and so
+is :attr:`DofMap.mechanics`, which flags the dofs of the mechanical
+variables (u, u_m, lam) against the scalar ones (p, T, nu, nu_adv,
+nu_cond).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from mdthm.mdmesh import MixedDimGrid
 
 U, P, T, LAM = "u", "p", "T", "lam"
 U_MORTAR, NU, NU_ADV, NU_COND = "u_m", "nu", "nu_adv", "nu_cond"
+MECHANICS = (U, U_MORTAR, LAM)
 
 # per dimension, the variables of a subdomain's cells and of an interface
 # whose high side has that dimension, with their components per cell
@@ -45,6 +49,9 @@ class DofMap:
                 self._slices[(kind, item.id, var)] = slice(offset, offset + size)
                 offset += size
         self.num_dofs = offset
+        self.mechanics = np.zeros(offset, dtype=bool)
+        for (_, _, var), sl in self._slices.items():
+            self.mechanics[sl] = var in MECHANICS
         # the stacked views, in the cell order of ``mdg.grids`` and the mortar
         # cell order of ``mdg.mortars``
         self._cells = {(dim, var): self._indices("sd", list(grid.cell_start), var)

@@ -16,9 +16,12 @@ from mdthm.system.dofs import State
 
 # Convergence needs the scaled contact residual at most CONTACT_TOL, and
 # either a scaled increment at most NewtonParams.increment_tol or a scaled
-# residual at most RESIDUAL_FLOOR (a start at the solution).
+# residual at most RESIDUAL_FLOOR times increment_tol (a start at the
+# solution). The floor follows the requested tolerance, so that a tighter
+# tolerance is not cut short by a residual that is small but not small
+# enough for it.
 CONTACT_TOL = 1e-8
-RESIDUAL_FLOOR = 1e-11
+RESIDUAL_FLOOR = 1e-4
 # A linear solve fails when its relative residual exceeds SOLVE_TOL.
 SOLVE_TOL = 1e-10
 
@@ -34,7 +37,21 @@ class DirectSolver:
     (displacements in metres against tractions in pascals differ by many
     orders); without them the traction columns are numerically invisible
     after row equilibration.
+
+    ``mechanics`` flags the dofs of the mechanical unknowns (u, u_m, lam).
+    When the rows of the other, scalar unknowns (p, T, nu, nu_adv, nu_cond)
+    have no nonzero entry in the mechanical columns, the system is block
+    lower-triangular and is solved as two smaller LUs: the scalar block,
+    then the mechanical block with the scalar solution moved to its
+    right-hand side. Every steady system has that form, because only the
+    transient volume change couples the balances to the displacements; the
+    assembled matrix decides, not a flag. Otherwise, or without
+    ``mechanics``, the whole system is factored at once. Either way the
+    residual of the whole system is checked against SOLVE_TOL.
     """
+
+    def __init__(self, mechanics: np.ndarray | None = None):
+        self.mechanics = mechanics
 
     def solve(self, A: sps.spmatrix, b: np.ndarray,
               col_scale: np.ndarray | None = None) -> np.ndarray:
@@ -43,24 +60,45 @@ class DirectSolver:
             return np.zeros_like(b)
         A = A.tocsr()
         cs = np.ones(A.shape[1]) if col_scale is None else np.asarray(col_scale)
-        ac = A @ sps.diags(cs)
-        row_max = np.maximum(np.abs(ac).max(axis=1).toarray().ravel(), 1e-300)
-        scaled = (sps.diags(1.0 / row_max) @ ac).tocsc()
-        try:
-            lu = spla.splu(scaled)
-            bs = b / row_max
-            y = lu.solve(bs)
-            # two rounds of iterative refinement push the componentwise
-            # error towards the roundoff of the equilibrated system
-            for _ in range(2):
-                y += lu.solve(bs - scaled @ y)
-        except RuntimeError as err:
-            raise SolverFailure(f"sparse factorisation failed: {err}") from err
-        x = cs * y
+        mech = self.mechanics
+        if mech is not None and _lower_block_triangular(A, mech):
+            s, m = np.flatnonzero(~mech), np.flatnonzero(mech)
+            x = np.empty_like(b, dtype=float)
+            x[s] = _lu_solve(A[s][:, s], b[s], cs[s])
+            a_m = A[m]
+            x[m] = _lu_solve(a_m[:, m], b[m] - a_m[:, s] @ x[s], cs[m])
+        else:
+            x = _lu_solve(A, b, cs)
         rel = np.linalg.norm(A @ x - b) / b_norm
         if not np.isfinite(rel) or rel > SOLVE_TOL:
             raise SolverFailure(f"linear solve residual {rel:.3e} exceeds {SOLVE_TOL:.1e}")
         return x
+
+
+def _lower_block_triangular(A: sps.csr_matrix, mech: np.ndarray) -> bool:
+    """Whether no row outside ``mech`` has a nonzero entry in a column in
+    ``mech``."""
+    rows = np.repeat(~mech, np.diff(A.indptr))
+    return not np.any(rows & mech[A.indices] & (A.data != 0.0))
+
+
+def _lu_solve(A: sps.csr_matrix, b: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """One sparse LU solve, equilibrated by the column scales cs and then by
+    the row maxima, with two rounds of iterative refinement."""
+    ac = A @ sps.diags(cs)
+    row_max = np.maximum(np.abs(ac).max(axis=1).toarray().ravel(), 1e-300)
+    scaled = (sps.diags(1.0 / row_max) @ ac).tocsc()
+    try:
+        lu = spla.splu(scaled)
+        bs = b / row_max
+        y = lu.solve(bs)
+        # two rounds of iterative refinement push the componentwise
+        # error towards the roundoff of the equilibrated system
+        for _ in range(2):
+            y += lu.solve(bs - scaled @ y)
+    except RuntimeError as err:
+        raise SolverFailure(f"sparse factorisation failed: {err}") from err
+    return cs * y
 
 
 @dataclass
@@ -68,7 +106,6 @@ class NewtonParams:
     max_iterations: int = 50
     increment_tol: float = 1e-10
     scales: dict = field(default_factory=dict)
-    damping: float = 1.0
 
 
 @dataclass
@@ -120,21 +157,23 @@ def scaled_increment(assembler: Assembler, dx: np.ndarray,
 
 def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
                  loads: Loads, params: NewtonParams) -> NewtonReport:
-    """Iterate the lagged-coefficient linearisation to a fixed point.
+    """Semismooth Newton iteration on the monolithic system.
 
-    Each iteration reclassifies the contact sets, refreshes apertures,
-    specific volumes, densities, fracture permeabilities and advective
-    fluxes at the current iterate, reassembles and solves the monolithic
-    system for the full next iterate.
+    Each iteration reclassifies the contact sets, evaluates apertures,
+    specific volumes, densities, fracture permeabilities and fluid fluxes
+    at the current iterate, and assembles the system linearised there: by
+    Newton in the advected heat and the contact conditions, with the
+    coefficients that :mod:`mdthm.system.assembly` names lagged. Solving it
+    gives the next iterate.
     """
-    solver = DirectSolver()
+    solver = DirectSolver(assembler.dofs.mechanics)
     cache: IterationCache | None = None
     inc_hist, res_hist = [], []
     last_inc = np.inf
     col_scale = _scale_vector(assembler, params.scales)
 
     for it in range(params.max_iterations + 1):
-        cache = assembler.build_cache(state, loads, prev_cache=cache, damping=params.damping)
+        cache = assembler.build_cache(state, loads, prev_cache=cache)
         A, b = assembler.assemble(state, cache, dt, steady, loads)
         residual = A @ state.current - b
         row_scale = np.abs(A) @ col_scale + 1e-300
@@ -144,7 +183,7 @@ def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
 
         contact_ok = contact_res <= CONTACT_TOL
         converged = (it > 0 and last_inc <= params.increment_tol and contact_ok) or (
-            res_scaled <= RESIDUAL_FLOOR and contact_ok
+            res_scaled <= RESIDUAL_FLOOR * params.increment_tol and contact_ok
         )
         if converged:
             _check_apertures(assembler, state.current)

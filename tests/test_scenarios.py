@@ -228,10 +228,24 @@ class TestCommandLine:
         assert len(payload["orders"]["sd1:lam"]) == 1
 
     def test_damping_threshold_is_not_a_setting(self):
-        raw = tiny_raw()
-        raw["solver"]["damping_threshold"] = 0.1
-        with pytest.raises(ConfigError, match=r"^solver\.damping_threshold: "):
-            parse_config(raw)
+        for key in ("damping_threshold", "damping"):
+            raw = tiny_raw()
+            raw["solver"][key] = 0.1
+            with pytest.raises(ConfigError, match=rf"^solver\.{key}: "):
+                parse_config(raw)
+
+    def test_stimulation_equilibration_runs(self, tmp_path):
+        # the steady equilibration of the stimulation experiment: a
+        # compressible fluid under gravity, at rest at 350 K
+        with open(os.path.join(os.path.dirname(CONFIG), "stimulation_cooling.json"),
+                  encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["phases"] = raw["phases"][:1]
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
+        matrix_T = read_vtk_scalars(out / "vtk" / "subdomain_0_step_00001.vtk", "temperature")
+        assert matrix_T.size > 0
+        assert np.all((349.0 <= matrix_T) & (matrix_T <= 351.0))
 
     def test_unknown_solver_key_rejected(self, tmp_path, capsys):
         raw = tiny_raw()

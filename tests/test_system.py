@@ -36,12 +36,11 @@ from mdthm.system import (
     SolverFailure,
     State,
     balance_report,
-    damp_advective_flux,
     interface_flux_consistency,
     newton_solve,
     time_loop,
 )
-from mdthm.system.newton import _check_apertures, contact_residual_norm
+from mdthm.system.newton import _check_apertures, _scale_vector, contact_residual_norm
 
 MAT = MaterialSet()
 FR = [((0.25, 0.5), (0.75, 0.5))]
@@ -72,30 +71,6 @@ class TestDirectSolver:
 
         x = DirectSolver().solve(sps.eye(4).tocsr(), np.zeros(4))
         assert np.all(x == 0)
-
-
-class TestDampAdvectiveFlux:
-    def test_identity_at_full_weight(self):
-        q = np.array([1.0, -2.0])
-        assert np.allclose(damp_advective_flux(np.array([5.0, 5.0]), q, 1.0), q)
-
-    def test_midpoint(self):
-        assert damp_advective_flux(2.0, 0.0, 0.5) == 1.0
-
-    def test_oscillating_fixed_point(self):
-        # toy alternating map q -> -q + 1: undamped it cycles between 0 and 1,
-        # damped with omega = 1/2 it contracts to the fixed point 0.5
-        def step(q):
-            return -q + 1.0
-
-        q_plain, q_damped = 0.0, 0.0
-        seen = []
-        for _ in range(40):
-            q_plain = step(q_plain)
-            q_damped = damp_advective_flux(q_damped, step(q_damped), 0.5)
-            seen.append(q_plain)
-        assert abs(q_damped - 0.5) < 1e-10
-        assert abs(seen[-1] - seen[-2]) == 1.0  # still alternating
 
 
 class TestSteadyNoFracture:
@@ -142,6 +117,9 @@ class TestSteadyNoFracture:
         rep = newton_solve(asm, state, 1.0, True, make_loads(asm),
                            default_params(mat, k_u=1e-3))
         assert rep.converged
+        # the fluid stays at rest: Newton on the advected heat leaves no
+        # spurious heat source after the first iterate
+        assert rep.iterations <= 4
         u_y = state.current[asm.dofs.sd(g.id, "u")][1::2]
         top = u_y[g.cell_centers[1] > height * 7 / 8].mean()
         settlement = mat.density_solid * 9.81 * height**2 / (2.0 * mat.youngs_modulus)
@@ -233,6 +211,94 @@ class TestFracturedContactSolve:
         other = np.delete(block, np.arange(sl.start, sl.stop), axis=1)
         assert np.abs(other).max() == 0.0
         assert np.abs(b[sl]).max() == 0.0
+
+
+class TestNewtonJacobian:
+    def test_advected_heat_matches_finite_differences(self):
+        # A transient step assembled at the previous step's state, where
+        # the storage and accumulation terms' lagged coefficients multiply
+        # a zero change: there the matrix is the derivative of the residual
+        # F(x) = A(x) x - b(x) in p, T and the mortar fluxes nu, in the
+        # energy rows and the interface advective rows. The boundary inflow
+        # weight's density is lagged by design, so it is frozen at x0 here.
+        mdg, asm, state = make_problem(FR)
+        params = default_params(increment_tol=1e-9)
+        rep = newton_solve(asm, state, 1.0, True, make_loads(asm, p_left=1e6, T_left=320.0),
+                           params)
+        assert rep.converged
+        state.accept_step()
+        x0 = state.current.copy()
+        # an injecting and a producing well in the matrix
+        rates = np.zeros(mdg.matrix.num_cells)
+        rates[20], rates[40] = 1e-6, -1e-6
+        wells = {"rates": {2: rates}, "T_inj": {2: np.full(rates.size, 290.0)}}
+        loads = make_loads(asm, p_left=1e6, T_left=320.0, wells=wells)
+        weight = asm.boundary_heat_weight
+        asm.boundary_heat_weight = lambda dim, loads, x: weight(dim, loads, x0)
+
+        def assemble(x):
+            state.current[:] = x
+            cache = asm.build_cache(state, loads)
+            A, b = asm.assemble(state, cache, 100.0, False, loads)
+            return A, A @ x - b, cache.face_flux
+
+        A, _, q0 = assemble(x0)
+        dofs = asm.dofs
+        rng = np.random.default_rng(5)
+        v = np.zeros(dofs.num_dofs)
+        columns = [(dofs.cells(dim, var), var) for dim in (2, 1) for var in (P, T)]
+        columns += [(dofs.mortar(2, NU), NU)]
+        for cols, var in columns:
+            v[cols] = params.scales[var] * rng.standard_normal(cols.size)
+        eps = 1e-8
+        (_, f_plus, q_plus), (_, f_minus, q_minus) = assemble(x0 + eps * v), assemble(x0 - eps * v)
+        # no face flux changes sign: the upwind choice is the same throughout
+        for dim, q in q0.items():
+            assert np.array_equal(np.sign(q_plus[dim]), np.sign(q)), dim
+            assert np.array_equal(np.sign(q_minus[dim]), np.sign(q)), dim
+        diff = (f_plus - f_minus) / (2.0 * eps)
+        av = A @ v
+        for rows in (dofs.cells(2, T), dofs.cells(1, T), dofs.mortar(2, NU_ADV)):
+            scale = np.abs(av[rows]).max()
+            assert scale > 0.0
+            assert np.abs(av[rows] - diff[rows]).max() < 1e-6 * scale
+
+
+class TestBlockSolve:
+    def system(self, steady):
+        mdg, asm, state = make_problem(FR)
+        loads = make_loads(asm, top_displacement=(5e-4, -2e-4), p_left=1e6, T_left=320.0)
+        A, b = asm.assemble(state, asm.build_cache(state, loads), 100.0, steady, loads)
+        return asm, A, b
+
+    def factorisations(self, monkeypatch, solver, A, b, col_scale):
+        calls = []
+        splu = spla.splu
+
+        def counted(matrix):
+            calls.append(matrix.shape[0])
+            return splu(matrix)
+
+        monkeypatch.setattr(spla, "splu", counted)
+        return solver.solve(A, b, col_scale), calls
+
+    def test_steady_blocks_equal_the_full_lu(self, monkeypatch):
+        asm, A, b = self.system(steady=True)
+        col_scale = _scale_vector(asm, default_params().scales)
+        x_blocks, calls = self.factorisations(monkeypatch, DirectSolver(asm.dofs.mechanics),
+                                              A, b, col_scale)
+        assert sorted(calls) == sorted([int(np.sum(~asm.dofs.mechanics)),
+                                        int(np.sum(asm.dofs.mechanics))])
+        x_full = DirectSolver().solve(A, b, col_scale)
+        assert np.abs((x_blocks - x_full) / col_scale).max() < 1e-9
+
+    def test_transient_system_takes_the_full_lu(self, monkeypatch):
+        asm, A, b = self.system(steady=False)
+        col_scale = _scale_vector(asm, default_params().scales)
+        x, calls = self.factorisations(monkeypatch, DirectSolver(asm.dofs.mechanics),
+                                       A, b, col_scale)
+        assert calls == [asm.dofs.num_dofs]
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 class TestNewtonBehaviour:
