@@ -617,10 +617,10 @@ class Assembler:
         s_cell, s_face = upwind_matrices(grid, q, grid.tags["internal"])
         h_cell, dh_dT, dh_dp = carried_heat(cache.density[dim], x[t], mat)
         h = s_cell @ h_cell + s_face @ self.boundary_heat_weight(dim, loads, x)
-        div_q, div_h = div @ sps.diags(q), div @ sps.diags(h)
+        div_q_up, div_h = div @ sps.diags(q) @ s_cell, div @ sps.diags(h)
         _newton(acc, b, t, x, (
-            (t, div_q @ s_cell @ sps.diags(dh_dT)),
-            (p, div_q @ s_cell @ sps.diags(dh_dp) + div_h @ ops.flux),
+            (t, div_q_up @ sps.diags(dh_dT)),
+            (p, div_q_up @ sps.diags(dh_dp) + div_h @ ops.flux),
             (dofs.mortar(dim, NU), div_h @ ops.bound_flux @ self.to_faces[dim]),
         ))
         _add_to(b, t, -(div @ (q * h)))
