@@ -53,7 +53,7 @@ def run(cfg: ScenarioConfig, out_dir=None, extra_refinement: int = 0) -> RunResu
     for phase_cfg, phase_spec in zip(scn.cfg.phases, scn.phases):
         provider = scn.load_provider(phase_cfg)
         recs = time_loop(scn.assembler, scn.state, phase_spec, provider, scn.newton,
-                         observer=observe)
+                         observer=observe, solver=scn.solver)
         records.extend(recs)
         phase_ends.append(scn.state.current.copy())
         if recs:

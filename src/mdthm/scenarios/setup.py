@@ -13,7 +13,7 @@ from mdthm.mdmesh import (
     ingest_gmsh,
 )
 from mdthm.scenarios.config import SIDE_CODE, ConfigError, PhaseConfig, ScenarioConfig
-from mdthm.system import Assembler, Loads, NewtonParams, PhaseSpec, State
+from mdthm.system import Assembler, DirectSolver, Loads, NewtonParams, PhaseSpec, State
 
 
 def build_mesh(cfg: ScenarioConfig, extra_refinement: int = 0) -> MixedDimGrid:
@@ -33,10 +33,17 @@ def build_mesh(cfg: ScenarioConfig, extra_refinement: int = 0) -> MixedDimGrid:
 
 
 def hydrostatic_pressure(cfg: ScenarioConfig, y):
-    """Pressure in equilibrium with the reference density: grad p = rho g."""
+    """Pressure at rest under gravity, in equilibrium with the compressible
+    fluid at the reference temperature: dp/dy = rho(p, T_ref) g_y, with
+    p = p_ref at y = 0. With rho = rho_ref exp((p - p_ref) / K_f) this is
+
+        p = p_ref - K_f ln(1 - rho_ref g_y y / K_f),
+
+    which tends to p_ref + rho_ref g_y y as K_f grows."""
     mat = cfg.materials
-    return (mat.reference_pressure
-            + mat.density_fluid_ref * mat.gravity[1] * np.asarray(y, dtype=float))
+    k_f = mat.bulk_fluid
+    return mat.reference_pressure - k_f * np.log1p(
+        -mat.density_fluid_ref * mat.gravity[1] * np.asarray(y) / k_f)
 
 
 @dataclass
@@ -48,6 +55,7 @@ class Scenario:
     phases: list
     newton: NewtonParams
     well_cells: list  # per phase: dict dim -> (rates, T_inj) on the stacked cells
+    solver: DirectSolver  # one for the run: it keeps the elastic factor
 
     def load_provider(self, phase: PhaseConfig):
         """Loads at times counted from the start of the phase; boundary
@@ -103,7 +111,9 @@ def build_scenario(cfg: ScenarioConfig, extra_refinement: int = 0) -> Scenario:
     phases = [PhaseSpec(ph.name, ph.duration, ph.dt, ph.steady, ph.dt_init)
               for ph in cfg.phases]
     wells = [locate_wells(mdg, ph, f"phases[{i}]") for i, ph in enumerate(cfg.phases)]
-    return Scenario(cfg, mdg, asm, state, phases, newton, wells)
+    # the solver factors the elastic block in its first solve, not in set-up
+    solver = DirectSolver(asm.dofs.mechanics, asm.dofs.contact)
+    return Scenario(cfg, mdg, asm, state, phases, newton, wells, solver)
 
 
 def solver_scales(cfg: ScenarioConfig, mdg: MixedDimGrid) -> dict:

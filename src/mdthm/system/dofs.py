@@ -13,9 +13,9 @@ Assembly reads the dofs through the stacked view of the mesh:
 :meth:`DofMap.cells` gives one variable's dofs over the stacked cells of a
 dimension (``mdg.grids``), :meth:`DofMap.mortar` one interface variable's
 dofs over a mortar group (``mdg.mortars``). Both are computed once, and so
-is :attr:`DofMap.mechanics`, which flags the dofs of the mechanical
+are :attr:`DofMap.mechanics`, which flags the dofs of the mechanical
 variables (u, u_m, lam) against the scalar ones (p, T, nu, nu_adv,
-nu_cond).
+nu_cond), and :attr:`DofMap.contact`, which flags those of lam.
 """
 
 from __future__ import annotations
@@ -50,8 +50,10 @@ class DofMap:
                 offset += size
         self.num_dofs = offset
         self.mechanics = np.zeros(offset, dtype=bool)
+        self.contact = np.zeros(offset, dtype=bool)
         for (_, _, var), sl in self._slices.items():
             self.mechanics[sl] = var in MECHANICS
+            self.contact[sl] = var == LAM
         # the stacked views, in the cell order of ``mdg.grids`` and the mortar
         # cell order of ``mdg.mortars``
         self._cells = {(dim, var): self._indices("sd", list(grid.cell_start), var)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from mdthm.system.assembly import Assembler
 from mdthm.system.diagnostics import BalanceReport, balance_report
 from mdthm.system.dofs import State
-from mdthm.system.newton import NewtonParams, NewtonReport, newton_solve
+from mdthm.system.newton import DirectSolver, NewtonParams, NewtonReport, newton_solve
 
 
 class NonConvergence(RuntimeError):
@@ -41,9 +41,11 @@ class StepRecord:
 
 
 def time_loop(assembler: Assembler, state: State, phase: PhaseSpec,
-              load_provider, newton: NewtonParams, observer=None) -> list[StepRecord]:
+              load_provider, newton: NewtonParams, observer=None,
+              solver: DirectSolver | None = None) -> list[StepRecord]:
     """Run one phase on a clock that starts at 0; ``load_provider(t_new,
-    t_prev)`` supplies the Loads.
+    t_prev)`` supplies the Loads. ``solver``, if given, solves every
+    Newton system, keeping its factors from step to step.
 
     A transient step's record carries its balance report. The observer, if
     given, is called as observer(record, state) after each converged step
@@ -62,7 +64,7 @@ def time_loop(assembler: Assembler, state: State, phase: PhaseSpec,
 
     if phase.steady:
         loads = load_provider(0.0, 0.0)
-        report = newton_solve(assembler, state, 1.0, True, loads, newton)
+        report = newton_solve(assembler, state, 1.0, True, loads, newton, solver=solver)
         if not report.converged:
             raise NonConvergence(
                 f"steady phase {phase.name!r} did not converge: {report.failure}",
@@ -78,7 +80,7 @@ def time_loop(assembler: Assembler, state: State, phase: PhaseSpec,
         dt = min(dt_next, dt_phase, t_end - t)
         dt_next = min(2.0 * dt, dt_phase)
         loads = load_provider(t + dt, t)
-        report = newton_solve(assembler, state, dt, False, loads, newton)
+        report = newton_solve(assembler, state, dt, False, loads, newton, solver=solver)
         if not report.converged:
             raise NonConvergence(
                 f"step at t={t:.6g} (phase {phase.name!r}) failed: {report.failure}",

@@ -77,6 +77,28 @@ def test_mesh_is_stacked_only_in_mdmesh():
     assert found == []
 
 
+def splu_imports(path: Path) -> list:
+    """Line of each import that binds ``splu`` by name."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and any(a.name == "splu" for a in node.names)]
+
+
+def test_splu_imports_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import scipy.sparse.linalg as spla\nfrom scipy.sparse.linalg import splu\n"
+                      "from scipy.sparse.linalg import gmres, splu as lu\nlu = spla.splu\n",
+                      encoding="utf-8")
+    assert splu_imports(module) == [2, 3]
+
+
+def test_splu_is_called_through_its_module():
+    # bench/tracing.py counts factorisations by wrapping the module attribute
+    # scipy.sparse.linalg.splu; a name bound by import would bypass it
+    found = [f"{path.relative_to(SRC)}:{line}"
+             for path in sorted(SRC.rglob("*.py")) for line in splu_imports(path)]
+    assert found == []
+
+
 def definitions(path: Path) -> list:
     """(line, name) of each function, method and ``self.<attr>`` assignment
     in a module, dunder names excepted."""

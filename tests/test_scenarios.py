@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 
@@ -11,7 +12,8 @@ from mdthm.scenarios import drivers
 from mdthm.scenarios.config import ConfigError, parse_config
 from mdthm.scenarios.errors import ErrorReport, compare_states
 from mdthm.scenarios.output import snapshot_fields, write_vtk
-from mdthm.scenarios.setup import build_scenario
+from mdthm.constitutive import MaterialSet, fluid_density
+from mdthm.scenarios.setup import build_scenario, hydrostatic_pressure
 from mdthm.system import time_loop
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -254,6 +256,38 @@ class TestCommandLine:
                          "--out", str(tmp_path / "out")])
         assert code == 1
         assert "solver.c_num" in capsys.readouterr().err
+
+
+class TestHydrostaticPressure:
+    @staticmethod
+    def config(**materials):
+        mat = MaterialSet(gravity=(0.0, -9.81), reference_pressure=1e5, **materials)
+        return parse_config(dict(tiny_raw(), materials=dataclasses.asdict(mat)))
+
+    def test_gradient_is_the_compressible_weight(self):
+        cfg = self.config()
+        mat = cfg.materials
+        y = np.linspace(-3000.0, 500.0, 36)
+        p = hydrostatic_pressure(cfg, y)
+        # complex step: dp/dy to roundoff
+        h = 1e-20
+        dp_dy = hydrostatic_pressure(cfg, y + 1j * h).imag / h
+        rho_g = fluid_density(p, mat.reference_temperature, mat) * mat.gravity[1]
+        assert np.abs(dp_dy / rho_g - 1.0).max() < 1e-12
+        assert hydrostatic_pressure(cfg, 0.0) == mat.reference_pressure
+
+    def test_incompressible_limit_is_linear(self):
+        y = np.linspace(-3000.0, 0.0, 7)
+        gaps = []
+        for k_f in (2.5e9, 2.5e11, 2.5e13):
+            cfg = self.config(bulk_fluid=k_f)
+            mat = cfg.materials
+            linear = mat.reference_pressure + mat.density_fluid_ref * mat.gravity[1] * y
+            gaps.append(np.abs(hydrostatic_pressure(cfg, y) - linear).max()
+                        / np.abs(linear - mat.reference_pressure).max())
+        # the relative gap is rho_ref |g_y y| / (2 K_f) to leading order
+        assert np.allclose(gaps, [1e3 * 9.81 * 3000.0 / (2.0 * k) for k in (2.5e9, 2.5e11, 2.5e13)],
+                           rtol=0.02)
 
 
 class TestErrorNorms:
