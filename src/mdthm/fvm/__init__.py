@@ -5,7 +5,7 @@ from mdthm.fvm.mpfa import (
 )
 from mdthm.fvm.mpsa import VectorMechanicsOps, mpsa_discretize
 from mdthm.fvm.onedim import onedim_discretize
-from mdthm.fvm.upwind import upwind_advective, upwind_matrices
+from mdthm.fvm.upwind import upwind_matrices
 
 __all__ = [
     "BoundaryCondition",
@@ -14,6 +14,5 @@ __all__ = [
     "mpfa_discretize",
     "mpsa_discretize",
     "onedim_discretize",
-    "upwind_advective",
     "upwind_matrices",
 ]

@@ -36,13 +36,3 @@ def upwind_matrices(grid: SubdomainGrid, face_flux, exclude=None):
     s_cell = sps.csr_matrix((np.ones(faces.size), (faces, cells)), shape=(nf, nc))
     s_face = sps.csr_matrix((np.ones(inflow.size), (inflow, inflow)), shape=(nf, nf))
     return s_cell, s_face
-
-
-def upwind_advective(grid: SubdomainGrid, face_flux, carried_cells,
-                     carried_boundary=None, exclude=None):
-    """Face advective fluxes q * w_upstream for a cellwise quantity w."""
-    s_cell, s_face = upwind_matrices(grid, face_flux, exclude)
-    carried = s_cell @ np.asarray(carried_cells, dtype=float)
-    if carried_boundary is not None:
-        carried = carried + s_face @ np.asarray(carried_boundary, dtype=float)
-    return np.asarray(face_flux, dtype=float) * carried

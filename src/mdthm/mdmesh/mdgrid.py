@@ -38,13 +38,9 @@ class MixedDimGrid:
             raise MeshError("subdomain ids must equal their positions")
         self.subdomains = subdomains
         self.interfaces = interfaces
-        self._by_id = {sd.id: sd for sd in subdomains}
         self.grids = {dim: stack_grids(dim, self.subdomains_of_dim(dim)) for dim in (2, 1, 0)}
         self.mortars = {dim: mortar_group(interfaces, self.grids[dim], self.grids[dim - 1])
                         for dim in (2, 1)}
-
-    def subdomain(self, sd_id: int) -> SubdomainGrid:
-        return self._by_id[sd_id]
 
     def subdomains_of_dim(self, dim: int) -> list[SubdomainGrid]:
         return [sd for sd in self.subdomains if sd.dim == dim]

@@ -88,20 +88,16 @@ def comparison_fields(scn: Scenario, x: np.ndarray) -> dict:
     (subdomain index, variable)."""
     asm, dofs = scn.assembler, scn.assembler.dofs
     jump = asm.jumps(x)
-    fractures = scn.mdg.grids[1]
-    jts, jns = split_cells(fractures, jump[0::2]), split_cells(fractures, jump[1::2])
+    u, lam = x[dofs.cells(2, "u")], x[dofs.cells(1, "lam")]
+    own = {2: {"u": np.vstack([u[0::2], u[1::2]])},
+           1: {"jump_t": jump[0::2], "jump_n": jump[1::2],
+               "lam": np.vstack([lam[0::2], lam[1::2]])},
+           0: {}}
     out = {}
-    for idx, sd in enumerate(scn.mdg.subdomains):
-        out[(idx, "p")] = x[dofs.sd(sd.id, "p")].copy()
-        out[(idx, "T")] = x[dofs.sd(sd.id, "T")].copy()
-        if sd.dim == 2:
-            u = x[dofs.sd(sd.id, "u")]
-            out[(idx, "u")] = np.vstack([u[0::2], u[1::2]])
-        elif sd.dim == 1:
-            out[(idx, "jump_t")] = jts[sd.id]
-            out[(idx, "jump_n")] = jns[sd.id]
-            lam = x[dofs.sd(sd.id, "lam")]
-            out[(idx, "lam")] = np.vstack([lam[0::2], lam[1::2]])
+    for dim, grid in scn.mdg.grids.items():
+        stacked = {"p": x[dofs.cells(dim, "p")], "T": x[dofs.cells(dim, "T")], **own[dim]}
+        for var, values in stacked.items():
+            out.update(((sd_id, var), part) for sd_id, part in split_cells(grid, values).items())
     return out
 
 

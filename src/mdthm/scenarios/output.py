@@ -78,24 +78,18 @@ def _fracture_fields(assembler: Assembler, state: State) -> dict:
 
 def snapshot_fields(assembler: Assembler, state: State) -> dict:
     """Cellwise output fields per subdomain at the current state."""
-    mdg, dofs = assembler.mdg, assembler.dofs
-    stacked = _fracture_fields(assembler, state)
-    fractures = {name: split_cells(mdg.grids[1], values) for name, values in stacked.items()}
-    points = split_cells(mdg.grids[0], mdg.inherit_aperture(stacked["aperture"]))
-    out = {}
-    for sd in mdg.subdomains:
-        data = {
-            "pressure": state.current[dofs.sd(sd.id, "p")],
-            "temperature": state.current[dofs.sd(sd.id, "T")],
-        }
-        if sd.dim == 2:
-            u = state.current[dofs.sd(sd.id, "u")]
-            data["displacement"] = np.vstack([u[0::2], u[1::2]])
-        elif sd.dim == 1:
-            data.update((name, parts[sd.id]) for name, parts in fractures.items())
-        else:
-            data["aperture"] = points[sd.id]
-        out[sd.id] = data
+    mdg, dofs, x = assembler.mdg, assembler.dofs, state.current
+    fractures = _fracture_fields(assembler, state)
+    u = x[dofs.cells(2, "u")]
+    own = {2: {"displacement": np.vstack([u[0::2], u[1::2]])}, 1: fractures,
+           0: {"aperture": mdg.inherit_aperture(fractures["aperture"])}}
+    out = {sd.id: {} for sd in mdg.subdomains}
+    for dim, grid in mdg.grids.items():
+        stacked = {"pressure": x[dofs.cells(dim, "p")],
+                   "temperature": x[dofs.cells(dim, "T")], **own[dim]}
+        for name, values in stacked.items():
+            for sd_id, part in split_cells(grid, values).items():
+                out[sd_id][name] = part
     return out
 
 

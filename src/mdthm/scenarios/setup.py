@@ -89,18 +89,12 @@ def build_scenario(cfg: ScenarioConfig, extra_refinement: int = 0) -> Scenario:
     asm = Assembler(mdg, cfg.materials, cfg.dilation_model, bc_types)
 
     state = State(asm.dofs)
-    init = {}
-    for sd in mdg.subdomains:
-        if cfg.initial_pressure == "hydrostatic":
-            p0 = hydrostatic_pressure(cfg, sd.cell_centers[1])
-        else:
-            p0 = np.full(sd.num_cells, cfg.initial_pressure)
-        init[("sd", sd.id, "p")] = p0
-        init[("sd", sd.id, "T")] = np.full(sd.num_cells, cfg.initial_temperature)
-        if sd.dim == 1:
-            init[("sd", sd.id, "lam")] = np.tile(
-                [0.0, cfg.initial_normal_traction], sd.num_cells
-            )
+    hydrostatic = cfg.initial_pressure == "hydrostatic"
+    init = {(1, "lam"): np.tile([0.0, cfg.initial_normal_traction], mdg.grids[1].num_cells)}
+    for dim, grid in mdg.grids.items():
+        init[(dim, "p")] = (hydrostatic_pressure(cfg, grid.cell_centers[1]) if hydrostatic
+                          else cfg.initial_pressure)
+        init[(dim, "T")] = cfg.initial_temperature
     state.set_initial(init)
 
     newton = NewtonParams(
@@ -128,11 +122,8 @@ def solver_scales(cfg: ScenarioConfig, mdg: MixedDimGrid) -> dict:
     mat = cfg.materials
     base = cfg.characteristic_scales
     k_u, k_p, k_T = base["u"], base["p"], base["T"]
-    fracs = mdg.subdomains_of_dim(1)
-    if fracs:
-        area = float(np.mean(np.concatenate([sd.cell_volumes for sd in fracs])))
-    else:
-        area = 1.0
+    fracture_cells = mdg.grids[1].cell_volumes
+    area = float(np.mean(fracture_cells)) if fracture_cells.size else 1.0
     box = mdg.matrix
     span = max(float(np.ptp(box.nodes[0])), float(np.ptp(box.nodes[1])))
     # mortar fluxes are of the order of the matrix fluxes they feed
@@ -164,23 +155,16 @@ def locate_wells(mdg: MixedDimGrid, phase: PhaseConfig, path: str) -> dict:
         if np.any(target < lower) or np.any(target > upper):
             raise ConfigError(f"{wpath}.at: {w.at} lies outside the domain "
                               f"{tuple(lower.tolist())} - {tuple(upper.tolist())}")
-        best = None
-        candidates = []
-        if w.subdomain in ("fracture", "auto"):
-            candidates += mdg.subdomains_of_dim(1)
-        if w.subdomain in ("matrix", "auto") and not candidates:
-            candidates += [mdg.matrix]
-        for sd in candidates:
-            d = np.hypot(*(sd.cell_centers - target[:, None]))
-            c = int(np.argmin(d))
-            if best is None or d[c] < best[2]:
-                best = (sd.id, c, d[c])
-        if best is None:
+        # the nearest cell of the fractures, if asked and present, or else
+        # of the matrix
+        if w.subdomain != "matrix" and mdg.grids[1].num_cells:
+            grid = mdg.grids[1]
+        elif w.subdomain != "fracture":
+            grid = mdg.grids[2]
+        else:
             raise ConfigError(f"{wpath}.subdomain: no {w.subdomain} subdomain can host "
                               f"a well at {w.at}")
-        sd_id, cell, _ = best
-        grid = mdg.grids[mdg.subdomain(sd_id).dim]
-        at = grid.cell_start[sd_id] + cell
+        at = int(np.argmin(np.hypot(*(grid.cell_centers - target[:, None]))))
         rates, t_inj = out.setdefault(grid.dim, (np.zeros(grid.num_cells),
                                                  np.zeros(grid.num_cells)))
         rates[at] += w.rate

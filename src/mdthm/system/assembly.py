@@ -444,10 +444,10 @@ class Assembler:
     def _momentum_traction_terms(self, acc, b, rows, bundle, loads):
         """Add the face tractions that ``bundle`` maps to the given rows."""
         dofs, mat = self.dofs, self.mat
-        acc.add_mat(rows, dofs.sd(0, U), bundle["stress"])
-        acc.add_mat(rows, dofs.sd(0, P), bundle["grad_p"])
-        acc.add_mat(rows, dofs.sd(0, T), bundle["grad_T"])
-        acc.add_mat(rows, self.dofs.mortar(2, U_MORTAR), bundle["bound_mortar"])
+        acc.add_mat(rows, dofs.cells(2, U), bundle["stress"])
+        acc.add_mat(rows, dofs.cells(2, P), bundle["grad_p"])
+        acc.add_mat(rows, dofs.cells(2, T), bundle["grad_T"])
+        acc.add_mat(rows, dofs.mortar(2, U_MORTAR), bundle["bound_mortar"])
         ext = self._ext_mech(loads.bc_mech)
         ones = np.ones(self.matrix.num_cells)
         b_contrib = -(bundle["bound"] @ ext)
@@ -459,7 +459,7 @@ class Assembler:
         """The rows sum the outward face tractions of each cell, which
         balance the body force: sum of tractions = -rho_s g V."""
         g, mat = self.matrix, self.mat
-        rows = _index(self.dofs.sd(0, U))
+        rows = self.dofs.cells(2, U)
         self._momentum_traction_terms(acc, b, rows, self.mom, loads)
         _add_to(b, rows, -self._rho_g(mat.density_solid * g.cell_volumes))
 
@@ -514,8 +514,8 @@ class Assembler:
         p, t = self.dofs.cells(dim, P), self.dofs.cells(dim, T)
         c_p = fluid_storage(wvol, 0.0, self.mat, dim == 2)
         c_T = fluid_storage(0.0, wvol, self.mat, dim == 2)
-        acc.add_diag(p, p, c_p)
-        acc.add_diag(p, t, c_T)
+        acc.add(p, p, c_p)
+        acc.add(p, t, c_T)
         _add_to(b, p, c_p * xp[p] + c_T * xp[t])
 
     def _energy_accumulation(self, acc, b, dim, state, cache, dt):
@@ -527,8 +527,8 @@ class Assembler:
         T_lag = state.current[t]
         coef_T = vols * (rc_eff - T_lag * rcb_eff)
         coef_p = vols * T_lag * rck_eff
-        acc.add_diag(t, t, coef_T)
-        acc.add_diag(t, p, coef_p)
+        acc.add(t, t, coef_T)
+        acc.add(t, p, coef_p)
         _add_to(b, t, coef_T * xp[t] + coef_p * xp[p])
 
     def _volume_change(self, acc, b, dim, var, weight, state, cache, dt, loads,
@@ -548,10 +548,10 @@ class Assembler:
         if dim == 2:
             ops = self.mech_ops
             w = sps.diags(weight / dt)
-            acc.add_mat(rows, self.dofs.sd(0, U), w @ ops.div_u)
+            acc.add_mat(rows, self.dofs.cells(2, U), w @ ops.div_u)
             acc.add_mat(rows, self.dofs.mortar(2, U_MORTAR), w @ self.div_u_mortar)
-            acc.add_mat(rows, self.dofs.sd(0, P), w @ ops.stab_p)
-            acc.add_mat(rows, self.dofs.sd(0, T), w @ ops.stab_T)
+            acc.add_mat(rows, self.dofs.cells(2, P), w @ ops.stab_p)
+            acc.add_mat(rows, self.dofs.cells(2, T), w @ ops.stab_T)
             # previous-step value, including its boundary data
             prev = self.div_u(state.prev_step, loads.bc_mech_prev)
             _add_to(b, rows, weight / dt * prev)
@@ -562,8 +562,7 @@ class Assembler:
             change = cache.spec_vol[0] - cache.spec_vol_prev[0]
             _add_to(b, rows, -vols * weight * change)
         else:
-            acc.add_mat(rows, slice(0, self.dofs.num_dofs),
-                        sps.diags(vols * weight) @ self.J[1::2])
+            acc.add_mat(rows, None, sps.diags(vols * weight) @ self.J[1::2])
             # previous-step V without a0 (the constant cancels in the difference)
             jumps, jumps_prev = cache.fracture.jumps, cache.fracture.jumps_ref
             v_prev = jumps_prev[1::2]
@@ -585,8 +584,8 @@ class Assembler:
         mechanical boundary values bc_mech, stabilisation included."""
         ops, dofs = self.mech_ops, self.dofs
         bc = self.mech_boundary_values(bc_mech, x)
-        return (ops.div_u @ x[dofs.sd(0, U)] + ops.bound_div_u @ bc
-                + ops.stab_p @ x[dofs.sd(0, P)] + ops.stab_T @ x[dofs.sd(0, T)])
+        return (ops.div_u @ x[dofs.cells(2, U)] + ops.bound_div_u @ bc
+                + ops.stab_p @ x[dofs.cells(2, P)] + ops.stab_T @ x[dofs.cells(2, T)])
 
     def _scalar_flux_divergence(self, acc, b, dim, var, terms, cache, loads):
         """div of diffusive (+gravity) fluxes of one scalar in one dimension,
@@ -664,7 +663,7 @@ class Assembler:
             frac.jumps_ref[0::2], frac.gaps, frac.dgaps, self.c_num, mat.friction_coefficient,
         )
         acc.add_mat(rows, rows, _block_diag(a_lam))
-        acc.add_mat(rows, slice(0, self.dofs.num_dofs), _block_diag(a_jump) @ self.J)
+        acc.add_mat(rows, None, _block_diag(a_jump) @ self.J)
         _add_to(b, rows, rhs.ravel())
 
     def _traction_balance(self, acc, b, loads):
@@ -695,7 +694,7 @@ class Assembler:
 
         for var, svar, key, w in ((P, FLOW, NU, w_flow), (T, HEAT, NU_COND, w_heat)):
             rows = dofs.mortar(dim, key)
-            acc.add_diag(rows, rows, ones)
+            acc.add(rows, rows, ones)
             acc.add(rows, dofs.cells(dim - 1, var)[lo], w)
             wd = sps.diags(w)
             tr = terms[svar]
@@ -723,7 +722,7 @@ class Assembler:
         t_up, p_up = upstream(T), upstream(P)
         rho = np.where(high, cache.density[dim][hi], cache.density[dim - 1][lo])
         h, dh_dT, dh_dp = carried_heat(rho, x[t_up], mat)
-        acc.add_diag(rows, rows, ones)
+        acc.add(rows, rows, ones)
         _newton(acc, b, rows, x, ((nu_dofs, sps.diags(-h)),
                                   (t_up, sps.diags(-nu * dh_dT)),
                                   (p_up, sps.diags(-nu * dh_dp))))
@@ -744,29 +743,19 @@ class _Coo:
         self.cols.append(np.asarray(cols, dtype=int))
         self.vals.append(np.broadcast_to(np.asarray(vals, dtype=float), rows.shape))
 
-    def add_diag(self, rows, cols, vals):
-        self.add(rows, _index(cols), vals)
-
     def add_mat(self, rows, cols, mat):
-        """Add a sparse block whose columns are the global dofs ``cols``
-        (an index array or a slice)."""
+        """Add a sparse block whose columns are the global dofs ``cols``, or
+        all dofs in order where ``cols`` is None."""
         m = mat.tocoo()
         if m.nnz == 0:
             return
-        self.add(np.asarray(rows)[m.row], _index(cols)[m.col], m.data)
+        self.add(np.asarray(rows)[m.row], m.col if cols is None else cols[m.col], m.data)
 
     def matrix(self):
         rows = np.concatenate(self.rows)
         cols = np.concatenate(self.cols)
         vals = np.concatenate(self.vals)
         return sps.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
-
-
-def _index(dofs) -> np.ndarray:
-    """Global dof indices of a slice or an index array."""
-    if isinstance(dofs, slice):
-        return np.arange(dofs.start, dofs.stop)
-    return np.asarray(dofs)
 
 
 def _block_diag(blocks) -> sps.csr_matrix:

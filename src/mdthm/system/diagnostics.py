@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mdthm.constitutive import carried_heat, fluid_storage, heat_capacities
-from mdthm.fvm import upwind_advective
+from mdthm.fvm import upwind_matrices
 from mdthm.system.assembly import HEAT, Assembler, Loads
 from mdthm.system.dofs import NU, P, T, State
 
@@ -88,7 +88,8 @@ def balance_report(assembler: Assembler, state: State, dt: float,
             bvals = assembler._scalar_boundary_values(dim, HEAT, loads, x)
             q_cond = ops.flux @ t_new + ops.bound_flux @ bvals
             w_bc = assembler.boundary_heat_weight(dim, loads, x)
-            q_adv = upwind_advective(grid, q, heat, w_bc, grid.tags["internal"])
+            s_cell, s_face = upwind_matrices(grid, q, grid.tags["internal"])
+            q_adv = q * (s_cell @ heat + s_face @ w_bc)
             e_out += dt * float(np.sum(q_cond[ext] + q_adv[ext]))
 
         rates, well_heat, *_ = assembler.well_heat(dim, loads, x)

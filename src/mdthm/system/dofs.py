@@ -1,21 +1,23 @@
 """Degree-of-freedom bookkeeping and state snapshots.
 
-Unknowns are blocked two-level: the outer level runs over subdomains (by
-descending dimension) and then interfaces, the inner level over the
-variables living there. The matrix carries displacement, pressure and
-temperature; fractures contact traction (in the cellwise tangent/normal
-basis), pressure and temperature; intersection points pressure and
-temperature. Matrix-fracture interfaces carry the mortar displacement and
-the fluid / advective-heat / conductive-heat fluxes; fracture-point
-interfaces only the fluxes. Vector dofs are interleaved cellwise.
+This module alone knows how the unknowns are numbered; every other module
+reads them per dimension. :meth:`DofMap.cells` gives one variable's dofs
+over the stacked cells of a dimension (``mdg.grids``), :meth:`DofMap.mortar`
+one interface variable's dofs over a mortar group (``mdg.mortars``), and
+:attr:`DofMap.variable` names the variable of every dof. The matrix (2)
+carries displacement, pressure and temperature; the fractures (1) contact
+traction (in the cellwise tangent/normal basis), pressure and temperature;
+the intersection points (0) pressure and temperature. The mortars of the
+fracture walls (2) carry the mortar displacement and the fluid /
+advective-heat / conductive-heat fluxes; those at intersection points (1)
+only the fluxes. Vector dofs are interleaved cellwise. The masks
+:attr:`DofMap.mechanics`, of the mechanical variables (u, u_m, lam) against
+the scalar ones (p, T, nu, nu_adv, nu_cond), and :attr:`DofMap.contact`, of
+lam, follow from :attr:`DofMap.variable`.
 
-Assembly reads the dofs through the stacked view of the mesh:
-:meth:`DofMap.cells` gives one variable's dofs over the stacked cells of a
-dimension (``mdg.grids``), :meth:`DofMap.mortar` one interface variable's
-dofs over a mortar group (``mdg.mortars``). Both are computed once, and so
-are :attr:`DofMap.mechanics`, which flags the dofs of the mechanical
-variables (u, u_m, lam) against the scalar ones (p, T, nu, nu_adv,
-nu_cond), and :attr:`DofMap.contact`, which flags those of lam.
+The numbering itself is blocked two-level: the outer level runs over the
+subdomains (by descending dimension) and then the interfaces, the inner
+level over the variables living there.
 """
 
 from __future__ import annotations
@@ -39,40 +41,34 @@ class DofMap:
     def __init__(self, mdg: MixedDimGrid):
         self.mdg = mdg
         self._slices: dict[tuple, slice] = {}
-        blocks = [("sd", sd, CELL_VARS[sd.dim]) for sd in mdg.subdomains]
-        blocks += [("intf", i, MORTAR_VARS[mdg.subdomain(i.high_id).dim])
+        blocks = [("sd", sd, sd.dim, CELL_VARS) for sd in mdg.subdomains]
+        blocks += [("intf", i, mdg.subdomains[i.high_id].dim, MORTAR_VARS)
                    for i in mdg.interfaces]
         offset = 0
-        for kind, item, variables in blocks:
-            for var, nd in variables:
+        variable, dims = [], []
+        for kind, item, dim, table in blocks:
+            for var, nd in table[dim]:
                 size = nd * item.num_cells
                 self._slices[(kind, item.id, var)] = slice(offset, offset + size)
+                variable.append(np.full(size, var))
+                dims.append(np.full(size, dim))
                 offset += size
         self.num_dofs = offset
-        self.mechanics = np.zeros(offset, dtype=bool)
-        self.contact = np.zeros(offset, dtype=bool)
-        for (_, _, var), sl in self._slices.items():
-            self.mechanics[sl] = var in MECHANICS
-            self.contact[sl] = var == LAM
-        # the stacked views, in the cell order of ``mdg.grids`` and the mortar
-        # cell order of ``mdg.mortars``
-        self._cells = {(dim, var): self._indices("sd", list(grid.cell_start), var)
-                       for dim, grid in mdg.grids.items() for var, _ in CELL_VARS[dim]}
-        self._mortars = {(dim, var): self._indices("intf", group.ids, var)
-                         for dim, group in mdg.mortars.items() for var, _ in MORTAR_VARS[dim]}
+        self.variable = np.concatenate(variable)
+        self.mechanics = np.isin(self.variable, MECHANICS)
+        self.contact = self.variable == LAM
+        # the stacked views: the subdomains and the interfaces of one
+        # dimension are numbered in the order ``mdg.grids`` and
+        # ``mdg.mortars`` stack them, and the cell and mortar variables
+        # differ, so a view is the ascending dofs of its dimension and
+        # variable
+        dims = np.concatenate(dims)
 
-    def block(self, kind, ident, var) -> slice:
-        return self._slices[(kind, ident, var)]
+        def view(table):
+            return {(dim, var): np.flatnonzero((dims == dim) & (self.variable == var))
+                    for dim, variables in table.items() for var, _ in variables}
 
-    def sd(self, sd_id, var) -> slice:
-        return self._slices[("sd", sd_id, var)]
-
-    def _indices(self, kind, idents, var) -> np.ndarray:
-        """Dof indices of one variable over several subdomains or
-        interfaces, concatenated in the given order."""
-        parts = [np.arange(sl.start, sl.stop)
-                 for sl in (self._slices[(kind, i, var)] for i in idents)]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=int)
+        self._cells, self._mortars = view(CELL_VARS), view(MORTAR_VARS)
 
     def cells(self, dim, var) -> np.ndarray:
         """Dof indices of one variable over the stacked cells of one
@@ -85,6 +81,10 @@ class DofMap:
         return self._mortars[(dim, var)]
 
     def blocks(self):
+        """The slice of each (kind, subdomain or interface id, variable),
+        kind ``"sd"`` or ``"intf"``. It stays only because the benchmark's
+        correctness gate, ``bench/gate.py``, reads it; the package reads
+        :meth:`cells`, :meth:`mortar` and :attr:`variable`."""
         return self._slices.items()
 
 
@@ -104,7 +104,8 @@ class State:
         self.prev_step[:] = self.current
 
     def set_initial(self, values: dict):
-        for key, val in values.items():
-            sl = self.dofs.block(*key)
-            self.current[sl] = val
+        """Set both snapshots; ``values`` maps (dimension, cell variable) to
+        the values over the stacked cells of that dimension."""
+        for (dim, var), val in values.items():
+            self.current[self.dofs.cells(dim, var)] = val
         self.prev_step[:] = self.current

@@ -8,6 +8,7 @@ flow and heat unknowns by preconditioned GMRES.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,22 +253,15 @@ def contact_residual_norm(assembler: Assembler, cache: IterationCache) -> float:
 PRIMARY_VARIABLES = ("u", "u_m", "p", "T", "lam")
 
 
-def scaled_increment(assembler: Assembler, dx: np.ndarray,
-                     scales: dict) -> float:
-    """Scaled infinity norm of the primary-variable update.
+def scaled_increment(dx: np.ndarray, col_scale: np.ndarray, primary: np.ndarray) -> float:
+    """Scaled infinity norm of the update of the ``primary`` dofs, each
+    divided by its column scale.
 
     The convergence weights cover displacement, pressure, temperature and
     contact traction; the interface fluxes are linear consequences of those
     fields and follow them to the solver's precision floor.
     """
-    worst = 0.0
-    for (kind, ident, var), sl in assembler.dofs.blocks():
-        if var not in PRIMARY_VARIABLES:
-            continue
-        k = scales.get(var, 1.0)
-        if sl.stop > sl.start:
-            worst = max(worst, float(np.abs(dx[sl]).max()) / k)
-    return worst
+    return float(np.max(np.abs(dx[primary]) / col_scale[primary], initial=0.0))
 
 
 def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
@@ -280,7 +274,8 @@ def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
     at the current iterate, and assembles the system linearised there: by
     Newton in the advected heat and the contact conditions, with the
     coefficients that :mod:`mdthm.system.assembly` names lagged. Solving it
-    from the current iterate gives the next iterate.
+    from the current iterate gives the next iterate. A converged state with
+    a nonpositive aperture fails, with the fracture named in the report.
 
     ``solver`` keeps its factors from one call to the next: pass the one
     solver of a run, so that the elastic block is factored once per run.
@@ -292,9 +287,12 @@ def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
     cache: IterationCache | None = None
     inc_hist, res_hist = [], []
     last_inc = np.inf
-    col_scale = _scale_vector(assembler, params.scales)
+    variable = assembler.dofs.variable
+    names, of_dof = np.unique(variable, return_inverse=True)
+    col_scale = np.array([params.scales.get(var, 1.0) for var in names], dtype=float)[of_dof]
+    primary = np.isin(variable, PRIMARY_VARIABLES)
 
-    for it in range(params.max_iterations + 1):
+    for it in itertools.count():
         cache = assembler.build_cache(state, loads, prev_cache=cache)
         A, b = assembler.assemble(state, cache, dt, steady, loads)
         residual = A @ state.current - b
@@ -308,9 +306,13 @@ def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
             res_scaled <= RESIDUAL_FLOOR * params.increment_tol and contact_ok
         )
         if converged:
-            _check_apertures(assembler, state.current)
+            try:
+                _check_apertures(assembler, state.current)
+            except ct.ContactError as err:
+                return NewtonReport(False, it, inc_hist, res_hist, contact_res,
+                                    failure=str(err))
             return NewtonReport(True, it, inc_hist, res_hist, contact_res)
-        if it == params.max_iterations:
+        if it >= params.max_iterations:
             return NewtonReport(
                 False, it, inc_hist, res_hist, contact_res,
                 failure="iteration cap exceeded",
@@ -322,18 +324,9 @@ def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
                 False, it, inc_hist, res_hist, contact_res, failure=str(err)
             )
         dx = x_new - state.current
-        last_inc = scaled_increment(assembler, dx, params.scales)
+        last_inc = scaled_increment(dx, col_scale, primary)
         inc_hist.append(last_inc)
         state.current[:] = x_new
-    return NewtonReport(False, params.max_iterations, inc_hist, res_hist,
-                        np.inf, failure="unreachable")
-
-
-def _scale_vector(assembler: Assembler, scales: dict) -> np.ndarray:
-    out = np.ones(assembler.dofs.num_dofs)
-    for (kind, ident, var), sl in assembler.dofs.blocks():
-        out[sl] = scales.get(var, 1.0)
-    return out
 
 
 def _check_apertures(assembler: Assembler, x: np.ndarray):

@@ -25,9 +25,8 @@ def make_problem(fractures=(), nx=8, ny=8, mat=None, model=DilationModel.TWO_WAY
     bc = bc_types or default_bc_types(mdg.matrix)
     asm = Assembler(mdg, mat, model, bc)
     state = State(asm.dofs)
-    init = {("sd", sd.id, "T"): mat.reference_temperature for sd in mdg.subdomains}
-    for sd in mdg.subdomains_of_dim(1):
-        init[("sd", sd.id, "lam")] = np.tile([0.0, -1e6], sd.num_cells)
+    init = {(dim, "T"): mat.reference_temperature for dim in mdg.grids}
+    init[(1, "lam")] = np.tile([0.0, -1e6], mdg.grids[1].num_cells)
     state.set_initial(init)
     return mdg, asm, state
 
@@ -60,6 +59,11 @@ def make_loads(asm, mat=None, top_displacement=(0.0, 0.0), p_left=0.0,
         loads.well_rates = wells.get("rates", {})
         loads.well_T_injection = wells.get("T_inj", {})
     return loads
+
+
+def column_scales(asm, scales):
+    """Each dof's characteristic magnitude, as Newton scales its column."""
+    return np.array([scales.get(var, 1.0) for var in asm.dofs.variable])
 
 
 def default_params(mat=None, **kw):

@@ -77,6 +77,38 @@ def test_mesh_is_stacked_only_in_mdmesh():
     assert found == []
 
 
+DOF_BLOCK_CALLS = ("sd", "block", "blocks")
+
+
+def dof_block_calls(path: Path) -> list:
+    """(line, name) of each call of a method that reads the unknowns by
+    subdomain or interface: ``sd``, ``block`` or ``blocks``."""
+    return sorted((node.lineno, node.func.attr)
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in DOF_BLOCK_CALLS)
+
+
+def test_dof_block_calls_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "x = dofs.sd(0, 'p')\ny = self.dofs.block('sd', 0, 'u')\n"
+        "for key, sl in dofs.blocks():\n    pass\n"
+        "sd = block = blocks = dofs.blocks\nz = dofs.cells(2, 'p')[sd(1)]\n", encoding="utf-8")
+    assert dof_block_calls(module) == [(1, "sd"), (2, "block"), (3, "blocks")]
+
+
+def test_dofs_are_read_per_dimension():
+    # only system/dofs.py knows how the unknowns are numbered; every other
+    # module reads DofMap.cells, DofMap.mortar and DofMap.variable, so that
+    # renumbering the unknowns touches that module alone
+    dofs = SRC / "mdthm" / "system" / "dofs.py"
+    found = [f"{path.relative_to(SRC)}:{line} {name}"
+             for path in sorted(SRC.rglob("*.py")) if path != dofs
+             for line, name in dof_block_calls(path)]
+    assert found == []
+
+
 def splu_imports(path: Path) -> list:
     """Line of each import that binds ``splu`` by name."""
     return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mdthm import cli
+from mdthm.contact import ContactError
 from mdthm.mdmesh import build_cartesian_fractured, refine, split_cells
 from mdthm.scenarios import drivers
 from mdthm.scenarios.config import ConfigError, parse_config
@@ -14,7 +15,7 @@ from mdthm.scenarios.errors import ErrorReport, compare_states
 from mdthm.scenarios.output import snapshot_fields, write_vtk
 from mdthm.constitutive import MaterialSet, fluid_density
 from mdthm.scenarios.setup import build_scenario, hydrostatic_pressure
-from mdthm.system import time_loop
+from mdthm.system import newton, time_loop
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
                       "fractured_convergence.json")
@@ -112,7 +113,7 @@ class TestContactOutput:
         mdg = result.scenario.mdg
         (point,) = mdg.subdomains_of_dim(0)
         # the fracture cells next to the point, one per incident interface
-        branches = [(i.high_id, int(mdg.subdomain(i.high_id).face_cells[0, i.high_faces[0]]))
+        branches = [(i.high_id, int(mdg.subdomains[i.high_id].face_cells[0, i.high_faces[0]]))
                     for i in mdg.interfaces if i.low_id == point.id]
         assert len(branches) == 4
 
@@ -248,6 +249,23 @@ class TestCommandLine:
         matrix_T = read_vtk_scalars(out / "vtk" / "subdomain_0_step_00001.vtk", "temperature")
         assert matrix_T.size > 0
         assert np.all((349.0 <= matrix_T) & (matrix_T <= 351.0))
+
+    def test_penetration_at_a_converged_state_is_nonconvergence(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # a converged state that violates nonpenetration fails its step: the
+        # run exits 2 and names the step and the fracture
+        def penetrated(assembler, x):
+            raise ContactError(f"nonpositive aperture on fracture subdomain "
+                               f"{assembler.fractures[0].id} at a converged state")
+
+        monkeypatch.setattr(newton, "_check_apertures", penetrated)
+        raw = tiny_raw()
+        code = cli.main(["run", "--config", write_config(tmp_path, raw),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "steady phase 'compression'" in err
+        assert "nonpositive aperture on fracture subdomain 1 " in err
 
     def test_unknown_solver_key_rejected(self, tmp_path, capsys):
         raw = tiny_raw()

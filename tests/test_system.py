@@ -6,6 +6,7 @@ import scipy.sparse.linalg as spla
 from helpers import (
     SIDE_BOTTOM,
     SIDE_TOP,
+    column_scales,
     default_bc_types,
     default_params,
     make_loads,
@@ -43,7 +44,6 @@ from mdthm.system import (
 from mdthm.system.newton import (
     PRIMARY_VARIABLES,
     _check_apertures,
-    _scale_vector,
     contact_residual_norm,
 )
 
@@ -93,7 +93,7 @@ class TestSteadyNoFracture:
         p_oracle = spla.spsolve(
             (div @ ops.flux).tocsc(), -div @ (ops.bound_flux @ bc_flow)
         )
-        p_sys = state.current[asm.dofs.sd(0, P)]
+        p_sys = state.current[asm.dofs.cells(2, P)]
         assert np.abs(p_sys - p_oracle).max() < 1e-10 * 4e7
 
     def test_uniform_temperature_without_forcing(self):
@@ -101,7 +101,7 @@ class TestSteadyNoFracture:
         loads = make_loads(asm)
         rep = newton_solve(asm, state, 1.0, True, loads, default_params())
         assert rep.converged
-        T_sol = state.current[asm.dofs.sd(0, T)]
+        T_sol = state.current[asm.dofs.cells(2, T)]
         assert np.abs(T_sol - MAT.reference_temperature).max() < 1e-8
 
     def test_self_weight_column_settles(self):
@@ -118,14 +118,14 @@ class TestSteadyNoFracture:
         bc = {"mech": side == SIDE_BOTTOM, "flow": side == SIDE_TOP, "heat": side == SIDE_TOP}
         asm = Assembler(mdg, mat, DilationModel.TWO_WAY, bc)
         state = State(asm.dofs)
-        state.set_initial({("sd", g.id, "T"): mat.reference_temperature})
+        state.set_initial({(2, T): mat.reference_temperature})
         rep = newton_solve(asm, state, 1.0, True, make_loads(asm),
                            default_params(mat, k_u=1e-3))
         assert rep.converged
         # the fluid stays at rest: Newton on the advected heat leaves no
         # spurious heat source after the first iterate
         assert rep.iterations <= 4
-        u_y = state.current[asm.dofs.sd(g.id, "u")][1::2]
+        u_y = state.current[asm.dofs.cells(2, "u")][1::2]
         top = u_y[g.cell_centers[1] > height * 7 / 8].mean()
         settlement = mat.density_solid * 9.81 * height**2 / (2.0 * mat.youngs_modulus)
         assert top < 0.0
@@ -148,7 +148,7 @@ class TestFracturedContactSolve:
     def test_coulomb_and_dilation_at_solution(self):
         mdg, asm, state, rep, loads = self.solve()
         frac = mdg.subdomains[1]
-        lam = state.current[asm.dofs.sd(frac.id, LAM)]
+        lam = state.current[asm.dofs.cells(1, LAM)]
         jump = asm.jumps(state.current)  # the only fracture's cells
         jt, jn = jump[0::2], jump[1::2]
         g = gap_fn(jt, DilationModel.TWO_WAY, MAT.dilation_angle)
@@ -166,7 +166,7 @@ class TestFracturedContactSolve:
         mdg, asm, state, rep, _ = self.solve(shear=0.0)
         assert rep.converged
         frac = mdg.subdomains[1]
-        lam = state.current[asm.dofs.sd(frac.id, LAM)]
+        lam = state.current[asm.dofs.cells(1, LAM)]
         jump = asm.jumps(state.current)
         jt, jn = jump[0::2], jump[1::2]
         assert np.all(lam[1::2] < 0)
@@ -203,19 +203,19 @@ class TestFracturedContactSolve:
         rep = newton_solve(asm, state, 1.0, True, loads, default_params(increment_tol=1e-9))
         assert rep.converged
         frac = mdg.subdomains[1]
-        lam = state.current[asm.dofs.sd(frac.id, LAM)]
+        lam = state.current[asm.dofs.cells(1, LAM)]
         assert np.abs(lam).max() < 1e-6
         assert np.all(asm.jumps(state.current)[1::2] > 0)
         # assemble at the converged state and inspect the lam-lam block
         cache = asm.build_cache(state, loads)
         A, b = asm.assemble(state, cache, 1.0, True, loads)
-        sl = asm.dofs.sd(frac.id, LAM)
-        block = A.tocsr()[sl.start:sl.stop].toarray()
-        eye_part = block[:, sl.start:sl.stop]
-        assert np.allclose(eye_part, np.eye(sl.stop - sl.start))
-        other = np.delete(block, np.arange(sl.start, sl.stop), axis=1)
+        rows = asm.dofs.cells(1, LAM)
+        block = A.tocsr()[rows].toarray()
+        eye_part = block[:, rows]
+        assert np.allclose(eye_part, np.eye(rows.size))
+        other = np.delete(block, rows, axis=1)
         assert np.abs(other).max() == 0.0
-        assert np.abs(b[sl]).max() == 0.0
+        assert np.abs(b[rows]).max() == 0.0
 
 
 class TestNewtonJacobian:
@@ -300,8 +300,7 @@ class TestBlockSolve:
 
     @staticmethod
     def primary(asm):
-        return np.concatenate([np.arange(sl.start, sl.stop) for (_, _, var), sl
-                               in asm.dofs.blocks() if var in PRIMARY_VARIABLES])
+        return np.flatnonzero(np.isin(asm.dofs.variable, PRIMARY_VARIABLES))
 
     @staticmethod
     def count_factorisations(monkeypatch):
@@ -321,7 +320,7 @@ class TestBlockSolve:
         asm, state, A, b = self.system(steady)
         coupled = A[~asm.dofs.mechanics][:, asm.dofs.mechanics]
         assert bool(coupled.count_nonzero()) != steady
-        col_scale = _scale_vector(asm, default_params().scales)
+        col_scale = column_scales(asm, default_params().scales)
         x = self.solver(asm).solve(A, b, col_scale, state.current)
         x_ref = equilibrated_lu_solve(A, b, col_scale)
         assert np.abs((x - x_ref) / col_scale)[self.primary(asm)].max() < 1e-9
@@ -345,7 +344,7 @@ class TestBlockSolve:
         A = A.tocsr()
         row = np.flatnonzero(dofs.mechanics & ~dofs.contact)[0]
         A.data[A.indptr[row]:A.indptr[row + 1]] *= 1.5
-        col_scale = _scale_vector(asm, default_params().scales)
+        col_scale = column_scales(asm, default_params().scales)
         x = solver.solve(A, b, col_scale, state.current)
         assert sizes.count(n_e) == 2
         x_ref = equilibrated_lu_solve(A, b, col_scale)
@@ -358,7 +357,7 @@ class TestBlockSolve:
         p0, p1 = asm.dofs.cells(2, P)[:2]
         A = sps.vstack([A[:p1], A[p0], A[p1 + 1:]]).tocsr()
         with pytest.raises(SolverFailure):
-            self.solver(asm).solve(A, b, _scale_vector(asm, default_params().scales),
+            self.solver(asm).solve(A, b, column_scales(asm, default_params().scales),
                                    state.current)
 
     def test_newton_matches_newton_with_a_direct_solve(self, monkeypatch):
@@ -376,7 +375,7 @@ class TestBlockSolve:
             loads = make_loads(asm, **dict(self.LOADS, p_left=2e6, T_left=330.0))
             transient = newton_solve(asm, state, 100.0, False, loads, params, solver=solver)
             assert steady.converged and transient.converged
-            scaled = state.current / _scale_vector(asm, params.scales)
+            scaled = state.current / column_scales(asm, params.scales)
             return [steady.iterations, transient.iterations], scaled[self.primary(asm)]
 
         counts, x = run()
@@ -466,7 +465,7 @@ class TestTimeLoop:
         }
         asm = Assembler(mdg, mat, DilationModel.TWO_WAY, bc_types)
         state = State(asm.dofs)
-        state.set_initial({("sd", 0, "T"): mat.reference_temperature})
+        state.set_initial({(2, T): mat.reference_temperature})
         cm = mat.porosity / mat.bulk_fluid + (mat.biot_alpha - mat.porosity) / mat.bulk_solid
         vol = g.cell_volumes.sum()
 
@@ -476,7 +475,7 @@ class TestTimeLoop:
 
         def run(dt):
             st = State(asm.dofs)
-            st.set_initial({("sd", 0, "T"): mat.reference_temperature})
+            st.set_initial({(2, T): mat.reference_temperature})
             t_end = 100.0
 
             def provider(t_new, t_prev):
@@ -488,7 +487,7 @@ class TestTimeLoop:
 
             time_loop(asm, st, PhaseSpec("inject", duration=t_end, dt=dt),
                       provider, default_params(mat=mat))
-            return st.current[asm.dofs.sd(0, P)].mean()
+            return st.current[asm.dofs.cells(2, P)].mean()
 
         errs = []
         for dt in (25.0, 12.5, 6.25):
@@ -599,6 +598,37 @@ class TestStackedFractures:
             data = np.concatenate([m.data for m in blocks])
             for attr, ref in (("indptr", indptr), ("indices", indices), ("data", data)):
                 assert np.array_equal(getattr(got, attr), ref), (name, attr)
+
+
+class TestDofMap:
+    def test_blocks_and_stacked_views_share_one_numbering(self):
+        # the benchmark's gate reads the unknowns through blocks(), the
+        # package through cells(), mortar() and variable: each block is its
+        # subdomain's or interface's part of a stacked view, and the blocks
+        # cover every dof once
+        mdg, asm, _ = make_problem(CROSSING)
+        dofs = asm.dofs
+        assert mdg.grids[0].num_cells == 1
+        interfaces = {i.id: i for i in mdg.interfaces}
+        covered = []
+        for (kind, ident, var), sl in dofs.blocks():
+            if kind == "sd":
+                grid = mdg.grids[mdg.subdomains[ident].dim]
+                view, total = dofs.cells(grid.dim, var), grid.num_cells
+                start, size = grid.cell_start[ident], mdg.subdomains[ident].num_cells
+            else:
+                group = mdg.mortars[mdg.subdomains[interfaces[ident].high_id].dim]
+                view, total = dofs.mortar(group.dim, var), group.size
+                before = group.ids[:group.ids.index(ident)]
+                start = sum(interfaces[i].num_cells for i in before)
+                size = interfaces[ident].num_cells
+            nd = view.size // total
+            block = np.arange(sl.start, sl.stop)
+            assert block.size == nd * size > 0, (kind, ident, var)
+            assert np.array_equal(view[nd * start:nd * (start + size)], block), (kind, ident, var)
+            assert np.all(dofs.variable[block] == var)
+            covered.append(block)
+        assert np.array_equal(np.sort(np.concatenate(covered)), np.arange(dofs.num_dofs))
 
 
 class TestJumpMatrix:
