@@ -12,6 +12,7 @@ from mdthm.fvm import (
     onedim_discretize,
     upwind_matrices,
 )
+from mdthm.fvm.local import invert_block_diagonal, least_squares_block_solve
 from mdthm.mdmesh import MeshError, build_cartesian_fractured, build_triangular_fractured
 
 G_SH, K_S = 1.7e10, 2.2e10
@@ -249,6 +250,120 @@ class TestMpsa:
         sys /= np.abs(sys).max(axis=1)[:, None]
         s = np.linalg.svd(sys, compute_uv=False)
         assert s[0] / s[-1] < 1e4
+
+
+def local_batch(blocks, extra=(0.1, 0.2), seed=5):
+    """Node ids, offsets and triplets of a stack of node blocks.
+
+    Each node's triplets keep their own order and the nodes' triplets are
+    interleaved at random. Slot (0, 0) gets the ``extra`` summands, whose
+    sum depends on the order in which they are added.
+    """
+    rng = np.random.default_rng(seed)
+    trip = []
+    for node, block in enumerate(blocks):
+        trip += [(node, i, j, v) for (i, j), v in np.ndenumerate(block)]
+        trip += [(node, 0, 0, v) for v in extra]
+    labels = rng.permutation([t[0] for t in trip])
+    order = np.argsort(labels, kind="stable")
+    triplets = [np.empty(len(trip), dtype=dt) for dt in (int, int, int, float)]
+    for k, t in enumerate(trip):
+        for arr, x in zip(triplets, t):
+            arr[order[k]] = x
+    row_ptr = np.cumsum([0] + [b.shape[0] for b in blocks])
+    col_ptr = np.cumsum([0] + [b.shape[1] for b in blocks])
+    return 10 + 3 * np.arange(len(blocks)), row_ptr, col_ptr, tuple(triplets)
+
+
+def invert_each_block(invert, node_ids, row_ptr, col_ptr, triplets):
+    """Reference: fill and invert every node's block on its own, by shape
+    and then in node order."""
+    npos, lr, lc, val = triplets
+    n_rows, n_cols = np.diff(row_ptr), np.diff(col_ptr)
+    rows, cols, vals = [], [], []
+    for r, c in np.unique(np.stack([n_rows, n_cols], axis=1), axis=0):
+        for node in np.where((n_rows == r) & (n_cols == c))[0]:
+            block = np.zeros((r, c))
+            mine = npos == node
+            np.add.at(block, (lr[mine], lc[mine]), val[mine])
+            rr, cc = np.meshgrid(np.arange(c), np.arange(r), indexing="ij")
+            rows.append((col_ptr[node] + rr).ravel())
+            cols.append((row_ptr[node] + cc).ravel())
+            vals.append(invert(block).ravel())
+    return sps.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(col_ptr[-1], row_ptr[-1]),
+    )
+
+
+class TestLocalSolve:
+    @staticmethod
+    def assert_bitwise_equal(a, b):
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        assert a.data.tobytes() == b.data.tobytes()
+
+    @staticmethod
+    def repeated_stack(shapes):
+        """Blocks of several shapes. Per shape, two distinct blocks repeat;
+        one copy of the first has its zero entry written -0.0, and one
+        differs from it in the last bit of its last entry."""
+        rng = np.random.default_rng(3)
+        stack = []
+        for r, c in shapes:
+            a, b = rng.uniform(-1.0, 1.0, (2, r, c)) + 2.0 * np.eye(r, c)
+            a[r - 1, 0] = 0.0
+            neg_zero, last_bit = a.copy(), a.copy()
+            neg_zero[r - 1, 0] = -0.0
+            last_bit[-1, -1] = np.nextafter(a[-1, -1], np.inf)
+            stack.append([a, b, a, neg_zero, last_bit, b, a])
+        # interleave the shapes node by node
+        return [block for group in zip(*stack) for block in group]
+
+    def test_least_squares_repeats_equal_blockwise_pinv(self):
+        blocks = self.repeated_stack([(3, 2), (4, 2), (2, 2), (5, 4)])
+        # a rank-deficient corner-like block, repeated
+        blocks += [np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])] * 2
+        batch = local_batch(blocks)
+        got = least_squares_block_solve(*batch)
+        ref = invert_each_block(lambda m: np.linalg.pinv(m, rcond=1e-12), *batch)
+        self.assert_bitwise_equal(got, ref)
+
+    def test_square_repeats_equal_blockwise_inverse(self):
+        batch = local_batch(self.repeated_stack([(4, 4), (2, 2), (3, 3)]))
+        got = invert_block_diagonal(*batch)
+        self.assert_bitwise_equal(got, invert_each_block(np.linalg.inv, *batch))
+
+    @staticmethod
+    def bad_stacks(good, bad_a, bad_b):
+        """Stacks whose first bad node is node 4: the bad block repeats at
+        later nodes, or another bad block follows it, in either byte order."""
+        head = [good, 2.0 * good, 3.0 * good, good]
+        return [
+            head + [bad_a, good, bad_a, bad_a],
+            head + [bad_a, 2.0 * good, bad_b],
+            head + [bad_b, 3.0 * good, bad_a],
+        ]
+
+    def test_degenerate_region_names_first_node(self):
+        good = np.array([[2.0, 0.5], [0.5, 3.0], [1.0, 1.0]])
+        tiny = np.array([[1e-320, 0.0], [0.0, 1e-320], [0.0, 0.0]])
+        tinier = np.array([[2e-320, 0.0], [0.0, 1e-320], [0.0, 0.0]])
+        for blocks in self.bad_stacks(good, tiny, tinier):
+            node_ids, row_ptr, col_ptr, triplets = local_batch(blocks, extra=())
+            with np.errstate(all="ignore"), pytest.raises(
+                    MeshError, match=f"degenerate interaction region at node {node_ids[4]}$"):
+                least_squares_block_solve(node_ids, row_ptr, col_ptr, triplets)
+
+    def test_singular_region_names_first_node(self):
+        good = np.array([[2.0, 0.5], [0.5, 3.0]])
+        rank_one = np.array([[1.0, 2.0], [2.0, 4.0]])
+        zero_row = np.array([[3.0, 1.0], [0.0, 0.0]])
+        for blocks in self.bad_stacks(good, rank_one, zero_row):
+            node_ids, row_ptr, col_ptr, triplets = local_batch(blocks, extra=())
+            with pytest.raises(
+                    MeshError, match=f"singular interaction region at node {node_ids[4]}$"):
+                invert_block_diagonal(node_ids, row_ptr, col_ptr, triplets)
 
 
 class TestOnedim:
