@@ -4,6 +4,12 @@ Blocks of equal shape are compared by their bytes and each distinct block is
 inverted once; on a uniformly refined grid most interior interaction regions
 repeat. A repeated block receives the bits of its one inversion, so the
 operators are the same as if every block had been inverted on its own.
+
+Node k's block fills rows ``row_ptr[k]:row_ptr[k + 1]`` and columns
+``col_ptr[k]:col_ptr[k + 1]`` of the local-system matrix, and its inverse
+the transposed ranges of the inverse. Both are stored flat, block after
+block in node order and each block row-major, so that the inverse's flat
+array is its CSR data.
 """
 
 from __future__ import annotations
@@ -21,12 +27,13 @@ def invert_block_diagonal(node_ids, row_ptr, col_ptr, triplets):
     block per node; the distinct blocks of each size are inverted in one
     LAPACK batch. Returns the inverse as a global sparse matrix in the
     row/col numbering given by the per-node offsets. Raises naming the first
-    offending node if a block is singular or hopelessly conditioned.
+    offending node if a block is not finite, singular or hopelessly
+    conditioned.
     """
     if not np.array_equal(np.diff(row_ptr), np.diff(col_ptr)):
         raise MeshError("local systems must be square")
     parts = []
-    for sel_nodes, blocks, inverse in _distinct_blocks(row_ptr, col_ptr, triplets):
+    for sel_nodes, blocks, inverse in _distinct_blocks(node_ids, row_ptr, col_ptr, triplets):
         try:
             inv = np.linalg.inv(blocks)
         except np.linalg.LinAlgError as err:
@@ -38,7 +45,7 @@ def invert_block_diagonal(node_ids, row_ptr, col_ptr, triplets):
         if np.any(failed):
             bad = _first_node(node_ids, sel_nodes, failed[inverse])
             raise MeshError(f"degenerate interaction region at node {bad}")
-        parts.append((sel_nodes, inv[inverse]))
+        parts.append((sel_nodes, inv, inverse))
     return _scatter(parts, row_ptr, col_ptr)
 
 
@@ -47,16 +54,16 @@ def least_squares_block_solve(node_ids, row_ptr, col_ptr, triplets):
 
     Blocks may have more rows than columns; the returned sparse matrix maps
     the stacked right-hand sides to the least-squares gradient solution,
-    block by block. A block with fewer rows than columns is rejected. A
-    rank-deficient block is not: it gets its Moore-Penrose inverse, and only
-    that inverse's finiteness is checked.
+    block by block. A block with fewer rows than columns, or with an entry
+    that is not finite, is rejected. A rank-deficient block is not: it gets
+    its Moore-Penrose inverse, and only that inverse's finiteness is checked.
     """
     n_rows, n_cols = np.diff(row_ptr), np.diff(col_ptr)
     if np.any(n_rows < n_cols):
         bad = node_ids[int(np.argmax(n_rows < n_cols))]
         raise MeshError(f"local system with fewer equations than unknowns at node {bad}")
     parts = []
-    for sel_nodes, blocks, inverse in _distinct_blocks(row_ptr, col_ptr, triplets):
+    for sel_nodes, blocks, inverse in _distinct_blocks(node_ids, row_ptr, col_ptr, triplets):
         # The Moore-Penrose inverse handles regions where a gradient
         # component is legitimately unconstrained: at a corner between two
         # traction boundaries the local rotation is free, and every derived
@@ -66,31 +73,42 @@ def least_squares_block_solve(node_ids, row_ptr, col_ptr, triplets):
         if np.any(failed):
             bad = _first_node(node_ids, sel_nodes, failed[inverse])
             raise MeshError(f"degenerate interaction region at node {bad}")
-        parts.append((sel_nodes, pinv[inverse]))
+        parts.append((sel_nodes, pinv, inverse))
     return _scatter(parts, row_ptr, col_ptr)
 
 
-def _distinct_blocks(row_ptr, col_ptr, triplets):
+def _block_starts(row_ptr, col_ptr):
+    """Offset of each node's block in the flat storage, and its total size."""
+    sizes = np.diff(row_ptr) * np.diff(col_ptr)
+    return np.concatenate([[0], np.cumsum(sizes)])
+
+
+def _distinct_blocks(node_ids, row_ptr, col_ptr, triplets):
     """Yield, per block shape, the node positions, their distinct blocks and
     the index of each node's block among them.
 
     Blocks are compared by their bytes, not their values (-0.0 is not 0.0),
     so the nodes that share an inversion hold bit-identical blocks. Entries
-    that share a slot are summed from +0.0 in triplet order.
+    that share a slot are summed from +0.0 in triplet order, the blocks of
+    every shape in one pass. A block with an entry that is not finite raises,
+    naming the first such node.
     """
     npos, lr, lc, val = triplets
     n_rows, n_cols = np.diff(row_ptr), np.diff(col_ptr)
+    starts = _block_starts(row_ptr, col_ptr)
+    flat = np.bincount(starts[npos] + lr * n_cols[npos] + lc, val, starts[-1])
     for r, c in np.unique(np.stack([n_rows, n_cols], axis=1), axis=0):
-        sel_nodes = np.where((n_rows == r) & (n_cols == c))[0]
-        pos_in_group = np.full(n_rows.size, -1)
-        pos_in_group[sel_nodes] = np.arange(sel_nodes.size)
-        mask = pos_in_group[npos] >= 0
-        slot = (pos_in_group[npos[mask]] * r + lr[mask]) * c + lc[mask]
-        blocks = np.bincount(slot, val[mask], sel_nodes.size * r * c)
-        blocks = blocks.reshape(sel_nodes.size, r * c)
-        keys = blocks.view(np.dtype((np.void, int(blocks.itemsize * r * c)))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        yield sel_nodes, blocks[first].reshape(-1, r, c), inverse
+        sel_nodes = np.flatnonzero((n_rows == r) & (n_cols == c))
+        distinct = {}  # the bytes of each distinct block, in order of first use
+        inverse = np.fromiter((distinct.setdefault(flat[s:s + r * c].tobytes(), len(distinct))
+                               for s in starts[sel_nodes].tolist()),
+                              dtype=int, count=sel_nodes.size)
+        blocks = np.frombuffer(b"".join(distinct), dtype=flat.dtype).reshape(-1, r, c)
+        infinite = ~np.isfinite(blocks).all(axis=(1, 2))
+        if np.any(infinite):
+            bad = _first_node(node_ids, sel_nodes, infinite[inverse])
+            raise MeshError(f"non-finite entry in the interaction region at node {bad}")
+        yield sel_nodes, blocks, inverse
 
 
 def _first_node(node_ids, sel_nodes, failed):
@@ -100,16 +118,27 @@ def _first_node(node_ids, sel_nodes, failed):
 
 
 def _scatter(parts, row_ptr, col_ptr):
-    """One sparse matrix from each node's inverse block, whose rows follow
-    the node's column offsets and whose columns follow its row offsets."""
-    rows, cols = [], []
-    for sel_nodes, inv in parts:
-        rr, cc = np.meshgrid(
-            np.arange(inv.shape[1]), np.arange(inv.shape[2]), indexing="ij")
-        rows.append((col_ptr[sel_nodes][:, None, None] + rr).ravel())
-        cols.append((row_ptr[sel_nodes][:, None, None] + cc).ravel())
-    vals = np.concatenate([inv.ravel() for _, inv in parts])
-    return sps.csr_matrix(
-        (vals, (np.concatenate(rows), np.concatenate(cols))),
-        shape=(col_ptr[-1], row_ptr[-1]),
-    )
+    """The inverse as CSR, from each shape's distinct inverse blocks and the
+    index of each node's block among them.
+
+    Row i of node k's inverse block is CSR row ``col_ptr[k] + i``; its
+    ``n_rows[k]`` entries sit in columns ``row_ptr[k]`` onwards, so each
+    block is contiguous in the data and its rows' indices are sorted.
+    """
+    n_rows, n_cols = np.diff(row_ptr), np.diff(col_ptr)
+    starts = _block_starts(row_ptr, col_ptr)
+    shape = (int(col_ptr[-1]), int(row_ptr[-1]))
+    index = np.int32 if max(starts[-1], *shape) <= np.iinfo(np.int32).max else np.int64
+    row_nnz = np.repeat(n_rows, n_cols)
+    indptr = np.concatenate([[0], np.cumsum(row_nnz)]).astype(index)
+    # an entry's column is its position in the data, shifted so that each
+    # row starts at its node's first column
+    shift = (np.repeat(row_ptr[:-1], n_cols) - indptr[:-1]).astype(index)
+    indices = np.arange(starts[-1], dtype=index) + np.repeat(shift, row_nnz)
+    data = np.empty(starts[-1])
+    for sel_nodes, inv, inverse in parts:
+        inv = inv.reshape(len(inv), -1)
+        for start, end, k in zip(starts[sel_nodes].tolist(), starts[sel_nodes + 1].tolist(),
+                                 inverse.tolist()):
+            data[start:end] = inv[k]
+    return sps.csr_matrix((data, indices, indptr), shape=shape)

@@ -21,6 +21,7 @@ from mdthm.mdmesh.grids import (
     SubdomainGrid,
     enumerate_faces,
     make_0d_grid,
+    polygons_csr,
 )
 from mdthm.mdmesh.mdgrid import MixedDimGrid
 from mdthm.mdmesh.mortar import SIDE_J, SIDE_K, MortarInterface
@@ -206,151 +207,138 @@ def _cell_tangents(sd: SubdomainGrid) -> np.ndarray:
 # ----------------------------------------------------------------------
 # face/node splitting along fractures
 # ----------------------------------------------------------------------
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {i: i for i in items}
+def _path_faces(frac_paths, faces, face_cells):
+    """Per fracture, the interior faces along its node path.
 
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
-    """Split a conforming 2d grid along fracture paths into a mixed-dim grid."""
-    nodes = np.array(nodes, dtype=float)
-    cell_nodes = [list(map(int, p)) for p in cell_nodes]
-    n_cells = len(cell_nodes)
-
-    # preliminary face connectivity keyed by sorted node pairs
-    face_key_of, faces, face_cells = enumerate_faces(cell_nodes)
-
-    # resolve fracture paths to interior faces
-    frac_faces = []  # per fracture, list of face ids along the path
-    fracture_of_face = {}
+    Raises naming the first segment, in path order, that is not a face,
+    lies on the boundary or runs along an earlier fracture.
+    """
+    width = int(faces.max(initial=0)) + 1
+    keys = faces[:, 0] * width + faces[:, 1]
+    order = np.argsort(keys)
+    fracture_of_face = np.full(len(faces), -1)
+    frac_faces = []
     for fi, path in enumerate(frac_paths):
         if len(path) < 2:
             raise MeshError(f"fracture {fi} has fewer than two nodes")
         if len(set(path)) != len(path):
             raise MeshError(f"fracture {fi} is self-intersecting")
-        flist = []
-        for k in range(len(path) - 1):
-            a, b = path[k], path[k + 1]
-            key = (a, b) if a < b else (b, a)
-            f = face_key_of.get(key)
-            if f is None:
-                raise MeshError(
-                    f"fracture {fi} segment between nodes {a} and {b} does not "
-                    "coincide with a matrix face"
-                )
-            if face_cells[f][1] < 0:
-                raise MeshError(
-                    f"fracture {fi} face between nodes {a} and {b} lies on the boundary"
-                )
-            if f in fracture_of_face:
-                raise MeshError(
-                    f"fractures {fracture_of_face[f]} and {fi} overlap on face {f}"
-                )
-            fracture_of_face[f] = fi
-            flist.append(f)
-        frac_faces.append(flist)
+        path = np.asarray(path, dtype=int)
+        pairs = np.sort(np.stack([path[:-1], path[1:]], axis=1), axis=1)
+        seg_keys = pairs[:, 0] * width + pairs[:, 1]
+        pos = np.minimum(np.searchsorted(keys, seg_keys, sorter=order), len(faces) - 1)
+        f = order[pos]
+        missing = np.any(faces[f] != pairs, axis=1)
+        boundary = ~missing & (face_cells[f, 1] < 0)
+        taken = ~missing & (fracture_of_face[f] >= 0)
+        bad = missing | boundary | taken
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            a, b = int(path[k]), int(path[k + 1])
+            if missing[k]:
+                raise MeshError(f"fracture {fi} segment between nodes {a} and {b} does "
+                                "not coincide with a matrix face")
+            if boundary[k]:
+                raise MeshError(f"fracture {fi} face between nodes {a} and {b} lies on "
+                                "the boundary")
+            raise MeshError(f"fractures {fracture_of_face[f[k]]} and {fi} overlap on "
+                            f"face {f[k]}")
+        fracture_of_face[f] = fi
+        frac_faces.append(f)
+    return frac_faces
 
-    # intersection nodes: shared by at least two fracture paths
-    node_fracs: dict[int, set[int]] = {}
-    for fi, path in enumerate(frac_paths):
-        for n in path:
-            node_fracs.setdefault(n, set()).add(fi)
-    intersection_nodes = sorted(n for n, s in node_fracs.items() if len(s) > 1)
 
-    # nodes incident to fracture faces and their cell fans
-    node_cells: dict[int, list[int]] = {}
-    for c, poly in enumerate(cell_nodes):
-        for n in poly:
-            node_cells.setdefault(n, []).append(c)
-    faces_at_node: dict[int, list[int]] = {}
-    for f, (a, b) in enumerate(faces):
-        faces_at_node.setdefault(a, []).append(f)
-        faces_at_node.setdefault(b, []).append(f)
+def _node_copies(nodes, ptr, cell_node, faces, face_cells, is_frac):
+    """Split the nodes of fracture faces: one copy per fan of the node's
+    cells, where two cells of a fan share a face that is not a fracture face.
 
-    split_nodes = sorted(
-        {n for f in fracture_of_face for n in faces[f]}
-    )
-    # component of each (node, cell) incidence; component 0 keeps the node id
-    copy_of: dict[tuple[int, int], int] = {}
-    n_nodes = nodes.shape[1]
-    new_coords = [nodes]
-    for n in split_nodes:
-        cells_here = node_cells[n]
-        uf = _UnionFind(cells_here)
-        for f in faces_at_node[n]:
-            if f in fracture_of_face:
-                continue
-            co, cn = face_cells[f]
-            if cn >= 0:
-                uf.union(co, cn)
-        roots = {}
-        for c in cells_here:
-            roots.setdefault(uf.find(c), []).append(c)
-        ordered = sorted(roots, key=lambda r: min(roots[r]))
-        for comp_idx, r in enumerate(ordered):
-            if comp_idx == 0:
-                nid = n
-            else:
-                nid = n_nodes
-                n_nodes += 1
-                new_coords.append(nodes[:, [n]])
-            for c in roots[r]:
-                copy_of[(n, c)] = nid
-    all_nodes = np.hstack(new_coords)
+    Returns ``node_for(n, c)``, the node that cell c holds in place of its
+    node n, and the coordinates of all nodes. The fan with a node's lowest
+    cell keeps the node's id; the copies follow the nodes, numbered by node
+    and then by the fan's lowest cell.
+    """
+    n_cells = ptr.size - 1
+    cell_of = np.repeat(np.arange(n_cells), np.diff(ptr))
+    on_split = np.zeros(nodes.shape[1], dtype=bool)
+    on_split[faces[is_frac]] = True
+    # the incidences of split nodes and cells, by node and then by cell
+    at = on_split[cell_node]
+    keys = np.unique(cell_node[at] * n_cells + cell_of[at])
+    joins = ~is_frac & (face_cells[:, 1] >= 0)
+    ends = faces[joins].T.ravel()
+    owner, nbr = np.tile(face_cells[joins].T, 2)
+    split = on_split[ends]
+    u, v = (np.searchsorted(keys, ends[split] * n_cells + cells[split])
+            for cells in (owner, nbr))
+    # label each incidence with the lowest incidence of its fan, which
+    # holds the fan's lowest cell
+    fan = np.arange(keys.size)
+    while True:
+        low = fan.copy()
+        np.minimum.at(low, u, fan[v])
+        np.minimum.at(low, v, fan[u])
+        low = low[low]
+        if np.array_equal(low, fan):
+            break
+        fan = low
+    node = keys // n_cells
+    copy = (fan == np.arange(keys.size)) & (np.diff(node, prepend=-1) == 0)
+    held = node.copy()
+    held[copy] = nodes.shape[1] + np.arange(np.count_nonzero(copy))
+    holds = np.append(held[fan], -1)
 
     def node_for(n, c):
-        return copy_of.get((n, c), n)
+        return np.where(on_split[n], holds[np.searchsorted(keys, n * n_cells + c)], n)
 
-    # final cell polygons with node copies
-    final_cells = [
-        np.array([node_for(n, c) for n in poly], dtype=int)
-        for c, poly in enumerate(cell_nodes)
-    ]
+    return node_for, np.hstack([nodes, nodes[:, node[copy]]])
 
-    # final face list: duplicate fracture faces, remap the rest
-    final_face_nodes = []
-    final_face_cells = []
-    face_pairs = {}  # original face id -> (owner-side face, neighbour-side face)
-    for f, (a, b) in enumerate(faces):
-        co, cn = face_cells[f]
-        if f in fracture_of_face:
-            fo = len(final_face_nodes)
-            final_face_nodes.append((node_for(a, co), node_for(b, co)))
-            final_face_cells.append((co, -1))
-            fd = len(final_face_nodes)
-            final_face_nodes.append((node_for(a, cn), node_for(b, cn)))
-            final_face_cells.append((cn, -1))
-            face_pairs[f] = (fo, fd)
-        else:
-            fid = len(final_face_nodes)
-            final_face_nodes.append((node_for(a, co), node_for(b, co)))
-            final_face_cells.append((co, cn))
-            face_pairs[f] = (fid,)
+
+def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
+    """Split a conforming 2d grid along fracture paths into a mixed-dim grid."""
+    nodes = np.array(nodes, dtype=float)
+    ptr, cell_node = polygons_csr(cell_nodes)
+    n_cells = ptr.size - 1
+
+    faces, face_cells = enumerate_faces(ptr, cell_node)
+    frac_faces = _path_faces(frac_paths, faces, face_cells)
+    is_frac = np.zeros(len(faces), dtype=bool)
+    for f in frac_faces:
+        is_frac[f] = True
+
+    # intersection nodes: on at least two fracture paths
+    on_paths = np.bincount(np.concatenate([np.zeros(0, dtype=int), *frac_paths]),
+                           minlength=nodes.shape[1])
+    intersection_nodes = np.flatnonzero(on_paths > 1).tolist()
+
+    node_for, all_nodes = _node_copies(nodes, ptr, cell_node, faces, face_cells, is_frac)
+    held = node_for(cell_node, np.repeat(np.arange(n_cells), np.diff(ptr)))
+    final_cells = [held[s:e] for s, e in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
+
+    # each fracture face becomes two faces, one per side: the owner side's
+    # face fo, the neighbour side's fo + 1
+    (a, b), (co, cn) = faces.T, face_cells.T
+    fo = np.cumsum(1 + is_frac) - (1 + is_frac)
+    fd = fo[is_frac] + 1
+    final_face_nodes = np.empty((len(faces) + fd.size, 2), dtype=int)
+    final_face_cells = np.full_like(final_face_nodes, -1)
+    final_face_nodes[fo] = np.stack([node_for(a, co), node_for(b, co)], axis=1)
+    final_face_nodes[fd] = np.stack([node_for(a[is_frac], cn[is_frac]),
+                                     node_for(b[is_frac], cn[is_frac])], axis=1)
+    final_face_cells[fo, 0] = co
+    final_face_cells[fo[~is_frac], 1] = cn[~is_frac]
+    final_face_cells[fd, 0] = cn[is_frac]
 
     g2 = SubdomainGrid(2, sd_id=0)
     g2.nodes = all_nodes
     g2.num_nodes = all_nodes.shape[1]
     g2.cell_nodes = final_cells
     g2.num_cells = n_cells
-    g2.face_nodes = np.array(final_face_nodes, dtype=int).T.reshape(2, -1)
-    g2.face_cells = np.array(final_face_cells, dtype=int).T.reshape(2, -1)
+    g2.face_nodes = final_face_nodes.T.reshape(2, -1)
+    g2.face_cells = final_face_cells.T.reshape(2, -1)
     g2.num_faces = g2.face_nodes.shape[1]
     g2.compute_geometry()
     internal = np.zeros(g2.num_faces, dtype=bool)
-    for f in fracture_of_face:
-        fo, fd = face_pairs[f]
-        internal[[fo, fd]] = True
+    internal[fo[is_frac]] = internal[fd] = True
     g2.tags["internal"] = internal
     if box is not None:
         _tag_domain_sides(g2, box)
@@ -409,20 +397,14 @@ def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
         frac_tip_interfaces.extend((fi, f, n) for f, n in tips)
 
         # matrix-fracture mortars, one per side
-        edge_faces = frac_faces[fi]
+        own_side = fo[frac_faces[fi]]
         tangents = nodes[:, path[1:]] - nodes[:, path[:-1]]
         n_ref = np.vstack([-tangents[1], tangents[0]])
         n_ref /= np.hypot(n_ref[0], n_ref[1])
-        side_faces = {SIDE_J: [], SIDE_K: []}
-        for k, f in enumerate(edge_faces):
-            fo, fd = face_pairs[f]
-            n_o = g2.face_normals[:, fo] / g2.face_areas[fo]
-            if n_o @ n_ref[:, k] > 0:
-                side_faces[SIDE_J].append(fo)
-                side_faces[SIDE_K].append(fd)
-            else:
-                side_faces[SIDE_J].append(fd)
-                side_faces[SIDE_K].append(fo)
+        n_o = g2.face_normals[:, own_side] / g2.face_areas[own_side]
+        along = (n_o * n_ref).sum(axis=0) > 0
+        side_faces = {SIDE_J: np.where(along, own_side, own_side + 1),
+                      SIDE_K: np.where(along, own_side + 1, own_side)}
         for side in (SIDE_J, SIDE_K):
             interfaces.append(
                 MortarInterface(

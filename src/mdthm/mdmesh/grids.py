@@ -70,9 +70,7 @@ class SubdomainGrid:
     def cell_nodes_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``cell_nodes`` in CSR form: per-cell offsets (n_cells + 1) into
         the concatenated node lists."""
-        sizes = np.fromiter(map(len, self.cell_nodes), dtype=int)
-        ptr = np.concatenate([[0], np.cumsum(sizes)])
-        return ptr, np.concatenate([np.zeros(0, dtype=int), *self.cell_nodes])
+        return polygons_csr(self.cell_nodes)
 
     def _geometry_2d(self):
         x = self.nodes
@@ -174,28 +172,42 @@ class SubdomainGrid:
         )
 
 
-def enumerate_faces(cell_nodes) -> tuple[dict, list, list]:
+def enumerate_faces(ptr, nodes) -> tuple[np.ndarray, np.ndarray]:
     """Faces of a polygon mesh as sorted node pairs, numbered in order of
     first appearance along the cells' boundaries.
 
-    Returns the face number of each node pair, the node pairs, and per face
-    its [owner, neighbour] cells, the neighbour -1 on the boundary.
+    The polygons are given in CSR form (see :func:`polygons_csr`). Returns
+    the node pairs and per face its owner and neighbour cells, the neighbour
+    -1 on the boundary, both of shape (n_faces, 2).
     """
-    face_of, face_nodes, face_cells = {}, [], []
-    for c, poly in enumerate(cell_nodes):
-        for k in range(len(poly)):
-            a, b = int(poly[k]), int(poly[(k + 1) % len(poly)])
-            key = (a, b) if a < b else (b, a)
-            f = face_of.get(key)
-            if f is None:
-                face_of[key] = len(face_nodes)
-                face_nodes.append(key)
-                face_cells.append([c, -1])
-            else:
-                if face_cells[f][1] >= 0:
-                    raise MeshError(f"face {key} shared by more than two cells")
-                face_cells[f][1] = c
-    return face_of, face_nodes, face_cells
+    sizes = np.diff(ptr)
+    # edge k of a cell runs from its node k to node k + 1, the last back to the first
+    succ = np.arange(1, nodes.size + 1)
+    succ[ptr[1:][sizes > 0] - 1] = ptr[:-1][sizes > 0]
+    pairs = np.sort(np.stack([nodes, nodes[succ]], axis=1), axis=1)
+    cells = np.repeat(np.arange(sizes.size), sizes)
+    key = pairs[:, 0] * (int(nodes.max(initial=0)) + 1) + pairs[:, 1]
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    counts = np.diff(starts, append=order.size)
+    if np.any(counts > 2):
+        third = np.arange(order.size) - np.repeat(starts, counts) >= 2
+        a, b = pairs[order[third].min()]
+        raise MeshError(f"face {(int(a), int(b))} shared by more than two cells")
+    # the first and last edge of each pair, in edge order; faces follow the first
+    first, last = order[starts], order[starts + counts - 1]
+    by_appearance = np.argsort(first)
+    first, last = first[by_appearance], last[by_appearance]
+    face_cells = np.stack([cells[first], np.where(last > first, cells[last], -1)], axis=1)
+    return pairs[first], face_cells
+
+
+def polygons_csr(polygons) -> tuple[np.ndarray, np.ndarray]:
+    """A list of node-index polygons in CSR form: per-polygon offsets into
+    the concatenated node lists."""
+    sizes = np.fromiter(map(len, polygons), dtype=int, count=len(polygons))
+    ptr = np.concatenate([[0], np.cumsum(sizes)])
+    return ptr, np.concatenate([np.zeros(0, dtype=int), *polygons])
 
 
 def make_2d_grid(nodes: np.ndarray, cell_nodes: list[np.ndarray]) -> SubdomainGrid:
@@ -206,9 +218,9 @@ def make_2d_grid(nodes: np.ndarray, cell_nodes: list[np.ndarray]) -> SubdomainGr
     g.cell_nodes = [np.asarray(p, dtype=int) for p in cell_nodes]
     g.num_cells = len(g.cell_nodes)
 
-    _, face_nodes, face_cells = enumerate_faces(g.cell_nodes)
-    g.face_nodes = np.array(face_nodes, dtype=int).T.reshape(2, -1)
-    g.face_cells = np.array(face_cells, dtype=int).T.reshape(2, -1)
+    face_nodes, face_cells = enumerate_faces(*polygons_csr(g.cell_nodes))
+    g.face_nodes = face_nodes.T.reshape(2, -1)
+    g.face_cells = face_cells.T.reshape(2, -1)
     g.num_faces = g.face_nodes.shape[1]
     g.compute_geometry()
     return g

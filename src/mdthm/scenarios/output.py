@@ -17,30 +17,37 @@ def _fmt(x):
     return np.format_float_scientific(x, precision=17)
 
 
-def write_vtk(path, sd: SubdomainGrid, cell_data: dict):
-    """One subdomain snapshot as a legacy unstructured-grid VTK file."""
-    lines = ["# vtk DataFile Version 3.0", "mdthm snapshot", "ASCII",
-             "DATASET UNSTRUCTURED_GRID"]
+def vtk_geometry(sd: SubdomainGrid) -> str:
+    """The POINTS, CELLS and CELL_TYPES sections of a subdomain's legacy
+    VTK file."""
     if sd.dim == 0:
         pts = sd.cell_centers
-        lines.append(f"POINTS 1 double")
-        lines.append(f"{_fmt(pts[0, 0])} {_fmt(pts[1, 0])} 0.0")
-        lines.append("CELLS 1 2")
-        lines.append("1 0")
-        lines.append("CELL_TYPES 1")
-        lines.append("1")
-    else:
-        lines.append(f"POINTS {sd.num_nodes} double")
-        for i in range(sd.num_nodes):
-            lines.append(f"{_fmt(sd.nodes[0, i])} {_fmt(sd.nodes[1, i])} 0.0")
-        conn = sd.cell_nodes
-        total = sum(len(p) + 1 for p in conn)
-        lines.append(f"CELLS {sd.num_cells} {total}")
-        for poly in conn:
-            lines.append(str(len(poly)) + " " + " ".join(str(int(n)) for n in poly))
-        lines.append(f"CELL_TYPES {sd.num_cells}")
-        for poly in conn:
-            lines.append(str(VTK_TYPES[len(poly)]))
+        lines = ["POINTS 1 double", f"{_fmt(pts[0, 0])} {_fmt(pts[1, 0])} 0.0",
+                 "CELLS 1 2", "1 0", "CELL_TYPES 1", "1"]
+        return "\n".join(lines)
+    lines = [f"POINTS {sd.num_nodes} double"]
+    for i in range(sd.num_nodes):
+        lines.append(f"{_fmt(sd.nodes[0, i])} {_fmt(sd.nodes[1, i])} 0.0")
+    conn = sd.cell_nodes
+    total = sum(len(p) + 1 for p in conn)
+    lines.append(f"CELLS {sd.num_cells} {total}")
+    for poly in conn:
+        lines.append(str(len(poly)) + " " + " ".join(str(int(n)) for n in poly))
+    lines.append(f"CELL_TYPES {sd.num_cells}")
+    for poly in conn:
+        lines.append(str(VTK_TYPES[len(poly)]))
+    return "\n".join(lines)
+
+
+def write_vtk(path, sd: SubdomainGrid, cell_data: dict, geometry: str | None = None):
+    """One subdomain snapshot as a legacy unstructured-grid VTK file.
+
+    ``geometry`` is the subdomain's :func:`vtk_geometry`, for a caller that
+    writes the same subdomain many times; it is formatted here if not given.
+    """
+    lines = ["# vtk DataFile Version 3.0", "mdthm snapshot", "ASCII",
+             "DATASET UNSTRUCTURED_GRID",
+             vtk_geometry(sd) if geometry is None else geometry]
     lines.append(f"CELL_DATA {sd.num_cells}")
     for name, values in cell_data.items():
         arr = np.asarray(values, dtype=float)
@@ -103,6 +110,7 @@ class RunWriter:
         self.count = 0
         self.rows = []
         self.balance_rows = []
+        self.geometry = {}  # subdomain id -> vtk_geometry; the mesh never moves
         os.makedirs(os.path.join(out_dir, "vtk"), exist_ok=True)
 
     def write_snapshot(self, state: State, time: float):
@@ -114,7 +122,9 @@ class RunWriter:
                 self.out_dir, "vtk",
                 f"subdomain_{sd.id}_step_{self.count:05d}.vtk",
             )
-            write_vtk(path, sd, fields[sd.id])
+            if sd.id not in self.geometry:
+                self.geometry[sd.id] = vtk_geometry(sd)
+            write_vtk(path, sd, fields[sd.id], self.geometry[sd.id])
 
     def observe(self, record, state: State):
         jump = self.assembler.jumps(state.current)

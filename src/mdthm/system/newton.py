@@ -226,6 +226,12 @@ class NewtonParams:
 
 @dataclass
 class NewtonReport:
+    """The outcome of one Newton solve. ``increment_history`` holds one
+    scaled increment per solve, ``residual_history`` one scaled residual per
+    assembled iterate: an iterate accepted by its increment is not
+    assembled, so a solve that converges that way after n iterations has n
+    of each."""
+
     converged: bool
     iterations: int
     increment_history: list
@@ -294,17 +300,17 @@ def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
 
     for it in itertools.count():
         cache = assembler.build_cache(state, loads, prev_cache=cache)
-        A, b = assembler.assemble(state, cache, dt, steady, loads)
-        residual = A @ state.current - b
-        row_scale = np.abs(A) @ col_scale + 1e-300
-        res_scaled = float(np.max(np.abs(residual) / row_scale))
-        res_hist.append(res_scaled)
         contact_res = contact_residual_norm(assembler, cache)
-
         contact_ok = contact_res <= CONTACT_TOL
-        converged = (it > 0 and last_inc <= params.increment_tol and contact_ok) or (
-            res_scaled <= RESIDUAL_FLOOR * params.increment_tol and contact_ok
-        )
+        # an iterate accepted by its increment needs no system
+        converged = it > 0 and last_inc <= params.increment_tol and contact_ok
+        if not converged:
+            A, b = assembler.assemble(state, cache, dt, steady, loads)
+            residual = A @ state.current - b
+            row_scale = np.abs(A) @ col_scale + 1e-300
+            res_scaled = float(np.max(np.abs(residual) / row_scale))
+            res_hist.append(res_scaled)
+            converged = res_scaled <= RESIDUAL_FLOOR * params.increment_tol and contact_ok
         if converged:
             try:
                 _check_apertures(assembler, state.current)

@@ -12,7 +12,7 @@ from mdthm.fvm import (
     onedim_discretize,
     upwind_matrices,
 )
-from mdthm.fvm.local import invert_block_diagonal, least_squares_block_solve
+from mdthm.fvm.local import _scatter, invert_block_diagonal, least_squares_block_solve
 from mdthm.mdmesh import MeshError, build_cartesian_fractured, build_triangular_fractured
 
 G_SH, K_S = 1.7e10, 2.2e10
@@ -296,12 +296,31 @@ def invert_each_block(invert, node_ids, row_ptr, col_ptr, triplets):
     )
 
 
+def coo_scatter(parts, row_ptr, col_ptr):
+    """Reference: the inverse blocks scattered as COO triplets, which scipy
+    sorts into CSR."""
+    rows, cols, vals = [], [], []
+    for sel_nodes, inv, inverse in parts:
+        rr, cc = np.meshgrid(np.arange(inv.shape[1]), np.arange(inv.shape[2]), indexing="ij")
+        rows.append((col_ptr[sel_nodes][:, None, None] + rr).ravel())
+        cols.append((row_ptr[sel_nodes][:, None, None] + cc).ravel())
+        vals.append(inv[inverse].ravel())
+    return sps.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(col_ptr[-1], row_ptr[-1]),
+    )
+
+
 class TestLocalSolve:
     @staticmethod
     def assert_bitwise_equal(a, b):
+        assert a.format == b.format == "csr" and a.shape == b.shape
+        assert a.indptr.dtype == b.indptr.dtype and a.indices.dtype == b.indices.dtype
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
         assert a.data.tobytes() == b.data.tobytes()
+        assert a.has_sorted_indices and b.has_sorted_indices
+        assert a.has_canonical_format and b.has_canonical_format
 
     @staticmethod
     def repeated_stack(shapes):
@@ -333,6 +352,39 @@ class TestLocalSolve:
         batch = local_batch(self.repeated_stack([(4, 4), (2, 2), (3, 3)]))
         got = invert_block_diagonal(*batch)
         self.assert_bitwise_equal(got, invert_each_block(np.linalg.inv, *batch))
+
+    def test_scatter_equals_coo_construction(self):
+        # each shape's distinct inverses, repeated over nodes that interleave
+        # the shapes, with -0.0, subnormal and explicit zero entries
+        rng = np.random.default_rng(7)
+        shapes = [(3, 2), (2, 2), (4, 2), (5, 4), (3, 2), (2, 2), (1, 1)] * 5
+        row_ptr = np.cumsum([0] + [r for r, _ in shapes])
+        col_ptr = np.cumsum([0] + [c for _, c in shapes])
+        n_rows, n_cols = np.diff(row_ptr), np.diff(col_ptr)
+        parts = []
+        for r, c in sorted(set(shapes)):
+            sel_nodes = np.flatnonzero((n_rows == r) & (n_cols == c))
+            inv = rng.uniform(-1.0, 1.0, (2, c, r))
+            inv[0, 0, 0], inv[1, -1, -1], inv[1, 0, -1] = -0.0, 0.0, 5e-324
+            inverse = rng.integers(0, 2, sel_nodes.size)
+            parts.append((sel_nodes, inv, inverse))
+        got = _scatter(parts, row_ptr, col_ptr)
+        self.assert_bitwise_equal(got, coo_scatter(parts, row_ptr, col_ptr))
+        assert got.nnz == int(np.sum(n_rows * n_cols))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_region_names_first_node(self, bad):
+        square = np.array([[2.0, 0.5], [0.5, 3.0]])
+        tall = np.array([[2.0, 0.5], [0.5, 3.0], [1.0, 1.0]])
+        for good, solve in ((square, invert_block_diagonal),
+                            (tall, least_squares_block_solve)):
+            bad_a, bad_b = good.copy(), good.copy()
+            bad_a[1, 0], bad_b[0, 1] = bad, bad
+            for blocks in self.bad_stacks(good, bad_a, bad_b):
+                node_ids, row_ptr, col_ptr, triplets = local_batch(blocks, extra=())
+                with pytest.raises(MeshError, match="non-finite entry in the interaction "
+                                                    f"region at node {node_ids[4]}$"):
+                    solve(node_ids, row_ptr, col_ptr, triplets)
 
     @staticmethod
     def bad_stacks(good, bad_a, bad_b):

@@ -1,6 +1,12 @@
+import json
+import os
+import re
+
+import dict_fracturize
 import numpy as np
 import pytest
 
+from mdthm.mdmesh import build as mesh_build
 from mdthm.mdmesh import (
     MeshError,
     build_cartesian_fractured,
@@ -9,11 +15,19 @@ from mdthm.mdmesh import (
     ingest_gmsh,
     refine,
 )
+from mdthm.mdmesh.grids import enumerate_faces, polygons_csr
 from mdthm.mdmesh.mortar import SIDE_J
 
 
 HORIZONTAL = [((0.0, 0.5), (1.0, 0.5))]
 CROSSING = [((0.0, 0.5), (1.0, 0.5)), ((0.5, 0.0), (0.5, 1.0))]
+with open(os.path.join(os.path.dirname(__file__), "..", "configs",
+                       "fractured_convergence.json"), encoding="utf-8") as _fh:
+    _MESH = json.load(_fh)["mesh"]
+# the shipped network: kinks, T junctions, tips and a fracture that ends on
+# the domain boundary
+CONFIG_FRACTURES = [tuple(map(tuple, s)) for s in _MESH["fractures"]]
+CONFIG_BOX = tuple(map(tuple, _MESH["box"]))
 
 
 def closure_defect(mdg):
@@ -304,3 +318,96 @@ class TestTriangularContainment:
         assert frac.num_cells == 2
         n = mdg.fracture_basis()[:, 1].T
         assert np.allclose(np.abs(n[0]), np.sqrt(0.5), atol=1e-12)
+
+
+def assert_same_arrays(x, y, what):
+    x, y = np.asarray(x), np.asarray(y)
+    assert (x.dtype, x.shape) == (y.dtype, y.shape), what
+    assert x.tobytes() == y.tobytes(), what
+
+
+def assert_same_grids(got, ref):
+    """Bit for bit: every subdomain's arrays and tags, every mortar map."""
+    assert len(got.subdomains) == len(ref.subdomains)
+    for a, b in zip(got.subdomains, ref.subdomains):
+        for name in ("dim", "id", "num_cells", "num_faces", "num_nodes", "frac_num"):
+            assert getattr(a, name) == getattr(b, name), (b.id, name)
+        for name in ("nodes", "face_nodes", "face_cells", "cell_centers", "cell_volumes",
+                     "face_centers", "face_normals", "face_areas"):
+            assert_same_arrays(getattr(a, name), getattr(b, name), (b.id, name))
+        assert len(a.cell_nodes) == len(b.cell_nodes)
+        for c, (pa, pb) in enumerate(zip(a.cell_nodes, b.cell_nodes)):
+            assert_same_arrays(pa, pb, (b.id, "cell", c))
+        assert a.tags.keys() == b.tags.keys()
+        for key in b.tags:
+            assert_same_arrays(a.tags[key], b.tags[key], (b.id, key))
+    assert len(got.interfaces) == len(ref.interfaces)
+    for a, b in zip(got.interfaces, ref.interfaces):
+        for name in ("id", "high_id", "low_id", "side", "num_cells"):
+            assert getattr(a, name) == getattr(b, name), (b.id, name)
+        for name in ("high_faces", "low_cells", "cell_volumes", "cell_centers"):
+            assert_same_arrays(getattr(a, name), getattr(b, name), (b.id, name))
+
+
+def fracturize_inputs(monkeypatch, builder, *args, **kwargs):
+    """The grid a generator builds and the input it handed to fracturize."""
+    seen = []
+    split = mesh_build.fracturize
+
+    def capture(*inputs):
+        seen.append(inputs)
+        return split(*inputs)
+
+    monkeypatch.setattr(mesh_build, "fracturize", capture)
+    return builder(*args, **kwargs), seen[0]
+
+
+# an X crossing, a T junction, a kink and a fracture with two tips
+CARTESIAN_NETWORK = CROSSING + [((0.25, 0.25), (0.25, 0.5)), ((0.625, 0.75), (0.875, 0.75)),
+                                ((0.875, 0.75), (0.875, 0.875))]
+TRIANGULAR_NETWORK = [((0.125, 0.125), (0.875, 0.875)), ((0.0, 0.5), (0.75, 0.5)),
+                      ((0.25, 0.75), (0.5, 0.75)), ((0.5, 0.75), (0.625, 0.875))]
+
+
+class TestArraySplitEqualsDictSplit:
+    """The array-based face numbering and fracture split against the
+    per-entry reference in ``dict_fracturize``."""
+
+    @pytest.mark.parametrize("builder, args, kwargs", [
+        (build_cartesian_fractured, (8, 8, CARTESIAN_NETWORK), {}),
+        (build_cartesian_fractured, (3, 2), {}),
+        (build_triangular_fractured, (8, 8, TRIANGULAR_NETWORK), {}),
+        (build_triangular_fractured, (8, 8, TRIANGULAR_NETWORK), dict(perturb=0.2, seed=3)),
+        (build_triangular_fractured, (32, 16, CONFIG_FRACTURES), dict(box=CONFIG_BOX)),
+    ])
+    def test_generator_grids(self, monkeypatch, builder, args, kwargs):
+        mdg, inputs = fracturize_inputs(monkeypatch, builder, *args, **kwargs)
+        assert_same_grids(mdg, dict_fracturize.fracturize(*inputs))
+        _, cells, _, _ = inputs
+        faces, face_cells = enumerate_faces(*polygons_csr(cells))
+        _, ref_faces, ref_cells = dict_fracturize.enumerate_faces(cells)
+        assert_same_arrays(faces, np.array(ref_faces, dtype=int), "face nodes")
+        assert_same_arrays(face_cells, np.array(ref_cells, dtype=int), "face cells")
+
+    def test_same_errors(self, monkeypatch):
+        _, (nodes, cells, paths, box) = fracturize_inputs(
+            monkeypatch, build_cartesian_fractured, 4, 4, HORIZONTAL)
+        # node j * 5 + i sits at lattice point (i, j)
+        bad_paths = [
+            [[5]],                          # one node
+            [[5, 6, 5]],                    # self-intersecting
+            [[5, 6, 7], [11, 12, 14]],      # the second path skips a node
+            [[6, 1, 2]],                    # runs onto the boundary
+            [[7, 1, 2]],                    # the first bad segment is named
+            [[5, 6, 7], [8, 7, 6]],         # overlap on a face
+        ]
+        for frac_paths in bad_paths:
+            with pytest.raises(MeshError) as ref:
+                dict_fracturize.fracturize(nodes, cells, frac_paths, box)
+            with pytest.raises(MeshError, match=f"^{re.escape(str(ref.value))}$"):
+                mesh_build.fracturize(nodes, cells, frac_paths, box)
+        three = [[0, 1, 2], [1, 0, 3], [0, 1, 4], [1, 0, 5]]
+        with pytest.raises(MeshError) as ref:
+            dict_fracturize.enumerate_faces(three)
+        with pytest.raises(MeshError, match=f"^{re.escape(str(ref.value))}$"):
+            enumerate_faces(*polygons_csr(three))

@@ -12,7 +12,7 @@ from mdthm.mdmesh import build_cartesian_fractured, refine, split_cells
 from mdthm.scenarios import drivers
 from mdthm.scenarios.config import ConfigError, parse_config
 from mdthm.scenarios.errors import ErrorReport, compare_states
-from mdthm.scenarios.output import snapshot_fields, write_vtk
+from mdthm.scenarios.output import RunWriter, snapshot_fields, write_vtk
 from mdthm.constitutive import MaterialSet, fluid_density
 from mdthm.scenarios.setup import build_scenario, hydrostatic_pressure
 from mdthm.system import newton, time_loop
@@ -58,6 +58,31 @@ class TestRunOutput:
             written = os.path.join(out, "vtk", f"subdomain_{sd.id}_step_00000.vtk")
             with open(written, encoding="utf-8") as fh:
                 assert fh.read() == path.read_text(encoding="utf-8")
+
+    def test_snapshots_equal_write_vtk(self, tmp_path, monkeypatch):
+        # the writer formats each subdomain's geometry once; every snapshot
+        # must still be the bytes that write_vtk gives for its state
+        checked = []
+
+        class CheckedWriter(RunWriter):
+            def write_snapshot(self, state, time):
+                super().write_snapshot(state, time)
+                fields = snapshot_fields(self.assembler, state)
+                for sd in self.assembler.mdg.subdomains:
+                    ref = tmp_path / "ref.vtk"
+                    write_vtk(ref, sd, fields[sd.id])
+                    name = f"subdomain_{sd.id}_step_{self.count:05d}.vtk"
+                    with open(os.path.join(self.out_dir, "vtk", name), "rb") as fh:
+                        assert fh.read() == ref.read_bytes(), name
+                    checked.append(name)
+
+        monkeypatch.setattr(drivers, "RunWriter", CheckedWriter)
+        raw = tiny_raw()
+        raw["mesh"]["fractures"].append([[0.75, 0.25], [1.25, 0.75]])
+        result = drivers.run(parse_config(raw), out_dir=str(tmp_path / "run"))
+        dims = {sd.dim for sd in result.scenario.mdg.subdomains}
+        assert dims == {0, 1, 2}
+        assert len(checked) == len(result.scenario.mdg.subdomains) * (len(result.records) + 1)
 
     def test_one_snapshot_per_step_plus_initial(self, tiny_run):
         result, out = tiny_run

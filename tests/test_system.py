@@ -397,14 +397,40 @@ class TestNewtonBehaviour:
         assert rep.converged
         assert rep.iterations == 1
 
-    def test_reentering_converged_state(self):
+    @staticmethod
+    def count_assemblies(monkeypatch, asm):
+        calls = []
+        assemble = asm.assemble
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(asm, "assemble", counted)
+        return calls
+
+    def test_reentering_converged_state(self, monkeypatch):
         mdg, asm, state = make_problem(nx=4, ny=4)
         loads = make_loads(asm, p_left=1e6)
         rep1 = newton_solve(asm, state, 1.0, True, loads, default_params())
         assert rep1.converged
+        calls = self.count_assemblies(monkeypatch, asm)
         rep2 = newton_solve(asm, state, 1.0, True, loads, default_params())
         assert rep2.converged
         assert rep2.iterations == 0
+        # accepted by its residual, which takes one assembly
+        assert len(calls) == 1 and len(rep2.residual_history) == 1
+
+    def test_iterate_accepted_by_its_increment_is_not_assembled(self, monkeypatch):
+        mdg, asm, state = make_problem(FR)
+        calls = self.count_assemblies(monkeypatch, asm)
+        params = default_params()
+        loads = make_loads(asm, top_displacement=(2e-4, -1e-4))
+        rep = newton_solve(asm, state, 1.0, True, loads, params)
+        assert rep.converged and rep.iterations > 1
+        assert rep.increment_history[-1] <= params.increment_tol
+        assert len(calls) == rep.iterations
+        assert len(rep.residual_history) == len(rep.increment_history) == rep.iterations
 
     def test_iteration_cap_reported(self):
         mdg, asm, state = make_problem(FR)
