@@ -1,9 +1,20 @@
-"""Batched inversion of the node-local systems.
+"""The node-local systems of the multi-point schemes, gathered, inverted and
+applied in one place.
 
-Blocks of equal shape are compared by their bytes and each distinct block is
-inverted once; on a uniformly refined grid most interior interaction regions
-repeat. A repeated block receives the bits of its one inversion, so the
-operators are the same as if every block had been inverted on its own.
+MPFA and MPSA both solve, per interaction region (grid node), for the
+gradients of the subcells around the node. :class:`LocalSystems` holds what
+the two share: it gathers the coefficients of the local matrix, ``width``
+gradient components per subcell, and the right-hand sides by kind (cell
+values, boundary data, sources, ...); it inverts the matrix with the solver
+it is given and applies the inverse to all kinds in one sparse product. Each
+scheme adds only its conditions on the subfaces and the operators it reads
+off the gradients.
+
+The solvers invert blocks of equal shape batchwise. Blocks are compared by
+their bytes and each distinct block is inverted once; on a uniformly refined
+grid most interior interaction regions repeat. A repeated block receives the
+bits of its one inversion, so the operators are the same as if every block
+had been inverted on its own.
 
 Node k's block fills rows ``row_ptr[k]:row_ptr[k + 1]`` and columns
 ``col_ptr[k]:col_ptr[k + 1]`` of the local-system matrix, and its inverse
@@ -18,6 +29,73 @@ import numpy as np
 import scipy.sparse as sps
 
 from mdthm.mdmesh.grids import MeshError
+
+
+def csr_from_parts(parts, shape) -> sps.csr_matrix:
+    """The CSR matrix of a list of (rows, cols, values) arrays, entries that
+    share a slot summed; no parts give an empty matrix."""
+    if not parts:
+        return sps.csr_matrix(shape)
+    rows, cols, vals = map(np.concatenate, zip(*parts))
+    return sps.csr_matrix((vals, (rows, cols)), shape=shape)
+
+
+class LocalSystems:
+    """The local systems of one scheme on a :class:`SubcellTopology`.
+
+    Node k's equations are rows ``row_ptr[k]:row_ptr[k + 1]``; its unknowns
+    are the ``width`` gradient components of each of its subcells, in
+    subcell order. ``kinds`` maps each kind of right-hand side to its number
+    of columns. Conditions are added for the subfaces ``sel``, in the local
+    rows ``rows[sel]``. The solvers sum the entries of the matrix that share
+    a slot in the order they were added, so that order fixes its bits.
+    """
+
+    def __init__(self, top, row_ptr, width, kinds):
+        self.top, self.row_ptr, self.width, self.kinds = top, row_ptr, width, kinds
+        self.col_ptr = width * top.sc_node_ptr
+        self._matrix = []  # (node position, local row, local col, value) arrays
+        self._rhs = {kind: [] for kind in kinds}  # (row, col, value) arrays
+
+    def add_matrix(self, sel, rows, sc, coeffs):
+        """Coefficients (n_sel, width) on the gradient of subcell ``sc[sel]``."""
+        cols = self.width * self.top.sc_local[sc[sel]]
+        self._matrix += [(self.top.sf_node_pos[sel], rows[sel], cols + k, coeffs[:, k])
+                         for k in range(self.width)]
+
+    def add_rhs(self, kind, sel, rows, cols, vals):
+        """Values on columns ``cols`` of the right-hand side ``kind``."""
+        self._rhs[kind].append((self.row_ptr[self.top.sf_node_pos[sel]] + rows[sel], cols, vals))
+
+    def triplets(self):
+        """The local matrix as (node position, local row, local col, value)."""
+        return tuple(map(np.concatenate, zip(*self._matrix)))
+
+    def right_hand_sides(self) -> dict:
+        """Per kind, the right-hand side as a (local rows) x (kind) matrix."""
+        return {kind: csr_from_parts(self._rhs[kind], (int(self.row_ptr[-1]), n))
+                for kind, n in self.kinds.items()}
+
+    def solve(self, solver) -> dict:
+        """Per kind, the gradients as a (local columns) x (kind) matrix.
+
+        ``solver`` is :func:`invert_block_diagonal` or
+        :func:`least_squares_block_solve`. Its inverse meets the stacked
+        right-hand sides in one product, split by kind afterwards; each
+        entry sums the same terms in the same order as in a product per
+        kind, so the gradients carry the same bits.
+        """
+        grads = (solver(self.top.node_ids, self.row_ptr, self.col_ptr, self.triplets())
+                 @ sps.hstack(list(self.right_hand_sides().values()), format="csr"))
+        ends = np.cumsum(list(self.kinds.values())).tolist()
+        return {kind: grads[:, end - n:end] for (kind, n), end in zip(self.kinds.items(), ends)}
+
+    def subcell_columns(self) -> sps.csr_matrix:
+        """The map from subcell gradients, ``width`` components per subcell
+        in subcell order, to the local columns. Subcells are numbered node by
+        node, so it is the identity; a product with it still reverses each
+        row's entries, the order in which later products sum."""
+        return sps.identity(int(self.col_ptr[-1]), format="csr")
 
 
 def invert_block_diagonal(node_ids, row_ptr, col_ptr, triplets):

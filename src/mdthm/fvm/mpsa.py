@@ -1,12 +1,14 @@
 """Multi-point stress approximation for 2d elasticity with scalar coupling.
 
-Same interaction-region construction as the scalar scheme, with one full
-displacement gradient per subcell. Local conditions are traction continuity
-over subfaces and displacement continuity at the continuity points; the
-thermo-poroelastic stress enters the traction balances, so the partial
-inversion also yields the pressure/temperature coupling blocks and the
-consistent discrete divergence of displacement with its stabilisation
-matrices.
+Same interaction regions as the scalar scheme, gathered and solved by the
+same :class:`mdthm.fvm.local.LocalSystems`, with one full displacement
+gradient (four components) per subcell. This module states the local
+conditions: traction continuity over subfaces and displacement continuity at
+two points per subface, which makes the local systems overdetermined, so
+they are solved by least squares. The thermo-poroelastic stress enters the
+traction balances, so the partial inversion also yields the
+pressure/temperature coupling blocks and the consistent discrete divergence
+of displacement with its stabilisation matrices.
 
 Stress convention (volumetric/deviatoric split in the ambient dimension):
 sigma = 2 G eps + (K - 2 G / nd) tr(eps) I - alpha (p - p0) I - beta_s K (T - T0) I,
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sps
 
-from mdthm.fvm.local import least_squares_block_solve
+from mdthm.fvm.local import LocalSystems, least_squares_block_solve
 from mdthm.fvm.mpfa import BoundaryCondition
 from mdthm.fvm.subcell import SubcellTopology, subcell_volumes
 from mdthm.mdmesh.grids import MeshError, SubdomainGrid
@@ -49,7 +51,6 @@ class VectorMechanicsOps:
     bound_div_u: sps.csr_matrix
     stab_p: sps.csr_matrix
     stab_T: sps.csr_matrix
-    bc: BoundaryCondition
 
 
 def _traction_coeffs(mu, lam, normals):
@@ -64,6 +65,13 @@ def _traction_coeffs(mu, lam, normals):
     out[:, 1, 1] = mu * nx
     out[:, 1, 2] = mu * nx
     out[:, 1, 3] = (2 * mu + lam) * ny
+    return out
+
+
+def _displacement_coeffs(d, comp):
+    """(n, 4) coefficients of component ``comp`` of G d on [Gxx, Gxy, Gyx, Gyy]."""
+    out = np.zeros((d.shape[0], 4))
+    out[:, 2 * comp:2 * comp + 2] = d
     return out
 
 
@@ -94,11 +102,9 @@ def mpsa_discretize(grid: SubdomainGrid, mu, lam, alpha, beta_ks,
 
     top = SubcellTopology(grid)
     rows_cond, cond_ptr = top.overdetermined_layout(3)
-    row_cond = rows_cond[:, 0]
-    row_cont = (rows_cond[:, 1], rows_cond[:, 2])
-    eq_ptr = 2 * cond_ptr
-    col_ptr = 4 * top.sc_node_ptr
-    npos_sf = top.node_pos[top.sf_node]
+    # two rows per condition, one per vector component
+    row_cond = [2 * rows_cond[:, 0] + comp for comp in range(2)]
+    row_cont = [[2 * rows_cond[:, point] + comp for comp in range(2)] for point in (1, 2)]
 
     n_sf = top.sf_normal
     t_owner = _traction_coeffs(mu[top.sf_owner], lam[top.sf_owner], n_sf)
@@ -109,113 +115,51 @@ def mpsa_discretize(grid: SubdomainGrid, mu, lam, alpha, beta_ks,
     dK = [(pt - grid.cell_centers[:, top.sf_owner]).T for pt in cont_pts]
     dL = [(pt - grid.cell_centers[:, np.maximum(top.sf_nbr, 0)]).T for pt in cont_pts]
     dK_fc = (grid.face_centers[:, top.sf_face] - grid.cell_centers[:, top.sf_owner]).T
+    w_t = top.node_scaling(2 * mu + np.abs(lam))
+    interior, dirichlet, neumann = top.subfaces_by_condition(bc.is_dir)
 
-    stiff_char = 2 * mu + np.abs(lam)
-    node_schar = np.zeros(top.node_ids.size)
-    np.maximum.at(node_schar, top.node_pos[top.sc_node], stiff_char[top.sc_cell])
-    w_t = 1.0 / node_schar[npos_sf]
-
-    interior = ~top.sf_boundary
-    is_dir_sf = bc.is_dir[top.sf_face] & top.sf_boundary
-    is_neu_sf = ~bc.is_dir[top.sf_face] & top.sf_boundary
-
-    m_n, m_r, m_c, m_v = [], [], [], []
-    lin = {"U": ([], [], []), "R": ([], [], []), "P": ([], [], []), "T": ([], [], [])}
-
-    def add_m(sel, cond_rows, comp, sc, coeffs):
-        # coeffs: (n_sel, 4) on the subcell's four gradient components
-        for k in range(4):
-            m_n.append(npos_sf[sel])
-            m_r.append(2 * cond_rows[sel] + comp)
-            m_c.append(4 * top.sc_local[sc[sel]] + k)
-            m_v.append(coeffs[:, k])
-
-    def add_rhs(kind, sel, cond_rows, comp, cols, vals):
-        rows, cs, vs = lin[kind]
-        rows.append(eq_ptr[npos_sf[sel]] + 2 * cond_rows[sel] + comp)
-        cs.append(cols)
-        vs.append(vals)
+    # right-hand sides: cell displacements U, boundary data R, pressure P,
+    # temperature T
+    local = LocalSystems(top, 2 * cond_ptr, 4, {"U": 2 * nc, "R": 2 * nf, "P": nc, "T": nc})
 
     # traction continuity: tK - tL = alpha_K pK N - alpha_L pL N + (bK)_K TK N - ...
-    sel = np.where(interior)[0]
-    for comp in range(2):
-        add_m(sel, row_cond, comp, top.sc_of_owner, t_owner[sel, comp] * w_t[sel, None])
-        add_m(sel, row_cond, comp, top.sc_of_nbr, -t_nbr[sel, comp] * w_t[sel, None])
+    sel = interior
+    for comp, rows in enumerate(row_cond):
+        local.add_matrix(sel, rows, top.sc_of_owner, t_owner[sel, comp] * w_t[sel, None])
+        local.add_matrix(sel, rows, top.sc_of_nbr, -t_nbr[sel, comp] * w_t[sel, None])
         ncomp = n_sf[comp, sel] * w_t[sel]
-        add_rhs("P", sel, row_cond, comp, top.sf_owner[sel], alpha[top.sf_owner[sel]] * ncomp)
-        add_rhs("P", sel, row_cond, comp, top.sf_nbr[sel], -alpha[top.sf_nbr[sel]] * ncomp)
-        add_rhs("T", sel, row_cond, comp, top.sf_owner[sel], beta_ks[top.sf_owner[sel]] * ncomp)
-        add_rhs("T", sel, row_cond, comp, top.sf_nbr[sel], -beta_ks[top.sf_nbr[sel]] * ncomp)
+        local.add_rhs("P", sel, rows, top.sf_owner[sel], alpha[top.sf_owner[sel]] * ncomp)
+        local.add_rhs("P", sel, rows, top.sf_nbr[sel], -alpha[top.sf_nbr[sel]] * ncomp)
+        local.add_rhs("T", sel, rows, top.sf_owner[sel], beta_ks[top.sf_owner[sel]] * ncomp)
+        local.add_rhs("T", sel, rows, top.sf_nbr[sel], -beta_ks[top.sf_nbr[sel]] * ncomp)
 
     # displacement continuity at the two continuity points
-    for point, rows_point in enumerate(row_cont):
-        for comp in range(2):
-            coeffs_K = np.zeros((sel.size, 4))
-            coeffs_K[:, 2 * comp] = dK[point][sel, 0]
-            coeffs_K[:, 2 * comp + 1] = dK[point][sel, 1]
-            coeffs_L = np.zeros((sel.size, 4))
-            coeffs_L[:, 2 * comp] = dL[point][sel, 0]
-            coeffs_L[:, 2 * comp + 1] = dL[point][sel, 1]
-            add_m(sel, rows_point, comp, top.sc_of_owner, coeffs_K)
-            add_m(sel, rows_point, comp, top.sc_of_nbr, -coeffs_L)
-            add_rhs("U", sel, rows_point, comp, 2 * top.sf_nbr[sel] + comp,
-                    np.ones(sel.size))
-            add_rhs("U", sel, rows_point, comp, 2 * top.sf_owner[sel] + comp,
-                    -np.ones(sel.size))
+    for dK_pt, dL_pt, rows_pt in zip(dK, dL, row_cont):
+        for comp, rows in enumerate(rows_pt):
+            local.add_matrix(sel, rows, top.sc_of_owner, _displacement_coeffs(dK_pt[sel], comp))
+            local.add_matrix(sel, rows, top.sc_of_nbr, -_displacement_coeffs(dL_pt[sel], comp))
+            local.add_rhs("U", sel, rows, 2 * top.sf_nbr[sel] + comp, np.ones(sel.size))
+            local.add_rhs("U", sel, rows, 2 * top.sf_owner[sel] + comp, -np.ones(sel.size))
 
     # Dirichlet: u_K + G_K (x_fc - x_K) = b
-    sel = np.where(is_dir_sf)[0]
-    for comp in range(2):
-        coeffs = np.zeros((sel.size, 4))
-        coeffs[:, 2 * comp] = dK_fc[sel, 0]
-        coeffs[:, 2 * comp + 1] = dK_fc[sel, 1]
-        add_m(sel, row_cond, comp, top.sc_of_owner, coeffs)
-        add_rhs("R", sel, row_cond, comp, 2 * top.sf_face[sel] + comp, np.ones(sel.size))
-        add_rhs("U", sel, row_cond, comp, 2 * top.sf_owner[sel] + comp, -np.ones(sel.size))
+    sel = dirichlet
+    for comp, rows in enumerate(row_cond):
+        local.add_matrix(sel, rows, top.sc_of_owner, _displacement_coeffs(dK_fc[sel], comp))
+        local.add_rhs("R", sel, rows, 2 * top.sf_face[sel] + comp, np.ones(sel.size))
+        local.add_rhs("U", sel, rows, 2 * top.sf_owner[sel] + comp, -np.ones(sel.size))
 
     # Neumann: elastic traction = b/2 + alpha pK N + betaK TK N
-    sel = np.where(is_neu_sf)[0]
-    for comp in range(2):
-        add_m(sel, row_cond, comp, top.sc_of_owner, t_owner[sel, comp] * w_t[sel, None])
-        add_rhs("R", sel, row_cond, comp, 2 * top.sf_face[sel] + comp, 0.5 * w_t[sel])
+    sel = neumann
+    for comp, rows in enumerate(row_cond):
+        local.add_matrix(sel, rows, top.sc_of_owner, t_owner[sel, comp] * w_t[sel, None])
+        local.add_rhs("R", sel, rows, 2 * top.sf_face[sel] + comp, 0.5 * w_t[sel])
         ncomp = n_sf[comp, sel] * w_t[sel]
-        add_rhs("P", sel, row_cond, comp, top.sf_owner[sel], alpha[top.sf_owner[sel]] * ncomp)
-        add_rhs("T", sel, row_cond, comp, top.sf_owner[sel], beta_ks[top.sf_owner[sel]] * ncomp)
+        local.add_rhs("P", sel, rows, top.sf_owner[sel], alpha[top.sf_owner[sel]] * ncomp)
+        local.add_rhs("T", sel, rows, top.sf_owner[sel], beta_ks[top.sf_owner[sel]] * ncomp)
 
-    triplets = (
-        np.concatenate(m_n),
-        np.concatenate(m_r),
-        np.concatenate(m_c),
-        np.concatenate(m_v),
-    )
-    m_inv = least_squares_block_solve(top.node_ids, eq_ptr, col_ptr, triplets)
-
-    n_eq = eq_ptr[-1]
-    shapes = {"U": (n_eq, 2 * nc), "R": (n_eq, 2 * nf), "P": (n_eq, nc), "T": (n_eq, nc)}
-    mats = {}
-    for kind, (rows, cols, vals) in lin.items():
-        if rows:
-            mats[kind] = sps.csr_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=shapes[kind],
-            )
-        else:
-            mats[kind] = sps.csr_matrix(shapes[kind])
-
-    grad_u = m_inv @ mats["U"]
-    grad_b = m_inv @ mats["R"]
-    grad_p = m_inv @ mats["P"]
-    grad_t = m_inv @ mats["T"]
-
-    # subcell gradient layout in local-system column order
-    sc_cols_global = (
-        np.repeat(col_ptr[top.node_pos[top.sc_node]] + 4 * top.sc_local, 4)
-        + np.tile(np.arange(4), top.num_subcells)
-    )
-    sc_to_col = sps.csr_matrix(
-        (np.ones(4 * top.num_subcells), (np.arange(4 * top.num_subcells), sc_cols_global)),
-        shape=(4 * top.num_subcells, col_ptr[-1]),
-    )
+    grad = local.solve(least_squares_block_solve)
+    grad_u, grad_b, grad_p, grad_t = grad["U"], grad["R"], grad["P"], grad["T"]
+    sc_to_col = local.subcell_columns()
 
     # elastic traction of the owner subcell per subface, summed over faces
     rows = np.repeat(2 * np.arange(top.num_subfaces), 4)
@@ -242,34 +186,28 @@ def mpsa_discretize(grid: SubdomainGrid, mu, lam, alpha, beta_ks,
     )
     cols_d = np.tile(top.sf_owner, 2)
     nvals = np.concatenate([n_sf[0], n_sf[1]])
-    direct_p = sps.csr_matrix(
-        (-np.tile(alpha[top.sf_owner], 2) * nvals, (rows_d, cols_d)),
-        shape=(2 * top.num_subfaces, nc),
-    )
-    direct_t = sps.csr_matrix(
-        (-np.tile(beta_ks[top.sf_owner], 2) * nvals, (rows_d, cols_d)),
-        shape=(2 * top.num_subfaces, nc),
-    )
-    grad_p_op = sf_to_face @ (t_full @ grad_p + direct_p)
-    grad_t_op = sf_to_face @ (t_full @ grad_t + direct_t)
+
+    def direct(coeff):
+        return sps.csr_matrix((-np.tile(coeff[top.sf_owner], 2) * nvals, (rows_d, cols_d)),
+                              shape=(2 * top.num_subfaces, nc))
+
+    grad_p_op = sf_to_face @ (t_full @ grad_p + direct(alpha))
+    grad_t_op = sf_to_face @ (t_full @ grad_t + direct(beta_ks))
 
     # integrated divergence: sum of subcell volumes times gradient traces
-    dg_rows = np.concatenate([top.sc_cell, top.sc_cell])
     dg_cols = np.concatenate([4 * np.arange(top.num_subcells),
                               4 * np.arange(top.num_subcells) + 3])
-    sc_volume = subcell_volumes(top)
-    dg_vals = np.concatenate([sc_volume, sc_volume])
     d_g = sps.csr_matrix(
-        (dg_vals, (dg_rows, dg_cols)), shape=(nc, 4 * top.num_subcells)
+        (np.tile(subcell_volumes(top), 2), (np.tile(top.sc_cell, 2), dg_cols)),
+        shape=(nc, 4 * top.num_subcells),
     ) @ sc_to_col
     div_u = d_g @ grad_u
     bound_div_u = d_g @ grad_b
     stab_p = d_g @ grad_p
     stab_t = d_g @ grad_t
 
-    out = VectorMechanicsOps(stress, bound_stress, grad_p_op, grad_t_op,
-                             div_u, bound_div_u, stab_p, stab_t, bc)
-    for mat in (out.stress, out.bound_stress, out.grad_p, out.grad_T,
-                out.div_u, out.bound_div_u, out.stab_p, out.stab_T):
+    ops = VectorMechanicsOps(stress, bound_stress, grad_p_op, grad_t_op,
+                             div_u, bound_div_u, stab_p, stab_t)
+    for mat in vars(ops).values():
         mat.eliminate_zeros()
-    return out
+    return ops

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sps
 
+from mdthm.fvm.local import csr_from_parts
 from mdthm.fvm.mpfa import BoundaryCondition, ScalarDiffusionOps
 from mdthm.mdmesh.grids import MeshError, SubdomainGrid
 
@@ -35,51 +36,25 @@ def onedim_discretize(grid: SubdomainGrid, diffusivity,
     )
     n_unit = grid.face_normals  # unit, owner-out
 
-    rows_f, cols_f, vals_f = [], [], []
-    rows_b, cols_b, vals_b = [], [], []
-    rows_s, cols_s, vals_s = [], [], []
-
     # interior: q = t [(pK - pL) + rK dK + rL dL], t harmonic
     fi = np.where(interior)[0]
     t = 1.0 / (d_own[fi] / D[owner[fi]] + d_nbr[fi] / D[nbr[fi]])
-    rows_f += [fi, fi]
-    cols_f += [owner[fi], nbr[fi]]
-    vals_f += [t, -t]
-    for comp in range(2):
-        rows_s += [fi, fi]
-        cols_s += [2 * owner[fi] + comp, 2 * nbr[fi] + comp]
-        vals_s += [t * d_own[fi] * n_unit[comp, fi], t * d_nbr[fi] * n_unit[comp, fi]]
-
     # boundary
     fb = np.where(~interior)[0]
     dir_b = fb[bc.is_dir[fb]]
     neu_b = fb[~bc.is_dir[fb]]
     tb = D[owner[dir_b]] / d_own[dir_b]
-    rows_f.append(dir_b)
-    cols_f.append(owner[dir_b])
-    vals_f.append(tb)
-    rows_b.append(dir_b)
-    cols_b.append(dir_b)
-    vals_b.append(-tb)
-    for comp in range(2):
-        rows_s.append(dir_b)
-        cols_s.append(2 * owner[dir_b] + comp)
-        vals_s.append(tb * d_own[dir_b] * n_unit[comp, dir_b])
-    rows_b.append(neu_b)
-    cols_b.append(neu_b)
-    vals_b.append(np.ones(neu_b.size))
 
-    def build(rows, cols, vals, shape):
-        if not rows:
-            return sps.csr_matrix(shape)
-        return sps.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=shape,
-        )
-
-    flux = build(rows_f, cols_f, vals_f, (nf, nc))
-    bound_flux = build(rows_b, cols_b, vals_b, (nf, nf))
-    vector_source = build(rows_s, cols_s, vals_s, (nf, 2 * nc))
+    flux = csr_from_parts([(fi, owner[fi], t), (fi, nbr[fi], -t), (dir_b, owner[dir_b], tb)],
+                          (nf, nc))
+    bound_flux = csr_from_parts([(dir_b, dir_b, -tb), (neu_b, neu_b, np.ones(neu_b.size))],
+                                (nf, nf))
+    vector_source = csr_from_parts(
+        [(fi, 2 * cells[fi] + comp, t * d[fi] * n_unit[comp, fi])
+         for comp in range(2) for cells, d in ((owner, d_own), (nbr, d_nbr))]
+        + [(dir_b, 2 * owner[dir_b] + comp, tb * d_own[dir_b] * n_unit[comp, dir_b])
+           for comp in range(2)],
+        (nf, 2 * nc))
 
     # trace p_f = pK - (dK/DK) q + dK (r . n)
     inv_t_own = sps.csr_matrix(
@@ -103,4 +78,4 @@ def onedim_discretize(grid: SubdomainGrid, diffusivity,
     for m in (flux, bound_flux, vector_source, trace_cell, trace_face, trace_src):
         m.eliminate_zeros()
     return ScalarDiffusionOps(flux, bound_flux, trace_cell, trace_face,
-                              vector_source, trace_src, bc)
+                              vector_source, trace_src)

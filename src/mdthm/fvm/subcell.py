@@ -60,7 +60,8 @@ class SubcellTopology:
         self.sc_local = np.arange(self.num_subcells) - self.sc_node_ptr[
             node_pos[self.sc_node]
         ]
-        sf_counts = np.bincount(node_pos[self.sf_node], minlength=self.node_ids.size)
+        self.sf_node_pos = node_pos[self.sf_node]
+        sf_counts = np.bincount(self.sf_node_pos, minlength=self.node_ids.size)
         self.sf_node_ptr = np.concatenate([[0], np.cumsum(sf_counts)])
 
     def subcell_index(self, cell, node):
@@ -77,11 +78,27 @@ class SubcellTopology:
         xn = self.grid.nodes[:, self.sf_node]
         return fc + eta * (xn - fc)
 
+    def subfaces_by_condition(self, is_dir):
+        """The interior, Dirichlet and Neumann subfaces, given per face
+        whether a boundary face carries a Dirichlet condition."""
+        is_dir_sf = is_dir[self.sf_face]
+        return (np.flatnonzero(~self.sf_boundary),
+                np.flatnonzero(is_dir_sf & self.sf_boundary),
+                np.flatnonzero(~is_dir_sf & self.sf_boundary))
+
+    def node_scaling(self, cell_scale):
+        """Per subface, one over the largest ``cell_scale`` of the cells
+        around its node: the weight that brings the node's flux or traction
+        rows to order one, for the conditioning of its local system."""
+        node_scale = np.zeros(self.node_ids.size)
+        np.maximum.at(node_scale, self.node_pos[self.sc_node], cell_scale[self.sc_cell])
+        return 1.0 / node_scale[self.sf_node_pos]
+
     def _local_rows(self, n_eq_sf):
         """Per-node equation counts and offsets, and the first local row of
         each subface, given its number of equations; a node's subfaces take
         consecutive rows in subface order."""
-        npos = self.node_pos[self.sf_node]
+        npos = self.sf_node_pos
         node_eq_counts = np.zeros(self.node_ids.size, dtype=int)
         np.add.at(node_eq_counts, npos, n_eq_sf)
         node_eq_ptr = np.concatenate([[0], np.cumsum(node_eq_counts)])

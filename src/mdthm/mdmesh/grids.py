@@ -54,6 +54,9 @@ class SubdomainGrid:
 
     # ------------------------------------------------------------------
     def compute_geometry(self) -> None:
+        """Geometry, default tags and the CSR form of ``cell_nodes``; call it
+        once the topology is final."""
+        self._cell_nodes_csr = polygons_csr(self.cell_nodes)
         if self.dim == 2:
             self._geometry_2d()
         elif self.dim == 1:
@@ -69,8 +72,8 @@ class SubdomainGrid:
 
     def cell_nodes_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``cell_nodes`` in CSR form: per-cell offsets (n_cells + 1) into
-        the concatenated node lists."""
-        return polygons_csr(self.cell_nodes)
+        the concatenated node lists, as of :meth:`compute_geometry`."""
+        return self._cell_nodes_csr
 
     def _geometry_2d(self):
         x = self.nodes

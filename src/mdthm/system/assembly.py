@@ -420,6 +420,19 @@ class Assembler:
         h, dh_dT, dh_dp = carried_heat(rho, temp, self.mat)
         return rates, h, np.where(inject, 0.0, dh_dT), dh_dp
 
+    def advected_heat(self, dim, cache: IterationCache, loads: Loads, x: np.ndarray):
+        """Per face of one dimension in state x: the upwind selection of the
+        Darcy flux q, as the cell part of :func:`upwind_matrices`, and the
+        heat h that q carries: c rho T of the upstream cell, the boundary
+        weight on inflow faces, nothing on the faces that the mortars
+        couple. Also per cell, the derivatives of c rho T in T and in p."""
+        grid = self.mdg.grids[dim]
+        s_cell, s_face = upwind_matrices(grid, cache.face_flux[dim], grid.tags["internal"])
+        h_cell, dh_dT, dh_dp = carried_heat(cache.density[dim], x[self.dofs.cells(dim, T)],
+                                            self.mat)
+        h = s_cell @ h_cell + s_face @ self.boundary_heat_weight(dim, loads, x)
+        return s_cell, h, dh_dT, dh_dp
+
     # ------------------------------------------------------------------
     # assembly
     # ------------------------------------------------------------------
@@ -602,20 +615,16 @@ class Assembler:
         """The divergence of the upwinded advective heat fluxes q h,
         linearised by Newton in p, T and the mortar fluxes nu.
 
-        q is the Darcy face flux and h the heat it carries: c rho T of the
-        upstream cell, the boundary weight on inflow faces, nothing on the
-        faces that the mortars couple. One upwind selection serves h and
-        its derivatives; the flux's derivatives are its operators. The
-        density of the boundary weight is lagged (see the module).
+        q is the Darcy face flux and h the heat it carries
+        (:meth:`advected_heat`). One upwind selection serves h and its
+        derivatives; the flux's derivatives are its operators. The density
+        of the boundary weight is lagged (see the module).
         """
-        mat, grid, div, dofs = self.mat, self.mdg.grids[dim], self.div[dim], self.dofs
-        x = state.current
+        div, dofs, x = self.div[dim], self.dofs, state.current
         ops = self.flow_ops if dim == 2 else cache.fracture_ops[FLOW]
         p, t = dofs.cells(dim, P), dofs.cells(dim, T)
         q = cache.face_flux[dim]
-        s_cell, s_face = upwind_matrices(grid, q, grid.tags["internal"])
-        h_cell, dh_dT, dh_dp = carried_heat(cache.density[dim], x[t], mat)
-        h = s_cell @ h_cell + s_face @ self.boundary_heat_weight(dim, loads, x)
+        s_cell, h, dh_dT, dh_dp = self.advected_heat(dim, cache, loads, x)
         div_q_up, div_h = div @ sps.diags(q) @ s_cell, div @ sps.diags(h)
         _newton(acc, b, t, x, (
             (t, div_q_up @ sps.diags(dh_dT)),

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from mdthm.constitutive import carried_heat, fluid_storage, heat_capacities
-from mdthm.fvm import upwind_matrices
 from mdthm.system.assembly import HEAT, Assembler, Loads
 from mdthm.system.dofs import NU, P, T, State
 
@@ -87,9 +86,7 @@ def balance_report(assembler: Assembler, state: State, dt: float,
             ops = assembler.heat_ops if dim == 2 else cache.fracture_ops[HEAT]
             bvals = assembler._scalar_boundary_values(dim, HEAT, loads, x)
             q_cond = ops.flux @ t_new + ops.bound_flux @ bvals
-            w_bc = assembler.boundary_heat_weight(dim, loads, x)
-            s_cell, s_face = upwind_matrices(grid, q, grid.tags["internal"])
-            q_adv = q * (s_cell @ heat + s_face @ w_bc)
+            q_adv = q * assembler.advected_heat(dim, cache, loads, x)[1]
             e_out += dt * float(np.sum(q_cond[ext] + q_adv[ext]))
 
         rates, well_heat, *_ = assembler.well_heat(dim, loads, x)

@@ -83,7 +83,8 @@ def time_loop(assembler: Assembler, state: State, phase: PhaseSpec,
         report = newton_solve(assembler, state, dt, False, loads, newton, solver=solver)
         if not report.converged:
             raise NonConvergence(
-                f"step at t={t:.6g} (phase {phase.name!r}) failed: {report.failure}",
+                f"step from t={t:.6g} to t={t + dt:.6g} (phase {phase.name!r}) failed: "
+                f"{report.failure}",
                 records,
             )
         balance = balance_report(assembler, state, dt, loads)

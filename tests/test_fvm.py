@@ -12,7 +12,12 @@ from mdthm.fvm import (
     onedim_discretize,
     upwind_matrices,
 )
-from mdthm.fvm.local import _scatter, invert_block_diagonal, least_squares_block_solve
+from mdthm.fvm.local import (
+    LocalSystems,
+    _scatter,
+    invert_block_diagonal,
+    least_squares_block_solve,
+)
 from mdthm.mdmesh import MeshError, build_cartesian_fractured, build_triangular_fractured
 
 G_SH, K_S = 1.7e10, 2.2e10
@@ -250,6 +255,70 @@ class TestMpsa:
         sys /= np.abs(sys).max(axis=1)[:, None]
         s = np.linalg.svd(sys, compute_uv=False)
         assert s[0] / s[-1] < 1e4
+
+
+class TestLocalSystems:
+    @pytest.mark.parametrize("grid", [build_cartesian_fractured(1, 1).matrix,
+                                      build_triangular_fractured(1, 1).matrix])
+    @pytest.mark.parametrize("dirichlet", [True, False])
+    def test_smallest_grids_reproduce_linear_fields(self, grid, dirichlet):
+        # on the single cell, Dirichlet faces leave the source kinds (S, P, T)
+        # empty and Neumann faces the cell kinds (N, U)
+        g, rng = grid, np.random.default_rng(4)
+        bc = BoundaryCondition(np.full(g.num_faces, dirichlet))
+        bf = g.boundary_faces()
+        grad, const = rng.standard_normal(2), rng.standard_normal()
+        p = const + grad @ g.cell_centers
+        b = np.zeros(g.num_faces)
+        b[bf] = (const + grad @ g.face_centers if dirichlet else -2.0 * grad @ g.face_normals)[bf]
+        ops = mpfa_discretize(g, 2.0, bc)
+        q = ops.flux @ p + ops.bound_flux @ b
+        assert np.abs(q + 2.0 * grad @ g.face_normals).max() < 1e-12
+        trace = ops.trace_cell @ p + ops.trace_face @ b
+        assert np.abs(trace - (const + grad @ g.face_centers)).max() < 1e-12
+
+        A = rng.standard_normal((2, 2)) * 1e-4
+        eps = 0.5 * (A + A.T)
+        sig = 2 * G_SH * eps + LAM * np.trace(eps) * np.eye(2)
+        u = (A @ g.cell_centers).T.ravel()
+        bvals = (A @ g.face_centers if dirichlet else sig @ g.face_normals).T.ravel()
+        b = np.zeros(2 * g.num_faces)
+        b[2 * bf], b[2 * bf + 1] = bvals[2 * bf], bvals[2 * bf + 1]
+        ops = mpsa_discretize(g, G_SH, LAM, 0.8, 8e-6 * K_S, bc)
+        t = ops.stress @ u + ops.bound_stress @ b
+        assert np.abs(t - (sig @ g.face_normals).T.ravel()).max() < 1e-10 * np.abs(sig).max()
+        div = ops.div_u @ u + ops.bound_div_u @ b
+        assert np.abs(div - np.trace(A) * g.cell_volumes).max() < 1e-12 * abs(np.trace(A))
+
+    def test_stacked_product_equals_product_per_kind(self, monkeypatch):
+        # one product of the inverse with the stacked right-hand sides gives
+        # the bits of one product per kind
+        solved, solve = [], LocalSystems.solve
+
+        def recording(local, solver):
+            solved.append((local, solver))
+            return solve(local, solver)
+
+        monkeypatch.setattr(LocalSystems, "solve", recording)
+        g = perturbed_triangles(6, 5, seed=9)
+        bc = BoundaryCondition(np.isin(g.tags["domain_side"], (1, 3)))
+        mpfa_discretize(g, 1.5, bc)
+        mpsa_discretize(g, G_SH, LAM, 0.8, 8e-6 * K_S, bc)
+        assert [solver for _, solver in solved] == [invert_block_diagonal,
+                                                    least_squares_block_solve]
+        for local, solver in solved:
+            m_inv = solver(local.top.node_ids, local.row_ptr, local.col_ptr, local.triplets())
+            rhs = local.right_hand_sides()
+            grads = solve(local, solver)
+            assert list(grads) == list(rhs) == list(local.kinds)
+            for kind, got in grads.items():
+                ref = m_inv @ rhs[kind]
+                assert got.nnz > 0 and got.shape == ref.shape
+                assert got.indptr.dtype == ref.indptr.dtype
+                assert got.indices.dtype == ref.indices.dtype
+                assert np.array_equal(got.indptr, ref.indptr)
+                assert np.array_equal(got.indices, ref.indices)
+                assert got.data.tobytes() == ref.data.tobytes()
 
 
 def local_batch(blocks, extra=(0.1, 0.2), seed=5):

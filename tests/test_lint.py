@@ -44,15 +44,15 @@ def test_no_unused_module_level_imports():
 STACKING = ("stack_grids", "mortar_group", "MortarGroup")
 
 
-def stacking_calls(path: Path) -> list:
-    """(line, name) of each call in a module that stacks the mesh per
-    dimension: ``stack_grids``, ``mortar_group`` or ``MortarGroup(...)``."""
+def named_calls(path: Path, names) -> list:
+    """(line, name) of each call in a module of a function, class or method
+    named in ``names``, by its bare or its attribute name."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in STACKING:
+            if name in names:
                 found.append((node.lineno, name))
     return sorted(found)
 
@@ -63,8 +63,8 @@ def test_stacking_calls_detected(tmp_path):
         "from mdthm import mdmesh\nfrom mdthm.mdmesh.mortar import MortarGroup, mortar_group\n"
         "g = mdmesh.stack_grids(1, [])\nm = mortar_group([], g, g)\n"
         "k = MortarGroup\nc = MortarGroup(**{})\nstack_grids = None\n", encoding="utf-8")
-    assert stacking_calls(module) == [(3, "stack_grids"), (4, "mortar_group"),
-                                      (6, "MortarGroup")]
+    assert named_calls(module, STACKING) == [(3, "stack_grids"), (4, "mortar_group"),
+                                             (6, "MortarGroup")]
 
 
 def test_mesh_is_stacked_only_in_mdmesh():
@@ -73,7 +73,32 @@ def test_mesh_is_stacked_only_in_mdmesh():
     mdmesh = SRC / "mdthm" / "mdmesh"
     found = [f"{path.relative_to(SRC)}:{line} {name}"
              for path in sorted(SRC.rglob("*.py")) if mdmesh not in path.parents
-             for line, name in stacking_calls(path)]
+             for line, name in named_calls(path, STACKING)]
+    assert found == []
+
+
+LOCAL_SOLVERS = ("invert_block_diagonal", "least_squares_block_solve")
+
+
+def test_local_solver_calls_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from mdthm.fvm import local\nfrom mdthm.fvm.local import invert_block_diagonal\n"
+        "a = invert_block_diagonal(0, 1, 2, ())\nb = local.least_squares_block_solve(0, 1, 2, ())\n"
+        "c = systems.solve(invert_block_diagonal)\nleast_squares_block_solve = None\n",
+        encoding="utf-8")
+    # handing a solver over is not a call of it
+    assert named_calls(module, LOCAL_SOLVERS) == [(3, "invert_block_diagonal"),
+                                                  (4, "least_squares_block_solve")]
+
+
+def test_local_systems_are_solved_only_in_fvm_local():
+    # MPFA and MPSA hand their solver to LocalSystems.solve, which gathers,
+    # inverts and applies the local inverse in one place
+    local = SRC / "mdthm" / "fvm" / "local.py"
+    found = [f"{path.relative_to(SRC)}:{line} {name}"
+             for path in sorted(SRC.rglob("*.py")) if path != local
+             for line, name in named_calls(path, LOCAL_SOLVERS)]
     assert found == []
 
 

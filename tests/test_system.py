@@ -527,7 +527,9 @@ class TestTimeLoop:
         mdg, asm, state = make_problem(FR)
         loads = make_loads(asm, top_displacement=(5e-4, -2e-4))
         opts = default_params(max_iterations=1)
-        with pytest.raises(NonConvergence):
+        # the message names both ends of the step, as timeseries.csv
+        # labels a step by its end time
+        with pytest.raises(NonConvergence, match=r"step from t=0 to t=1 \(phase 'load'\)"):
             time_loop(asm, state, PhaseSpec("load", duration=1.0, dt=1.0),
                       lambda t, tp: loads, opts)
 
