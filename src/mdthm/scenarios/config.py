@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mdthm.constitutive import DilationModel, MaterialSet
+from mdthm.system.timeloop import PhaseSpec
 
 SIDES = ("left", "right", "bottom", "top")
 SIDE_CODE = {"left": 1, "right": 2, "bottom": 3, "top": 4}
@@ -48,12 +49,10 @@ class WellSpec:
 
 
 @dataclass
-class PhaseConfig:
-    name: str
-    steady: bool = False
-    duration: float = 0.0
-    dt: float = 0.0
-    dt_init: float = 0.0
+class PhaseConfig(PhaseSpec):
+    """A loading phase with its boundary values and wells; its boundary
+    values ramp from the previous phase's over the first ``ramp`` seconds."""
+
     ramp: float = 0.0
     mech: dict = field(default_factory=dict)
     flow: dict = field(default_factory=dict)
@@ -225,8 +224,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
                     f"must be one of {', '.join(WELL_SUBDOMAINS)}, not {subdomain!r}")
             wells.append(WellSpec(tuple(map(float, w["at"])), rate,
                                   None if temp is None else float(temp), subdomain))
-        phases.append(PhaseConfig(ph.get("name", f"phase{i}"), steady, duration,
-                                  dt, dt_init, ramp, mech, flow, heat, wells))
+        phases.append(PhaseConfig(ph.get("name", f"phase{i}"), duration, dt, steady, dt_init,
+                                  ramp, mech, flow, heat, wells))
 
     solver = dict(raw.get("solver", {}))
     for key in solver:

@@ -40,24 +40,15 @@ def run(cfg: ScenarioConfig, out_dir=None, extra_refinement: int = 0) -> RunResu
         os.makedirs(out_dir, exist_ok=True)
         writer = RunWriter(out_dir, scn.assembler, cfg.output_every)
         writer.write_snapshot(scn.state, 0.0)
-    records = []
-    phase_ends = []
-    t_start = 0.0
-
-    def observe(rec, state):
-        # each phase's clock starts at 0; time is absolute across phases
-        rec.time += t_start
-        if writer is not None:
-            writer.observe(rec, state)
-
-    for phase_cfg, phase_spec in zip(scn.cfg.phases, scn.phases):
-        provider = scn.load_provider(phase_cfg)
-        recs = time_loop(scn.assembler, scn.state, phase_spec, provider, scn.newton,
-                         observer=observe, solver=scn.solver)
-        records.extend(recs)
+    records, phase_ends = [], []
+    observer = None if writer is None else writer.observe
+    for idx, phase in enumerate(cfg.phases):
+        # each phase starts where the previous one ended
+        start = records[-1].time if records else 0.0
+        records.extend(time_loop(scn.assembler, scn.state, phase, scn.load_provider(idx),
+                                 scn.newton, observer=observer, solver=scn.solver,
+                                 start=start))
         phase_ends.append(scn.state.current.copy())
-        if recs:
-            t_start = recs[-1].time
     if writer is not None:
         writer.finalize()
         _write_summary(out_dir, scn, records)

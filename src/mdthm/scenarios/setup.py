@@ -13,7 +13,7 @@ from mdthm.mdmesh import (
     ingest_gmsh,
 )
 from mdthm.scenarios.config import SIDE_CODE, ConfigError, PhaseConfig, ScenarioConfig
-from mdthm.system import Assembler, DirectSolver, Loads, NewtonParams, PhaseSpec, State
+from mdthm.system import Assembler, DirectSolver, Loads, NewtonParams, State
 
 
 def build_mesh(cfg: ScenarioConfig, extra_refinement: int = 0) -> MixedDimGrid:
@@ -52,18 +52,18 @@ class Scenario:
     mdg: MixedDimGrid
     assembler: Assembler
     state: State
-    phases: list
     newton: NewtonParams
     well_cells: list  # per phase: dict dim -> (rates, T_inj) on the stacked cells
     solver: DirectSolver  # one for the run: it keeps the elastic factor
 
-    def load_provider(self, phase: PhaseConfig):
-        """Loads at times counted from the start of the phase; boundary
-        values ramp linearly from the previous phase's values over the
-        first ``phase.ramp`` seconds."""
+    def load_provider(self, idx: int):
+        """Loads of phase ``idx`` at times counted from the start of the
+        phase; boundary values ramp linearly from the previous phase's
+        values over the first ``ramp`` seconds."""
+        phase = self.cfg.phases[idx]
 
         def provider(t_new, t_prev):
-            return build_loads(self, phase,
+            return build_loads(self, idx,
                                alpha_new=self._ramp_alpha(phase, t_new),
                                alpha_prev=self._ramp_alpha(phase, t_prev))
 
@@ -102,12 +102,10 @@ def build_scenario(cfg: ScenarioConfig, extra_refinement: int = 0) -> Scenario:
         increment_tol=float(cfg.solver.get("increment_tol", 1e-10)),
         scales=solver_scales(cfg, mdg),
     )
-    phases = [PhaseSpec(ph.name, ph.duration, ph.dt, ph.steady, ph.dt_init)
-              for ph in cfg.phases]
     wells = [locate_wells(mdg, ph, f"phases[{i}]") for i, ph in enumerate(cfg.phases)]
     # the solver factors the elastic block in its first solve, not in set-up
     solver = DirectSolver(asm.dofs.mechanics, asm.dofs.contact)
-    return Scenario(cfg, mdg, asm, state, phases, newton, wells, solver)
+    return Scenario(cfg, mdg, asm, state, newton, wells, solver)
 
 
 def solver_scales(cfg: ScenarioConfig, mdg: MixedDimGrid) -> dict:
@@ -173,10 +171,12 @@ def locate_wells(mdg: MixedDimGrid, phase: PhaseConfig, path: str) -> dict:
     return out
 
 
-def build_loads(scn: Scenario, phase: PhaseConfig, alpha_new: float = 1.0,
+def build_loads(scn: Scenario, idx: int, alpha_new: float = 1.0,
                 alpha_prev: float = 1.0) -> Loads:
-    idx = scn.cfg.phases.index(phase)
-    prev_phase = scn.cfg.phases[max(idx - 1, 0)]
+    """The loads of phase ``idx``, its boundary values blended from the
+    previous phase's by the ramp fractions ``alpha_new`` (at the step's end)
+    and ``alpha_prev`` (at its start)."""
+    phase, prev_phase = scn.cfg.phases[idx], scn.cfg.phases[max(idx - 1, 0)]
 
     def blend(build, alpha):
         cur = build(phase)

@@ -158,6 +158,26 @@ class IterationCache:
     contact_state: dict  # frac id -> its cells' view of ``fracture.contact``
 
 
+@dataclass
+class Accumulation:
+    """The accumulation of one balance in one dimension's cells over one
+    time step, divided by dt, per cell: coef[P] dp + coef[T] dT + weight dV.
+
+    In the matrix dV is the step's change of :meth:`Assembler.div_u`. Below
+    it the weight includes the cell volume, ``change`` is dV, and
+    ``lagged`` is the part of dV that the state does not carry: dV =
+    J_n x - lagged on fractures and -lagged at points. ``dweight`` holds
+    the derivatives of weight dV in the cells' T and p, where the weight
+    depends on them.
+    """
+
+    coef: dict
+    weight: np.ndarray
+    change: np.ndarray | None = None
+    lagged: np.ndarray | None = None
+    dweight: dict = field(default_factory=dict)
+
+
 def _of_dim(table: dict, dim: int, size: int) -> np.ndarray:
     """A copy of the stacked values of one dimension, zero if absent."""
     return np.array(table[dim], dtype=float) if dim in table else np.zeros(size)
@@ -354,11 +374,8 @@ class Assembler:
                                     self.frac_bc[FLOW]),
             HEAT: onedim_discretize(g1, v1 * mat.conductivity_fluid, self.frac_bc[HEAT]),
         }
-        face_flux = {}
-        for dim, ops in ((2, self.flow_ops), (1, fracture_ops[FLOW])):
-            bvals = self._scalar_boundary_values(dim, FLOW, loads, x)
-            face_flux[dim] = ops.flux @ x[dofs.cells(dim, P)] + ops.bound_flux @ bvals \
-                + ops.vector_source @ self._rho_g(density[dim])
+        face_flux = {dim: self.face_flux(dim, FLOW, ops, x, loads, density[dim])
+                     for dim, ops in ((2, self.flow_ops), (1, fracture_ops[FLOW]))}
 
         return IterationCache(
             fracture=frac,
@@ -366,6 +383,16 @@ class Assembler:
             density=density, face_flux=face_flux, fracture_ops=fracture_ops,
             contact_state=split_cells(self.mdg.grids[1], frac.contact),
         )
+
+    def face_flux(self, dim, var, ops, x: np.ndarray, loads: Loads, density=None):
+        """The face fluxes of one scalar of one dimension in state x, by its
+        operators ``ops``: the cell values, then the boundary and mortar
+        data, then, given the fluid density, the gravity term rho g."""
+        q = ops.flux @ x[self.dofs.cells(dim, P if var == FLOW else T)] \
+            + ops.bound_flux @ self._scalar_boundary_values(dim, var, loads, x)
+        if density is not None:
+            q = q + ops.vector_source @ self._rho_g(density)
+        return q
 
     def _ext_scalar(self, dim, var, loads: Loads):
         """External boundary data of one dimension, internal (mortar) slots
@@ -444,8 +471,7 @@ class Assembler:
         terms = {2: self.matrix_terms,
                  1: {var: self._scalar_terms(1, ops) for var, ops in cache.fracture_ops.items()}}
         self._matrix_momentum(acc, b, loads)
-        self._mass(acc, b, state, cache, terms, dt, steady, loads)
-        self._energy(acc, b, state, cache, terms, dt, steady, loads)
+        self._balances(acc, b, state, cache, terms, dt, steady, loads)
         self._contact_rows(acc, b, cache)
         self._traction_balance(acc, b, loads)
         for dim, group in self.mdg.mortars.items():
@@ -477,120 +503,113 @@ class Assembler:
         _add_to(b, rows, -self._rho_g(mat.density_solid * g.cell_volumes))
 
     # -- mass and energy -----------------------------------------------------
-    def _mass(self, acc, b, state, cache, terms, dt, steady, loads):
-        """Mass balances of the matrix, the fractures and the intersection
-        points: storage and volume change (transient only), flux
-        divergence, mortar sources from the dimension above, wells."""
-        mat = self.mat
-        for dim, grid in self.mdg.grids.items():
-            rows = self.dofs.cells(dim, P)
-            if not steady:
-                wvol = grid.cell_volumes * cache.spec_vol[dim] / dt
-                self._fluid_storage(acc, b, dim, state.prev_step, wvol)
-                weight = np.full(grid.num_cells, mat.biot_alpha if dim == 2 else 1.0)
-                self._volume_change(acc, b, dim, P, weight, state, cache, dt, loads)
-            if dim > 0:
-                self._scalar_flux_divergence(acc, b, dim, FLOW, terms[dim][FLOW], cache, loads)
-            if dim < 2:
-                self._mortar_sources(acc, dim, P, (NU,))
-            _add_to(b, rows, self._wells(dim, loads)[0])
+    def accumulation(self, state: State, cache: IterationCache, dt: float) -> dict:
+        """Per dimension and balance (P for mass, T for energy), the
+        :class:`Accumulation` over the step of length dt that ends at
+        ``state.current``, with its coefficients lagged there.
 
-    def _energy(self, acc, b, state, cache, terms, dt, steady, loads):
-        """Energy balances of the matrix, the fractures and the intersection
-        points: accumulation and volume change (transient only),
-        conductive and advective flux divergence, mortar sources from the
-        dimension above, wells."""
-        mat = self.mat
-        for dim in self.mdg.grids:
-            if not steady:
-                self._energy_accumulation(acc, b, dim, state, cache, dt)
-                if dim == 2:
-                    weight = np.full(self.matrix.num_cells,
-                                     mat.thermal_stress_coefficient * mat.reference_temperature)
-                    self._volume_change(acc, b, dim, T, weight, state, cache, dt, loads)
-                else:
-                    # the fluid filling the volume change carries c rho T
-                    weight, *dweight = carried_heat(
-                        cache.density[dim], state.current[self.dofs.cells(dim, T)], mat)
-                    self._volume_change(acc, b, dim, T, weight, state, cache, dt, loads,
-                                        dweight)
-            if dim > 0:
-                self._scalar_flux_divergence(acc, b, dim, HEAT, terms[dim][HEAT], cache, loads)
-                self._advective_divergence(acc, b, dim, cache, loads, state)
-            if dim < 2:
-                self._mortar_sources(acc, dim, T, (NU_ADV, NU_COND))
-            self._well_energy(acc, b, dim, loads, state)
-
-    def _fluid_storage(self, acc, b, dim, xp, wvol):
-        """Fluid storage of one dimension's cells of weighted volumes wvol,
-        implicit in p and T, against the previous-step state xp."""
-        p, t = self.dofs.cells(dim, P), self.dofs.cells(dim, T)
-        c_p = fluid_storage(wvol, 0.0, self.mat, dim == 2)
-        c_T = fluid_storage(0.0, wvol, self.mat, dim == 2)
-        acc.add(p, p, c_p)
-        acc.add(p, t, c_T)
-        _add_to(b, p, c_p * xp[p] + c_T * xp[t])
-
-    def _energy_accumulation(self, acc, b, dim, state, cache, dt):
-        """(rho c)_eff dT/dt plus the expanded coefficient-change term."""
-        p, t = self.dofs.cells(dim, P), self.dofs.cells(dim, T)
-        xp = state.prev_step
-        vols = self.mdg.grids[dim].cell_volumes * cache.spec_vol[dim] / dt
-        rc_eff, rck_eff, rcb_eff = heat_capacities(cache.density[dim], self.mat, dim == 2)
-        T_lag = state.current[t]
-        coef_T = vols * (rc_eff - T_lag * rcb_eff)
-        coef_p = vols * T_lag * rck_eff
-        acc.add(t, t, coef_T)
-        acc.add(t, p, coef_p)
-        _add_to(b, t, coef_T * xp[t] + coef_p * xp[p])
-
-    def _volume_change(self, acc, b, dim, var, weight, state, cache, dt, loads,
-                       dweight=None):
-        """weight/dt * (V_new - V_old) in the balance of ``var`` of one
-        dimension's cells.
-
-        In the matrix V is div u, stabilisation included, implicit in u,
-        the mortar displacements, p and T. On fractures V = a0 + jump_n
-        (+ one-way slip remainder, lagged), with the normal jump implicit
-        through J. At intersection points V is the inherited specific
-        volume, fully lagged. On fractures and points, ``dweight`` holds the
-        weight's derivatives in the cells' T and p, which enter as Newton
-        terms.
+        Fluid storage and heat capacity act on the step's changes of p and
+        T; the heat capacity's change with the state enters in expanded
+        form. The volume-change weight of the mass balance is alpha in the
+        matrix and 1 below; that of the energy balance is the
+        thermo-elastic beta_s K_s T_ref in the matrix, and below it the
+        heat c rho T that the fluid filling the volume carries, whose
+        derivatives enter as Newton terms.
         """
-        rows = self.dofs.cells(dim, var)
-        if dim == 2:
-            ops = self.mech_ops
-            w = sps.diags(weight / dt)
-            acc.add_mat(rows, self.dofs.cells(2, U), w @ ops.div_u)
-            acc.add_mat(rows, self.dofs.mortar(2, U_MORTAR), w @ self.div_u_mortar)
-            acc.add_mat(rows, self.dofs.cells(2, P), w @ ops.stab_p)
-            acc.add_mat(rows, self.dofs.cells(2, T), w @ ops.stab_T)
-            # previous-step value, including its boundary data
-            prev = self.div_u(state.prev_step, loads.bc_mech_prev)
-            _add_to(b, rows, weight / dt * prev)
-            _add_to(b, rows, -((w @ ops.bound_div_u) @ self._ext_mech(loads.bc_mech)))
-            return
-        vols = self.mdg.grids[dim].cell_volumes / dt
+        mat, x = self.mat, state.current
+        out = {}
+        for dim, grid in self.mdg.grids.items():
+            porous, n = dim == 2, grid.num_cells
+            wvol = grid.cell_volumes * cache.spec_vol[dim] / dt
+            t_lag = x[self.dofs.cells(dim, T)]
+            rc, rck, rcb = heat_capacities(cache.density[dim], mat, porous)
+            coef = {P: {P: fluid_storage(wvol, 0.0, mat, porous),
+                        T: fluid_storage(0.0, wvol, mat, porous)},
+                    T: {T: wvol * (rc - t_lag * rcb), P: wvol * t_lag * rck}}
+            if porous:
+                tsc = mat.thermal_stress_coefficient * mat.reference_temperature
+                out[dim] = {P: Accumulation(coef[P], np.full(n, mat.biot_alpha) / dt),
+                            T: Accumulation(coef[T], np.full(n, tsc) / dt)}
+                continue
+            vols = grid.cell_volumes / dt
+            change, lagged = self._volume_change(dim, cache)
+            heat, dh_dT, dh_dp = carried_heat(cache.density[dim], t_lag, mat)
+            out[dim] = {P: Accumulation(coef[P], vols, change, lagged),
+                        T: Accumulation(coef[T], vols * heat, change, lagged,
+                                        {T: vols * change * dh_dT, P: vols * change * dh_dp})}
+        return out
+
+    def _volume_change(self, dim, cache: IterationCache):
+        """dV over the step of fractures (dim 1) or intersection points
+        (dim 0), and its part not implicit in the state.
+
+        On fractures V = a0 + jump_n (+ one-way slip remainder, lagged),
+        with the normal jump implicit through J; the constant a0 cancels in
+        the difference. At points V is the inherited specific volume, fully
+        lagged.
+        """
         if dim == 0:
             change = cache.spec_vol[0] - cache.spec_vol_prev[0]
-            _add_to(b, rows, -vols * weight * change)
-        else:
-            acc.add_mat(rows, None, sps.diags(vols * weight) @ self.J[1::2])
-            # previous-step V without a0 (the constant cancels in the difference)
-            jumps, jumps_prev = cache.fracture.jumps, cache.fracture.jumps_ref
-            v_prev = jumps_prev[1::2]
-            rem_new = np.zeros(vols.size)
-            if self.model is DilationModel.ONE_WAY:
-                tanp = np.tan(self.mat.dilation_angle)
-                v_prev = v_prev + tanp * np.abs(jumps_prev[0::2])
-                rem_new = tanp * np.abs(jumps[0::2])
-            _add_to(b, rows, vols * weight * (v_prev - rem_new))
-            change = jumps[1::2] + rem_new - v_prev
-        if dweight is not None:
-            dw_dT, dw_dp = dweight
-            _newton(acc, b, rows, state.current,
-                    ((self.dofs.cells(dim, T), sps.diags(vols * change * dw_dT)),
-                     (self.dofs.cells(dim, P), sps.diags(vols * change * dw_dp))))
+            return change, -change
+        jumps, jumps_prev = cache.fracture.jumps, cache.fracture.jumps_ref
+        v_prev = jumps_prev[1::2]
+        rem_new = np.zeros(jumps.size // 2)
+        if self.model is DilationModel.ONE_WAY:
+            tanp = np.tan(self.mat.dilation_angle)
+            v_prev = v_prev + tanp * np.abs(jumps_prev[0::2])
+            rem_new = tanp * np.abs(jumps[0::2])
+        return jumps[1::2] + rem_new - v_prev, v_prev - rem_new
+
+    def _balances(self, acc, b, state, cache, terms, dt, steady, loads):
+        """Mass (rows p) and energy (rows T) balances of the matrix, the
+        fractures and the intersection points: accumulation (transient
+        only), conductive and advective transport, and sources: mortar
+        fluxes from the dimension above and wells."""
+        accumulation = None if steady else self.accumulation(state, cache, dt)
+        for var, svar in ((P, FLOW), (T, HEAT)):
+            for dim in self.mdg.grids:
+                if not steady:
+                    self._storage(acc, b, dim, var, accumulation[dim][var], state, loads)
+                if dim > 0:
+                    self._scalar_flux_divergence(acc, b, dim, svar, terms[dim][svar], cache,
+                                                 loads)
+                    if var == T:
+                        self._advective_divergence(acc, b, dim, cache, loads, state)
+                if dim < 2:
+                    self._mortar_sources(acc, dim, var, (NU,) if var == P else (NU_ADV, NU_COND))
+                if var == P:
+                    _add_to(b, self.dofs.cells(dim, P), self._wells(dim, loads)[0])
+                else:
+                    self._well_energy(acc, b, dim, loads, state)
+
+    def _storage(self, acc, b, dim, var, a: Accumulation, state, loads):
+        """The accumulation of the balance of ``var`` of one dimension's
+        cells, implicit in p and T against the previous step. The volume
+        change is implicit in the matrix through div u (u, the mortar
+        displacements, p and T) and on fractures through J; the lagged rest
+        enters the right-hand side."""
+        dofs, xp = self.dofs, state.prev_step
+        other = T if var == P else P
+        rows, cols = dofs.cells(dim, var), dofs.cells(dim, other)
+        acc.add(rows, rows, a.coef[var])
+        acc.add(rows, cols, a.coef[other])
+        _add_to(b, rows, a.coef[var] * xp[rows] + a.coef[other] * xp[cols])
+        if dim == 2:
+            ops = self.mech_ops
+            w = sps.diags(a.weight)
+            acc.add_mat(rows, dofs.cells(2, U), w @ ops.div_u)
+            acc.add_mat(rows, dofs.mortar(2, U_MORTAR), w @ self.div_u_mortar)
+            acc.add_mat(rows, dofs.cells(2, P), w @ ops.stab_p)
+            acc.add_mat(rows, dofs.cells(2, T), w @ ops.stab_T)
+            # previous-step value, including its boundary data
+            _add_to(b, rows, a.weight * self.div_u(xp, loads.bc_mech_prev))
+            _add_to(b, rows, -((w @ ops.bound_div_u) @ self._ext_mech(loads.bc_mech)))
+            return
+        if dim == 1:
+            acc.add_mat(rows, None, sps.diags(a.weight) @ self.J[1::2])
+        _add_to(b, rows, a.weight * a.lagged)
+        _newton(acc, b, rows, state.current,
+                [(dofs.cells(dim, v), sps.diags(d)) for v, d in a.dweight.items()])
 
     def div_u(self, x: np.ndarray, bc_mech: np.ndarray) -> np.ndarray:
         """The cellwise volume change of the matrix at state x with the

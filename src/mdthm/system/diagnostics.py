@@ -1,11 +1,21 @@
 """Post-step balance and consistency diagnostics.
 
-The balance report recomputes accumulation, boundary fluxes and sources
-from the end state of a step, apart from the Newton residual: interior and
-interdimensional transfers cancel by construction, so the per-step defect
-measures whether assembly encodes the conservative form and the solver met
-its tolerance. The matrix volume change, the heat that boundary inflow
-carries and the heat that wells carry are the assembler's own terms.
+The balance report sums each balance law over all cells of all dimensions
+at the end state of a step. Its accumulation is the assembler's: the
+coefficients, volume-change weights and volume changes of
+:meth:`Assembler.accumulation`, times the step's increments, with the
+matrix volume change as the change of :meth:`Assembler.div_u`. Its sources
+are the wells of :meth:`Assembler.well_heat`. So this module holds no
+constitutive law, and a storage term changed in the assembler changes the
+report with it.
+
+The boundary outflow stays independent of the assembled system: it sums
+the fluxes through the exterior faces alone, from the face fluxes of
+:meth:`Assembler.face_flux` and the advected heat of
+:meth:`Assembler.advected_heat`. Interior and interdimensional transfers
+cancel from the sum only if assembly writes them in conservative form, so
+the per-step defect measures exactly that, and whether Newton met its
+tolerance. At rest every increment is zero, and so is the accumulation.
 """
 
 from __future__ import annotations
@@ -14,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mdthm.constitutive import carried_heat, fluid_storage, heat_capacities
 from mdthm.system.assembly import HEAT, Assembler, Loads
 from mdthm.system.dofs import NU, P, T, State
 
@@ -42,41 +51,20 @@ class BalanceReport:
 def balance_report(assembler: Assembler, state: State, dt: float,
                    loads: Loads) -> BalanceReport:
     """Global volume and energy balance over one accepted transient step."""
-    mat = assembler.mat
-    x, xp = state.current, state.prev_step
+    dofs, x, xp = assembler.dofs, state.current, state.prev_step
     cache = assembler.build_cache(state, loads)
+    accumulation = assembler.accumulation(state, cache, dt)
+    div_change = assembler.div_u(x, loads.bc_mech) - assembler.div_u(xp, loads.bc_mech_prev)
 
-    m_acc = m_out = m_src = 0.0
-    e_acc = e_out = e_src = 0.0
-
+    acc = {P: 0.0, T: 0.0}
+    m_out = m_src = e_out = e_src = 0.0
     for dim, grid in assembler.mdg.grids.items():
-        p, t = assembler.dofs.cells(dim, P), assembler.dofs.cells(dim, T)
-        p_new, p_old = x[p], xp[p]
-        t_new, t_old = x[t], xp[t]
-        vols = grid.cell_volumes
-        v_lag = cache.spec_vol[dim]
-        rho = cache.density[dim]
-        heat = carried_heat(rho, t_new, mat)[0]
-
-        m_acc += float(np.sum(
-            vols * v_lag * fluid_storage(p_new - p_old, t_new - t_old, mat, dim == 2)
-        ))
-        if dim == 2:
-            ddiv = float(np.sum(assembler.div_u(x, loads.bc_mech)
-                                - assembler.div_u(xp, loads.bc_mech_prev)))
-            m_acc += mat.biot_alpha * ddiv
-            e_acc += (mat.thermal_stress_coefficient
-                      * mat.reference_temperature * ddiv)
-        else:
-            v_old = cache.spec_vol_prev[dim]
-            m_acc += float(np.sum(vols * (v_lag - v_old)))
-            e_acc += float(np.sum(vols * heat * (v_lag - v_old)))
-        # energy accumulation with the expanded coefficient form
-        rc, rck, rcb = heat_capacities(rho, mat, dim == 2)
-        e_acc += float(np.sum(
-            vols * v_lag * ((rc - t_new * rcb) * (t_new - t_old)
-                            + t_new * rck * (p_new - p_old))
-        ))
+        incr = {var: x[dofs.cells(dim, var)] - xp[dofs.cells(dim, var)] for var in (P, T)}
+        for var in (P, T):
+            a = accumulation[dim][var]
+            dv = div_change if dim == 2 else a.change
+            acc[var] += dt * float(np.sum(a.coef[P] * incr[P] + a.coef[T] * incr[T]
+                                          + a.weight * dv))
 
         # boundary outflow through exterior faces
         if dim > 0:
@@ -84,15 +72,14 @@ def balance_report(assembler: Assembler, state: State, dt: float,
             q = cache.face_flux[dim]
             m_out += dt * float(np.sum(q[ext]))
             ops = assembler.heat_ops if dim == 2 else cache.fracture_ops[HEAT]
-            bvals = assembler._scalar_boundary_values(dim, HEAT, loads, x)
-            q_cond = ops.flux @ t_new + ops.bound_flux @ bvals
+            q_cond = assembler.face_flux(dim, HEAT, ops, x, loads)
             q_adv = q * assembler.advected_heat(dim, cache, loads, x)[1]
             e_out += dt * float(np.sum(q_cond[ext] + q_adv[ext]))
 
         rates, well_heat, *_ = assembler.well_heat(dim, loads, x)
         m_src += dt * float(np.sum(rates))
         e_src += dt * float(np.sum(rates * well_heat))
-    return BalanceReport(m_acc, m_out, m_src, e_acc, e_out, e_src)
+    return BalanceReport(acc[P], m_out, m_src, acc[T], e_out, e_src)
 
 
 def interface_flux_consistency(assembler: Assembler, state: State,

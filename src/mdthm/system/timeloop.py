@@ -42,10 +42,12 @@ class StepRecord:
 
 def time_loop(assembler: Assembler, state: State, phase: PhaseSpec,
               load_provider, newton: NewtonParams, observer=None,
-              solver: DirectSolver | None = None) -> list[StepRecord]:
-    """Run one phase on a clock that starts at 0; ``load_provider(t_new,
-    t_prev)`` supplies the Loads. ``solver``, if given, solves every
-    Newton system, keeping its factors from step to step.
+              solver: DirectSolver | None = None, start: float = 0.0) -> list[StepRecord]:
+    """Run one phase that starts at time ``start``. Steps and loads run on
+    the phase's own clock, which starts at 0: ``load_provider(t_new,
+    t_prev)`` supplies the Loads. Records and failures carry the time
+    ``start`` + t of the run. ``solver``, if given, solves every Newton
+    system, keeping its factors from step to step.
 
     A transient step's record carries its balance report. The observer, if
     given, is called as observer(record, state) after each converged step
@@ -70,7 +72,7 @@ def time_loop(assembler: Assembler, state: State, phase: PhaseSpec,
                 f"steady phase {phase.name!r} did not converge: {report.failure}",
                 records,
             )
-        accept(StepRecord(phase.name, 0.0, 0.0, report, None))
+        accept(StepRecord(phase.name, start, 0.0, report, None))
         return records
 
     t, t_end = 0.0, phase.duration
@@ -83,11 +85,11 @@ def time_loop(assembler: Assembler, state: State, phase: PhaseSpec,
         report = newton_solve(assembler, state, dt, False, loads, newton, solver=solver)
         if not report.converged:
             raise NonConvergence(
-                f"step from t={t:.6g} to t={t + dt:.6g} (phase {phase.name!r}) failed: "
-                f"{report.failure}",
+                f"step from t={start + t:.6g} to t={start + (t + dt):.6g} "
+                f"(phase {phase.name!r}) failed: {report.failure}",
                 records,
             )
         balance = balance_report(assembler, state, dt, loads)
         t += dt
-        accept(StepRecord(phase.name, t, dt, report, balance))
+        accept(StepRecord(phase.name, start + t, dt, report, balance))
     return records

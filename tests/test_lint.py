@@ -156,6 +156,40 @@ def test_splu_is_called_through_its_module():
     assert found == []
 
 
+def imports_from(path: Path, module: str) -> list:
+    """(line, name) of each name a module imports from ``module`` or one of
+    its submodules, and of each import of ``module`` itself."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if f"{node.module}.{alias.name}".startswith(module + ".")
+                      or f"{node.module}.{alias.name}" == module]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name == module or alias.name.startswith(module + ".")]
+    return sorted(found)
+
+
+def test_constitutive_imports_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import numpy as np\nfrom mdthm.constitutive import fluid_density, carried_heat\n"
+        "from mdthm import constitutive, contact\nimport mdthm.constitutive as law\n"
+        "from mdthm.system.assembly import Assembler\nfrom mdthm.constitutively import x\n",
+        encoding="utf-8")
+    assert imports_from(module, "mdthm.constitutive") == [
+        (2, "carried_heat"), (2, "fluid_density"), (3, "constitutive"),
+        (4, "mdthm.constitutive")]
+
+
+def test_diagnostics_import_no_constitutive_law():
+    # the balance report reads its storage, heat-capacity, volume-change and
+    # well terms off the assembler, so that each law lives in one place
+    diagnostics = SRC / "mdthm" / "system" / "diagnostics.py"
+    assert imports_from(diagnostics, "mdthm.constitutive") == []
+
+
 def definitions(path: Path) -> list:
     """(line, name) of each function, method and ``self.<attr>`` assignment
     in a module, dunder names excepted."""

@@ -14,8 +14,8 @@ from mdthm.scenarios.config import ConfigError, parse_config
 from mdthm.scenarios.errors import ErrorReport, compare_states
 from mdthm.scenarios.output import RunWriter, snapshot_fields, write_vtk
 from mdthm.constitutive import MaterialSet, fluid_density
-from mdthm.scenarios.setup import build_scenario, hydrostatic_pressure
-from mdthm.system import newton, time_loop
+from mdthm.scenarios.setup import build_scenario, hydrostatic_pressure, mech_values
+from mdthm.system import NonConvergence, newton, time_loop, timeloop
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
                       "fractured_convergence.json")
@@ -114,9 +114,8 @@ class TestContactOutput:
         result, out = tiny_run
         scn = build_scenario(parse_config(tiny_raw()))
         states = [scn.state.current.copy()]
-        for phase_cfg, phase_spec in zip(scn.cfg.phases, scn.phases):
-            time_loop(scn.assembler, scn.state, phase_spec, scn.load_provider(phase_cfg),
-                      scn.newton,
+        for idx, phase in enumerate(scn.cfg.phases):
+            time_loop(scn.assembler, scn.state, phase, scn.load_provider(idx), scn.newton,
                       observer=lambda rec, state: states.append(state.current.copy()))
         assert np.array_equal(states[-1], result.scenario.state.current)
         asm = scn.assembler
@@ -167,10 +166,53 @@ class TestAbsoluteTime:
         # phase by phase with phase-relative clocks, as the loads see them
         result, _ = tiny_run
         scn = build_scenario(parse_config(tiny_raw()))
-        for phase_cfg, phase_spec in zip(scn.cfg.phases, scn.phases):
-            time_loop(scn.assembler, scn.state, phase_spec,
-                      scn.load_provider(phase_cfg), scn.newton)
+        for idx, phase in enumerate(scn.cfg.phases):
+            time_loop(scn.assembler, scn.state, phase, scn.load_provider(idx), scn.newton)
         assert np.array_equal(scn.state.current, result.scenario.state.current)
+
+
+    def test_failure_names_the_run_clock(self, tiny_run, monkeypatch):
+        # the second cooling step fails; the failure and the records kept
+        # name the times that summary.json gives the steps around it
+        _, out = tiny_run
+        with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
+            times = [step["time_s"] for step in json.load(fh)["steps"]]
+        solve, cooling = timeloop.newton_solve, []
+
+        def failing(assembler, state, dt, *args, **kwargs):
+            report = solve(assembler, state, dt, *args, **kwargs)
+            if dt == 10.0:  # the cooling steps of tiny_raw
+                cooling.append(dt)
+                if len(cooling) == 2:
+                    return dataclasses.replace(report, converged=False, failure="forced")
+            return report
+
+        monkeypatch.setattr(timeloop, "newton_solve", failing)
+        with pytest.raises(NonConvergence) as err:
+            drivers.run(parse_config(tiny_raw()))
+        assert str(err.value) == (f"step from t={times[3]:.6g} to t={times[4]:.6g} "
+                                  "(phase 'cooling') failed: forced")
+        assert [rec.time for rec in err.value.history] == [times[3]]
+
+
+class TestPhaseLoads:
+    def test_ramp_starts_from_the_phase_before(self):
+        # the third phase repeats the first verbatim; its ramp must start
+        # from the second phase's boundary values, not from the first's
+        raw = tiny_raw()
+        first = raw["phases"][1]
+        first["ramp"] = 6.25
+        second = copy.deepcopy(first)
+        second["mech"]["top"]["displacement"] = [6e-4, -3e-4]
+        raw["phases"] = [first, second, copy.deepcopy(first)]
+        scn = build_scenario(parse_config(raw))
+        phases = scn.cfg.phases
+        assert phases[2] == phases[0]
+        expected = mech_values(scn, phases[1])
+        assert not np.array_equal(expected, mech_values(scn, phases[0]))
+        loads = scn.load_provider(2)(0.0, 0.0)
+        assert np.array_equal(loads.bc_mech_prev, expected)
+        assert np.array_equal(loads.bc_mech, expected)
 
 
 class TestSources:

@@ -693,6 +693,30 @@ class TestDiagnosticsLeaveStateAlone:
             assert np.array_equal(getattr(state, k), v), k
 
 
+class TestBalanceAgainstAssembly:
+    def test_report_equals_assembled_rows_off_convergence(self):
+        # after one Newton iteration from rest no balance holds, but each
+        # defect of the report is still dt times the sum of the balance's
+        # assembled rows of A x - b: the report and assembly share their
+        # accumulation and sources, and the assembled transport must cancel
+        # to the report's exterior outflow
+        mdg, asm, state = make_problem(FR)
+        dt = 1.0
+        loads = make_loads(asm, top_displacement=(5e-4, -2e-4), p_left=1e6)
+        A, b = asm.assemble(state, asm.build_cache(state, loads), dt, False, loads)
+        state.current[:] = DirectSolver().solve(A, b)
+        rep = balance_report(asm, state, dt, loads)
+        A, b = asm.assemble(state, asm.build_cache(state, loads), dt, False, loads)
+        r = A @ state.current - b
+        for var, parts in (
+                (P, (rep.mass_accumulation, rep.mass_boundary_out, rep.mass_source)),
+                (T, (rep.energy_accumulation, rep.energy_boundary_out, rep.energy_source))):
+            defect = parts[0] + parts[1] - parts[2]
+            rows = np.concatenate([asm.dofs.cells(dim, var) for dim in mdg.grids])
+            throughput = max(abs(v) for v in parts)
+            assert abs(dt * r[rows].sum() - defect) <= 1e-10 * throughput, var
+
+
 class TestInterfaceLaws:
     def test_assembled_fluxes_follow_interface_laws(self):
         # at a converged state with a pressure and a temperature contrast,
