@@ -90,13 +90,6 @@ class LocalSystems:
         ends = np.cumsum(list(self.kinds.values())).tolist()
         return {kind: grads[:, end - n:end] for (kind, n), end in zip(self.kinds.items(), ends)}
 
-    def subcell_columns(self) -> sps.csr_matrix:
-        """The map from subcell gradients, ``width`` components per subcell
-        in subcell order, to the local columns. Subcells are numbered node by
-        node, so it is the identity; a product with it still reverses each
-        row's entries, the order in which later products sum."""
-        return sps.identity(int(self.col_ptr[-1]), format="csr")
-
 
 def invert_block_diagonal(node_ids, row_ptr, col_ptr, triplets):
     """Invert the block-diagonal local-system matrix.

@@ -60,6 +60,15 @@ class ScalarDiffusionOps:
     vector_source: sps.csr_matrix
     trace_vector_source: sps.csr_matrix
 
+    def parts(self, name):
+        """The operator ``name`` as (coefficient key, static matrix) parts,
+        as :class:`mdthm.fvm.onedim.TwoPointOps` splits its own: here one
+        part, scaled by no coefficient."""
+        return ((None, getattr(self, name)),)
+
+    def apply(self, name, v):
+        return getattr(self, name) @ v
+
 
 def _expand_tensor(diffusivity, n_cells):
     d = np.asarray(diffusivity, dtype=float)
@@ -150,7 +159,6 @@ def mpfa_discretize(grid: SubdomainGrid, diffusivity,
 
     grad = local.solve(invert_block_diagonal)
     grad_cell, grad_face, grad_src = grad["N"], grad["R"], grad["S"]
-    sc_to_col = local.subcell_columns()
 
     # subface flux = -nK gK (+ nK rK), accumulated onto faces
     sc_cols = np.stack([2 * top.sc_of_owner, 2 * top.sc_of_owner + 1], axis=1)
@@ -168,7 +176,7 @@ def mpfa_discretize(grid: SubdomainGrid, diffusivity,
         (np.ones(top.num_subfaces), (top.sf_face, np.arange(top.num_subfaces))),
         shape=(nf, top.num_subfaces),
     )
-    flux_of = sf_to_face @ t_grad @ sc_to_col
+    flux_of = sf_to_face @ t_grad
     flux = flux_of @ grad_cell
     bound_flux = flux_of @ grad_face
     vector_source = flux_of @ grad_src + sf_to_face @ t_src
@@ -177,7 +185,7 @@ def mpfa_discretize(grid: SubdomainGrid, diffusivity,
     x_mat = sps.csr_matrix(
         (dK_fc.ravel(), (sf_rows, sc_cols.ravel())),
         shape=(top.num_subfaces, 2 * top.num_subcells),
-    ) @ sc_to_col
+    )
     p_owner = sps.csr_matrix(
         (np.ones(top.num_subfaces), (np.arange(top.num_subfaces), top.sf_owner)),
         shape=(top.num_subfaces, nc),

@@ -159,7 +159,6 @@ def mpsa_discretize(grid: SubdomainGrid, mu, lam, alpha, beta_ks,
 
     grad = local.solve(least_squares_block_solve)
     grad_u, grad_b, grad_p, grad_t = grad["U"], grad["R"], grad["P"], grad["T"]
-    sc_to_col = local.subcell_columns()
 
     # elastic traction of the owner subcell per subface, summed over faces
     rows = np.repeat(2 * np.arange(top.num_subfaces), 4)
@@ -170,7 +169,7 @@ def mpsa_discretize(grid: SubdomainGrid, mu, lam, alpha, beta_ks,
     vals = np.concatenate([t_owner[:, 0, :].ravel(), t_owner[:, 1, :].ravel()])
     t_full = sps.csr_matrix(
         (vals, (rows, cols)), shape=(2 * top.num_subfaces, 4 * top.num_subcells)
-    ) @ sc_to_col
+    )
     sf_to_face = sps.csr_matrix(
         (np.ones(2 * top.num_subfaces),
          (np.repeat(2 * top.sf_face, 2) + np.tile([0, 1], top.num_subfaces),
@@ -200,7 +199,7 @@ def mpsa_discretize(grid: SubdomainGrid, mu, lam, alpha, beta_ks,
     d_g = sps.csr_matrix(
         (np.tile(subcell_volumes(top), 2), (np.tile(top.sc_cell, 2), dg_cols)),
         shape=(nc, 4 * top.num_subcells),
-    ) @ sc_to_col
+    )
     div_u = d_g @ grad_u
     bound_div_u = d_g @ grad_b
     stab_p = d_g @ grad_p

@@ -10,29 +10,29 @@ carry nothing.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sps
 
 from mdthm.mdmesh.grids import SubdomainGrid
 
 
-def upwind_matrices(grid: SubdomainGrid, face_flux, exclude=None):
-    """Unweighted upwind selectors: the carried value of each face is
-    S_cell @ w + S_face @ w_bc.
+def upwind(grid: SubdomainGrid, face_flux, exclude=None):
+    """The upstream side of each face, as (cells, inflow).
 
-    S_cell picks the upstream cell, the owner where the face flux is
-    nonnegative; S_face picks the boundary value on inflow boundary faces.
-    The advective face flux is the face flux times the carried value.
+    ``cells`` holds the upstream cell of each face, the owner where the
+    face flux is nonnegative and the neighbour where it is negative, and -1
+    where no cell is upstream: on inflow boundary faces, which ``inflow``
+    marks and which carry the boundary value, and on excluded faces. The
+    carried value of face f is w[cells[f]] or, on inflow, w_bc[f]; the
+    advective face flux is the face flux times it.
     """
-    nf, nc = grid.num_faces, grid.num_cells
     q = np.asarray(face_flux, dtype=float)
     owner, nbr = grid.face_cells
-    use = np.ones(nf, dtype=bool) if exclude is None else ~np.asarray(exclude, bool)
-    from_owner = use & (q >= 0.0)
-    from_nbr = use & (q < 0.0) & (nbr >= 0)
-    inflow = np.flatnonzero(use & (q < 0.0) & (nbr < 0))
+    use = np.ones(grid.num_faces, dtype=bool) if exclude is None else ~np.asarray(exclude, bool)
+    cells = np.where(q >= 0.0, owner, nbr)
+    cells[~use] = -1
+    return cells, use & (q < 0.0) & (nbr < 0)
 
-    faces = np.flatnonzero(from_owner | from_nbr)
-    cells = np.where(from_owner, owner, nbr)[faces]
-    s_cell = sps.csr_matrix((np.ones(faces.size), (faces, cells)), shape=(nf, nc))
-    s_face = sps.csr_matrix((np.ones(inflow.size), (inflow, inflow)), shape=(nf, nf))
-    return s_cell, s_face
+
+def carried(cells, inflow, w, w_bc):
+    """The value each face carries: w of its upstream cell, w_bc on inflow
+    faces, zero elsewhere."""
+    return np.where(cells >= 0, w[cells], 0.0) + np.where(inflow, w_bc, 0.0)

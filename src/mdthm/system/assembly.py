@@ -24,6 +24,22 @@ from rest under a pressure drop, into a heat source that only conduction
 balances: the first iterate then overshoots by 1e4 K and Newton diverges.
 The contact rows use the semismooth generalised Jacobian.
 
+The matrix has one sparsity pattern for the whole run, built at set-up by
+:class:`_Slots`: the union of the blocks of every contact state, of both
+upwind directions on every face and mortar, of wells in every cell, and of
+the storage terms of transient steps. With it set-up builds the constant
+part of the matrix, the blocks that depend on neither the state, the loads
+nor dt, summed once in assembly order, and a static map S from coefficient
+vectors to the slots of the pattern. Every other block is L diag(c) R with
+static L and R and a cellwise, facewise or mortar-cellwise coefficient
+vector c: the storage coefficients and volume-change weights, which carry
+1/dt; the fracture transmissibilities; the upwinded advective weights; the
+contact blocks; the interface weights; and the Newton derivatives. An
+assembly computes these vectors only and sets the matrix data to the
+constant part plus S c, one sparse matrix-vector product; a Newton block
+adds L (c R x_k) to b. A steady step gives the storage coefficients zero,
+and their slots hold explicit zeros.
+
 Each balance law is one function that loops over the dimensions 2, 1 and 0,
 never over subdomains. It reads the per-dimension view that the mesh owns:
 ``mdg.grids[dim]`` stacks the subdomains of one dimension in subdomain
@@ -31,12 +47,12 @@ order, and ``mdg.mortars[dim]`` stacks the mortars whose high side has that
 dimension (:class:`mdthm.mdmesh.mortar.MortarGroup`), whose lift restricts
 the stacked faces of the high side to all its mortar cells at once. The
 dofs of the stacks come from :meth:`DofMap.cells` and :meth:`DofMap.mortar`.
-Each iteration discretises flow and heat on all fractures with one call
-each, and the cell and face fields of the cache are one array per
-dimension. The divergence, boundary, mortar and vector-source blocks of a
-scalar discretisation and its traces on the mortars are composed by one
-function, once for the matrix and once per iteration for the fractures;
-each coupling term is one of these blocks, added with global dof columns.
+The scalar operators of the matrix are MPFA's; those of the fractures are
+the two-point form of :func:`mdthm.fvm.onedim_discretize`, built once per
+run, whose transmissibilities each cache evaluates at its apertures. Both
+split each operator into parts scaled by a facewise coefficient or by none,
+and a block composed from a part is constant exactly when neither the part
+nor the block's own weight carries a coefficient.
 
 The displacement jump of all fracture cells is one static matrix J = R D
 on the global state: D, the mesh's jump operator, takes the difference of
@@ -93,15 +109,17 @@ from mdthm.constitutive import (
 )
 from mdthm.fvm import (
     BoundaryCondition,
+    carried,
     mpfa_discretize,
     mpsa_discretize,
     onedim_discretize,
-    upwind_matrices,
+    upwind,
 )
 from mdthm.mdmesh import MixedDimGrid, split_cells
 from mdthm.system.dofs import LAM, NU, NU_ADV, NU_COND, P, T, U, U_MORTAR, DofMap, State
 
 MECH, FLOW, HEAT = "mech", "flow", "heat"
+STORAGE = "storage"  # the first element of the keys of the storage terms
 
 
 @dataclass
@@ -145,7 +163,10 @@ class IterationCache:
 
     Cell and face fields are keyed by dimension and stacked over the
     subdomains of that dimension. The fracture state (against the previous
-    time step) is stacked over all fracture cells.
+    time step) is stacked over all fracture cells. ``fracture_ops`` holds
+    the run's two-point operators of the stacked fractures
+    (:class:`mdthm.fvm.TwoPointOps`) evaluated at the iterate's flow and heat
+    diffusivities.
     """
 
     fracture: FractureState
@@ -220,6 +241,10 @@ class Assembler:
         )
         kappa_eff = mat.effective(mat.conductivity_solid, mat.conductivity_fluid)
         self.heat_ops = mpfa_discretize(g2, kappa_eff, self.bc[HEAT])
+        # the two-point form of the fractures; each cache evaluates it at
+        # the iterate's diffusivities
+        self.frac_ops = {var: onedim_discretize(g1, 1.0, self.frac_bc[var])
+                         for var in (FLOW, HEAT)}
 
         # per fracture cell, the rotation to its (tangential, normal) basis
         self.rotation = mdg.fracture_basis()
@@ -243,63 +268,88 @@ class Assembler:
         self._precompute_static()
 
     def _precompute_static(self):
-        """Freeze every state-independent sparse composition.
-
-        The matrix discretisations never change during a run, so products of
-        divergences, boundary operators and the matrix-fracture mortar
-        projections are built once, and so is the jump matrix J; the
-        fracture operators are composed by the same :meth:`_scalar_terms`
-        once per assembly.
-        """
-        mf = self.mdg.mortars[2]
+        """Freeze every state-independent part of the system: the jump
+        matrix J, the compositions of the matrix's mechanics with the
+        divergence, the walls and the mortar projections, and the run's
+        sparsity pattern with its constant part and coefficient map
+        (:class:`_Slots`), registered block by block in assembly order."""
+        mf, dofs = self.mdg.mortars[2], self.dofs
         self.J = _block_diag(self.rotation) @ self.walls
         # projection of each dimension's mortar fields onto its faces
         self.to_faces = {dim: group.lift.T.tocsr() for dim, group in self.mdg.mortars.items()}
         self.to_faces_vec = sps.kron(self.to_faces[2], sps.eye(2)).tocsr()
 
-        ops = self.mech_ops
-
-        def tractions(rowmap):
+        ops, mat = self.mech_ops, self.mat
+        slots = _Slots(dofs.num_dofs)
+        # The momentum rows sum the face tractions of each cell, the rows of
+        # the wall displacements take them with the sign of their side, the
+        # contact traction through the transpose of the jump and the
+        # fracture pressure as its normal part. The right-hand side keeps,
+        # per set of rows, the boundary operator and the tractions of the
+        # reference pressure and temperature.
+        ones = np.ones(self.matrix.num_cells)
+        walls = (sps.diags(np.repeat(mf.sides, 2)) @ self.to_faces_vec.T).tocsr()
+        wall_lam = (sps.diags(np.repeat(mf.sides * mf.areas, 2))
+                    @ self.J.T.tocsr()[dofs.mortar(2, U_MORTAR)]).tocsr()
+        self.tractions = []
+        for rows, rowmap, contact in (
+                (dofs.cells(2, U), self.div2_vec, []),
+                (dofs.mortar(2, U_MORTAR), walls, [(wall_lam, dofs.cells(1, LAM)),
+                                                   (-wall_lam[:, 1::2], dofs.cells(1, P))])):
             bound = (rowmap @ ops.bound_stress).tocsr()
-            return {
-                "stress": (rowmap @ ops.stress).tocsr(),
-                "bound": bound,
-                "grad_p": (rowmap @ ops.grad_p).tocsr(),
-                "grad_T": (rowmap @ ops.grad_T).tocsr(),
-                "bound_mortar": (bound @ self.to_faces_vec).tocsr(),
-            }
+            grad_p, grad_T = rowmap @ ops.grad_p, rowmap @ ops.grad_T
+            for block, cols in [(rowmap @ ops.stress, dofs.cells(2, U)),
+                                (grad_p, dofs.cells(2, P)), (grad_T, dofs.cells(2, T)),
+                                (bound @ self.to_faces_vec, dofs.mortar(2, U_MORTAR))] + contact:
+                slots.add(rows, cols, block)
+            self.tractions.append((rows, bound, grad_p @ (mat.reference_pressure * ones),
+                                   grad_T @ (mat.reference_temperature * ones)))
+        # the volume change of the matrix cells in all dofs, as div_u reads it
+        self._balance_blocks(slots, _over_dofs(dofs.num_dofs, (
+            (ops.div_u, dofs.cells(2, U)),
+            (ops.bound_div_u @ self.to_faces_vec, dofs.mortar(2, U_MORTAR)),
+            (ops.stab_p, dofs.cells(2, P)), (ops.stab_T, dofs.cells(2, T)))))
+        if self.fractures:
+            self._contact_blocks(slots)
+        for group in self.mdg.mortars.values():
+            if group.size:
+                self._mortar_blocks(slots, group)
+        self.slots = slots.freeze()
 
-        self.mom = tractions(self.div2_vec)
-        # the walls see the matrix face tractions with the sign of their side
-        walls = sps.diags(np.repeat(mf.sides, 2)) @ self.to_faces_vec.T
-        self.wall_tractions = tractions(walls)
-        # and the contact traction through the transpose of the jump
-        self.wall_lam = (sps.diags(np.repeat(mf.areas * mf.sides, 2))
-                         @ self.J.T.tocsr()[self.dofs.mortar(2, U_MORTAR)]).tocsr()
-        self.wall_p = -self.wall_lam[:, 1::2]
-        self.div_u_mortar = (ops.bound_div_u @ self.to_faces_vec).tocsr()
+    def _scalar_ops(self, dim, var, fracture_ops):
+        """The operators of one scalar of one dimension: MPFA's in the
+        matrix, the given two-point ones in the fractures."""
+        if dim == 2:
+            return self.flow_ops if var == FLOW else self.heat_ops
+        return fracture_ops[var]
 
-        self.matrix_terms = {FLOW: self._scalar_terms(2, self.flow_ops),
-                             HEAT: self._scalar_terms(2, self.heat_ops)}
+    @staticmethod
+    def _part_blocks(slots, name, ops, op, rows, cols, left, right=None, weighted=False,
+                     newton=False):
+        """Register left @ diag(c) @ part @ right for each part of the
+        operator ``op``: constant where c is 1, that is where the part has
+        no coefficient and the block is not ``weighted``, otherwise a term
+        keyed (name, the part's coefficient key)."""
+        for key, part in ops.parts(op):
+            if right is not None:
+                part = part @ right
+            if key is None and not weighted:
+                slots.add(rows, cols, left @ part)
+            else:
+                slots.term((name, key), rows, cols, left=left, right=part, newton=newton)
 
-    def _scalar_terms(self, dim, ops) -> dict:
-        """The blocks of one scalar discretisation of one dimension: the
-        divergence of its flux, boundary, own-mortar and vector-source
-        parts, and the high-side face traces on the mortars below it in
-        cell, boundary-data, own-mortar-flux and vector-source parts."""
-        div, lift = self.div[dim], self.mdg.mortars[dim].lift
-        div_bound = (div @ ops.bound_flux).tocsr()
-        trace_face = (lift @ ops.trace_face).tocsr()
-        return {
-            "div_flux": (div @ ops.flux).tocsr(),
-            "div_bound": div_bound,
-            "div_vsrc": (div @ ops.vector_source).tocsr(),
-            "div_bound_mortar": (div_bound @ self.to_faces[dim]).tocsr(),
-            "trace_cell": (lift @ ops.trace_cell).tocsr(),
-            "trace_face": trace_face,
-            "trace_mortar": (trace_face @ lift.T).tocsr(),
-            "trace_vsrc": (lift @ ops.trace_vector_source).tocsr(),
-        }
+    @staticmethod
+    def _part_coefficients(coefs, name, ops, op, weight=None):
+        """The coefficient vectors of the terms that :meth:`_part_blocks`
+        registered for ``op``: each part's coefficient times the block's
+        facewise ``weight``."""
+        for key, _ in ops.parts(op):
+            if key is None:
+                if weight is not None:
+                    coefs[(name, key)] = weight
+            else:
+                c = ops.coefficients[key]
+                coefs[(name, key)] = c if weight is None else weight * c
 
     # ------------------------------------------------------------------
     # lagged quantities
@@ -368,11 +418,10 @@ class Assembler:
             spec_vol_prev[dim] = specific_volume(apertures_prev[dim], dim)
         density = {dim: fluid_density(x[dofs.cells(dim, P)], x[dofs.cells(dim, T)], mat)
                    for dim in self.mdg.grids}
-        g1, v1 = self.mdg.grids[1], spec_vol[1]
+        v1 = spec_vol[1]
         fracture_ops = {
-            FLOW: onedim_discretize(g1, v1 * cubic_law(apertures[1]) / mat.viscosity,
-                                    self.frac_bc[FLOW]),
-            HEAT: onedim_discretize(g1, v1 * mat.conductivity_fluid, self.frac_bc[HEAT]),
+            FLOW: self.frac_ops[FLOW].at(v1 * cubic_law(apertures[1]) / mat.viscosity),
+            HEAT: self.frac_ops[HEAT].at(v1 * mat.conductivity_fluid),
         }
         face_flux = {dim: self.face_flux(dim, FLOW, ops, x, loads, density[dim])
                      for dim, ops in ((2, self.flow_ops), (1, fracture_ops[FLOW]))}
@@ -388,10 +437,10 @@ class Assembler:
         """The face fluxes of one scalar of one dimension in state x, by its
         operators ``ops``: the cell values, then the boundary and mortar
         data, then, given the fluid density, the gravity term rho g."""
-        q = ops.flux @ x[self.dofs.cells(dim, P if var == FLOW else T)] \
-            + ops.bound_flux @ self._scalar_boundary_values(dim, var, loads, x)
+        q = ops.apply("flux", x[self.dofs.cells(dim, P if var == FLOW else T)]) \
+            + ops.apply("bound_flux", self._scalar_boundary_values(dim, var, loads, x))
         if density is not None:
-            q = q + ops.vector_source @ self._rho_g(density)
+            q = q + ops.apply("vector_source", self._rho_g(density))
         return q
 
     def _ext_scalar(self, dim, var, loads: Loads):
@@ -448,59 +497,51 @@ class Assembler:
         return rates, h, np.where(inject, 0.0, dh_dT), dh_dp
 
     def advected_heat(self, dim, cache: IterationCache, loads: Loads, x: np.ndarray):
-        """Per face of one dimension in state x: the upwind selection of the
-        Darcy flux q, as the cell part of :func:`upwind_matrices`, and the
-        heat h that q carries: c rho T of the upstream cell, the boundary
-        weight on inflow faces, nothing on the faces that the mortars
-        couple. Also per cell, the derivatives of c rho T in T and in p."""
+        """Per face of one dimension in state x: the upstream cell of the
+        Darcy flux q (-1 where none, :func:`mdthm.fvm.upwind`), and the heat
+        h that q carries: c rho T of the upstream cell, the boundary weight
+        on inflow faces, nothing on the faces that the mortars couple. Also
+        per cell, the derivatives of c rho T in T and in p."""
         grid = self.mdg.grids[dim]
-        s_cell, s_face = upwind_matrices(grid, cache.face_flux[dim], grid.tags["internal"])
+        cells, inflow = upwind(grid, cache.face_flux[dim], grid.tags["internal"])
         h_cell, dh_dT, dh_dp = carried_heat(cache.density[dim], x[self.dofs.cells(dim, T)],
                                             self.mat)
-        h = s_cell @ h_cell + s_face @ self.boundary_heat_weight(dim, loads, x)
-        return s_cell, h, dh_dT, dh_dp
+        h = carried(cells, inflow, h_cell, self.boundary_heat_weight(dim, loads, x))
+        return cells, h, dh_dT, dh_dp
 
     # ------------------------------------------------------------------
     # assembly
     # ------------------------------------------------------------------
     def assemble(self, state: State, cache: IterationCache, dt: float,
                  steady: bool, loads: Loads):
-        n = self.dofs.num_dofs
-        acc = _Coo(n)
-        b = np.zeros(n)
-        terms = {2: self.matrix_terms,
-                 1: {var: self._scalar_terms(1, ops) for var, ops in cache.fracture_ops.items()}}
-        self._matrix_momentum(acc, b, loads)
-        self._balances(acc, b, state, cache, terms, dt, steady, loads)
-        self._contact_rows(acc, b, cache)
-        self._traction_balance(acc, b, loads)
-        for dim, group in self.mdg.mortars.items():
+        """The system linearised at ``state.current``: a new CSR matrix on
+        the run's pattern, which shares its index arrays with every other
+        and owns its data, and the right-hand side."""
+        dofs = self.dofs
+        coefs = {}
+        b = np.zeros(dofs.num_dofs)
+        self._traction_rhs(b, loads)
+        _add_to(b, dofs.cells(2, U),
+                -self._rho_g(self.mat.density_solid * self.matrix.cell_volumes))
+        self._balances(coefs, b, state, cache, dt, steady, loads)
+        if self.fractures:
+            self._contact_rows(coefs, b, cache)
+        for group in self.mdg.mortars.values():
             if group.size:
-                self._mortar_flux_rows(acc, b, group, terms[dim], state, cache, loads)
-        return acc.matrix(), b
+                self._mortar_flux_rows(coefs, b, group, state, cache, loads)
+        self.slots.newton_rhs(b, coefs, state.current)
+        return self.slots.matrix(coefs), b
 
     # -- momentum ----------------------------------------------------------
-    def _momentum_traction_terms(self, acc, b, rows, bundle, loads):
-        """Add the face tractions that ``bundle`` maps to the given rows."""
-        dofs, mat = self.dofs, self.mat
-        acc.add_mat(rows, dofs.cells(2, U), bundle["stress"])
-        acc.add_mat(rows, dofs.cells(2, P), bundle["grad_p"])
-        acc.add_mat(rows, dofs.cells(2, T), bundle["grad_T"])
-        acc.add_mat(rows, dofs.mortar(2, U_MORTAR), bundle["bound_mortar"])
+    def _traction_rhs(self, b, loads):
+        """The boundary data and the reference state of the face tractions
+        that the momentum rows and the wall rows sum."""
         ext = self._ext_mech(loads.bc_mech)
-        ones = np.ones(self.matrix.num_cells)
-        b_contrib = -(bundle["bound"] @ ext)
-        b_contrib += bundle["grad_p"] @ (mat.reference_pressure * ones)
-        b_contrib += bundle["grad_T"] @ (mat.reference_temperature * ones)
-        _add_to(b, rows, b_contrib)
-
-    def _matrix_momentum(self, acc, b, loads):
-        """The rows sum the outward face tractions of each cell, which
-        balance the body force: sum of tractions = -rho_s g V."""
-        g, mat = self.matrix, self.mat
-        rows = self.dofs.cells(2, U)
-        self._momentum_traction_terms(acc, b, rows, self.mom, loads)
-        _add_to(b, rows, -self._rho_g(mat.density_solid * g.cell_volumes))
+        for rows, bound, ref_p, ref_T in self.tractions:
+            b_contrib = -(bound @ ext)
+            b_contrib += ref_p
+            b_contrib += ref_T
+            _add_to(b, rows, b_contrib)
 
     # -- mass and energy -----------------------------------------------------
     def accumulation(self, state: State, cache: IterationCache, dt: float) -> dict:
@@ -560,29 +601,61 @@ class Assembler:
             rem_new = tanp * np.abs(jumps[0::2])
         return jumps[1::2] + rem_new - v_prev, v_prev - rem_new
 
-    def _balances(self, acc, b, state, cache, terms, dt, steady, loads):
+    def _balance_blocks(self, slots, volume_change):
+        """The blocks of the mass (rows p) and energy (rows T) balances, in
+        the order of :meth:`_balances`; ``volume_change`` is that of the
+        matrix cells over all dofs."""
+        dofs = self.dofs
+        for var, svar in ((P, FLOW), (T, HEAT)):
+            other = T if var == P else P
+            for dim in self.mdg.grids:
+                rows = dofs.cells(dim, var)
+                # storage: the volume change is implicit in the matrix
+                # through div u, on fractures through J
+                slots.term((STORAGE, dim, var, var), rows, rows)
+                slots.term((STORAGE, dim, var, other), rows, dofs.cells(dim, other))
+                if dim > 0:
+                    volume = volume_change if dim == 2 else self.J[1::2]
+                    slots.term((STORAGE, dim, var), rows, None, right=volume)
+                if var == T and dim < 2:
+                    for v in (T, P):
+                        slots.term((STORAGE, dim, "dweight", v), rows, dofs.cells(dim, v),
+                                   newton=True)
+                if dim > 0:
+                    self._flux_divergence_blocks(slots, dim, svar)
+                    if var == T:
+                        self._advective_blocks(slots, dim)
+                if dim < 2:
+                    group = self.mdg.mortars[dim + 1]
+                    keys = (NU,) if var == P else (NU_ADV, NU_COND)
+                    slots.add(np.tile(rows[group.lo], len(keys)),
+                              np.concatenate([dofs.mortar(dim + 1, key) for key in keys]), -1.0)
+                if var == T:
+                    for v in (T, P):
+                        slots.term(("well", dim, v), rows, dofs.cells(dim, v), newton=True)
+
+    def _balances(self, coefs, b, state, cache, dt, steady, loads):
         """Mass (rows p) and energy (rows T) balances of the matrix, the
         fractures and the intersection points: accumulation (transient
         only), conductive and advective transport, and sources: mortar
         fluxes from the dimension above and wells."""
+        if steady:
+            coefs.update((key, 0.0) for key in self.slots.keys if key[0] == STORAGE)
         accumulation = None if steady else self.accumulation(state, cache, dt)
         for var, svar in ((P, FLOW), (T, HEAT)):
             for dim in self.mdg.grids:
                 if not steady:
-                    self._storage(acc, b, dim, var, accumulation[dim][var], state, loads)
+                    self._storage(coefs, b, dim, var, accumulation[dim][var], state, loads)
                 if dim > 0:
-                    self._scalar_flux_divergence(acc, b, dim, svar, terms[dim][svar], cache,
-                                                 loads)
+                    self._flux_divergence(coefs, b, dim, svar, cache, loads)
                     if var == T:
-                        self._advective_divergence(acc, b, dim, cache, loads, state)
-                if dim < 2:
-                    self._mortar_sources(acc, dim, var, (NU,) if var == P else (NU_ADV, NU_COND))
+                        self._advective_divergence(coefs, b, dim, cache, loads, state)
                 if var == P:
                     _add_to(b, self.dofs.cells(dim, P), self._wells(dim, loads)[0])
                 else:
-                    self._well_energy(acc, b, dim, loads, state)
+                    self._well_energy(coefs, b, dim, loads, state)
 
-    def _storage(self, acc, b, dim, var, a: Accumulation, state, loads):
+    def _storage(self, coefs, b, dim, var, a: Accumulation, state, loads):
         """The accumulation of the balance of ``var`` of one dimension's
         cells, implicit in p and T against the previous step. The volume
         change is implicit in the matrix through div u (u, the mortar
@@ -591,25 +664,20 @@ class Assembler:
         dofs, xp = self.dofs, state.prev_step
         other = T if var == P else P
         rows, cols = dofs.cells(dim, var), dofs.cells(dim, other)
-        acc.add(rows, rows, a.coef[var])
-        acc.add(rows, cols, a.coef[other])
+        coefs[(STORAGE, dim, var, var)] = a.coef[var]
+        coefs[(STORAGE, dim, var, other)] = a.coef[other]
         _add_to(b, rows, a.coef[var] * xp[rows] + a.coef[other] * xp[cols])
+        if dim > 0:
+            coefs[(STORAGE, dim, var)] = a.weight
         if dim == 2:
-            ops = self.mech_ops
-            w = sps.diags(a.weight)
-            acc.add_mat(rows, dofs.cells(2, U), w @ ops.div_u)
-            acc.add_mat(rows, dofs.mortar(2, U_MORTAR), w @ self.div_u_mortar)
-            acc.add_mat(rows, dofs.cells(2, P), w @ ops.stab_p)
-            acc.add_mat(rows, dofs.cells(2, T), w @ ops.stab_T)
             # previous-step value, including its boundary data
             _add_to(b, rows, a.weight * self.div_u(xp, loads.bc_mech_prev))
-            _add_to(b, rows, -((w @ ops.bound_div_u) @ self._ext_mech(loads.bc_mech)))
+            _add_to(b, rows, -(a.weight * (self.mech_ops.bound_div_u
+                                           @ self._ext_mech(loads.bc_mech))))
             return
-        if dim == 1:
-            acc.add_mat(rows, None, sps.diags(a.weight) @ self.J[1::2])
         _add_to(b, rows, a.weight * a.lagged)
-        _newton(acc, b, rows, state.current,
-                [(dofs.cells(dim, v), sps.diags(d)) for v, d in a.dweight.items()])
+        for v, d in a.dweight.items():
+            coefs[(STORAGE, dim, "dweight", v)] = d
 
     def div_u(self, x: np.ndarray, bc_mech: np.ndarray) -> np.ndarray:
         """The cellwise volume change of the matrix at state x with the
@@ -619,18 +687,50 @@ class Assembler:
         return (ops.div_u @ x[dofs.cells(2, U)] + ops.bound_div_u @ bc
                 + ops.stab_p @ x[dofs.cells(2, P)] + ops.stab_T @ x[dofs.cells(2, T)])
 
-    def _scalar_flux_divergence(self, acc, b, dim, var, terms, cache, loads):
-        """div of diffusive (+gravity) fluxes of one scalar in one dimension,
-        from that dimension's :meth:`_scalar_terms`."""
+    def _flux_divergence_blocks(self, slots, dim, var):
         cells = self.dofs.cells(dim, P if var == FLOW else T)
-        acc.add_mat(cells, cells, terms["div_flux"])
-        acc.add_mat(cells, self.dofs.mortar(dim, NU if var == FLOW else NU_COND),
-                    terms["div_bound_mortar"])
-        _add_to(b, cells, -(terms["div_bound"] @ self._ext_scalar(dim, var, loads)))
-        if var == FLOW and np.any(np.asarray(self.mat.gravity)):
-            _add_to(b, cells, -(terms["div_vsrc"] @ self._rho_g(cache.density[dim])))
+        ops, div = self._scalar_ops(dim, var, self.frac_ops), self.div[dim]
+        self._part_blocks(slots, ("div_flux", dim, var), ops, "flux", cells, cells, div)
+        self._part_blocks(slots, ("div_bound", dim, var), ops, "bound_flux", cells,
+                          self.dofs.mortar(dim, NU if var == FLOW else NU_COND), div,
+                          right=self.to_faces[dim])
 
-    def _advective_divergence(self, acc, b, dim, cache, loads, state):
+    def _flux_divergence(self, coefs, b, dim, var, cache, loads):
+        """div of diffusive (+gravity) fluxes of one scalar in one dimension:
+        in the cells and the mortar data of the internal faces, and on the
+        right-hand side the external boundary data and gravity."""
+        cells = self.dofs.cells(dim, P if var == FLOW else T)
+        ops, div = self._scalar_ops(dim, var, cache.fracture_ops), self.div[dim]
+        self._part_coefficients(coefs, ("div_flux", dim, var), ops, "flux")
+        self._part_coefficients(coefs, ("div_bound", dim, var), ops, "bound_flux")
+        _add_to(b, cells, -(div @ ops.apply("bound_flux", self._ext_scalar(dim, var, loads))))
+        if var == FLOW and np.any(np.asarray(self.mat.gravity)):
+            _add_to(b, cells, -(div @ ops.apply("vector_source", self._rho_g(cache.density[dim]))))
+
+    def _advective_blocks(self, slots, dim):
+        """The blocks of :meth:`_advective_divergence`: both upwind
+        directions of every face that carries heat, as a pick of each face's
+        owner and of its neighbour."""
+        dofs, grid, div = self.dofs, self.mdg.grids[dim], self.div[dim]
+        t, p = dofs.cells(dim, T), dofs.cells(dim, P)
+        carries = ~grid.tags["internal"]
+        for side, cells in zip(("owner", "nbr"), grid.face_cells):
+            faces = np.flatnonzero(carries & (cells >= 0))
+            pick = sps.csr_matrix((np.ones(faces.size), (faces, cells[faces])),
+                                  shape=(grid.num_faces, grid.num_cells))
+            for v, cols in ((T, t), (P, p)):
+                slots.term(("adv", dim, side, v), t, cols, left=div, right=pick, newton=True)
+        ops = self._scalar_ops(dim, FLOW, self.frac_ops)
+        self._part_blocks(slots, ("adv_flux", dim), ops, "flux", t, p, div, weighted=True,
+                          newton=True)
+        self._part_blocks(slots, ("adv_bound", dim), ops, "bound_flux", t,
+                          dofs.mortar(dim, NU), div, right=self.to_faces[dim], weighted=True,
+                          newton=True)
+        # advective transfer through internal faces enters via the mortar
+        # advective unknowns
+        slots.add(t, dofs.mortar(dim, NU_ADV), div @ self.to_faces[dim])
+
+    def _advective_divergence(self, coefs, b, dim, cache, loads, state):
         """The divergence of the upwinded advective heat fluxes q h,
         linearised by Newton in p, T and the mortar fluxes nu.
 
@@ -639,80 +739,86 @@ class Assembler:
         derivatives; the flux's derivatives are its operators. The density
         of the boundary weight is lagged (see the module).
         """
-        div, dofs, x = self.div[dim], self.dofs, state.current
-        ops = self.flow_ops if dim == 2 else cache.fracture_ops[FLOW]
-        p, t = dofs.cells(dim, P), dofs.cells(dim, T)
+        grid, x = self.mdg.grids[dim], state.current
         q = cache.face_flux[dim]
-        s_cell, h, dh_dT, dh_dp = self.advected_heat(dim, cache, loads, x)
-        div_q_up, div_h = div @ sps.diags(q) @ s_cell, div @ sps.diags(h)
-        _newton(acc, b, t, x, (
-            (t, div_q_up @ sps.diags(dh_dT)),
-            (p, div_q_up @ sps.diags(dh_dp) + div_h @ ops.flux),
-            (dofs.mortar(dim, NU), div_h @ ops.bound_flux @ self.to_faces[dim]),
-        ))
-        _add_to(b, t, -(div @ (q * h)))
-        # advective transfer through internal faces enters via the mortar
-        # advective unknowns
-        acc.add_mat(t, dofs.mortar(dim, NU_ADV), div @ self.to_faces[dim])
+        up, h, dh_dT, dh_dp = self.advected_heat(dim, cache, loads, x)
+        for side, cells in zip(("owner", "nbr"), grid.face_cells):
+            upstream = (up == cells) & (up >= 0)
+            for v, dh in ((T, dh_dT), (P, dh_dp)):
+                coefs[("adv", dim, side, v)] = np.where(upstream, q * dh[up], 0.0)
+        ops = self._scalar_ops(dim, FLOW, cache.fracture_ops)
+        self._part_coefficients(coefs, ("adv_flux", dim), ops, "flux", h)
+        self._part_coefficients(coefs, ("adv_bound", dim), ops, "bound_flux", h)
+        _add_to(b, self.dofs.cells(dim, T), -(self.div[dim] @ (q * h)))
 
-    def _mortar_sources(self, acc, dim, var, keys):
-        """The mortar fluxes ``keys`` from the dimension above enter the
-        balance of ``var`` of one dimension's cells as sources."""
-        group = self.mdg.mortars[dim + 1]
-        rows = np.tile(self.dofs.cells(dim, var)[group.lo], len(keys))
-        cols = np.concatenate([self.dofs.mortar(dim + 1, key) for key in keys])
-        acc.add(rows, cols, -np.ones(rows.size))
-
-    def _well_energy(self, acc, b, dim, loads, state):
+    def _well_energy(self, coefs, b, dim, loads, state):
         """The heat q h that wells carry in (q > 0) or out, linearised by
-        Newton in the cells' T and p."""
-        x = state.current
-        rates, h, dh_dT, dh_dp = self.well_heat(dim, loads, x)
-        wells = np.flatnonzero(rates)
-        if wells.size == 0:
-            return
-        t, p = self.dofs.cells(dim, T)[wells], self.dofs.cells(dim, P)[wells]
-        q = rates[wells]
-        _newton(acc, b, t, x, ((t, sps.diags(-q * dh_dT[wells])),
-                               (p, sps.diags(-q * dh_dp[wells]))))
-        _add_to(b, t, q * h[wells])
+        Newton in the cells' T and p; zero where there is no well."""
+        rates, h, dh_dT, dh_dp = self.well_heat(dim, loads, state.current)
+        coefs[("well", dim, T)] = -rates * dh_dT
+        coefs[("well", dim, P)] = -rates * dh_dp
+        _add_to(b, self.dofs.cells(dim, T), rates * h)
 
     # -- contact and interface rows -----------------------------------------
-    def _contact_rows(self, acc, b, cache):
-        """Contact conditions of every fracture cell in lam and the jump J x."""
-        if not self.fractures:
-            return
-        mat = self.mat
+    def _contact_blocks(self, slots):
+        """Per fracture cell, a 2x2 block on its tractions and one on its
+        jump J x, with coefficient k = 4 c + 2 r + s for the entry (r, s) of
+        cell c."""
         rows = self.dofs.cells(1, LAM)
+        k = np.arange(2 * rows.size)
+        cell, r, s = k // 4, (k // 2) % 2, k % 2
+        to_row = sps.csr_matrix((np.ones(k.size), (2 * cell + r, k)), shape=(rows.size, k.size))
+        to_col = sps.csr_matrix((np.ones(k.size), (k, 2 * cell + s)), shape=(k.size, rows.size))
+        slots.term(("contact", LAM), rows, rows, left=to_row, right=to_col)
+        slots.term(("contact", "jump"), rows, None, left=to_row, right=to_col @ self.J)
+
+    def _contact_rows(self, coefs, b, cache):
+        """Contact conditions of every fracture cell in lam and the jump J x."""
+        mat = self.mat
         frac = cache.fracture
         lam = frac.lam
         a_lam, a_jump, rhs = ct.contact_rows(
             frac.contact, lam[0::2], lam[1::2], frac.jumps[0::2], frac.jumps[1::2],
             frac.jumps_ref[0::2], frac.gaps, frac.dgaps, self.c_num, mat.friction_coefficient,
         )
-        acc.add_mat(rows, rows, _block_diag(a_lam))
-        acc.add_mat(rows, None, _block_diag(a_jump) @ self.J)
-        _add_to(b, rows, rhs.ravel())
+        coefs[("contact", LAM)] = a_lam.ravel()
+        coefs[("contact", "jump")] = a_jump.ravel()
+        _add_to(b, self.dofs.cells(1, LAM), rhs.ravel())
 
-    def _traction_balance(self, acc, b, loads):
-        """Rows of the mortar displacements: contact traction balances the
-        projected matrix traction minus the fracture pressure."""
-        rows = self.dofs.mortar(2, U_MORTAR)
-        acc.add_mat(rows, self.dofs.cells(1, LAM), self.wall_lam)
-        acc.add_mat(rows, self.dofs.cells(1, P), self.wall_p)
-        self._momentum_traction_terms(acc, b, rows, self.wall_tractions, loads)
+    def _mortar_blocks(self, slots, group):
+        """The blocks of :meth:`_mortar_flux_rows`; the advective rows take
+        both sides of each mortar as upstream."""
+        dofs, dim, lift = self.dofs, group.dim, group.lift
+        for var, svar, key in ((P, FLOW, NU), (T, HEAT, NU_COND)):
+            rows = dofs.mortar(dim, key)
+            slots.add(rows, rows, 1.0)
+            slots.term(("mortar", dim, var), rows, dofs.cells(dim - 1, var)[group.lo])
+            ops = self._scalar_ops(dim, svar, self.frac_ops)
+            self._part_blocks(slots, ("trace_cell", dim, var), ops, "trace_cell", rows,
+                              dofs.cells(dim, var), -lift, weighted=True)
+            self._part_blocks(slots, ("trace_face", dim, var), ops, "trace_face", rows, rows,
+                              -lift, right=lift.T, weighted=True)
+        rows = dofs.mortar(dim, NU_ADV)
+        slots.add(rows, rows, 1.0)
+        slots.term(("mortar_adv", dim, NU), rows, dofs.mortar(dim, NU), newton=True)
+        for v in (T, P):
+            slots.term(("mortar_adv", dim, v, "hi"), rows, dofs.cells(dim, v)[group.hi],
+                       newton=True)
+            slots.term(("mortar_adv", dim, v, "lo"), rows, dofs.cells(dim - 1, v)[group.lo],
+                       newton=True)
 
-    def _mortar_flux_rows(self, acc, b, group, terms, state, cache, loads):
-        """Interface laws of one mortar group, with the high side's
-        :meth:`_scalar_terms`.
+    def _mortar_flux_rows(self, coefs, b, group, state, cache, loads):
+        """Interface laws of one mortar group, with the high side's face
+        traces.
 
         Darcy and Fourier fluxes are w (trace of the high side - low cell
         value), with w = A V_high 2 kappa / a_low; the advective flux is the
         fluid flux times c rho T on its upstream side, linearised by Newton
-        in the fluid flux and in the upstream cell's T and p.
+        in the fluid flux and in the upstream cell's T and p. The lift picks
+        one face per mortar cell, so diag(w) lift diag(c) = lift diag(w' c)
+        with w' = lift^T w on the faces.
         """
         mat, dofs, dim, hi, lo = self.mat, self.dofs, group.dim, group.hi, group.lo
-        ones = np.ones(group.size)
         v_high = cache.spec_vol[dim][hi]
         a_low = cache.apertures[dim - 1][lo]
         k_low = cubic_law(a_low)
@@ -722,16 +828,17 @@ class Assembler:
 
         for var, svar, key, w in ((P, FLOW, NU, w_flow), (T, HEAT, NU_COND, w_heat)):
             rows = dofs.mortar(dim, key)
-            acc.add(rows, rows, ones)
-            acc.add(rows, dofs.cells(dim - 1, var)[lo], w)
-            wd = sps.diags(w)
-            tr = terms[svar]
-            acc.add_mat(rows, dofs.cells(dim, var), -(wd @ tr["trace_cell"]))
-            acc.add_mat(rows, rows, -(wd @ tr["trace_mortar"]))
-            _add_to(b, rows, w * (tr["trace_face"] @ self._ext_scalar(dim, svar, loads)))
+            coefs[("mortar", dim, var)] = w
+            ops = self._scalar_ops(dim, svar, cache.fracture_ops)
+            w_faces = self.to_faces[dim] @ w
+            self._part_coefficients(coefs, ("trace_cell", dim, var), ops, "trace_cell", w_faces)
+            self._part_coefficients(coefs, ("trace_face", dim, var), ops, "trace_face", w_faces)
+            trace = ops.apply("trace_face", self._ext_scalar(dim, svar, loads))
+            _add_to(b, rows, w * (group.lift @ trace))
             if var == P and np.any(np.asarray(mat.gravity)):
                 grav = np.asarray(mat.gravity, float)
-                _add_to(b, rows, w * (tr["trace_vsrc"] @ self._rho_g(cache.density[dim])))
+                trace = ops.apply("trace_vector_source", self._rho_g(cache.density[dim]))
+                _add_to(b, rows, w * (group.lift @ trace))
                 # gravity term of the interface law itself
                 rho_l = cache.density[dim - 1][lo]
                 gn = (grav[:, None] * group.normals).sum(axis=0)
@@ -740,50 +847,138 @@ class Assembler:
 
         # advective rows: nu_adv = nu c rho T(upstream side)
         rows, x = dofs.mortar(dim, NU_ADV), state.current
-        nu_dofs = dofs.mortar(dim, NU)
-        nu = x[nu_dofs]
+        nu = x[dofs.mortar(dim, NU)]
         high = nu > 0
 
         def upstream(var):
             return np.where(high, dofs.cells(dim, var)[hi], dofs.cells(dim - 1, var)[lo])
 
-        t_up, p_up = upstream(T), upstream(P)
         rho = np.where(high, cache.density[dim][hi], cache.density[dim - 1][lo])
-        h, dh_dT, dh_dp = carried_heat(rho, x[t_up], mat)
-        acc.add(rows, rows, ones)
-        _newton(acc, b, rows, x, ((nu_dofs, sps.diags(-h)),
-                                  (t_up, sps.diags(-nu * dh_dT)),
-                                  (p_up, sps.diags(-nu * dh_dp))))
+        h, dh_dT, dh_dp = carried_heat(rho, x[upstream(T)], mat)
+        coefs[("mortar_adv", dim, NU)] = -h
+        for v, dh in ((T, dh_dT), (P, dh_dp)):
+            coefs[("mortar_adv", dim, v, "hi")] = np.where(high, -nu * dh, 0.0)
+            coefs[("mortar_adv", dim, v, "lo")] = np.where(high, 0.0, -nu * dh)
         _add_to(b, rows, nu * h)
 
 
-class _Coo:
-    """Coordinate-format accumulator of the system matrix: lists of rows,
-    columns and values, whose entries at equal positions add up."""
+class _Slots:
+    """The run's sparsity pattern of the system matrix, and the static map
+    from coefficient vectors to its slots.
 
-    def __init__(self, n):
+    Blocks are registered at set-up in assembly order: constant ones by
+    :meth:`add`, the others by :meth:`term` as L diag(c) R, with a key that
+    names the coefficient vector c. :meth:`freeze` builds the pattern (CSR,
+    sorted columns), the constant data, summed in registration order, and S,
+    which maps the coefficient vectors, concatenated in registration order,
+    to the slots. S is stored by columns, so that every slot sums its terms
+    in that order. Per assembly, :meth:`matrix` sets the data to the
+    constant part plus S c, and :meth:`newton_rhs` adds L (c R x) of each
+    Newton term to b.
+    """
+
+    def __init__(self, n: int):
         self.n = n
-        self.rows, self.cols, self.vals = [], [], []
+        self.keys, self.sizes = [], []
+        self.newton = []  # (key, rows, cols, L, R) of each Newton term
+        # (rows, cols, values) of the constant blocks; (rows, cols, weights,
+        # coefficient indices) of the terms
+        self._const, self._terms = [], []
+        self._by_columns = {}  # id(L) -> (L, L by columns)
 
-    def add(self, rows, cols, vals):
-        rows = np.asarray(rows, dtype=int)
-        self.rows.append(rows)
-        self.cols.append(np.asarray(cols, dtype=int))
-        self.vals.append(np.broadcast_to(np.asarray(vals, dtype=float), rows.shape))
+    def add(self, rows, cols, block):
+        """A constant block: a sparse matrix over the dofs (rows, cols), all
+        dofs where cols is None, or values on the pairs (rows[i], cols[i])."""
+        rows = np.asarray(rows, dtype=np.int32)
+        if sps.issparse(block):
+            block = block.tocsr()
+            rows = np.repeat(rows, np.diff(block.indptr))
+            cols = block.indices if cols is None else _as_index(cols)[block.indices]
+            block = block.data
+        self._const.append((rows, _as_index(cols), np.broadcast_to(block, rows.shape)))
 
-    def add_mat(self, rows, cols, mat):
-        """Add a sparse block whose columns are the global dofs ``cols``, or
-        all dofs in order where ``cols`` is None."""
-        m = mat.tocoo()
-        if m.nnz == 0:
+    def term(self, key, rows, cols, left=None, right=None, newton=False):
+        """The block L diag(c) R over the dofs (rows, cols), all dofs where
+        cols is None, with its coefficient vector c named by ``key``. L and R
+        default to identities; with neither, c sits on the pairs (rows[i],
+        cols[i])."""
+        if newton:
+            self.newton.append((key, rows, cols, None if left is None else left.tocsr(),
+                                None if right is None else right.tocsr()))
+        rows, cols = _as_index(rows), None if cols is None else _as_index(cols)
+        size = rows.size if left is None else left.shape[1]
+        index = sum(self.sizes) + np.arange(size, dtype=np.int32)
+        self.keys.append(key)
+        self.sizes.append(size)
+        if right is None and left is None:
+            self._terms.append((rows, cols, np.ones(size), index))
             return
-        self.add(np.asarray(rows)[m.row], m.col if cols is None else cols[m.col], m.data)
+        rm = (sps.identity(size) if right is None else right).tocsr()
+        counts = np.diff(rm.indptr)
+        if left is None:
+            col, weights = rm.indices, rm.data
+            rows, index = np.repeat(rows, counts), np.repeat(index, counts)
+        else:
+            # L by columns, so that the entries come in coefficient order;
+            # many terms share an L, the divergence above all
+            if id(left) not in self._by_columns:
+                self._by_columns[id(left)] = left, left.tocsc()
+            lm = self._by_columns[id(left)][1]
+            lcol = np.repeat(np.arange(size), np.diff(lm.indptr))
+            counts = counts[lcol]
+            pos = (np.repeat(rm.indptr[lcol] - (np.cumsum(counts) - counts), counts)
+                   + np.arange(counts.sum()))
+            col, weights = rm.indices[pos], np.repeat(lm.data, counts) * rm.data[pos]
+            rows, index = rows[np.repeat(lm.indices, counts)], np.repeat(index[lcol], counts)
+        self._terms.append((rows, col if cols is None else cols[col], weights, index))
 
-    def matrix(self):
-        rows = np.concatenate(self.rows)
-        cols = np.concatenate(self.cols)
-        vals = np.concatenate(self.vals)
-        return sps.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+    def freeze(self) -> _Slots:
+        n, m = self.n, sum(self.sizes)
+        const_rows, const_cols, const = (np.concatenate(p) for p in zip(*self._const))
+        rows, cols, weights, index = (np.concatenate(p) for p in zip(*self._terms))
+        del self._const, self._terms, self._by_columns
+        # one conversion sums the constant blocks and gives the pattern, in
+        # which the terms' entries are explicit zeros
+        A = sps.csr_matrix((np.concatenate([const, np.zeros(rows.size)]),
+                            (np.concatenate([const_rows, rows]),
+                             np.concatenate([const_cols, cols]))), shape=(n, n))
+        # copies: the summed arrays are views of buffers sized for all entries
+        self.const, self.indptr, self.indices = A.data.copy(), A.indptr, A.indices.copy()
+        # every matrix shares these; an in-place change of the structure of
+        # one would corrupt all
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
+        slot_of = sps.csr_matrix((np.arange(A.nnz, dtype=float), self.indices, self.indptr),
+                                 shape=(n, n))
+        slot = np.asarray(slot_of[rows, cols]).ravel().astype(np.int32)
+        # the entries of the terms come in coefficient order
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(index, minlength=m))])
+        self.S = sps.csc_matrix((weights, slot, indptr), shape=(A.nnz, m))
+        return self
+
+    def matrix(self, coefs: dict) -> sps.csr_matrix:
+        c = np.concatenate([np.broadcast_to(coefs[key], (size,))
+                            for key, size in zip(self.keys, self.sizes)])
+        return sps.csr_matrix((self.const + self.S @ c, self.indices, self.indptr),
+                              shape=(self.n, self.n))
+
+    def newton_rhs(self, b, coefs: dict, x):
+        for key, rows, cols, left, right in self.newton:
+            v = x if cols is None else x[cols]
+            v = coefs[key] * (v if right is None else right @ v)
+            _add_to(b, rows, v if left is None else left @ v)
+
+
+def _over_dofs(n, blocks) -> sps.csr_matrix:
+    """Sparse blocks with equal rows, each given with the global dofs of its
+    columns, which differ from block to block, side by side as one matrix
+    over all n dofs."""
+    m = sps.hstack([b for b, _ in blocks], format="csr")
+    cols = np.concatenate([c for _, c in blocks])
+    return sps.csr_matrix((m.data, cols[m.indices], m.indptr), shape=(m.shape[0], n))
+
+
+def _as_index(dofs) -> np.ndarray:
+    return np.asarray(dofs, dtype=np.int32)
 
 
 def _block_diag(blocks) -> sps.csr_matrix:
@@ -792,14 +987,6 @@ def _block_diag(blocks) -> sps.csr_matrix:
     n = 2 * blocks.shape[0]
     cols = np.repeat(np.arange(n).reshape(-1, 2), 2, axis=0).ravel()
     return sps.csr_matrix((np.ravel(blocks), cols, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
-
-
-def _newton(acc, b, rows, x, blocks):
-    """Add derivative blocks D of the rows' residual at the iterate x, as
-    (global columns, block) pairs: A += D and b += D x."""
-    for cols, block in blocks:
-        acc.add_mat(rows, cols, block)
-        _add_to(b, rows, block @ x[cols])
 
 
 def _add_to(b, rows, vals):

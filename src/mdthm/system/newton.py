@@ -70,7 +70,7 @@ class DirectSolver:
     - A_MM^-1 is one K solve and one solve with the small dense Schur
       complement A_CC - A_CE W, which is factored on each call.
     - The correction of the scalar unknowns from the starting point x0
-      solves A_SS, when no scalar row has an entry in a mechanics column
+      solves A_SS, when no scalar row has a nonzero in a mechanics column
       (every steady system), or else the Schur complement
       A_SS - A_SM A_MM^-1 A_MS, applied matrix-free, by GMRES. Its
       preconditioner is an LU of A_SS, reused until :meth:`start_step` or
@@ -81,6 +81,12 @@ class DirectSolver:
     - The mechanics follow by x_M = A_MM^-1 (b_M - A_MS x_S), with two
       rounds of iterative refinement.
 
+    Assembly gives every matrix of a run the same sparsity pattern. For a
+    pattern, :class:`_Blocks` fixes once the gather from A's data to the
+    equilibrated matrix in the order E, C, S and to each block; each call
+    refills the blocks' data in place, so that a solve builds no sparse
+    matrix but the ones it factors. A new pattern gets new gathers.
+
     Without ``mechanics`` M is empty and GMRES solves the whole system. The
     residual of the whole system is checked against SOLVE_TOL.
     """
@@ -89,7 +95,8 @@ class DirectSolver:
                  contact: np.ndarray | None = None):
         self.mechanics = mechanics
         self.contact = contact
-        self._elastic = None  # (equilibrated E rows, LU of K, W) as factored
+        self._blocks = None  # the gathers of the pattern last solved
+        self._elastic = None  # (equilibrated E rows' data, LU of K, W) as factored
         self._precond = None  # LU of the equilibrated A_SS
 
     def start_step(self):
@@ -106,24 +113,25 @@ class DirectSolver:
         A = A.tocsr()
         n = A.shape[0]
         cs = np.ones(n) if col_scale is None else np.asarray(col_scale)
-        perm, n_e, n_m = self._ordering(n)
+        if self._blocks is None or not self._blocks.fits(A):
+            self._blocks = _Blocks(A, *self._ordering(n))
+            self._elastic = None
+        blk = self._blocks
+        perm, n_m = blk.perm, blk.n_m
         # the equilibrated system, ordered E, C, S
-        scaled = A[perm][:, perm] @ sps.diags(cs[perm])
-        row_max = np.maximum(np.abs(scaled).max(axis=1).toarray().ravel(), 1e-300)
-        scaled = (sps.diags(1.0 / row_max) @ scaled).tocsr()
+        row_max = blk.equilibrate(A, cs[perm])
         bs = b[perm] / row_max
         y = np.zeros(n) if x0 is None else x0[perm] / cs[perm]
 
-        mech = self._mechanics_inverse(scaled, n_e, n_m)
-        r = bs - scaled @ y
+        mech = self._mechanics_inverse(blk)
+        r = bs - blk.full @ y
         floor = GMRES_FLOOR * np.linalg.norm(bs[n_m:])
-        y[n_m:] += self._scalar_correction(scaled, n_m, mech, r, floor)
+        y[n_m:] += self._scalar_correction(blk, mech, r, floor)
         # back-substitution, refined towards the roundoff of the M block
-        a_mm = scaled[:n_m, :n_m]
-        rhs = bs[:n_m] - scaled[:n_m, n_m:] @ y[n_m:]
-        y_m = mech(rhs)
-        for _ in range(2):
-            y_m += mech(rhs - a_mm @ y_m)
+        y_m = np.zeros(n_m)
+        for _ in range(3):
+            y[:n_m] = y_m
+            y_m = y_m + mech(bs[:n_m] - blk.m_rows @ y)
         y[:n_m] = y_m
 
         x = np.empty(n)
@@ -141,43 +149,51 @@ class DirectSolver:
         perm = np.concatenate([e, c, np.flatnonzero(~mech)])
         return perm, e.size, e.size + c.size
 
-    def _mechanics_inverse(self, scaled: sps.csr_matrix, n_e: int, n_m: int):
+    def _mechanics_inverse(self, blk: _Blocks):
         """r -> A_MM^-1 r, through the kept factor of K, refactored when the
         E rows changed, and this call's dense Schur complement on C."""
-        rows = scaled[:n_e]
+        n_e, n_m = blk.n_e, blk.n_m
+        rows = blk.full.data[:blk.full.indptr[n_e]]
         kept = self._elastic
-        if kept is None or not all(
-                np.array_equal(getattr(rows, a), getattr(kept[0], a))
-                for a in ("indptr", "indices", "data")):
-            lu = _factor(rows[:, :n_e])
-            self._elastic = kept = (rows, lu, lu.solve(rows[:, n_e:n_m].toarray()))
+        if kept is None or not np.array_equal(rows, kept[0]):
+            lu = _factor(blk.full, slice(0, n_e))
+            self._elastic = kept = (rows.copy(), lu, lu.solve(blk.fill("ec").toarray()))
         _, lu, w = kept
-        contact = scaled[n_e:n_m]
-        a_ce = contact[:, :n_e]
-        schur = sla.lu_factor(contact[:, n_e:n_m].toarray() - a_ce @ w)
+        a_ce = blk.fill("ce")
+        schur = sla.lu_factor(blk.fill("cc").toarray() - a_ce @ w)
 
         def solve(r):
             y_e = lu.solve(r[:n_e])
-            y_c = sla.lu_solve(schur, r[n_e:] - a_ce @ y_e)
+            y_c = sla.lu_solve(schur, r[n_e:n_m] - a_ce @ y_e)
             return np.concatenate([y_e - w @ y_c, y_c])
 
         return solve
 
-    def _scalar_correction(self, scaled: sps.csr_matrix, n_m: int, mech,
-                           r: np.ndarray, floor: float) -> np.ndarray:
+    def _scalar_correction(self, blk: _Blocks, mech, r: np.ndarray,
+                           floor: float) -> np.ndarray:
         """The correction of the scalar unknowns for the residual r of the
         whole system, by preconditioned GMRES; a residual at most ``floor``
         is roundoff."""
-        a_s = scaled[n_m:]
-        a_ss, a_sm = a_s[:, n_m:], a_s[:, :n_m]
+        n_m, s_rows = blk.n_m, blk.s_rows
         g = r[n_m:]
-        if a_sm.data.any():
-            a_ms = scaled[:n_m, n_m:]
-            g = g - a_sm @ mech(r[:n_m])
-            op = spla.LinearOperator(a_ss.shape, dtype=float,
-                                     matvec=lambda v: a_ss @ v - a_sm @ mech(a_ms @ v))
+        padded = np.zeros(s_rows.shape[1])
+
+        def a_ss(v):
+            padded[:n_m], padded[n_m:] = 0.0, v
+            return s_rows @ padded
+
+        coupled = s_rows.data[blk.coupled].any()
+        if coupled:
+            def schur(v):
+                padded[:n_m], padded[n_m:] = 0.0, v
+                padded[:n_m] = -mech(blk.m_rows @ padded)
+                return s_rows @ padded
+
+            padded[:n_m], padded[n_m:] = mech(r[:n_m]), 0.0
+            g = g - s_rows @ padded
+            op = spla.LinearOperator((g.size, g.size), dtype=float, matvec=schur)
         else:
-            op = a_ss
+            op = spla.LinearOperator((g.size, g.size), dtype=float, matvec=a_ss)
         g_norm = np.linalg.norm(g)
         if g_norm <= floor:
             return np.zeros_like(g)
@@ -186,24 +202,95 @@ class DirectSolver:
             dy, info = _gmres(op, g, self._precond, atol, REUSE_ITERATIONS, 1)
             if info == 0:
                 return dy
-        self._precond = _factor(a_ss)
+        self._precond = _factor(blk.full, slice(n_m, None))
         dy, info = _gmres(op, g, self._precond, atol, FRESH_RESTART, FRESH_CYCLES)
         if info != 0:
             raise SolverFailure(
                 f"GMRES on the scalar unknowns did not reach {atol:.3e} in "
                 f"{FRESH_CYCLES} cycles of {FRESH_RESTART}")
-        if op is a_ss:
+        if not coupled:
             # GMRES tests the 2-norm of the residual. With the operator's own
             # factor, two rounds of refinement bring each component to the
             # accuracy of a refined direct solve, as for the mechanics.
             for _ in range(2):
-                dy += self._precond.solve(g - a_ss @ dy)
+                dy += self._precond.solve(g - a_ss(dy))
         return dy
 
 
-def _factor(block: sps.spmatrix):
+class _Blocks:
+    """The equilibrated matrix of one sparsity pattern in the order E, C, S,
+    and its blocks, refilled in place by each call.
+
+    ``full`` keeps each row's columns sorted; ``m_rows`` and ``s_rows`` are
+    its M and S rows, sharing its arrays. The contact rows' blocks against
+    E and C ("ce", "cc") and the E rows' block against C ("ec") are small
+    sparse matrices with their own gathers from ``full``; :meth:`fill`
+    refills one. ``coupled`` marks the entries of the S rows in M columns.
+    """
+
+    def __init__(self, A: sps.csr_matrix, perm, n_e: int, n_m: int):
+        n = A.shape[0]
+        self.perm, self.n_e, self.n_m = perm, n_e, n_m
+        # the assembler's index arrays are read-only and shared by all its
+        # matrices; others may change after a solve
+        self.indptr, self.indices = (a if not a.flags.writeable else a.copy()
+                                     for a in (A.indptr, A.indices))
+        # the positions of A's entries, permuted
+        at = sps.csr_matrix((np.arange(A.nnz, dtype=float), A.indices, A.indptr), shape=A.shape)
+        at = at[perm][:, perm]
+        at.sort_indices()
+        self.gather = at.data.astype(np.int32)
+        indptr = at.indptr
+        self.full = sps.csr_matrix((np.zeros(A.nnz), at.indices, indptr), shape=A.shape)
+        self.row_sizes = np.diff(indptr)
+        self.nonempty = np.flatnonzero(self.row_sizes)
+        k = indptr[n_m]
+        self.m_rows = sps.csr_matrix((np.zeros(k), at.indices[:k], indptr[:n_m + 1]),
+                                     shape=(n_m, n))
+        self.s_rows = sps.csr_matrix((np.zeros(A.nnz - k), at.indices[k:], indptr[n_m:] - k),
+                                     shape=(n - n_m, n))
+        # views of full's arrays; the constructor copies a small view
+        for rows, part in ((self.m_rows, slice(0, k)), (self.s_rows, slice(k, None))):
+            rows.data, rows.indices = self.full.data[part], self.full.indices[part]
+        self.coupled = at.indices[k:] < n_m
+        at.data = np.arange(A.nnz, dtype=float)
+        e, c = slice(0, n_e), slice(n_e, n_m)
+        self._blocks = {}
+        for name, rows, cols in (("ec", e, c), ("ce", c, e), ("cc", c, c)):
+            block = at[rows, cols]
+            self._blocks[name] = (block, block.data.astype(np.int32))
+            block.data = np.zeros(block.nnz)
+
+    def fits(self, A) -> bool:
+        return (A.shape == self.full.shape
+                and (A.indptr is self.indptr or np.array_equal(A.indptr, self.indptr))
+                and np.array_equal(A.indices, self.indices))
+
+    def equilibrate(self, A: sps.csr_matrix, col_scale: np.ndarray) -> np.ndarray:
+        """Fill ``full`` with A, permuted, times the permuted column scales
+        and divided by the row maxima; returns the row maxima."""
+        data = self.full.data
+        np.multiply(A.data[self.gather], col_scale[self.full.indices], out=data)
+        row_max = np.zeros(A.shape[0])
+        row_max[self.nonempty] = np.maximum.reduceat(np.abs(data),
+                                                     self.full.indptr[self.nonempty])
+        row_max = np.maximum(row_max, 1e-300)
+        data *= np.repeat(1.0 / row_max, self.row_sizes)
+        return row_max
+
+    def fill(self, name):
+        block, gather = self._blocks[name]
+        np.take(self.full.data, gather, out=block.data)
+        return block
+
+
+def _factor(matrix: sps.csr_matrix, part: slice):
+    """The LU factors of the diagonal block ``part`` of ``matrix``, with its
+    explicit zeros dropped."""
+    block = matrix[part, part].tocsc()
+    block.eliminate_zeros()
     try:
-        return spla.splu(block.tocsc())
+        return spla.splu(block)
     except RuntimeError as err:
         raise SolverFailure(f"sparse factorisation failed: {err}") from err
 
@@ -307,7 +394,8 @@ def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
         if not converged:
             A, b = assembler.assemble(state, cache, dt, steady, loads)
             residual = A @ state.current - b
-            row_scale = np.abs(A) @ col_scale + 1e-300
+            row_scale = sps.csr_matrix((np.abs(A.data), A.indices, A.indptr),
+                                       shape=A.shape) @ col_scale + 1e-300
             res_scaled = float(np.max(np.abs(residual) / row_scale))
             res_hist.append(res_scaled)
             converged = res_scaled <= RESIDUAL_FLOOR * params.increment_tol and contact_ok

@@ -7,10 +7,11 @@ from interface_laws import interface_advective, interface_darcy, interface_fouri
 
 from mdthm.fvm import (
     BoundaryCondition,
+    carried,
     mpfa_discretize,
     mpsa_discretize,
     onedim_discretize,
-    upwind_matrices,
+    upwind,
 )
 from mdthm.fvm.local import (
     LocalSystems,
@@ -524,6 +525,23 @@ class TestOnedim:
         assert ops.flux[f, o] == pytest.approx(t, rel=1e-12)
         assert ops.flux[f, n] == pytest.approx(-t, rel=1e-12)
 
+    def test_reevaluated_form_equals_a_fresh_one(self):
+        # the static form re-evaluated at a new diffusivity gives the
+        # operators discretised at it, and applies them without forming them
+        g = self.frac_grid()
+        is_dir = np.zeros(g.num_faces, dtype=bool)
+        is_dir[g.boundary_faces()[0]] = True
+        bc = BoundaryCondition(is_dir)
+        D = np.array([1.0, 4.0, 2.0, 8.0])
+        moved, fresh = onedim_discretize(g, 1.0, bc).at(D), onedim_discretize(g, D, bc)
+        rng = np.random.default_rng(5)
+        for name in ("flux", "bound_flux", "trace_cell", "trace_face", "vector_source",
+                     "trace_vector_source"):
+            op = getattr(fresh, name)
+            assert (getattr(moved, name) != op).nnz == 0, name
+            v = rng.standard_normal(op.shape[1])
+            assert np.abs(moved.apply(name, v) - op @ v).max() <= 1e-12 * np.abs(op @ v).max()
+
 
 class TestUpwind:
     def grid(self):
@@ -531,11 +549,11 @@ class TestUpwind:
 
     @staticmethod
     def advective(g, q, w, w_bc=None):
-        """Face advective fluxes q (S_cell w + S_face w_bc), as assembly and
+        """Face advective fluxes q times the carried value, as assembly and
         the balance report compose them."""
-        s_cell, s_face = upwind_matrices(g, q)
+        cells, inflow = upwind(g, q)
         w_bc = np.zeros(g.num_faces) if w_bc is None else w_bc
-        return q * (s_cell @ w + s_face @ w_bc)
+        return q * carried(cells, inflow, w, w_bc)
 
     def test_zero_flux(self):
         g = self.grid()
@@ -575,8 +593,8 @@ class TestUpwind:
         q = np.ones(g.num_faces)
         exclude = np.zeros(g.num_faces, bool)
         exclude[2] = True
-        u_cell, u_face = upwind_matrices(g, q, exclude)
-        assert u_cell[2].nnz == 0 and u_face[2].nnz == 0
+        cells, inflow = upwind(g, q, exclude)
+        assert cells[2] == -1 and not inflow[2]
 
 
 class TestInterfaceLaws:
