@@ -24,21 +24,21 @@ from rest under a pressure drop, into a heat source that only conduction
 balances: the first iterate then overshoots by 1e4 K and Newton diverges.
 The contact rows use the semismooth generalised Jacobian.
 
-The matrix has one sparsity pattern for the whole run, built at set-up by
-:class:`_Slots`: the union of the blocks of every contact state, of both
-upwind directions on every face and mortar, of wells in every cell, and of
-the storage terms of transient steps. With it set-up builds the constant
-part of the matrix, the blocks that depend on neither the state, the loads
-nor dt, summed once in assembly order, and a static map S from coefficient
-vectors to the slots of the pattern. Every other block is L diag(c) R with
-static L and R and a cellwise, facewise or mortar-cellwise coefficient
-vector c: the storage coefficients and volume-change weights, which carry
-1/dt; the fracture transmissibilities; the upwinded advective weights; the
-contact blocks; the interface weights; and the Newton derivatives. An
-assembly computes these vectors only and sets the matrix data to the
-constant part plus S c, one sparse matrix-vector product; a Newton block
-adds L (c R x_k) to b. A steady step gives the storage coefficients zero,
-and their slots hold explicit zeros.
+The matrix has one sparsity pattern for the whole run, which the first
+assembly builds in :class:`_Slots`: the union of the blocks of every
+contact state, of both upwind directions on every face and mortar, of
+wells in every cell, and of the storage terms of transient steps. With it
+come the constant part of the matrix, the blocks that depend on neither
+the state, the loads nor dt, summed once in assembly order, and a static
+map S from coefficient vectors to the slots of the pattern. Every other
+block is L diag(c) R with static L and R and a cellwise, facewise or
+mortar-cellwise coefficient vector c: the storage coefficients and
+volume-change weights, which carry 1/dt; the fracture transmissibilities;
+the upwinded advective weights; the contact blocks; the interface weights;
+and the Newton derivatives. An assembly computes these vectors only and
+sets the matrix data to the constant part plus S c, one sparse
+matrix-vector product; a Newton block adds L (c R x_k) to b. A steady step
+gives the storage coefficients zero, and their slots hold explicit zeros.
 
 Each balance law is one function that loops over the dimensions 2, 1 and 0,
 never over subdomains. It reads the per-dimension view that the mesh owns:
@@ -89,6 +89,7 @@ traction per face.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sps
@@ -268,42 +269,46 @@ class Assembler:
         self._precompute_static()
 
     def _precompute_static(self):
-        """Freeze every state-independent part of the system: the jump
-        matrix J, the compositions of the matrix's mechanics with the
-        divergence, the walls and the mortar projections, and the run's
-        sparsity pattern with its constant part and coefficient map
-        (:class:`_Slots`), registered block by block in assembly order."""
-        mf, dofs = self.mdg.mortars[2], self.dofs
+        """Freeze the state-independent compositions that every assembly
+        reads: the jump matrix J, the mortar projections, and for the
+        momentum and wall rows the boundary operator of their face
+        tractions and the tractions of the reference pressure and
+        temperature. The slot map follows with the first assembly
+        (:attr:`slots`)."""
+        mf, dofs, ops, mat = self.mdg.mortars[2], self.dofs, self.mech_ops, self.mat
         self.J = _block_diag(self.rotation) @ self.walls
         # projection of each dimension's mortar fields onto its faces
         self.to_faces = {dim: group.lift.T.tocsr() for dim, group in self.mdg.mortars.items()}
         self.to_faces_vec = sps.kron(self.to_faces[2], sps.eye(2)).tocsr()
-
-        ops, mat = self.mech_ops, self.mat
-        slots = _Slots(dofs.num_dofs)
-        # The momentum rows sum the face tractions of each cell, the rows of
-        # the wall displacements take them with the sign of their side, the
-        # contact traction through the transpose of the jump and the
-        # fracture pressure as its normal part. The right-hand side keeps,
-        # per set of rows, the boundary operator and the tractions of the
-        # reference pressure and temperature.
+        # the momentum rows sum the face tractions of each cell, the rows of
+        # the wall displacements take them with the sign of their side
         ones = np.ones(self.matrix.num_cells)
         walls = (sps.diags(np.repeat(mf.sides, 2)) @ self.to_faces_vec.T).tocsr()
+        self.tractions = []
+        for rows, rowmap in ((dofs.cells(2, U), self.div2_vec), (dofs.mortar(2, U_MORTAR), walls)):
+            self.tractions.append((rows, rowmap, (rowmap @ ops.bound_stress).tocsr(),
+                                   (rowmap @ ops.grad_p) @ (mat.reference_pressure * ones),
+                                   (rowmap @ ops.grad_T) @ (mat.reference_temperature * ones)))
+
+    @cached_property
+    def slots(self) -> _Slots:
+        """The run's sparsity pattern with its constant part and coefficient
+        map, registered block by block in assembly order. The first assembly
+        builds it, as the block solver fixes its gathers and factors the
+        elastic block in its first solve."""
+        mf, dofs, ops = self.mdg.mortars[2], self.dofs, self.mech_ops
+        slots = _Slots(dofs.num_dofs)
+        # the walls see the contact traction through the transpose of the
+        # jump, and the fracture pressure as its normal part
         wall_lam = (sps.diags(np.repeat(mf.sides * mf.areas, 2))
                     @ self.J.T.tocsr()[dofs.mortar(2, U_MORTAR)]).tocsr()
-        self.tractions = []
-        for rows, rowmap, contact in (
-                (dofs.cells(2, U), self.div2_vec, []),
-                (dofs.mortar(2, U_MORTAR), walls, [(wall_lam, dofs.cells(1, LAM)),
-                                                   (-wall_lam[:, 1::2], dofs.cells(1, P))])):
-            bound = (rowmap @ ops.bound_stress).tocsr()
-            grad_p, grad_T = rowmap @ ops.grad_p, rowmap @ ops.grad_T
+        contact = ([], [(wall_lam, dofs.cells(1, LAM)), (-wall_lam[:, 1::2], dofs.cells(1, P))])
+        for (rows, rowmap, bound, _, _), more in zip(self.tractions, contact):
             for block, cols in [(rowmap @ ops.stress, dofs.cells(2, U)),
-                                (grad_p, dofs.cells(2, P)), (grad_T, dofs.cells(2, T)),
-                                (bound @ self.to_faces_vec, dofs.mortar(2, U_MORTAR))] + contact:
+                                (rowmap @ ops.grad_p, dofs.cells(2, P)),
+                                (rowmap @ ops.grad_T, dofs.cells(2, T)),
+                                (bound @ self.to_faces_vec, dofs.mortar(2, U_MORTAR))] + more:
                 slots.add(rows, cols, block)
-            self.tractions.append((rows, bound, grad_p @ (mat.reference_pressure * ones),
-                                   grad_T @ (mat.reference_temperature * ones)))
         # the volume change of the matrix cells in all dofs, as div_u reads it
         self._balance_blocks(slots, _over_dofs(dofs.num_dofs, (
             (ops.div_u, dofs.cells(2, U)),
@@ -314,7 +319,7 @@ class Assembler:
         for group in self.mdg.mortars.values():
             if group.size:
                 self._mortar_blocks(slots, group)
-        self.slots = slots.freeze()
+        return slots.freeze()
 
     def _scalar_ops(self, dim, var, fracture_ops):
         """The operators of one scalar of one dimension: MPFA's in the
@@ -537,7 +542,7 @@ class Assembler:
         """The boundary data and the reference state of the face tractions
         that the momentum rows and the wall rows sum."""
         ext = self._ext_mech(loads.bc_mech)
-        for rows, bound, ref_p, ref_T in self.tractions:
+        for rows, _, bound, ref_p, ref_T in self.tractions:
             b_contrib = -(bound @ ext)
             b_contrib += ref_p
             b_contrib += ref_T
