@@ -526,6 +526,7 @@ class Assembler:
         coefs = {}
         b = np.zeros(dofs.num_dofs)
         self._traction_rhs(b, loads)
+        # the face tractions of each matrix cell balance its body force
         _add_to(b, dofs.cells(2, U),
                 -self._rho_g(self.mat.density_solid * self.matrix.cell_volumes))
         self._balances(coefs, b, state, cache, dt, steady, loads)
