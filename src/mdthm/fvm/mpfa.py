@@ -22,7 +22,6 @@ import numpy as np
 import scipy.sparse as sps
 
 from mdthm.fvm.local import LocalSystems, invert_block_diagonal
-from mdthm.fvm.subcell import SubcellTopology
 from mdthm.mdmesh.grids import MeshError, SubdomainGrid
 
 DIRICHLET, NEUMANN = 0, 1
@@ -103,7 +102,7 @@ def mpfa_discretize(grid: SubdomainGrid, diffusivity,
     continuity points placed by :func:`default_eta`."""
     if grid.dim != 2:
         raise MeshError("mpfa_discretize expects a 2d grid; use onedim for 1d")
-    top = SubcellTopology(grid)
+    top = grid.subcell_topology()
     D = _expand_tensor(diffusivity, grid.num_cells)
     if np.any(np.linalg.eigvalsh(D) <= 0):
         raise MeshError("diffusivity must be positive definite")

@@ -27,7 +27,7 @@ import scipy.sparse as sps
 
 from mdthm.fvm.local import LocalSystems, least_squares_block_solve
 from mdthm.fvm.mpfa import BoundaryCondition
-from mdthm.fvm.subcell import SubcellTopology, subcell_volumes
+from mdthm.fvm.subcell import subcell_volumes
 from mdthm.mdmesh.grids import MeshError, SubdomainGrid
 
 
@@ -100,7 +100,7 @@ def mpsa_discretize(grid: SubdomainGrid, mu, lam, alpha, beta_ks,
     if np.any(mu <= 0) or np.any(2 * mu + 2 * lam <= 0):
         raise MeshError("stiffness must be positive definite")
 
-    top = SubcellTopology(grid)
+    top = grid.subcell_topology()
     rows_cond, cond_ptr = top.overdetermined_layout(3)
     # two rows per condition, one per vector component
     row_cond = [2 * rows_cond[:, 0] + comp for comp in range(2)]

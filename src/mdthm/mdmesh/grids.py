@@ -57,6 +57,7 @@ class SubdomainGrid:
         """Geometry, default tags and the CSR form of ``cell_nodes``; call it
         once the topology is final."""
         self._cell_nodes_csr = polygons_csr(self.cell_nodes)
+        self._subcell_topology = None
         if self.dim == 2:
             self._geometry_2d()
         elif self.dim == 1:
@@ -74,6 +75,16 @@ class SubdomainGrid:
         """``cell_nodes`` in CSR form: per-cell offsets (n_cells + 1) into
         the concatenated node lists, as of :meth:`compute_geometry`."""
         return self._cell_nodes_csr
+
+    def subcell_topology(self):
+        """The :class:`mdthm.fvm.subcell.SubcellTopology` of a 2d grid,
+        built by its first caller after :meth:`compute_geometry` and shared
+        by every discretisation of the grid."""
+        if self._subcell_topology is None:
+            from mdthm.fvm.subcell import SubcellTopology
+
+            self._subcell_topology = SubcellTopology(self)
+        return self._subcell_topology
 
     def _geometry_2d(self):
         x = self.nodes

@@ -86,7 +86,9 @@ def build_scenario(cfg: ScenarioConfig, extra_refinement: int = 0) -> Scenario:
     for var, sides in (("flow", cfg.flow_dirichlet), ("heat", cfg.heat_dirichlet)):
         bc_types[var] = dirichlet(mdg.matrix, sides)
         bc_types[("frac", var)] = dirichlet(mdg.grids[1], sides)
-    asm = Assembler(mdg, cfg.materials, cfg.dilation_model, bc_types)
+    # a run without a transient step assembles without storage slots
+    asm = Assembler(mdg, cfg.materials, cfg.dilation_model, bc_types,
+                    transient=not all(ph.steady for ph in cfg.phases))
 
     state = State(asm.dofs)
     hydrostatic = cfg.initial_pressure == "hydrostatic"

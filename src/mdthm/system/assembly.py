@@ -27,7 +27,9 @@ The contact rows use the semismooth generalised Jacobian.
 The matrix has one sparsity pattern for the whole run, which the first
 assembly builds in :class:`_Slots`: the union of the blocks of every
 contact state, of both upwind directions on every face and mortar, of
-wells in every cell, and of the storage terms of transient steps. With it
+wells in every cell, and, when the run has a transient step
+(``Assembler(..., transient=True)``, the default), of the storage terms of
+transient steps; a run of steady steps only has no storage slots. With it
 come the constant part of the matrix, the blocks that depend on neither
 the state, the loads nor dt, summed once in assembly order, and a static
 map S from coefficient vectors to the slots of the pattern. Every other
@@ -38,7 +40,8 @@ the upwinded advective weights; the contact blocks; the interface weights;
 and the Newton derivatives. An assembly computes these vectors only and
 sets the matrix data to the constant part plus S c, one sparse
 matrix-vector product; a Newton block adds L (c R x_k) to b. A steady step
-gives the storage coefficients zero, and their slots hold explicit zeros.
+on a pattern with storage slots gives the storage coefficients zero, and
+their slots hold explicit zeros.
 
 Each balance law is one function that loops over the dimensions 2, 1 and 0,
 never over subdomains. It reads the per-dimension view that the mesh owns:
@@ -207,10 +210,14 @@ def _of_dim(table: dict, dim: int, size: int) -> np.ndarray:
 
 class Assembler:
     def __init__(self, mdg: MixedDimGrid, mat: MaterialSet,
-                 dilation_model: DilationModel, bc_types: dict):
+                 dilation_model: DilationModel, bc_types: dict, transient: bool = True):
+        """``transient`` says whether the run has a transient step: without
+        one, the pattern has no storage slots and only steady steps can be
+        assembled."""
         self.mdg = mdg
         self.mat = mat
         self.model = dilation_model
+        self.transient = transient
         self.dofs = DofMap(mdg)
 
         g2, g1 = mdg.matrix, mdg.grids[1]
@@ -522,6 +529,9 @@ class Assembler:
         """The system linearised at ``state.current``: a new CSR matrix on
         the run's pattern, which shares its index arrays with every other
         and owns its data, and the right-hand side."""
+        if not (steady or self.transient):
+            raise ValueError("a transient step needs storage slots, and this assembler "
+                             "was built with transient=False: its pattern has none")
         dofs = self.dofs
         coefs = {}
         b = np.zeros(dofs.num_dofs)
@@ -618,15 +628,16 @@ class Assembler:
                 rows = dofs.cells(dim, var)
                 # storage: the volume change is implicit in the matrix
                 # through div u, on fractures through J
-                slots.term((STORAGE, dim, var, var), rows, rows)
-                slots.term((STORAGE, dim, var, other), rows, dofs.cells(dim, other))
-                if dim > 0:
-                    volume = volume_change if dim == 2 else self.J[1::2]
-                    slots.term((STORAGE, dim, var), rows, None, right=volume)
-                if var == T and dim < 2:
-                    for v in (T, P):
-                        slots.term((STORAGE, dim, "dweight", v), rows, dofs.cells(dim, v),
-                                   newton=True)
+                if self.transient:
+                    slots.term((STORAGE, dim, var, var), rows, rows)
+                    slots.term((STORAGE, dim, var, other), rows, dofs.cells(dim, other))
+                    if dim > 0:
+                        volume = volume_change if dim == 2 else self.J[1::2]
+                        slots.term((STORAGE, dim, var), rows, None, right=volume)
+                    if var == T and dim < 2:
+                        for v in (T, P):
+                            slots.term((STORAGE, dim, "dweight", v), rows, dofs.cells(dim, v),
+                                       newton=True)
                 if dim > 0:
                     self._flux_divergence_blocks(slots, dim, svar)
                     if var == T:

@@ -44,6 +44,8 @@ GMRES_RTOL = 1e-10
 GMRES_FLOOR = 3e-15
 REUSE_ITERATIONS = 10
 FRESH_RESTART, FRESH_CYCLES = 30, 3
+# W = K^-1 A_EC is solved this many columns at a time.
+COUPLING_BLOCK = 32
 
 
 class SolverFailure(RuntimeError):
@@ -64,11 +66,17 @@ class DirectSolver:
     the scalar ones (p, T, nu, nu_adv, nu_cond); M is E with C.
 
     - K = A_EE, the MPSA stress and the wall traction balance, does not
-      depend on the state. It is factored once, with W = K^-1 A_EC, and
-      refactored only when the equilibrated E rows differ from the factored
-      ones.
+      depend on the state. It is factored once, with the dense W =
+      K^-1 A_EC, and refactored only when the equilibrated E rows differ
+      from the factored ones. W is solved from the sparse A_EC
+      COUPLING_BLOCK columns at a time into one Fortran-ordered array, so
+      that a run holds one W and nothing of its size beside it; a stale W
+      is dropped before the new one is formed.
     - A_MM^-1 is one K solve and one solve with the small dense Schur
-      complement A_CC - A_CE W, which is factored on each call.
+      complement A_CC - A_CE W, which is factored on each call. A_CE has
+      entries only in the wall columns, so the complement reads only the
+      rows W[walls], kept C-ordered beside W: the same products, summed in
+      the same order, with no copy of W.
     - The correction of the scalar unknowns from the starting point x0
       solves A_SS, when no scalar row has a nonzero in a mechanics column
       (every steady system), or else the Schur complement
@@ -96,7 +104,7 @@ class DirectSolver:
         self.mechanics = mechanics
         self.contact = contact
         self._blocks = None  # the gathers of the pattern last solved
-        self._elastic = None  # (equilibrated E rows' data, LU of K, W) as factored
+        self._elastic = None  # (equilibrated E rows' data, LU of K, W, W[walls]) as factored
         self._precond = None  # LU of the equilibrated A_SS
 
     def start_step(self):
@@ -152,19 +160,22 @@ class DirectSolver:
     def _mechanics_inverse(self, blk: _Blocks):
         """r -> A_MM^-1 r, through the kept factor of K, refactored when the
         E rows changed, and this call's dense Schur complement on C."""
-        n_e, n_m = blk.n_e, blk.n_m
+        n_e, n_m, walls = blk.n_e, blk.n_m, blk.walls
         rows = blk.full.data[:blk.full.indptr[n_e]]
         kept = self._elastic
         if kept is None or not np.array_equal(rows, kept[0]):
+            # the stale W goes before the new one is formed
+            kept = self._elastic = None
             lu = _factor(blk.full, slice(0, n_e))
-            self._elastic = kept = (rows.copy(), lu, lu.solve(blk.fill("ec").toarray()))
-        _, lu, w = kept
+            w = _coupling(lu, blk.fill("ec"))
+            self._elastic = kept = (rows.copy(), lu, w, np.ascontiguousarray(w[walls]))
+        _, lu, w, w_walls = kept
         a_ce = blk.fill("ce")
-        schur = sla.lu_factor(blk.fill("cc").toarray() - a_ce @ w)
+        schur = sla.lu_factor(blk.fill("cc").toarray() - a_ce @ w_walls)
 
         def solve(r):
             y_e = lu.solve(r[:n_e])
-            y_c = sla.lu_solve(schur, r[n_e:n_m] - a_ce @ y_e)
+            y_c = sla.lu_solve(schur, r[n_e:n_m] - a_ce @ y_e[walls])
             return np.concatenate([y_e - w @ y_c, y_c])
 
         return solve
@@ -222,10 +233,14 @@ class _Blocks:
     and its blocks, refilled in place by each call.
 
     ``full`` keeps each row's columns sorted; ``m_rows`` and ``s_rows`` are
-    its M and S rows, sharing its arrays. The contact rows' blocks against
-    E and C ("ce", "cc") and the E rows' block against C ("ec") are small
-    sparse matrices with their own gathers from ``full``; :meth:`fill`
-    refills one. ``coupled`` marks the entries of the S rows in M columns.
+    its M and S rows, sharing its arrays. The small blocks have their own
+    gathers from ``full``, and :meth:`fill` refills one: "ec", the E rows
+    against C, by columns, from which W is solved; "cc", the contact rows
+    against C; and "ce", the contact rows against the E columns in
+    ``walls``. Those are the wall displacements, the only E columns in
+    which the contact rows have entries (180 of 2228 at refinement level
+    0), so "ce" holds every entry of the contact rows in E, in the same
+    order. ``coupled`` marks the entries of the S rows in M columns.
     """
 
     def __init__(self, A: sps.csr_matrix, perm, n_e: int, n_m: int):
@@ -255,9 +270,12 @@ class _Blocks:
         self.coupled = at.indices[k:] < n_m
         at.data = np.arange(A.nnz, dtype=float)
         e, c = slice(0, n_e), slice(n_e, n_m)
+        ce = at[c, e]
+        # the contact rows reach E only in the wall displacements' columns
+        self.walls = np.unique(ce.indices)
         self._blocks = {}
-        for name, rows, cols in (("ec", e, c), ("ce", c, e), ("cc", c, c)):
-            block = at[rows, cols]
+        for name, block in (("ec", at[e, c].tocsc()), ("ce", ce[:, self.walls]),
+                            ("cc", at[c, c])):
             self._blocks[name] = (block, block.data.astype(np.int32))
             block.data = np.zeros(block.nnz)
 
@@ -282,6 +300,22 @@ class _Blocks:
         block, gather = self._blocks[name]
         np.take(self.full.data, gather, out=block.data)
         return block
+
+
+def _coupling(lu, ec: sps.csc_matrix) -> np.ndarray:
+    """W = K^-1 A_EC in Fortran order, K given by its LU factors and A_EC by
+    columns, solved COUPLING_BLOCK columns at a time: W is the only array
+    of its size."""
+    n, m = ec.shape
+    w = np.empty((n, m), order="F")
+    for j in range(0, m, COUPLING_BLOCK):
+        k = min(COUPLING_BLOCK, m - j)
+        first, last = ec.indptr[j], ec.indptr[j + k]
+        rhs = np.zeros((n, k), order="F")
+        rhs[ec.indices[first:last], np.repeat(np.arange(k), np.diff(ec.indptr[j:j + k + 1]))] \
+            = ec.data[first:last]
+        w[:, j:j + k] = lu.solve(rhs)
+    return w
 
 
 def _factor(matrix: sps.csr_matrix, part: slice):

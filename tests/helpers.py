@@ -19,11 +19,11 @@ def default_bc_types(grid):
 
 
 def make_problem(fractures=(), nx=8, ny=8, mat=None, model=DilationModel.TWO_WAY,
-                 perturb=0.0, seed=0, bc_types=None):
+                 perturb=0.0, seed=0, bc_types=None, transient=True):
     mat = mat or MaterialSet()
     mdg = build_triangular_fractured(nx, ny, fractures, perturb=perturb, seed=seed)
     bc = bc_types or default_bc_types(mdg.matrix)
-    asm = Assembler(mdg, mat, model, bc)
+    asm = Assembler(mdg, mat, model, bc, transient=transient)
     state = State(asm.dofs)
     init = {(dim, "T"): mat.reference_temperature for dim in mdg.grids}
     init[(1, "lam")] = np.tile([0.0, -1e6], mdg.grids[1].num_cells)

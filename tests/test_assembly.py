@@ -1,33 +1,40 @@
 """Assembly on the run's fixed sparsity pattern: the slot-filled system
-against the block-by-block COO reference of tests/coo_assembly.py, and
-counts that keep per-iteration symbolic work out of the Newton loop."""
+against the block-by-block COO reference of tests/coo_assembly.py, the
+steady pattern of a run without a transient step, and counts that keep
+per-iteration symbolic work out of the Newton loop."""
 
 import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from scipy.sparse._base import _spbase
 
 from coo_assembly import coo_assemble
 from helpers import default_params, make_loads, make_problem
+from test_scenarios import tiny_raw
 
 from mdthm.contact import ContactState
+from mdthm.scenarios.config import parse_config
+from mdthm.scenarios.setup import build_scenario
 from mdthm.system import NU, P, PhaseSpec, T, balance_report, newton_solve, time_loop
 from mdthm.system import assembly, newton
+from mdthm.system.assembly import STORAGE
 from mdthm.system.dofs import LAM
 
 CROSSING = [((0.25, 0.5), (0.75, 0.5)), ((0.5, 0.25), (0.5, 0.75))]
 FR = [((0.25, 0.5), (0.75, 0.5))]
 
 
-def mixed_state(sign=1.0):
+def mixed_state(sign=1.0, transient=True):
     """A crossing pair of fractures at a state with open, sticking and
     gliding cells, flow both ways across fracture faces and mortars, and an
     injecting and a producing well in the matrix and in a fracture. With
     ``sign`` -1 the pressure contrasts and the mortar fluxes are reversed,
-    so that each upwind choice of the other sign is taken too."""
-    mdg, asm, state = make_problem(CROSSING, nx=8, ny=8)
+    so that each upwind choice of the other sign is taken too.
+    ``transient`` is the assembler's."""
+    mdg, asm, state = make_problem(CROSSING, nx=8, ny=8, transient=transient)
     loads = make_loads(asm, top_displacement=(5e-4, -2e-4), T_left=320.0)
     dofs, x, rng = asm.dofs, state.current, np.random.default_rng(7)
     for dim in mdg.grids:
@@ -85,6 +92,51 @@ class TestSlotAssembly:
         assert np.array_equal(A1.data, kept) and not np.array_equal(A2.data, kept)
         with pytest.raises(ValueError):
             A2.indices[0] = A2.indices[1]
+
+
+def without_zeros(A):
+    """A copy of A without its explicit zeros."""
+    A = sps.csr_matrix((A.data.copy(), A.indices.copy(), A.indptr.copy()), shape=A.shape)
+    A.eliminate_zeros()
+    return A
+
+
+class TestSteadyPattern:
+    @staticmethod
+    def storage_keys(asm):
+        return [key for key in asm.slots.keys if key[0] == STORAGE]
+
+    def test_no_storage_slots(self):
+        union, steady = mixed_state()[0], mixed_state(transient=False)[0]
+        assert self.storage_keys(union) and not self.storage_keys(steady)
+        assert steady.slots.const.size < union.slots.const.size
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_steady_matrix_is_the_union_one_without_its_zeros(self, sign):
+        systems = []
+        for transient in (True, False):
+            asm, state, loads = mixed_state(sign, transient)
+            systems.append(asm.assemble(state, asm.build_cache(state, loads), 1.0, True, loads))
+        (A_union, b_union), (A, b) = systems
+        assert A.nnz < A_union.nnz
+        A_union, A = without_zeros(A_union), without_zeros(A)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, name), getattr(A_union, name))
+        assert np.array_equal(b, b_union)
+
+    def test_transient_step_raises(self):
+        asm, state, loads = mixed_state(transient=False)
+        with pytest.raises(ValueError, match="transient"):
+            asm.assemble(state, asm.build_cache(state, loads), 100.0, False, loads)
+
+    def test_scenario_is_steady_only_when_every_phase_is(self):
+        raw = tiny_raw()
+        assert not all(phase.get("steady", False) for phase in raw["phases"])
+        assert build_scenario(parse_config(raw)).assembler.transient
+        raw["phases"] = raw["phases"][:1]
+        assert raw["phases"][0]["steady"]
+        asm = build_scenario(parse_config(raw)).assembler
+        assert not asm.transient and not self.storage_keys(asm)
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -41,6 +43,7 @@ from mdthm.system import (
     newton_solve,
     time_loop,
 )
+from mdthm.system import newton
 from mdthm.system.newton import (
     PRIMARY_VARIABLES,
     _check_apertures,
@@ -384,6 +387,94 @@ class TestBlockSolve:
         counts_ref, x_ref = run()
         assert counts == counts_ref
         assert np.abs(x - x_ref).max() < 1e-8
+
+
+class TestElasticCoupling:
+    """W = K^-1 A_EC, solved by column blocks, and the contact Schur
+    complement A_CC - A_CE W, read from the wall rows of W."""
+
+    LOADS = dict(top_displacement=(5e-4, -2e-4), p_left=1e6, T_left=320.0)
+
+    def solved(self):
+        """A solver after its first solve of a crossing-fracture system."""
+        mdg, asm, state = make_problem(CROSSING)
+        loads = make_loads(asm, **self.LOADS)
+        A, b = asm.assemble(state, asm.build_cache(state, loads), 100.0, False, loads)
+        solver = DirectSolver(asm.dofs.mechanics, asm.dofs.contact)
+        solver.solve(A, b, column_scales(asm, default_params().scales), state.current)
+        return solver
+
+    def test_wall_rows_give_the_products_bitwise(self):
+        solver = self.solved()
+        blk, (_, _, w, w_walls) = solver._blocks, solver._elastic
+        n_e, n_m = blk.n_e, blk.n_m
+        # every entry of the contact rows in E, with its explicit zeros
+        a_ce, a_ce_walls = blk.full[n_e:n_m, :n_e], blk.fill("ce")
+        assert 0 < blk.walls.size < n_e and a_ce.nnz == a_ce_walls.nnz
+        assert np.array_equal(a_ce_walls @ w_walls, a_ce @ w)
+        y_e = np.random.default_rng(3).standard_normal(n_e)
+        assert np.array_equal(a_ce_walls @ y_e[blk.walls], a_ce @ y_e)
+
+    @pytest.mark.parametrize("block", [3, newton.COUPLING_BLOCK])
+    def test_w_from_column_blocks_equals_a_one_shot_solve(self, monkeypatch, block):
+        monkeypatch.setattr(newton, "COUPLING_BLOCK", block)
+        solver = self.solved()
+        blk, (_, lu, w, w_walls) = solver._blocks, solver._elastic
+        w_ref = lu.solve(blk.fill("ec").toarray())
+        assert w.flags.f_contiguous and w_walls.flags.c_contiguous
+        assert np.abs(w - w_ref).max() <= 1e-13 * np.abs(w_ref).max()
+        assert np.array_equal(w_walls, w[blk.walls])
+
+    def test_w_is_the_only_array_of_its_size(self, monkeypatch):
+        # Traced peaks of the elimination of M: each call of
+        # _mechanics_inverse and of the solve it returns, per solve, and of
+        # the formation of W. The whole solve is not bounded by W here: on
+        # this fixture its equilibration alone allocates ten times W.
+        per_solve, formations = [], []
+
+        def traced(f, sink):
+            def call(*args):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                try:
+                    return f(*args)
+                finally:
+                    sink().append(tracemalloc.get_traced_memory()[1] - base)
+            return call
+
+        solve, inverse = DirectSolver.solve, DirectSolver._mechanics_inverse
+
+        def counted(self, *args, **kwargs):
+            per_solve.append([])
+            return solve(self, *args, **kwargs)
+
+        def eliminate(self, blk):
+            return traced(traced(inverse, lambda: per_solve[-1])(self, blk),
+                          lambda: per_solve[-1])
+
+        monkeypatch.setattr(DirectSolver, "solve", counted)
+        monkeypatch.setattr(DirectSolver, "_mechanics_inverse", eliminate)
+        monkeypatch.setattr(newton, "_coupling", traced(newton._coupling, lambda: formations))
+        # W in four blocks
+        mdg, asm, state = make_problem(CROSSING)
+        n_c = int(asm.dofs.contact.sum())
+        monkeypatch.setattr(newton, "COUPLING_BLOCK", n_c // 4)
+        solver = DirectSolver(asm.dofs.mechanics, asm.dofs.contact)
+        params = default_params()
+        tracemalloc.start()
+        try:
+            steady = newton_solve(asm, state, 1.0, True, make_loads(asm, **self.LOADS),
+                                  params, solver=solver)
+            state.accept_step()
+            loads = make_loads(asm, **dict(self.LOADS, p_left=2e6, T_left=330.0))
+            transient = newton_solve(asm, state, 100.0, False, loads, params, solver=solver)
+        finally:
+            tracemalloc.stop()
+        assert steady.converged and transient.iterations > 1
+        w = solver._elastic[2]
+        assert len(formations) == 1 and formations[0] < 2 * w.nbytes
+        later = [peak for peaks in per_solve[1:] for peak in peaks]
+        assert len(later) > 10 and max(later) < w.nbytes
 
 
 class TestNewtonBehaviour:
