@@ -3,7 +3,10 @@
 Each Newton step is one coupled linear system in all unknowns. It is not
 factored as a whole: :class:`DirectSolver` eliminates the mechanics
 directly, with the elastic factor kept for the whole run, and solves the
-flow and heat unknowns by preconditioned GMRES.
+flow and heat unknowns by preconditioned GMRES. No dense array of the size
+of the elastic unknowns times the contact unknowns is formed: the elastic
+solve keeps only the wall rows of K^-1 A_EC, and pays for that with one
+more solve of K each time it is applied.
 """
 
 from __future__ import annotations
@@ -39,13 +42,25 @@ SOLVE_TOL = 1e-10
 # residual floor at increment_tol 1e-10, and Newton stalled on roundoff. A
 # preconditioner reused from an earlier iteration gets REUSE_ITERATIONS
 # iterations before it is refactored; a fresh one gets FRESH_CYCLES restart
-# cycles of FRESH_RESTART iterations.
+# cycles of FRESH_RESTART iterations, and its last iterate is kept even if
+# it misses the tolerance. The Schur operator's own roundoff reaches about
+# that tolerance: on the stimulation config's first coupled step GMRES
+# stalls at 0.56 to 1.01 times it, depending on how the mechanics are
+# ordered and solved. Whether a solve is good enough is decided by
+# SOLVE_TOL alone.
 GMRES_RTOL = 1e-10
 GMRES_FLOOR = 3e-15
 REUSE_ITERATIONS = 10
 FRESH_RESTART, FRESH_CYCLES = 30, 3
 # W = K^-1 A_EC is solved this many columns at a time.
 COUPLING_BLOCK = 32
+# The orderings that SuperLU factors each block in, at its default pivot
+# threshold. K's pattern is structurally symmetric, and minimum degree on
+# the pattern of K + K^T fills it less than the default COLAMD: by a third
+# at refinement level 2, and its factor time halves. A_SS's pattern is not
+# symmetric, and minimum degree on A + A^T fills it more, so it keeps COLAMD.
+ELASTIC_ORDERING = "MMD_AT_PLUS_A"
+SCALAR_ORDERING = "COLAMD"
 
 
 class SolverFailure(RuntimeError):
@@ -66,25 +81,28 @@ class DirectSolver:
     the scalar ones (p, T, nu, nu_adv, nu_cond); M is E with C.
 
     - K = A_EE, the MPSA stress and the wall traction balance, does not
-      depend on the state. It is factored once, with the dense W =
-      K^-1 A_EC, and refactored only when the equilibrated E rows differ
-      from the factored ones. W is solved from the sparse A_EC
-      COUPLING_BLOCK columns at a time into one Fortran-ordered array, so
-      that a run holds one W and nothing of its size beside it; a stale W
-      is dropped before the new one is formed.
-    - A_MM^-1 is one K solve and one solve with the small dense Schur
-      complement A_CC - A_CE W, which is factored on each call. A_CE has
-      entries only in the wall columns, so the complement reads only the
-      rows W[walls], kept C-ordered beside W: the same products, summed in
-      the same order, with no copy of W.
+      depend on the state. It is factored once, ordered by ELASTIC_ORDERING
+      (minimum degree), and refactored only when the equilibrated E rows
+      differ from the factored ones. A_CE has entries only in the wall
+      columns, so of W = K^-1 A_EC only the rows W[walls] are needed. They
+      are solved with the factor, from the sparse A_EC COUPLING_BLOCK
+      columns at a time, and kept; W itself, the elastic unknowns times the
+      contact unknowns (763 MB at refinement level 3), is never formed. A
+      stale factor is dropped before the new one is formed.
+    - A_MM^-1 is two K solves and one solve with the small dense Schur
+      complement A_CC - A_CE[:, walls] W[walls], which is factored on each
+      call: y_C from the Schur complement and the first K solve, then
+      y_E = K^-1 (r_E - A_EC y_C) by the second K solve, which replaces
+      the dense product W y_C.
     - The correction of the scalar unknowns from the starting point x0
       solves A_SS, when no scalar row has a nonzero in a mechanics column
       (every steady system), or else the Schur complement
       A_SS - A_SM A_MM^-1 A_MS, applied matrix-free, by GMRES. Its
-      preconditioner is an LU of A_SS, reused until :meth:`start_step` or
-      until GMRES needs more than REUSE_ITERATIONS iterations with it. A
-      solve of A_SS with its own fresh LU is refined twice. A scalar
-      residual at the roundoff floor is taken as solved, with no
+      preconditioner is an LU of A_SS, ordered by SCALAR_ORDERING (COLAMD),
+      reused until :meth:`start_step` or until GMRES needs more than
+      REUSE_ITERATIONS iterations with it. A solve of A_SS with its own
+      fresh LU is refined twice. A scalar residual at the roundoff floor
+      is taken as solved, with no
       factorisation.
     - The mechanics follow by x_M = A_MM^-1 (b_M - A_MS x_S), with two
       rounds of iterative refinement.
@@ -96,7 +114,8 @@ class DirectSolver:
     matrix but the ones it factors. A new pattern gets new gathers.
 
     Without ``mechanics`` M is empty and GMRES solves the whole system. The
-    residual of the whole system is checked against SOLVE_TOL.
+    residual of the whole system is checked against SOLVE_TOL; besides a
+    factorisation that fails, that is the only test a solve must pass.
     """
 
     def __init__(self, mechanics: np.ndarray | None = None,
@@ -104,7 +123,7 @@ class DirectSolver:
         self.mechanics = mechanics
         self.contact = contact
         self._blocks = None  # the gathers of the pattern last solved
-        self._elastic = None  # (equilibrated E rows' data, LU of K, W, W[walls]) as factored
+        self._elastic = None  # (equilibrated E rows' data, LU of K, W[walls]) as factored
         self._precond = None  # LU of the equilibrated A_SS
 
     def start_step(self):
@@ -164,19 +183,18 @@ class DirectSolver:
         rows = blk.full.data[:blk.full.indptr[n_e]]
         kept = self._elastic
         if kept is None or not np.array_equal(rows, kept[0]):
-            # the stale W goes before the new one is formed
-            kept = self._elastic = None
-            lu = _factor(blk.full, slice(0, n_e))
-            w = _coupling(lu, blk.fill("ec"))
-            self._elastic = kept = (rows.copy(), lu, w, np.ascontiguousarray(w[walls]))
-        _, lu, w, w_walls = kept
-        a_ce = blk.fill("ce")
+            # the stale factor goes before the new one is formed
+            self._elastic = None
+            lu = _factor(blk.full, slice(0, n_e), ELASTIC_ORDERING)
+            self._elastic = (rows.copy(), lu, _coupling(lu, blk.fill("ec"), walls))
+        _, lu, w_walls = self._elastic
+        a_ec, a_ce = blk.fill("ec"), blk.fill("ce")
         schur = sla.lu_factor(blk.fill("cc").toarray() - a_ce @ w_walls)
 
         def solve(r):
-            y_e = lu.solve(r[:n_e])
-            y_c = sla.lu_solve(schur, r[n_e:n_m] - a_ce @ y_e[walls])
-            return np.concatenate([y_e - w @ y_c, y_c])
+            r_e = r[:n_e]
+            y_c = sla.lu_solve(schur, r[n_e:n_m] - a_ce @ lu.solve(r_e)[walls])
+            return np.concatenate([lu.solve(r_e - a_ec @ y_c), y_c])
 
         return solve
 
@@ -184,7 +202,8 @@ class DirectSolver:
                            floor: float) -> np.ndarray:
         """The correction of the scalar unknowns for the residual r of the
         whole system, by preconditioned GMRES; a residual at most ``floor``
-        is roundoff."""
+        is roundoff. A fresh GMRES that misses its tolerance returns its last
+        iterate."""
         n_m, s_rows = blk.n_m, blk.s_rows
         g = r[n_m:]
         padded = np.zeros(s_rows.shape[1])
@@ -213,12 +232,8 @@ class DirectSolver:
             dy, info = _gmres(op, g, self._precond, atol, REUSE_ITERATIONS, 1)
             if info == 0:
                 return dy
-        self._precond = _factor(blk.full, slice(n_m, None))
-        dy, info = _gmres(op, g, self._precond, atol, FRESH_RESTART, FRESH_CYCLES)
-        if info != 0:
-            raise SolverFailure(
-                f"GMRES on the scalar unknowns did not reach {atol:.3e} in "
-                f"{FRESH_CYCLES} cycles of {FRESH_RESTART}")
+        self._precond = _factor(blk.full, slice(n_m, None), SCALAR_ORDERING)
+        dy, _ = _gmres(op, g, self._precond, atol, FRESH_RESTART, FRESH_CYCLES)
         if not coupled:
             # GMRES tests the 2-norm of the residual. With the operator's own
             # factor, two rounds of refinement bring each component to the
@@ -235,7 +250,8 @@ class _Blocks:
     ``full`` keeps each row's columns sorted; ``m_rows`` and ``s_rows`` are
     its M and S rows, sharing its arrays. The small blocks have their own
     gathers from ``full``, and :meth:`fill` refills one: "ec", the E rows
-    against C, by columns, from which W is solved; "cc", the contact rows
+    against C, by columns, from which W[walls] is solved and with which the
+    elastic back-substitution multiplies; "cc", the contact rows
     against C; and "ce", the contact rows against the E columns in
     ``walls``. Those are the wall displacements, the only E columns in
     which the contact rows have entries (180 of 2228 at refinement level
@@ -286,12 +302,18 @@ class _Blocks:
 
     def equilibrate(self, A: sps.csr_matrix, col_scale: np.ndarray) -> np.ndarray:
         """Fill ``full`` with A, permuted, times the permuted column scales
-        and divided by the row maxima; returns the row maxima."""
+        and divided by the row maxima; returns the row maxima. A's data is
+        taken into ``full`` and scaled there, so that at most one temporary
+        of A's size exists at a time."""
         data = self.full.data
-        np.multiply(A.data[self.gather], col_scale[self.full.indices], out=data)
+        # an index that is in range needs no buffer of the output
+        np.take(A.data, self.gather, out=data, mode="clip")
+        data *= col_scale[self.full.indices]
+        starts = self.full.indptr[self.nonempty]
         row_max = np.zeros(A.shape[0])
-        row_max[self.nonempty] = np.maximum.reduceat(np.abs(data),
-                                                     self.full.indptr[self.nonempty])
+        # the largest magnitude of each row, without an array of |data|
+        row_max[self.nonempty] = np.maximum(np.maximum.reduceat(data, starts),
+                                            -np.minimum.reduceat(data, starts))
         row_max = np.maximum(row_max, 1e-300)
         data *= np.repeat(1.0 / row_max, self.row_sizes)
         return row_max
@@ -302,29 +324,31 @@ class _Blocks:
         return block
 
 
-def _coupling(lu, ec: sps.csc_matrix) -> np.ndarray:
-    """W = K^-1 A_EC in Fortran order, K given by its LU factors and A_EC by
-    columns, solved COUPLING_BLOCK columns at a time: W is the only array
-    of its size."""
+def _coupling(lu, ec: sps.csc_matrix, walls: np.ndarray) -> np.ndarray:
+    """The rows ``walls`` of W = K^-1 A_EC, C-ordered, K given by its LU
+    factors and A_EC by columns. W is solved COUPLING_BLOCK columns at a
+    time, and only each block's wall rows are kept: no array of W's size is
+    formed."""
     n, m = ec.shape
-    w = np.empty((n, m), order="F")
+    w_walls = np.empty((walls.size, m))
     for j in range(0, m, COUPLING_BLOCK):
         k = min(COUPLING_BLOCK, m - j)
         first, last = ec.indptr[j], ec.indptr[j + k]
         rhs = np.zeros((n, k), order="F")
         rhs[ec.indices[first:last], np.repeat(np.arange(k), np.diff(ec.indptr[j:j + k + 1]))] \
             = ec.data[first:last]
-        w[:, j:j + k] = lu.solve(rhs)
-    return w
+        w_walls[:, j:j + k] = lu.solve(rhs)[walls]
+    return w_walls
 
 
-def _factor(matrix: sps.csr_matrix, part: slice):
+def _factor(matrix: sps.csr_matrix, part: slice, ordering: str):
     """The LU factors of the diagonal block ``part`` of ``matrix``, with its
-    explicit zeros dropped."""
+    explicit zeros dropped, its columns ordered by SuperLU's ``ordering``.
+    Every factorisation of the package is made here."""
     block = matrix[part, part].tocsc()
     block.eliminate_zeros()
     try:
-        return spla.splu(block)
+        return spla.splu(block, permc_spec=ordering)
     except RuntimeError as err:
         raise SolverFailure(f"sparse factorisation failed: {err}") from err
 

@@ -207,9 +207,9 @@ class TestNoSymbolicWorkPerIteration:
 
         splu = spla.splu
 
-        def counted_splu(matrix):
+        def counted_splu(matrix, **kwargs):
             factors.append(matrix.shape)
-            return splu(matrix)
+            return splu(matrix, **kwargs)
 
         monkeypatch.setattr(newton.DirectSolver, "solve", counted)
         monkeypatch.setattr(spla, "splu", counted_splu)

@@ -156,6 +156,46 @@ def test_splu_is_called_through_its_module():
     assert found == []
 
 
+def enclosing_functions(path: Path, names) -> list:
+    """(line, enclosing function) of each call in a module of a function
+    named in ``names``, by its bare or its attribute name; the enclosing
+    function is the innermost one, None at module level."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    found.append((child.lineno, function))
+            inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     else function)
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return sorted(found)
+
+
+def test_factorisation_callers_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import scipy.sparse.linalg as spla\nlu = spla.splu(a)\n"
+        "def _factor(a):\n    return spla.splu(a, permc_spec='COLAMD')\n"
+        "class S:\n    def solve(self):\n        f = spla.splu\n"
+        "        def inner():\n            return f(1) + spla.splu(2)\n", encoding="utf-8")
+    assert enclosing_functions(module, ("splu",)) == [(2, None), (4, "_factor"), (9, "inner")]
+
+
+def test_only_factor_calls_splu():
+    # every factorisation goes through newton._factor, so that each block's
+    # ordering is chosen in one place
+    found = [(str(path.relative_to(SRC)), function)
+             for path in sorted(SRC.rglob("*.py"))
+             for _, function in enclosing_functions(path, ("splu",))]
+    assert found == [("mdthm/system/newton.py", "_factor")]
+
+
 def imports_from(path: Path, module: str) -> list:
     """(line, name) of each name a module imports from ``module`` or one of
     its submodules, and of each import of ``module`` itself."""
