@@ -81,8 +81,10 @@ class DirectSolver:
     the scalar ones (p, T, nu, nu_adv, nu_cond); M is E with C.
 
     - K = A_EE, the MPSA stress and the wall traction balance, does not
-      depend on the state. It is factored once, ordered by ELASTIC_ORDERING
-      (minimum degree), and refactored only when the equilibrated E rows
+      depend on the state. Its pattern is structurally symmetric, so it is
+      ordered by minimum degree on K + K^T (ELASTIC_ORDERING), which fills
+      it less than COLAMD; A_SS's pattern is not, and it keeps COLAMD. K is
+      factored once, and refactored only when the equilibrated E rows
       differ from the factored ones. A_CE has entries only in the wall
       columns, so of W = K^-1 A_EC only the rows W[walls] are needed. They
       are solved with the factor, from the sparse A_EC COUPLING_BLOCK
