@@ -183,14 +183,14 @@ class DirectSolver:
         E rows changed, and this call's dense Schur complement on C."""
         n_e, n_m, walls = blk.n_e, blk.n_m, blk.walls
         rows = blk.full.data[:blk.full.indptr[n_e]]
+        a_ec, a_ce = blk.fill("ec"), blk.fill("ce")
         kept = self._elastic
         if kept is None or not np.array_equal(rows, kept[0]):
             # the stale factor goes before the new one is formed
             self._elastic = None
             lu = _factor(blk.full, slice(0, n_e), ELASTIC_ORDERING)
-            self._elastic = (rows.copy(), lu, _coupling(lu, blk.fill("ec"), walls))
+            self._elastic = (rows.copy(), lu, _coupling(lu, a_ec, walls))
         _, lu, w_walls = self._elastic
-        a_ec, a_ce = blk.fill("ec"), blk.fill("ce")
         schur = sla.lu_factor(blk.fill("cc").toarray() - a_ce @ w_walls)
 
         def solve(r):
@@ -308,7 +308,8 @@ class _Blocks:
         taken into ``full`` and scaled there, so that at most one temporary
         of A's size exists at a time."""
         data = self.full.data
-        # an index that is in range needs no buffer of the output
+        # the gather is in range; with mode "raise" np.take would buffer
+        # its output in a temporary of A's size
         np.take(A.data, self.gather, out=data, mode="clip")
         data *= col_scale[self.full.indices]
         starts = self.full.indptr[self.nonempty]
