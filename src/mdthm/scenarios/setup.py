@@ -5,8 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sps
+from scipy.sparse.csgraph import connected_components
 
 from mdthm.mdmesh import (
+    MeshError,
     MixedDimGrid,
     build_cartesian_fractured,
     build_triangular_fractured,
@@ -83,6 +86,7 @@ def build_scenario(cfg: ScenarioConfig, extra_refinement: int = 0) -> Scenario:
         return np.isin(grid.tags["domain_side"], [SIDE_CODE[s] for s in sides])
 
     bc_types = {"mech": dirichlet(mdg.matrix, cfg.mech_dirichlet)}
+    check_blocks_held(mdg.matrix, bc_types["mech"])
     for var, sides in (("flow", cfg.flow_dirichlet), ("heat", cfg.heat_dirichlet)):
         bc_types[var] = dirichlet(mdg.matrix, sides)
         bc_types[("frac", var)] = dirichlet(mdg.grids[1], sides)
@@ -108,6 +112,24 @@ def build_scenario(cfg: ScenarioConfig, extra_refinement: int = 0) -> Scenario:
     # the solver factors the elastic block in its first solve, not in set-up
     solver = DirectSolver(asm.dofs.mechanics, asm.dofs.contact)
     return Scenario(cfg, mdg, asm, state, newton, wells, solver)
+
+
+def check_blocks_held(grid, mech_dirichlet: np.ndarray):
+    """Raise MeshError for a block of matrix cells, linked through faces with
+    two cells, that no mechanics Dirichlet face holds: fractures enclose it,
+    and its rigid motions leave the elastic block singular."""
+    owner, nbr = grid.face_cells
+    inner = nbr >= 0
+    links = sps.coo_matrix((np.ones(inner.sum()), (owner[inner], nbr[inner])),
+                           shape=(grid.num_cells,) * 2)
+    block = connected_components(links, directed=False)[1]
+    free = np.setdiff1d(block, block[owner[mech_dirichlet]])
+    if free.size:
+        cells = np.flatnonzero(block == free[0])
+        x, y = grid.cell_centers[:, cells[0]]
+        raise MeshError(f"a block of {cells.size} matrix cells, one centred at ({x:.6g}, "
+                        f"{y:.6g}), has no mechanics Dirichlet face: the block solver "
+                        "needs every block of the matrix held by such a face")
 
 
 def solver_scales(cfg: ScenarioConfig, mdg: MixedDimGrid) -> dict:

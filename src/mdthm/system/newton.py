@@ -37,17 +37,20 @@ RESIDUAL_FLOOR = 1e-4
 SOLVE_TOL = 1e-10
 # GMRES on the scalar unknowns stops at GMRES_RTOL times its initial
 # residual, or at the roundoff floor GMRES_FLOOR (about 13 ulps) times the
-# norm of the equilibrated scalar right-hand side; a residual at the floor
-# is not solved at all. A floor of 1e-14 left residuals above Newton's
-# residual floor at increment_tol 1e-10, and Newton stalled on roundoff. A
-# preconditioner reused from an earlier iteration gets REUSE_ITERATIONS
-# iterations before it is refactored; a fresh one gets FRESH_CYCLES restart
-# cycles of FRESH_RESTART iterations, and its last iterate is kept even if
-# it misses the tolerance. The Schur operator's own roundoff reaches about
-# that tolerance: on the stimulation config's first coupled step GMRES
-# stalls at 0.56 to 1.01 times it, depending on how the mechanics are
-# ordered and solved. Whether a solve is good enough is decided by
-# SOLVE_TOL alone.
+# norm of the equilibrated scalar right-hand side b_S. A floor of 1e-14 left
+# residuals above Newton's residual floor at increment_tol 1e-10, and Newton
+# stalled on roundoff. A residual within GMRES_FLOOR ‖|b_S| + |A_S||y|‖, the
+# roundoff of evaluating it at the start point y (Arioli, Demmel & Duff,
+# SIAM J. Matrix Anal. Appl. 10, 1989), is not solved, as in a steady step
+# that only compresses; as GMRES's tolerance, that bound cost the interface
+# laws their precision. A preconditioner reused from an earlier iteration
+# gets REUSE_ITERATIONS iterations before it is refactored; a fresh one gets
+# FRESH_CYCLES restart cycles of FRESH_RESTART iterations, and its last
+# iterate is kept even if it misses the tolerance. The Schur operator's own
+# roundoff reaches about that tolerance: on the stimulation config's first
+# coupled step GMRES stalls at 0.56 to 1.01 times it, depending on how the
+# mechanics are ordered and solved. Whether a solve is good enough is
+# decided by SOLVE_TOL alone.
 GMRES_RTOL = 1e-10
 GMRES_FLOOR = 3e-15
 REUSE_ITERATIONS = 10
@@ -103,9 +106,9 @@ class DirectSolver:
       preconditioner is an LU of A_SS, ordered by SCALAR_ORDERING (COLAMD),
       reused until :meth:`start_step` or until GMRES needs more than
       REUSE_ITERATIONS iterations with it. A solve of A_SS with its own
-      fresh LU is refined twice. A scalar residual at the roundoff floor
-      is taken as solved, with no
-      factorisation.
+      fresh LU is refined twice. A scalar residual at the roundoff of its
+      own evaluation (GMRES_FLOOR) is taken as solved, with no
+      factorisation: a steady step that only compresses never factors A_SS.
     - The mechanics follow by x_M = A_MM^-1 (b_M - A_MS x_S), with two
       rounds of iterative refinement.
 
@@ -155,7 +158,9 @@ class DirectSolver:
         mech = self._mechanics_inverse(blk)
         r = bs - blk.full @ y
         floor = GMRES_FLOOR * np.linalg.norm(bs[n_m:])
-        y[n_m:] += self._scalar_correction(blk, mech, r, floor)
+        np.abs(blk.s_rows.data, out=blk.s_abs.data)
+        noise = GMRES_FLOOR * np.linalg.norm(np.abs(bs[n_m:]) + blk.s_abs @ np.abs(y))
+        y[n_m:] += self._scalar_correction(blk, mech, r, floor, noise)
         # back-substitution, refined towards the roundoff of the M block
         y_m = np.zeros(n_m)
         for _ in range(3):
@@ -201,11 +206,11 @@ class DirectSolver:
         return solve
 
     def _scalar_correction(self, blk: _Blocks, mech, r: np.ndarray,
-                           floor: float) -> np.ndarray:
+                           floor: float, noise: float) -> np.ndarray:
         """The correction of the scalar unknowns for the residual r of the
-        whole system, by preconditioned GMRES; a residual at most ``floor``
-        is roundoff. A fresh GMRES that misses its tolerance returns its last
-        iterate."""
+        whole system, by preconditioned GMRES to the absolute tolerance
+        ``floor``; a residual at most ``noise`` is roundoff and gets none. A
+        fresh GMRES that misses its tolerance returns its last iterate."""
         n_m, s_rows = blk.n_m, blk.s_rows
         g = r[n_m:]
         padded = np.zeros(s_rows.shape[1])
@@ -227,7 +232,7 @@ class DirectSolver:
         else:
             op = spla.LinearOperator((g.size, g.size), dtype=float, matvec=a_ss)
         g_norm = np.linalg.norm(g)
-        if g_norm <= floor:
+        if g_norm <= noise:
             return np.zeros_like(g)
         atol = max(GMRES_RTOL * g_norm, floor)
         if self._precond is not None:
@@ -258,7 +263,8 @@ class _Blocks:
     ``walls``. Those are the wall displacements, the only E columns in
     which the contact rows have entries (180 of 2228 at refinement level
     0), so "ce" holds every entry of the contact rows in E, in the same
-    order. ``coupled`` marks the entries of the S rows in M columns.
+    order. ``coupled`` marks the entries of the S rows in M columns;
+    ``s_abs``, sharing ``s_rows``' index arrays, is refilled with |A_S|.
     """
 
     def __init__(self, A: sps.csr_matrix, perm, n_e: int, n_m: int):
@@ -285,6 +291,8 @@ class _Blocks:
         # views of full's arrays; the constructor copies a small view
         for rows, part in ((self.m_rows, slice(0, k)), (self.s_rows, slice(k, None))):
             rows.data, rows.indices = self.full.data[part], self.full.indices[part]
+        self.s_abs = sps.csr_matrix((np.zeros(A.nnz - k), self.s_rows.indices,
+                                     self.s_rows.indptr), shape=self.s_rows.shape)
         self.coupled = at.indices[k:] < n_m
         at.data = np.arange(A.nnz, dtype=float)
         e, c = slice(0, n_e), slice(n_e, n_m)
@@ -300,7 +308,7 @@ class _Blocks:
     def fits(self, A) -> bool:
         return (A.shape == self.full.shape
                 and (A.indptr is self.indptr or np.array_equal(A.indptr, self.indptr))
-                and np.array_equal(A.indices, self.indices))
+                and (A.indices is self.indices or np.array_equal(A.indices, self.indices)))
 
     def equilibrate(self, A: sps.csr_matrix, col_scale: np.ndarray) -> np.ndarray:
         """Fill ``full`` with A, permuted, times the permuted column scales

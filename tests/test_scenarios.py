@@ -334,6 +334,21 @@ class TestCommandLine:
         assert "steady phase 'compression'" in err
         assert "nonpositive aperture on fracture subdomain 1 " in err
 
+    def test_block_enclosed_by_fractures_rejected(self, tmp_path, capsys):
+        # a closed square of fractures cuts the matrix in two: the inner
+        # block touches no mechanics Dirichlet face, and K would be singular
+        raw = tiny_raw()
+        corners = [[0.5, 0.25], [1.0, 0.25], [1.0, 0.75], [0.5, 0.75]]
+        raw["mesh"]["fractures"] = [[a, b] for a, b in zip(corners, corners[1:] + corners[:1])]
+        code = cli.main(["run", "--config", write_config(tmp_path, raw),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "a block of 8 matrix cells, one centred at (" in err
+        x, y = map(float, err.split("centred at (")[1].split(")")[0].split(","))
+        assert 0.5 < x < 1.0 and 0.25 < y < 0.75
+        assert "needs every block of the matrix held by such a face" in err
+
     def test_unknown_solver_key_rejected(self, tmp_path, capsys):
         raw = tiny_raw()
         raw["solver"]["c_num"] = 1e10

@@ -384,6 +384,95 @@ class TestBlockSolve:
             self.solver(asm).solve(A, b, column_scales(asm, default_params().scales),
                                    state.current)
 
+    def rest_system(self):
+        """A steady system loaded only mechanically, at the scalar rest state:
+        its scalar residual is roundoff."""
+        mdg, asm, state = make_problem(FR)
+        loads = make_loads(asm, top_displacement=self.LOADS["top_displacement"])
+        A, b = asm.assemble(state, asm.build_cache(state, loads), 1.0, True, loads)
+        return asm, state, A.tocsr(), b
+
+    @staticmethod
+    def block_sizes(asm):
+        dofs = asm.dofs
+        return int(np.sum(dofs.mechanics & ~dofs.contact)), int(np.sum(~dofs.mechanics))
+
+    def test_steady_load_from_rest_factors_the_elastic_block_alone(self, monkeypatch):
+        mdg, asm, state = make_problem(FR)
+        n_e, _ = self.block_sizes(asm)
+        sizes = self.count_factorisations(monkeypatch)
+        loads = make_loads(asm, top_displacement=self.LOADS["top_displacement"])
+        rep = newton_solve(asm, state, 1.0, True, loads, default_params(),
+                           solver=self.solver(asm))
+        assert rep.converged and rep.iterations > 1
+        assert sizes == [n_e]
+
+    def test_transient_load_from_rest_factors_the_scalar_block(self, monkeypatch):
+        # compression moves the pressure through the Biot storage term
+        mdg, asm, state = make_problem(FR)
+        n_e, n_s = self.block_sizes(asm)
+        sizes = self.count_factorisations(monkeypatch)
+        loads = make_loads(asm, top_displacement=self.LOADS["top_displacement"],
+                           prev_top_displacement=(0.0, 0.0))
+        rep = newton_solve(asm, state, 100.0, False, loads, default_params(),
+                           solver=self.solver(asm))
+        assert rep.converged
+        assert sizes.count(n_e) == 1 and n_s in sizes
+        assert np.abs(state.current[asm.dofs.cells(2, P)]).max() > 0.0
+
+    def test_skipped_scalar_correction_returns_the_start_point(self, monkeypatch):
+        asm, state, A, b = self.rest_system()
+        n_e, _ = self.block_sizes(asm)
+        sizes = self.count_factorisations(monkeypatch)
+        cs = column_scales(asm, default_params().scales)
+        x0 = state.current
+        x = self.solver(asm).solve(A, b, cs, x0)
+        assert sizes == [n_e]
+        scalar = ~asm.dofs.mechanics
+        assert x[scalar].tobytes() == (cs * (x0 / cs))[scalar].tobytes()
+
+    def test_scalar_residual_above_roundoff_is_solved(self, monkeypatch):
+        # noise as DirectSolver.solve computes it, then one equilibrated
+        # scalar entry of b moved by 1e3 times it
+        asm, state, A, b = self.rest_system()
+        _, n_s = self.block_sizes(asm)
+        cs = column_scales(asm, default_params().scales)
+        solver = self.solver(asm)
+        solver.solve(A, b, cs, state.current)
+        blk = solver._blocks
+        perm, n_m = blk.perm, blk.n_m
+        row_max = blk.equilibrate(A, cs[perm])
+        y = state.current[perm] / cs[perm]
+        noise = newton.GMRES_FLOOR * np.linalg.norm(
+            np.abs(b[perm] / row_max)[n_m:] + blk.s_abs @ np.abs(y))
+        row = n_m + int(np.argmax(row_max[n_m:]))
+        b = b.copy()
+        b[perm[row]] += 1e3 * noise * row_max[row]
+        sizes = self.count_factorisations(monkeypatch)
+        x = solver.solve(A, b, cs, state.current)
+        assert sizes == [n_s]
+        scaled_residual = ((A @ x - b)[perm] / row_max)[n_m:]
+        assert np.linalg.norm(scaled_residual) < 10.0 * noise
+
+    def test_index_arrays_compared_only_when_not_shared(self, monkeypatch):
+        asm, state, A, b = self.rest_system()
+        solver = self.solver(asm)
+        solver.solve(A, b, column_scales(asm, default_params().scales), state.current)
+        blk = solver._blocks
+        compared, array_equal = [], np.array_equal
+
+        def counted(*args):
+            compared.append(1)
+            return array_equal(*args)
+
+        monkeypatch.setattr(np, "array_equal", counted)
+        assert A.indices is blk.indices and A.indptr is blk.indptr
+        assert blk.fits(A) and compared == []
+        copied = sps.csr_matrix((A.data, A.indices.copy(), A.indptr.copy()), shape=A.shape)
+        assert blk.fits(copied) and len(compared) == 2
+        copied.indices[0] = (copied.indices[0] + 1) % A.shape[1]
+        assert not blk.fits(copied)
+
     def test_newton_matches_newton_with_a_direct_solve(self, monkeypatch):
         # Newton counts on this fixture move with roundoff for any solver:
         # under 4-ulp perturbations of A and b a whole-system LU takes 5 to 8
