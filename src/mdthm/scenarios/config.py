@@ -113,6 +113,22 @@ def _expect(cond, path, message):
         raise ConfigError(f"{path}: {message}")
 
 
+def _number(value, path, integer=False):
+    """``value`` as a float, as an int where ``integer``, or a list of them
+    for a list; a ConfigError names the field's ``path`` where it is not
+    one."""
+    if isinstance(value, list):
+        return [_number(v, f"{path}[{i}]", integer) for i, v in enumerate(value)]
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: must be a number, not {value!r}") from None
+    if integer:
+        _expect(number.is_integer(), path, f"must be an integer, not {value!r}")
+        return int(number)
+    return number
+
+
 def parse_config(raw: dict) -> ScenarioConfig:
     _expect(isinstance(raw, dict), "$", "configuration must be a JSON object")
     name = raw.get("name", "scenario")
@@ -128,8 +144,9 @@ def parse_config(raw: dict) -> ScenarioConfig:
         for key in ("nx", "ny"):
             _expect(isinstance(mesh.get(key), int) and mesh[key] > 0,
                     f"mesh.{key}", "must be a positive integer")
-        _expect(int(mesh.get("refinement", 0)) >= 0, "mesh.refinement",
-                "must be a nonnegative integer")
+    refinement = _number(mesh.get("refinement", 0), "mesh.refinement", integer=True)
+    _expect(refinement >= 0, "mesh.refinement", "must be a nonnegative integer")
+    mesh = dict(mesh, refinement=refinement)
 
     try:
         materials = MaterialSet.from_dict(raw.get("materials", {}))
@@ -142,9 +159,10 @@ def parse_config(raw: dict) -> ScenarioConfig:
     initial = raw.get("initial", {})
     p_init = initial.get("pressure", 0.0)
     if p_init != "hydrostatic":
-        p_init = float(p_init)
-    T_init = float(initial.get("temperature", materials.reference_temperature))
-    lam_init = float(initial.get("normal_traction", -1e6))
+        p_init = _number(p_init, "initial.pressure")
+    T_init = _number(initial.get("temperature", materials.reference_temperature),
+                     "initial.temperature")
+    lam_init = _number(initial.get("normal_traction", -1e6), "initial.normal_traction")
     _expect(lam_init <= 0, "initial.normal_traction",
             "the starting normal traction must be compressive")
 
@@ -165,10 +183,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
         path = f"phases[{i}]"
         _expect(isinstance(ph, dict), path, "must be an object")
         steady = bool(ph.get("steady", False))
-        duration = float(ph.get("duration", 0.0))
-        dt = float(ph.get("dt", 0.0))
-        ramp = float(ph.get("ramp", 0.0))
-        dt_init = float(ph.get("dt_init", 0.0))
+        duration, dt, ramp, dt_init = (_number(ph.get(key, 0.0), f"{path}.{key}")
+                                       for key in ("duration", "dt", "ramp", "dt_init"))
         if not steady:
             _expect(duration > 0, f"{path}.duration", "must be positive")
             _expect(dt > 0, f"{path}.dt", "must be positive")
@@ -181,20 +197,19 @@ def parse_config(raw: dict) -> ScenarioConfig:
             if "displacement" in val:
                 _expect(side in lists["mech_dirichlet"], f"{path}.mech.{side}",
                         "displacement given on a non-Dirichlet side")
-                sval.displacement = tuple(float(v) for v in val["displacement"])
+                sval.displacement = tuple(_number(val["displacement"],
+                                                  f"{path}.mech.{side}.displacement"))
             if "traction" in val:
                 _expect(side not in lists["mech_dirichlet"], f"{path}.mech.{side}",
                         "traction given on a Dirichlet side")
-                sval.traction = tuple(float(v) for v in val["traction"])
+                sval.traction = tuple(_number(val["traction"], f"{path}.mech.{side}.traction"))
             if "stress" in val or "stress_gradient_y" in val:
                 _expect(side not in lists["mech_dirichlet"], f"{path}.mech.{side}",
                         "stress given on a Dirichlet side")
-                if "stress" in val:
-                    sval.stress = np.asarray(val["stress"], dtype=float).reshape(2, 2)
-                if "stress_gradient_y" in val:
-                    sval.stress_gradient_y = np.asarray(
-                        val["stress_gradient_y"], dtype=float
-                    ).reshape(2, 2)
+                for key in ("stress", "stress_gradient_y"):
+                    if key in val:
+                        setattr(sval, key, np.reshape(
+                            _number(val[key], f"{path}.mech.{side}.{key}"), (2, 2)))
             mech[side] = sval
         flow, heat = {}, {}
         for var, target, dir_list in (("flow", flow, lists["flow_dirichlet"]),
@@ -208,13 +223,13 @@ def parse_config(raw: dict) -> ScenarioConfig:
                             "'hydrostatic' applies to flow only")
                     target[side] = "hydrostatic"
                 else:
-                    target[side] = float(val)
+                    target[side] = _number(val, f"{path}.{var}.{side}")
         wells = []
         for j, w in enumerate(ph.get("sources", [])):
             wpath = f"{path}.sources[{j}]"
             _expect("at" in w and len(w["at"]) == 2, f"{wpath}.at",
                     "must be an [x, y] position")
-            rate = float(w.get("rate", 0.0))
+            rate = _number(w.get("rate", 0.0), f"{wpath}.rate")
             temp = w.get("temperature")
             if rate > 0:
                 _expect(temp is not None, f"{wpath}.temperature",
@@ -222,16 +237,18 @@ def parse_config(raw: dict) -> ScenarioConfig:
             subdomain = w.get("subdomain", "auto")
             _expect(subdomain in WELL_SUBDOMAINS, f"{wpath}.subdomain",
                     f"must be one of {', '.join(WELL_SUBDOMAINS)}, not {subdomain!r}")
-            wells.append(WellSpec(tuple(map(float, w["at"])), rate,
-                                  None if temp is None else float(temp), subdomain))
+            wells.append(WellSpec(tuple(_number(w["at"], f"{wpath}.at")), rate,
+                                  None if temp is None else _number(temp, f"{wpath}.temperature"),
+                                  subdomain))
         phases.append(PhaseConfig(ph.get("name", f"phase{i}"), duration, dt, steady, dt_init,
                                   ramp, mech, flow, heat, wells))
 
-    solver = dict(raw.get("solver", {}))
-    for key in solver:
+    solver = {}
+    for key, value in raw.get("solver", {}).items():
         _expect(key in SOLVER_KEYS, f"solver.{key}",
                 f"unknown solver setting; accepted: {', '.join(SOLVER_KEYS)}")
-    out_every = int(raw.get("output", {}).get("every", 1))
+        solver[key] = _number(value, f"solver.{key}", integer=key == "max_iterations")
+    out_every = _number(raw.get("output", {}).get("every", 1), "output.every", integer=True)
     return ScenarioConfig(
         name=name, mesh=mesh, materials=materials,
         dilation_model=DilationModel(model_code),

@@ -22,12 +22,12 @@ from mdthm.system import Assembler, DirectSolver, Loads, NewtonParams, State
 def build_mesh(cfg: ScenarioConfig, extra_refinement: int = 0) -> MixedDimGrid:
     mesh = cfg.mesh
     if mesh["kind"] == "gmsh":
-        if extra_refinement or int(mesh.get("refinement", 0)):
+        if extra_refinement or mesh["refinement"]:
             raise ConfigError("mesh.refinement: gmsh meshes cannot be refined")
         return ingest_gmsh(mesh["path"])
     # refinement level k is the generator's grid with 2^k times the cells
     # along each axis, the same grid that ``refine`` builds
-    factor = 2 ** (int(mesh.get("refinement", 0)) + extra_refinement)
+    factor = 2 ** (mesh["refinement"] + extra_refinement)
     box = tuple(tuple(map(float, p)) for p in mesh.get("box", ((0, 0), (1, 1))))
     fractures = [tuple(map(tuple, s)) for s in mesh.get("fractures", [])]
     builder = (build_triangular_fractured if mesh["kind"] == "triangular"
@@ -104,8 +104,8 @@ def build_scenario(cfg: ScenarioConfig, extra_refinement: int = 0) -> Scenario:
     state.set_initial(init)
 
     newton = NewtonParams(
-        max_iterations=int(cfg.solver.get("max_iterations", 50)),
-        increment_tol=float(cfg.solver.get("increment_tol", 1e-10)),
+        max_iterations=cfg.solver.get("max_iterations", 50),
+        increment_tol=cfg.solver.get("increment_tol", 1e-10),
         scales=solver_scales(cfg, mdg),
     )
     wells = [locate_wells(mdg, ph, f"phases[{i}]") for i, ph in enumerate(cfg.phases)]

@@ -24,24 +24,27 @@ from rest under a pressure drop, into a heat source that only conduction
 balances: the first iterate then overshoots by 1e4 K and Newton diverges.
 The contact rows use the semismooth generalised Jacobian.
 
-The matrix has one sparsity pattern for the whole run, which the first
-assembly builds in :class:`_Slots`: the union of the blocks of every
-contact state, of both upwind directions on every face and mortar, of
-wells in every cell, and, when the run has a transient step
-(``Assembler(..., transient=True)``, the default), of the storage terms of
-transient steps; a run of steady steps only has no storage slots. With it
-come the constant part of the matrix, the blocks that depend on neither
-the state, the loads nor dt, summed once in assembly order, and a static
-map S from coefficient vectors to the slots of the pattern. Every other
-block is L diag(c) R with static L and R and a cellwise, facewise or
-mortar-cellwise coefficient vector c: the storage coefficients and
-volume-change weights, which carry 1/dt; the fracture transmissibilities;
-the upwinded advective weights; the contact blocks; the interface weights;
-and the Newton derivatives. An assembly computes these vectors only and
-sets the matrix data to the constant part plus S c, one sparse
-matrix-vector product; a Newton block adds L (c R x_k) to b. A steady step
-on a pattern with storage slots gives the storage coefficients zero, and
-their slots hold explicit zeros.
+Each law declares every block of its rows once, where it computes the
+block's coefficient, to a per-assembly :class:`_System`. A block is
+constant (no state, load or dt in it) or L diag(c) R with static L and R
+and a cellwise, facewise or mortar-cellwise coefficient vector c: the
+storage coefficients and volume-change weights, which carry 1/dt; the
+fracture transmissibilities; the upwinded advective weights; the contact
+blocks; the interface weights; and the Newton derivatives. Only the first
+assembly of a run calls the structure functions of its declarations, to
+register the run's one sparsity pattern in :class:`_Slots`: the union of
+the blocks of every contact state, of both upwind directions on every face
+and mortar, of wells in every cell, and, when the run has a transient step
+(``Assembler(..., transient=True)``, the default), of the storage terms.
+With it come the constant part, summed once in declaration order, and a
+static map S from coefficient vectors to the slots. Every later assembly
+runs the same code, checks each term against the registered one at its
+position, and sets the matrix data to the constant part plus S c, one
+sparse matrix-vector product; a Newton block adds L (c R x_k) to b. So
+every condition around a declaration is static: the dimension, the
+transient flag, the fractures, the mortar groups and gravity. A steady
+step declares the storage terms with coefficient zero, and their slots
+hold explicit zeros; a run of steady steps only has no storage slots.
 
 Each balance law is one function that loops over the dimensions 2, 1 and 0,
 never over subdomains. It reads the per-dimension view that the mesh owns:
@@ -92,7 +95,6 @@ traction per face.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sps
@@ -274,14 +276,15 @@ class Assembler:
         self.walls = sps.csr_matrix((walls.data, um[walls.indices], walls.indptr),
                                     shape=(walls.shape[0], self.dofs.num_dofs))
         self._precompute_static()
+        # the run's pattern and slot map, which the first assembly registers
+        self.slots: _Slots | None = None
 
     def _precompute_static(self):
         """Freeze the state-independent compositions that every assembly
         reads: the jump matrix J, the mortar projections, and for the
         momentum and wall rows the boundary operator of their face
         tractions and the tractions of the reference pressure and
-        temperature. The slot map follows with the first assembly
-        (:attr:`slots`)."""
+        temperature."""
         mf, dofs, ops, mat = self.mdg.mortars[2], self.dofs, self.mech_ops, self.mat
         self.J = _block_diag(self.rotation) @ self.walls
         # projection of each dimension's mortar fields onto its faces
@@ -297,71 +300,32 @@ class Assembler:
                                    (rowmap @ ops.grad_p) @ (mat.reference_pressure * ones),
                                    (rowmap @ ops.grad_T) @ (mat.reference_temperature * ones)))
 
-    @cached_property
-    def slots(self) -> _Slots:
-        """The run's sparsity pattern with its constant part and coefficient
-        map, registered block by block in assembly order. The first assembly
-        builds it, as the block solver fixes its gathers and factors the
-        elastic block in its first solve."""
-        mf, dofs, ops = self.mdg.mortars[2], self.dofs, self.mech_ops
-        slots = _Slots(dofs.num_dofs)
-        # the walls see the contact traction through the transpose of the
-        # jump, and the fracture pressure as its normal part
-        wall_lam = (sps.diags(np.repeat(mf.sides * mf.areas, 2))
-                    @ self.J.T.tocsr()[dofs.mortar(2, U_MORTAR)]).tocsr()
-        contact = ([], [(wall_lam, dofs.cells(1, LAM)), (-wall_lam[:, 1::2], dofs.cells(1, P))])
-        for (rows, rowmap, bound, _, _), more in zip(self.tractions, contact):
-            for block, cols in [(rowmap @ ops.stress, dofs.cells(2, U)),
-                                (rowmap @ ops.grad_p, dofs.cells(2, P)),
-                                (rowmap @ ops.grad_T, dofs.cells(2, T)),
-                                (bound @ self.to_faces_vec, dofs.mortar(2, U_MORTAR))] + more:
-                slots.add(rows, cols, block)
-        # the volume change of the matrix cells in all dofs, as div_u reads it
-        self._balance_blocks(slots, _over_dofs(dofs.num_dofs, (
-            (ops.div_u, dofs.cells(2, U)),
-            (ops.bound_div_u @ self.to_faces_vec, dofs.mortar(2, U_MORTAR)),
-            (ops.stab_p, dofs.cells(2, P)), (ops.stab_T, dofs.cells(2, T)))))
-        if self.fractures:
-            self._contact_blocks(slots)
-        for group in self.mdg.mortars.values():
-            if group.size:
-                self._mortar_blocks(slots, group)
-        return slots.freeze()
-
-    def _scalar_ops(self, dim, var, fracture_ops):
+    def _scalar_ops(self, dim, var, cache: IterationCache):
         """The operators of one scalar of one dimension: MPFA's in the
-        matrix, the given two-point ones in the fractures."""
+        matrix, the cache's two-point ones in the fractures."""
         if dim == 2:
             return self.flow_ops if var == FLOW else self.heat_ops
-        return fracture_ops[var]
+        return cache.fracture_ops[var]
 
     @staticmethod
-    def _part_blocks(slots, name, ops, op, rows, cols, left, right=None, weighted=False,
-                     newton=False):
-        """Register left @ diag(c) @ part @ right for each part of the
-        operator ``op``: constant where c is 1, that is where the part has
-        no coefficient and the block is not ``weighted``, otherwise a term
-        keyed (name, the part's coefficient key)."""
+    def _parts(system: _System, name, ops, op, weight, where, newton=False):
+        """Declare L diag(c) part R for each part of the operator ``op``,
+        with rows, columns, L and R (None for none) from ``where``. c is the
+        part's coefficient times the facewise ``weight``; a block with
+        neither is constant, any other a term keyed (name, the part's
+        coefficient key)."""
         for key, part in ops.parts(op):
-            if right is not None:
-                part = part @ right
-            if key is None and not weighted:
-                slots.add(rows, cols, left @ part)
-            else:
-                slots.term((name, key), rows, cols, left=left, right=part, newton=newton)
+            def block():
+                rows, cols, left, right = where()
+                return rows, cols, left, part if right is None else part @ right
 
-    @staticmethod
-    def _part_coefficients(coefs, name, ops, op, weight=None):
-        """The coefficient vectors of the terms that :meth:`_part_blocks`
-        registered for ``op``: each part's coefficient times the block's
-        facewise ``weight``."""
-        for key, _ in ops.parts(op):
-            if key is None:
-                if weight is not None:
-                    coefs[(name, key)] = weight
+            coef = weight if key is None else ops.coefficients[key]
+            if key is not None and weight is not None:
+                coef = weight * coef
+            if coef is None:
+                system.add(block)
             else:
-                c = ops.coefficients[key]
-                coefs[(name, key)] = c if weight is None else weight * c
+                system.term((name, key), coef, block, newton=newton)
 
     # ------------------------------------------------------------------
     # lagged quantities
@@ -532,32 +496,47 @@ class Assembler:
         if not (steady or self.transient):
             raise ValueError("a transient step needs storage slots, and this assembler "
                              "was built with transient=False: its pattern has none")
-        dofs = self.dofs
-        coefs = {}
-        b = np.zeros(dofs.num_dofs)
-        self._traction_rhs(b, loads)
-        # the face tractions of each matrix cell balance its body force
-        _add_to(b, dofs.cells(2, U),
-                -self._rho_g(self.mat.density_solid * self.matrix.cell_volumes))
-        self._balances(coefs, b, state, cache, dt, steady, loads)
+        system = _System(self.dofs.num_dofs, self.slots)
+        self._momentum(system, loads)
+        self._balances(system, state, cache, dt, steady, loads)
         if self.fractures:
-            self._contact_rows(coefs, b, cache)
+            self._contact_rows(system, cache)
         for group in self.mdg.mortars.values():
             if group.size:
-                self._mortar_flux_rows(coefs, b, group, state, cache, loads)
-        self.slots.newton_rhs(b, coefs, state.current)
-        return self.slots.matrix(coefs), b
+                self._mortar_flux_rows(system, group, state, cache, loads)
+        A, b = system.finish(state.current)
+        # kept only now: a first assembly that raised leaves no pattern
+        self.slots = system.slots
+        return A, b
 
     # -- momentum ----------------------------------------------------------
-    def _traction_rhs(self, b, loads):
-        """The boundary data and the reference state of the face tractions
-        that the momentum rows and the wall rows sum."""
+    def _momentum(self, system: _System, loads):
+        """The rows of the matrix cells' displacements and of the wall
+        displacements, all constant blocks: the face tractions that each
+        sums, and on the walls the contact traction through the transpose
+        of the jump, with the fracture pressure as its normal part. b takes
+        the tractions' boundary data and reference state, and the body
+        force that the face tractions of each matrix cell balance."""
+        mf, dofs, ops = self.mdg.mortars[2], self.dofs, self.mech_ops
         ext = self._ext_mech(loads.bc_mech)
-        for rows, _, bound, ref_p, ref_T in self.tractions:
+
+        def wall_lam():
+            return (sps.diags(np.repeat(mf.sides * mf.areas, 2))
+                    @ self.J.T.tocsr()[dofs.mortar(2, U_MORTAR)]).tocsr()
+
+        for (rows, rowmap, bound, ref_p, ref_T), walls in zip(self.tractions, (False, True)):
+            for block, var in ((ops.stress, U), (ops.grad_p, P), (ops.grad_T, T)):
+                system.add(lambda: (rows, dofs.cells(2, var), rowmap, block))
+            system.add(lambda: (rows, dofs.mortar(2, U_MORTAR), bound, self.to_faces_vec))
+            if walls:
+                system.add(lambda: (rows, dofs.cells(1, LAM), wall_lam()))
+                system.add(lambda: (rows, dofs.cells(1, P), -wall_lam()[:, 1::2]))
             b_contrib = -(bound @ ext)
             b_contrib += ref_p
             b_contrib += ref_T
-            _add_to(b, rows, b_contrib)
+            system.rhs(rows, b_contrib)
+        system.rhs(dofs.cells(2, U),
+                   -self._rho_g(self.mat.density_solid * self.matrix.cell_volumes))
 
     # -- mass and energy -----------------------------------------------------
     def accumulation(self, state: State, cache: IterationCache, dt: float) -> dict:
@@ -617,84 +596,79 @@ class Assembler:
             rem_new = tanp * np.abs(jumps[0::2])
         return jumps[1::2] + rem_new - v_prev, v_prev - rem_new
 
-    def _balance_blocks(self, slots, volume_change):
-        """The blocks of the mass (rows p) and energy (rows T) balances, in
-        the order of :meth:`_balances`; ``volume_change`` is that of the
-        matrix cells over all dofs."""
-        dofs = self.dofs
-        for var, svar in ((P, FLOW), (T, HEAT)):
-            other = T if var == P else P
-            for dim in self.mdg.grids:
-                rows = dofs.cells(dim, var)
-                # storage: the volume change is implicit in the matrix
-                # through div u, on fractures through J
-                if self.transient:
-                    slots.term((STORAGE, dim, var, var), rows, rows)
-                    slots.term((STORAGE, dim, var, other), rows, dofs.cells(dim, other))
-                    if dim > 0:
-                        volume = volume_change if dim == 2 else self.J[1::2]
-                        slots.term((STORAGE, dim, var), rows, None, right=volume)
-                    if var == T and dim < 2:
-                        for v in (T, P):
-                            slots.term((STORAGE, dim, "dweight", v), rows, dofs.cells(dim, v),
-                                       newton=True)
-                if dim > 0:
-                    self._flux_divergence_blocks(slots, dim, svar)
-                    if var == T:
-                        self._advective_blocks(slots, dim)
-                if dim < 2:
-                    group = self.mdg.mortars[dim + 1]
-                    keys = (NU,) if var == P else (NU_ADV, NU_COND)
-                    slots.add(np.tile(rows[group.lo], len(keys)),
-                              np.concatenate([dofs.mortar(dim + 1, key) for key in keys]), -1.0)
-                if var == T:
-                    for v in (T, P):
-                        slots.term(("well", dim, v), rows, dofs.cells(dim, v), newton=True)
-
-    def _balances(self, coefs, b, state, cache, dt, steady, loads):
+    def _balances(self, system: _System, state, cache, dt, steady, loads):
         """Mass (rows p) and energy (rows T) balances of the matrix, the
-        fractures and the intersection points: accumulation (transient
-        only), conductive and advective transport, and sources: mortar
-        fluxes from the dimension above and wells."""
-        if steady:
-            coefs.update((key, 0.0) for key in self.slots.keys if key[0] == STORAGE)
+        fractures and the intersection points: accumulation (on a pattern
+        with storage slots), conductive and advective transport, and
+        sources: mortar fluxes from the dimension above and wells."""
+        dofs = self.dofs
         accumulation = None if steady else self.accumulation(state, cache, dt)
         for var, svar in ((P, FLOW), (T, HEAT)):
             for dim in self.mdg.grids:
-                if not steady:
-                    self._storage(coefs, b, dim, var, accumulation[dim][var], state, loads)
+                rows = dofs.cells(dim, var)
+                if self.transient:
+                    self._storage(system, dim, var, None if steady else accumulation[dim][var],
+                                  state, loads)
                 if dim > 0:
-                    self._flux_divergence(coefs, b, dim, svar, cache, loads)
+                    self._flux_divergence(system, dim, svar, cache, loads)
                     if var == T:
-                        self._advective_divergence(coefs, b, dim, cache, loads, state)
+                        self._advective_divergence(system, dim, cache, loads, state)
+                if dim < 2:
+                    group = self.mdg.mortars[dim + 1]
+                    keys = (NU,) if var == P else (NU_ADV, NU_COND)
+                    system.add(lambda: (
+                        np.tile(rows[group.lo], len(keys)),
+                        np.concatenate([dofs.mortar(dim + 1, key) for key in keys]), -1.0))
                 if var == P:
-                    _add_to(b, self.dofs.cells(dim, P), self._wells(dim, loads)[0])
+                    system.rhs(rows, self._wells(dim, loads)[0])
                 else:
-                    self._well_energy(coefs, b, dim, loads, state)
+                    self._well_energy(system, dim, loads, state)
 
-    def _storage(self, coefs, b, dim, var, a: Accumulation, state, loads):
+    def _storage(self, system: _System, dim, var, a: Accumulation | None, state, loads):
         """The accumulation of the balance of ``var`` of one dimension's
         cells, implicit in p and T against the previous step. The volume
         change is implicit in the matrix through div u (u, the mortar
         displacements, p and T) and on fractures through J; the lagged rest
-        enters the right-hand side."""
+        enters the right-hand side. A steady step, with ``a`` None, declares
+        the terms with coefficient zero and adds nothing to b."""
         dofs, xp = self.dofs, state.prev_step
         other = T if var == P else P
         rows, cols = dofs.cells(dim, var), dofs.cells(dim, other)
-        coefs[(STORAGE, dim, var, var)] = a.coef[var]
-        coefs[(STORAGE, dim, var, other)] = a.coef[other]
-        _add_to(b, rows, a.coef[var] * xp[rows] + a.coef[other] * xp[cols])
+        coef, weight, dweight = (({var: 0.0, other: 0.0}, 0.0, {T: 0.0, P: 0.0}) if a is None
+                                 else (a.coef, a.weight, a.dweight))
+        system.term((STORAGE, dim, var, var), coef[var], lambda: (rows, rows, None, None))
+        system.term((STORAGE, dim, var, other), coef[other], lambda: (rows, cols, None, None))
         if dim > 0:
-            coefs[(STORAGE, dim, var)] = a.weight
+            system.term((STORAGE, dim, var), weight,
+                        lambda: (rows, None, None, self._volume_operator(dim)))
+        if var == T and dim < 2:
+            for v in (T, P):
+                system.term((STORAGE, dim, "dweight", v), dweight[v],
+                            lambda: (rows, dofs.cells(dim, v), None, None), newton=True)
+        if a is None:
+            return
+        system.rhs(rows, a.coef[var] * xp[rows] + a.coef[other] * xp[cols])
         if dim == 2:
             # previous-step value, including its boundary data
-            _add_to(b, rows, a.weight * self.div_u(xp, loads.bc_mech_prev))
-            _add_to(b, rows, -(a.weight * (self.mech_ops.bound_div_u
+            system.rhs(rows, a.weight * self.div_u(xp, loads.bc_mech_prev))
+            system.rhs(rows, -(a.weight * (self.mech_ops.bound_div_u
                                            @ self._ext_mech(loads.bc_mech))))
-            return
-        _add_to(b, rows, a.weight * a.lagged)
-        for v, d in a.dweight.items():
-            coefs[(STORAGE, dim, "dweight", v)] = d
+        else:
+            system.rhs(rows, a.weight * a.lagged)
+
+    def _volume_operator(self, dim) -> sps.csr_matrix:
+        """The volume change of the cells of the matrix (dim 2) or the
+        fractures (dim 1) as an operator on all dofs: div u, as
+        :meth:`div_u` reads it, or the normal jump J_n."""
+        if dim == 1:
+            return self.J[1::2]
+        ops, dofs = self.mech_ops, self.dofs
+        m = sps.hstack([ops.div_u, ops.bound_div_u @ self.to_faces_vec, ops.stab_p, ops.stab_T],
+                       format="csr")
+        cols = np.concatenate([dofs.cells(2, U), dofs.mortar(2, U_MORTAR), dofs.cells(2, P),
+                               dofs.cells(2, T)])
+        return sps.csr_matrix((m.data, cols[m.indices], m.indptr),
+                              shape=(m.shape[0], dofs.num_dofs))
 
     def div_u(self, x: np.ndarray, bc_mech: np.ndarray) -> np.ndarray:
         """The cellwise volume change of the matrix at state x with the
@@ -704,138 +678,103 @@ class Assembler:
         return (ops.div_u @ x[dofs.cells(2, U)] + ops.bound_div_u @ bc
                 + ops.stab_p @ x[dofs.cells(2, P)] + ops.stab_T @ x[dofs.cells(2, T)])
 
-    def _flux_divergence_blocks(self, slots, dim, var):
-        cells = self.dofs.cells(dim, P if var == FLOW else T)
-        ops, div = self._scalar_ops(dim, var, self.frac_ops), self.div[dim]
-        self._part_blocks(slots, ("div_flux", dim, var), ops, "flux", cells, cells, div)
-        self._part_blocks(slots, ("div_bound", dim, var), ops, "bound_flux", cells,
-                          self.dofs.mortar(dim, NU if var == FLOW else NU_COND), div,
-                          right=self.to_faces[dim])
-
-    def _flux_divergence(self, coefs, b, dim, var, cache, loads):
+    def _flux_divergence(self, system: _System, dim, var, cache, loads):
         """div of diffusive (+gravity) fluxes of one scalar in one dimension:
         in the cells and the mortar data of the internal faces, and on the
         right-hand side the external boundary data and gravity."""
         cells = self.dofs.cells(dim, P if var == FLOW else T)
-        ops, div = self._scalar_ops(dim, var, cache.fracture_ops), self.div[dim]
-        self._part_coefficients(coefs, ("div_flux", dim, var), ops, "flux")
-        self._part_coefficients(coefs, ("div_bound", dim, var), ops, "bound_flux")
-        _add_to(b, cells, -(div @ ops.apply("bound_flux", self._ext_scalar(dim, var, loads))))
+        ops, div = self._scalar_ops(dim, var, cache), self.div[dim]
+        self._parts(system, ("div_flux", dim, var), ops, "flux", None,
+                    lambda: (cells, cells, div, None))
+        self._parts(system, ("div_bound", dim, var), ops, "bound_flux", None,
+                    lambda: (cells, self.dofs.mortar(dim, NU if var == FLOW else NU_COND), div,
+                             self.to_faces[dim]))
+        system.rhs(cells, -(div @ ops.apply("bound_flux", self._ext_scalar(dim, var, loads))))
         if var == FLOW and np.any(np.asarray(self.mat.gravity)):
-            _add_to(b, cells, -(div @ ops.apply("vector_source", self._rho_g(cache.density[dim]))))
+            system.rhs(cells, -(div @ ops.apply("vector_source", self._rho_g(cache.density[dim]))))
 
-    def _advective_blocks(self, slots, dim):
-        """The blocks of :meth:`_advective_divergence`: both upwind
-        directions of every face that carries heat, as a pick of each face's
-        owner and of its neighbour."""
-        dofs, grid, div = self.dofs, self.mdg.grids[dim], self.div[dim]
-        t, p = dofs.cells(dim, T), dofs.cells(dim, P)
-        carries = ~grid.tags["internal"]
-        for side, cells in zip(("owner", "nbr"), grid.face_cells):
-            faces = np.flatnonzero(carries & (cells >= 0))
-            pick = sps.csr_matrix((np.ones(faces.size), (faces, cells[faces])),
-                                  shape=(grid.num_faces, grid.num_cells))
-            for v, cols in ((T, t), (P, p)):
-                slots.term(("adv", dim, side, v), t, cols, left=div, right=pick, newton=True)
-        ops = self._scalar_ops(dim, FLOW, self.frac_ops)
-        self._part_blocks(slots, ("adv_flux", dim), ops, "flux", t, p, div, weighted=True,
-                          newton=True)
-        self._part_blocks(slots, ("adv_bound", dim), ops, "bound_flux", t,
-                          dofs.mortar(dim, NU), div, right=self.to_faces[dim], weighted=True,
-                          newton=True)
-        # advective transfer through internal faces enters via the mortar
-        # advective unknowns
-        slots.add(t, dofs.mortar(dim, NU_ADV), div @ self.to_faces[dim])
-
-    def _advective_divergence(self, coefs, b, dim, cache, loads, state):
+    def _advective_divergence(self, system: _System, dim, cache, loads, state):
         """The divergence of the upwinded advective heat fluxes q h,
         linearised by Newton in p, T and the mortar fluxes nu.
 
         q is the Darcy face flux and h the heat it carries
         (:meth:`advected_heat`). One upwind selection serves h and its
-        derivatives; the flux's derivatives are its operators. The density
-        of the boundary weight is lagged (see the module).
+        derivatives, whose blocks hold both upwind directions of every face
+        that carries heat, as a pick of each face's owner and of its
+        neighbour. The flux's derivatives are its operators. The density of
+        the boundary weight is lagged (see the module).
         """
-        grid, x = self.mdg.grids[dim], state.current
+        dofs, grid, div, x = self.dofs, self.mdg.grids[dim], self.div[dim], state.current
+        t, p = dofs.cells(dim, T), dofs.cells(dim, P)
         q = cache.face_flux[dim]
         up, h, dh_dT, dh_dp = self.advected_heat(dim, cache, loads, x)
         for side, cells in zip(("owner", "nbr"), grid.face_cells):
+            def pick():
+                faces = np.flatnonzero(~grid.tags["internal"] & (cells >= 0))
+                return sps.csr_matrix((np.ones(faces.size), (faces, cells[faces])),
+                                      shape=(grid.num_faces, grid.num_cells))
+
             upstream = (up == cells) & (up >= 0)
             for v, dh in ((T, dh_dT), (P, dh_dp)):
-                coefs[("adv", dim, side, v)] = np.where(upstream, q * dh[up], 0.0)
-        ops = self._scalar_ops(dim, FLOW, cache.fracture_ops)
-        self._part_coefficients(coefs, ("adv_flux", dim), ops, "flux", h)
-        self._part_coefficients(coefs, ("adv_bound", dim), ops, "bound_flux", h)
-        _add_to(b, self.dofs.cells(dim, T), -(self.div[dim] @ (q * h)))
+                system.term(("adv", dim, side, v), np.where(upstream, q * dh[up], 0.0),
+                            lambda: (t, dofs.cells(dim, v), div, pick()), newton=True)
+        ops = self._scalar_ops(dim, FLOW, cache)
+        self._parts(system, ("adv_flux", dim), ops, "flux", h, lambda: (t, p, div, None),
+                    newton=True)
+        self._parts(system, ("adv_bound", dim), ops, "bound_flux", h,
+                    lambda: (t, dofs.mortar(dim, NU), div, self.to_faces[dim]), newton=True)
+        # advective transfer through internal faces enters via the mortar
+        # advective unknowns
+        system.add(lambda: (t, dofs.mortar(dim, NU_ADV), div, self.to_faces[dim]))
+        system.rhs(t, -(div @ (q * h)))
 
-    def _well_energy(self, coefs, b, dim, loads, state):
+    def _well_energy(self, system: _System, dim, loads, state):
         """The heat q h that wells carry in (q > 0) or out, linearised by
         Newton in the cells' T and p; zero where there is no well."""
         rates, h, dh_dT, dh_dp = self.well_heat(dim, loads, state.current)
-        coefs[("well", dim, T)] = -rates * dh_dT
-        coefs[("well", dim, P)] = -rates * dh_dp
-        _add_to(b, self.dofs.cells(dim, T), rates * h)
+        rows = self.dofs.cells(dim, T)
+        for v, dh in ((T, dh_dT), (P, dh_dp)):
+            system.term(("well", dim, v), -rates * dh,
+                        lambda: (rows, self.dofs.cells(dim, v), None, None), newton=True)
+        system.rhs(rows, rates * h)
 
     # -- contact and interface rows -----------------------------------------
-    def _contact_blocks(self, slots):
-        """Per fracture cell, a 2x2 block on its tractions and one on its
-        jump J x, with coefficient k = 4 c + 2 r + s for the entry (r, s) of
-        cell c."""
-        rows = self.dofs.cells(1, LAM)
-        k = np.arange(2 * rows.size)
-        cell, r, s = k // 4, (k // 2) % 2, k % 2
-        to_row = sps.csr_matrix((np.ones(k.size), (2 * cell + r, k)), shape=(rows.size, k.size))
-        to_col = sps.csr_matrix((np.ones(k.size), (k, 2 * cell + s)), shape=(k.size, rows.size))
-        slots.term(("contact", LAM), rows, rows, left=to_row, right=to_col)
-        slots.term(("contact", "jump"), rows, None, left=to_row, right=to_col @ self.J)
-
-    def _contact_rows(self, coefs, b, cache):
-        """Contact conditions of every fracture cell in lam and the jump J x."""
-        mat = self.mat
-        frac = cache.fracture
+    def _contact_rows(self, system: _System, cache):
+        """Contact conditions of every fracture cell in lam and the jump
+        J x: per cell, a 2x2 block on its tractions and one on its jump,
+        with coefficient k = 4 c + 2 r + s for the entry (r, s) of cell c."""
+        mat, frac, rows = self.mat, cache.fracture, self.dofs.cells(1, LAM)
         lam = frac.lam
         a_lam, a_jump, rhs = ct.contact_rows(
             frac.contact, lam[0::2], lam[1::2], frac.jumps[0::2], frac.jumps[1::2],
             frac.jumps_ref[0::2], frac.gaps, frac.dgaps, self.c_num, mat.friction_coefficient,
         )
-        coefs[("contact", LAM)] = a_lam.ravel()
-        coefs[("contact", "jump")] = a_jump.ravel()
-        _add_to(b, self.dofs.cells(1, LAM), rhs.ravel())
 
-    def _mortar_blocks(self, slots, group):
-        """The blocks of :meth:`_mortar_flux_rows`; the advective rows take
-        both sides of each mortar as upstream."""
-        dofs, dim, lift = self.dofs, group.dim, group.lift
-        for var, svar, key in ((P, FLOW, NU), (T, HEAT, NU_COND)):
-            rows = dofs.mortar(dim, key)
-            slots.add(rows, rows, 1.0)
-            slots.term(("mortar", dim, var), rows, dofs.cells(dim - 1, var)[group.lo])
-            ops = self._scalar_ops(dim, svar, self.frac_ops)
-            self._part_blocks(slots, ("trace_cell", dim, var), ops, "trace_cell", rows,
-                              dofs.cells(dim, var), -lift, weighted=True)
-            self._part_blocks(slots, ("trace_face", dim, var), ops, "trace_face", rows, rows,
-                              -lift, right=lift.T, weighted=True)
-        rows = dofs.mortar(dim, NU_ADV)
-        slots.add(rows, rows, 1.0)
-        slots.term(("mortar_adv", dim, NU), rows, dofs.mortar(dim, NU), newton=True)
-        for v in (T, P):
-            slots.term(("mortar_adv", dim, v, "hi"), rows, dofs.cells(dim, v)[group.hi],
-                       newton=True)
-            slots.term(("mortar_adv", dim, v, "lo"), rows, dofs.cells(dim - 1, v)[group.lo],
-                       newton=True)
+        def cellwise(cols, right):
+            k = np.arange(2 * rows.size)
+            cell, r, s, one = k // 4, (k // 2) % 2, k % 2, np.ones(k.size)
+            to_row = sps.csr_matrix((one, (2 * cell + r, k)), shape=(rows.size, k.size))
+            to_col = sps.csr_matrix((one, (k, 2 * cell + s)), shape=(k.size, rows.size))
+            return rows, cols, to_row, to_col if right is None else to_col @ right
 
-    def _mortar_flux_rows(self, coefs, b, group, state, cache, loads):
+        system.term(("contact", LAM), a_lam.ravel(), lambda: cellwise(rows, None))
+        system.term(("contact", "jump"), a_jump.ravel(), lambda: cellwise(None, self.J))
+        system.rhs(rows, rhs.ravel())
+
+    def _mortar_flux_rows(self, system: _System, group, state, cache, loads):
         """Interface laws of one mortar group, with the high side's face
         traces.
 
         Darcy and Fourier fluxes are w (trace of the high side - low cell
         value), with w = A V_high 2 kappa / a_low; the advective flux is the
         fluid flux times c rho T on its upstream side, linearised by Newton
-        in the fluid flux and in the upstream cell's T and p. The lift picks
-        one face per mortar cell, so diag(w) lift diag(c) = lift diag(w' c)
-        with w' = lift^T w on the faces.
+        in the fluid flux and in the upstream cell's T and p, with blocks
+        for either side as upstream. The lift picks one face per mortar
+        cell, so diag(w) lift diag(c) = lift diag(w' c) with w' = lift^T w
+        on the faces.
         """
         mat, dofs, dim, hi, lo = self.mat, self.dofs, group.dim, group.hi, group.lo
+        lift = group.lift
         v_high = cache.spec_vol[dim][hi]
         a_low = cache.apertures[dim - 1][lo]
         k_low = cubic_law(a_low)
@@ -845,22 +784,26 @@ class Assembler:
 
         for var, svar, key, w in ((P, FLOW, NU, w_flow), (T, HEAT, NU_COND, w_heat)):
             rows = dofs.mortar(dim, key)
-            coefs[("mortar", dim, var)] = w
-            ops = self._scalar_ops(dim, svar, cache.fracture_ops)
+            system.add(lambda: (rows, rows, 1.0))
+            system.term(("mortar", dim, var), w,
+                        lambda: (rows, dofs.cells(dim - 1, var)[lo], None, None))
+            ops = self._scalar_ops(dim, svar, cache)
             w_faces = self.to_faces[dim] @ w
-            self._part_coefficients(coefs, ("trace_cell", dim, var), ops, "trace_cell", w_faces)
-            self._part_coefficients(coefs, ("trace_face", dim, var), ops, "trace_face", w_faces)
+            self._parts(system, ("trace_cell", dim, var), ops, "trace_cell", w_faces,
+                        lambda: (rows, dofs.cells(dim, var), -lift, None))
+            self._parts(system, ("trace_face", dim, var), ops, "trace_face", w_faces,
+                        lambda: (rows, rows, -lift, lift.T))
             trace = ops.apply("trace_face", self._ext_scalar(dim, svar, loads))
-            _add_to(b, rows, w * (group.lift @ trace))
+            system.rhs(rows, w * (lift @ trace))
             if var == P and np.any(np.asarray(mat.gravity)):
                 grav = np.asarray(mat.gravity, float)
                 trace = ops.apply("trace_vector_source", self._rho_g(cache.density[dim]))
-                _add_to(b, rows, w * (group.lift @ trace))
+                system.rhs(rows, w * (lift @ trace))
                 # gravity term of the interface law itself
                 rho_l = cache.density[dim - 1][lo]
                 gn = (grav[:, None] * group.normals).sum(axis=0)
                 coef = areas * v_high * (k_low / mat.viscosity) * rho_l * gn
-                _add_to(b, rows, coef)
+                system.rhs(rows, coef)
 
         # advective rows: nu_adv = nu c rho T(upstream side)
         rows, x = dofs.mortar(dim, NU_ADV), state.current
@@ -872,41 +815,50 @@ class Assembler:
 
         rho = np.where(high, cache.density[dim][hi], cache.density[dim - 1][lo])
         h, dh_dT, dh_dp = carried_heat(rho, x[upstream(T)], mat)
-        coefs[("mortar_adv", dim, NU)] = -h
+        system.add(lambda: (rows, rows, 1.0))
+        system.term(("mortar_adv", dim, NU), -h, lambda: (rows, dofs.mortar(dim, NU), None, None),
+                    newton=True)
         for v, dh in ((T, dh_dT), (P, dh_dp)):
-            coefs[("mortar_adv", dim, v, "hi")] = np.where(high, -nu * dh, 0.0)
-            coefs[("mortar_adv", dim, v, "lo")] = np.where(high, 0.0, -nu * dh)
-        _add_to(b, rows, nu * h)
+            system.term(("mortar_adv", dim, v, "hi"), np.where(high, -nu * dh, 0.0),
+                        lambda: (rows, dofs.cells(dim, v)[hi], None, None), newton=True)
+            system.term(("mortar_adv", dim, v, "lo"), np.where(high, 0.0, -nu * dh),
+                        lambda: (rows, dofs.cells(dim - 1, v)[lo], None, None), newton=True)
+        system.rhs(rows, nu * h)
 
 
 class _Slots:
     """The run's sparsity pattern of the system matrix, and the static map
     from coefficient vectors to its slots.
 
-    Blocks are registered at set-up in assembly order: constant ones by
-    :meth:`add`, the others by :meth:`term` as L diag(c) R, with a key that
-    names the coefficient vector c. :meth:`freeze` builds the pattern (CSR,
-    sorted columns), the constant data, summed in registration order, and S,
-    which maps the coefficient vectors, concatenated in registration order,
-    to the slots. S is stored by columns, so that every slot sums its terms
-    in that order. Per assembly, :meth:`matrix` sets the data to the
-    constant part plus S c, and :meth:`newton_rhs` adds L (c R x) of each
-    Newton term to b.
+    The first assembly of a run registers its blocks here in declaration
+    order (:class:`_System`): constant ones by :meth:`add`, the others by
+    :meth:`term` as L diag(c) R, with a key that names the coefficient
+    vector c. :meth:`freeze` builds the pattern (CSR, sorted columns), the
+    constant data, summed in registration order, and S, which maps the
+    coefficient vectors, concatenated in registration order, to the slots.
+    S is stored by columns, so that every slot sums its terms in that
+    order. Per assembly, :meth:`matrix` sets the data to the constant part
+    plus S c. ``keys`` and ``newton`` stay for the later assemblies, which
+    check their terms against the keys and add L (c R x) of each Newton
+    term to b.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.keys, self.sizes = [], []
-        self.newton = []  # (key, rows, cols, L, R) of each Newton term
+        self.newton = []  # (term index, rows, cols, L, R) of each Newton term
         # (rows, cols, values) of the constant blocks; (rows, cols, weights,
         # coefficient indices) of the terms
         self._const, self._terms = [], []
         self._by_columns = {}  # id(L) -> (L, L by columns)
 
-    def add(self, rows, cols, block):
-        """A constant block: a sparse matrix over the dofs (rows, cols), all
-        dofs where cols is None, or values on the pairs (rows[i], cols[i])."""
+    def add(self, rows, cols, block, right=None):
+        """A constant block, times ``right`` where given: a sparse matrix
+        over the dofs (rows, cols), all dofs where cols is None, or values
+        on the pairs (rows[i], cols[i])."""
         rows = np.asarray(rows, dtype=np.int32)
+        if right is not None:
+            block = block @ right
         if sps.issparse(block):
             block = block.tocsr()
             rows = np.repeat(rows, np.diff(block.indptr))
@@ -914,39 +866,33 @@ class _Slots:
             block = block.data
         self._const.append((rows, _as_index(cols), np.broadcast_to(block, rows.shape)))
 
-    def term(self, key, rows, cols, left=None, right=None, newton=False):
+    def term(self, key, rows, cols, left, right, newton=False):
         """The block L diag(c) R over the dofs (rows, cols), all dofs where
-        cols is None, with its coefficient vector c named by ``key``. L and R
-        default to identities; with neither, c sits on the pairs (rows[i],
-        cols[i])."""
+        cols is None, with its coefficient vector c named by ``key``. An
+        absent L or R (None) is an identity; with neither, c sits on the
+        pairs (rows[i], cols[i])."""
         if newton:
-            self.newton.append((key, rows, cols, None if left is None else left.tocsr(),
+            self.newton.append((len(self.keys), rows, cols,
+                                None if left is None else left.tocsr(),
                                 None if right is None else right.tocsr()))
         rows, cols = _as_index(rows), None if cols is None else _as_index(cols)
-        size = rows.size if left is None else left.shape[1]
+        left = sps.identity(rows.size, format="csr") if left is None else left
+        size = left.shape[1]
         index = sum(self.sizes) + np.arange(size, dtype=np.int32)
         self.keys.append(key)
         self.sizes.append(size)
-        if right is None and left is None:
-            self._terms.append((rows, cols, np.ones(size), index))
-            return
         rm = (sps.identity(size) if right is None else right).tocsr()
-        counts = np.diff(rm.indptr)
-        if left is None:
-            col, weights = rm.indices, rm.data
-            rows, index = np.repeat(rows, counts), np.repeat(index, counts)
-        else:
-            # L by columns, so that the entries come in coefficient order;
-            # many terms share an L, the divergence above all
-            if id(left) not in self._by_columns:
-                self._by_columns[id(left)] = left, left.tocsc()
-            lm = self._by_columns[id(left)][1]
-            lcol = np.repeat(np.arange(size), np.diff(lm.indptr))
-            counts = counts[lcol]
-            pos = (np.repeat(rm.indptr[lcol] - (np.cumsum(counts) - counts), counts)
-                   + np.arange(counts.sum()))
-            col, weights = rm.indices[pos], np.repeat(lm.data, counts) * rm.data[pos]
-            rows, index = rows[np.repeat(lm.indices, counts)], np.repeat(index[lcol], counts)
+        # L by columns, so that the entries come in coefficient order; many
+        # terms share an L, the divergence above all
+        if id(left) not in self._by_columns:
+            self._by_columns[id(left)] = left, left.tocsc()
+        lm = self._by_columns[id(left)][1]
+        lcol = np.repeat(np.arange(size), np.diff(lm.indptr))
+        counts = np.diff(rm.indptr)[lcol]
+        pos = (np.repeat(rm.indptr[lcol] - (np.cumsum(counts) - counts), counts)
+               + np.arange(counts.sum()))
+        col, weights = rm.indices[pos], np.repeat(lm.data, counts) * rm.data[pos]
+        rows, index = rows[np.repeat(lm.indices, counts)], np.repeat(index[lcol], counts)
         self._terms.append((rows, col if cols is None else cols[col], weights, index))
 
     def freeze(self) -> _Slots:
@@ -972,26 +918,59 @@ class _Slots:
         self.S = sps.csc_matrix((weights, slot, indptr), shape=(A.nnz, m))
         return self
 
-    def matrix(self, coefs: dict) -> sps.csr_matrix:
-        c = np.concatenate([np.broadcast_to(coefs[key], (size,))
-                            for key, size in zip(self.keys, self.sizes)])
+    def matrix(self, coefs: list) -> sps.csr_matrix:
+        c = np.concatenate([np.broadcast_to(coef, (size,))
+                            for coef, size in zip(coefs, self.sizes)])
         return sps.csr_matrix((self.const + self.S @ c, self.indices, self.indptr),
                               shape=(self.n, self.n))
 
-    def newton_rhs(self, b, coefs: dict, x):
-        for key, rows, cols, left, right in self.newton:
+
+class _System:
+    """The declarations of one assembly, in assembly order: constant
+    blocks (:meth:`add`), terms L diag(c) R with their coefficient vectors
+    (:meth:`term`) and parts of b (:meth:`rhs`).
+
+    ``where`` gives a block's structure, (rows, cols, block) or (rows, cols,
+    L, R), and is called at once, so a closure may read its loop's
+    variables. Only a first assembly, given no ``slots``, calls it: it
+    registers the run's pattern into a fresh :class:`_Slots`, which
+    :meth:`finish` freezes. Every later assembly collects coefficients and
+    parts of b only, and raises where a declared term differs from the
+    registered one at its position.
+    """
+
+    def __init__(self, n: int, slots: _Slots | None):
+        self.register = slots is None
+        self.slots = _Slots(n) if slots is None else slots
+        self.coefs = []
+        self.b = np.zeros(n)
+
+    def add(self, where):
+        if self.register:
+            self.slots.add(*where())
+
+    def term(self, key, coef, where, newton=False):
+        if self.register:
+            self.slots.term(key, *where(), newton=newton)
+        elif self.slots.keys[len(self.coefs):len(self.coefs) + 1] != [key]:
+            raise RuntimeError(f"assembly declares the term {key} at position "
+                               f"{len(self.coefs)}, which the run's pattern does not hold")
+        self.coefs.append(coef)
+
+    def rhs(self, rows, values):
+        np.add.at(self.b, rows, values)
+
+    def finish(self, x) -> tuple[sps.csr_matrix, np.ndarray]:
+        """The matrix, and b with L (c R x) of every Newton term added."""
+        slots = self.slots.freeze() if self.register else self.slots
+        if len(self.coefs) != len(slots.keys):
+            raise RuntimeError(f"assembly declares {len(self.coefs)} terms, and the run's "
+                               f"pattern holds {len(slots.keys)}")
+        for i, rows, cols, left, right in slots.newton:
             v = x if cols is None else x[cols]
-            v = coefs[key] * (v if right is None else right @ v)
-            _add_to(b, rows, v if left is None else left @ v)
-
-
-def _over_dofs(n, blocks) -> sps.csr_matrix:
-    """Sparse blocks with equal rows, each given with the global dofs of its
-    columns, which differ from block to block, side by side as one matrix
-    over all n dofs."""
-    m = sps.hstack([b for b, _ in blocks], format="csr")
-    cols = np.concatenate([c for _, c in blocks])
-    return sps.csr_matrix((m.data, cols[m.indices], m.indptr), shape=(m.shape[0], n))
+            v = self.coefs[i] * (v if right is None else right @ v)
+            self.rhs(rows, v if left is None else left @ v)
+        return slots.matrix(self.coefs), self.b
 
 
 def _as_index(dofs) -> np.ndarray:
@@ -1004,7 +983,3 @@ def _block_diag(blocks) -> sps.csr_matrix:
     n = 2 * blocks.shape[0]
     cols = np.repeat(np.arange(n).reshape(-1, 2), 2, axis=0).ravel()
     return sps.csr_matrix((np.ravel(blocks), cols, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
-
-
-def _add_to(b, rows, vals):
-    np.add.at(b, rows, vals)

@@ -17,7 +17,7 @@ from test_scenarios import tiny_raw
 
 from mdthm.contact import ContactState
 from mdthm.scenarios.config import parse_config
-from mdthm.scenarios.setup import build_scenario
+from mdthm.scenarios.setup import build_loads, build_scenario
 from mdthm.system import NU, P, PhaseSpec, T, balance_report, newton_solve, time_loop
 from mdthm.system import assembly, newton
 from mdthm.system.assembly import STORAGE
@@ -69,7 +69,11 @@ class TestSlotAssembly:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("steady", [True, False])
     def test_equals_coo_reference(self, steady, sign):
+        # the checked system is a later assembly: the first one registers
+        # the pattern at the other sign's state with the other steady flag
         asm, state, loads = mixed_state(sign)
+        _, first, first_loads = mixed_state(-sign)
+        asm.assemble(first, asm.build_cache(first, first_loads), 100.0, not steady, first_loads)
         cache = asm.build_cache(state, loads)
         A, b = asm.assemble(state, cache, 100.0, steady, loads)
         A_ref, b_ref = coo_assemble(asm, state, cache, 100.0, steady, loads)
@@ -93,6 +97,36 @@ class TestSlotAssembly:
         with pytest.raises(ValueError):
             A2.indices[0] = A2.indices[1]
 
+    def test_later_assembly_declaring_another_term_raises(self):
+        asm, state, loads = mixed_state()
+        cache = asm.build_cache(state, loads)
+        asm.assemble(state, cache, 1.0, True, loads)
+        # a condition around the storage terms that changed after the first
+        # assembly registered them
+        asm.transient = False
+        with pytest.raises(RuntimeError, match="declares the term .* at position 0"):
+            asm.assemble(state, cache, 1.0, True, loads)
+
+    def test_failed_first_assembly_leaves_no_pattern(self, monkeypatch):
+        asm, state, loads = mixed_state()
+        cache = asm.build_cache(state, loads)
+
+        def failing(*args):
+            raise FloatingPointError("contact rows")
+
+        # the momentum and balance rows are registered when the contact rows fail
+        monkeypatch.setattr(asm, "_contact_rows", failing)
+        with pytest.raises(FloatingPointError):
+            asm.assemble(state, cache, 100.0, False, loads)
+        assert asm.slots is None
+        monkeypatch.undo()
+        A, b = asm.assemble(state, cache, 100.0, False, loads)
+        fresh = mixed_state()[0]
+        A_ref, b_ref = fresh.assemble(state, fresh.build_cache(state, loads), 100.0, False, loads)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, name), getattr(A_ref, name))
+        assert np.array_equal(b, b_ref)
+
 
 def without_zeros(A):
     """A copy of A without its explicit zeros."""
@@ -103,13 +137,17 @@ def without_zeros(A):
 
 class TestSteadyPattern:
     @staticmethod
-    def storage_keys(asm):
+    def storage_keys(asm, state, loads):
+        """The storage keys of the pattern that a first, steady assembly
+        registers."""
+        assert asm.slots is None
+        asm.assemble(state, asm.build_cache(state, loads), 1.0, True, loads)
         return [key for key in asm.slots.keys if key[0] == STORAGE]
 
     def test_no_storage_slots(self):
-        union, steady = mixed_state()[0], mixed_state(transient=False)[0]
-        assert self.storage_keys(union) and not self.storage_keys(steady)
-        assert steady.slots.const.size < union.slots.const.size
+        union, steady = mixed_state(), mixed_state(transient=False)
+        assert self.storage_keys(*union) and not self.storage_keys(*steady)
+        assert steady[0].slots.const.size < union[0].slots.const.size
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_steady_matrix_is_the_union_one_without_its_zeros(self, sign):
@@ -132,11 +170,14 @@ class TestSteadyPattern:
     def test_scenario_is_steady_only_when_every_phase_is(self):
         raw = tiny_raw()
         assert not all(phase.get("steady", False) for phase in raw["phases"])
-        assert build_scenario(parse_config(raw)).assembler.transient
+        scn = build_scenario(parse_config(raw))
+        assert scn.assembler.transient
+        assert self.storage_keys(scn.assembler, scn.state, build_loads(scn, 0))
         raw["phases"] = raw["phases"][:1]
         assert raw["phases"][0]["steady"]
-        asm = build_scenario(parse_config(raw)).assembler
-        assert not asm.transient and not self.storage_keys(asm)
+        scn = build_scenario(parse_config(raw))
+        assert not scn.assembler.transient
+        assert not self.storage_keys(scn.assembler, scn.state, build_loads(scn, 0))
 
 
 @pytest.fixture

@@ -357,6 +357,22 @@ class TestCommandLine:
         assert code == 1
         assert "solver.c_num" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, spoil", [
+        ("phases[1].dt", lambda raw: raw["phases"][1].update(dt="6.25s")),
+        ("mesh.refinement", lambda raw: raw["mesh"].update(refinement="one")),
+        ("mesh.refinement", lambda raw: raw["mesh"].update(refinement=1.5)),
+        ("phases[1].sources[0].rate",
+         lambda raw: raw["phases"][1].update(sources=[{"at": [1.0, 0.25], "rate": None}])),
+        ("initial.temperature", lambda raw: raw["initial"].update(temperature="hot")),
+    ])
+    def test_bad_number_named(self, tmp_path, capsys, path, spoil):
+        raw = tiny_raw()
+        spoil(raw)
+        code = cli.main(["run", "--config", write_config(tmp_path, raw),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"{path}: must be" in capsys.readouterr().err
+
 
 class TestHydrostaticPressure:
     @staticmethod
