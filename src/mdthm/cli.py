@@ -47,8 +47,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        raw = _load_raw(args.config)
-        cfg = parse_config(raw)
+        cfg = parse_config(_load_raw(args.config))
         if args.command == "run":
             result = run(cfg, out_dir=args.out)
             print(f"completed {len(result.records)} steps; "
@@ -60,7 +59,7 @@ def main(argv=None) -> int:
                 text = ", ".join("-" if v is None else f"{v:.2f}" for v in seq)
                 print(f"{label}: observed orders {text}")
         else:
-            dilation_comparison(raw, out_dir=args.out)
+            dilation_comparison(cfg, out_dir=args.out)
             print("wrote per-model fracture profiles")
     except (ConfigError, MeshError, json.JSONDecodeError, OSError) as err:
         print(f"configuration error: {err}", file=sys.stderr)

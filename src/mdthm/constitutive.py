@@ -119,10 +119,7 @@ class MaterialSet:
         unknown = set(overrides) - known
         if unknown:
             raise ValueError(f"unknown material parameters: {sorted(unknown)}")
-        data = dict(overrides)
-        if "gravity" in data:
-            data["gravity"] = tuple(float(v) for v in data["gravity"])
-        return cls(**data)
+        return cls(**overrides)
 
 
 def fluid_density(p, T, mat: MaterialSet):

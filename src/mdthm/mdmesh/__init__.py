@@ -3,14 +3,12 @@ from mdthm.mdmesh.build import (
     build_triangular_fractured,
     containment_map,
     fracturize,
-    refine,
 )
 from mdthm.mdmesh.gmsh_io import ingest_gmsh
 from mdthm.mdmesh.grids import (
     MeshError,
     SubdomainGrid,
     make_0d_grid,
-    make_2d_grid,
     split_cells,
     stack_grids,
 )
@@ -30,8 +28,6 @@ __all__ = [
     "fracturize",
     "ingest_gmsh",
     "make_0d_grid",
-    "make_2d_grid",
-    "refine",
     "split_cells",
     "stack_grids",
 ]

@@ -1,11 +1,14 @@
 """Construction of mixed-dimensional grids.
 
 Two structured generators (Cartesian quads and a right-triangle split of the
-same lattice) supply deterministic, nestable test grids; ``fracturize`` turns
-any conforming 2d grid plus fracture node paths into the full mixed-dim
-hierarchy by duplicating matrix faces and nodes along the fractures, building
-1d fracture grids (split at intersections), 0d intersection points and the
-mortar interfaces between all of them.
+same lattice) supply deterministic, nestable grids: the generator called with
+2^k times the cells along each axis builds refinement level k, and
+``containment_map`` relates two levels. ``fracturize`` turns any conforming
+2d grid plus fracture node paths into the full mixed-dim hierarchy by
+duplicating matrix faces and nodes along the fractures, building 1d fracture
+grids (split at intersections), 0d intersection points and the mortar
+interfaces between all of them; without fracture paths it builds the plain
+2d grid.
 """
 
 from __future__ import annotations
@@ -141,25 +144,13 @@ def build_triangular_fractured(nx, ny, fractures=(), box=((0.0, 0.0), (1.0, 1.0)
     return mdg
 
 
-def refine(mdg: MixedDimGrid, factor: int) -> MixedDimGrid:
-    """Nested refinement of a generator-built grid by an integer factor."""
-    gen = getattr(mdg, "generator", None)
-    if gen is None:
-        raise MeshError("refinement requires a generator-built grid")
-    if factor < 1 or int(factor) != factor:
-        raise MeshError("refinement factor must be a positive integer")
-    kw = dict(nx=gen["nx"] * factor, ny=gen["ny"] * factor, box=gen["box"],
-              fractures=gen["fractures"])
-    if gen["kind"] == "cartesian":
-        return build_cartesian_fractured(**kw)
-    return build_triangular_fractured(**kw)
-
-
 def containment_map(coarse: MixedDimGrid, fine: MixedDimGrid) -> list[np.ndarray]:
     """Per-subdomain map from fine cells to the containing coarse cell.
 
     Both grids must come from the same generator family; subdomains are
-    matched positionally (same fracture input order).
+    matched positionally (same fracture input order). A fracture's cells
+    follow its path and each coarse cell splits into the same number of
+    fine cells, so fine cell k lies in coarse cell k // (n_fine / n_coarse).
     """
     gen_c, gen_f = coarse.generator, fine.generator
     if gen_c["kind"] != gen_f["kind"] or gen_c["fractures"] != gen_f["fractures"]:
@@ -182,26 +173,11 @@ def containment_map(coarse: MixedDimGrid, fine: MixedDimGrid) -> list[np.ndarray
                 below = (cy - (y0 + j * hy)) / hy < (cx - (x0 + i * hx)) / hx
                 maps.append(2 * (j * nx + i) + np.where(below, 0, 1))
         elif sd_c.dim == 1:
-            # bin fine cell centres into coarse segments by arclength
-            starts = sd_c.cell_centers - 0.5 * _cell_tangents(sd_c)
-            t0 = starts[:, 0]
-            tangent = _cell_tangents(sd_c)[:, 0] / sd_c.cell_volumes[0]
-            s_f = (sd_f.cell_centers - t0[:, None]).T @ tangent
-            s_c = (sd_c.cell_centers - t0[:, None]).T @ tangent
-            lengths = sd_c.cell_volumes
-            edges = np.concatenate([s_c - 0.5 * lengths, [s_c[-1] + 0.5 * lengths[-1]]])
-            idx = np.clip(np.searchsorted(edges, s_f) - 1, 0, sd_c.num_cells - 1)
-            maps.append(idx)
+            # a path refines cell by cell, in path order
+            maps.append(np.arange(sd_f.num_cells) // (sd_f.num_cells // sd_c.num_cells))
         else:
             maps.append(np.zeros(1, dtype=int))
     return maps
-
-
-def _cell_tangents(sd: SubdomainGrid) -> np.ndarray:
-    t = np.zeros((2, sd.num_cells))
-    for c, poly in enumerate(sd.cell_nodes):
-        t[:, c] = sd.nodes[:, poly[1]] - sd.nodes[:, poly[0]]
-    return t
 
 
 # ----------------------------------------------------------------------
@@ -348,9 +324,7 @@ def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
     # ------------------------------------------------------------------
     subdomains = [g2]
     interfaces: list[MortarInterface] = []
-    intersection_set = set(intersection_nodes)
-    frac_grids = []
-    frac_tip_interfaces = []  # (frac_idx, 1d face, original node id)
+    tips = []  # (fracture grid id, 1d face, original node id), by fracture and face
 
     for fi, path in enumerate(frac_paths):
         g1 = SubdomainGrid(1, sd_id=len(subdomains))
@@ -361,40 +335,25 @@ def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
         g1.num_nodes = coords.shape[1]
         g1.cell_nodes = [np.array([k, k + 1]) for k in range(m)]
         g1.num_cells = m
-        f_nodes, f_cells = [], []
-        side_tag, internal_tag = [], []
-        tips = []  # (face id, original node id) at intersection points
-
-        def add_face(local_node, owner, nbr, original_node, is_tip_interface):
-            f_nodes.append((local_node,))
-            f_cells.append((owner, nbr))
-            internal_tag.append(is_tip_interface)
-            side_tag.append(0)
-            if is_tip_interface:
-                tips.append((len(f_nodes) - 1, original_node))
-
-        for k, n in enumerate(path):
-            at_x = n in intersection_set
-            if k == 0:
-                add_face(0, 0, -1, n, at_x)
-            elif k == m:
-                add_face(m, m - 1, -1, n, at_x)
-            elif at_x:
-                add_face(k, k - 1, -1, n, True)
-                add_face(k, k, -1, n, True)
-            else:
-                add_face(k, k - 1, k, n, False)
-        g1.face_nodes = np.array(f_nodes, dtype=int).T.reshape(1, -1)
-        g1.face_cells = np.array(f_cells, dtype=int).T.reshape(2, -1)
-        g1.num_faces = g1.face_nodes.shape[1]
+        # one face per path node; an inner node on an intersection point
+        # gets two, the first owned by the cell before it, the second by
+        # the cell after it
+        at_x = on_paths[path] > 1
+        split = at_x.copy()
+        split[[0, -1]] = False
+        node = np.repeat(np.arange(m + 1), 1 + split)
+        second = np.diff(node, prepend=-1) == 0
+        inner = (node > 0) & (node < m) & ~at_x[node]
+        g1.face_nodes = node.reshape(1, -1)
+        g1.face_cells = np.stack([np.maximum(node - 1, 0) + second, np.where(inner, node, -1)])
+        g1.num_faces = node.size
         g1.compute_geometry()
-        g1.tags["internal"] = np.array(internal_tag, dtype=bool)
+        g1.tags["internal"] = at_x[node]
         if box is not None:
             _tag_domain_sides(g1, box)
 
         subdomains.append(g1)
-        frac_grids.append(g1)
-        frac_tip_interfaces.extend((fi, f, n) for f, n in tips)
+        tips.extend((g1.id, f, path[node[f]]) for f in np.flatnonzero(at_x[node]))
 
         # matrix-fracture mortars, one per side
         own_side = fo[frac_faces[fi]]
@@ -427,13 +386,12 @@ def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
         g0 = make_0d_grid(nodes[:, n], sd_id=len(subdomains))
         subdomains.append(g0)
         point_grid_of[n] = g0
-    for fi, f1d, n in sorted(frac_tip_interfaces):
-        g1 = frac_grids[fi]
+    for high_id, f1d, n in tips:
         g0 = point_grid_of[n]
         interfaces.append(
             MortarInterface(
                 intf_id=len(interfaces),
-                high_id=g1.id,
+                high_id=high_id,
                 low_id=g0.id,
                 high_faces=[f1d],
                 low_cells=[0],

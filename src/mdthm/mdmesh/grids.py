@@ -224,22 +224,6 @@ def polygons_csr(polygons) -> tuple[np.ndarray, np.ndarray]:
     return ptr, np.concatenate([np.zeros(0, dtype=int), *polygons])
 
 
-def make_2d_grid(nodes: np.ndarray, cell_nodes: list[np.ndarray]) -> SubdomainGrid:
-    """Assemble a 2d grid from node coordinates and ccw cell polygons."""
-    g = SubdomainGrid(2)
-    g.nodes = np.asarray(nodes, dtype=float)
-    g.num_nodes = g.nodes.shape[1]
-    g.cell_nodes = [np.asarray(p, dtype=int) for p in cell_nodes]
-    g.num_cells = len(g.cell_nodes)
-
-    face_nodes, face_cells = enumerate_faces(*polygons_csr(g.cell_nodes))
-    g.face_nodes = face_nodes.T.reshape(2, -1)
-    g.face_cells = face_cells.T.reshape(2, -1)
-    g.num_faces = g.face_nodes.shape[1]
-    g.compute_geometry()
-    return g
-
-
 def make_0d_grid(point: np.ndarray, sd_id: int = -1) -> SubdomainGrid:
     g = SubdomainGrid(0, sd_id)
     g.num_cells = 1

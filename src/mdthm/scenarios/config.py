@@ -15,7 +15,8 @@ ends the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Real
 
 import numpy as np
 
@@ -113,20 +114,31 @@ def _expect(cond, path, message):
         raise ConfigError(f"{path}: {message}")
 
 
-def _number(value, path, integer=False):
-    """``value`` as a float, as an int where ``integer``, or a list of them
-    for a list; a ConfigError names the field's ``path`` where it is not
-    one."""
-    if isinstance(value, list):
-        return [_number(v, f"{path}[{i}]", integer) for i, v in enumerate(value)]
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: must be a number, not {value!r}") from None
+def _number(value, path, integer=False, shape=()):
+    """``value`` as a float, or as an int where ``integer``; for a
+    ``shape``, nested tuples of them with that length per axis (any length
+    for None). A ConfigError names the field's ``path`` where ``value`` is
+    not one."""
+    if shape:
+        n = shape[0]
+        _expect(isinstance(value, (list, tuple)) and n in (None, len(value)), path,
+                f"must be a list{'' if n is None else f' of {n}'}, not {value!r}")
+        return tuple(_number(v, f"{path}[{i}]", integer, shape[1:])
+                     for i, v in enumerate(value))
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{path}: must be a number, not {value!r}")
+    number = float(value)
     if integer:
         _expect(number.is_integer(), path, f"must be an integer, not {value!r}")
         return int(number)
     return number
+
+
+def _flag(value, path):
+    """``value`` where it is a JSON boolean; a ConfigError names ``path``
+    where it is not."""
+    _expect(isinstance(value, bool), path, f"must be true or false, not {value!r}")
+    return value
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
@@ -144,12 +156,23 @@ def parse_config(raw: dict) -> ScenarioConfig:
         for key in ("nx", "ny"):
             _expect(isinstance(mesh.get(key), int) and mesh[key] > 0,
                     f"mesh.{key}", "must be a positive integer")
+        box = _number(mesh.get("box", ((0.0, 0.0), (1.0, 1.0))), "mesh.box", shape=(2, 2))
+        fractures = _number(mesh.get("fractures", []), "mesh.fractures", shape=(None, 2, 2))
+        mesh = dict(mesh, box=box, fractures=fractures)
     refinement = _number(mesh.get("refinement", 0), "mesh.refinement", integer=True)
     _expect(refinement >= 0, "mesh.refinement", "must be a nonnegative integer")
     mesh = dict(mesh, refinement=refinement)
 
+    overrides = dict(raw.get("materials", {}))
+    defaults = {f.name: f.default for f in fields(MaterialSet)}
+    for key, value in overrides.items():
+        # the fields a material set has; it names any other key itself
+        if isinstance(defaults.get(key), bool):
+            overrides[key] = _flag(value, f"materials.{key}")
+        elif key in defaults:
+            overrides[key] = _number(value, f"materials.{key}", shape=np.shape(defaults[key]))
     try:
-        materials = MaterialSet.from_dict(raw.get("materials", {}))
+        materials = MaterialSet.from_dict(overrides)
     except ValueError as err:
         raise ConfigError(f"materials: {err}") from err
 
@@ -182,7 +205,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     for i, ph in enumerate(phases_raw):
         path = f"phases[{i}]"
         _expect(isinstance(ph, dict), path, "must be an object")
-        steady = bool(ph.get("steady", False))
+        steady = _flag(ph.get("steady", False), f"{path}.steady")
         duration, dt, ramp, dt_init = (_number(ph.get(key, 0.0), f"{path}.{key}")
                                        for key in ("duration", "dt", "ramp", "dt_init"))
         if not steady:
@@ -197,19 +220,20 @@ def parse_config(raw: dict) -> ScenarioConfig:
             if "displacement" in val:
                 _expect(side in lists["mech_dirichlet"], f"{path}.mech.{side}",
                         "displacement given on a non-Dirichlet side")
-                sval.displacement = tuple(_number(val["displacement"],
-                                                  f"{path}.mech.{side}.displacement"))
+                sval.displacement = _number(val["displacement"],
+                                            f"{path}.mech.{side}.displacement", shape=(2,))
             if "traction" in val:
                 _expect(side not in lists["mech_dirichlet"], f"{path}.mech.{side}",
                         "traction given on a Dirichlet side")
-                sval.traction = tuple(_number(val["traction"], f"{path}.mech.{side}.traction"))
+                sval.traction = _number(val["traction"], f"{path}.mech.{side}.traction",
+                                        shape=(2,))
             if "stress" in val or "stress_gradient_y" in val:
                 _expect(side not in lists["mech_dirichlet"], f"{path}.mech.{side}",
                         "stress given on a Dirichlet side")
                 for key in ("stress", "stress_gradient_y"):
                     if key in val:
-                        setattr(sval, key, np.reshape(
-                            _number(val[key], f"{path}.mech.{side}.{key}"), (2, 2)))
+                        setattr(sval, key, np.array(
+                            _number(val[key], f"{path}.mech.{side}.{key}", shape=(2, 2))))
             mech[side] = sval
         flow, heat = {}, {}
         for var, target, dir_list in (("flow", flow, lists["flow_dirichlet"]),
@@ -227,8 +251,6 @@ def parse_config(raw: dict) -> ScenarioConfig:
         wells = []
         for j, w in enumerate(ph.get("sources", [])):
             wpath = f"{path}.sources[{j}]"
-            _expect("at" in w and len(w["at"]) == 2, f"{wpath}.at",
-                    "must be an [x, y] position")
             rate = _number(w.get("rate", 0.0), f"{wpath}.rate")
             temp = w.get("temperature")
             if rate > 0:
@@ -237,7 +259,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
             subdomain = w.get("subdomain", "auto")
             _expect(subdomain in WELL_SUBDOMAINS, f"{wpath}.subdomain",
                     f"must be one of {', '.join(WELL_SUBDOMAINS)}, not {subdomain!r}")
-            wells.append(WellSpec(tuple(_number(w["at"], f"{wpath}.at")), rate,
+            wells.append(WellSpec(_number(w.get("at"), f"{wpath}.at", shape=(2,)), rate,
                                   None if temp is None else _number(temp, f"{wpath}.temperature"),
                                   subdomain))
         phases.append(PhaseConfig(ph.get("name", f"phase{i}"), duration, dt, steady, dt_init,

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from mdthm.constitutive import aperture
+from mdthm.constitutive import DilationModel, aperture
 from mdthm.mdmesh import split_cells
-from mdthm.scenarios.config import ConfigError, ScenarioConfig, parse_config
+from mdthm.scenarios.config import ConfigError, ScenarioConfig
 from mdthm.scenarios.errors import ErrorReport, compare_states
 from mdthm.scenarios.output import RunWriter
 from mdthm.scenarios.setup import Scenario, build_scenario
@@ -156,10 +156,10 @@ def convergence_study(cfg: ScenarioConfig, levels: int, out_dir=None) -> ErrorRe
 # ----------------------------------------------------------------------
 # dilation-model comparison
 # ----------------------------------------------------------------------
-def _run_model(raw_cfg: dict, model: int) -> dict:
+def _run_model(cfg: ScenarioConfig, model: int) -> dict:
     """The fracture profiles at the end of a run under one dilation model:
     per fracture, its cells sorted by x."""
-    result = run(parse_config(dict(raw_cfg, dilation_model=model)))
+    result = run(replace(cfg, dilation_model=DilationModel(model)))
     asm = result.scenario.assembler
     x = result.phase_end_states[-1]
     frac = asm.fracture_state(x, np.zeros_like(x))
@@ -179,13 +179,13 @@ def _run_model(raw_cfg: dict, model: int) -> dict:
     return profiles
 
 
-def dilation_comparison(raw_cfg: dict, out_dir=None) -> dict:
+def dilation_comparison(cfg: ScenarioConfig, out_dir=None) -> dict:
     """Run the same scenario under the three dilation models.
 
     Returns {model: {fracture: profile}} with cells sorted by x coordinate;
     writes one CSV per model when out_dir is given.
     """
-    out = {model: _run_model(raw_cfg, model) for model in (0, 1, 2)}
+    out = {model: _run_model(cfg, model) for model in (0, 1, 2)}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         for model, profiles in out.items():

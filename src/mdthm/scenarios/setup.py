@@ -26,13 +26,12 @@ def build_mesh(cfg: ScenarioConfig, extra_refinement: int = 0) -> MixedDimGrid:
             raise ConfigError("mesh.refinement: gmsh meshes cannot be refined")
         return ingest_gmsh(mesh["path"])
     # refinement level k is the generator's grid with 2^k times the cells
-    # along each axis, the same grid that ``refine`` builds
+    # along each axis; levels nest, and ``containment_map`` relates them
     factor = 2 ** (mesh["refinement"] + extra_refinement)
-    box = tuple(tuple(map(float, p)) for p in mesh.get("box", ((0, 0), (1, 1))))
-    fractures = [tuple(map(tuple, s)) for s in mesh.get("fractures", [])]
-    builder = (build_triangular_fractured if mesh["kind"] == "triangular"
-               else build_cartesian_fractured)
-    return builder(mesh["nx"] * factor, mesh["ny"] * factor, fractures, box)
+    nx, ny = mesh["nx"] * factor, mesh["ny"] * factor
+    if mesh["kind"] == "triangular":
+        return build_triangular_fractured(nx, ny, mesh["fractures"], mesh["box"])
+    return build_cartesian_fractured(nx, ny, mesh["fractures"], mesh["box"])
 
 
 def hydrostatic_pressure(cfg: ScenarioConfig, y):
@@ -103,11 +102,7 @@ def build_scenario(cfg: ScenarioConfig, extra_refinement: int = 0) -> Scenario:
         init[(dim, "T")] = cfg.initial_temperature
     state.set_initial(init)
 
-    newton = NewtonParams(
-        max_iterations=cfg.solver.get("max_iterations", 50),
-        increment_tol=cfg.solver.get("increment_tol", 1e-10),
-        scales=solver_scales(cfg, mdg),
-    )
+    newton = NewtonParams(**cfg.solver, scales=solver_scales(cfg, mdg))
     wells = [locate_wells(mdg, ph, f"phases[{i}]") for i, ph in enumerate(cfg.phases)]
     # the solver factors the elastic block in its first solve, not in set-up
     solver = DirectSolver(asm.dofs.mechanics, asm.dofs.contact)

@@ -13,7 +13,6 @@ from mdthm.mdmesh import (
     build_triangular_fractured,
     containment_map,
     ingest_gmsh,
-    refine,
 )
 from mdthm.mdmesh.grids import enumerate_faces, polygons_csr
 from mdthm.mdmesh.mortar import SIDE_J
@@ -67,7 +66,7 @@ class TestCartesianBuilder:
 
     def test_nested_refinement_partition(self):
         coarse = build_cartesian_fractured(2, 2, HORIZONTAL)
-        fine = refine(coarse, 2)
+        fine = build_cartesian_fractured(4, 4, HORIZONTAL)
         maps = containment_map(coarse, fine)
         counts = np.bincount(maps[0], minlength=coarse.matrix.num_cells)
         assert np.all(counts == 4)
@@ -300,7 +299,7 @@ class TestGmshIngestion:
 class TestTriangularContainment:
     def test_triangle_children(self):
         coarse = build_triangular_fractured(2, 2, HORIZONTAL)
-        fine = refine(coarse, 2)
+        fine = build_triangular_fractured(4, 4, HORIZONTAL)
         maps = containment_map(coarse, fine)
         counts = np.bincount(maps[0], minlength=coarse.matrix.num_cells)
         assert np.all(counts == 4)
@@ -311,6 +310,28 @@ class TestTriangularContainment:
             px, py = coarse.matrix.nodes[0, poly], coarse.matrix.nodes[1, poly]
             assert px.min() - 1e-12 <= xf[0] <= px.max() + 1e-12
             assert py.min() - 1e-12 <= xf[1] <= py.max() + 1e-12
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_fracture_cells_lie_on_their_coarse_cell(self, level):
+        # the shipped network at a coarser level and at level 2: diagonal
+        # fractures, intersection points and split faces
+        coarse, fine = (build_triangular_fractured(_MESH["nx"] * 2**k, _MESH["ny"] * 2**k,
+                                                   CONFIG_FRACTURES, box=CONFIG_BOX)
+                        for k in (level, 2))
+        assert fine.subdomains_of_dim(0)
+        maps = containment_map(coarse, fine)
+        pairs = [(c, f) for c, f in zip(coarse.subdomains, fine.subdomains) if c.dim == 1]
+        assert len(pairs) == len(CONFIG_FRACTURES)
+        for sd_c, sd_f in pairs:
+            idx = maps[sd_f.id]
+            ends = np.array(sd_c.cell_nodes)[idx]
+            a, b = sd_c.nodes[:, ends[:, 0]], sd_c.nodes[:, ends[:, 1]]
+            t, d = b - a, sd_f.cell_centers - a
+            along = (d * t).sum(axis=0) / (t * t).sum(axis=0)
+            off = np.abs(d[0] * t[1] - d[1] * t[0]) / np.hypot(*t)
+            assert np.all((0.0 < along) & (along < 1.0)), sd_c.frac_num
+            assert off.max() < 1e-12, sd_c.frac_num
+            assert np.all(np.bincount(idx, minlength=sd_c.num_cells) == 2 ** (2 - level))
 
     def test_diagonal_fracture(self):
         mdg = build_triangular_fractured(4, 4, [((0.25, 0.25), (0.75, 0.75))])

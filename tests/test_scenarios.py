@@ -8,7 +8,7 @@ import pytest
 
 from mdthm import cli
 from mdthm.contact import ContactError
-from mdthm.mdmesh import build_cartesian_fractured, refine, split_cells
+from mdthm.mdmesh import build_cartesian_fractured, split_cells
 from mdthm.scenarios import drivers
 from mdthm.scenarios.config import ConfigError, parse_config
 from mdthm.scenarios.errors import ErrorReport, compare_states
@@ -364,6 +364,21 @@ class TestCommandLine:
         ("phases[1].sources[0].rate",
          lambda raw: raw["phases"][1].update(sources=[{"at": [1.0, 0.25], "rate": None}])),
         ("initial.temperature", lambda raw: raw["initial"].update(temperature="hot")),
+        ("mesh.box[0][0]", lambda raw: raw["mesh"].update(box=[["a", 0], [2, 1]])),
+        ("mesh.fractures[0][1]",
+         lambda raw: raw["mesh"].update(fractures=[[[0.5, 0.5], "x"]])),
+        ("mesh.fractures[0]", lambda raw: raw["mesh"].update(fractures=[[[0.5, 0.5]]])),
+        ("phases[1].sources[0].at",
+         lambda raw: raw["phases"][1].update(sources=[{"at": 5, "rate": 0.0}])),
+        ("phases[1].mech.top.displacement",
+         lambda raw: raw["phases"][1]["mech"]["top"].update(displacement=0.1)),
+        ("phases[1].mech.left.stress",
+         lambda raw: raw["phases"][1]["mech"]["left"].update(stress=[1.0, 0.0, 1.0])),
+        ("materials.porosity", lambda raw: raw["materials"].update(porosity="0.1")),
+        ("materials.gravity", lambda raw: raw["materials"].update(gravity=9.81)),
+        ("materials.porosity_weights_solid",
+         lambda raw: raw["materials"].update(porosity_weights_solid="yes")),
+        ("phases[1].steady", lambda raw: raw["phases"][1].update(steady="no")),
     ])
     def test_bad_number_named(self, tmp_path, capsys, path, spoil):
         raw = tiny_raw()
@@ -412,8 +427,8 @@ class TestErrorNorms:
 
     @staticmethod
     def nested(levels):
-        base = build_cartesian_fractured(4, 4, [((0.25, 0.5), (0.75, 0.5))])
-        return [base] + [refine(base, 2**k) for k in range(1, levels)]
+        return [build_cartesian_fractured(4 * 2**k, 4 * 2**k, [((0.25, 0.5), (0.75, 0.5))])
+                for k in range(levels)]
 
     def test_constant_offset_gives_offset_over_scale(self):
         grids = self.nested(3)

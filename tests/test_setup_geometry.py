@@ -20,7 +20,7 @@ from mdthm.mdmesh import (
     MeshError,
     SubdomainGrid,
     build_cartesian_fractured,
-    make_2d_grid,
+    fracturize,
     stack_grids,
 )
 from mdthm.scenarios.config import parse_config
@@ -166,7 +166,7 @@ def grid(request, level0):
             6, 4, [((1 / 6, 0.5), (5 / 6, 0.5)), ((0.5, 0.25), (0.5, 0.75))]).matrix
     if request.param == "level0":
         return level0.matrix
-    return make_2d_grid(*mixed_polygons())
+    return fracturize(*mixed_polygons(), []).matrix
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ class TestErrorPaths:
         for c in flipped:
             cells[c] = cells[c][::-1]
         with pytest.raises(MeshError, match=rf"^cell {named} has nonpositive area -"):
-            make_2d_grid(nodes, cells)
+            fracturize(nodes, cells, [])
 
     def test_missing_face_names_first_subcell_met(self):
         # at node 1 the subfaces meet cell 1 before cell 0
