@@ -13,14 +13,10 @@ from mdthm.mdmesh.grids import (
     stack_grids,
 )
 from mdthm.mdmesh.mdgrid import MixedDimGrid
-from mdthm.mdmesh.mortar import SIDE_J, SIDE_K, MortarInterface
 
 __all__ = [
     "MeshError",
     "MixedDimGrid",
-    "MortarInterface",
-    "SIDE_J",
-    "SIDE_K",
     "SubdomainGrid",
     "build_cartesian_fractured",
     "build_triangular_fractured",

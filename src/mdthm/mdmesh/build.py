@@ -8,7 +8,10 @@ same lattice) supply deterministic, nestable grids: the generator called with
 duplicating matrix faces and nodes along the fractures, building 1d fracture
 grids (split at intersections), 0d intersection points and the mortar
 interfaces between all of them; without fracture paths it builds the plain
-2d grid.
+2d grid. The interfaces exist only stacked: ``fracturize`` appends each
+interface's mortar cells to the mortar group of its high-side dimension, in
+the numbering of the stacked grids, and the group keeps the per-interface
+offsets.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from mdthm.mdmesh.grids import (
     polygons_csr,
 )
 from mdthm.mdmesh.mdgrid import MixedDimGrid
-from mdthm.mdmesh.mortar import SIDE_J, SIDE_K, MortarInterface
+from mdthm.mdmesh.mortar import mortar_group
 
 _TOL = 1e-9
 
@@ -320,11 +323,15 @@ def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
         _tag_domain_sides(g2, box)
 
     # ------------------------------------------------------------------
-    # 1d fracture grids, split at intersection points
+    # 1d fracture grids, split at intersection points, and the mortar
+    # cells, interface by interface in the numbering of the stacked grids:
+    # the j and then the k wall of each fracture, and per fracture, face by
+    # face, its branches at the intersection points
     # ------------------------------------------------------------------
     subdomains = [g2]
-    interfaces: list[MortarInterface] = []
-    tips = []  # (fracture grid id, 1d face, original node id), by fracture and face
+    point_of = {n: k for k, n in enumerate(intersection_nodes)}
+    walls, tips = [], []
+    cells_1d = faces_1d = 0  # fracture cells and faces stacked so far
 
     for fi, path in enumerate(frac_paths):
         g1 = SubdomainGrid(1, sd_id=len(subdomains))
@@ -351,57 +358,33 @@ def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
         g1.tags["internal"] = at_x[node]
         if box is not None:
             _tag_domain_sides(g1, box)
-
         subdomains.append(g1)
-        tips.extend((g1.id, f, path[node[f]]) for f in np.flatnonzero(at_x[node]))
 
-        # matrix-fracture mortars, one per side
+        # matrix-fracture mortars, one per wall; the k wall lies on the
+        # side that the left normal of the path points to
         own_side = fo[frac_faces[fi]]
         tangents = nodes[:, path[1:]] - nodes[:, path[:-1]]
         n_ref = np.vstack([-tangents[1], tangents[0]])
         n_ref /= np.hypot(n_ref[0], n_ref[1])
         n_o = g2.face_normals[:, own_side] / g2.face_areas[own_side]
         along = (n_o * n_ref).sum(axis=0) > 0
-        side_faces = {SIDE_J: np.where(along, own_side, own_side + 1),
-                      SIDE_K: np.where(along, own_side + 1, own_side)}
-        for side in (SIDE_J, SIDE_K):
-            interfaces.append(
-                MortarInterface(
-                    intf_id=len(interfaces),
-                    high_id=0,
-                    low_id=g1.id,
-                    high_faces=side_faces[side],
-                    low_cells=np.arange(m),
-                    side=side,
-                    cell_volumes=g1.cell_volumes,
-                    cell_centers=g1.cell_centers,
-                )
-            )
+        for side, faces in ((-1.0, np.where(along, own_side, own_side + 1)),
+                            (1.0, np.where(along, own_side + 1, own_side))):
+            walls.append((faces, g2.face_cells[0, faces], cells_1d + np.arange(m),
+                          g2.face_normals[:, faces] / g2.face_areas[faces], g1.cell_volumes,
+                          np.full(m, side)))
+        # fracture-point mortars, one per face at an intersection point
+        for f in np.flatnonzero(g1.tags["internal"]).tolist():
+            tips.append(([faces_1d + f], [cells_1d + g1.face_cells[0, f]],
+                         [point_of[path[node[f]]]], g1.face_normals[:, [f]] / g1.face_areas[f],
+                         [1.0], [-1.0]))
+        cells_1d += m
+        faces_1d += g1.num_faces
 
-    # ------------------------------------------------------------------
-    # 0d intersection points and their interfaces
-    # ------------------------------------------------------------------
-    point_grid_of = {}
     for n in intersection_nodes:
-        g0 = make_0d_grid(nodes[:, n], sd_id=len(subdomains))
-        subdomains.append(g0)
-        point_grid_of[n] = g0
-    for high_id, f1d, n in tips:
-        g0 = point_grid_of[n]
-        interfaces.append(
-            MortarInterface(
-                intf_id=len(interfaces),
-                high_id=high_id,
-                low_id=g0.id,
-                high_faces=[f1d],
-                low_cells=[0],
-                side=SIDE_J,
-                cell_volumes=np.ones(1),
-                cell_centers=g0.cell_centers,
-            )
-        )
-
-    return MixedDimGrid(subdomains, interfaces)
+        subdomains.append(make_0d_grid(nodes[:, n], sd_id=len(subdomains)))
+    return MixedDimGrid(subdomains, {2: mortar_group(2, 0, g2.num_faces, walls),
+                                     1: mortar_group(1, len(walls), faces_1d, tips)})
 
 
 def _tag_domain_sides(g: SubdomainGrid, box):

@@ -1,14 +1,15 @@
-"""The mixed-dimensional grid: subdomains, interfaces and their stacked view.
+"""The mixed-dimensional grid: subdomains and their stacked view.
 
-Besides the subdomains and the interfaces one by one, the grid owns the
-per-dimension view that assembly, set-up and output work on: ``grids[dim]``
+Assembly, set-up and output work on per-dimension stacks: ``grids[dim]``
 stacks the subdomains of dimension 2, 1 and 0 in subdomain order
-(:func:`mdthm.mdmesh.stack_grids`), and ``mortars[dim]`` stacks the
+(:func:`mdthm.mdmesh.stack_grids`), and ``mortars[dim]`` holds the
 interfaces whose high side has dimension 2 (the fracture walls) or 1 (the
-branches at intersection points) in interface order
-(:class:`mdthm.mdmesh.mortar.MortarGroup`). The jump operator, the
-fracture bases and the inherited apertures of the intersection points are
-read from these stacks, for all cells at once.
+branches at intersection points), stacked in interface order with
+per-interface offsets (:class:`mdthm.mdmesh.mortar.MortarGroup`). The
+interfaces exist only in these groups, which the grid's builder
+(:func:`mdthm.mdmesh.fracturize`) fills. The jump operator, the fracture
+bases and the inherited apertures of the intersection points are read from
+these stacks, for all cells at once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.sparse as sps
 
 from mdthm.mdmesh.grids import MeshError, SubdomainGrid, stack_grids
-from mdthm.mdmesh.mortar import MortarInterface, mortar_group
+from mdthm.mdmesh.mortar import MortarGroup
 
 
 class MixedDimGrid:
@@ -25,22 +26,22 @@ class MixedDimGrid:
 
     Subdomains are ordered by descending dimension: the single 2d matrix
     first, then the 1d fractures in input order, then 0d intersection
-    points. Immutable after construction.
+    points. ``mortars`` maps the high-side dimensions 2 and 1 to their
+    mortar groups, numbered in the stacked grids. Immutable after
+    construction.
     """
 
     nd = 2
 
-    def __init__(self, subdomains: list[SubdomainGrid], interfaces: list[MortarInterface]):
+    def __init__(self, subdomains: list[SubdomainGrid], mortars: dict[int, MortarGroup]):
         dims = [sd.dim for sd in subdomains]
         if dims != sorted(dims, reverse=True):
             raise MeshError("subdomains must be ordered by descending dimension")
         if [sd.id for sd in subdomains] != list(range(len(subdomains))):
             raise MeshError("subdomain ids must equal their positions")
         self.subdomains = subdomains
-        self.interfaces = interfaces
         self.grids = {dim: stack_grids(dim, self.subdomains_of_dim(dim)) for dim in (2, 1, 0)}
-        self.mortars = {dim: mortar_group(interfaces, self.grids[dim], self.grids[dim - 1])
-                        for dim in (2, 1)}
+        self.mortars = mortars
 
     def subdomains_of_dim(self, dim: int) -> list[SubdomainGrid]:
         return [sd for sd in self.subdomains if sd.dim == dim]
@@ -89,4 +90,5 @@ class MixedDimGrid:
 
     def __repr__(self):
         dims = [sd.dim for sd in self.subdomains]
-        return f"MixedDimGrid(subdomains={dims}, interfaces={len(self.interfaces)})"
+        intfs = sum(len(group.ids) for group in self.mortars.values())
+        return f"MixedDimGrid(subdomains={dims}, interfaces={intfs})"

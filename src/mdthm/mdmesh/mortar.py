@@ -1,11 +1,13 @@
-"""Mortar interfaces between subdomains of codimension one, one by one and
-stacked per codimension.
+"""Mortar interfaces between subdomains of codimension one, stacked per
+codimension.
 
 With matching grids every projection is a permutation: each mortar cell is
 paired with exactly one boundary face of the higher-dimensional neighbour
-and one cell of the lower-dimensional neighbour. A :class:`MortarGroup`
-holds all mortars whose high side has one dimension, with their pairing
-expressed in the stacked grids of the two dimensions.
+and one cell of the lower-dimensional neighbour. Interfaces exist only as
+stacks: a :class:`MortarGroup` holds all mortars whose high side has one
+dimension, interface after interface, with their pairing expressed in the
+stacked grids of the two dimensions and per-interface offsets delimiting
+each interface's mortar cells.
 """
 
 from __future__ import annotations
@@ -15,53 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sps
 
-from mdthm.mdmesh.grids import MeshError, SubdomainGrid
-
-SIDE_J = 0
-SIDE_K = 1
-
-
-class MortarInterface:
-    """Coupling grid between a higher- and a lower-dimensional subdomain.
-
-    Attributes:
-        high_id / low_id: subdomain ids of the coupled neighbours.
-        high_faces: boundary faces of the high subdomain, one per mortar cell.
-        low_cells: cells of the low subdomain, one per mortar cell.
-        side: SIDE_J or SIDE_K for the two walls of a fracture; SIDE_J for
-            interfaces to intersection points.
-        cell_volumes / cell_centers: copied from the coupled entities.
-    """
-
-    def __init__(self, intf_id, high_id, low_id, high_faces, low_cells, side,
-                 cell_volumes, cell_centers):
-        self.id = intf_id
-        self.high_id = high_id
-        self.low_id = low_id
-        self.high_faces = np.asarray(high_faces, dtype=int)
-        self.low_cells = np.asarray(low_cells, dtype=int)
-        self.side = side
-        self.cell_volumes = np.asarray(cell_volumes, dtype=float)
-        self.cell_centers = np.asarray(cell_centers, dtype=float)
-        self.num_cells = self.high_faces.size
-        if self.low_cells.size != self.num_cells:
-            raise MeshError("mortar cells must biject onto low-dim cells")
-
-    def __repr__(self):
-        return (
-            f"MortarInterface(id={self.id}, high={self.high_id}, low={self.low_id}, "
-            f"cells={self.num_cells}, side={'jk'[self.side]})"
-        )
+from mdthm.mdmesh.grids import MeshError
 
 
 @dataclass
 class MortarGroup:
     """All mortars whose high side has dimension ``dim``, in interface order.
 
+    Interface ``ids[k]`` holds the mortar cells ``offsets[k]:offsets[k + 1]``.
     Per mortar cell, ``hi`` / ``lo`` index the adjacent high-side and the
     coupled low-side cell in the stacked grids of the two dimensions.
-    ``lift`` restricts stacked high-side face fields to the mortar cells;
-    ``ids`` are the ids of the stacked interfaces.
+    ``lift`` restricts stacked high-side face fields to the mortar cells.
     """
 
     dim: int
@@ -72,30 +38,31 @@ class MortarGroup:
     normals: np.ndarray  # unit outward normals of the high-side faces
     sides: np.ndarray  # -1 on the j wall of a fracture, +1 on the k wall
     ids: list
+    offsets: np.ndarray
 
     @property
     def size(self) -> int:
         return self.areas.size
 
 
-def _cat(parts) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=int)
-
-
-def mortar_group(interfaces: list, high: SubdomainGrid, low: SubdomainGrid) -> MortarGroup:
-    """Stack the mortars of ``interfaces`` whose high side is part of the
-    stacked grid ``high``; their low sides are parts of ``low``."""
-    intfs = [i for i in interfaces if i.high_id in high.face_start]
-    faces = _cat([high.face_start[i.high_id] + i.high_faces for i in intfs])
+def mortar_group(dim: int, first_id: int, num_faces: int, interfaces: list) -> MortarGroup:
+    """The group of the interfaces ``first_id, first_id + 1, ...`` whose high
+    side has dimension ``dim``. Each interface is given by the arrays of its
+    mortar cells, numbered in the stacked grids: the high-side faces (of
+    ``num_faces``) and cells, the low-side cells, the unit normals of the
+    faces, the areas and the sides."""
+    empty = (np.zeros(0, dtype=int),) * 3 + (np.zeros((2, 0)), np.zeros(0), np.zeros(0))
+    faces, hi, lo, normals, areas, sides = (np.concatenate(cells, axis=-1)
+                                            for cells in zip(empty, *interfaces))
+    sizes = [len(cells[0]) for cells in interfaces]
     n = faces.size
-    return MortarGroup(
-        dim=high.dim,
-        hi=high.face_cells[0, faces],
-        lo=_cat([low.cell_start[i.low_id] + i.low_cells for i in intfs]),
-        lift=sps.csr_matrix((np.ones(n), (np.arange(n), faces)), shape=(n, high.num_faces)),
-        areas=_cat([i.cell_volumes for i in intfs]).astype(float),
-        normals=high.face_normals[:, faces] / high.face_areas[faces],
-        sides=_cat([np.full(i.num_cells, 1.0 if i.side == SIDE_K else -1.0)
-                    for i in intfs]).astype(float),
-        ids=[i.id for i in intfs],
-    )
+    # a mortar cell pairs a high-side face that no other mortar cell holds
+    # with a low-side cell that no other mortar cell of its interface holds
+    pairs = np.repeat(np.arange(len(sizes)), sizes) * (lo.max(initial=0) + 1) + lo
+    if np.unique(faces).size < n or np.unique(pairs).size < n:
+        raise MeshError("mortar cells must biject onto low-dim cells")
+    return MortarGroup(dim=dim, hi=hi, lo=lo, areas=areas, normals=normals, sides=sides,
+                       lift=sps.csr_matrix((np.ones(n), (np.arange(n), faces)),
+                                           shape=(n, num_faces)),
+                       ids=list(range(first_id, first_id + len(sizes))),
+                       offsets=np.cumsum([0, *sizes]))

@@ -15,6 +15,7 @@ ends the run.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, fields
 from numbers import Real
 
@@ -127,11 +128,20 @@ def _number(value, path, integer=False, shape=()):
                      for i, v in enumerate(value))
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ConfigError(f"{path}: must be a number, not {value!r}")
+    # Python's json reads NaN and Infinity, and integers past any float
+    _expect(abs(value) <= sys.float_info.max, path, f"must be a finite number, not {value!r}")
     number = float(value)
     if integer:
         _expect(number.is_integer(), path, f"must be an integer, not {value!r}")
         return int(number)
     return number
+
+
+def _object(value, path):
+    """``value`` where it is a JSON object; a ConfigError names ``path``
+    where it is not."""
+    _expect(isinstance(value, dict), path, f"must be an object, not {value!r}")
+    return value
 
 
 def _flag(value, path):
@@ -157,13 +167,16 @@ def parse_config(raw: dict) -> ScenarioConfig:
             _expect(isinstance(mesh.get(key), int) and mesh[key] > 0,
                     f"mesh.{key}", "must be a positive integer")
         box = _number(mesh.get("box", ((0.0, 0.0), (1.0, 1.0))), "mesh.box", shape=(2, 2))
+        (x0, y0), (x1, y1) = box
+        _expect(x0 < x1 and y0 < y1, "mesh.box",
+                f"must be [[x0, y0], [x1, y1]] with x0 < x1 and y0 < y1, not {box!r}")
         fractures = _number(mesh.get("fractures", []), "mesh.fractures", shape=(None, 2, 2))
         mesh = dict(mesh, box=box, fractures=fractures)
     refinement = _number(mesh.get("refinement", 0), "mesh.refinement", integer=True)
     _expect(refinement >= 0, "mesh.refinement", "must be a nonnegative integer")
     mesh = dict(mesh, refinement=refinement)
 
-    overrides = dict(raw.get("materials", {}))
+    overrides = dict(_object(raw.get("materials", {}), "materials"))
     defaults = {f.name: f.default for f in fields(MaterialSet)}
     for key, value in overrides.items():
         # the fields a material set has; it names any other key itself
@@ -179,7 +192,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     model_code = raw.get("dilation_model", 2)
     _expect(model_code in (0, 1, 2), "dilation_model", "must be 0, 1 or 2")
 
-    initial = raw.get("initial", {})
+    initial = _object(raw.get("initial", {}), "initial")
     p_init = initial.get("pressure", 0.0)
     if p_init != "hydrostatic":
         p_init = _number(p_init, "initial.pressure")
@@ -189,7 +202,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     _expect(lam_init <= 0, "initial.normal_traction",
             "the starting normal traction must be compressive")
 
-    btypes = raw.get("boundary_types", {})
+    btypes = _object(raw.get("boundary_types", {}), "boundary_types")
     lists = {}
     for key in ("mech_dirichlet", "flow_dirichlet", "heat_dirichlet"):
         val = btypes.get(key, [])
@@ -214,8 +227,9 @@ def parse_config(raw: dict) -> ScenarioConfig:
             _expect(0 <= ramp <= duration, f"{path}.ramp",
                     "must lie within the phase duration")
         mech = {}
-        for side, val in ph.get("mech", {}).items():
+        for side, val in _object(ph.get("mech", {}), f"{path}.mech").items():
             _expect(side in SIDES, f"{path}.mech", f"unknown side {side!r}")
+            _object(val, f"{path}.mech.{side}")
             sval = MechSideValue()
             if "displacement" in val:
                 _expect(side in lists["mech_dirichlet"], f"{path}.mech.{side}",
@@ -238,7 +252,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
         flow, heat = {}, {}
         for var, target, dir_list in (("flow", flow, lists["flow_dirichlet"]),
                                       ("heat", heat, lists["heat_dirichlet"])):
-            for side, val in ph.get(var, {}).items():
+            for side, val in _object(ph.get(var, {}), f"{path}.{var}").items():
                 _expect(side in SIDES, f"{path}.{var}", f"unknown side {side!r}")
                 _expect(side in dir_list, f"{path}.{var}.{side}",
                         "values are only accepted on Dirichlet sides")
@@ -249,8 +263,11 @@ def parse_config(raw: dict) -> ScenarioConfig:
                 else:
                     target[side] = _number(val, f"{path}.{var}.{side}")
         wells = []
-        for j, w in enumerate(ph.get("sources", [])):
+        sources = ph.get("sources", [])
+        _expect(isinstance(sources, list), f"{path}.sources", f"must be a list, not {sources!r}")
+        for j, w in enumerate(sources):
             wpath = f"{path}.sources[{j}]"
+            _object(w, wpath)
             rate = _number(w.get("rate", 0.0), f"{wpath}.rate")
             temp = w.get("temperature")
             if rate > 0:
@@ -266,11 +283,12 @@ def parse_config(raw: dict) -> ScenarioConfig:
                                   ramp, mech, flow, heat, wells))
 
     solver = {}
-    for key, value in raw.get("solver", {}).items():
+    for key, value in _object(raw.get("solver", {}), "solver").items():
         _expect(key in SOLVER_KEYS, f"solver.{key}",
                 f"unknown solver setting; accepted: {', '.join(SOLVER_KEYS)}")
         solver[key] = _number(value, f"solver.{key}", integer=key == "max_iterations")
-    out_every = _number(raw.get("output", {}).get("every", 1), "output.every", integer=True)
+    output = _object(raw.get("output", {}), "output")
+    out_every = _number(output.get("every", 1), "output.every", integer=True)
     return ScenarioConfig(
         name=name, mesh=mesh, materials=materials,
         dilation_model=DilationModel(model_code),

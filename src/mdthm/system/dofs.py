@@ -17,7 +17,9 @@ lam, follow from :attr:`DofMap.variable`.
 
 The numbering itself is blocked two-level: the outer level runs over the
 subdomains (by descending dimension) and then the interfaces, the inner
-level over the variables living there.
+level over the variables living there. Interfaces exist only as the
+stacked groups ``mdg.mortars[2]`` and ``mdg.mortars[1]``: interface
+``ids[k]`` of a group is its mortar cells ``offsets[k]:offsets[k + 1]``.
 """
 
 from __future__ import annotations
@@ -38,18 +40,23 @@ MORTAR_VARS = {2: ((U_MORTAR, 2), (NU, 1), (NU_ADV, 1), (NU_COND, 1)),
 
 
 class DofMap:
+    """The numbering of the unknowns of ``mdg``: by subdomain, then by
+    interface, read off the mortar groups' ids and offsets."""
+
     def __init__(self, mdg: MixedDimGrid):
         self.mdg = mdg
         self._slices: dict[tuple, slice] = {}
-        blocks = [("sd", sd, sd.dim, CELL_VARS) for sd in mdg.subdomains]
-        blocks += [("intf", i, mdg.subdomains[i.high_id].dim, MORTAR_VARS)
-                   for i in mdg.interfaces]
+        blocks = [("sd", sd.id, sd.dim, CELL_VARS, sd.num_cells) for sd in mdg.subdomains]
+        blocks += [("intf", ident, dim, MORTAR_VARS, cells)
+                   for dim in (2, 1)
+                   for ident, cells in zip(mdg.mortars[dim].ids,
+                                           np.diff(mdg.mortars[dim].offsets).tolist())]
         offset = 0
         variable, dims = [], []
-        for kind, item, dim, table in blocks:
+        for kind, ident, dim, table, cells in blocks:
             for var, nd in table[dim]:
-                size = nd * item.num_cells
-                self._slices[(kind, item.id, var)] = slice(offset, offset + size)
+                size = nd * cells
+                self._slices[(kind, ident, var)] = slice(offset, offset + size)
                 variable.append(np.full(size, var))
                 dims.append(np.full(size, dim))
                 offset += size

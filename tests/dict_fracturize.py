@@ -4,17 +4,18 @@ reference.
 The package numbers faces and splits nodes along fractures with array
 operations (``mdthm.mdmesh.grids.enumerate_faces`` and
 ``mdthm.mdmesh.build.fracturize``); the tests check that it builds, bit for
-bit, the grids that this dict-based code builds.
+bit, the grids and the mortar groups that this dict-based code builds.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sps
 
 from mdthm.mdmesh.build import _tag_domain_sides
 from mdthm.mdmesh.grids import MeshError, SubdomainGrid, make_0d_grid
 from mdthm.mdmesh.mdgrid import MixedDimGrid
-from mdthm.mdmesh.mortar import SIDE_J, SIDE_K, MortarInterface
+from mdthm.mdmesh.mortar import MortarGroup
 
 
 def enumerate_faces(cell_nodes) -> tuple[dict, list, list]:
@@ -194,7 +195,7 @@ def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
     # 1d fracture grids, split at intersection points
     # ------------------------------------------------------------------
     subdomains = [g2]
-    interfaces: list[MortarInterface] = []
+    walls = _Mortars()
     intersection_set = set(intersection_nodes)
     frac_grids = []
     frac_tip_interfaces = []  # (frac_idx, 1d face, original node id)
@@ -248,52 +249,64 @@ def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
         tangents = nodes[:, path[1:]] - nodes[:, path[:-1]]
         n_ref = np.vstack([-tangents[1], tangents[0]])
         n_ref /= np.hypot(n_ref[0], n_ref[1])
-        side_faces = {SIDE_J: [], SIDE_K: []}
+        side_faces = {-1.0: [], 1.0: []}  # the j and the k wall
         for k, f in enumerate(edge_faces):
             fo, fd = face_pairs[f]
             n_o = g2.face_normals[:, fo] / g2.face_areas[fo]
             if n_o @ n_ref[:, k] > 0:
-                side_faces[SIDE_J].append(fo)
-                side_faces[SIDE_K].append(fd)
+                side_faces[-1.0].append(fo)
+                side_faces[1.0].append(fd)
             else:
-                side_faces[SIDE_J].append(fd)
-                side_faces[SIDE_K].append(fo)
-        for side in (SIDE_J, SIDE_K):
-            interfaces.append(
-                MortarInterface(
-                    intf_id=len(interfaces),
-                    high_id=0,
-                    low_id=g1.id,
-                    high_faces=side_faces[side],
-                    low_cells=np.arange(m),
-                    side=side,
-                    cell_volumes=g1.cell_volumes,
-                    cell_centers=g1.cell_centers,
-                )
-            )
+                side_faces[-1.0].append(fd)
+                side_faces[1.0].append(fo)
+        cell_start = sum(g.num_cells for g in frac_grids[:-1])
+        for side, wall in side_faces.items():
+            walls.offsets.append(walls.offsets[-1] + len(wall))
+            for k, face in enumerate(wall):
+                walls.add(face, g2.face_cells[0, face], cell_start + k,
+                          g2.face_normals[:, face] / g2.face_areas[face],
+                          g1.cell_volumes[k], side)
 
     # ------------------------------------------------------------------
     # 0d intersection points and their interfaces
     # ------------------------------------------------------------------
-    point_grid_of = {}
     for n in intersection_nodes:
-        g0 = make_0d_grid(nodes[:, n], sd_id=len(subdomains))
-        subdomains.append(g0)
-        point_grid_of[n] = g0
+        subdomains.append(make_0d_grid(nodes[:, n], sd_id=len(subdomains)))
+    tips = _Mortars()
     for fi, f1d, n in sorted(frac_tip_interfaces):
         g1 = frac_grids[fi]
-        g0 = point_grid_of[n]
-        interfaces.append(
-            MortarInterface(
-                intf_id=len(interfaces),
-                high_id=g1.id,
-                low_id=g0.id,
-                high_faces=[f1d],
-                low_cells=[0],
-                side=SIDE_J,
-                cell_volumes=np.ones(1),
-                cell_centers=g0.cell_centers,
-            )
-        )
+        earlier = frac_grids[:fi]
+        tips.offsets.append(tips.offsets[-1] + 1)
+        tips.add(sum(g.num_faces for g in earlier) + f1d,
+                 sum(g.num_cells for g in earlier) + g1.face_cells[0, f1d],
+                 intersection_nodes.index(n), g1.face_normals[:, f1d] / g1.face_areas[f1d],
+                 1.0, -1.0)
+    n_walls = len(walls.offsets) - 1
+    return MixedDimGrid(subdomains, {
+        2: walls.group(2, 0, g2.num_faces),
+        1: tips.group(1, n_walls, sum(g.num_faces for g in frac_grids))})
 
-    return MixedDimGrid(subdomains, interfaces)
+
+class _Mortars:
+    """The cells of one mortar group, added one by one in stacked numbering."""
+
+    def __init__(self):
+        self.faces, self.hi, self.lo, self.normals, self.areas, self.sides = ([] for _ in range(6))
+        self.offsets = [0]
+
+    def add(self, face, hi, lo, normal, area, side):
+        for name, value in zip(("faces", "hi", "lo", "normals", "areas", "sides"),
+                               (face, hi, lo, normal, area, side)):
+            getattr(self, name).append(value)
+
+    def group(self, dim, first_id, num_faces):
+        n = len(self.faces)
+        lift = sps.csr_matrix((np.ones(n), (np.arange(n), np.array(self.faces, dtype=int))),
+                              shape=(n, num_faces))
+        return MortarGroup(dim=dim, hi=np.array(self.hi, dtype=int),
+                           lo=np.array(self.lo, dtype=int), lift=lift,
+                           areas=np.array(self.areas, dtype=float),
+                           normals=np.array(self.normals, dtype=float).reshape(n, 2).T,
+                           sides=np.array(self.sides, dtype=float),
+                           ids=list(range(first_id, first_id + len(self.offsets) - 1)),
+                           offsets=np.array(self.offsets))

@@ -68,8 +68,8 @@ def test_stacking_calls_detected(tmp_path):
 
 
 def test_mesh_is_stacked_only_in_mdmesh():
-    # the per-dimension grids and mortar groups are built once, by
-    # MixedDimGrid; every other layer reads mdg.grids and mdg.mortars
+    # the per-dimension grids and mortar groups are built once, in mdmesh;
+    # every other layer reads mdg.grids and mdg.mortars
     mdmesh = SRC / "mdthm" / "mdmesh"
     found = [f"{path.relative_to(SRC)}:{line} {name}"
              for path in sorted(SRC.rglob("*.py")) if mdmesh not in path.parents

@@ -15,7 +15,7 @@ from mdthm.mdmesh import (
     ingest_gmsh,
 )
 from mdthm.mdmesh.grids import enumerate_faces, polygons_csr
-from mdthm.mdmesh.mortar import SIDE_J
+from mdthm.mdmesh.mortar import mortar_group
 
 
 HORIZONTAL = [((0.0, 0.5), (1.0, 0.5))]
@@ -39,9 +39,17 @@ def branch_count(mdg, point):
 
 
 def walls_of(mdg, frac):
-    """The j- and k-side interfaces of a fracture."""
-    return sorted((i for i in mdg.interfaces if i.low_id == frac.id and i.high_id == 0),
-                  key=lambda i: i.side)
+    """The matrix faces and the fracture cells of the mortar cells of a
+    fracture's j and k wall."""
+    walls = mdg.mortars[2]
+    cells = walls.lo - mdg.grids[1].cell_start[frac.id]
+    on = (cells >= 0) & (cells < frac.num_cells)
+    return [(walls.lift.indices[on & side], cells[on & side])
+            for side in (walls.sides < 0, walls.sides > 0)]
+
+
+def interface_sizes(mdg, dim):
+    return np.diff(mdg.mortars[dim].offsets).tolist()
 
 
 class TestCartesianBuilder:
@@ -51,15 +59,15 @@ class TestCartesianBuilder:
         assert g.num_cells == 4
         assert g.num_faces == 12
         assert len(mdg.subdomains) == 1
-        assert len(mdg.interfaces) == 0
+        assert interface_sizes(mdg, 2) == interface_sizes(mdg, 1) == []
 
     def test_single_fracture_counts(self):
         mdg = build_cartesian_fractured(2, 2, HORIZONTAL)
         assert [sd.dim for sd in mdg.subdomains] == [2, 1]
         frac = mdg.subdomains[1]
         assert frac.num_cells == 2
-        assert len(mdg.interfaces) == 2
-        assert all(i.num_cells == 2 for i in mdg.interfaces)
+        assert interface_sizes(mdg, 2) == [2, 2] and interface_sizes(mdg, 1) == []
+        assert mdg.mortars[2].ids == [0, 1]
         # two duplicated matrix faces per fracture cell
         assert mdg.matrix.tags["internal"].sum() == 4
         assert mdg.matrix.num_faces == 14
@@ -97,12 +105,11 @@ class TestGeometry:
 
     def test_duplicated_face_normals_opposite(self):
         mdg = build_cartesian_fractured(2, 2, HORIZONTAL)
-        intf_j, intf_k = walls_of(mdg, mdg.subdomains[1])
+        (faces_j, cells_j), (faces_k, cells_k) = walls_of(mdg, mdg.subdomains[1])
+        assert cells_j.tolist() == cells_k.tolist() == [0, 1]
         g = mdg.matrix
-        for c in range(2):
-            nj = g.face_normals[:, intf_j.high_faces[c]]
-            nk = g.face_normals[:, intf_k.high_faces[c]]
-            assert np.allclose(nj + nk, 0.0, atol=1e-12)
+        assert np.allclose(g.face_normals[:, faces_j] + g.face_normals[:, faces_k], 0.0,
+                           atol=1e-12)
 
     def test_volumes_positive(self):
         mdg = build_triangular_fractured(4, 4, CROSSING)
@@ -120,7 +127,8 @@ class TestCrossingTopology:
         # one interface of one mortar cell per incident 1d branch: an X
         # crossing has four
         assert branch_count(mdg, point) == 4
-        assert len(mdg.mortars[1].ids) == 4
+        assert mdg.mortars[1].ids == [4, 5, 6, 7]
+        assert interface_sizes(mdg, 1) == [1, 1, 1, 1]
         # the crossing splits each fracture grid internally
         for frac in mdg.subdomains[1:3]:
             assert frac.tags["internal"].sum() == 2
@@ -132,6 +140,19 @@ class TestCrossingTopology:
         points = mdg.subdomains_of_dim(0)
         assert len(points) == 1
         assert branch_count(mdg, points[0]) == 2
+
+
+def test_mortar_group_pairs_each_face_and_low_cell_once():
+    def interface(faces, lo):
+        n = len(faces)
+        return faces, [0] * n, lo, np.zeros((2, n)), [1.0] * n, [-1.0] * n
+
+    # two interfaces may share a low cell, but not a high face, and one
+    # interface pairs each of its low cells once
+    assert mortar_group(1, 3, 2, [interface([0], [0]), interface([1], [0])]).ids == [3, 4]
+    for interfaces in ([interface([0], [0]), interface([0], [1])], [interface([0, 1], [0, 0])]):
+        with pytest.raises(MeshError, match="biject"):
+            mortar_group(1, 0, 2, interfaces)
 
 
 class TestDisplacementJump:
@@ -171,16 +192,16 @@ class TestDisplacementJump:
         nc = self.frac.num_cells
         u_j = rng.standard_normal(2 * nc)
         u_k = rng.standard_normal(2 * nc)
-        intf_j, intf_k = walls_of(self.mdg, self.frac)
+        (_, cells_j), (_, cells_k) = walls_of(self.mdg, self.frac)
 
-        def to_cells(intf):
+        def to_cells(cells):
             # a wall's mortar displacements onto the fracture cells
-            lift = np.zeros((2 * nc, 2 * intf.num_cells))
-            for m, c in enumerate(intf.low_cells):
+            lift = np.zeros((2 * nc, 2 * cells.size))
+            for m, c in enumerate(cells):
                 lift[2 * c:2 * c + 2, 2 * m:2 * m + 2] = np.eye(2)
             return lift
 
-        expected = (to_cells(intf_k) @ u_k - to_cells(intf_j) @ u_j).reshape(nc, 2).T
+        expected = (to_cells(cells_k) @ u_k - to_cells(cells_j) @ u_j).reshape(nc, 2).T
         assert np.allclose(self.jump(u_j, u_k), expected, atol=1e-15)
 
 
@@ -261,7 +282,7 @@ class TestGmshIngestion:
         path = write_msh(tmp_path, msh_quad_mesh([]))
         mdg = ingest_gmsh(path)
         assert len(mdg.subdomains) == 1
-        assert len(mdg.interfaces) == 0
+        assert interface_sizes(mdg, 2) == interface_sizes(mdg, 1) == []
         assert mdg.matrix.num_cells == 4
 
     def test_throughgoing_horizontal_fracture(self, tmp_path):
@@ -269,7 +290,7 @@ class TestGmshIngestion:
         path = write_msh(tmp_path, msh_quad_mesh([("FRACTURE_A", segs)]))
         mdg = ingest_gmsh(path)
         assert [sd.dim for sd in mdg.subdomains] == [2, 1]
-        assert len(mdg.interfaces) == 2
+        assert interface_sizes(mdg, 2) == [2, 2]
 
     def test_two_crossing_fractures(self, tmp_path):
         fr = [
@@ -348,7 +369,7 @@ def assert_same_arrays(x, y, what):
 
 
 def assert_same_grids(got, ref):
-    """Bit for bit: every subdomain's arrays and tags, every mortar map."""
+    """Bit for bit: every subdomain's arrays and tags, both mortar groups."""
     assert len(got.subdomains) == len(ref.subdomains)
     for a, b in zip(got.subdomains, ref.subdomains):
         for name in ("dim", "id", "num_cells", "num_faces", "num_nodes", "frac_num"):
@@ -362,12 +383,14 @@ def assert_same_grids(got, ref):
         assert a.tags.keys() == b.tags.keys()
         for key in b.tags:
             assert_same_arrays(a.tags[key], b.tags[key], (b.id, key))
-    assert len(got.interfaces) == len(ref.interfaces)
-    for a, b in zip(got.interfaces, ref.interfaces):
-        for name in ("id", "high_id", "low_id", "side", "num_cells"):
-            assert getattr(a, name) == getattr(b, name), (b.id, name)
-        for name in ("high_faces", "low_cells", "cell_volumes", "cell_centers"):
-            assert_same_arrays(getattr(a, name), getattr(b, name), (b.id, name))
+    assert list(got.mortars) == list(ref.mortars) == [2, 1]
+    for dim, b in ref.mortars.items():
+        a = got.mortars[dim]
+        assert (a.dim, a.ids, a.lift.shape) == (b.dim, b.ids, b.lift.shape), dim
+        for name in ("hi", "lo", "areas", "normals", "sides", "offsets"):
+            assert_same_arrays(getattr(a, name), getattr(b, name), (dim, name))
+        for name in ("indptr", "indices", "data"):
+            assert_same_arrays(getattr(a.lift, name), getattr(b.lift, name), (dim, name))
 
 
 def fracturize_inputs(monkeypatch, builder, *args, **kwargs):

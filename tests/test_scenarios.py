@@ -136,9 +136,13 @@ class TestContactOutput:
         result = drivers.run(parse_config(raw), out_dir=str(tmp_path))
         mdg = result.scenario.mdg
         (point,) = mdg.subdomains_of_dim(0)
-        # the fracture cells next to the point, one per incident interface
-        branches = [(i.high_id, int(mdg.subdomains[i.high_id].face_cells[0, i.high_faces[0]]))
-                    for i in mdg.interfaces if i.low_id == point.id]
+        # the fracture cells next to the point, one per incident interface,
+        # as (fracture id, cell of the fracture)
+        tips, fractures = mdg.mortars[1], mdg.grids[1]
+        branches = [(sd_id, c - start)
+                    for c in tips.hi[tips.lo == mdg.grids[0].cell_start[point.id]].tolist()
+                    for sd_id, start in fractures.cell_start.items()
+                    if 0 <= c - start < mdg.subdomains[sd_id].num_cells]
         assert len(branches) == 4
 
         def aperture(sd_id, k):
@@ -379,6 +383,14 @@ class TestCommandLine:
         ("materials.porosity_weights_solid",
          lambda raw: raw["materials"].update(porosity_weights_solid="yes")),
         ("phases[1].steady", lambda raw: raw["phases"][1].update(steady="no")),
+        ("phases[1].sources", lambda raw: raw["phases"][1].update(sources=5)),
+        # Python's json writes and reads NaN and Infinity
+        ("initial.temperature", lambda raw: raw["initial"].update(temperature=float("nan"))),
+        ("initial.temperature", lambda raw: raw["initial"].update(temperature=float("inf"))),
+        ("initial.temperature", lambda raw: raw["initial"].update(temperature=-float("inf"))),
+        ("initial.temperature", lambda raw: raw["initial"].update(temperature=10**400)),
+        ("mesh.box", lambda raw: raw["mesh"].update(box=[[2, 1], [0, 0]])),
+        ("mesh.box", lambda raw: raw["mesh"].update(box=[[0, 0], [2, 0]])),
     ])
     def test_bad_number_named(self, tmp_path, capsys, path, spoil):
         raw = tiny_raw()
@@ -387,6 +399,26 @@ class TestCommandLine:
                          "--out", str(tmp_path / "out")])
         assert code == 1
         assert f"{path}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, spoil", [
+        ("materials", lambda raw: raw.update(materials=5)),
+        ("initial", lambda raw: raw.update(initial=5)),
+        ("boundary_types", lambda raw: raw.update(boundary_types=5)),
+        ("solver", lambda raw: raw.update(solver=5)),
+        ("output", lambda raw: raw.update(output=5)),
+        ("phases[1].mech", lambda raw: raw["phases"][1].update(mech=5)),
+        ("phases[1].flow", lambda raw: raw["phases"][1].update(flow=5)),
+        ("phases[1].heat", lambda raw: raw["phases"][1].update(heat=5)),
+        ("phases[1].mech.top", lambda raw: raw["phases"][1]["mech"].update(top=5)),
+        ("phases[1].sources[0]", lambda raw: raw["phases"][1].update(sources=[5])),
+    ])
+    def test_section_not_an_object_named(self, tmp_path, capsys, path, spoil):
+        raw = tiny_raw()
+        spoil(raw)
+        code = cli.main(["run", "--config", write_config(tmp_path, raw),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"{path}: must be an object, not 5" in capsys.readouterr().err
 
 
 class TestHydrostaticPressure:

@@ -909,7 +909,6 @@ class TestDofMap:
         mdg, asm, _ = make_problem(CROSSING)
         dofs = asm.dofs
         assert mdg.grids[0].num_cells == 1
-        interfaces = {i.id: i for i in mdg.interfaces}
         covered = []
         for (kind, ident, var), sl in dofs.blocks():
             if kind == "sd":
@@ -917,11 +916,10 @@ class TestDofMap:
                 view, total = dofs.cells(grid.dim, var), grid.num_cells
                 start, size = grid.cell_start[ident], mdg.subdomains[ident].num_cells
             else:
-                group = mdg.mortars[mdg.subdomains[interfaces[ident].high_id].dim]
+                (group,) = [g for g in mdg.mortars.values() if ident in g.ids]
                 view, total = dofs.mortar(group.dim, var), group.size
-                before = group.ids[:group.ids.index(ident)]
-                start = sum(interfaces[i].num_cells for i in before)
-                size = interfaces[ident].num_cells
+                k = group.ids.index(ident)
+                start, size = group.offsets[k], group.offsets[k + 1] - group.offsets[k]
             nd = view.size // total
             block = np.arange(sl.start, sl.stop)
             assert block.size == nd * size > 0, (kind, ident, var)
