@@ -385,12 +385,22 @@ class TestCommandLine:
         ("phases[1].steady", lambda raw: raw["phases"][1].update(steady="no")),
         ("phases[1].sources", lambda raw: raw["phases"][1].update(sources=5)),
         # Python's json writes and reads NaN and Infinity
-        ("initial.temperature", lambda raw: raw["initial"].update(temperature=float("nan"))),
-        ("initial.temperature", lambda raw: raw["initial"].update(temperature=float("inf"))),
-        ("initial.temperature", lambda raw: raw["initial"].update(temperature=-float("inf"))),
-        ("initial.temperature", lambda raw: raw["initial"].update(temperature=10**400)),
-        ("mesh.box", lambda raw: raw["mesh"].update(box=[[2, 1], [0, 0]])),
-        ("mesh.box", lambda raw: raw["mesh"].update(box=[[0, 0], [2, 0]])),
+        pytest.param("initial.temperature",
+                     lambda raw: raw["initial"].update(temperature=float("nan")),
+                     id="initial.temperature-nan"),
+        pytest.param("initial.temperature",
+                     lambda raw: raw["initial"].update(temperature=float("inf")),
+                     id="initial.temperature-inf"),
+        pytest.param("initial.temperature",
+                     lambda raw: raw["initial"].update(temperature=-float("inf")),
+                     id="initial.temperature-minus-inf"),
+        pytest.param("initial.temperature",
+                     lambda raw: raw["initial"].update(temperature=10**400),
+                     id="initial.temperature-overflow"),
+        pytest.param("mesh.box", lambda raw: raw["mesh"].update(box=[[2, 1], [0, 0]]),
+                     id="mesh.box-inverted"),
+        pytest.param("mesh.box", lambda raw: raw["mesh"].update(box=[[0, 0], [2, 0]]),
+                     id="mesh.box-flat"),
     ])
     def test_bad_number_named(self, tmp_path, capsys, path, spoil):
         raw = tiny_raw()
