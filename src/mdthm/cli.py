@@ -53,11 +53,10 @@ def main(argv=None) -> int:
             print(f"completed {len(result.records)} steps; "
                   f"max Newton iterations {result.max_newton_iterations}")
         elif args.command == "converge":
-            report = convergence_study(cfg, args.levels, out_dir=args.out)
-            for key, seq in sorted(report.orders.items()):
-                label = f"subdomain {key[0]} {key[1]}"
+            study = convergence_study(cfg, args.levels, out_dir=args.out)
+            for key, seq in sorted(study["orders"].items()):
                 text = ", ".join("-" if v is None else f"{v:.2f}" for v in seq)
-                print(f"{label}: observed orders {text}")
+                print(f"{key}: observed orders {text}")
         else:
             dilation_comparison(cfg, out_dir=args.out)
             print("wrote per-model fracture profiles")

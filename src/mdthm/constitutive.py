@@ -60,9 +60,6 @@ class MaterialSet:
     reference_pressure: float = 0.0
     reference_temperature: float = 300.0
     gravity: tuple[float, float] = (0.0, 0.0)
-    # The porosity-weighted average can place the porosity weight on either
-    # phase; the default weights the solid term.
-    porosity_weights_solid: bool = True
 
     def __post_init__(self):
         positive = [
@@ -109,9 +106,7 @@ class MaterialSet:
         return self.thermal_expansion_solid * self.bulk_solid
 
     def effective(self, val_solid, val_fluid):
-        return effective_param(
-            val_solid, val_fluid, self.porosity, self.porosity_weights_solid
-        )
+        return effective_param(val_solid, val_fluid, self.porosity)
 
     @classmethod
     def from_dict(cls, overrides: dict) -> "MaterialSet":
@@ -132,17 +127,13 @@ def fluid_density(p, T, mat: MaterialSet):
     return mat.density_fluid_ref * np.exp(arg)
 
 
-def effective_param(val_solid, val_fluid, porosity, weights_solid: bool = True):
-    """Porosity-weighted average of a solid and a fluid property.
-
-    With ``weights_solid`` the solid term carries the porosity weight:
-    phi * solid + (1 - phi) * fluid; otherwise the weights are swapped.
+def effective_param(val_solid, val_fluid, porosity):
+    """Porosity-weighted average of a solid and a fluid property, with the
+    porosity weight on the solid term: phi * solid + (1 - phi) * fluid.
     """
     if not np.all((0.0 <= np.asarray(porosity)) & (np.asarray(porosity) <= 1.0)):
         raise ValueError("porosity must lie in [0, 1]")
-    if weights_solid:
-        return porosity * val_solid + (1.0 - porosity) * val_fluid
-    return porosity * val_fluid + (1.0 - porosity) * val_solid
+    return porosity * val_solid + (1.0 - porosity) * val_fluid
 
 
 def fluid_storage(dp, dT, mat: MaterialSet, porous: bool):

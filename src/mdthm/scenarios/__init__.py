@@ -10,13 +10,12 @@ from mdthm.scenarios.drivers import (
     dilation_comparison,
     run,
 )
-from mdthm.scenarios.errors import ErrorReport, weighted_l2_error
+from mdthm.scenarios.errors import observed_orders, weighted_l2_error
 from mdthm.scenarios.output import RunWriter, snapshot_fields, write_vtk
 from mdthm.scenarios.setup import Scenario, build_loads, build_mesh, build_scenario
 
 __all__ = [
     "ConfigError",
-    "ErrorReport",
     "PhaseConfig",
     "RunResult",
     "RunWriter",
@@ -27,6 +26,7 @@ __all__ = [
     "build_scenario",
     "convergence_study",
     "dilation_comparison",
+    "observed_orders",
     "parse_config",
     "run",
     "snapshot_fields",

@@ -78,37 +78,6 @@ class ScenarioConfig:
     solver: dict
     output_every: int = 1
 
-    @property
-    def characteristic_scales(self) -> dict:
-        """Per-variable magnitudes used for error weights and the solver.
-
-        Derived from the boundary schedule: the displacement weight is the
-        largest prescribed boundary displacement, the pressure and
-        temperature weights the largest deviations from the initial state.
-        """
-        mat = self.materials
-        k_u = 0.0
-        k_p = 0.0
-        k_T = 0.0
-        p0 = 0.0 if self.initial_pressure == "hydrostatic" else float(self.initial_pressure)
-        for ph in self.phases:
-            for side, val in ph.mech.items():
-                if val.displacement is not None:
-                    k_u = max(k_u, float(np.hypot(*val.displacement)))
-            for side, val in ph.flow.items():
-                if val == "hydrostatic":
-                    continue
-                k_p = max(k_p, abs(float(val) - p0))
-            for side, val in ph.heat.items():
-                k_T = max(k_T, abs(float(val) - self.initial_temperature))
-            for w in ph.wells:
-                if w.temperature is not None:
-                    k_T = max(k_T, abs(w.temperature - self.initial_temperature))
-        k_u = k_u or 1e-4
-        k_p = k_p or 1e6
-        k_T = k_T or 1.0
-        return {"u": k_u, "p": k_p, "T": k_T}
-
 
 def _expect(cond, path, message):
     if not cond:
@@ -163,15 +132,15 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if kind == "gmsh":
         _expect("path" in mesh, "mesh.path", "gmsh meshes need a file path")
     else:
-        for key in ("nx", "ny"):
-            _expect(isinstance(mesh.get(key), int) and mesh[key] > 0,
-                    f"mesh.{key}", "must be a positive integer")
+        nx, ny = (_number(mesh.get(key), f"mesh.{key}", integer=True) for key in ("nx", "ny"))
+        _expect(nx > 0, "mesh.nx", "must be a positive integer")
+        _expect(ny > 0, "mesh.ny", "must be a positive integer")
         box = _number(mesh.get("box", ((0.0, 0.0), (1.0, 1.0))), "mesh.box", shape=(2, 2))
         (x0, y0), (x1, y1) = box
         _expect(x0 < x1 and y0 < y1, "mesh.box",
                 f"must be [[x0, y0], [x1, y1]] with x0 < x1 and y0 < y1, not {box!r}")
         fractures = _number(mesh.get("fractures", []), "mesh.fractures", shape=(None, 2, 2))
-        mesh = dict(mesh, box=box, fractures=fractures)
+        mesh = dict(mesh, nx=nx, ny=ny, box=box, fractures=fractures)
     refinement = _number(mesh.get("refinement", 0), "mesh.refinement", integer=True)
     _expect(refinement >= 0, "mesh.refinement", "must be a nonnegative integer")
     mesh = dict(mesh, refinement=refinement)
@@ -180,16 +149,14 @@ def parse_config(raw: dict) -> ScenarioConfig:
     defaults = {f.name: f.default for f in fields(MaterialSet)}
     for key, value in overrides.items():
         # the fields a material set has; it names any other key itself
-        if isinstance(defaults.get(key), bool):
-            overrides[key] = _flag(value, f"materials.{key}")
-        elif key in defaults:
+        if key in defaults:
             overrides[key] = _number(value, f"materials.{key}", shape=np.shape(defaults[key]))
     try:
         materials = MaterialSet.from_dict(overrides)
     except ValueError as err:
         raise ConfigError(f"materials: {err}") from err
 
-    model_code = raw.get("dilation_model", 2)
+    model_code = _number(raw.get("dilation_model", 2), "dilation_model", integer=True)
     _expect(model_code in (0, 1, 2), "dilation_model", "must be 0, 1 or 2")
 
     initial = _object(raw.get("initial", {}), "initial")

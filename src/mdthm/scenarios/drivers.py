@@ -12,12 +12,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from mdthm.constitutive import DilationModel, aperture
-from mdthm.mdmesh import split_cells
+from mdthm.constitutive import DilationModel
 from mdthm.scenarios.config import ConfigError, ScenarioConfig
-from mdthm.scenarios.errors import ErrorReport, compare_states
-from mdthm.scenarios.output import RunWriter
-from mdthm.scenarios.setup import Scenario, build_scenario
+from mdthm.scenarios.errors import compare_states, observed_orders
+from mdthm.scenarios.output import RunWriter, snapshot_fields
+from mdthm.scenarios.setup import Scenario, build_scenario, solver_scales
 from mdthm.system import time_loop
 
 
@@ -46,8 +45,7 @@ def run(cfg: ScenarioConfig, out_dir=None, extra_refinement: int = 0) -> RunResu
         # each phase starts where the previous one ended
         start = records[-1].time if records else 0.0
         records.extend(time_loop(scn.assembler, scn.state, phase, scn.load_provider(idx),
-                                 scn.newton, observer=observer, solver=scn.solver,
-                                 start=start))
+                                 scn.newton, scn.solver, observer=observer, start=start))
         phase_ends.append(scn.state.current.copy())
     if writer is not None:
         writer.finalize()
@@ -74,39 +72,23 @@ def _write_summary(out_dir, scn: Scenario, records):
 # ----------------------------------------------------------------------
 # convergence study
 # ----------------------------------------------------------------------
-def comparison_fields(scn: Scenario, x: np.ndarray) -> dict:
-    """Cellwise fields entering the refinement comparison, keyed by
-    (subdomain index, variable)."""
-    asm, dofs = scn.assembler, scn.assembler.dofs
-    jump = asm.jumps(x)
-    u, lam = x[dofs.cells(2, "u")], x[dofs.cells(1, "lam")]
-    own = {2: {"u": np.vstack([u[0::2], u[1::2]])},
-           1: {"jump_t": jump[0::2], "jump_n": jump[1::2],
-               "lam": np.vstack([lam[0::2], lam[1::2]])},
-           0: {}}
-    out = {}
-    for dim, grid in scn.mdg.grids.items():
-        stacked = {"p": x[dofs.cells(dim, "p")], "T": x[dofs.cells(dim, "T")], **own[dim]}
-        for var, values in stacked.items():
-            out.update(((sd_id, var), part) for sd_id, part in split_cells(grid, values).items())
-    return out
-
-
 def _run_level(cfg: ScenarioConfig, level: int):
-    """The grid of one refinement level and the comparison fields of each
-    of its end-of-phase states."""
-    result = run(cfg, out_dir=None, extra_refinement=level)
+    """The scenario of one refinement level and the field table of each of
+    its end-of-phase states."""
+    result = run(cfg, extra_refinement=level)
     scn = result.scenario
-    return scn.mdg, [comparison_fields(scn, x) for x in result.phase_end_states]
+    return scn, [snapshot_fields(scn.assembler, x, x) for x in result.phase_end_states]
 
 
-def convergence_study(cfg: ScenarioConfig, levels: int, out_dir=None) -> ErrorReport:
+def convergence_study(cfg: ScenarioConfig, levels: int, out_dir=None) -> dict:
     """Nested-refinement study; the finest level is the reference.
 
-    Each level halves the mesh spacing. Errors are reported per end-of-phase
-    snapshot, per subdomain and variable, weighted by the characteristic
-    magnitudes of the boundary data (the traction weight is Young's modulus
-    times the displacement weight). The levels run one after another.
+    Each level halves the mesh spacing. Errors are reported per subdomain
+    and field, "sd<id>:<name>", at the worst end-of-phase snapshot, each
+    weighted by its unknown's characteristic magnitude from
+    :func:`solver_scales`. Returns, and writes as ``convergence.json``, the
+    levels, their errors and the observed orders between them. The levels
+    run one after another.
     """
     if levels < 3:
         raise ConfigError("a convergence study needs at least 3 levels")
@@ -114,43 +96,25 @@ def convergence_study(cfg: ScenarioConfig, levels: int, out_dir=None) -> ErrorRe
         raise ConfigError("mesh.kind: the study needs a nestable generated mesh")
 
     results = [_run_level(cfg, lvl) for lvl in range(levels)]
-    ref_mdg, ref_fields_per_phase = results[-1]
-
-    scales = cfg.characteristic_scales
-    weights = {
-        "u": scales["u"], "p": scales["p"], "T": scales["T"],
-        "jump_t": scales["u"], "jump_n": scales["u"],
-        "lam": cfg.materials.youngs_modulus * scales["u"],
-    }
-    report = ErrorReport()
-    n_phases = len(ref_fields_per_phase)
-    for lvl in range(levels - 1):
-        mdg, fields = results[lvl]
+    ref_scn, ref_fields = results[-1]
+    scales = solver_scales(cfg, ref_scn.mdg)
+    weights = {"pressure": scales["p"], "temperature": scales["T"],
+               "displacement": scales["u"], "jump_tangential": scales["u"],
+               "jump_normal": scales["u"], "traction": scales["lam"]}
+    errors = []
+    for scn, fields in results[:-1]:
         table = {}
-        for phase_idx in range(n_phases):
-            errs = compare_states(mdg, ref_mdg, fields[phase_idx],
-                                  ref_fields_per_phase[phase_idx], weights)
-            for key, val in errs.items():
-                # track the worst phase per variable
+        for coarse, ref in zip(fields, ref_fields):
+            for key, val in compare_states(scn.mdg, ref_scn.mdg, coarse, ref, weights).items():
                 table[key] = max(table.get(key, 0.0), val)
-        report.levels.append(lvl)
-        report.errors.append(table)
-    report.observed_orders()
+        errors.append(table)
+    study = {"levels": list(range(levels - 1)), "errors": errors,
+             "orders": observed_orders(errors)}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        payload = {
-            "levels": report.levels,
-            "errors": [
-                {f"sd{sd}:{var}": err for (sd, var), err in table.items()}
-                for table in report.errors
-            ],
-            "orders": {
-                f"sd{sd}:{var}": seq for (sd, var), seq in report.orders.items()
-            },
-        }
         with open(os.path.join(out_dir, "convergence.json"), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-    return report
+            json.dump(study, fh, indent=1, sort_keys=True)
+    return study
 
 
 # ----------------------------------------------------------------------
@@ -158,24 +122,16 @@ def convergence_study(cfg: ScenarioConfig, levels: int, out_dir=None) -> ErrorRe
 # ----------------------------------------------------------------------
 def _run_model(cfg: ScenarioConfig, model: int) -> dict:
     """The fracture profiles at the end of a run under one dilation model:
-    per fracture, its cells sorted by x."""
+    per fracture, its cells' x and field table, sorted by x."""
     result = run(replace(cfg, dilation_model=DilationModel(model)))
-    asm = result.scenario.assembler
     x = result.phase_end_states[-1]
-    frac = asm.fracture_state(x, np.zeros_like(x))
-    jt, jn = frac.jumps[0::2], frac.jumps[1::2]
-    fields = {
-        "jump_t": jt,
-        "jump_n": jn,
-        "aperture": aperture(jn, jt, asm.model, asm.mat),
-        "state": frac.contact,
-    }
-    parts = {name: split_cells(asm.mdg.grids[1], values) for name, values in fields.items()}
+    fields = snapshot_fields(result.scenario.assembler, x, x)
     profiles = {}
-    for sd in asm.fractures:
+    for sd in result.scenario.assembler.fractures:
         order = np.argsort(sd.cell_centers[0], kind="stable")
         profiles[sd.frac_num] = {"x": sd.cell_centers[0, order]}
-        profiles[sd.frac_num].update((name, part[sd.id][order]) for name, part in parts.items())
+        profiles[sd.frac_num].update((name, values[..., order])
+                                     for name, values in fields[sd.id].items())
     return profiles
 
 
@@ -196,8 +152,8 @@ def dilation_comparison(cfg: ScenarioConfig, out_dir=None) -> dict:
                     pr = profiles[fid]
                     for i in range(pr["x"].size):
                         # repr of a Python float: the shortest exact decimal
-                        reals = (repr(float(pr[k][i]))
-                                 for k in ("x", "jump_t", "jump_n", "aperture"))
-                        fh.write(f"{fid},{','.join(reals)},{int(pr['state'][i])}\n")
+                        reals = (repr(float(pr[k][i])) for k in
+                                 ("x", "jump_tangential", "jump_normal", "aperture"))
+                        fh.write(f"{fid},{','.join(reals)},"
+                                 f"{int(pr['contact_state_cumulative'][i])}\n")
     return out
-

@@ -13,8 +13,6 @@ constant difference c gives c / k on every grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from mdthm.mdmesh import MixedDimGrid, containment_map
@@ -29,56 +27,29 @@ def weighted_l2_error(diff: np.ndarray, volumes: np.ndarray, k: float) -> float:
     return float(np.sqrt(np.sum(volumes * d * d)) / (k * np.sqrt(np.sum(volumes))))
 
 
-@dataclass
-class ErrorReport:
-    """Errors per refinement level and observed orders between them.
-
-    errors[level][key] with key = (subdomain index, variable name);
-    orders[key] lists log2 ratios of consecutive level errors.
-    """
-
-    levels: list = field(default_factory=list)
-    errors: list = field(default_factory=list)
-    orders: dict = field(default_factory=dict)
-
-    def observed_orders(self):
-        keys = set()
-        for table in self.errors:
-            keys.update(table)
-        out = {}
-        for key in sorted(keys):
-            seq = [table.get(key) for table in self.errors]
-            vals = []
-            for a, b in zip(seq[:-1], seq[1:]):
-                if a is None or b is None or a <= 1e-14 or b <= 1e-14:
-                    vals.append(None)
-                else:
-                    vals.append(float(np.log2(a / b)))
-            out[key] = vals
-        self.orders = out
-        return out
-
-
-def project_field(maps, sd_index, values):
-    """Inject a coarse cellwise field onto the reference grid's cells."""
-    idx = maps[sd_index]
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim == 2:
-        return vals[:, idx]
-    return vals[idx]
+def observed_orders(errors: list) -> dict:
+    """log2 ratios of consecutive levels' errors, per key of the tables
+    ``errors`` (one per level); None where either error is missing or below
+    roundoff."""
+    out = {}
+    for key in sorted(set().union(*errors)):
+        seq = [table.get(key) for table in errors]
+        out[key] = [None if a is None or b is None or a <= 1e-14 or b <= 1e-14
+                    else float(np.log2(a / b)) for a, b in zip(seq[:-1], seq[1:])]
+    return out
 
 
 def compare_states(coarse_mdg: MixedDimGrid, ref_mdg: MixedDimGrid,
                    coarse_fields: dict, ref_fields: dict, weights: dict) -> dict:
-    """Weighted errors of all shared fields between one level and the
-    reference. Fields are keyed (subdomain index, variable)."""
+    """Weighted errors between one level's and the reference's field
+    tables, ``{subdomain id: {name: values}}``, of each field named in
+    ``weights``; keyed "sd<id>:<name>"."""
     maps = containment_map(coarse_mdg, ref_mdg)
     out = {}
-    for key, coarse_vals in coarse_fields.items():
-        sd_index, var = key
-        ref_vals = ref_fields[key]
-        proj = project_field(maps, sd_index, coarse_vals)
-        volumes = ref_mdg.subdomains[sd_index].cell_volumes
-        diff = np.asarray(ref_vals) - proj
-        out[key] = weighted_l2_error(diff, volumes, weights[var])
+    for sd_id, fields in coarse_fields.items():
+        volumes = ref_mdg.subdomains[sd_id].cell_volumes
+        for name, values in fields.items():
+            if name in weights:
+                diff = ref_fields[sd_id][name] - values[..., maps[sd_id]]
+                out[f"sd{sd_id}:{name}"] = weighted_l2_error(diff, volumes, weights[name])
     return out

@@ -64,10 +64,10 @@ def write_vtk(path, sd: SubdomainGrid, cell_data: dict, geometry: str | None = N
         fh.write("\n".join(lines) + "\n")
 
 
-def _fracture_fields(assembler: Assembler, state: State) -> dict:
-    """Cellwise fields of all fracture cells at the current state, stacked."""
-    x = state.current
-    frac = assembler.fracture_state(x, state.prev_step)
+def _fracture_fields(assembler: Assembler, x: np.ndarray, x_prev: np.ndarray) -> dict:
+    """Cellwise fields of all fracture cells at x, stacked; the contact
+    state counts the slip from x_prev."""
+    frac = assembler.fracture_state(x, x_prev)
     cumulative = assembler.fracture_state(x, np.zeros_like(x)).contact
     jt, jn = frac.jumps[0::2], frac.jumps[1::2]
     lam_t, lam_n = frac.lam[0::2], frac.lam[1::2]
@@ -83,10 +83,12 @@ def _fracture_fields(assembler: Assembler, state: State) -> dict:
     }
 
 
-def snapshot_fields(assembler: Assembler, state: State) -> dict:
-    """Cellwise output fields per subdomain at the current state."""
-    mdg, dofs, x = assembler.mdg, assembler.dofs, state.current
-    fractures = _fracture_fields(assembler, state)
+def snapshot_fields(assembler: Assembler, x: np.ndarray, x_prev: np.ndarray) -> dict:
+    """Cellwise fields per subdomain id at the state x, whose time step
+    started at x_prev: the one field table of the VTK snapshots, the
+    convergence study and the dilation comparison."""
+    mdg, dofs = assembler.mdg, assembler.dofs
+    fractures = _fracture_fields(assembler, x, x_prev)
     u = x[dofs.cells(2, "u")]
     own = {2: {"displacement": np.vstack([u[0::2], u[1::2]])}, 1: fractures,
            0: {"aperture": mdg.inherit_aperture(fractures["aperture"])}}
@@ -116,7 +118,7 @@ class RunWriter:
     def write_snapshot(self, state: State, time: float):
         """Write the state as snapshot number ``count``: the initial state
         is number 0 and the state after step k is number k."""
-        fields = snapshot_fields(self.assembler, state)
+        fields = snapshot_fields(self.assembler, state.current, state.prev_step)
         for sd in self.assembler.mdg.subdomains:
             path = os.path.join(
                 self.out_dir, "vtk",

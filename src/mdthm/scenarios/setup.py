@@ -128,17 +128,32 @@ def check_blocks_held(grid, mech_dirichlet: np.ndarray):
 
 
 def solver_scales(cfg: ScenarioConfig, mdg: MixedDimGrid) -> dict:
-    """Characteristic magnitudes per unknown, for column scaling and the
-    scaled convergence norms.
+    """Characteristic magnitudes per unknown, for column scaling, the
+    scaled convergence norms and the convergence study's error weights.
 
-    Displacement, pressure and temperature come from the boundary schedule;
-    the traction weight is Young's modulus times the displacement weight.
-    Mortar flux scales bound their largest interface-law magnitudes at the
-    residual aperture and characteristic driving differences.
+    They come from the boundary schedule: the displacement scale is the
+    largest prescribed boundary displacement, the pressure and temperature
+    scales the largest deviations from the initial state. The traction
+    scale is Young's modulus times the displacement scale. Mortar flux
+    scales bound their largest interface-law magnitudes at the residual
+    aperture and characteristic driving differences.
     """
     mat = cfg.materials
-    base = cfg.characteristic_scales
-    k_u, k_p, k_T = base["u"], base["p"], base["T"]
+    k_u = k_p = k_T = 0.0
+    p0 = 0.0 if cfg.initial_pressure == "hydrostatic" else float(cfg.initial_pressure)
+    for ph in cfg.phases:
+        for val in ph.mech.values():
+            if val.displacement is not None:
+                k_u = max(k_u, float(np.hypot(*val.displacement)))
+        for val in ph.flow.values():
+            if val != "hydrostatic":
+                k_p = max(k_p, abs(float(val) - p0))
+        for val in ph.heat.values():
+            k_T = max(k_T, abs(float(val) - cfg.initial_temperature))
+        for w in ph.wells:
+            if w.temperature is not None:
+                k_T = max(k_T, abs(w.temperature - cfg.initial_temperature))
+    k_u, k_p, k_T = k_u or 1e-4, k_p or 1e6, k_T or 1.0
     fracture_cells = mdg.grids[1].cell_volumes
     area = float(np.mean(fracture_cells)) if fracture_cells.size else 1.0
     box = mdg.matrix

@@ -118,13 +118,13 @@ class DirectSolver:
     refills the blocks' data in place, so that a solve builds no sparse
     matrix but the ones it factors. A new pattern gets new gathers.
 
-    Without ``mechanics`` M is empty and GMRES solves the whole system. The
+    With no ``mechanics`` unknown M is empty and GMRES solves the whole
+    system. A system with a non-finite entry in A or b fails at once. The
     residual of the whole system is checked against SOLVE_TOL; besides a
     factorisation that fails, that is the only test a solve must pass.
     """
 
-    def __init__(self, mechanics: np.ndarray | None = None,
-                 contact: np.ndarray | None = None):
+    def __init__(self, mechanics: np.ndarray, contact: np.ndarray):
         self.mechanics = mechanics
         self.contact = contact
         self._blocks = None  # the gathers of the pattern last solved
@@ -136,24 +136,25 @@ class DirectSolver:
         afresh."""
         self._precond = None
 
-    def solve(self, A: sps.spmatrix, b: np.ndarray,
-              col_scale: np.ndarray | None = None,
-              x0: np.ndarray | None = None) -> np.ndarray:
+    def solve(self, A: sps.spmatrix, b: np.ndarray, col_scale: np.ndarray,
+              x0: np.ndarray) -> np.ndarray:
+        A = A.tocsr()
+        if not (np.isfinite(A.data).all() and np.isfinite(b).all()):
+            raise SolverFailure("the linear system has a non-finite entry")
         b_norm = np.linalg.norm(b)
         if b_norm == 0.0:
             return np.zeros_like(b)
-        A = A.tocsr()
         n = A.shape[0]
-        cs = np.ones(n) if col_scale is None else np.asarray(col_scale)
+        cs = np.asarray(col_scale)
         if self._blocks is None or not self._blocks.fits(A):
-            self._blocks = _Blocks(A, *self._ordering(n))
+            self._blocks = _Blocks(A, *self._ordering())
             self._elastic = None
         blk = self._blocks
         perm, n_m = blk.perm, blk.n_m
         # the equilibrated system, ordered E, C, S
         row_max = blk.equilibrate(A, cs[perm])
         bs = b[perm] / row_max
-        y = np.zeros(n) if x0 is None else x0[perm] / cs[perm]
+        y = x0[perm] / cs[perm]
 
         mech = self._mechanics_inverse(blk)
         r = bs - blk.full @ y
@@ -175,10 +176,9 @@ class DirectSolver:
             raise SolverFailure(f"linear solve residual {rel:.3e} exceeds {SOLVE_TOL:.1e}")
         return x
 
-    def _ordering(self, n: int):
+    def _ordering(self):
         """The permutation to the order E, C, S, and the sizes of E and M."""
-        mech = np.zeros(n, dtype=bool) if self.mechanics is None else self.mechanics
-        contact = np.zeros(n, dtype=bool) if self.contact is None else self.contact
+        mech, contact = self.mechanics, self.contact
         e, c = np.flatnonzero(mech & ~contact), np.flatnonzero(contact)
         perm = np.concatenate([e, c, np.flatnonzero(~mech)])
         return perm, e.size, e.size + c.size
@@ -427,8 +427,7 @@ def scaled_increment(dx: np.ndarray, col_scale: np.ndarray, primary: np.ndarray)
 
 
 def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
-                 loads: Loads, params: NewtonParams,
-                 solver: DirectSolver | None = None) -> NewtonReport:
+                 loads: Loads, params: NewtonParams, solver: DirectSolver) -> NewtonReport:
     """Semismooth Newton iteration on the coupled system of one step.
 
     Each iteration reclassifies the contact sets, evaluates apertures,
@@ -440,11 +439,10 @@ def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
     a nonpositive aperture fails, with the fracture named in the report.
 
     ``solver`` keeps its factors from one call to the next: pass the one
-    solver of a run, so that the elastic block is factored once per run.
-    Without it a fresh :class:`DirectSolver` serves this step alone.
+    solver of a run, so that the elastic block is factored once per run. A
+    linear solve that fails, a non-finite system among the causes, ends the
+    iteration with the failure in the report.
     """
-    if solver is None:
-        solver = DirectSolver(assembler.dofs.mechanics, assembler.dofs.contact)
     solver.start_step()
     cache: IterationCache | None = None
     inc_hist, res_hist = [], []

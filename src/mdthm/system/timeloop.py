@@ -41,12 +41,12 @@ class StepRecord:
 
 
 def time_loop(assembler: Assembler, state: State, phase: PhaseSpec,
-              load_provider, newton: NewtonParams, observer=None,
-              solver: DirectSolver | None = None, start: float = 0.0) -> list[StepRecord]:
+              load_provider, newton: NewtonParams, solver: DirectSolver,
+              observer=None, start: float = 0.0) -> list[StepRecord]:
     """Run one phase that starts at time ``start``. Steps and loads run on
     the phase's own clock, which starts at 0: ``load_provider(t_new,
     t_prev)`` supplies the Loads. Records and failures carry the time
-    ``start`` + t of the run. ``solver``, if given, solves every Newton
+    ``start`` + t of the run. ``solver``, the run's, solves every Newton
     system, keeping its factors from step to step.
 
     A transient step's record carries its balance report. The observer, if
@@ -66,7 +66,7 @@ def time_loop(assembler: Assembler, state: State, phase: PhaseSpec,
 
     if phase.steady:
         loads = load_provider(0.0, 0.0)
-        report = newton_solve(assembler, state, 1.0, True, loads, newton, solver=solver)
+        report = newton_solve(assembler, state, 1.0, True, loads, newton, solver)
         if not report.converged:
             raise NonConvergence(
                 f"steady phase {phase.name!r} did not converge: {report.failure}",
@@ -82,7 +82,7 @@ def time_loop(assembler: Assembler, state: State, phase: PhaseSpec,
         dt = min(dt_next, dt_phase, t_end - t)
         dt_next = min(2.0 * dt, dt_phase)
         loads = load_provider(t + dt, t)
-        report = newton_solve(assembler, state, dt, False, loads, newton, solver=solver)
+        report = newton_solve(assembler, state, dt, False, loads, newton, solver)
         if not report.converged:
             raise NonConvergence(
                 f"step from t={start + t:.6g} to t={start + (t + dt):.6g} "

@@ -4,7 +4,7 @@ import numpy as np
 
 from mdthm.constitutive import DilationModel, MaterialSet
 from mdthm.mdmesh import build_triangular_fractured
-from mdthm.system import Assembler, Loads, NewtonParams, State
+from mdthm.system import Assembler, DirectSolver, Loads, NewtonParams, State
 
 SIDE_LEFT, SIDE_RIGHT, SIDE_BOTTOM, SIDE_TOP = 1, 2, 3, 4
 
@@ -78,3 +78,16 @@ def default_params(mat=None, **kw):
     }
     scales.update(kw.pop("scales", {}))
     return NewtonParams(scales=scales, **kw)
+
+
+def run_solver(asm):
+    """The block solver of a run on ``asm``, as a scenario builds it."""
+    return DirectSolver(asm.dofs.mechanics, asm.dofs.contact)
+
+
+def plain_solve(A, b):
+    """x with A x = b by a DirectSolver with no mechanics unknown, unit
+    column scales and a zero start: GMRES on the whole system."""
+    n = A.shape[0]
+    none = np.zeros(n, dtype=bool)
+    return DirectSolver(none, none).solve(A, b, np.ones(n), np.zeros(n))

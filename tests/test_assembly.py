@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse._base import _spbase
 
 from coo_assembly import coo_assemble
-from helpers import default_params, make_loads, make_problem
+from helpers import default_params, make_loads, make_problem, run_solver
 from test_scenarios import tiny_raw
 
 from mdthm.contact import ContactState
@@ -225,7 +225,7 @@ class TestNoSymbolicWorkPerIteration:
         monkeypatch.setattr(assembly, "onedim_discretize", counted)
         loads = make_loads(asm, top_displacement=(5e-4, -2e-4), p_left=1e6, T_left=320.0)
         records = time_loop(asm, state, PhaseSpec("load", duration=200.0, dt=100.0),
-                            lambda t, tp: loads, default_params())
+                            lambda t, tp: loads, default_params(), run_solver(asm))
         assert len(records) == 2 and all(r.newton.converged for r in records)
         balance_report(asm, state, 100.0, loads)
         assert calls == []

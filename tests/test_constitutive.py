@@ -65,9 +65,6 @@ class TestEffectiveParam:
     def test_quarter(self):
         assert effective_param(4.0, 8.0, 0.25) == pytest.approx(7.0)
 
-    def test_swapped_weighting(self):
-        assert effective_param(4.0, 8.0, 0.25, weights_solid=False) == pytest.approx(5.0)
-
     def test_rejects_bad_porosity(self):
         with pytest.raises(ValueError):
             effective_param(1.0, 2.0, 1.5)

@@ -77,6 +77,27 @@ def test_mesh_is_stacked_only_in_mdmesh():
     assert found == []
 
 
+STUDY_FIELD_SOURCES = ("cells", "mortar", "jumps", "fracture_state", "aperture")
+
+
+def test_study_field_sources_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "u = x[dofs.cells(2, 'u')]\nnu = x[asm.dofs.mortar(1, 'nu')]\njump = asm.jumps(x)\n"
+        "frac = asm.fracture_state(x, x)\na = aperture(jn, jt, model, mat)\n"
+        "f = snapshot_fields(asm, x, x)\ng = f[1]['aperture']\n", encoding="utf-8")
+    assert named_calls(module, STUDY_FIELD_SOURCES) == [
+        (1, "cells"), (2, "mortar"), (3, "jumps"), (4, "fracture_state"), (5, "aperture")]
+
+
+def test_studies_read_the_field_table():
+    # the convergence study and the dilation comparison read their fields
+    # from output.snapshot_fields, the table the VTK snapshots are written
+    # from, and evaluate none themselves
+    drivers = SRC / "mdthm" / "scenarios" / "drivers.py"
+    assert named_calls(drivers, STUDY_FIELD_SOURCES) == []
+
+
 LOCAL_SOLVERS = ("invert_block_diagonal", "least_squares_block_solve")
 
 

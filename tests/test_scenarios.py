@@ -11,7 +11,7 @@ from mdthm.contact import ContactError
 from mdthm.mdmesh import build_cartesian_fractured, split_cells
 from mdthm.scenarios import drivers
 from mdthm.scenarios.config import ConfigError, parse_config
-from mdthm.scenarios.errors import ErrorReport, compare_states
+from mdthm.scenarios.errors import compare_states, observed_orders
 from mdthm.scenarios.output import RunWriter, snapshot_fields, write_vtk
 from mdthm.constitutive import MaterialSet, fluid_density
 from mdthm.scenarios.setup import build_scenario, hydrostatic_pressure, mech_values
@@ -51,7 +51,7 @@ class TestRunOutput:
     def test_initial_state_is_snapshot_zero(self, tiny_run, tmp_path):
         result, out = tiny_run
         scn = build_scenario(parse_config(tiny_raw()))
-        fields = snapshot_fields(scn.assembler, scn.state)
+        fields = snapshot_fields(scn.assembler, scn.state.current, scn.state.prev_step)
         for sd in scn.mdg.subdomains:
             path = tmp_path / f"initial_{sd.id}.vtk"
             write_vtk(path, sd, fields[sd.id])
@@ -67,7 +67,7 @@ class TestRunOutput:
         class CheckedWriter(RunWriter):
             def write_snapshot(self, state, time):
                 super().write_snapshot(state, time)
-                fields = snapshot_fields(self.assembler, state)
+                fields = snapshot_fields(self.assembler, state.current, state.prev_step)
                 for sd in self.assembler.mdg.subdomains:
                     ref = tmp_path / "ref.vtk"
                     write_vtk(ref, sd, fields[sd.id])
@@ -116,7 +116,7 @@ class TestContactOutput:
         states = [scn.state.current.copy()]
         for idx, phase in enumerate(scn.cfg.phases):
             time_loop(scn.assembler, scn.state, phase, scn.load_provider(idx), scn.newton,
-                      observer=lambda rec, state: states.append(state.current.copy()))
+                      scn.solver, observer=lambda rec, state: states.append(state.current.copy()))
         assert np.array_equal(states[-1], result.scenario.state.current)
         asm = scn.assembler
         assert len(states) == len(result.records) + 1
@@ -171,7 +171,8 @@ class TestAbsoluteTime:
         result, _ = tiny_run
         scn = build_scenario(parse_config(tiny_raw()))
         for idx, phase in enumerate(scn.cfg.phases):
-            time_loop(scn.assembler, scn.state, phase, scn.load_provider(idx), scn.newton)
+            time_loop(scn.assembler, scn.state, phase, scn.load_provider(idx), scn.newton,
+                      scn.solver)
         assert np.array_equal(scn.state.current, result.scenario.state.current)
 
 
@@ -298,8 +299,8 @@ class TestCommandLine:
             payload = json.load(fh)
         assert payload["levels"] == [0, 1]
         # the fracture's tractions are weighted too
-        assert all("sd1:lam" in table for table in payload["errors"])
-        assert len(payload["orders"]["sd1:lam"]) == 1
+        assert all("sd1:traction" in table for table in payload["errors"])
+        assert len(payload["orders"]["sd1:traction"]) == 1
 
     def test_damping_threshold_is_not_a_setting(self):
         for key in ("damping_threshold", "damping"):
@@ -380,8 +381,6 @@ class TestCommandLine:
          lambda raw: raw["phases"][1]["mech"]["left"].update(stress=[1.0, 0.0, 1.0])),
         ("materials.porosity", lambda raw: raw["materials"].update(porosity="0.1")),
         ("materials.gravity", lambda raw: raw["materials"].update(gravity=9.81)),
-        ("materials.porosity_weights_solid",
-         lambda raw: raw["materials"].update(porosity_weights_solid="yes")),
         ("phases[1].steady", lambda raw: raw["phases"][1].update(steady="no")),
         ("phases[1].sources", lambda raw: raw["phases"][1].update(sources=5)),
         # Python's json writes and reads NaN and Infinity
@@ -401,6 +400,11 @@ class TestCommandLine:
                      id="mesh.box-inverted"),
         pytest.param("mesh.box", lambda raw: raw["mesh"].update(box=[[0, 0], [2, 0]]),
                      id="mesh.box-flat"),
+        # a JSON boolean is not an integer, though Python's bool is an int
+        pytest.param("dilation_model", lambda raw: raw.update(dilation_model=True),
+                     id="dilation_model-true"),
+        pytest.param("mesh.nx", lambda raw: raw["mesh"].update(nx=True), id="mesh.nx-true"),
+        pytest.param("mesh.ny", lambda raw: raw["mesh"].update(ny=False), id="mesh.ny-false"),
     ])
     def test_bad_number_named(self, tmp_path, capsys, path, spoil):
         raw = tiny_raw()
@@ -477,15 +481,17 @@ class TestErrorNorms:
 
         def fields(mdg, offset):
             n = mdg.matrix.num_cells
-            return {(0, "p"): np.full(n, 5.0 + offset),
-                    (0, "u"): np.vstack([np.full(n, offset), np.zeros(n)]),
-                    (1, "p"): np.full(mdg.subdomains[1].num_cells, 5.0 + offset)}
+            return {0: {"pressure": np.full(n, 5.0 + offset),
+                        "displacement": np.vstack([np.full(n, offset), np.zeros(n)]),
+                        "aperture": np.full(n, offset)},
+                    1: {"pressure": np.full(mdg.subdomains[1].num_cells, 5.0 + offset)}}
 
         for mdg in grids[:-1]:
             errs = compare_states(mdg, grids[-1], fields(mdg, 0.0), fields(grids[-1], 3.0),
-                                  {"p": 2.0, "u": 6.0})
-            assert errs == pytest.approx({(0, "p"): 1.5, (0, "u"): 0.5, (1, "p"): 1.5},
-                                         rel=1e-12)
+                                  {"pressure": 2.0, "displacement": 6.0})
+            # a field without a weight is not compared
+            assert errs == pytest.approx({"sd0:pressure": 1.5, "sd0:displacement": 0.5,
+                                          "sd1:pressure": 1.5}, rel=1e-12)
 
     def test_injected_linear_field_converges_at_first_order(self):
         # the error of an injected cellwise linear field, sqrt(H^2 - h^2) /
@@ -494,16 +500,12 @@ class TestErrorNorms:
         grids = self.nested(5)
 
         def fields(mdg):
-            return {(idx, "p"): sd.cell_centers[0].copy()
-                    for idx, sd in enumerate(mdg.subdomains)}
+            return {sd.id: {"pressure": sd.cell_centers[0].copy()} for sd in mdg.subdomains}
 
-        report = ErrorReport()
-        for level, mdg in enumerate(grids[:-1]):
-            report.levels.append(level)
-            report.errors.append(compare_states(mdg, grids[-1], fields(mdg),
-                                                fields(grids[-1]), {"p": 1.0}))
-        orders = report.observed_orders()
-        assert set(orders) == {(0, "p"), (1, "p")}
+        orders = observed_orders([compare_states(mdg, grids[-1], fields(mdg),
+                                                 fields(grids[-1]), {"pressure": 1.0})
+                                  for mdg in grids[:-1]])
+        assert set(orders) == {"sd0:pressure", "sd1:pressure"}
         for seq in orders.values():
             assert len(seq) == 3
             assert all(abs(order - 1.0) < 0.2 for order in seq)

@@ -13,6 +13,8 @@ from helpers import (
     default_params,
     make_loads,
     make_problem,
+    plain_solve,
+    run_solver,
 )
 from interface_laws import interface_advective, interface_darcy, interface_fourier
 
@@ -31,6 +33,7 @@ from mdthm.system import (
     NU_COND,
     P,
     T,
+    U,
     U_MORTAR,
     Assembler,
     DirectSolver,
@@ -64,7 +67,7 @@ class TestDirectSolver:
         A = sps.random(n, n, density=0.2, random_state=1) + sps.eye(n) * 5
         x_ref = rng.standard_normal(n)
         b = A @ x_ref
-        x = DirectSolver().solve(A.tocsr(), b)
+        x = plain_solve(A.tocsr(), b)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
 
     def test_failure_reported(self):
@@ -72,20 +75,30 @@ class TestDirectSolver:
 
         A = sps.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]]))
         with pytest.raises(SolverFailure):
-            DirectSolver().solve(A, np.array([1.0, -1.0]))
+            plain_solve(A, np.array([1.0, -1.0]))
 
     def test_zero_rhs(self):
         import scipy.sparse as sps
 
-        x = DirectSolver().solve(sps.eye(4).tocsr(), np.zeros(4))
+        x = plain_solve(sps.eye(4).tocsr(), np.zeros(4))
         assert np.all(x == 0)
+
+    def test_non_finite_system_rejected(self):
+        A = sps.eye(3).tocsr()
+        for b in (np.array([1.0, np.nan, 0.0]), np.array([1.0, -np.inf, 0.0])):
+            with pytest.raises(SolverFailure, match="non-finite"):
+                plain_solve(A, b)
+        A.data[1] = np.nan
+        with pytest.raises(SolverFailure, match="non-finite"):
+            plain_solve(A, np.ones(3))
 
 
 class TestSteadyNoFracture:
     def test_darcy_matches_standalone_mpfa(self):
         mdg, asm, state = make_problem(nx=6, ny=6, perturb=0.15, seed=4)
         loads = make_loads(asm, p_left=4e7)
-        rep = newton_solve(asm, state, 1.0, True, loads, default_params(increment_tol=1e-9))
+        rep = newton_solve(asm, state, 1.0, True, loads, default_params(increment_tol=1e-9),
+                           run_solver(asm))
         assert rep.converged
         g = mdg.matrix
         ops = mpfa_discretize(
@@ -102,7 +115,7 @@ class TestSteadyNoFracture:
     def test_uniform_temperature_without_forcing(self):
         mdg, asm, state = make_problem(nx=5, ny=5)
         loads = make_loads(asm)
-        rep = newton_solve(asm, state, 1.0, True, loads, default_params())
+        rep = newton_solve(asm, state, 1.0, True, loads, default_params(), run_solver(asm))
         assert rep.converged
         T_sol = state.current[asm.dofs.cells(2, T)]
         assert np.abs(T_sol - MAT.reference_temperature).max() < 1e-8
@@ -123,7 +136,7 @@ class TestSteadyNoFracture:
         state = State(asm.dofs)
         state.set_initial({(2, T): mat.reference_temperature})
         rep = newton_solve(asm, state, 1.0, True, make_loads(asm),
-                           default_params(mat, k_u=1e-3))
+                           default_params(mat, k_u=1e-3), run_solver(asm))
         assert rep.converged
         # the fluid stays at rest: Newton on the advected heat leaves no
         # spurious heat source after the first iterate
@@ -140,7 +153,7 @@ class TestFracturedContactSolve:
         mdg, asm, state = make_problem(FR, model=model)
         loads = make_loads(asm, top_displacement=(shear, -2e-4))
         rep = newton_solve(asm, state, 1.0, True, loads,
-                           default_params(increment_tol=1e-9))
+                           default_params(increment_tol=1e-9), run_solver(asm))
         return mdg, asm, state, rep, loads
 
     def test_converges_quickly(self):
@@ -203,7 +216,8 @@ class TestFracturedContactSolve:
         # tension opens every cell; the lam block must reduce to the identity
         mdg, asm, state = make_problem(FR)
         loads = make_loads(asm, top_displacement=(0.0, 2e-4))
-        rep = newton_solve(asm, state, 1.0, True, loads, default_params(increment_tol=1e-9))
+        rep = newton_solve(asm, state, 1.0, True, loads, default_params(increment_tol=1e-9),
+                           run_solver(asm))
         assert rep.converged
         frac = mdg.subdomains[1]
         lam = state.current[asm.dofs.cells(1, LAM)]
@@ -232,7 +246,7 @@ class TestNewtonJacobian:
         mdg, asm, state = make_problem(FR)
         params = default_params(increment_tol=1e-9)
         rep = newton_solve(asm, state, 1.0, True, make_loads(asm, p_left=1e6, T_left=320.0),
-                           params)
+                           params, run_solver(asm))
         assert rep.converged
         state.accept_step()
         x0 = state.current.copy()
@@ -665,9 +679,29 @@ class TestNewtonBehaviour:
         # solution, detected at the next residual evaluation
         mdg, asm, state = make_problem(nx=4, ny=4)
         loads = make_loads(asm, top_displacement=(2e-4, -1e-4))
-        rep = newton_solve(asm, state, 1.0, True, loads, default_params())
+        rep = newton_solve(asm, state, 1.0, True, loads, default_params(), run_solver(asm))
         assert rep.converged
         assert rep.iterations == 1
+
+    @pytest.mark.parametrize("var", [U, LAM, P, T])
+    def test_non_finite_system_fails_as_a_solve(self, monkeypatch, var):
+        # a NaN in any row ends the step as a failed linear solve, which the
+        # time loop reports as nonconvergence
+        mdg, asm, state = make_problem(CROSSING, nx=4, ny=4)
+        loads = make_loads(asm, top_displacement=(2e-4, -1e-4))
+        row = np.flatnonzero(asm.dofs.variable == var)[0]
+        assemble = asm.assemble
+
+        def spoiled(*args, **kwargs):
+            A, b = assemble(*args, **kwargs)
+            b = b.copy()
+            b[row] = np.nan
+            return A, b
+
+        monkeypatch.setattr(asm, "assemble", spoiled)
+        rep = newton_solve(asm, state, 1.0, True, loads, default_params(), run_solver(asm))
+        assert not rep.converged and rep.iterations == 0
+        assert rep.failure == "the linear system has a non-finite entry"
 
     @staticmethod
     def count_assemblies(monkeypatch, asm):
@@ -684,10 +718,10 @@ class TestNewtonBehaviour:
     def test_reentering_converged_state(self, monkeypatch):
         mdg, asm, state = make_problem(nx=4, ny=4)
         loads = make_loads(asm, p_left=1e6)
-        rep1 = newton_solve(asm, state, 1.0, True, loads, default_params())
+        rep1 = newton_solve(asm, state, 1.0, True, loads, default_params(), run_solver(asm))
         assert rep1.converged
         calls = self.count_assemblies(monkeypatch, asm)
-        rep2 = newton_solve(asm, state, 1.0, True, loads, default_params())
+        rep2 = newton_solve(asm, state, 1.0, True, loads, default_params(), run_solver(asm))
         assert rep2.converged
         assert rep2.iterations == 0
         # accepted by its residual, which takes one assembly
@@ -698,7 +732,7 @@ class TestNewtonBehaviour:
         calls = self.count_assemblies(monkeypatch, asm)
         params = default_params()
         loads = make_loads(asm, top_displacement=(2e-4, -1e-4))
-        rep = newton_solve(asm, state, 1.0, True, loads, params)
+        rep = newton_solve(asm, state, 1.0, True, loads, params, run_solver(asm))
         assert rep.converged and rep.iterations > 1
         assert rep.increment_history[-1] <= params.increment_tol
         assert len(calls) == rep.iterations
@@ -708,7 +742,7 @@ class TestNewtonBehaviour:
         mdg, asm, state = make_problem(FR)
         loads = make_loads(asm, top_displacement=(5e-4, -2e-4))
         params = default_params(max_iterations=1)
-        rep = newton_solve(asm, state, 1.0, True, loads, params)
+        rep = newton_solve(asm, state, 1.0, True, loads, params, run_solver(asm))
         assert not rep.converged
         assert "cap" in rep.failure
 
@@ -720,7 +754,7 @@ class TestTimeLoop:
         x0 = state.current.copy()
         records = time_loop(
             asm, state, PhaseSpec("hold", duration=4.0, dt=2.0),
-            lambda t, tp: loads, default_params(),
+            lambda t, tp: loads, default_params(), run_solver(asm),
         )
         assert len(records) == 2
         assert np.abs(state.current - x0).max() < 1e-8
@@ -735,11 +769,11 @@ class TestTimeLoop:
         # long steps let the diffusive transient die out
         records = time_loop(
             asm, state, PhaseSpec("load", duration=4e13, dt=1e13),
-            provider, default_params(),
+            provider, default_params(), run_solver(asm),
         )
         before = state.current.copy()
         time_loop(asm, state, PhaseSpec("again", duration=1e13, dt=1e13),
-                  provider, default_params())
+                  provider, default_params(), run_solver(asm))
         scale = np.abs(before).max()
         assert np.abs(state.current - before).max() < 1e-10 * scale
 
@@ -784,7 +818,7 @@ class TestTimeLoop:
                 return loads
 
             time_loop(asm, st, PhaseSpec("inject", duration=t_end, dt=dt),
-                      provider, default_params(mat=mat))
+                      provider, default_params(mat=mat), run_solver(asm))
             return st.current[asm.dofs.cells(2, P)].mean()
 
         errs = []
@@ -803,7 +837,7 @@ class TestTimeLoop:
         # labels a step by its end time
         with pytest.raises(NonConvergence, match=r"step from t=0 to t=1 \(phase 'load'\)"):
             time_loop(asm, state, PhaseSpec("load", duration=1.0, dt=1.0),
-                      lambda t, tp: loads, opts)
+                      lambda t, tp: loads, opts, run_solver(asm))
 
 
 class TestConservation:
@@ -822,7 +856,7 @@ class TestConservation:
 
         records = time_loop(
             asm, state, PhaseSpec("inject", duration=2e5, dt=1e5),
-            provider, default_params(increment_tol=1e-9),
+            provider, default_params(increment_tol=1e-9), run_solver(asm),
         )
         injected_mass = 1e-8 * 1e5
         injected_energy = injected_mass * 1e3 * MAT.heat_capacity_fluid * 290.0
@@ -856,7 +890,7 @@ class TestConservation:
 
         records = time_loop(
             asm, state, PhaseSpec("inject", duration=2e5, dt=1e5),
-            provider, default_params(increment_tol=1e-9),
+            provider, default_params(increment_tol=1e-9), run_solver(asm),
         )
         injected_mass = 1e-8 * 1e5
         injected_energy = injected_mass * 1e3 * MAT.heat_capacity_fluid * 290.0
@@ -954,7 +988,7 @@ class TestDiagnosticsLeaveStateAlone:
         loads = make_loads(asm, top_displacement=(5e-4, -2e-4), p_left=1e6)
         # one Newton iteration: the iterate moves away from the previous step
         A, b = asm.assemble(state, asm.build_cache(state, loads), 1.0, False, loads)
-        state.current[:] = DirectSolver().solve(A, b)
+        state.current[:] = plain_solve(A, b)
         assert not np.array_equal(state.prev_step, state.current)
         before = {k: getattr(state, k).copy() for k in ("prev_step", "current")}
         balance_report(asm, state, 1.0, loads)
@@ -974,7 +1008,7 @@ class TestBalanceAgainstAssembly:
         dt = 1.0
         loads = make_loads(asm, top_displacement=(5e-4, -2e-4), p_left=1e6)
         A, b = asm.assemble(state, asm.build_cache(state, loads), dt, False, loads)
-        state.current[:] = DirectSolver().solve(A, b)
+        state.current[:] = plain_solve(A, b)
         rep = balance_report(asm, state, dt, loads)
         A, b = asm.assemble(state, asm.build_cache(state, loads), dt, False, loads)
         r = A @ state.current - b
@@ -1001,7 +1035,7 @@ class TestInterfaceLaws:
         mdg, asm, state = make_problem(CROSSING, nx=8, ny=8, mat=mat)
         loads = make_loads(asm, top_displacement=(1e-4, -1e-4), p_left=1e3, T_left=320.0)
         rep = newton_solve(asm, state, 1.0, True, loads,
-                           default_params(mat=mat, increment_tol=1e-12))
+                           default_params(mat=mat, increment_tol=1e-12), run_solver(asm))
         assert rep.converged
         x = state.current
         cache = asm.build_cache(state, loads)
