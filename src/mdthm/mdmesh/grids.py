@@ -29,7 +29,7 @@ class SubdomainGrid:
         face_cells: (2, n_faces) owner / neighbour (-1 on boundaries).
         cell_nodes: list of node-index arrays, counterclockwise per cell.
     1d grids use single-node faces (``face_nodes`` of shape (1, n_faces)),
-    0d grids carry a single cell and no faces.
+    0d grids carry a single cell on their single node, and no faces.
     """
 
     def __init__(self, dim: int, sd_id: int = -1):
@@ -229,6 +229,7 @@ def make_0d_grid(point: np.ndarray, sd_id: int = -1) -> SubdomainGrid:
     g.num_cells = 1
     g.nodes = np.asarray(point, dtype=float).reshape(2, 1)
     g.num_nodes = 1
+    g.cell_nodes = [np.array([0])]
     g.cell_centers = g.nodes.copy()
     g.compute_geometry()
     return g

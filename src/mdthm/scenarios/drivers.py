@@ -15,7 +15,7 @@ import numpy as np
 from mdthm.constitutive import DilationModel
 from mdthm.scenarios.config import ConfigError, ScenarioConfig
 from mdthm.scenarios.errors import compare_states, observed_orders
-from mdthm.scenarios.output import RunWriter, snapshot_fields
+from mdthm.scenarios.output import RunWriter, snapshot_fields, write_csv
 from mdthm.scenarios.setup import Scenario, build_scenario, solver_scales
 from mdthm.system import time_loop
 
@@ -38,7 +38,8 @@ def run(cfg: ScenarioConfig, out_dir=None, extra_refinement: int = 0) -> RunResu
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         writer = RunWriter(out_dir, scn.assembler, cfg.output_every)
-        writer.write_snapshot(scn.state, 0.0)
+        writer.write_snapshot(snapshot_fields(scn.assembler, scn.state.current,
+                                              scn.state.prev_step))
     records, phase_ends = [], []
     observer = None if writer is None else writer.observe
     for idx, phase in enumerate(cfg.phases):
@@ -121,39 +122,35 @@ def convergence_study(cfg: ScenarioConfig, levels: int, out_dir=None) -> dict:
 # dilation-model comparison
 # ----------------------------------------------------------------------
 def _run_model(cfg: ScenarioConfig, model: int) -> dict:
-    """The fracture profiles at the end of a run under one dilation model:
-    per fracture, its cells' x and field table, sorted by x."""
+    """The columns of ``dilation_model_<model>.csv``: every fracture cell at
+    the end of a run under one dilation model, by fracture id, then by x."""
     result = run(replace(cfg, dilation_model=DilationModel(model)))
     x = result.phase_end_states[-1]
-    fields = snapshot_fields(result.scenario.assembler, x, x)
-    profiles = {}
-    for sd in result.scenario.assembler.fractures:
-        order = np.argsort(sd.cell_centers[0], kind="stable")
-        profiles[sd.frac_num] = {"x": sd.cell_centers[0, order]}
-        profiles[sd.frac_num].update((name, values[..., order])
-                                     for name, values in fields[sd.id].items())
-    return profiles
+    asm = result.scenario.assembler
+    fields = snapshot_fields(asm, x, x)
+    # the fracture cells as the stacked fracture grid numbers them; there may be none
+    fid = np.repeat([sd.frac_num for sd in asm.fractures], [sd.num_cells for sd in asm.fractures])
+    x_m = asm.mdg.grids[1].cell_centers[0]
+    cells = np.lexsort((x_m, fid))  # stable: cells at one x keep their order
+    table = {"fracture_id": fid[cells], "x_m": x_m[cells]}
+    for name, field in (("jump_t_m", "jump_tangential"), ("jump_n_m", "jump_normal"),
+                        ("aperture_m", "aperture"), ("state", "contact_state_cumulative")):
+        parts = [fields[sd.id][field] for sd in asm.fractures]
+        table[name] = np.concatenate([np.zeros(0), *parts])[cells]
+    table["state"] = table["state"].astype(int)
+    return table
 
 
 def dilation_comparison(cfg: ScenarioConfig, out_dir=None) -> dict:
     """Run the same scenario under the three dilation models.
 
-    Returns {model: {fracture: profile}} with cells sorted by x coordinate;
-    writes one CSV per model when out_dir is given.
+    Returns {model: table}, each run's :func:`_run_model` columns; writes
+    each table as ``dilation_model_<model>.csv`` when out_dir is given.
     """
     out = {model: _run_model(cfg, model) for model in (0, 1, 2)}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        for model, profiles in out.items():
-            path = os.path.join(out_dir, f"dilation_model_{model}.csv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("fracture_id,x_m,jump_t_m,jump_n_m,aperture_m,state\n")
-                for fid in sorted(profiles):
-                    pr = profiles[fid]
-                    for i in range(pr["x"].size):
-                        # repr of a Python float: the shortest exact decimal
-                        reals = (repr(float(pr[k][i])) for k in
-                                 ("x", "jump_tangential", "jump_normal", "aperture"))
-                        fh.write(f"{fid},{','.join(reals)},"
-                                 f"{int(pr['contact_state_cumulative'][i])}\n")
+        for model, table in out.items():
+            write_csv(os.path.join(out_dir, f"dilation_model_{model}.csv"), ",".join(table),
+                      table.values())
     return out

@@ -1,4 +1,6 @@
-"""File output: legacy-ASCII VTK snapshots and deterministic CSV series."""
+"""File output: legacy-ASCII VTK snapshots and deterministic CSV series. Each
+array of numbers is formatted in one pass, floats as the shortest decimal
+that reads back to the same float64 and integers as decimals."""
 
 from __future__ import annotations
 
@@ -10,58 +12,68 @@ from mdthm.constitutive import aperture
 from mdthm.mdmesh import SubdomainGrid, split_cells
 from mdthm.system import Assembler, State
 
-VTK_TYPES = {1: 1, 2: 3, 3: 5, 4: 9}  # nodes per cell -> vtk cell type
+# VTK cell type by nodes per cell: vertex, line, triangle, quad
+VTK_TYPES = np.array([0, 1, 3, 5, 9])
 
 
-def _fmt(x):
-    return np.format_float_scientific(x, precision=17)
+def _reals(values) -> list:
+    """Each float64 of values as the shortest decimal that reads back to it."""
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
 
 
-def vtk_geometry(sd: SubdomainGrid) -> str:
-    """The POINTS, CELLS and CELL_TYPES sections of a subdomain's legacy
-    VTK file."""
-    if sd.dim == 0:
-        pts = sd.cell_centers
-        lines = ["POINTS 1 double", f"{_fmt(pts[0, 0])} {_fmt(pts[1, 0])} 0.0",
-                 "CELLS 1 2", "1 0", "CELL_TYPES 1", "1"]
-        return "\n".join(lines)
-    lines = [f"POINTS {sd.num_nodes} double"]
-    for i in range(sd.num_nodes):
-        lines.append(f"{_fmt(sd.nodes[0, i])} {_fmt(sd.nodes[1, i])} 0.0")
-    conn = sd.cell_nodes
-    total = sum(len(p) + 1 for p in conn)
-    lines.append(f"CELLS {sd.num_cells} {total}")
-    for poly in conn:
-        lines.append(str(len(poly)) + " " + " ".join(str(int(n)) for n in poly))
-    lines.append(f"CELL_TYPES {sd.num_cells}")
-    for poly in conn:
-        lines.append(str(VTK_TYPES[len(poly)]))
-    return "\n".join(lines)
+def _ints(values) -> list:
+    """Each integer of values as its decimal."""
+    return list(map(str, np.asarray(values, dtype=np.int64).ravel().tolist()))
 
 
-def write_vtk(path, sd: SubdomainGrid, cell_data: dict, geometry: str | None = None):
-    """One subdomain snapshot as a legacy unstructured-grid VTK file.
+def _lines(columns, sep=" ") -> list:
+    """One line per row of equal-length columns of text, joined by sep."""
+    return list(map(sep.join, zip(*columns)))
 
-    ``geometry`` is the subdomain's :func:`vtk_geometry`, for a caller that
-    writes the same subdomain many times; it is formatted here if not given.
-    """
+
+def _vectors(values: np.ndarray) -> list:
+    """The columns of a (2, n) array as the lines "x y 0.0" of 3d vectors."""
+    return _lines([*map(_reals, values), _reals(np.zeros(values.shape[1]))])
+
+
+def _write(path, lines):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def vtk_geometry(sd: SubdomainGrid) -> list:
+    """The lines of the POINTS, CELLS and CELL_TYPES sections of a
+    subdomain's legacy VTK file; a point is one VTK_VERTEX cell."""
+    ptr, nodes = sd.cell_nodes_csr()
+    sizes = np.diff(ptr)
+    # a cell's line is its node count, then its nodes: tokens[ends[c]:ends[c + 1]]
+    tokens = _ints(np.insert(nodes, ptr[:-1], sizes))
+    ends = (ptr + np.arange(ptr.size)).tolist()
+    cells = map(" ".join, map(tokens.__getitem__, map(slice, ends[:-1], ends[1:])))
+    return [f"POINTS {sd.num_nodes} double", *_vectors(sd.nodes),
+            f"CELLS {sd.num_cells} {len(tokens)}", *cells,
+            f"CELL_TYPES {sd.num_cells}", *_ints(VTK_TYPES[sizes])]
+
+
+def write_vtk(path, sd: SubdomainGrid, cell_data: dict):
+    """One subdomain snapshot as a legacy unstructured-grid VTK file."""
     lines = ["# vtk DataFile Version 3.0", "mdthm snapshot", "ASCII",
-             "DATASET UNSTRUCTURED_GRID",
-             vtk_geometry(sd) if geometry is None else geometry]
-    lines.append(f"CELL_DATA {sd.num_cells}")
+             "DATASET UNSTRUCTURED_GRID", *vtk_geometry(sd), f"CELL_DATA {sd.num_cells}"]
     for name, values in cell_data.items():
         arr = np.asarray(values, dtype=float)
         if arr.ndim == 2:
-            lines.append(f"VECTORS {name} double")
-            for c in range(sd.num_cells):
-                lines.append(f"{_fmt(arr[0, c])} {_fmt(arr[1, c])} 0.0")
+            lines += [f"VECTORS {name} double", *_vectors(arr)]
         else:
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            for c in range(sd.num_cells):
-                lines.append(_fmt(arr[c]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default", *_reals(arr)]
+    _write(path, lines)
+
+
+def write_csv(path, header: str, columns):
+    """A CSV file: the header line, then one line per row of the
+    equal-length columns; an integer column is written as integers, any
+    other as floats."""
+    text = [_ints(c) if np.asarray(c).dtype.kind in "iu" else _reals(c) for c in columns]
+    _write(path, [header, *_lines(text, ",")])
 
 
 def _fracture_fields(assembler: Assembler, x: np.ndarray, x_prev: np.ndarray) -> dict:
@@ -112,28 +124,22 @@ class RunWriter:
         self.count = 0
         self.rows = []
         self.balance_rows = []
-        self.geometry = {}  # subdomain id -> vtk_geometry; the mesh never moves
         os.makedirs(os.path.join(out_dir, "vtk"), exist_ok=True)
 
-    def write_snapshot(self, state: State, time: float):
-        """Write the state as snapshot number ``count``: the initial state
-        is number 0 and the state after step k is number k."""
-        fields = snapshot_fields(self.assembler, state.current, state.prev_step)
+    def write_snapshot(self, fields: dict):
+        """Write a :func:`snapshot_fields` table as snapshot ``count``:
+        number 0 is the initial state, number k the state after step k."""
         for sd in self.assembler.mdg.subdomains:
             path = os.path.join(
                 self.out_dir, "vtk",
                 f"subdomain_{sd.id}_step_{self.count:05d}.vtk",
             )
-            if sd.id not in self.geometry:
-                self.geometry[sd.id] = vtk_geometry(sd)
-            write_vtk(path, sd, fields[sd.id], self.geometry[sd.id])
+            write_vtk(path, sd, fields[sd.id])
 
     def observe(self, record, state: State):
-        jump = self.assembler.jumps(state.current)
-        stacked = self.assembler.mdg.grids[1]
-        jts, jns = split_cells(stacked, jump[0::2]), split_cells(stacked, jump[1::2])
+        fields = snapshot_fields(self.assembler, state.current, state.prev_step)
         for sd in self.assembler.fractures:
-            jt, jn = jts[sd.id], jns[sd.id]
+            jt, jn = fields[sd.id]["jump_tangential"], fields[sd.id]["jump_normal"]
             w = sd.cell_volumes / sd.cell_volumes.sum()
             l2_t = float(np.sqrt(np.sum(jt**2 * w)))
             l2_n = float(np.sqrt(np.sum(jn**2 * w)))
@@ -146,17 +152,11 @@ class RunWriter:
             )
         self.count += 1
         if self.count % self.every == 0:
-            self.write_snapshot(state, record.time)
+            self.write_snapshot(fields)
 
     def finalize(self):
-        path = os.path.join(self.out_dir, "timeseries.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("time_s,fracture_id,l2_jump_t_m,l2_jump_n_m,newton_iters\n")
-            for t, fid, l2t, l2n, iters in self.rows:
-                fh.write(f"{_fmt(t)},{fid},{_fmt(l2t)},{_fmt(l2n)},{iters}\n")
+        write_csv(os.path.join(self.out_dir, "timeseries.csv"),
+                  "time_s,fracture_id,l2_jump_t_m,l2_jump_n_m,newton_iters", zip(*self.rows))
         if self.balance_rows:
-            path = os.path.join(self.out_dir, "balance.csv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("time_s,mass_residual_m3,energy_residual_J\n")
-                for t, m, e in self.balance_rows:
-                    fh.write(f"{_fmt(t)},{_fmt(m)},{_fmt(e)}\n")
+            write_csv(os.path.join(self.out_dir, "balance.csv"),
+                      "time_s,mass_residual_m3,energy_residual_J", zip(*self.balance_rows))

@@ -98,6 +98,32 @@ def test_studies_read_the_field_table():
     assert named_calls(drivers, STUDY_FIELD_SOURCES) == []
 
 
+FLOAT_FORMATTERS = ("format_float_scientific", "format_float_positional")
+FILE_TEXT_CALLS = FLOAT_FORMATTERS + ("repr", "str", "format", "savetxt", "write", "writelines")
+
+
+def test_number_formatting_detected(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import numpy as np\nf = np.format_float_scientific\ns = f(1.0, precision=17)\n"
+        "fh.write(repr(0.1) + '\\n')\nnp.savetxt(path, x)\ntext = str(3)\n"
+        "writer.write_snapshot(fields)\n", encoding="utf-8")
+    assert "format_float_scientific" in references(module)
+    assert named_calls(module, FILE_TEXT_CALLS) == [(4, "repr"), (4, "write"), (5, "savetxt"),
+                                                    (6, "str")]
+
+
+def test_numbers_are_formatted_by_the_output_writers():
+    # output's two array formatters write every number of a run file: no
+    # module formats floats one call each, and the study drivers hand their
+    # tables to output.write_csv (and their summaries to json)
+    found = [f"{path.relative_to(SRC)} {name}" for path in sorted(SRC.rglob("*.py"))
+             for name in FLOAT_FORMATTERS if name in references(path)]
+    assert found == []
+    drivers = SRC / "mdthm" / "scenarios" / "drivers.py"
+    assert named_calls(drivers, FILE_TEXT_CALLS) == []
+
+
 LOCAL_SOLVERS = ("invert_block_diagonal", "least_squares_block_solve")
 
 

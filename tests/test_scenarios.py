@@ -8,11 +8,12 @@ import pytest
 
 from mdthm import cli
 from mdthm.contact import ContactError
-from mdthm.mdmesh import build_cartesian_fractured, split_cells
+from mdthm.mdmesh import build_cartesian_fractured, make_0d_grid, split_cells
 from mdthm.scenarios import drivers
 from mdthm.scenarios.config import ConfigError, parse_config
 from mdthm.scenarios.errors import compare_states, observed_orders
-from mdthm.scenarios.output import RunWriter, snapshot_fields, write_vtk
+from mdthm.scenarios.output import (RunWriter, snapshot_fields, vtk_geometry, write_csv,
+                                    write_vtk)
 from mdthm.constitutive import MaterialSet, fluid_density
 from mdthm.scenarios.setup import build_scenario, hydrostatic_pressure, mech_values
 from mdthm.system import NonConvergence, newton, time_loop, timeloop
@@ -60,13 +61,14 @@ class TestRunOutput:
                 assert fh.read() == path.read_text(encoding="utf-8")
 
     def test_snapshots_equal_write_vtk(self, tmp_path, monkeypatch):
-        # the writer formats each subdomain's geometry once; every snapshot
-        # must still be the bytes that write_vtk gives for its state
+        # observe writes the field table that it reads the jumps from; every
+        # snapshot after a step must be the bytes that write_vtk gives for
+        # the field table of its state
         checked = []
 
         class CheckedWriter(RunWriter):
-            def write_snapshot(self, state, time):
-                super().write_snapshot(state, time)
+            def observe(self, record, state):
+                super().observe(record, state)
                 fields = snapshot_fields(self.assembler, state.current, state.prev_step)
                 for sd in self.assembler.mdg.subdomains:
                     ref = tmp_path / "ref.vtk"
@@ -82,7 +84,11 @@ class TestRunOutput:
         result = drivers.run(parse_config(raw), out_dir=str(tmp_path / "run"))
         dims = {sd.dim for sd in result.scenario.mdg.subdomains}
         assert dims == {0, 1, 2}
-        assert len(checked) == len(result.scenario.mdg.subdomains) * (len(result.records) + 1)
+        assert len(checked) == len(result.scenario.mdg.subdomains) * len(result.records)
+
+    def test_point_is_one_vertex_cell(self):
+        assert vtk_geometry(make_0d_grid(np.array([0.5, 0.75]))) == [
+            "POINTS 1 double", "0.5 0.75 0.0", "CELLS 1 2", "1 0", "CELL_TYPES 1", "1"]
 
     def test_one_snapshot_per_step_plus_initial(self, tiny_run):
         result, out = tiny_run
@@ -105,6 +111,37 @@ def read_vtk_scalars(path, name) -> np.ndarray:
     n = int(next(line for line in lines if line.startswith("CELL_DATA")).split()[1])
     start = lines.index(f"SCALARS {name} double 1") + 2  # past LOOKUP_TABLE
     return np.array([float(v) for v in lines[start:start + n]])
+
+
+# signed zero, the smallest subnormal and normal, the largest float, a
+# repeating fraction, a large integer and a plain one
+EXTREMES = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                     1 / 3, 1e16, 300.0])
+
+
+class TestWriterRoundTrip:
+    # compared as int64 bits, so that -0.0 must come back as -0.0
+    def test_vtk_fields_read_back_bit_for_bit(self, tmp_path):
+        sd = build_cartesian_fractured(EXTREMES.size, 1).matrix
+        path = tmp_path / "extremes.vtk"
+        write_vtk(path, sd, {"scalar": EXTREMES, "vector": np.vstack([EXTREMES, -EXTREMES])})
+        assert np.array_equal(read_vtk_scalars(path, "scalar").view(np.int64),
+                              EXTREMES.view(np.int64))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        start = lines.index("VECTORS vector double") + 1
+        vectors = np.array([[float(v) for v in line.split(" ")]
+                            for line in lines[start:start + EXTREMES.size]])
+        expected = np.column_stack([EXTREMES, -EXTREMES, np.zeros(EXTREMES.size)])
+        assert np.array_equal(vectors.view(np.int64), expected.view(np.int64))
+
+    def test_csv_column_reads_back_bit_for_bit(self, tmp_path):
+        path = tmp_path / "extremes.csv"
+        write_csv(path, "index,value", [np.arange(EXTREMES.size), EXTREMES])
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        assert header == "index,value"
+        assert [row.split(",")[0] for row in rows] == [str(k) for k in range(EXTREMES.size)]
+        values = np.array([float(row.split(",")[1]) for row in rows])
+        assert np.array_equal(values.view(np.int64), EXTREMES.view(np.int64))
 
 
 class TestContactOutput:
@@ -152,6 +189,23 @@ class TestContactOutput:
         for k in range(len(result.records) + 1):
             expected = np.mean([aperture(sd_id, k)[cell] for sd_id, cell in branches])
             assert aperture(point.id, k) == pytest.approx([expected], rel=1e-15), k
+
+
+class TestFixedContactSetStall:
+    # Two-way dilation stalls with a fixed contact set (open/stick/glide
+    # 0/1/5 on every late iterate): the scaled increment stays at 0.177 up
+    # to the iteration cap, while zero- and one-way dilation converge in 9
+    # iterations. ROADMAP item 1's safeguard is to make model 2 converge.
+    @pytest.mark.parametrize("model", [0, 1, pytest.param(2, marks=pytest.mark.xfail(
+        strict=True, raises=NonConvergence,
+        reason="ROADMAP item 1: semismooth Newton stalls with a fixed contact set"))])
+    def test_compression_converges(self, model):
+        raw = tiny_raw()
+        raw["mesh"]["fractures"].append([[1.0, 0.25], [1.0, 0.75]])
+        raw["phases"] = raw["phases"][:1]
+        raw["dilation_model"] = model
+        (record,) = drivers.run(parse_config(raw)).records
+        assert record.newton.converged
 
 
 class TestAbsoluteTime:
