@@ -91,7 +91,7 @@ def default_eta(grid: SubdomainGrid) -> float:
     The face-centre placement makes the scheme collapse to the two-point
     flux stencil on orthogonal quads with isotropic coefficients.
     """
-    if np.all(np.diff(grid.cell_nodes_csr()[0]) == 4):
+    if np.all(np.diff(grid.cells[0]) == 4):
         return 0.0
     return 1.0 / 3.0
 

@@ -21,7 +21,7 @@ class SubcellTopology:
         self.grid = grid
 
         # subcells: unique (cell, node) incidences sorted by (node, cell)
-        ptr, nodes = grid.cell_nodes_csr()
+        ptr, nodes = grid.cells
         cells = np.repeat(np.arange(grid.num_cells), np.diff(ptr))
         order = np.lexsort((cells, nodes))
         self.sc_cell = cells[order]

@@ -1,14 +1,10 @@
-from mdthm.mdmesh.build import (
-    build_cartesian_fractured,
-    build_triangular_fractured,
-    containment_map,
-    fracturize,
-)
+from mdthm.mdmesh.build import build_lattice, containment_map, fracturize
 from mdthm.mdmesh.gmsh_io import ingest_gmsh
 from mdthm.mdmesh.grids import (
+    SIDE_CODE,
+    SIDES,
     MeshError,
     SubdomainGrid,
-    make_0d_grid,
     split_cells,
     stack_grids,
 )
@@ -17,13 +13,13 @@ from mdthm.mdmesh.mdgrid import MixedDimGrid
 __all__ = [
     "MeshError",
     "MixedDimGrid",
+    "SIDES",
+    "SIDE_CODE",
     "SubdomainGrid",
-    "build_cartesian_fractured",
-    "build_triangular_fractured",
+    "build_lattice",
     "containment_map",
     "fracturize",
     "ingest_gmsh",
-    "make_0d_grid",
     "split_cells",
     "stack_grids",
 ]

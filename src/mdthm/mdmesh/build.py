@@ -1,56 +1,31 @@
 """Construction of mixed-dimensional grids.
 
-Two structured generators (Cartesian quads and a right-triangle split of the
-same lattice) supply deterministic, nestable grids: the generator called with
-2^k times the cells along each axis builds refinement level k, and
-``containment_map`` relates two levels. ``fracturize`` turns any conforming
-2d grid plus fracture node paths into the full mixed-dim hierarchy by
-duplicating matrix faces and nodes along the fractures, building 1d fracture
-grids (split at intersections), 0d intersection points and the mortar
-interfaces between all of them; without fracture paths it builds the plain
-2d grid. The interfaces exist only stacked: ``fracturize`` appends each
-interface's mortar cells to the mortar group of its high-side dimension, in
-the numbering of the stacked grids, and the group keeps the per-interface
-offsets.
+``build_lattice`` supplies deterministic, nestable grids of one lattice,
+Cartesian quads or its right-triangle split: called with 2^k times the cells
+along each axis it builds refinement level k, and ``containment_map``
+relates two levels. ``fracturize`` turns any conforming 2d grid, its cells in
+CSR form, plus fracture node paths into the full mixed-dim hierarchy: it
+duplicates matrix faces and nodes along the fractures and makes every grid
+whole by one :class:`SubdomainGrid` call each, the split matrix, the 1d
+fracture grids (split at intersections) and the 0d intersection points; the
+mortar interfaces between them exist only stacked, each interface's mortar
+cells appended to the mortar group of its high-side dimension, in the
+numbering of the stacked grids, the group keeping the per-interface
+offsets. Without fracture paths it builds the plain 2d grid.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mdthm.mdmesh.grids import (
-    SIDE_BOTTOM,
-    SIDE_LEFT,
-    SIDE_RIGHT,
-    SIDE_TOP,
-    MeshError,
-    SubdomainGrid,
-    enumerate_faces,
-    make_0d_grid,
-    polygons_csr,
-)
+from mdthm.mdmesh.grids import MeshError, SubdomainGrid, enumerate_faces
 from mdthm.mdmesh.mdgrid import MixedDimGrid
 from mdthm.mdmesh.mortar import mortar_group
-
-_TOL = 1e-9
 
 
 # ----------------------------------------------------------------------
 # structured lattices
 # ----------------------------------------------------------------------
-def _lattice(nx, ny, box):
-    (x0, y0), (x1, y1) = box
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    gx, gy = np.meshgrid(xs, ys, indexing="xy")
-    nodes = np.vstack([gx.ravel(), gy.ravel()])
-    return nodes, xs, ys
-
-
-def _nid(i, j, nx):
-    return j * (nx + 1) + i
-
-
 def _segment_to_path(seg, nx, ny, box, allow_diagonal):
     """Node-id path of an axis-aligned (or lattice-diagonal) segment."""
     (x0, y0), (x1, y1) = box
@@ -71,77 +46,51 @@ def _segment_to_path(seg, nx, ny, box, allow_diagonal):
     di, dj = ib - ia, jb - ja
     if di == 0 and dj == 0:
         raise MeshError("degenerate fracture segment of zero length")
-    if dj == 0:
-        steps, si, sj = abs(di), int(np.sign(di)), 0
-    elif di == 0:
-        steps, si, sj = abs(dj), 0, int(np.sign(dj))
-    elif di == dj and allow_diagonal:
-        steps, si, sj = abs(di), int(np.sign(di)), int(np.sign(di))
-    else:
+    if not (di == 0 or dj == 0 or (di == dj and allow_diagonal)):
         kind = "grid lines or lattice diagonals" if allow_diagonal else "grid lines"
         raise MeshError(f"fracture segment {seg} does not follow {kind}")
-    path = [_nid(ia + k * si, ja + k * sj, nx) for k in range(steps + 1)]
-    ii = np.array([ia + k * si for k in range(steps + 1)])
-    jj = np.array([ja + k * sj for k in range(steps + 1)])
-    on_left = np.all(ii == 0)
-    on_right = np.all(ii == nx)
-    on_bottom = np.all(jj == 0)
-    on_top = np.all(jj == ny)
-    if on_left or on_right or on_bottom or on_top:
+    if di == 0 and ia in (0, nx) or dj == 0 and ja in (0, ny):
         raise MeshError(f"fracture segment {seg} runs along the domain boundary")
-    return path
+    k = np.arange(max(abs(di), abs(dj)) + 1)
+    return ((ja + k * np.sign(dj)) * (nx + 1) + ia + k * np.sign(di)).tolist()
 
 
-def build_cartesian_fractured(nx, ny, fractures=(), box=((0.0, 0.0), (1.0, 1.0)),
-                              ) -> MixedDimGrid:
-    """Cartesian quad grid with axis-aligned fractures on grid lines."""
-    nodes, _, _ = _lattice(nx, ny, box)
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            cells.append(
-                [_nid(i, j, nx), _nid(i + 1, j, nx), _nid(i + 1, j + 1, nx), _nid(i, j + 1, nx)]
-            )
-    paths = [_segment_to_path(s, nx, ny, box, allow_diagonal=False) for s in fractures]
-    mdg = fracturize(nodes, cells, paths, box)
-    mdg.generator = {"kind": "cartesian", "nx": nx, "ny": ny, "box": box,
-                     "fractures": [tuple(map(tuple, s)) for s in fractures]}
-    return mdg
+def build_lattice(kind, nx, ny, fractures=(), box=((0.0, 0.0), (1.0, 1.0)),
+                  perturb=0.0, seed=0) -> MixedDimGrid:
+    """The fractured grid of an nx x ny lattice of rectangles on the box.
 
-
-def build_triangular_fractured(nx, ny, fractures=(), box=((0.0, 0.0), (1.0, 1.0)),
-                               perturb=0.0, seed=0) -> MixedDimGrid:
-    """Structured right-triangle grid; fractures may follow the SW-NE diagonals.
-
-    With ``perturb`` > 0, interior nodes away from fractures are shifted by a
-    uniform random fraction of the local spacing (seeded, reproducible).
+    ``kind`` "cartesian" makes each rectangle a quad cell, and fractures
+    follow grid lines; "triangular" splits each rectangle by its SW-NE
+    diagonal into two right triangles, and fractures may also follow the
+    diagonals. Cells are numbered rectangle by rectangle, row by row from the
+    bottom. With ``perturb`` > 0, the interior nodes off the fractures are
+    shifted by a uniform random fraction of the spacing (seeded,
+    reproducible).
     """
-    nodes, xs, ys = _lattice(nx, ny, box)
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            n00, n10 = _nid(i, j, nx), _nid(i + 1, j, nx)
-            n11, n01 = _nid(i + 1, j + 1, nx), _nid(i, j + 1, nx)
-            cells.append([n00, n10, n11])
-            cells.append([n00, n11, n01])
-    paths = [_segment_to_path(s, nx, ny, box, allow_diagonal=True) for s in fractures]
+    (x0, y0), (x1, y1) = box
+    xs, ys = np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1)
+    gx, gy = np.meshgrid(xs, ys, indexing="xy")
+    nodes = np.vstack([gx.ravel(), gy.ravel()])
+    # the SW, SE, NE and NW corners of each rectangle
+    sw = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    se, ne, nw = sw + 1, sw + nx + 2, sw + nx + 1
+    corners, size = {"cartesian": ([sw, se, ne, nw], 4),
+                     "triangular": ([sw, se, ne, sw, ne, nw], 3)}[kind]
+    ids = np.stack(corners, axis=1).ravel()
+    cells = (np.arange(0, ids.size + 1, size), ids)
+    paths = [_segment_to_path(s, nx, ny, box, allow_diagonal=kind == "triangular")
+             for s in fractures]
     if perturb > 0.0:
         rng = np.random.default_rng(seed)
-        hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-        frozen = set()
-        for p in paths:
-            frozen.update(p)
-        interior = np.ones(nodes.shape[1], dtype=bool)
-        for j in (0, ny):
-            interior[[_nid(i, j, nx) for i in range(nx + 1)]] = False
-        for i in (0, nx):
-            interior[[_nid(i, j, nx) for j in range(ny + 1)]] = False
-        interior[list(frozen)] = False
+        interior = np.zeros((ny + 1, nx + 1), dtype=bool)
+        interior[1:-1, 1:-1] = True
+        interior = interior.ravel()
+        interior[np.concatenate([np.zeros(0, dtype=int), *paths])] = False
         shift = rng.uniform(-perturb, perturb, size=(2, nodes.shape[1]))
-        nodes[0, interior] += shift[0, interior] * hx
-        nodes[1, interior] += shift[1, interior] * hy
+        nodes[0, interior] += shift[0, interior] * (xs[1] - xs[0])
+        nodes[1, interior] += shift[1, interior] * (ys[1] - ys[0])
     mdg = fracturize(nodes, cells, paths, box)
-    mdg.generator = {"kind": "triangular", "nx": nx, "ny": ny, "box": box,
+    mdg.generator = {"kind": kind, "nx": nx, "ny": ny, "box": box,
                      "fractures": [tuple(map(tuple, s)) for s in fractures],
                      "perturb": perturb, "seed": seed}
     return mdg
@@ -272,10 +221,15 @@ def _node_copies(nodes, ptr, cell_node, faces, face_cells, is_frac):
     return node_for, np.hstack([nodes, nodes[:, node[copy]]])
 
 
-def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
-    """Split a conforming 2d grid along fracture paths into a mixed-dim grid."""
+def fracturize(nodes, cells, frac_paths, box=None) -> MixedDimGrid:
+    """Split a conforming 2d grid along fracture paths into a mixed-dim grid.
+
+    ``cells`` holds the polygons' node lists in CSR form (offsets, node
+    ids), counterclockwise; each path is a list of node ids. With ``box``,
+    the exterior faces are tagged with the box's sides.
+    """
     nodes = np.array(nodes, dtype=float)
-    ptr, cell_node = polygons_csr(cell_nodes)
+    ptr, cell_node = cells
     n_cells = ptr.size - 1
 
     faces, face_cells = enumerate_faces(ptr, cell_node)
@@ -291,36 +245,23 @@ def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
 
     node_for, all_nodes = _node_copies(nodes, ptr, cell_node, faces, face_cells, is_frac)
     held = node_for(cell_node, np.repeat(np.arange(n_cells), np.diff(ptr)))
-    final_cells = [held[s:e] for s, e in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
 
     # each fracture face becomes two faces, one per side: the owner side's
     # face fo, the neighbour side's fo + 1
     (a, b), (co, cn) = faces.T, face_cells.T
     fo = np.cumsum(1 + is_frac) - (1 + is_frac)
     fd = fo[is_frac] + 1
-    final_face_nodes = np.empty((len(faces) + fd.size, 2), dtype=int)
-    final_face_cells = np.full_like(final_face_nodes, -1)
-    final_face_nodes[fo] = np.stack([node_for(a, co), node_for(b, co)], axis=1)
-    final_face_nodes[fd] = np.stack([node_for(a[is_frac], cn[is_frac]),
-                                     node_for(b[is_frac], cn[is_frac])], axis=1)
-    final_face_cells[fo, 0] = co
-    final_face_cells[fo[~is_frac], 1] = cn[~is_frac]
-    final_face_cells[fd, 0] = cn[is_frac]
-
-    g2 = SubdomainGrid(2, sd_id=0)
-    g2.nodes = all_nodes
-    g2.num_nodes = all_nodes.shape[1]
-    g2.cell_nodes = final_cells
-    g2.num_cells = n_cells
-    g2.face_nodes = final_face_nodes.T.reshape(2, -1)
-    g2.face_cells = final_face_cells.T.reshape(2, -1)
-    g2.num_faces = g2.face_nodes.shape[1]
-    g2.compute_geometry()
-    internal = np.zeros(g2.num_faces, dtype=bool)
+    face_nodes = np.empty((2, len(faces) + fd.size), dtype=int)
+    split_face_cells = np.full_like(face_nodes, -1)
+    face_nodes[:, fo] = node_for(a, co), node_for(b, co)
+    face_nodes[:, fd] = node_for(a[is_frac], cn[is_frac]), node_for(b[is_frac], cn[is_frac])
+    split_face_cells[0, fo] = co
+    split_face_cells[1, fo[~is_frac]] = cn[~is_frac]
+    split_face_cells[0, fd] = cn[is_frac]
+    internal = np.zeros(face_nodes.shape[1], dtype=bool)
     internal[fo[is_frac]] = internal[fd] = True
-    g2.tags["internal"] = internal
-    if box is not None:
-        _tag_domain_sides(g2, box)
+    g2 = SubdomainGrid(2, all_nodes, (ptr, held), face_nodes, split_face_cells, sd_id=0,
+                       tags={"internal": internal}, box=box)
 
     # ------------------------------------------------------------------
     # 1d fracture grids, split at intersection points, and the mortar
@@ -334,14 +275,7 @@ def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
     cells_1d = faces_1d = 0  # fracture cells and faces stacked so far
 
     for fi, path in enumerate(frac_paths):
-        g1 = SubdomainGrid(1, sd_id=len(subdomains))
-        g1.frac_num = fi
-        m = len(path) - 1  # cells
-        coords = nodes[:, path]
-        g1.nodes = coords
-        g1.num_nodes = coords.shape[1]
-        g1.cell_nodes = [np.array([k, k + 1]) for k in range(m)]
-        g1.num_cells = m
+        m = len(path) - 1  # cells, cell k from path node k to k + 1
         # one face per path node; an inner node on an intersection point
         # gets two, the first owned by the cell before it, the second by
         # the cell after it
@@ -351,13 +285,12 @@ def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
         node = np.repeat(np.arange(m + 1), 1 + split)
         second = np.diff(node, prepend=-1) == 0
         inner = (node > 0) & (node < m) & ~at_x[node]
-        g1.face_nodes = node.reshape(1, -1)
-        g1.face_cells = np.stack([np.maximum(node - 1, 0) + second, np.where(inner, node, -1)])
-        g1.num_faces = node.size
-        g1.compute_geometry()
-        g1.tags["internal"] = at_x[node]
-        if box is not None:
-            _tag_domain_sides(g1, box)
+        g1 = SubdomainGrid(1, nodes[:, path],
+                           (np.arange(0, 2 * m + 1, 2), np.repeat(np.arange(m + 1), 2)[1:-1]),
+                           node.reshape(1, -1),
+                           np.stack([np.maximum(node - 1, 0) + second, np.where(inner, node, -1)]),
+                           sd_id=len(subdomains), frac_num=fi, tags={"internal": at_x[node]},
+                           box=box)
         subdomains.append(g1)
 
         # matrix-fracture mortars, one per wall; the k wall lies on the
@@ -381,20 +314,10 @@ def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
         cells_1d += m
         faces_1d += g1.num_faces
 
+    # one point per intersection node, its single cell on its single node
     for n in intersection_nodes:
-        subdomains.append(make_0d_grid(nodes[:, n], sd_id=len(subdomains)))
+        subdomains.append(SubdomainGrid(0, nodes[:, [n]], (np.array([0, 1]), np.array([0])),
+                                        np.zeros((0, 0), dtype=int), np.zeros((2, 0), dtype=int),
+                                        sd_id=len(subdomains)))
     return MixedDimGrid(subdomains, {2: mortar_group(2, 0, g2.num_faces, walls),
                                      1: mortar_group(1, len(walls), faces_1d, tips)})
-
-
-def _tag_domain_sides(g: SubdomainGrid, box):
-    (x0, y0), (x1, y1) = box
-    tol = _TOL * max(x1 - x0, y1 - y0)
-    side = np.zeros(g.num_faces, dtype=np.int8)
-    bnd = (g.face_cells[1] < 0) & ~g.tags.get("internal", np.zeros(g.num_faces, bool))
-    fc = g.face_centers
-    side[bnd & (np.abs(fc[0] - x0) < tol)] = SIDE_LEFT
-    side[bnd & (np.abs(fc[0] - x1) < tol)] = SIDE_RIGHT
-    side[bnd & (np.abs(fc[1] - y0) < tol)] = SIDE_BOTTOM
-    side[bnd & (np.abs(fc[1] - y1) < tol)] = SIDE_TOP
-    g.tags["domain_side"] = side

@@ -11,12 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from mdthm.mdmesh.build import fracturize
-from mdthm.mdmesh.grids import MeshError
+from mdthm.mdmesh.grids import MeshError, polygons_csr
 from mdthm.mdmesh.mdgrid import MixedDimGrid
 
 FRACTURE_PREFIX = "FRACTURE_"
 
 _LINE, _TRIANGLE, _QUAD = 1, 2, 3
+_NODES_OF = {_LINE: 2, _TRIANGLE: 3, _QUAD: 4}
 
 
 def ingest_gmsh(path) -> MixedDimGrid:
@@ -24,8 +25,8 @@ def ingest_gmsh(path) -> MixedDimGrid:
     sections = _read_sections(path)
 
     fmt = sections.get("MeshFormat")
-    if fmt is None:
-        raise MeshError(f"{path}: missing $MeshFormat section")
+    if not fmt:
+        raise MeshError(f"{path}: missing or empty $MeshFormat section")
     version = fmt[0].split()[0]
     if not version.startswith("2.2"):
         raise MeshError(f"{path}: unsupported MSH format version {version!r}")
@@ -34,18 +35,25 @@ def ingest_gmsh(path) -> MixedDimGrid:
     for line in sections.get("PhysicalNames", [])[1:]:
         parts = line.split(maxsplit=2)
         if len(parts) == 3:
-            names[(int(parts[0]), int(parts[1]))] = parts[2].strip().strip('"')
+            try:
+                names[(int(parts[0]), int(parts[1]))] = parts[2].strip().strip('"')
+            except ValueError:
+                raise MeshError(f"{path}: physical name line {line!r} does not start with "
+                                "a dimension and a tag") from None
 
     node_lines = sections.get("Nodes")
     if node_lines is None:
         raise MeshError(f"{path}: missing $Nodes section")
-    raw_id, coords = [], []
+    renum, coords = {}, []
     for line in node_lines[1:]:
         parts = line.split()
-        raw_id.append(int(parts[0]))
-        coords.append((float(parts[1]), float(parts[2])))
-    renum = {rid: i for i, rid in enumerate(raw_id)}
-    nodes = np.array(coords, dtype=float).T
+        try:
+            renum[int(parts[0])] = len(coords)
+            coords.append((float(parts[1]), float(parts[2])))
+        except (ValueError, IndexError):
+            raise MeshError(f"{path}: node line {line!r} does not hold an id and "
+                            "x, y coordinates") from None
+    nodes = np.array(coords, dtype=float).reshape(-1, 2).T
 
     elem_lines = sections.get("Elements")
     if elem_lines is None:
@@ -53,10 +61,20 @@ def ingest_gmsh(path) -> MixedDimGrid:
     cells = []
     frac_edges: dict[str, list[tuple[int, int]]] = {}
     for line in elem_lines[1:]:
-        parts = [int(v) for v in line.split()]
-        elem_id, etype, ntags = parts[0], parts[1], parts[2]
-        tags = parts[3 : 3 + ntags]
-        conn = [renum[v] for v in parts[3 + ntags :]]
+        try:
+            parts = [int(v) for v in line.split()]
+            elem_id, etype, ntags = parts[0], parts[1], parts[2]
+        except (ValueError, IndexError):
+            raise MeshError(f"{path}: element line {line!r} does not hold an id, a type "
+                            "and a tag count") from None
+        tags, ids = parts[3 : 3 + ntags], parts[3 + ntags :]
+        missing = [v for v in ids if v not in renum]
+        if missing:
+            raise MeshError(f"{path}: element line {line!r} names undeclared node {missing[0]}")
+        if len(ids) != _NODES_OF.get(etype, len(ids)):
+            raise MeshError(f"{path}: element line {line!r} has {len(ids)} nodes where "
+                            f"type {etype} has {_NODES_OF[etype]}")
+        conn = [renum[v] for v in ids]
         if etype == _TRIANGLE or etype == _QUAD:
             cells.append(_ccw(conn, nodes))
         elif etype == _LINE:
@@ -72,27 +90,31 @@ def ingest_gmsh(path) -> MixedDimGrid:
     paths = [_chain_edges(name, edges) for name, edges in sorted(frac_edges.items())]
     box = ((nodes[0].min(), nodes[1].min()), (nodes[0].max(), nodes[1].max()))
     try:
-        mdg = fracturize(nodes, cells, paths, box)
+        mdg = fracturize(nodes, polygons_csr(cells), paths, box)
     except MeshError as err:
         raise MeshError(f"{path}: {err}") from err
     return mdg
 
 
 def _read_sections(path) -> dict[str, list[str]]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        raise MeshError(f"{path}: not an ASCII mesh file: {err}") from None
     sections, current, content = {}, None, []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("$End"):
-                sections[current] = content
-                current, content = None, []
-            elif line.startswith("$"):
-                current = line[1:]
-                content = []
-            elif current is not None:
-                content.append(line)
+    for raw in lines:
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("$End"):
+            sections[current] = content
+            current, content = None, []
+        elif line.startswith("$"):
+            current = line[1:]
+            content = []
+        elif current is not None:
+            content.append(line)
     if current is not None:
         raise MeshError(f"{path}: unterminated section ${current}")
     return sections

@@ -1,10 +1,15 @@
-"""Grid containers for the subdomains of a mixed-dimensional mesh.
+"""Grids of the subdomains of a mixed-dimensional mesh.
 
-A 2d grid stores general polygonal cells through face/cell connectivity in
-CSR form; 1d grids live on (poly)lines embedded in the plane and 0d grids
-are single points of unit measure. Face normals are area weighted and point
-out of the face's owner cell (``face_cells[0]``); boundary faces always have
-the interior cell as owner so their normals point out of the domain.
+Every grid, a subdomain or the stack of the subdomains of one dimension, is
+made whole by one call of :class:`SubdomainGrid` from its topology: node
+coordinates, the cells' node lists in CSR form, and the faces' nodes and
+cells. The call derives the counts, computes the geometry and sets the face
+tags. A 2d grid has general polygonal cells and faces of two nodes; a 1d grid
+lies on a (poly)line in the plane, with cells of two nodes and faces of one;
+a 0d grid is a single point, one cell of one node and unit measure, and has
+no faces. Face normals are area weighted and point out of the face's owner
+cell (``face_cells[0]``); boundary faces always have the interior cell as
+owner, so their normals point out of the domain.
 """
 
 from __future__ import annotations
@@ -12,8 +17,12 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sps
 
-# Codes for tags["domain_side"]
-SIDE_NONE, SIDE_LEFT, SIDE_RIGHT, SIDE_BOTTOM, SIDE_TOP = 0, 1, 2, 3, 4
+# the domain's sides; tags["domain_side"] holds a side's code on its
+# exterior faces and 0 on every other face
+SIDES = ("left", "right", "bottom", "top")
+SIDE_CODE = {side: code for code, side in enumerate(SIDES, start=1)}
+
+_TOL = 1e-9
 
 
 class MeshError(ValueError):
@@ -21,65 +30,55 @@ class MeshError(ValueError):
 
 
 class SubdomainGrid:
-    """One subdomain of the mixed-dimensional grid.
+    """One grid of the mixed-dimensional mesh, complete once constructed.
 
-    Attributes of a 2d grid:
+    Topology, as given:
         nodes: (2, n_nodes) coordinates.
-        face_nodes: (2, n_faces) node indices of each face segment.
+        cells: (ptr, ids), the cells' node lists in CSR form: cell c holds
+            the nodes ``ids[ptr[c]:ptr[c + 1]]``, counterclockwise in 2d and
+            from end to end in 1d.
+        face_nodes: (dim, n_faces) node indices of each face.
         face_cells: (2, n_faces) owner / neighbour (-1 on boundaries).
-        cell_nodes: list of node-index arrays, counterclockwise per cell.
-    1d grids use single-node faces (``face_nodes`` of shape (1, n_faces)),
-    0d grids carry a single cell on their single node, and no faces.
+    Geometry, computed: ``cell_centers``, ``cell_volumes``,
+    ``face_centers``, ``face_normals`` and ``face_areas``.
+    Face tags: ``internal`` marks the fracture walls and the fracture faces
+    at intersection points, ``domain_side`` the side code of each exterior
+    face. Each is taken from ``tags``, or, for ``domain_side``, found on the
+    sides of ``box``; it is 0 on every face otherwise. ``frac_num`` is the
+    fracture index of a 1d subdomain.
     """
 
-    def __init__(self, dim: int, sd_id: int = -1):
-        self.dim = dim
-        self.id = sd_id
-        self.num_cells = 0
-        self.num_faces = 0
-        self.num_nodes = 0
-        self.nodes = np.zeros((2, 0))
-        self.face_nodes = np.zeros((2, 0), dtype=int)
-        self.face_cells = np.zeros((2, 0), dtype=int)
-        self.cell_nodes: list[np.ndarray] = []
-        # geometry, filled by compute_geometry
-        self.cell_centers = np.zeros((2, 0))
-        self.cell_volumes = np.zeros(0)
-        self.face_centers = np.zeros((2, 0))
-        self.face_normals = np.zeros((2, 0))
-        self.face_areas = np.zeros(0)
-        self.tags: dict[str, np.ndarray] = {}
-        # fracture index within the mixed-dimensional grid (1d grids)
-        self.frac_num = -1
-
-    # ------------------------------------------------------------------
-    def compute_geometry(self) -> None:
-        """Geometry, default tags and the CSR form of ``cell_nodes``; call it
-        once the topology is final."""
-        self._cell_nodes_csr = polygons_csr(self.cell_nodes)
+    def __init__(self, dim: int, nodes: np.ndarray, cells: tuple, face_nodes: np.ndarray,
+                 face_cells: np.ndarray, sd_id: int = -1, frac_num: int = -1,
+                 tags: dict | None = None, box=None):
+        self.dim, self.id, self.frac_num = dim, sd_id, frac_num
+        self.nodes, self.cells = nodes, cells
+        self.face_nodes, self.face_cells = face_nodes, face_cells
+        self.num_nodes = nodes.shape[1]
+        self.num_cells = cells[0].size - 1
+        self.num_faces = face_cells.shape[1]
         self._subcell_topology = None
-        if self.dim == 2:
+        if dim == 2:
             self._geometry_2d()
-        elif self.dim == 1:
+        elif dim == 1:
             self._geometry_1d()
         else:
+            self.cell_centers = nodes[:, cells[1]]
             self.cell_volumes = np.ones(self.num_cells)
-        self._default_tags()
-
-    def _default_tags(self):
-        for key, dtype in (("domain_side", np.int8), ("internal", bool)):
-            if key not in self.tags:
-                self.tags[key] = np.zeros(self.num_faces, dtype=dtype)
-
-    def cell_nodes_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``cell_nodes`` in CSR form: per-cell offsets (n_cells + 1) into
-        the concatenated node lists, as of :meth:`compute_geometry`."""
-        return self._cell_nodes_csr
+            self.face_centers, self.face_normals = np.zeros((2, 0)), np.zeros((2, 0))
+            self.face_areas = np.zeros(0)
+        tags = tags or {}
+        internal = tags.get("internal", np.zeros(self.num_faces, dtype=bool))
+        if box is not None:
+            side = self._domain_sides(box, internal)
+        else:
+            side = tags.get("domain_side", np.zeros(self.num_faces, dtype=np.int8))
+        self.tags = {"domain_side": side, "internal": internal}
 
     def subcell_topology(self):
         """The :class:`mdthm.fvm.subcell.SubcellTopology` of a 2d grid,
-        built by its first caller after :meth:`compute_geometry` and shared
-        by every discretisation of the grid."""
+        built by its first caller and shared by every discretisation of the
+        grid."""
         if self._subcell_topology is None:
             from mdthm.fvm.subcell import SubcellTopology
 
@@ -88,7 +87,7 @@ class SubdomainGrid:
 
     def _geometry_2d(self):
         x = self.nodes
-        ptr, nodes = self.cell_nodes_csr()
+        ptr, nodes = self.cells
         sizes = np.diff(ptr)
         area = np.zeros(self.num_cells)
         moment = np.zeros((2, self.num_cells))
@@ -127,8 +126,8 @@ class SubdomainGrid:
         fn = self.face_nodes[0]
         self.face_centers = x[:, fn]
         self.face_areas = np.ones(self.num_faces)
-        # cell geometry from the stored endpoint nodes
-        ptr, nodes = self.cell_nodes_csr()
+        # cell geometry from the cells' end nodes
+        ptr, nodes = self.cells
         pa, pb = x[:, nodes[ptr[:-1]]], x[:, nodes[ptr[:-1] + 1]]
         self.cell_centers = 0.5 * (pa + pb)
         self.cell_volumes = np.hypot(*(pb - pa))
@@ -139,29 +138,30 @@ class SubdomainGrid:
         norm = np.hypot(t[0], t[1])
         self.face_normals = t / norm
 
-    # ------------------------------------------------------------------
-    def cell_faces_csr(self) -> tuple[sps.csr_matrix, sps.csr_matrix]:
-        """Signed and unsigned cell-face incidence (cells x faces).
+    def _domain_sides(self, box, internal) -> np.ndarray:
+        """The side code of each exterior face whose centre lies on a side
+        of the box ((x0, y0), (x1, y1)), 0 elsewhere."""
+        (x0, y0), (x1, y1) = box
+        tol = _TOL * max(x1 - x0, y1 - y0)
+        exterior = (self.face_cells[1] < 0) & ~internal
+        side = np.zeros(self.num_faces, dtype=np.int8)
+        for name, axis, edge in (("left", 0, x0), ("right", 0, x1),
+                                 ("bottom", 1, y0), ("top", 1, y1)):
+            side[exterior & (np.abs(self.face_centers[axis] - edge) < tol)] = SIDE_CODE[name]
+        return side
 
-        The signed matrix carries +1 where the face normal points out of the
-        cell and -1 where it points in; its transpose is the discrete
-        divergence acting on face quantities.
-        """
+    # ------------------------------------------------------------------
+    def cell_faces_csr(self) -> sps.csr_matrix:
+        """Signed cell-face incidence (cells x faces): +1 where the face
+        normal points out of the cell and -1 where it points in; its
+        transpose is the discrete divergence acting on face quantities."""
         owner, nbr = self.face_cells
-        rows = [owner]
-        cols = [np.arange(self.num_faces)]
-        vals = [np.ones(self.num_faces)]
+        faces = np.arange(self.num_faces)
         interior = nbr >= 0
-        rows.append(nbr[interior])
-        cols.append(np.arange(self.num_faces)[interior])
-        vals.append(-np.ones(interior.sum()))
-        signed = sps.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.num_cells, self.num_faces),
-        )
-        unsigned = signed.copy()
-        unsigned.data = np.abs(unsigned.data)
-        return signed, unsigned
+        return sps.csr_matrix(
+            (np.concatenate([np.ones(self.num_faces), -np.ones(interior.sum())]),
+             (np.concatenate([owner, nbr[interior]]), np.concatenate([faces, faces[interior]]))),
+            shape=(self.num_cells, self.num_faces))
 
     def boundary_faces(self) -> np.ndarray:
         return np.where(self.face_cells[1] < 0)[0]
@@ -172,7 +172,7 @@ class SubdomainGrid:
 
     def check_closure(self) -> float:
         """Max relative defect of the per-cell sum of outward area normals."""
-        signed, _ = self.cell_faces_csr()
+        signed = self.cell_faces_csr()
         if self.num_faces == 0:
             return 0.0
         defect = np.abs(signed @ self.face_normals.T)
@@ -224,48 +224,38 @@ def polygons_csr(polygons) -> tuple[np.ndarray, np.ndarray]:
     return ptr, np.concatenate([np.zeros(0, dtype=int), *polygons])
 
 
-def make_0d_grid(point: np.ndarray, sd_id: int = -1) -> SubdomainGrid:
-    g = SubdomainGrid(0, sd_id)
-    g.num_cells = 1
-    g.nodes = np.asarray(point, dtype=float).reshape(2, 1)
-    g.num_nodes = 1
-    g.cell_nodes = [np.array([0])]
-    g.cell_centers = g.nodes.copy()
-    g.compute_geometry()
-    return g
-
-
 def stack_grids(dim: int, grids: list[SubdomainGrid]) -> SubdomainGrid:
     """The disjoint union of grids of one dimension, in the given order.
 
-    Cells and faces are numbered grid by grid; ``cell_start`` and
-    ``face_start`` map each part's subdomain id to its first cell and face.
-    Face-cell connectivity (boundary neighbours stay -1), geometry and face
-    tags are stacked, nodes are not: the union carries what face-based
-    discretisations read, but its geometry cannot be recomputed.
+    Nodes, cells and faces are numbered grid by grid, the parts' topology
+    offset accordingly (boundary neighbours stay -1), and the union computes
+    its own geometry, which per cell and per face is the parts' geometry.
+    ``cell_start`` and ``face_start`` map each part's subdomain id to its
+    first cell and face.
     """
-    g = SubdomainGrid(dim)
-    cells = np.cumsum([0] + [sd.num_cells for sd in grids])
-    faces = np.cumsum([0] + [sd.num_faces for sd in grids])
+    # the first node, cell, face and cell-node entry of each part, then the totals
+    nodes, cells, faces, entries = np.cumsum(
+        [[0, 0, 0, 0]] + [[sd.num_nodes, sd.num_cells, sd.num_faces, sd.cells[1].size]
+                          for sd in grids], axis=0).T
+
+    def cat(empty, parts):
+        # the empty leading array keeps the shape when there are no grids
+        return np.concatenate([empty, *parts], axis=-1)
+
+    union = SubdomainGrid(
+        dim,
+        cat(np.zeros((2, 0)), (sd.nodes for sd in grids)),
+        (cat([0], (sd.cells[0][1:] + k0 for sd, k0 in zip(grids, entries))),
+         cat(np.zeros(0, dtype=int), (sd.cells[1] + n0 for sd, n0 in zip(grids, nodes)))),
+        cat(np.zeros((dim, 0), dtype=int), (sd.face_nodes + n0 for sd, n0 in zip(grids, nodes))),
+        cat(np.zeros((2, 0), dtype=int), (np.where(sd.face_cells >= 0, sd.face_cells + c0, -1)
+                                          for sd, c0 in zip(grids, cells))),
+        tags={key: np.concatenate([sd.tags[key] for sd in grids])
+              for key in grids[0].tags} if grids else None)
     ids = [sd.id for sd in grids]
-    g.cell_start = dict(zip(ids, cells[:-1].tolist()))
-    g.face_start = dict(zip(ids, faces[:-1].tolist()))
-    g.num_cells, g.num_faces = int(cells[-1]), int(faces[-1])
-
-    def cat(name, parts):
-        # the union's empty default keeps the shape when there are no grids
-        return np.concatenate([getattr(g, name)] + parts, axis=-1)
-
-    g.face_cells = cat("face_cells", [np.where(sd.face_cells >= 0, sd.face_cells + c0, -1)
-                                      for sd, c0 in zip(grids, cells)])
-    for name in ("cell_centers", "cell_volumes", "face_centers", "face_normals",
-                 "face_areas"):
-        setattr(g, name, cat(name, [getattr(sd, name) for sd in grids]))
-    if grids:
-        g.tags = {key: np.concatenate([sd.tags[key] for sd in grids])
-                  for key in grids[0].tags}
-    g._default_tags()
-    return g
+    union.cell_start = dict(zip(ids, cells[:-1].tolist()))
+    union.face_start = dict(zip(ids, faces[:-1].tolist()))
+    return union
 
 
 def split_cells(stacked: SubdomainGrid, values: np.ndarray) -> dict:

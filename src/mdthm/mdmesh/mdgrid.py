@@ -1,7 +1,8 @@
 """The mixed-dimensional grid: subdomains and their stacked view.
 
 Assembly, set-up and output work on per-dimension stacks: ``grids[dim]``
-stacks the subdomains of dimension 2, 1 and 0 in subdomain order
+stacks the subdomains of dimension 2, 1 and 0 in subdomain order into one
+grid, made whole like every subdomain by one :class:`SubdomainGrid` call
 (:func:`mdthm.mdmesh.stack_grids`), and ``mortars[dim]`` holds the
 interfaces whose high side has dimension 2 (the fracture walls) or 1 (the
 branches at intersection points), stacked in interface order with

@@ -22,10 +22,9 @@ from numbers import Real
 import numpy as np
 
 from mdthm.constitutive import DilationModel, MaterialSet
+from mdthm.mdmesh import SIDES
 from mdthm.system.timeloop import PhaseSpec
 
-SIDES = ("left", "right", "bottom", "top")
-SIDE_CODE = {"left": 1, "right": 2, "bottom": 3, "top": 4}
 SOLVER_KEYS = ("max_iterations", "increment_tol")
 WELL_SUBDOMAINS = ("fracture", "matrix", "auto")
 

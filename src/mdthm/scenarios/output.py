@@ -44,7 +44,7 @@ def _write(path, lines):
 def vtk_geometry(sd: SubdomainGrid) -> list:
     """The lines of the POINTS, CELLS and CELL_TYPES sections of a
     subdomain's legacy VTK file; a point is one VTK_VERTEX cell."""
-    ptr, nodes = sd.cell_nodes_csr()
+    ptr, nodes = sd.cells
     sizes = np.diff(ptr)
     # a cell's line is its node count, then its nodes: tokens[ends[c]:ends[c + 1]]
     tokens = _ints(np.insert(nodes, ptr[:-1], sizes))

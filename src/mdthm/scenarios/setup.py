@@ -8,14 +8,8 @@ import numpy as np
 import scipy.sparse as sps
 from scipy.sparse.csgraph import connected_components
 
-from mdthm.mdmesh import (
-    MeshError,
-    MixedDimGrid,
-    build_cartesian_fractured,
-    build_triangular_fractured,
-    ingest_gmsh,
-)
-from mdthm.scenarios.config import SIDE_CODE, ConfigError, PhaseConfig, ScenarioConfig
+from mdthm.mdmesh import SIDE_CODE, MeshError, MixedDimGrid, build_lattice, ingest_gmsh
+from mdthm.scenarios.config import ConfigError, PhaseConfig, ScenarioConfig
 from mdthm.system import Assembler, DirectSolver, Loads, NewtonParams, State
 
 
@@ -28,10 +22,8 @@ def build_mesh(cfg: ScenarioConfig, extra_refinement: int = 0) -> MixedDimGrid:
     # refinement level k is the generator's grid with 2^k times the cells
     # along each axis; levels nest, and ``containment_map`` relates them
     factor = 2 ** (mesh["refinement"] + extra_refinement)
-    nx, ny = mesh["nx"] * factor, mesh["ny"] * factor
-    if mesh["kind"] == "triangular":
-        return build_triangular_fractured(nx, ny, mesh["fractures"], mesh["box"])
-    return build_cartesian_fractured(nx, ny, mesh["fractures"], mesh["box"])
+    return build_lattice(mesh["kind"], mesh["nx"] * factor, mesh["ny"] * factor,
+                         mesh["fractures"], mesh["box"])
 
 
 def hydrostatic_pressure(cfg: ScenarioConfig, y):

@@ -225,7 +225,7 @@ class Assembler:
         g2, g1 = mdg.matrix, mdg.grids[1]
         self.matrix = g2
         self.fractures = mdg.subdomains_of_dim(1)
-        self.div = {dim: mdg.grids[dim].cell_faces_csr()[0] for dim in (2, 1)}
+        self.div = {dim: mdg.grids[dim].cell_faces_csr() for dim in (2, 1)}
         self.div2_vec = sps.kron(self.div[2], sps.eye(2)).tocsr()
 
         # boundary condition types; internal faces are mechanical Dirichlet

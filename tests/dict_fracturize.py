@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sps
 
-from mdthm.mdmesh.build import _tag_domain_sides
-from mdthm.mdmesh.grids import MeshError, SubdomainGrid, make_0d_grid
+from mdthm.mdmesh.grids import MeshError, SubdomainGrid, polygons_csr
 from mdthm.mdmesh.mdgrid import MixedDimGrid
 from mdthm.mdmesh.mortar import MortarGroup
 
@@ -62,7 +61,6 @@ def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
     """Split a conforming 2d grid along fracture paths into a mixed-dim grid."""
     nodes = np.array(nodes, dtype=float)
     cell_nodes = [list(map(int, p)) for p in cell_nodes]
-    n_cells = len(cell_nodes)
 
     # preliminary face connectivity keyed by sorted node pairs
     face_key_of, faces, face_cells = enumerate_faces(cell_nodes)
@@ -174,22 +172,14 @@ def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
             final_face_cells.append((co, cn))
             face_pairs[f] = (fid,)
 
-    g2 = SubdomainGrid(2, sd_id=0)
-    g2.nodes = all_nodes
-    g2.num_nodes = all_nodes.shape[1]
-    g2.cell_nodes = final_cells
-    g2.num_cells = n_cells
-    g2.face_nodes = np.array(final_face_nodes, dtype=int).T.reshape(2, -1)
-    g2.face_cells = np.array(final_face_cells, dtype=int).T.reshape(2, -1)
-    g2.num_faces = g2.face_nodes.shape[1]
-    g2.compute_geometry()
-    internal = np.zeros(g2.num_faces, dtype=bool)
+    internal = np.zeros(len(final_face_nodes), dtype=bool)
     for f in fracture_of_face:
         fo, fd = face_pairs[f]
         internal[[fo, fd]] = True
-    g2.tags["internal"] = internal
-    if box is not None:
-        _tag_domain_sides(g2, box)
+    g2 = SubdomainGrid(2, all_nodes, polygons_csr(final_cells),
+                       np.array(final_face_nodes, dtype=int).T.reshape(2, -1),
+                       np.array(final_face_cells, dtype=int).T.reshape(2, -1), sd_id=0,
+                       tags={"internal": internal}, box=box)
 
     # ------------------------------------------------------------------
     # 1d fracture grids, split at intersection points
@@ -201,14 +191,7 @@ def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
     frac_tip_interfaces = []  # (frac_idx, 1d face, original node id)
 
     for fi, path in enumerate(frac_paths):
-        g1 = SubdomainGrid(1, sd_id=len(subdomains))
-        g1.frac_num = fi
         m = len(path) - 1  # cells
-        coords = nodes[:, path]
-        g1.nodes = coords
-        g1.num_nodes = coords.shape[1]
-        g1.cell_nodes = [np.array([k, k + 1]) for k in range(m)]
-        g1.num_cells = m
         f_nodes, f_cells = [], []
         side_tag, internal_tag = [], []
         tips = []  # (face id, original node id) at intersection points
@@ -232,13 +215,12 @@ def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
                 add_face(k, k, -1, n, True)
             else:
                 add_face(k, k - 1, k, n, False)
-        g1.face_nodes = np.array(f_nodes, dtype=int).T.reshape(1, -1)
-        g1.face_cells = np.array(f_cells, dtype=int).T.reshape(2, -1)
-        g1.num_faces = g1.face_nodes.shape[1]
-        g1.compute_geometry()
-        g1.tags["internal"] = np.array(internal_tag, dtype=bool)
-        if box is not None:
-            _tag_domain_sides(g1, box)
+        g1 = SubdomainGrid(1, nodes[:, path],
+                           polygons_csr([np.array([k, k + 1]) for k in range(m)]),
+                           np.array(f_nodes, dtype=int).T.reshape(1, -1),
+                           np.array(f_cells, dtype=int).T.reshape(2, -1),
+                           sd_id=len(subdomains), frac_num=fi,
+                           tags={"internal": np.array(internal_tag, dtype=bool)}, box=box)
 
         subdomains.append(g1)
         frac_grids.append(g1)
@@ -271,7 +253,9 @@ def fracturize(nodes, cell_nodes, frac_paths, box=None) -> MixedDimGrid:
     # 0d intersection points and their interfaces
     # ------------------------------------------------------------------
     for n in intersection_nodes:
-        subdomains.append(make_0d_grid(nodes[:, n], sd_id=len(subdomains)))
+        subdomains.append(SubdomainGrid(0, nodes[:, [n]], polygons_csr([np.array([0])]),
+                                        np.zeros((0, 0), dtype=int), np.zeros((2, 0), dtype=int),
+                                        sd_id=len(subdomains)))
     tips = _Mortars()
     for fi, f1d, n in sorted(frac_tip_interfaces):
         g1 = frac_grids[fi]

@@ -3,25 +3,23 @@
 import numpy as np
 
 from mdthm.constitutive import DilationModel, MaterialSet
-from mdthm.mdmesh import build_triangular_fractured
+from mdthm.mdmesh import SIDE_CODE, build_lattice
 from mdthm.system import Assembler, DirectSolver, Loads, NewtonParams, State
-
-SIDE_LEFT, SIDE_RIGHT, SIDE_BOTTOM, SIDE_TOP = 1, 2, 3, 4
 
 
 def default_bc_types(grid):
     side = grid.tags["domain_side"]
     return {
-        "mech": np.isin(side, (SIDE_BOTTOM, SIDE_TOP)),
-        "flow": np.isin(side, (SIDE_LEFT, SIDE_RIGHT)),
-        "heat": np.isin(side, (SIDE_LEFT, SIDE_RIGHT)),
+        "mech": np.isin(side, (SIDE_CODE["bottom"], SIDE_CODE["top"])),
+        "flow": np.isin(side, (SIDE_CODE["left"], SIDE_CODE["right"])),
+        "heat": np.isin(side, (SIDE_CODE["left"], SIDE_CODE["right"])),
     }
 
 
 def make_problem(fractures=(), nx=8, ny=8, mat=None, model=DilationModel.TWO_WAY,
                  perturb=0.0, seed=0, bc_types=None, transient=True):
     mat = mat or MaterialSet()
-    mdg = build_triangular_fractured(nx, ny, fractures, perturb=perturb, seed=seed)
+    mdg = build_lattice("triangular", nx, ny, fractures, perturb=perturb, seed=seed)
     bc = bc_types or default_bc_types(mdg.matrix)
     asm = Assembler(mdg, mat, model, bc, transient=transient)
     state = State(asm.dofs)
@@ -38,7 +36,7 @@ def make_loads(asm, mat=None, top_displacement=(0.0, 0.0), p_left=0.0,
     side = g.tags["domain_side"]
     nf = g.num_faces
     bc_mech = np.zeros(2 * nf)
-    top = np.where(side == SIDE_TOP)[0]
+    top = np.where(side == SIDE_CODE["top"])[0]
     bc_mech[2 * top] = top_displacement[0]
     bc_mech[2 * top + 1] = top_displacement[1]
     bc_mech_prev = np.zeros(2 * nf)
@@ -48,11 +46,11 @@ def make_loads(asm, mat=None, top_displacement=(0.0, 0.0), p_left=0.0,
     else:
         bc_mech_prev = bc_mech.copy()
     dir_flow = asm.bc["flow"].is_dir
-    bc_flow = {2: np.where(dir_flow & (side == SIDE_LEFT), p_left, 0.0)}
+    bc_flow = {2: np.where(dir_flow & (side == SIDE_CODE["left"]), p_left, 0.0)}
     T0 = mat.reference_temperature
     t_left = T0 if T_left is None else T_left
     vals = np.where(dir_flow, T0, 0.0)
-    vals[dir_flow & (side == SIDE_LEFT)] = t_left
+    vals[dir_flow & (side == SIDE_CODE["left"])] = t_left
     bc_heat = {2: vals}
     loads = Loads(bc_mech, bc_mech_prev, bc_flow, bc_heat)
     if wells:

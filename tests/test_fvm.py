@@ -22,14 +22,14 @@ from mdthm.fvm.local import (
     invert_block_diagonal,
     least_squares_block_solve,
 )
-from mdthm.mdmesh import MeshError, build_cartesian_fractured, build_triangular_fractured
+from mdthm.mdmesh import MeshError, build_lattice
 
 G_SH, K_S = 1.7e10, 2.2e10
 LAM = K_S - G_SH
 
 
 def perturbed_triangles(nx=5, ny=4, seed=2):
-    return build_triangular_fractured(nx, ny, perturb=0.2, seed=seed).matrix
+    return build_lattice("triangular", nx, ny, perturb=0.2, seed=seed).matrix
 
 
 def linear_field_data(g, grad, const):
@@ -78,7 +78,7 @@ class TestMpfa:
 
     def test_tpfa_oracle_on_cartesian(self):
         # independent two-point scheme: t = D A / dist for each face
-        g = build_cartesian_fractured(4, 4).matrix
+        g = build_lattice("cartesian", 4, 4).matrix
         D = 3.0
         ops = mpfa_discretize(g, D, BoundaryCondition.dirichlet(g))
         flux = ops.flux.toarray()
@@ -133,7 +133,7 @@ class TestMpfa:
         assert np.abs(q).max() < 1e-6 * 9.81e3
 
     def test_rejects_indefinite_tensor(self):
-        g = build_cartesian_fractured(2, 2).matrix
+        g = build_lattice("cartesian", 2, 2).matrix
         tensor = np.zeros((g.num_cells, 2, 2))
         tensor[:, 0, 0], tensor[:, 1, 1] = 1.0, -1.0
         with pytest.raises(MeshError):
@@ -224,7 +224,7 @@ class TestMpsa:
         bvals = (A @ g.face_centers).T.ravel()
         b[2 * bf] = bvals[2 * bf]
         b[2 * bf + 1] = bvals[2 * bf + 1]
-        div_signed, _ = g.cell_faces_csr()
+        div_signed = g.cell_faces_csr()
         div_vec = sps.kron(div_signed, sps.eye(2)).tocsr()
         sys = div_vec @ ops.stress
         rhs = -div_vec @ (ops.bound_stress @ b)
@@ -232,7 +232,7 @@ class TestMpsa:
         assert np.abs(u_sol - u_exact).max() < 1e-10 * np.abs(u_exact).max()
 
     def test_quad_patch_exactness(self):
-        g = build_cartesian_fractured(4, 3).matrix
+        g = build_lattice("cartesian", 4, 3).matrix
         ops = self.ops(g)
         rng = np.random.default_rng(5)
         A = rng.standard_normal((2, 2)) * 1e-4
@@ -251,10 +251,10 @@ class TestMpsa:
         # the uniform right-triangle lattice with two Neumann sides admits a
         # checkerboard rotation mode under single-point continuity; the
         # two-point least-squares construction must keep the system regular
-        g = build_triangular_fractured(4, 4).matrix
+        g = build_lattice("triangular", 4, 4).matrix
         side = g.tags["domain_side"]
         ops = self.ops(g, BoundaryCondition(np.isin(side, (3, 4))))
-        div, _ = g.cell_faces_csr()
+        div = g.cell_faces_csr()
         sys = (sps.kron(div, sps.eye(2)) @ ops.stress).toarray()
         sys /= np.abs(sys).max(axis=1)[:, None]
         s = np.linalg.svd(sys, compute_uv=False)
@@ -262,8 +262,8 @@ class TestMpsa:
 
 
 class TestLocalSystems:
-    @pytest.mark.parametrize("grid", [build_cartesian_fractured(1, 1).matrix,
-                                      build_triangular_fractured(1, 1).matrix])
+    @pytest.mark.parametrize("grid", [build_lattice("cartesian", 1, 1).matrix,
+                                      build_lattice("triangular", 1, 1).matrix])
     @pytest.mark.parametrize("dirichlet", [True, False])
     def test_smallest_grids_reproduce_linear_fields(self, grid, dirichlet):
         # on the single cell, Dirichlet faces leave the source kinds (S, P, T)
@@ -568,7 +568,7 @@ class TestLocalSolve:
 
 class TestOnedim:
     def frac_grid(self):
-        mdg = build_cartesian_fractured(4, 2, [((0.0, 0.5), (1.0, 0.5))])
+        mdg = build_lattice("cartesian", 4, 2, [((0.0, 0.5), (1.0, 0.5))])
         return mdg.subdomains[1]
 
     def test_uniform_zero_flux(self):
@@ -623,7 +623,7 @@ class TestOnedim:
 
 class TestUpwind:
     def grid(self):
-        return build_cartesian_fractured(3, 3).matrix
+        return build_lattice("cartesian", 3, 3).matrix
 
     @staticmethod
     def advective(g, q, w, w_bc=None):
@@ -663,7 +663,7 @@ class TestUpwind:
         q = rng.standard_normal(g.num_faces)
         w0 = 3.7
         adv = self.advective(g, q, np.full(g.num_cells, w0), np.full(g.num_faces, w0))
-        div, _ = g.cell_faces_csr()
+        div = g.cell_faces_csr()
         assert np.allclose(div @ adv, w0 * (div @ q), atol=1e-12)
 
     def test_excluded_faces_skipped(self):

@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from mdthm.mdmesh import build as mesh_build
-from mdthm.mdmesh import (
-    MeshError,
-    build_cartesian_fractured,
-    build_triangular_fractured,
-    containment_map,
-    ingest_gmsh,
-)
+from mdthm.mdmesh import MeshError, build_lattice, containment_map, ingest_gmsh
 from mdthm.mdmesh.grids import enumerate_faces, polygons_csr
 from mdthm.mdmesh.mortar import mortar_group
 
@@ -54,7 +48,7 @@ def interface_sizes(mdg, dim):
 
 class TestCartesianBuilder:
     def test_unfractured_counts(self):
-        mdg = build_cartesian_fractured(2, 2)
+        mdg = build_lattice("cartesian", 2, 2)
         g = mdg.matrix
         assert g.num_cells == 4
         assert g.num_faces == 12
@@ -62,7 +56,7 @@ class TestCartesianBuilder:
         assert interface_sizes(mdg, 2) == interface_sizes(mdg, 1) == []
 
     def test_single_fracture_counts(self):
-        mdg = build_cartesian_fractured(2, 2, HORIZONTAL)
+        mdg = build_lattice("cartesian", 2, 2, HORIZONTAL)
         assert [sd.dim for sd in mdg.subdomains] == [2, 1]
         frac = mdg.subdomains[1]
         assert frac.num_cells == 2
@@ -73,8 +67,8 @@ class TestCartesianBuilder:
         assert mdg.matrix.num_faces == 14
 
     def test_nested_refinement_partition(self):
-        coarse = build_cartesian_fractured(2, 2, HORIZONTAL)
-        fine = build_cartesian_fractured(4, 4, HORIZONTAL)
+        coarse = build_lattice("cartesian", 2, 2, HORIZONTAL)
+        fine = build_lattice("cartesian", 4, 4, HORIZONTAL)
         maps = containment_map(coarse, fine)
         counts = np.bincount(maps[0], minlength=coarse.matrix.num_cells)
         assert np.all(counts == 4)
@@ -83,28 +77,28 @@ class TestCartesianBuilder:
 
     def test_offgrid_segment_rejected(self):
         with pytest.raises(MeshError, match="grid node"):
-            build_cartesian_fractured(2, 2, [((0.0, 0.3), (1.0, 0.3))])
+            build_lattice("cartesian", 2, 2, [((0.0, 0.3), (1.0, 0.3))])
         with pytest.raises(MeshError):
-            build_cartesian_fractured(2, 2, [((0.0, 0.0), (1.0, 1.0))])
+            build_lattice("cartesian", 2, 2, [((0.0, 0.0), (1.0, 1.0))])
 
     def test_boundary_segment_rejected(self):
         with pytest.raises(MeshError, match="boundary"):
-            build_cartesian_fractured(2, 2, [((0.0, 0.0), (1.0, 0.0))])
+            build_lattice("cartesian", 2, 2, [((0.0, 0.0), (1.0, 0.0))])
 
 
 class TestGeometry:
-    @pytest.mark.parametrize("builder", [build_cartesian_fractured, build_triangular_fractured])
-    def test_closure(self, builder):
-        mdg = builder(4, 4, CROSSING)
+    @pytest.mark.parametrize("kind", ["cartesian", "triangular"])
+    def test_closure(self, kind):
+        mdg = build_lattice(kind, 4, 4, CROSSING)
         assert closure_defect(mdg) < 1e-12
 
     def test_perturbed_closure(self):
-        mdg = build_triangular_fractured(6, 6, perturb=0.2, seed=3)
+        mdg = build_lattice("triangular", 6, 6, perturb=0.2, seed=3)
         assert closure_defect(mdg) < 1e-12
         assert np.all(mdg.matrix.cell_volumes > 0)
 
     def test_duplicated_face_normals_opposite(self):
-        mdg = build_cartesian_fractured(2, 2, HORIZONTAL)
+        mdg = build_lattice("cartesian", 2, 2, HORIZONTAL)
         (faces_j, cells_j), (faces_k, cells_k) = walls_of(mdg, mdg.subdomains[1])
         assert cells_j.tolist() == cells_k.tolist() == [0, 1]
         g = mdg.matrix
@@ -112,14 +106,14 @@ class TestGeometry:
                            atol=1e-12)
 
     def test_volumes_positive(self):
-        mdg = build_triangular_fractured(4, 4, CROSSING)
+        mdg = build_lattice("triangular", 4, 4, CROSSING)
         for sd in mdg.subdomains:
             assert np.all(sd.cell_volumes > 0)
 
 
 class TestCrossingTopology:
     def test_entity_enumeration(self):
-        mdg = build_cartesian_fractured(2, 2, CROSSING)
+        mdg = build_lattice("cartesian", 2, 2, CROSSING)
         dims = [sd.dim for sd in mdg.subdomains]
         assert dims == [2, 1, 1, 0]
         point = mdg.subdomains[3]
@@ -136,7 +130,7 @@ class TestCrossingTopology:
     def test_kink_forms_point(self):
         # two fractures meeting at an endpoint: an intersection with 2 branches
         frs = [((0.25, 0.5), (0.5, 0.5)), ((0.5, 0.5), (0.75, 0.75))]
-        mdg = build_triangular_fractured(4, 4, frs)
+        mdg = build_lattice("triangular", 4, 4, frs)
         points = mdg.subdomains_of_dim(0)
         assert len(points) == 1
         assert branch_count(mdg, points[0]) == 2
@@ -157,7 +151,7 @@ def test_mortar_group_pairs_each_face_and_low_cell_once():
 
 class TestDisplacementJump:
     def setup_method(self):
-        self.mdg = build_cartesian_fractured(3, 2, [((0.0, 0.5), (1.0, 0.5))])
+        self.mdg = build_lattice("cartesian", 3, 2, [((0.0, 0.5), (1.0, 0.5))])
         self.frac = self.mdg.subdomains[1]
 
     def jump(self, u_j, u_k):
@@ -207,7 +201,7 @@ class TestDisplacementJump:
 
 class TestInheritAperture:
     def test_means(self):
-        mdg = build_cartesian_fractured(2, 2, CROSSING)
+        mdg = build_lattice("cartesian", 2, 2, CROSSING)
         point = mdg.subdomains_of_dim(0)[0]
         f1, f2 = mdg.subdomains_of_dim(1)
         ap = np.concatenate([np.full(f1.num_cells, 1e-3), np.full(f2.num_cells, 3e-3)])
@@ -215,7 +209,7 @@ class TestInheritAperture:
         assert a == pytest.approx(2e-3)
 
     def test_mean_of_equal(self):
-        mdg = build_cartesian_fractured(2, 2, CROSSING)
+        mdg = build_lattice("cartesian", 2, 2, CROSSING)
         point = mdg.subdomains_of_dim(0)[0]
         ap = np.full(mdg.grids[1].num_cells, 7e-4)
         assert mdg.inherit_aperture(ap)[mdg.grids[0].cell_start[point.id]] == pytest.approx(7e-4)
@@ -223,7 +217,7 @@ class TestInheritAperture:
     def test_three_branches(self):
         # T junction: one throughgoing fracture (2 branches) and one abutting
         frs = [((0.0, 0.5), (1.0, 0.5)), ((0.5, 0.0), (0.5, 0.5))]
-        mdg = build_cartesian_fractured(2, 2, frs)
+        mdg = build_lattice("cartesian", 2, 2, frs)
         point = mdg.subdomains_of_dim(0)[0]
         assert branch_count(mdg, point) == 3
         # branch apertures {1, 2, 6}e-4 -> mean 3e-4: through-fracture cells
@@ -244,16 +238,11 @@ def write_msh(tmp_path, body, name="mesh.msh"):
     return path
 
 
-def msh_quad_mesh(fractures):
-    """2x2 unit-square quad mesh with optional fracture line elements."""
-    nodes = []
-    nid = {}
-    k = 1
-    for j in range(3):
-        for i in range(3):
-            nid[(i, j)] = k
-            nodes.append(f"{k} {i * 0.5} {j * 0.5} 0")
-            k += 1
+def msh_quad_mesh(fractures, n=2):
+    """n x n unit-square quad mesh with optional fracture line elements,
+    each a list of segments between lattice points (i, j)."""
+    nid = {(i, j): j * (n + 1) + i + 1 for j in range(n + 1) for i in range(n + 1)}
+    nodes = [f"{k} {i / n} {j / n} 0" for (i, j), k in nid.items()]
     elems = []
     eid = 1
     phys_names = ['2 10 "MATRIX"']
@@ -264,15 +253,15 @@ def msh_quad_mesh(fractures):
             elems.append(f"{eid} 1 2 {ptag} {ptag} {nid[a]} {nid[b]}")
             eid += 1
         ptag += 1
-    for j in range(2):
-        for i in range(2):
-            n = [nid[(i, j)], nid[(i + 1, j)], nid[(i + 1, j + 1)], nid[(i, j + 1)]]
-            elems.append(f"{eid} 3 2 10 10 " + " ".join(map(str, n)))
+    for j in range(n):
+        for i in range(n):
+            q = [nid[(i, j)], nid[(i + 1, j)], nid[(i + 1, j + 1)], nid[(i, j + 1)]]
+            elems.append(f"{eid} 3 2 10 10 " + " ".join(map(str, q)))
             eid += 1
     body = "$PhysicalNames\n{}\n{}\n$EndPhysicalNames\n".format(
         len(phys_names), "\n".join(phys_names)
     )
-    body += "$Nodes\n9\n" + "\n".join(nodes) + "\n$EndNodes\n"
+    body += f"$Nodes\n{len(nodes)}\n" + "\n".join(nodes) + "\n$EndNodes\n"
     body += f"$Elements\n{len(elems)}\n" + "\n".join(elems) + "\n$EndElements\n"
     return body
 
@@ -309,6 +298,17 @@ class TestGmshIngestion:
         with pytest.raises(MeshError, match="version"):
             ingest_gmsh(path)
 
+    @pytest.mark.parametrize("text, named", [
+        (b"$MeshFormat\n$EndMeshFormat\n", "missing or empty \\$MeshFormat section"),
+        (MSH_HEADER.encode() + b"$Nodes\n1\n1 0 0 0 \xff\n$EndNodes\n",
+         "not an ASCII mesh file"),
+    ], ids=["empty-format", "not-text"])
+    def test_unreadable_file_rejected(self, tmp_path, text, named):
+        path = tmp_path / "bad.msh"
+        path.write_bytes(text)
+        with pytest.raises(MeshError, match=named):
+            ingest_gmsh(path)
+
     def test_nonconforming_fracture_rejected(self, tmp_path):
         # a fracture edge skipping the midpoint node has no matching face
         fr = [("FRACTURE_A", [((0, 1), (2, 1))])]
@@ -319,15 +319,16 @@ class TestGmshIngestion:
 
 class TestTriangularContainment:
     def test_triangle_children(self):
-        coarse = build_triangular_fractured(2, 2, HORIZONTAL)
-        fine = build_triangular_fractured(4, 4, HORIZONTAL)
+        coarse = build_lattice("triangular", 2, 2, HORIZONTAL)
+        fine = build_lattice("triangular", 4, 4, HORIZONTAL)
         maps = containment_map(coarse, fine)
         counts = np.bincount(maps[0], minlength=coarse.matrix.num_cells)
         assert np.all(counts == 4)
         # children geometrically inside the parent: compare centroid boxes
         for fc, cc in enumerate(maps[0]):
             xf = fine.matrix.cell_centers[:, fc]
-            poly = coarse.matrix.cell_nodes[cc]
+            ptr, ids = coarse.matrix.cells
+            poly = ids[ptr[cc]:ptr[cc + 1]]
             px, py = coarse.matrix.nodes[0, poly], coarse.matrix.nodes[1, poly]
             assert px.min() - 1e-12 <= xf[0] <= px.max() + 1e-12
             assert py.min() - 1e-12 <= xf[1] <= py.max() + 1e-12
@@ -336,8 +337,8 @@ class TestTriangularContainment:
     def test_fracture_cells_lie_on_their_coarse_cell(self, level):
         # the shipped network at a coarser level and at level 2: diagonal
         # fractures, intersection points and split faces
-        coarse, fine = (build_triangular_fractured(_MESH["nx"] * 2**k, _MESH["ny"] * 2**k,
-                                                   CONFIG_FRACTURES, box=CONFIG_BOX)
+        coarse, fine = (build_lattice("triangular", _MESH["nx"] * 2**k, _MESH["ny"] * 2**k,
+                                      CONFIG_FRACTURES, box=CONFIG_BOX)
                         for k in (level, 2))
         assert fine.subdomains_of_dim(0)
         maps = containment_map(coarse, fine)
@@ -345,7 +346,7 @@ class TestTriangularContainment:
         assert len(pairs) == len(CONFIG_FRACTURES)
         for sd_c, sd_f in pairs:
             idx = maps[sd_f.id]
-            ends = np.array(sd_c.cell_nodes)[idx]
+            ends = sd_c.cells[1].reshape(-1, 2)[idx]
             a, b = sd_c.nodes[:, ends[:, 0]], sd_c.nodes[:, ends[:, 1]]
             t, d = b - a, sd_f.cell_centers - a
             along = (d * t).sum(axis=0) / (t * t).sum(axis=0)
@@ -355,7 +356,7 @@ class TestTriangularContainment:
             assert np.all(np.bincount(idx, minlength=sd_c.num_cells) == 2 ** (2 - level))
 
     def test_diagonal_fracture(self):
-        mdg = build_triangular_fractured(4, 4, [((0.25, 0.25), (0.75, 0.75))])
+        mdg = build_lattice("triangular", 4, 4, [((0.25, 0.25), (0.75, 0.75))])
         frac = mdg.subdomains[1]
         assert frac.num_cells == 2
         n = mdg.fracture_basis()[:, 1].T
@@ -377,9 +378,8 @@ def assert_same_grids(got, ref):
         for name in ("nodes", "face_nodes", "face_cells", "cell_centers", "cell_volumes",
                      "face_centers", "face_normals", "face_areas"):
             assert_same_arrays(getattr(a, name), getattr(b, name), (b.id, name))
-        assert len(a.cell_nodes) == len(b.cell_nodes)
-        for c, (pa, pb) in enumerate(zip(a.cell_nodes, b.cell_nodes)):
-            assert_same_arrays(pa, pb, (b.id, "cell", c))
+        for k, name in enumerate(("cell offsets", "cell nodes")):
+            assert_same_arrays(a.cells[k], b.cells[k], (b.id, name))
         assert a.tags.keys() == b.tags.keys()
         for key in b.tags:
             assert_same_arrays(a.tags[key], b.tags[key], (b.id, key))
@@ -393,8 +393,15 @@ def assert_same_grids(got, ref):
             assert_same_arrays(getattr(a.lift, name), getattr(b.lift, name), (dim, name))
 
 
-def fracturize_inputs(monkeypatch, builder, *args, **kwargs):
-    """The grid a generator builds and the input it handed to fracturize."""
+def polygons(cells):
+    """The per-cell node lists of cells in CSR form."""
+    ptr, ids = cells
+    return np.split(ids, ptr[1:-1])
+
+
+def fracturize_inputs(monkeypatch, *args, **kwargs):
+    """The grid the lattice generator builds and the input it handed to
+    fracturize."""
     seen = []
     split = mesh_build.fracturize
 
@@ -403,7 +410,7 @@ def fracturize_inputs(monkeypatch, builder, *args, **kwargs):
         return split(*inputs)
 
     monkeypatch.setattr(mesh_build, "fracturize", capture)
-    return builder(*args, **kwargs), seen[0]
+    return build_lattice(*args, **kwargs), seen[0]
 
 
 # an X crossing, a T junction, a kink and a fracture with two tips
@@ -413,29 +420,63 @@ TRIANGULAR_NETWORK = [((0.125, 0.125), (0.875, 0.875)), ((0.0, 0.5), (0.75, 0.5)
                       ((0.25, 0.75), (0.5, 0.75)), ((0.5, 0.75), (0.625, 0.875))]
 
 
+def loop_lattice(kind, nx, ny, frozen=(), perturb=0.0, seed=0):
+    """The lattice nodes and cells, one square at a time: the reference for
+    ``build_lattice``'s arrays. Nodes in ``frozen`` stay unperturbed."""
+    xs, ys = np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1)
+    nodes = np.array([[x, y] for y in ys for x in xs]).T
+    cells = []
+    for j in range(ny):
+        for i in range(nx):
+            sw, se = j * (nx + 1) + i, j * (nx + 1) + i + 1
+            nw, ne = sw + nx + 1, se + nx + 1
+            cells += [[sw, se, ne, nw]] if kind == "cartesian" else [[sw, se, ne], [sw, ne, nw]]
+    if perturb > 0.0:
+        shift = np.random.default_rng(seed).uniform(-perturb, perturb, size=nodes.shape)
+        for n in range(nodes.shape[1]):
+            i, j = n % (nx + 1), n // (nx + 1)
+            if 0 < i < nx and 0 < j < ny and n not in frozen:
+                nodes[:, n] += shift[:, n] * (xs[1] - xs[0], ys[1] - ys[0])
+    return nodes, polygons_csr(cells)
+
+
+@pytest.mark.parametrize("kind, nx, ny, fractures, perturb", [
+    ("cartesian", 5, 3, [], 0.0),
+    ("triangular", 5, 3, [], 0.0),
+    ("triangular", 8, 8, TRIANGULAR_NETWORK, 0.2),
+])
+def test_lattice_arrays_equal_loops(monkeypatch, kind, nx, ny, fractures, perturb):
+    _, (nodes, cells, paths, _) = fracturize_inputs(monkeypatch, kind, nx, ny, fractures,
+                                                    perturb=perturb, seed=3)
+    ref_nodes, ref_cells = loop_lattice(kind, nx, ny, {n for p in paths for n in p},
+                                        perturb, seed=3)
+    assert_same_arrays(nodes, ref_nodes, "nodes")
+    for k, name in enumerate(("cell offsets", "cell nodes")):
+        assert_same_arrays(cells[k], ref_cells[k], name)
+
+
 class TestArraySplitEqualsDictSplit:
     """The array-based face numbering and fracture split against the
     per-entry reference in ``dict_fracturize``."""
 
-    @pytest.mark.parametrize("builder, args, kwargs", [
-        (build_cartesian_fractured, (8, 8, CARTESIAN_NETWORK), {}),
-        (build_cartesian_fractured, (3, 2), {}),
-        (build_triangular_fractured, (8, 8, TRIANGULAR_NETWORK), {}),
-        (build_triangular_fractured, (8, 8, TRIANGULAR_NETWORK), dict(perturb=0.2, seed=3)),
-        (build_triangular_fractured, (32, 16, CONFIG_FRACTURES), dict(box=CONFIG_BOX)),
+    @pytest.mark.parametrize("kind, args, kwargs", [
+        ("cartesian", (8, 8, CARTESIAN_NETWORK), {}),
+        ("cartesian", (3, 2), {}),
+        ("triangular", (8, 8, TRIANGULAR_NETWORK), {}),
+        ("triangular", (8, 8, TRIANGULAR_NETWORK), dict(perturb=0.2, seed=3)),
+        ("triangular", (32, 16, CONFIG_FRACTURES), dict(box=CONFIG_BOX)),
     ])
-    def test_generator_grids(self, monkeypatch, builder, args, kwargs):
-        mdg, inputs = fracturize_inputs(monkeypatch, builder, *args, **kwargs)
-        assert_same_grids(mdg, dict_fracturize.fracturize(*inputs))
-        _, cells, _, _ = inputs
-        faces, face_cells = enumerate_faces(*polygons_csr(cells))
-        _, ref_faces, ref_cells = dict_fracturize.enumerate_faces(cells)
+    def test_generator_grids(self, monkeypatch, kind, args, kwargs):
+        mdg, (nodes, cells, paths, box) = fracturize_inputs(monkeypatch, kind, *args, **kwargs)
+        assert_same_grids(mdg, dict_fracturize.fracturize(nodes, polygons(cells), paths, box))
+        faces, face_cells = enumerate_faces(*cells)
+        _, ref_faces, ref_cells = dict_fracturize.enumerate_faces(polygons(cells))
         assert_same_arrays(faces, np.array(ref_faces, dtype=int), "face nodes")
         assert_same_arrays(face_cells, np.array(ref_cells, dtype=int), "face cells")
 
     def test_same_errors(self, monkeypatch):
         _, (nodes, cells, paths, box) = fracturize_inputs(
-            monkeypatch, build_cartesian_fractured, 4, 4, HORIZONTAL)
+            monkeypatch, "cartesian", 4, 4, HORIZONTAL)
         # node j * 5 + i sits at lattice point (i, j)
         bad_paths = [
             [[5]],                          # one node
@@ -447,7 +488,7 @@ class TestArraySplitEqualsDictSplit:
         ]
         for frac_paths in bad_paths:
             with pytest.raises(MeshError) as ref:
-                dict_fracturize.fracturize(nodes, cells, frac_paths, box)
+                dict_fracturize.fracturize(nodes, polygons(cells), frac_paths, box)
             with pytest.raises(MeshError, match=f"^{re.escape(str(ref.value))}$"):
                 mesh_build.fracturize(nodes, cells, frac_paths, box)
         three = [[0, 1, 2], [1, 0, 3], [0, 1, 4], [1, 0, 5]]

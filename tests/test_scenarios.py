@@ -5,10 +5,11 @@ import os
 
 import numpy as np
 import pytest
+from test_mdmesh import msh_quad_mesh, write_msh
 
 from mdthm import cli
 from mdthm.contact import ContactError
-from mdthm.mdmesh import build_cartesian_fractured, make_0d_grid, split_cells
+from mdthm.mdmesh import SubdomainGrid, build_lattice, split_cells
 from mdthm.scenarios import drivers
 from mdthm.scenarios.config import ConfigError, parse_config
 from mdthm.scenarios.errors import compare_states, observed_orders
@@ -87,7 +88,9 @@ class TestRunOutput:
         assert len(checked) == len(result.scenario.mdg.subdomains) * len(result.records)
 
     def test_point_is_one_vertex_cell(self):
-        assert vtk_geometry(make_0d_grid(np.array([0.5, 0.75]))) == [
+        assert vtk_geometry(SubdomainGrid(
+            0, np.array([[0.5], [0.75]]), (np.array([0, 1]), np.array([0])),
+            np.zeros((0, 0), dtype=int), np.zeros((2, 0), dtype=int))) == [
             "POINTS 1 double", "0.5 0.75 0.0", "CELLS 1 2", "1 0", "CELL_TYPES 1", "1"]
 
     def test_one_snapshot_per_step_plus_initial(self, tiny_run):
@@ -122,7 +125,7 @@ EXTREMES = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e3
 class TestWriterRoundTrip:
     # compared as int64 bits, so that -0.0 must come back as -0.0
     def test_vtk_fields_read_back_bit_for_bit(self, tmp_path):
-        sd = build_cartesian_fractured(EXTREMES.size, 1).matrix
+        sd = build_lattice("cartesian", EXTREMES.size, 1).matrix
         path = tmp_path / "extremes.vtk"
         write_vtk(path, sd, {"scalar": EXTREMES, "vector": np.vstack([EXTREMES, -EXTREMES])})
         assert np.array_equal(read_vtk_scalars(path, "scalar").view(np.int64),
@@ -489,6 +492,51 @@ class TestCommandLine:
         assert f"{path}: must be an object, not 5" in capsys.readouterr().err
 
 
+# two fractures crossing at the centre of a 4 x 4 quad mesh, off the boundary
+GMSH_CROSSING = [("FRACTURE_A", [((1, 2), (2, 2)), ((2, 2), (3, 2))]),
+                 ("FRACTURE_B", [((2, 1), (2, 2)), ((2, 2), (2, 3))])]
+HORIZONTAL_LINE = [("FRACTURE_A", [((0, 1), (1, 1)), ((1, 1), (2, 1))])]
+
+
+class TestGmshRun:
+    @staticmethod
+    def gmsh_raw(tmp_path, body):
+        raw = tiny_raw()
+        raw["mesh"] = {"kind": "gmsh", "path": str(write_msh(tmp_path, body))}
+        return raw
+
+    def test_crossing_fractures_run_to_the_end(self, tmp_path):
+        raw = self.gmsh_raw(tmp_path, msh_quad_mesh(GMSH_CROSSING, n=4))
+        mdg = build_scenario(parse_config(raw)).mdg
+        assert [sd.dim for sd in mdg.subdomains] == [2, 1, 1, 0]
+        assert mdg.grids[1].num_cells == 4 and mdg.mortars[1].size == 4
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
+        with open(out / "summary.json", encoding="utf-8") as fh:
+            assert len(json.load(fh)["steps"]) == 5
+        assert (out / "vtk" / "subdomain_3_step_00005.vtk").exists()
+
+    @pytest.mark.parametrize("spoil, named", [
+        (lambda body: body.replace(" 5 6 9 8\n", " 5 6 99 8\n"),
+         "element line '6 3 2 10 10 5 6 99 8' names undeclared node 99"),
+        (lambda body: body.replace("\n5 0.5 0.5 0\n", "\n5 0.5\n"),
+         "node line '5 0.5' does not hold an id and x, y coordinates"),
+        (lambda body: body.replace("\n1 1 2 11 11 4 5\n", "\n1 1 2 11 11 4\n"),
+         "element line '1 1 2 11 11 4' has 1 nodes where type 1 has 2"),
+        (lambda body: body.replace('\n1 11 "FRACTURE_A"\n', '\nx 11 "FRACTURE_A"\n'),
+         "physical name line 'x 11 \"FRACTURE_A\"' does not start with a dimension and a tag"),
+    ], ids=["undeclared-node", "short-node-line", "short-line-element", "bad-physical-name"])
+    def test_malformed_mesh_is_a_configuration_error(self, tmp_path, capsys, spoil, named):
+        body = msh_quad_mesh(HORIZONTAL_LINE)
+        assert spoil(body) != body
+        raw = self.gmsh_raw(tmp_path, spoil(body))
+        code = cli.main(["run", "--config", write_config(tmp_path, raw),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: {raw['mesh']['path']}: {named}\n")
+
+
 class TestHydrostaticPressure:
     @staticmethod
     def config(**materials):
@@ -527,7 +575,7 @@ class TestErrorNorms:
 
     @staticmethod
     def nested(levels):
-        return [build_cartesian_fractured(4 * 2**k, 4 * 2**k, [((0.25, 0.5), (0.75, 0.5))])
+        return [build_lattice("cartesian", 4 * 2**k, 4 * 2**k, [((0.25, 0.5), (0.75, 0.5))])
                 for k in range(levels)]
 
     def test_constant_offset_gives_offset_over_scale(self):

@@ -13,16 +13,12 @@ import numpy as np
 import pytest
 
 from test_fvm import perturbed_triangles
+from test_mdmesh import polygons
 
 from mdthm.fvm import BoundaryCondition, mpsa_discretize
 from mdthm.fvm.subcell import SubcellTopology, subcell_volumes
-from mdthm.mdmesh import (
-    MeshError,
-    SubdomainGrid,
-    build_cartesian_fractured,
-    fracturize,
-    stack_grids,
-)
+from mdthm.mdmesh import MeshError, SubdomainGrid, build_lattice, fracturize, stack_grids
+from mdthm.mdmesh.grids import polygons_csr
 from mdthm.scenarios.config import parse_config
 from mdthm.scenarios.setup import build_mesh
 
@@ -36,7 +32,7 @@ def loop_cell_geometry_2d(g):
     x = g.nodes
     centers = np.zeros((2, g.num_cells))
     volumes = np.zeros(g.num_cells)
-    for c, poly in enumerate(g.cell_nodes):
+    for c, poly in enumerate(polygons(g.cells)):
         px, py = x[0, poly], x[1, poly]
         cross = px * np.roll(py, -1) - np.roll(px, -1) * py
         area = 0.5 * cross.sum()
@@ -51,7 +47,7 @@ def loop_cell_geometry_1d(g):
     x = g.nodes
     centers = np.zeros((2, g.num_cells))
     volumes = np.zeros(g.num_cells)
-    for c, poly in enumerate(g.cell_nodes):
+    for c, poly in enumerate(polygons(g.cells)):
         pa, pb = x[:, poly[0]], x[:, poly[1]]
         centers[:, c] = 0.5 * (pa + pb)
         volumes[c] = np.hypot(*(pb - pa))
@@ -60,7 +56,7 @@ def loop_cell_geometry_1d(g):
 
 def loop_subcells(g):
     cells, nodes = [], []
-    for c, poly in enumerate(g.cell_nodes):
+    for c, poly in enumerate(polygons(g.cells)):
         cells.extend([c] * len(poly))
         nodes.extend(poly.tolist())
     order = np.lexsort((np.asarray(cells), np.asarray(nodes)))
@@ -124,17 +120,11 @@ def loop_node_offsets(top, conditions_interior):
 # ---------------------------------------------------------------------------
 def missing_edge_grid():
     """Two unit squares whose shared edge is missing from the face list."""
-    g = SubdomainGrid(2)
-    g.nodes = np.array([[0.0, 1.0, 2.0, 0.0, 1.0, 2.0],
-                        [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]])
-    g.num_nodes = 6
-    g.cell_nodes = [np.array([0, 1, 4, 3]), np.array([1, 2, 5, 4])]
-    g.num_cells = 2
-    g.face_nodes = np.array([[1, 2], [2, 5], [4, 5], [0, 1], [3, 4], [0, 3]]).T
-    g.face_cells = np.array([[1, -1], [1, -1], [1, -1], [0, -1], [0, -1], [0, -1]]).T
-    g.num_faces = 6
-    g.compute_geometry()
-    return g
+    return SubdomainGrid(
+        2, np.array([[0.0, 1.0, 2.0, 0.0, 1.0, 2.0], [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]]),
+        (np.array([0, 4, 8]), np.array([0, 1, 4, 3, 1, 2, 5, 4])),
+        np.array([[1, 2], [2, 5], [4, 5], [0, 1], [3, 4], [0, 3]]).T,
+        np.array([[1, -1], [1, -1], [1, -1], [0, -1], [0, -1], [0, -1]]).T)
 
 
 def mixed_polygons():
@@ -147,14 +137,14 @@ def mixed_polygons():
     return nodes, cells
 
 
-def convergence_level0():
+def convergence_mesh(level):
     with open(CONVERGENCE_CONFIG, encoding="utf-8") as fh:
-        return build_mesh(parse_config(json.load(fh)))
+        return build_mesh(parse_config(json.load(fh)), level)
 
 
 @pytest.fixture(scope="module")
 def level0():
-    return convergence_level0()
+    return convergence_mesh(0)
 
 
 @pytest.fixture(scope="module", params=["triangles", "cartesian", "level0", "mixed"])
@@ -162,11 +152,12 @@ def grid(request, level0):
     if request.param == "triangles":
         return perturbed_triangles()
     if request.param == "cartesian":
-        return build_cartesian_fractured(
-            6, 4, [((1 / 6, 0.5), (5 / 6, 0.5)), ((0.5, 0.25), (0.5, 0.75))]).matrix
+        return build_lattice("cartesian", 6, 4, [((1 / 6, 0.5), (5 / 6, 0.5)),
+                                                 ((0.5, 0.25), (0.5, 0.75))]).matrix
     if request.param == "level0":
         return level0.matrix
-    return fracturize(*mixed_polygons(), []).matrix
+    nodes, cells = mixed_polygons()
+    return fracturize(nodes, polygons_csr(cells), []).matrix
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +206,31 @@ class TestArraysEqualLoops:
         assert np.array_equal(stacked.cell_volumes, np.concatenate([v for _, v in refs]))
 
 
+@pytest.mark.parametrize("level", [0, 1])
+def test_stacks_are_their_parts_bit_for_bit(level):
+    # the shipped network: crossings, T junctions and kinks, so every
+    # dimension has several parts; each stack computes its own geometry
+    mdg = convergence_mesh(level)
+    assert len(mdg.subdomains_of_dim(0)) > 1
+
+    def same_bits(a, b):
+        return (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+
+    for dim, stacked in mdg.grids.items():
+        parts = mdg.subdomains_of_dim(dim)
+        for name in ("cell_centers", "cell_volumes", "face_centers", "face_normals",
+                     "face_areas"):
+            joined = np.concatenate([getattr(sd, name) for sd in parts], axis=-1)
+            assert same_bits(getattr(stacked, name), joined), (dim, name)
+        for key, tag in stacked.tags.items():
+            assert same_bits(tag, np.concatenate([sd.tags[key] for sd in parts])), (dim, key)
+        joined = np.hstack([np.where(sd.face_cells >= 0, sd.face_cells + stacked.cell_start[sd.id],
+                                     -1) for sd in parts])
+        assert same_bits(stacked.face_cells, joined), dim
+        assert [stacked.face_start[sd.id] for sd in parts] == np.cumsum(
+            [0] + [sd.num_faces for sd in parts[:-1]]).tolist()
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize("flipped, named", [((1, 4), 1), ((3, 5), 3)])
     def test_nonpositive_area_names_lowest_cell(self, flipped, named):
@@ -224,7 +240,7 @@ class TestErrorPaths:
         for c in flipped:
             cells[c] = cells[c][::-1]
         with pytest.raises(MeshError, match=rf"^cell {named} has nonpositive area -"):
-            fracturize(nodes, cells, [])
+            fracturize(nodes, polygons_csr(cells), [])
 
     def test_missing_face_names_first_subcell_met(self):
         # at node 1 the subfaces meet cell 1 before cell 0
@@ -240,13 +256,7 @@ class TestErrorPaths:
             mpsa_discretize(g, 1.0, 1.0, 1.0, 1.0, BoundaryCondition.dirichlet(g))
 
     def test_zero_length_1d_cell(self):
-        g = SubdomainGrid(1)
-        g.nodes = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.0]])
-        g.num_nodes = 3
-        g.cell_nodes = [np.array([0, 1]), np.array([1, 2])]
-        g.num_cells = 2
-        g.face_nodes = np.array([[0, 1, 2]])
-        g.face_cells = np.array([[0, 0, 1], [-1, 1, -1]])
-        g.num_faces = 3
         with pytest.raises(MeshError, match="degenerate 1d cell of zero length"):
-            g.compute_geometry()
+            SubdomainGrid(1, np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.0]]),
+                          (np.array([0, 2, 4]), np.array([0, 1, 1, 2])),
+                          np.array([[0, 1, 2]]), np.array([[0, 0, 1], [-1, 1, -1]]))

@@ -6,8 +6,6 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from helpers import (
-    SIDE_BOTTOM,
-    SIDE_TOP,
     column_scales,
     default_bc_types,
     default_params,
@@ -25,7 +23,7 @@ from mdthm.fvm import (
     mpfa_discretize,
     onedim_discretize,
 )
-from mdthm.mdmesh import build_cartesian_fractured
+from mdthm.mdmesh import SIDE_CODE, build_lattice
 from mdthm.system import (
     LAM,
     NU,
@@ -104,7 +102,7 @@ class TestSteadyNoFracture:
         ops = mpfa_discretize(
             g, MAT.matrix_permeability / MAT.viscosity, asm.bc["flow"]
         )
-        div, _ = g.cell_faces_csr()
+        div = g.cell_faces_csr()
         bc_flow = loads.bc_flow[2]
         p_oracle = spla.spsolve(
             (div @ ops.flux).tocsc(), -div @ (ops.bound_flux @ bc_flow)
@@ -128,10 +126,11 @@ class TestSteadyNoFracture:
         # load.
         height = 100.0
         mat = MaterialSet(gravity=(0.0, -9.81), biot_alpha=0.0)
-        mdg = build_cartesian_fractured(8, 8, [], ((0.0, 0.0), (height, height)))
+        mdg = build_lattice("cartesian", 8, 8, [], ((0.0, 0.0), (height, height)))
         g = mdg.matrix
         side = g.tags["domain_side"]
-        bc = {"mech": side == SIDE_BOTTOM, "flow": side == SIDE_TOP, "heat": side == SIDE_TOP}
+        top = side == SIDE_CODE["top"]
+        bc = {"mech": side == SIDE_CODE["bottom"], "flow": top, "heat": top}
         asm = Assembler(mdg, mat, DilationModel.TWO_WAY, bc)
         state = State(asm.dofs)
         state.set_initial({(2, T): mat.reference_temperature})
@@ -782,10 +781,9 @@ class TestTimeLoop:
         # into a sealed square, cm dp/dt = s(t) / V has a time-quadratic
         # solution and the implicit Euler error is O(dt)
         mat = MaterialSet(thermal_expansion_fluid=0.0)
-        from mdthm.mdmesh import build_triangular_fractured
         from mdthm.system import Assembler, State
 
-        mdg = build_triangular_fractured(2, 2)
+        mdg = build_lattice("triangular", 2, 2)
         g = mdg.matrix
         side = g.tags["domain_side"]
         # fully clamped boundary: with uniform pressure the displacement and
