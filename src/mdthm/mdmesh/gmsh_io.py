@@ -88,9 +88,11 @@ def ingest_gmsh(path) -> MixedDimGrid:
         raise MeshError(f"{path}: no 2d elements found")
 
     paths = [_chain_edges(name, edges) for name, edges in sorted(frac_edges.items())]
-    box = ((nodes[0].min(), nodes[1].min()), (nodes[0].max(), nodes[1].max()))
+    ptr, conn = polygons_csr(cells)
+    used = nodes[:, conn]  # a node that no 2d element uses spans no side
+    box = ((used[0].min(), used[1].min()), (used[0].max(), used[1].max()))
     try:
-        mdg = fracturize(nodes, polygons_csr(cells), paths, box)
+        mdg = fracturize(nodes, (ptr, conn), paths, box)
     except MeshError as err:
         raise MeshError(f"{path}: {err}") from err
     return mdg

@@ -45,13 +45,16 @@ class SubdomainGrid:
     at intersection points, ``domain_side`` the side code of each exterior
     face. Each is taken from ``tags``, or, for ``domain_side``, found on the
     sides of ``box``; it is 0 on every face otherwise. ``frac_num`` is the
-    fracture index of a 1d subdomain.
+    fracture index of a 1d subdomain. ``cell_start`` and ``face_start`` map
+    each part of a stack (:func:`stack_grids`) to its first cell and face;
+    a subdomain is its own only part.
     """
 
     def __init__(self, dim: int, nodes: np.ndarray, cells: tuple, face_nodes: np.ndarray,
                  face_cells: np.ndarray, sd_id: int = -1, frac_num: int = -1,
                  tags: dict | None = None, box=None):
         self.dim, self.id, self.frac_num = dim, sd_id, frac_num
+        self.cell_start, self.face_start = {sd_id: 0}, {sd_id: 0}
         self.nodes, self.cells = nodes, cells
         self.face_nodes, self.face_cells = face_nodes, face_cells
         self.num_nodes = nodes.shape[1]
@@ -230,8 +233,6 @@ def stack_grids(dim: int, grids: list[SubdomainGrid]) -> SubdomainGrid:
     Nodes, cells and faces are numbered grid by grid, the parts' topology
     offset accordingly (boundary neighbours stay -1), and the union computes
     its own geometry, which per cell and per face is the parts' geometry.
-    ``cell_start`` and ``face_start`` map each part's subdomain id to its
-    first cell and face.
     """
     # the first node, cell, face and cell-node entry of each part, then the totals
     nodes, cells, faces, entries = np.cumsum(

@@ -1,16 +1,16 @@
 """The mixed-dimensional grid: subdomains and their stacked view.
 
 Assembly, set-up and output work on per-dimension stacks: ``grids[dim]``
-stacks the subdomains of dimension 2, 1 and 0 in subdomain order into one
-grid, made whole like every subdomain by one :class:`SubdomainGrid` call
-(:func:`mdthm.mdmesh.stack_grids`), and ``mortars[dim]`` holds the
-interfaces whose high side has dimension 2 (the fracture walls) or 1 (the
-branches at intersection points), stacked in interface order with
-per-interface offsets (:class:`mdthm.mdmesh.mortar.MortarGroup`). The
-interfaces exist only in these groups, which the grid's builder
-(:func:`mdthm.mdmesh.fracturize`) fills. The jump operator, the fracture
-bases and the inherited apertures of the intersection points are read from
-these stacks, for all cells at once.
+stacks the subdomains of dimension 1 and 0 in subdomain order into one grid,
+made whole like every subdomain by one :class:`SubdomainGrid` call
+(:func:`mdthm.mdmesh.stack_grids`); ``grids[2]`` is the matrix itself, with
+no second copy. ``mortars[dim]`` holds the interfaces whose high side has
+dimension 2 (the fracture walls) or 1 (the branches at intersection points),
+stacked in interface order with per-interface offsets
+(:class:`mdthm.mdmesh.mortar.MortarGroup`). The interfaces exist only in
+these groups, which the grid's builder (:func:`mdthm.mdmesh.fracturize`)
+fills. The jump operator, the fracture bases and the inherited apertures of
+the intersection points are read from these stacks, for all cells at once.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ class MixedDimGrid:
 
     Subdomains are ordered by descending dimension: the single 2d matrix
     first, then the 1d fractures in input order, then 0d intersection
-    points. ``mortars`` maps the high-side dimensions 2 and 1 to their
-    mortar groups, numbered in the stacked grids. Immutable after
-    construction.
+    points. ``grids`` stacks each dimension, ``grids[2]`` being the matrix
+    itself; ``mortars`` maps the high-side dimensions 2 and 1 to their mortar
+    groups, numbered in the stacked grids. Immutable after construction.
     """
 
     nd = 2
@@ -41,7 +41,8 @@ class MixedDimGrid:
         if [sd.id for sd in subdomains] != list(range(len(subdomains))):
             raise MeshError("subdomain ids must equal their positions")
         self.subdomains = subdomains
-        self.grids = {dim: stack_grids(dim, self.subdomains_of_dim(dim)) for dim in (2, 1, 0)}
+        self.grids = {2: self.matrix, **{dim: stack_grids(dim, self.subdomains_of_dim(dim))
+                                         for dim in (1, 0)}}
         self.mortars = mortars
 
     def subdomains_of_dim(self, dim: int) -> list[SubdomainGrid]:

@@ -184,7 +184,7 @@ def locate_wells(mdg: MixedDimGrid, phase: PhaseConfig, path: str) -> dict:
         if w.subdomain != "matrix" and mdg.grids[1].num_cells:
             grid = mdg.grids[1]
         elif w.subdomain != "fracture":
-            grid = mdg.grids[2]
+            grid = mdg.matrix
         else:
             raise ConfigError(f"{wpath}.subdomain: no {w.subdomain} subdomain can host "
                               f"a well at {w.at}")

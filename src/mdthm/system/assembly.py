@@ -848,7 +848,7 @@ class _Slots:
         self.keys, self.sizes = [], []
         self.newton = []  # (term index, rows, cols, L, R) of each Newton term
         # (rows, cols, values) of the constant blocks; (rows, cols, weights,
-        # coefficient indices) of the terms
+        # entries per coefficient) of the terms
         self._const, self._terms = [], []
         self._by_columns = {}  # id(L) -> (L, L by columns)
 
@@ -878,7 +878,6 @@ class _Slots:
         rows, cols = _as_index(rows), None if cols is None else _as_index(cols)
         left = sps.identity(rows.size, format="csr") if left is None else left
         size = left.shape[1]
-        index = sum(self.sizes) + np.arange(size, dtype=np.int32)
         self.keys.append(key)
         self.sizes.append(size)
         rm = (sps.identity(size) if right is None else right).tocsr()
@@ -892,30 +891,34 @@ class _Slots:
         pos = (np.repeat(rm.indptr[lcol] - (np.cumsum(counts) - counts), counts)
                + np.arange(counts.sum()))
         col, weights = rm.indices[pos], np.repeat(lm.data, counts) * rm.data[pos]
-        rows, index = rows[np.repeat(lm.indices, counts)], np.repeat(index[lcol], counts)
-        self._terms.append((rows, col if cols is None else cols[col], weights, index))
+        self._terms.append((rows[np.repeat(lm.indices, counts)],
+                            col if cols is None else cols[col], weights,
+                            np.bincount(lcol, counts, size).astype(np.int64)))
 
     def freeze(self) -> _Slots:
         n, m = self.n, sum(self.sizes)
-        const_rows, const_cols, const = (np.concatenate(p) for p in zip(*self._const))
-        rows, cols, weights, index = (np.concatenate(p) for p in zip(*self._terms))
+        # one conversion, each entry array concatenated once into its input,
+        # sums the constant blocks and gives the pattern, the terms' entries 0
+        k = sum(p[0].size for p in self._const)
+        rows, cols = (np.concatenate([p[i] for p in self._const + self._terms]) for i in (0, 1))
+        data = np.concatenate([p[2] for p in self._const] + [np.zeros(rows.size - k)])
+        weights, counts = (np.concatenate([p[i] for p in self._terms]) for i in (2, 3))
         del self._const, self._terms, self._by_columns
-        # one conversion sums the constant blocks and gives the pattern, in
-        # which the terms' entries are explicit zeros
-        A = sps.csr_matrix((np.concatenate([const, np.zeros(rows.size)]),
-                            (np.concatenate([const_rows, rows]),
-                             np.concatenate([const_cols, cols]))), shape=(n, n))
+        A = sps.csr_matrix((data, (rows, cols)), shape=(n, n))
+        del data
         # copies: the summed arrays are views of buffers sized for all entries
         self.const, self.indptr, self.indices = A.data.copy(), A.indptr, A.indices.copy()
-        # every matrix shares these; an in-place change of the structure of
-        # one would corrupt all
+        del A
+        # every matrix shares these: an in-place change to one corrupts all
         self.indptr.flags.writeable = self.indices.flags.writeable = False
-        slot_of = sps.csr_matrix((np.arange(A.nnz, dtype=float), self.indices, self.indptr),
-                                 shape=(n, n))
-        slot = np.asarray(slot_of[rows, cols]).ravel().astype(np.int32)
+        # each term entry's slot, by its key row n + col among the pattern's
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(self.indptr)) + self.indices
+        wanted = rows[k:] * np.int64(n) + cols[k:]
+        del rows, cols
+        slot = np.searchsorted(keys, wanted).astype(np.int32)
         # the entries of the terms come in coefficient order
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(index, minlength=m))])
-        self.S = sps.csc_matrix((weights, slot, indptr), shape=(A.nnz, m))
+        self.S = sps.csc_matrix((weights, slot, np.concatenate([[0], np.cumsum(counts)])),
+                                shape=(self.const.size, m))
         return self
 
     def matrix(self, coefs: list) -> sps.csr_matrix:

@@ -6,7 +6,8 @@ directly, with the elastic factor kept for the whole run, and solves the
 flow and heat unknowns by preconditioned GMRES. No dense array of the size
 of the elastic unknowns times the contact unknowns is formed: the elastic
 solve keeps only the wall rows of K^-1 A_EC, and pays for that with one
-more solve of K each time it is applied.
+more solve of K each time it is applied. Each block has at most one live
+LU at a time.
 """
 
 from __future__ import annotations
@@ -92,8 +93,7 @@ class DirectSolver:
       columns, so of W = K^-1 A_EC only the rows W[walls] are needed. They
       are solved with the factor, from the sparse A_EC COUPLING_BLOCK
       columns at a time, and kept; W itself, the elastic unknowns times the
-      contact unknowns (763 MB at refinement level 3), is never formed. A
-      stale factor is dropped before the new one is formed.
+      contact unknowns (763 MB at refinement level 3), is never formed.
     - A_MM^-1 is two K solves and one solve with the small dense Schur
       complement A_CC - A_CE[:, walls] W[walls], which is factored on each
       call: y_C from the Schur complement and the first K solve, then
@@ -111,6 +111,8 @@ class DirectSolver:
       factorisation: a steady step that only compresses never factors A_SS.
     - The mechanics follow by x_M = A_MM^-1 (b_M - A_MS x_S), with two
       rounds of iterative refinement.
+    - At most one LU per block, K or A_SS, is alive: a refactorisation drops
+      the block's stale factor before it forms the new one.
 
     Assembly gives every matrix of a run the same sparsity pattern. For a
     pattern, :class:`_Blocks` fixes once the gather from A's data to the
@@ -239,6 +241,7 @@ class DirectSolver:
             dy, info = _gmres(op, g, self._precond, atol, REUSE_ITERATIONS, 1)
             if info == 0:
                 return dy
+        self._precond = None  # the stale factor goes before the new one is formed
         self._precond = _factor(blk.full, slice(n_m, None), SCALAR_ORDERING)
         dy, _ = _gmres(op, g, self._precond, atol, FRESH_RESTART, FRESH_CYCLES)
         if not coupled:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mdthm.mdmesh import build as mesh_build
-from mdthm.mdmesh import MeshError, build_lattice, containment_map, ingest_gmsh
+from mdthm.mdmesh import SIDE_CODE, SIDES, MeshError, build_lattice, containment_map, ingest_gmsh
 from mdthm.mdmesh.grids import enumerate_faces, polygons_csr
 from mdthm.mdmesh.mortar import mortar_group
 
@@ -291,6 +291,17 @@ class TestGmshIngestion:
         assert [sd.dim for sd in mdg.subdomains] == [2, 1, 1, 0]
         point = mdg.subdomains[3]
         assert branch_count(mdg, point) == 4
+
+    def test_unused_node_leaves_the_sides_tagged(self, tmp_path):
+        # the domain is spanned by the quads' nodes: a node that no element
+        # uses, outside the unit square, moves no side
+        body = msh_quad_mesh([]).replace("$Nodes\n9\n", "$Nodes\n10\n").replace(
+            "\n$EndNodes", "\n10 2 2 0\n$EndNodes")
+        mdg = ingest_gmsh(write_msh(tmp_path, body))
+        assert mdg.matrix.num_nodes == 10
+        side = mdg.matrix.tags["domain_side"]
+        assert {name: int(np.sum(side == SIDE_CODE[name])) for name in SIDES} == {
+            "left": 2, "right": 2, "bottom": 2, "top": 2}
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "bad.msh"

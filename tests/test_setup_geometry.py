@@ -231,6 +231,22 @@ def test_stacks_are_their_parts_bit_for_bit(level):
             [0] + [sd.num_faces for sd in parts[:-1]]).tolist()
 
 
+@pytest.mark.parametrize("level", [0, 1])
+def test_matrix_is_its_own_stack(level):
+    # grids[2] is the matrix subdomain, no second copy, and its arrays are
+    # those a stack of the matrix alone computes
+    mdg = convergence_mesh(level)
+    assert mdg.grids[2] is mdg.matrix
+    assert mdg.matrix.cell_start == mdg.matrix.face_start == {0: 0}
+    stacked = stack_grids(2, [mdg.matrix])
+    for name in ("nodes", "face_nodes", "face_cells", "cell_centers", "cell_volumes",
+                 "face_centers", "face_normals", "face_areas"):
+        got, ref = getattr(mdg.matrix, name), getattr(stacked, name)
+        assert (got.shape, got.tobytes()) == (ref.shape, ref.tobytes()), name
+    for key, tag in stacked.tags.items():
+        assert mdg.matrix.tags[key].tobytes() == tag.tobytes(), key
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize("flipped, named", [((1, 4), 1), ((3, 5), 3)])
     def test_nonpositive_area_names_lowest_cell(self, flipped, named):

@@ -433,6 +433,35 @@ class TestBlockSolve:
         assert sizes.count(n_e) == 1 and n_s in sizes
         assert np.abs(state.current[asm.dofs.cells(2, P)]).max() > 0.0
 
+    def test_a_block_is_factored_with_no_factor_of_it_held(self, monkeypatch):
+        # at most one live LU per block: when a block is refactored, its
+        # stale factor is already dropped. With one GMRES iteration for a
+        # kept factor, A_SS is refactored inside the step; K is refactored
+        # for a changed elastic row.
+        monkeypatch.setattr(newton, "REUSE_ITERATIONS", 1)
+        mdg, asm, state = make_problem(FR)
+        solver = self.solver(asm)
+        factored, factor = [], newton._factor
+
+        def watched(matrix, part, ordering):
+            kept = solver._elastic if part.start == 0 else solver._precond
+            factored.append(("K" if part.start == 0 else "A_SS", kept is not None))
+            return factor(matrix, part, ordering)
+
+        monkeypatch.setattr(newton, "_factor", watched)
+        loads = make_loads(asm, top_displacement=self.LOADS["top_displacement"],
+                           prev_top_displacement=(0.0, 0.0))
+        rep = newton_solve(asm, state, 100.0, False, loads, default_params(), solver=solver)
+        assert rep.converged
+        assert [block for block, _ in factored].count("A_SS") > 1
+        A, b = asm.assemble(state, asm.build_cache(state, loads), 100.0, False, loads)
+        A = A.tocsr()
+        row = np.flatnonzero(asm.dofs.mechanics & ~asm.dofs.contact)[0]
+        A.data[A.indptr[row]:A.indptr[row + 1]] *= 1.5
+        solver.solve(A, b, column_scales(asm, default_params().scales), state.current)
+        assert [block for block, _ in factored].count("K") == 2
+        assert factored == [(block, False) for block, _ in factored]
+
     def test_skipped_scalar_correction_returns_the_start_point(self, monkeypatch):
         asm, state, A, b = self.rest_system()
         n_e, _ = self.block_sizes(asm)
