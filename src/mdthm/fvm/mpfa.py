@@ -50,14 +50,18 @@ class ScalarDiffusionOps:
     trace_face:    faces x faces, boundary-data part of the reconstruction
     vector_source: faces x (2 cells), flux from a cellwise vector source
                    (e.g. rho g), raveled cellwise
+    trace_vector_source: faces x (2 cells), its part of the reconstruction
+
+    The two vector-source operators are None where the discretisation was
+    asked not to form them.
     """
 
     flux: sps.csr_matrix
     bound_flux: sps.csr_matrix
     trace_cell: sps.csr_matrix
     trace_face: sps.csr_matrix
-    vector_source: sps.csr_matrix
-    trace_vector_source: sps.csr_matrix
+    vector_source: sps.csr_matrix | None
+    trace_vector_source: sps.csr_matrix | None
 
     def parts(self, name):
         """The operator ``name`` as (coefficient key, static matrix) parts,
@@ -96,10 +100,15 @@ def default_eta(grid: SubdomainGrid) -> float:
     return 1.0 / 3.0
 
 
-def mpfa_discretize(grid: SubdomainGrid, diffusivity,
-                    bc: BoundaryCondition) -> ScalarDiffusionOps:
+def mpfa_discretize(grid: SubdomainGrid, diffusivity, bc: BoundaryCondition,
+                    vector_source: bool = True) -> ScalarDiffusionOps:
     """Discretise scalar diffusion with the O-variant multi-point scheme,
-    continuity points placed by :func:`default_eta`."""
+    continuity points placed by :func:`default_eta`.
+
+    The vector-source operators are formed only if ``vector_source`` is
+    set; otherwise the local systems get no right-hand side for them and
+    both are None. The assembler asks for them only for flow in a run with
+    gravity, where the gravity flux reads them."""
     if grid.dim != 2:
         raise MeshError("mpfa_discretize expects a 2d grid; use onedim for 1d")
     top = grid.subcell_topology()
@@ -124,17 +133,19 @@ def mpfa_discretize(grid: SubdomainGrid, diffusivity,
     interior, dirichlet, neumann = top.subfaces_by_condition(bc.is_dir)
 
     # right-hand sides: cell potentials N, boundary data R, vector sources S
-    local = LocalSystems(top, eq_ptr, 2, {"N": nc, "R": nf, "S": 2 * nc})
+    kinds = {"N": nc, "R": nf, "S": 2 * nc} if vector_source else {"N": nc, "R": nf}
+    local = LocalSystems(top, eq_ptr, 2, kinds)
 
     # flux continuity on interior subfaces: -nK gK + nL gL = -nK rK + nL rL
     sel = interior
     local.add_matrix(sel, row_primary, top.sc_of_owner, -nK[sel] * w_flux[sel, None])
     local.add_matrix(sel, row_primary, top.sc_of_nbr, nL[sel] * w_flux[sel, None])
-    for comp in range(2):
-        local.add_rhs("S", sel, row_primary, 2 * top.sf_owner[sel] + comp,
-                      -nK[sel, comp] * w_flux[sel])
-        local.add_rhs("S", sel, row_primary, 2 * top.sf_nbr[sel] + comp,
-                      nL[sel, comp] * w_flux[sel])
+    if vector_source:
+        for comp in range(2):
+            local.add_rhs("S", sel, row_primary, 2 * top.sf_owner[sel] + comp,
+                          -nK[sel, comp] * w_flux[sel])
+            local.add_rhs("S", sel, row_primary, 2 * top.sf_nbr[sel] + comp,
+                          nL[sel, comp] * w_flux[sel])
 
     # potential continuity: gK.dK - gL.dL = pL - pK
     local.add_matrix(sel, row_secondary, top.sc_of_owner, dK[sel])
@@ -152,12 +163,13 @@ def mpfa_discretize(grid: SubdomainGrid, diffusivity,
     sel = neumann
     local.add_matrix(sel, row_primary, top.sc_of_owner, -nK[sel] * w_flux[sel, None])
     local.add_rhs("R", sel, row_primary, top.sf_face[sel], 0.5 * w_flux[sel])
-    for comp in range(2):
-        local.add_rhs("S", sel, row_primary, 2 * top.sf_owner[sel] + comp,
-                      -nK[sel, comp] * w_flux[sel])
+    if vector_source:
+        for comp in range(2):
+            local.add_rhs("S", sel, row_primary, 2 * top.sf_owner[sel] + comp,
+                          -nK[sel, comp] * w_flux[sel])
 
     grad = local.solve(invert_block_diagonal)
-    grad_cell, grad_face, grad_src = grad["N"], grad["R"], grad["S"]
+    grad_cell, grad_face = grad["N"], grad["R"]
 
     # subface flux = -nK gK (+ nK rK), accumulated onto faces
     sc_cols = np.stack([2 * top.sc_of_owner, 2 * top.sc_of_owner + 1], axis=1)
@@ -166,11 +178,6 @@ def mpfa_discretize(grid: SubdomainGrid, diffusivity,
         (-nK.ravel(), (sf_rows, sc_cols.ravel())),
         shape=(top.num_subfaces, 2 * top.num_subcells),
     )
-    t_src = sps.csr_matrix(
-        (nK.ravel(), (sf_rows, np.stack(
-            [2 * top.sf_owner, 2 * top.sf_owner + 1], axis=1).ravel())),
-        shape=(top.num_subfaces, 2 * nc),
-    )
     sf_to_face = sps.csr_matrix(
         (np.ones(top.num_subfaces), (top.sf_face, np.arange(top.num_subfaces))),
         shape=(nf, top.num_subfaces),
@@ -178,7 +185,6 @@ def mpfa_discretize(grid: SubdomainGrid, diffusivity,
     flux_of = sf_to_face @ t_grad
     flux = flux_of @ grad_cell
     bound_flux = flux_of @ grad_face
-    vector_source = flux_of @ grad_src + sf_to_face @ t_src
 
     # face-centre potential: average of the owner-side reconstructions
     x_mat = sps.csr_matrix(
@@ -195,9 +201,16 @@ def mpfa_discretize(grid: SubdomainGrid, diffusivity,
     )
     trace_cell = sf_avg @ (p_owner + x_mat @ grad_cell)
     trace_face = sf_avg @ (x_mat @ grad_face)
-    trace_src = sf_avg @ (x_mat @ grad_src)
-
-    for mat in (flux, bound_flux, vector_source, trace_cell, trace_face, trace_src):
-        mat.eliminate_zeros()
-    return ScalarDiffusionOps(flux, bound_flux, trace_cell, trace_face,
-                              vector_source, trace_src)
+    ops = ScalarDiffusionOps(flux, bound_flux, trace_cell, trace_face, None, None)
+    if vector_source:
+        t_src = sps.csr_matrix(
+            (nK.ravel(), (sf_rows, np.stack(
+                [2 * top.sf_owner, 2 * top.sf_owner + 1], axis=1).ravel())),
+            shape=(top.num_subfaces, 2 * nc),
+        )
+        ops.vector_source = flux_of @ grad["S"] + sf_to_face @ t_src
+        ops.trace_vector_source = sf_avg @ (x_mat @ grad["S"])
+    for mat in vars(ops).values():
+        if mat is not None:
+            mat.eliminate_zeros()
+    return ops

@@ -173,15 +173,6 @@ class SubdomainGrid:
         """Boundary faces on the domain boundary (not fracture walls)."""
         return np.where((self.face_cells[1] < 0) & ~self.tags["internal"])[0]
 
-    def check_closure(self) -> float:
-        """Max relative defect of the per-cell sum of outward area normals."""
-        signed = self.cell_faces_csr()
-        if self.num_faces == 0:
-            return 0.0
-        defect = np.abs(signed @ self.face_normals.T)
-        scale = np.maximum((np.abs(signed) @ self.face_areas)[:, None], 1e-300)
-        return float((defect / scale).max())
-
     def __repr__(self):
         return (
             f"SubdomainGrid(dim={self.dim}, cells={self.num_cells}, "

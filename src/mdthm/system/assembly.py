@@ -94,7 +94,7 @@ traction per face.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sps
@@ -211,6 +211,22 @@ def _of_dim(table: dict, dim: int, size: int) -> np.ndarray:
 
 
 class Assembler:
+    """The run's operators and the assembly of its Newton systems.
+
+    The set-up discretises the matrix once, by MPSA (``mech_ops``) and by
+    MPFA for flow and heat (``flow_ops``, ``heat_ops``), and the fractures
+    in two-point form (``frac_ops``). Of these, what a later assembly, a
+    cache or a diagnostic reads lives for the run: MPSA's volume change
+    (``div_u``, ``bound_div_u``, ``stab_p``, ``stab_T``) and MPFA's face
+    operators. The vector-source operators of MPFA are formed only for flow
+    in a run with gravity; heat never reads them, and flow only under
+    gravity. What only :meth:`_precompute_static` and the first assembly's
+    registration of the pattern read goes once the pattern is frozen:
+    MPSA's ``stress``, ``bound_stress``, ``grad_p`` and ``grad_T`` (None
+    from then on in ``mech_ops``) and the row maps of the momentum and wall
+    rows, which ``tractions`` holds until then.
+    """
+
     def __init__(self, mdg: MixedDimGrid, mat: MaterialSet,
                  dilation_model: DilationModel, bc_types: dict, transient: bool = True):
         """``transient`` says whether the run has a transient step: without
@@ -220,13 +236,13 @@ class Assembler:
         self.mat = mat
         self.model = dilation_model
         self.transient = transient
+        self.has_gravity = bool(np.any(np.asarray(mat.gravity)))
         self.dofs = DofMap(mdg)
 
         g2, g1 = mdg.matrix, mdg.grids[1]
         self.matrix = g2
         self.fractures = mdg.subdomains_of_dim(1)
         self.div = {dim: mdg.grids[dim].cell_faces_csr() for dim in (2, 1)}
-        self.div2_vec = sps.kron(self.div[2], sps.eye(2)).tocsr()
 
         # boundary condition types; internal faces are mechanical Dirichlet
         # and scalar Neumann by construction
@@ -247,10 +263,11 @@ class Assembler:
             mat.thermal_stress_coefficient, self.bc[MECH],
         )
         self.flow_ops = mpfa_discretize(
-            g2, mat.matrix_permeability / mat.viscosity, self.bc[FLOW]
+            g2, mat.matrix_permeability / mat.viscosity, self.bc[FLOW],
+            vector_source=self.has_gravity,
         )
         kappa_eff = mat.effective(mat.conductivity_solid, mat.conductivity_fluid)
-        self.heat_ops = mpfa_discretize(g2, kappa_eff, self.bc[HEAT])
+        self.heat_ops = mpfa_discretize(g2, kappa_eff, self.bc[HEAT], vector_source=False)
         # the two-point form of the fractures; each cache evaluates it at
         # the iterate's diffusivities
         self.frac_ops = {var: onedim_discretize(g1, 1.0, self.frac_bc[var])
@@ -284,7 +301,8 @@ class Assembler:
         reads: the jump matrix J, the mortar projections, and for the
         momentum and wall rows the boundary operator of their face
         tractions and the tractions of the reference pressure and
-        temperature."""
+        temperature. Each row set's row map stays in ``tractions`` only
+        until the first assembly has registered the pattern."""
         mf, dofs, ops, mat = self.mdg.mortars[2], self.dofs, self.mech_ops, self.mat
         self.J = _block_diag(self.rotation) @ self.walls
         # projection of each dimension's mortar fields onto its faces
@@ -293,12 +311,21 @@ class Assembler:
         # the momentum rows sum the face tractions of each cell, the rows of
         # the wall displacements take them with the sign of their side
         ones = np.ones(self.matrix.num_cells)
+        cells = sps.kron(self.div[2], sps.eye(2)).tocsr()
         walls = (sps.diags(np.repeat(mf.sides, 2)) @ self.to_faces_vec.T).tocsr()
         self.tractions = []
-        for rows, rowmap in ((dofs.cells(2, U), self.div2_vec), (dofs.mortar(2, U_MORTAR), walls)):
+        for rows, rowmap in ((dofs.cells(2, U), cells), (dofs.mortar(2, U_MORTAR), walls)):
             self.tractions.append((rows, rowmap, (rowmap @ ops.bound_stress).tocsr(),
                                    (rowmap @ ops.grad_p) @ (mat.reference_pressure * ones),
                                    (rowmap @ ops.grad_T) @ (mat.reference_temperature * ones)))
+
+    def _drop_registration_operators(self):
+        """Let go of what only :meth:`_precompute_static` and the
+        registration of the pattern read: MPSA's face operators and the row
+        maps of the momentum and wall rows."""
+        self.mech_ops = replace(self.mech_ops, stress=None, bound_stress=None, grad_p=None,
+                                grad_T=None)
+        self.tractions = [(rows, None, *rest) for rows, _, *rest in self.tractions]
 
     def _scalar_ops(self, dim, var, cache: IterationCache):
         """The operators of one scalar of one dimension: MPFA's in the
@@ -412,10 +439,12 @@ class Assembler:
     def face_flux(self, dim, var, ops, x: np.ndarray, loads: Loads, density=None):
         """The face fluxes of one scalar of one dimension in state x, by its
         operators ``ops``: the cell values, then the boundary and mortar
-        data, then, given the fluid density, the gravity term rho g."""
+        data, then, given the fluid density in a run with gravity, the
+        gravity term rho g."""
         q = ops.apply("flux", x[self.dofs.cells(dim, P if var == FLOW else T)]) \
             + ops.apply("bound_flux", self._scalar_boundary_values(dim, var, loads, x))
-        if density is not None:
+        # without gravity the term is +0.0, and q + 0.0 is q
+        if density is not None and self.has_gravity:
             q = q + ops.apply("vector_source", self._rho_g(density))
         return q
 
@@ -505,8 +534,10 @@ class Assembler:
             if group.size:
                 self._mortar_flux_rows(system, group, state, cache, loads)
         A, b = system.finish(state.current)
-        # kept only now: a first assembly that raised leaves no pattern
-        self.slots = system.slots
+        if self.slots is None:
+            # kept only now: a first assembly that raised leaves no pattern
+            self.slots = system.slots
+            self._drop_registration_operators()
         return A, b
 
     # -- momentum ----------------------------------------------------------
@@ -525,8 +556,8 @@ class Assembler:
                     @ self.J.T.tocsr()[dofs.mortar(2, U_MORTAR)]).tocsr()
 
         for (rows, rowmap, bound, ref_p, ref_T), walls in zip(self.tractions, (False, True)):
-            for block, var in ((ops.stress, U), (ops.grad_p, P), (ops.grad_T, T)):
-                system.add(lambda: (rows, dofs.cells(2, var), rowmap, block))
+            for name, var in (("stress", U), ("grad_p", P), ("grad_T", T)):
+                system.add(lambda: (rows, dofs.cells(2, var), rowmap, getattr(ops, name)))
             system.add(lambda: (rows, dofs.mortar(2, U_MORTAR), bound, self.to_faces_vec))
             if walls:
                 system.add(lambda: (rows, dofs.cells(1, LAM), wall_lam()))
@@ -690,7 +721,7 @@ class Assembler:
                     lambda: (cells, self.dofs.mortar(dim, NU if var == FLOW else NU_COND), div,
                              self.to_faces[dim]))
         system.rhs(cells, -(div @ ops.apply("bound_flux", self._ext_scalar(dim, var, loads))))
-        if var == FLOW and np.any(np.asarray(self.mat.gravity)):
+        if var == FLOW and self.has_gravity:
             system.rhs(cells, -(div @ ops.apply("vector_source", self._rho_g(cache.density[dim]))))
 
     def _advective_divergence(self, system: _System, dim, cache, loads, state):
@@ -795,7 +826,7 @@ class Assembler:
                         lambda: (rows, rows, -lift, lift.T))
             trace = ops.apply("trace_face", self._ext_scalar(dim, svar, loads))
             system.rhs(rows, w * (lift @ trace))
-            if var == P and np.any(np.asarray(mat.gravity)):
+            if var == P and self.has_gravity:
                 grav = np.asarray(mat.gravity, float)
                 trace = ops.apply("trace_vector_source", self._rho_g(cache.density[dim]))
                 system.rhs(rows, w * (lift @ trace))
@@ -924,8 +955,10 @@ class _Slots:
     def matrix(self, coefs: list) -> sps.csr_matrix:
         c = np.concatenate([np.broadcast_to(coef, (size,))
                             for coef, size in zip(coefs, self.sizes)])
-        return sps.csr_matrix((self.const + self.S @ c, self.indices, self.indptr),
-                              shape=(self.n, self.n))
+        # S c + const is const + S c bit for bit, without a second array
+        data = self.S @ c
+        data += self.const
+        return sps.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
 class _System:

@@ -257,9 +257,13 @@ class _Blocks:
     """The equilibrated matrix of one sparsity pattern in the order E, C, S,
     and its blocks, refilled in place by each call.
 
-    ``full`` keeps each row's columns sorted; ``m_rows`` and ``s_rows`` are
-    its M and S rows, sharing its arrays. The small blocks have their own
-    gathers from ``full``, and :meth:`fill` refills one: "ec", the E rows
+    ``gather`` takes A's data to ``full``'s: row by row, the positions in
+    A's data of the permuted rows' entries, found in integers from A's
+    index arrays by one permutation of the rows and a renumbering of the
+    columns, each row then sorted by column. So ``full`` keeps each row's
+    columns sorted; ``m_rows`` and ``s_rows`` are its M and S rows, sharing
+    its arrays. The small blocks have their own gathers, positions in
+    ``full``'s data, and :meth:`fill` refills one: "ec", the E rows
     against C, by columns, from which W[walls] is solved and with which the
     elastic back-substitution multiplies; "cc", the contact rows
     against C; and "ce", the contact rows against the E columns in
@@ -277,36 +281,53 @@ class _Blocks:
         # matrices; others may change after a solve
         self.indptr, self.indices = (a if not a.flags.writeable else a.copy()
                                      for a in (A.indptr, A.indices))
-        # the positions of A's entries, permuted
-        at = sps.csr_matrix((np.arange(A.nnz, dtype=float), A.indices, A.indptr), shape=A.shape)
-        at = at[perm][:, perm]
+        # row i of the permuted matrix holds A's row perm[i]: the positions
+        # of its entries in A's data, with the columns renumbered by perm,
+        # each row then sorted by column
+        self.row_sizes = np.diff(A.indptr)[perm]
+        indptr = np.zeros(n + 1, dtype=A.indptr.dtype)
+        np.cumsum(self.row_sizes, out=indptr[1:])
+        gather = (np.repeat(A.indptr[perm] - indptr[:-1], self.row_sizes)
+                  + np.arange(A.nnz, dtype=indptr.dtype))
+        renumber = np.empty(n, dtype=A.indices.dtype)
+        renumber[perm] = np.arange(n)
+        at = sps.csr_matrix((gather, renumber[A.indices[gather]], indptr), shape=A.shape)
         at.sort_indices()
-        self.gather = at.data.astype(np.int32)
-        indptr = at.indptr
+        self.gather = at.data
         self.full = sps.csr_matrix((np.zeros(A.nnz), at.indices, indptr), shape=A.shape)
-        self.row_sizes = np.diff(indptr)
         self.nonempty = np.flatnonzero(self.row_sizes)
         k = indptr[n_m]
-        self.m_rows = sps.csr_matrix((np.zeros(k), at.indices[:k], indptr[:n_m + 1]),
+        indices = self.full.indices
+        self.m_rows = sps.csr_matrix((np.zeros(k), indices[:k], indptr[:n_m + 1]),
                                      shape=(n_m, n))
-        self.s_rows = sps.csr_matrix((np.zeros(A.nnz - k), at.indices[k:], indptr[n_m:] - k),
+        self.s_rows = sps.csr_matrix((np.zeros(A.nnz - k), indices[k:], indptr[n_m:] - k),
                                      shape=(n - n_m, n))
         # views of full's arrays; the constructor copies a small view
         for rows, part in ((self.m_rows, slice(0, k)), (self.s_rows, slice(k, None))):
-            rows.data, rows.indices = self.full.data[part], self.full.indices[part]
+            rows.data, rows.indices = self.full.data[part], indices[part]
         self.s_abs = sps.csr_matrix((np.zeros(A.nnz - k), self.s_rows.indices,
                                      self.s_rows.indptr), shape=self.s_rows.shape)
-        self.coupled = at.indices[k:] < n_m
-        at.data = np.arange(A.nnz, dtype=float)
+        self.coupled = indices[k:] < n_m
         e, c = slice(0, n_e), slice(n_e, n_m)
-        ce = at[c, e]
+        ce = self._positions(c, e)
         # the contact rows reach E only in the wall displacements' columns
         self.walls = np.unique(ce.indices)
         self._blocks = {}
-        for name, block in (("ec", at[e, c].tocsc()), ("ce", ce[:, self.walls]),
-                            ("cc", at[c, c])):
-            self._blocks[name] = (block, block.data.astype(np.int32))
+        for name, block in (("ec", self._positions(e, c).tocsc()), ("ce", ce[:, self.walls]),
+                            ("cc", self._positions(c, c))):
+            self._blocks[name] = (block, block.data)
             block.data = np.zeros(block.nnz)
+
+    def _positions(self, rows: slice, cols: slice) -> sps.csr_matrix:
+        """The block (rows, cols) of ``full``, each entry holding its
+        position in ``full.data``."""
+        indptr = self.full.indptr[rows.start:rows.stop + 1]
+        first = indptr[0]
+        col = self.full.indices[first:indptr[-1]]
+        pos = first + np.flatnonzero((col >= cols.start) & (col < cols.stop))
+        row = np.searchsorted(indptr, pos, side="right") - 1
+        return sps.csr_matrix((pos, (row, self.full.indices[pos] - cols.start)),
+                              shape=(rows.stop - rows.start, cols.stop - cols.start))
 
     def fits(self, A) -> bool:
         return (A.shape == self.full.shape
@@ -487,6 +508,8 @@ def newton_solve(assembler: Assembler, state: State, dt: float, steady: bool,
             return NewtonReport(
                 False, it, inc_hist, res_hist, contact_res, failure=str(err)
             )
+        # the solved system goes before the next one is assembled
+        del A, b
         dx = x_new - state.current
         last_inc = scaled_increment(dx, col_scale, primary)
         inc_hist.append(last_inc)

@@ -7,8 +7,11 @@ matrix and right-hand side that this code builds. Here every block is
 composed as a sparse product at the iterate, with the fracture operators
 formed at the iterate's diffusivities and the upwind choices as selection
 matrices, and the entries of all blocks are summed by one COO-to-CSR
-conversion. The laws themselves (storage coefficients, heat carried by
-wells, contact rows) are the assembler's.
+conversion. It discretises the matrix for itself, by MPSA and by MPFA with
+the vector sources, from the assembler's grid, materials and boundary
+conditions, so that it reads none of the assembler's own operators. The
+laws themselves (storage coefficients, heat carried by wells, contact rows)
+are the assembler's.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import scipy.sparse as sps
 
 from mdthm import contact as ct
 from mdthm.constitutive import carried_heat, cubic_law
-from mdthm.fvm import upwind
-from mdthm.system.assembly import FLOW, HEAT
+from mdthm.fvm import mpfa_discretize, mpsa_discretize, upwind
+from mdthm.system.assembly import FLOW, HEAT, MECH
 from mdthm.system.dofs import LAM, NU, NU_ADV, NU_COND, P, T, U, U_MORTAR
 
 
@@ -96,8 +99,19 @@ def _scalar_terms(asm, dim, ops) -> dict:
     }
 
 
-def _tractions(asm, rowmap):
-    ops = asm.mech_ops
+def _discretize(asm):
+    """MPSA, and MPFA of flow and heat, of the assembler's matrix grid under
+    its materials and boundary conditions."""
+    mat, grid = asm.mat, asm.matrix
+    mech = mpsa_discretize(grid, mat.shear_modulus, mat.lame_lambda, mat.biot_alpha,
+                           mat.thermal_stress_coefficient, asm.bc[MECH])
+    flow = mpfa_discretize(grid, mat.matrix_permeability / mat.viscosity, asm.bc[FLOW])
+    heat = mpfa_discretize(grid, mat.effective(mat.conductivity_solid, mat.conductivity_fluid),
+                           asm.bc[HEAT])
+    return mech, flow, heat
+
+
+def _tractions(ops, asm, rowmap):
     bound = (rowmap @ ops.bound_stress).tocsr()
     return {
         "stress": (rowmap @ ops.stress).tocsr(),
@@ -115,12 +129,14 @@ def coo_assemble(asm, state, cache, dt, steady, loads):
     acc = _Coo(n)
     b = np.zeros(n)
     mf = asm.mdg.mortars[2]
-    walls = _tractions(asm, sps.diags(np.repeat(mf.sides, 2)) @ asm.to_faces_vec.T)
-    ops = {2: {FLOW: asm.flow_ops, HEAT: asm.heat_ops}, 1: cache.fracture_ops}
+    mech, flow, heat = _discretize(asm)
+    walls = _tractions(mech, asm, sps.diags(np.repeat(mf.sides, 2)) @ asm.to_faces_vec.T)
+    ops = {2: {FLOW: flow, HEAT: heat}, 1: cache.fracture_ops}
     terms = {dim: {var: _scalar_terms(asm, dim, o) for var, o in ops[dim].items()}
              for dim in (2, 1)}
-    _matrix_momentum(asm, acc, b, _tractions(asm, asm.div2_vec), loads)
-    _balances(asm, acc, b, state, cache, ops, terms, dt, steady, loads)
+    cells = sps.kron(asm.div[2], sps.eye(2)).tocsr()
+    _matrix_momentum(asm, acc, b, _tractions(mech, asm, cells), loads)
+    _balances(asm, acc, b, state, cache, mech, ops, terms, dt, steady, loads)
     _contact_rows(asm, acc, b, cache)
     _traction_balance(asm, acc, b, walls, loads)
     for dim, group in asm.mdg.mortars.items():
@@ -149,12 +165,12 @@ def _matrix_momentum(asm, acc, b, mom, loads):
     _add_to(b, rows, -asm._rho_g(asm.mat.density_solid * asm.matrix.cell_volumes))
 
 
-def _balances(asm, acc, b, state, cache, ops, terms, dt, steady, loads):
+def _balances(asm, acc, b, state, cache, mech, ops, terms, dt, steady, loads):
     accumulation = None if steady else asm.accumulation(state, cache, dt)
     for var, svar in ((P, FLOW), (T, HEAT)):
         for dim in asm.mdg.grids:
             if not steady:
-                _storage(asm, acc, b, dim, var, accumulation[dim][var], state, loads)
+                _storage(asm, acc, b, dim, var, accumulation[dim][var], mech, state, loads)
             if dim > 0:
                 _scalar_flux_divergence(asm, acc, b, dim, svar, terms[dim][svar], cache, loads)
                 if var == T:
@@ -168,7 +184,7 @@ def _balances(asm, acc, b, state, cache, ops, terms, dt, steady, loads):
                 _well_energy(asm, acc, b, dim, loads, state)
 
 
-def _storage(asm, acc, b, dim, var, a, state, loads):
+def _storage(asm, acc, b, dim, var, a, ops, state, loads):
     dofs, xp = asm.dofs, state.prev_step
     other = T if var == P else P
     rows, cols = dofs.cells(dim, var), dofs.cells(dim, other)
@@ -176,13 +192,16 @@ def _storage(asm, acc, b, dim, var, a, state, loads):
     acc.add(rows, cols, a.coef[other])
     _add_to(b, rows, a.coef[var] * xp[rows] + a.coef[other] * xp[cols])
     if dim == 2:
-        ops = asm.mech_ops
         w = sps.diags(a.weight)
         acc.add_mat(rows, dofs.cells(2, U), w @ ops.div_u)
         acc.add_mat(rows, dofs.mortar(2, U_MORTAR), w @ ops.bound_div_u @ asm.to_faces_vec)
         acc.add_mat(rows, dofs.cells(2, P), w @ ops.stab_p)
         acc.add_mat(rows, dofs.cells(2, T), w @ ops.stab_T)
-        _add_to(b, rows, a.weight * asm.div_u(xp, loads.bc_mech_prev))
+        # the previous step's div u, with its boundary data
+        div_u = (ops.div_u @ xp[dofs.cells(2, U)]
+                 + ops.bound_div_u @ asm.mech_boundary_values(loads.bc_mech_prev, xp)
+                 + ops.stab_p @ xp[dofs.cells(2, P)] + ops.stab_T @ xp[dofs.cells(2, T)])
+        _add_to(b, rows, a.weight * div_u)
         _add_to(b, rows, -((w @ ops.bound_div_u) @ asm._ext_mech(loads.bc_mech)))
         return
     if dim == 1:

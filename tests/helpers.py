@@ -1,8 +1,11 @@
-"""Shared problem-construction helpers for the system-level tests."""
+"""Shared problem-construction helpers for the system-level tests, and
+the checks that only tests make: the complementarity report of a converged
+contact state and the closure defect of a grid."""
 
 import numpy as np
 
 from mdthm.constitutive import DilationModel, MaterialSet
+from mdthm.contact import ContactState, classify, residuals
 from mdthm.mdmesh import SIDE_CODE, build_lattice
 from mdthm.system import Assembler, DirectSolver, Loads, NewtonParams, State
 
@@ -89,3 +92,46 @@ def plain_solve(A, b):
     n = A.shape[0]
     none = np.zeros(n, dtype=bool)
     return DirectSolver(none, none).solve(A, b, np.ones(n), np.zeros(n))
+
+
+def complementarity_report(lam_t, lam_n, jump_t, jump_n, jump_t_prev, gap,
+                           c_num, friction):
+    """Worst scaled violation of the contact conditions at a converged state.
+
+    Checks nonpenetration (jump_n >= g, lam_n <= 0, complementarity), the
+    Coulomb bound, and that gliding cells slip parallel to the tangential
+    traction, where their scaled slip exceeds 1e-8. The scale is
+    max(1, |lam|) per cell.
+    """
+    lam_t = np.asarray(lam_t, float)
+    lam_n = np.asarray(lam_n, float)
+    scale = np.maximum(1.0, np.hypot(lam_t, lam_n))
+    viol = np.zeros_like(scale)
+    viol = np.maximum(viol, (gap - jump_n) / 1.0)  # penetration [m]
+    viol = np.maximum(viol, lam_n / scale)  # tension
+    viol = np.maximum(viol, np.abs(lam_n * (jump_n - gap)) / scale)
+    viol = np.maximum(viol, (np.hypot(lam_t, 0.0) + friction * lam_n) / scale)
+    c_n, c_t = residuals(lam_t, lam_n, jump_t, jump_n, jump_t_prev, gap, c_num, friction)
+    viol = np.maximum(viol, np.abs(c_n) / scale)
+    viol = np.maximum(viol, np.abs(c_t) / scale**2)
+    # slip alignment on gliding cells
+    state = classify(lam_t, lam_n, jump_t, jump_n, jump_t_prev, gap, c_num, friction)
+    gliding = state == ContactState.GLIDING
+    d_t = jump_t - jump_t_prev
+    active = gliding & (np.abs(d_t) * c_num > 1e-8 * scale)
+    align = np.zeros_like(scale)
+    align[active] = np.where(
+        np.sign(d_t[active]) == np.sign(lam_t[active]), 0.0, 1.0
+    )
+    viol = np.maximum(viol, align)
+    return float(viol.max()) if viol.size else 0.0
+
+
+def check_closure(grid) -> float:
+    """Max relative defect of the per-cell sum of outward area normals."""
+    signed = grid.cell_faces_csr()
+    if grid.num_faces == 0:
+        return 0.0
+    defect = np.abs(signed @ grid.face_normals.T)
+    scale = np.maximum((np.abs(signed) @ grid.face_areas)[:, None], 1e-300)
+    return float((defect / scale).max())

@@ -15,6 +15,7 @@ from coo_assembly import coo_assemble
 from helpers import default_params, make_loads, make_problem, run_solver
 from test_scenarios import tiny_raw
 
+from mdthm.constitutive import MaterialSet
 from mdthm.contact import ContactState
 from mdthm.scenarios.config import parse_config
 from mdthm.scenarios.setup import build_loads, build_scenario
@@ -126,6 +127,28 @@ class TestSlotAssembly:
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(A, name), getattr(A_ref, name))
         assert np.array_equal(b, b_ref)
+
+    @pytest.mark.parametrize("gravity", [(0.0, 0.0), (0.0, -9.81)])
+    def test_set_up_operators_held_only_while_read(self, gravity):
+        # heat never reads MPFA's vector sources, and flow reads them only
+        # under gravity; MPSA's face operators and the momentum rows' row
+        # maps go once the first assembly has registered the pattern
+        mat = MaterialSet(gravity=gravity)
+        _, asm, state = make_problem(CROSSING, mat=mat)
+        ops = (asm.flow_ops, asm.heat_ops)
+        assert [op.vector_source is None for op in ops] == [gravity == (0.0, 0.0), True]
+        assert [op.trace_vector_source is None for op in ops] == [gravity == (0.0, 0.0), True]
+        face_ops = ("stress", "bound_stress", "grad_p", "grad_T")
+        assert all(getattr(asm.mech_ops, name) is not None for name in face_ops)
+        assert all(rowmap is not None for _, rowmap, *_ in asm.tractions)
+        loads = make_loads(asm, top_displacement=(5e-4, -2e-4), T_left=320.0)
+        cache = asm.build_cache(state, loads)
+        A1, b1 = asm.assemble(state, cache, 100.0, False, loads)
+        assert all(getattr(asm.mech_ops, name) is None for name in face_ops)
+        assert all(rowmap is None for _, rowmap, *_ in asm.tractions)
+        # a later assembly needs none of them
+        A2, b2 = asm.assemble(state, cache, 100.0, False, loads)
+        assert np.array_equal(A1.data, A2.data) and np.array_equal(b1, b2)
 
 
 def without_zeros(A):

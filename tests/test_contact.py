@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from helpers import complementarity_report
 from mdthm.contact import (
     ContactError,
     ContactState,
     classify,
-    complementarity_report,
     contact_rows,
     residuals,
 )

@@ -5,6 +5,7 @@ import re
 import dict_fracturize
 import numpy as np
 import pytest
+from helpers import check_closure
 
 from mdthm.mdmesh import build as mesh_build
 from mdthm.mdmesh import SIDE_CODE, SIDES, MeshError, build_lattice, containment_map, ingest_gmsh
@@ -24,7 +25,7 @@ CONFIG_BOX = tuple(map(tuple, _MESH["box"]))
 
 
 def closure_defect(mdg):
-    return max(sd.check_closure() for sd in mdg.subdomains if sd.dim > 0)
+    return max(check_closure(sd) for sd in mdg.subdomains if sd.dim > 0)
 
 
 def branch_count(mdg, point):

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     column_scales,
+    complementarity_report,
     default_bc_types,
     default_params,
     make_loads,
@@ -17,7 +20,7 @@ from helpers import (
 from interface_laws import interface_advective, interface_darcy, interface_fourier
 
 from mdthm.constitutive import DilationModel, MaterialSet, gap as gap_fn
-from mdthm.contact import ContactError, ContactState, classify, complementarity_report
+from mdthm.contact import ContactError, ContactState, classify
 from mdthm.fvm import (
     BoundaryCondition,
     mpfa_discretize,
@@ -376,12 +379,26 @@ class TestBlockSolve:
         assert len(records) == 2 and all(r.newton.iterations > 1 for r in records)
         assert sizes.count(n_e) == 1
         assert set(sizes) == {n_e, n_s}
-        # a changed elastic row is never solved with the stale factor
+        # a changed entry of K is never solved with the stale factor; the
+        # entry is off the diagonal and below half its row's largest, so
+        # that the equilibrated row changes whatever the rounding
         A, b = asm.assemble(state, asm.build_cache(state, loads), 100.0, False, loads)
         A = A.tocsr()
-        row = np.flatnonzero(dofs.mechanics & ~dofs.contact)[0]
-        A.data[A.indptr[row]:A.indptr[row + 1]] *= 1.5
+        elastic = dofs.mechanics & ~dofs.contact
+        row = np.flatnonzero(elastic)[0]
+        entries = np.arange(A.indptr[row], A.indptr[row + 1])
+        small = (np.abs(A.data[entries]) < 0.5 * np.abs(A.data[entries]).max()) \
+            & (A.data[entries] != 0.0) & elastic[A.indices[entries]] \
+            & (A.indices[entries] != row)
+        A.data[entries[np.flatnonzero(small)[0]]] *= 1.5
         col_scale = column_scales(asm, default_params().scales)
+        x = solver.solve(A, b, col_scale, state.current)
+        assert sizes.count(n_e) == 2
+        x_ref = equilibrated_lu_solve(A, b, col_scale)
+        assert np.abs((x - x_ref) / col_scale)[self.primary(asm)].max() < 1e-9
+        # a row scaled by 2 equilibrates to the same bits: the kept factor
+        # solves it
+        A.data[A.indptr[row]:A.indptr[row + 1]] *= 2.0
         x = solver.solve(A, b, col_scale, state.current)
         assert sizes.count(n_e) == 2
         x_ref = equilibrated_lu_solve(A, b, col_scale)
@@ -699,6 +716,58 @@ class TestElasticCoupling:
         for through, after in marks:
             assert through < 1.5 * a_bytes
             assert after < w_bytes
+
+
+def float_coded_gathers(A, perm, n_e, n_m):
+    """The gathers of ``_Blocks`` as they were once built: A's entry
+    positions as the data of a float CSR, permuted by two fancy indexings,
+    and a second float position array for the small blocks."""
+    at = sps.csr_matrix((np.arange(A.nnz, dtype=float), A.indices, A.indptr), shape=A.shape)
+    at = at[perm][:, perm]
+    at.sort_indices()
+    gather = at.data.astype(np.int32)
+    k = at.indptr[n_m]
+    coupled = at.indices[k:] < n_m
+    at.data = np.arange(A.nnz, dtype=float)
+    e, c = slice(0, n_e), slice(n_e, n_m)
+    ce = at[c, e]
+    walls = np.unique(ce.indices)
+    blocks = {"ec": at[e, c].tocsc(), "ce": ce[:, walls], "cc": at[c, c]}
+    return gather, at.indices, at.indptr, coupled, walls, blocks
+
+
+class TestBlockGathers:
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_equal_to_the_float_coded_construction(self, data):
+        # a random pattern, permutation and E/C/S split; the permuted
+        # matrix, the small blocks' patterns and every gather must match
+        n = data.draw(st.integers(1, 12), label="n")
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n),
+                                  label="pattern")).reshape(n, n)
+        perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
+        n_e = data.draw(st.integers(0, n), label="n_e")
+        n_m = data.draw(st.integers(n_e, n), label="n_m")
+        A = sps.csr_matrix(mask.astype(float))
+        blk = newton._Blocks(A, perm, n_e, n_m)
+        gather, indices, indptr, coupled, walls, blocks = float_coded_gathers(A, perm, n_e, n_m)
+        assert np.array_equal(blk.gather, gather)
+        assert np.array_equal(blk.full.indices, indices)
+        assert np.array_equal(blk.full.indptr, indptr)
+        assert np.array_equal(blk.coupled, coupled)
+        assert np.array_equal(blk.walls, walls)
+        for name, ref in blocks.items():
+            block, block_gather = blk._blocks[name]
+            assert block.format == ref.format and block.shape == ref.shape, name
+            assert np.array_equal(block.indptr, ref.indptr), name
+            assert np.array_equal(block.indices, ref.indices), name
+            assert np.array_equal(block_gather, ref.data.astype(np.int32)), name
+        # the gather takes A's data to A permuted
+        A.data = np.arange(1.0, A.nnz + 1)
+        full = sps.csr_matrix((A.data[blk.gather], blk.full.indices, blk.full.indptr),
+                              shape=A.shape)
+        assert np.array_equal(full.toarray(), A[perm][:, perm].toarray())
+
 
 class TestNewtonBehaviour:
     def test_linear_problem_single_iteration(self):
@@ -1081,7 +1150,7 @@ class TestInterfaceLaws:
                 var_name = "flow" if var == P else "heat"
                 bvals = asm._ext_scalar(dim, var_name, loads) + asm.to_faces[dim] @ nu[mortar_key]
                 face = op.trace_cell @ x[high[var]] + op.trace_face @ bvals
-                if var == P:
+                if var == P and np.any(np.asarray(mat.gravity)):
                     face = face + op.trace_vector_source @ np.outer(
                         cache.density[dim], mat.gravity).ravel()
                 return group.lift @ face
